@@ -10,8 +10,8 @@ test:
 
 race:
 	go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/rma \
-		./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/statsd \
-		./internal/shmem ./internal/apps/shmem
+		./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/transport \
+		./internal/statsd ./internal/shmem ./internal/apps/shmem
 
 # The deterministic schedule explorer: model tests for the lock-free
 # protocols (PBQ/ring FIFO refinement, SPTD no-lost-contribution, RMA
@@ -40,12 +40,14 @@ chaos:
 
 # Chaos against the real TCP transport: full runtimes over real sockets
 # in one process (lossy links, kill-link reconnect, partition-to-death)
-# under the race detector, then real OS processes (SIGKILL a node
-# mid-Allreduce, 15%-lossy two-process run) plus the transport unit
-# suite and the purerun launcher tests.  See docs/TRANSPORT.md.
+# and the transport unit suite (the link's two-lock writer included) under
+# the race detector, then real OS processes (SIGKILL a node mid-Allreduce,
+# 15%-lossy two-process run) and the purerun launcher tests.  See
+# docs/TRANSPORT.md.
 chaos-net:
 	go test -race -count=1 -run 'TestChaosTCP' ./internal/core
-	go test -count=1 ./internal/transport ./internal/livechaos ./cmd/purerun
+	go test -race -count=1 ./internal/transport
+	go test -count=1 ./internal/livechaos ./cmd/purerun
 
 # The full gate: build + vet + tests + race detector on the lock-free
 # packages.  Same script CI runs.

@@ -206,6 +206,58 @@ func TestCheckSPTDReduceBroadcast(t *testing.T) {
 	}
 }
 
+// TestCheckSPTDReduceBoxReuse: a thread that is neither leader nor root
+// leaves Reduce as soon as its dropbox is published, so its next collective
+// may reach the box while the leader is still folding the previous round out
+// of it.  Reduce into Reduce and Reduce into Allreduce, with per-round
+// distinct contributions: every result must be its own round's sum in every
+// explored schedule.
+func TestCheckSPTDReduceBoxReuse(t *testing.T) {
+	hookCollective(t)
+	const n, root = 3, 1
+	sum := func(round int) int64 { return int64(n*100*round + n*(n-1)/2) }
+	mk := func() Threads {
+		s := collective.NewSPTD(n, 64)
+		errs := make([]error, n)
+		fns := make([]func(), n)
+		for tid := 0; tid < n; tid++ {
+			tid := tid
+			fns[tid] = func() {
+				got := make([]int64, 1)
+				out := make([]byte, 8)
+				for round := 1; round <= 3; round++ {
+					in := codec.Int64Bytes([]int64{int64(100*round + tid)})
+					if round < 3 {
+						s.Reduce(tid, root, in, out, collective.OpSum, collective.Int64, nil, Wait)
+						if tid != root {
+							continue
+						}
+					} else {
+						s.Allreduce(tid, in, out, collective.OpSum, collective.Int64, nil, Wait)
+					}
+					if codec.GetInt64s(got, out); got[0] != sum(round) {
+						errs[tid] = fmt.Errorf("thread %d round %d: got %d want %d", tid, round, got[0], sum(round))
+						return
+					}
+				}
+			}
+		}
+		return Threads{Fns: fns, Final: func() error {
+			for _, e := range errs {
+				if e != nil {
+					return e
+				}
+			}
+			return nil
+		}}
+	}
+	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, mk)
+	if rep.Failed {
+		t.Fatalf("SPTD reduce box reuse: %s", rep.Error())
+	}
+	t.Logf("PCT: %d seeds, %d total steps", rep.Seeds, rep.TotalSteps)
+}
+
 // TestCheckPartitionedReducer: the large-data all-reduce's publish/fold/
 // ack protocol, with a payload sized so the cacheline chunking leaves one
 // thread with no fold work (the asymmetric case).

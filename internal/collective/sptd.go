@@ -92,6 +92,17 @@ func (s *SPTD) nextRound(tid int) uint64 {
 // finish records that tid has completed round r.
 func (s *SPTD) finish(tid int, r uint64) { s.boxes[tid].ack.Store(r) }
 
+// waitBoxFree blocks a non-leader about to refill its dropbox for round r
+// until the leader is done reading round r-1's payload out of it, which is
+// what publishing round r-1's result says.  A thread that waited for that
+// result (Allreduce, Barrier, Broadcast) finds it on the first load; only a
+// non-root thread leaving Reduce runs ahead of the leader's fold.
+func (s *SPTD) waitBoxFree(r uint64, wait WaitFunc) {
+	if s.resultSeq.Load() < r-1 {
+		wait(func() bool { return s.resultSeq.Load() >= r-1 })
+	}
+}
+
 // waitAllFinished blocks until every thread has completed round r.  Writers
 // of the shared result buffer call this with the previous round before
 // overwriting, so a slow thread still copying out can never observe a torn
@@ -164,6 +175,7 @@ func (s *SPTD) Reduce(tid, root int, in, out []byte, op Op, dt DType, bridge fun
 		}
 	} else {
 		b := &s.boxes[tid]
+		s.waitBoxFree(r, wait)
 		schedpoint("sptd:reduce:write-box")
 		copy(b.buf[:len(in)], in)
 		schedpoint("sptd:reduce:publish-box")
@@ -209,6 +221,7 @@ func (s *SPTD) Allreduce(tid int, in, out []byte, op Op, dt DType, bridge func([
 		copy(out, acc)
 	} else {
 		b := &s.boxes[tid]
+		s.waitBoxFree(r, wait)
 		schedpoint("sptd:allreduce:write-box")
 		copy(b.buf[:len(in)], in)
 		schedpoint("sptd:allreduce:publish-box")

@@ -117,3 +117,54 @@ func TestPartitionedReducerReuseStress(t *testing.T) {
 		t.Fatal(e)
 	}
 }
+
+// TestSPTDReduceBackToBack is the regression test for dropbox reuse after
+// Reduce: a thread that is neither leader nor root leaves round r as soon as
+// its box is published, and must not refill the box for round r+1 — another
+// Reduce, or an Allreduce — while the leader is still folding round r out of
+// it.  Per-round distinct inputs turn a payload from the wrong round into a
+// wrong sum; under -race the overlapping copy and fold are reported directly.
+func TestSPTDReduceBackToBack(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const (
+		n    = 4
+		root = 1
+	)
+	rounds := 300
+	if testing.Short() {
+		rounds = 60
+	}
+	s := NewSPTD(n, 8)
+	bad := make([]string, n) // first mismatch per thread; the rounds go on, so nobody is left waiting
+
+	runCollective(n, func(tid int) {
+		in := make([]byte, 8)
+		out := make([]byte, 8)
+		note := func(what string) {
+			if bad[tid] == "" {
+				bad[tid] = what
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			binary.LittleEndian.PutUint64(in, uint64((tid+1)*(r+1)))
+			want := uint64((r + 1) * n * (n + 1) / 2)
+			s.Reduce(tid, root, in, out, OpSum, Int64, nil, spinWait)
+			if got := binary.LittleEndian.Uint64(out); tid == root && got != want {
+				note("reduce round mismatch")
+			}
+			if r%4 != 3 {
+				continue // Reduce straight into Reduce
+			}
+			binary.LittleEndian.PutUint64(in, uint64((tid+1)*(r+7)))
+			s.Allreduce(tid, in, out, OpSum, Int64, nil, spinWait)
+			if got := binary.LittleEndian.Uint64(out); got != uint64((r+7)*n*(n+1)/2) {
+				note("allreduce after reduce mismatch")
+			}
+		}
+	})
+	for tid, e := range bad {
+		if e != "" {
+			t.Errorf("thread %d: %s", tid, e)
+		}
+	}
+}

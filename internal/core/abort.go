@@ -245,7 +245,15 @@ func (r *Rank) leafWaitIdle(cond func() bool) { r.leafWaitVia(true, cond) }
 // branch rather than a method value on purpose: binding r.wait.Wait to a
 // variable allocates, and this dispatcher sits on the zero-allocation
 // eager paths.
+//
+// A rank about to block first flushes its node's links: frames it sent
+// behind unacked ones may still be staged for the ack clock (see
+// transport.Transport.Flush), and the answer it is about to wait for may
+// depend on them.
 func (r *Rank) sswWait(idle bool, cond func() bool) {
+	if r.rt.tp != nil {
+		r.rt.tp.Flush()
+	}
 	if idle {
 		r.wait.WaitIdle(cond)
 	} else {

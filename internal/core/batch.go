@@ -201,6 +201,9 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 			panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(buf)))
 		}
 		n := copy(buf, msg)
+		if r.rt.tp != nil {
+			rc.recycle(msg)
+		}
 		r.stats.RecvsRemote++
 		r.stats.BytesReceived += int64(n)
 		if ep.trace != nil {
@@ -267,8 +270,7 @@ func (ep *Channel) RecvReady() bool {
 }
 
 // bindRemote resolves the inter-node mailbox on the endpoint's first
-// nonblocking probe (blocking remote receives go through irecv, which
-// resolves its own).
+// receive or probe.
 func (ep *Channel) bindRemote() *remoteChannel {
 	if ep.rem == nil {
 		key := chanKey{src: ep.peer, dst: ep.r.id, tag: ep.tag, comm: ep.comm}

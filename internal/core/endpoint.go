@@ -128,8 +128,9 @@ func (t *epTable) grow() {
 //
 // Send and Recv are the zero-allocation fast paths for eager payloads
 // (len(buf) < SmallMsgMax on an intra-node pair); Isend and Irecv recycle
-// request objects through a per-endpoint free list, so steady-state
-// nonblocking traffic does not allocate either.  Each request returned by
+// request objects through a per-endpoint free list — on inter-node
+// endpoints too — so steady-state nonblocking traffic does not allocate
+// either.  Each request returned by
 // Isend/Irecv must be completed by exactly one Wait/Waitall; completion
 // returns it to the pool, after which the handle is dead.
 type Channel struct {
@@ -324,11 +325,12 @@ func (ep *Channel) Isend(buf []byte) *Request {
 		ep.badDir("Isend")
 	}
 	r := ep.r
+	req := ep.getReq()
 	if ep.ch == nil {
-		return r.isend(ep.comm, buf, ep.peer, ep.tag)
+		r.startRemoteSend(req, chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}, buf)
+		return req
 	}
 	r.stats.BytesSent += int64(len(buf))
-	req := ep.getReq()
 	req.ch, req.buf = ep.ch, buf
 	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
 	if len(buf) < ep.eagerMax {
@@ -363,12 +365,14 @@ func (ep *Channel) Irecv(buf []byte) *Request {
 		ep.badDir("Irecv")
 	}
 	r := ep.r
-	if ep.ch == nil {
-		return r.irecv(ep.comm, buf, ep.peer, ep.tag)
-	}
 	req := ep.getReq()
 	req.ch, req.buf = ep.ch, buf
 	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
+	if ep.ch == nil {
+		r.stats.RecvsRemote++
+		req.kind, req.rem = reqRemoteRecv, ep.bindRemote()
+		return req
+	}
 	if len(buf) < ep.eagerMax {
 		r.stats.RecvsEager++
 		req.kind = reqRecvEager
@@ -395,8 +399,7 @@ func (ep *Channel) getReq() *Request {
 }
 
 // releaseReq returns a completed pooled request to its owning endpoint.
-// Requests created by the legacy rank-level isend/irecv (owner == nil) and
-// RMA link requests are never pooled.  The pooledFree guard makes a
+// RMA requests (owner == nil) are never pooled.  The pooledFree guard makes a
 // redundant Wait on an already-completed request harmless (it was already
 // harmless before pooling) instead of corrupting the free list.
 func releaseReq(req *Request) {

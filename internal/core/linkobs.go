@@ -26,7 +26,7 @@ type linkPeerMetrics struct {
 	reconnects             *obs.Counter
 	acksSent, acksRecv     *obs.Counter
 	hbSent, hbRecv         *obs.Counter
-	sendBusy               *obs.Counter
+	sendBusy, writes       *obs.Counter
 
 	up, queueDepth       *obs.Gauge
 	hbAge, rtt, clockOff *obs.Gauge
@@ -52,6 +52,7 @@ func newLinkMetrics(tp *transport.Transport, reg *obs.Metrics) *linkMetrics {
 			hbSent:      reg.CounterL("pure_link_heartbeats_sent_total", l),
 			hbRecv:      reg.CounterL("pure_link_heartbeats_recv_total", l),
 			sendBusy:    reg.CounterL("pure_link_send_busy_total", l),
+			writes:      reg.CounterL("pure_link_writes_total", l),
 
 			up:         reg.GaugeL("pure_link_up", l),
 			queueDepth: reg.GaugeL("pure_link_send_queue_depth", l),
@@ -84,6 +85,7 @@ func (lm *linkMetrics) sync() {
 		pm.hbSent.Store(st.HeartbeatsSent)
 		pm.hbRecv.Store(st.HeartbeatsRecv)
 		pm.sendBusy.Store(st.SendBusy)
+		pm.writes.Store(st.Writes)
 
 		up := int64(0)
 		if st.Up {
@@ -128,6 +130,7 @@ func (rt *Runtime) LinkStates() []obs.LinkState {
 			AcksSent:    st.AcksSent,
 			AcksRecv:    st.AcksRecv,
 			SendBusy:    st.SendBusy,
+			Writes:      st.Writes,
 
 			HeartbeatsSent: st.HeartbeatsSent,
 			HeartbeatsRecv: st.HeartbeatsRecv,

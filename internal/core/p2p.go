@@ -82,7 +82,9 @@ type netMsg struct {
 type remoteChannel struct {
 	n    atomic.Int64 // buffered message count (lock-free emptiness probe)
 	mu   chanMutex
-	msgs []netMsg
+	msgs []netMsg // ring of n entries from head; len is zero or a power of two
+	head int
+	free [][]byte // payload buffers handed back by the receiver, for tpDeliver
 
 	// Reliable-path state (untouched on the fault-free path).
 	sendSeq uint64            // last sequence assigned; owned by the sending rank
@@ -250,102 +252,41 @@ func DecodeInterNodeTag(enc, bits int) (tag, srcLocal, dstLocal int) {
 // ---- Point-to-point operations (rank-level; Comm wraps these with rank
 // translation) ----
 
-// isend starts a send of buf to global rank dst.  Eager sends complete as
-// soon as the payload is buffered (MPI buffered-send semantics: the caller
-// may reuse buf immediately after the request completes).  Rendezvous sends
-// complete once the payload has been copied into the receiver's buffer.
-func (r *Rank) isend(commID uint64, buf []byte, dst, tag int) *Request {
-	if dst == r.id {
-		panic("core: self-send is not supported; ranks are threads, use local state")
-	}
-	key := chanKey{src: r.id, dst: dst, tag: tag, comm: commID}
+// startRemoteSend starts the send of buf on the inter-node channel key,
+// filling in req (fresh from the endpoint's pool).  On the real transport and
+// on the fault-free modeled wire the send completes at post time (MPI
+// buffered-send semantics: the caller may reuse buf at once); with fault
+// injection Wait/Test drive retransmits until the receiving NIC acks.
+func (r *Rank) startRemoteSend(req *Request, key chanKey, buf []byte) {
 	r.stats.BytesSent += int64(len(buf))
-	if !r.rt.place.SameNode(r.id, dst) {
-		r.stats.SendsRemote++
-		if r.trace != nil {
-			r.trace.Emit(obs.KSendRemote, int32(dst), int64(len(buf)))
-		}
-		if r.met != nil {
-			r.met.countSend(reqRemoteSend, len(buf))
-		}
-		req := &Request{kind: reqRemoteSend, peer: int32(dst), tag: tag, comm: commID, buf: buf}
-		if r.rt.tp != nil {
-			// Real transport: the link copies the payload into its encoded
-			// resend buffer at send time, so the post completes immediately
-			// (MPI buffered semantics); loss, reordering and reconnects are
-			// the link protocol's problem.
-			r.tpSendData(key, buf)
-			req.done = true
-			req.n = len(buf)
-			return req
-		}
-		if !r.rt.net.FaultsActive() {
-			// Fault-free fast path: the modeled wire never loses anything,
-			// so the send completes at post time (MPI buffered semantics).
-			r.remoteSend(key, buf)
-			req.done = true
-			return req
-		}
+	r.stats.SendsRemote++
+	if r.trace != nil {
+		r.trace.Emit(obs.KSendRemote, int32(key.dst), int64(len(buf)))
+	}
+	if r.met != nil {
+		r.met.countSend(reqRemoteSend, len(buf))
+	}
+	req.kind, req.buf = reqRemoteSend, buf
+	req.peer, req.tag, req.comm = int32(key.dst), key.tag, key.comm
+	switch {
+	case r.rt.tp != nil:
+		// The link copies the payload into its resend window at send time;
+		// loss, reordering and reconnects are the link protocol's problem.
+		r.tpSendData(key, buf)
+		req.done, req.n = true, len(buf)
+	case !r.rt.net.FaultsActive():
+		r.remoteSend(key, buf)
+		req.done = true
+	default:
 		// Reliable path: stamp a link sequence, transmit attempt 1, and let
 		// Wait/Test drive retransmits until the receiving NIC acks.
 		rc := r.getRemote(key)
 		rc.sendSeq++ // channels are SPSC: this rank is the only sender
 		req.rem = rc
 		req.seq = rc.sendSeq
-		req.dstNode = r.rt.place.NodeOf(dst)
+		req.dstNode = r.rt.place.NodeOf(key.dst)
 		r.transmitRemote(req)
-		return req
 	}
-	ch := r.getChannel(key)
-	var req *Request
-	if len(buf) < r.rt.cfg.SmallMsgMax {
-		r.stats.SendsEager++
-		if r.trace != nil {
-			r.trace.Emit(obs.KSendEager, int32(dst), int64(len(buf)))
-		}
-		req = &Request{kind: reqSendEager, ch: ch, peer: int32(dst), tag: tag, comm: commID, buf: buf}
-	} else {
-		r.stats.SendsRendezvous++
-		if r.trace != nil {
-			r.trace.Emit(obs.KSendRendezvous, int32(dst), int64(len(buf)))
-		}
-		req = &Request{kind: reqSendRvz, ch: ch, peer: int32(dst), tag: tag, comm: commID, buf: buf}
-	}
-	if r.met != nil {
-		r.met.countSend(req.kind, len(buf))
-	}
-	ch.sendPend.push(req)
-	r.progressSend(ch) // opportunistic completion
-	return req
-}
-
-// irecv starts a receive into buf from global rank src.  The received
-// message must be exactly len(buf) bytes for the rendezvous path and at
-// most len(buf) for the eager path; Pure's channels are persistent and
-// size-keyed, so both endpoints of a message must sit on the same side of
-// the SmallMsgMax threshold (see package pure documentation).
-func (r *Rank) irecv(commID uint64, buf []byte, src, tag int) *Request {
-	if src == r.id {
-		panic("core: self-receive is not supported")
-	}
-	key := chanKey{src: src, dst: r.id, tag: tag, comm: commID}
-	if !r.rt.place.SameNode(r.id, src) {
-		r.stats.RecvsRemote++
-		req := &Request{kind: reqRemoteRecv, rem: r.getRemote(key), peer: int32(src), tag: tag, comm: commID, buf: buf}
-		return req
-	}
-	ch := r.getChannel(key)
-	var req *Request
-	if len(buf) < r.rt.cfg.SmallMsgMax {
-		r.stats.RecvsEager++
-		req = &Request{kind: reqRecvEager, ch: ch, peer: int32(src), tag: tag, comm: commID, buf: buf}
-	} else {
-		r.stats.RecvsRendezvous++
-		req = &Request{kind: reqRecvRvz, ch: ch, peer: int32(src), tag: tag, comm: commID, buf: buf}
-	}
-	ch.recvPend.push(req)
-	r.progressRecv(ch)
-	return req
 }
 
 // waitKindFor maps a request's protocol path to its wait-registry kind.
@@ -568,8 +509,7 @@ func (r *Rank) remoteSendOwned(key chanKey, buf []byte) {
 	nic := &r.rt.nodes[dstNode].nic
 	nic.Lock()
 	rc.mu.lock()
-	rc.msgs = append(rc.msgs, netMsg{payload: buf})
-	rc.n.Add(1)
+	rc.push(netMsg{payload: buf})
 	rc.mu.unlock()
 	nic.Unlock()
 }
@@ -640,8 +580,7 @@ func (rc *remoteChannel) accept(m netMsg) {
 		}
 		rc.pending[m.seq] = m.payload
 	default:
-		rc.msgs = append(rc.msgs, m)
-		rc.n.Add(1)
+		rc.push(m)
 		for {
 			want++
 			p, ok := rc.pending[want]
@@ -649,8 +588,7 @@ func (rc *remoteChannel) accept(m netMsg) {
 				break
 			}
 			delete(rc.pending, want)
-			rc.msgs = append(rc.msgs, netMsg{seq: want, payload: p})
-			rc.n.Add(1)
+			rc.push(netMsg{seq: want, payload: p})
 		}
 		rc.arrived.Store(want - 1)
 	}
@@ -683,22 +621,57 @@ func (r *Rank) progressRemoteSend(req *Request) {
 	r.transmitRemote(req)
 }
 
+// push appends one message to the mailbox ring, doubling it when full.
+// Caller holds rc.mu.
+func (rc *remoteChannel) push(m netMsg) {
+	n := int(rc.n.Load())
+	if n == len(rc.msgs) {
+		grown := make([]netMsg, max(8, 2*n))
+		for i := 0; i < n; i++ {
+			grown[i] = rc.msgs[(rc.head+i)&(n-1)]
+		}
+		rc.msgs, rc.head = grown, 0
+	}
+	rc.msgs[(rc.head+n)&(len(rc.msgs)-1)] = m
+	rc.n.Add(1)
+}
+
 // tryPop dequeues the channel's head message, or reports none buffered.
 func (rc *remoteChannel) tryPop() ([]byte, bool) {
 	rc.mu.lock()
-	if len(rc.msgs) == 0 {
+	if rc.n.Load() == 0 {
 		rc.mu.unlock()
 		return nil, false
 	}
-	msg := rc.msgs[0].payload
-	rc.msgs[0] = netMsg{}
-	rc.msgs = rc.msgs[1:]
-	if len(rc.msgs) == 0 {
-		rc.msgs = nil
-	}
+	msg := rc.msgs[rc.head].payload
+	rc.msgs[rc.head] = netMsg{}
+	rc.head = (rc.head + 1) & (len(rc.msgs) - 1)
 	rc.n.Add(-1)
 	rc.mu.unlock()
 	return msg, true
+}
+
+// recycle hands a popped payload buffer back once its bytes are copied out,
+// for tpDeliver to fill again.  Only mailboxes the transport feeds recycle:
+// the modeled wire allocates its own payloads and would never take them.
+func (rc *remoteChannel) recycle(buf []byte) {
+	rc.mu.lock()
+	rc.free = append(rc.free, buf)
+	rc.mu.unlock()
+}
+
+// takeBuf returns an n-byte payload buffer, recycled when one is large
+// enough.  Caller holds rc.mu.
+func (rc *remoteChannel) takeBuf(n int) []byte {
+	if k := len(rc.free) - 1; k >= 0 {
+		buf := rc.free[k]
+		rc.free[k] = nil
+		rc.free = rc.free[:k]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]byte, n)
 }
 
 // progressRemoteRecv completes a remote receive if a message has arrived.
@@ -715,6 +688,9 @@ func (r *Rank) progressRemoteRecv(req *Request) {
 		panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(req.buf)))
 	}
 	req.n = copy(req.buf, msg)
+	if r.rt.tp != nil {
+		rc.recycle(msg)
+	}
 	r.stats.BytesReceived += int64(req.n)
 	if r.trace != nil {
 		r.trace.Emit(obs.KRecvRemote, req.peer, int64(req.n))

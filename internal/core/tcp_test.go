@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,5 +471,123 @@ func BenchmarkTCPAllreduce8B(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTCPPingPongAllocs is the cross-node allocation gate (scripts/verify.sh
+// runs it by name): an 8 B round trip through persistent channel endpoints
+// over real TCP allocates at most twice in steady state, counted over both
+// ranks and both link readers — requests come from the endpoints' pools,
+// frames are encoded into the link's reused buffers, and mailbox payloads
+// cycle through the per-mailbox free list.
+func TestTCPPingPongAllocs(t *testing.T) {
+	const warm, runs = 200, 2000
+	var perRoundTrip float64
+	errs := tcpWorld(t, 2, 1, nil, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		if r.ID() == 0 {
+			ping, pong := w.SendChannel(1, 5), w.RecvChannel(1, 6)
+			roundTrip := func() {
+				ping.Send(buf)
+				pong.Recv(buf)
+			}
+			for i := 0; i < warm; i++ {
+				roundTrip()
+			}
+			perRoundTrip = testing.AllocsPerRun(runs, roundTrip)
+			return
+		}
+		ping, pong := w.RecvChannel(0, 5), w.SendChannel(0, 6)
+		for i := 0; i < warm+1+runs; i++ { // AllocsPerRun makes one warm-up call of its own
+			ping.Recv(buf)
+			pong.Send(buf)
+		}
+	})
+	tcpAllOK(t, errs)
+	t.Logf("%.2f allocs per round trip", perRoundTrip)
+	if perRoundTrip > 2 {
+		t.Fatalf("TCP ping-pong allocates %.2f times per round trip, want <= 2", perRoundTrip)
+	}
+}
+
+// TestChaosTCPSharedLinkRoundTrips: two ranks of one node round-tripping
+// over the same link at once.  Whichever sends second finds the link busy
+// and its frame is staged behind the other's; it must go out when the rank
+// blocks for its answer (or, at the latest, on the other frame's ack) — never
+// wait for the transport's 10 ms tick.
+func TestChaosTCPSharedLinkRoundTrips(t *testing.T) {
+	const rounds = 300
+	var median [2]time.Duration
+	errs := tcpWorld(t, 2, 2, nil, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		me := r.ID()
+		if me >= 2 { // node 1 echoes: rank 2 to rank 0, rank 3 to rank 1
+			for i := 0; i < rounds; i++ {
+				w.Recv(buf, me-2, 9)
+				w.Send(buf, me-2, 9)
+			}
+			return
+		}
+		lat := make([]time.Duration, rounds)
+		for i := range lat {
+			t0 := time.Now()
+			w.Send(buf, me+2, 9)
+			w.Recv(buf, me+2, 9)
+			lat[i] = time.Since(t0)
+		}
+		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+		median[me] = lat[rounds/2]
+	})
+	tcpAllOK(t, errs)
+	for rank, m := range median {
+		t.Logf("rank %d: median round trip %v", rank, m)
+		if m > 2500*time.Microsecond {
+			t.Errorf("rank %d: median round trip %v: frames are waiting for the 10 ms tick", rank, m)
+		}
+	}
+}
+
+// TestChaosTCPStreamCombines: a one-way burst through the runtime shares its
+// socket writes, and a run's own artifacts say so — the per-peer writes
+// series and the /links view carry the same count as the transport.
+func TestChaosTCPStreamCombines(t *testing.T) {
+	const n = 4000
+	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
+	var links []obs.LinkState
+	errs := tcpWorld(t, 2, 1, func(node int, cfg *Config) { cfg.Metrics = mets[node] }, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		w.Barrier() // the link is up: what follows is combined, not replayed on connect
+		if r.ID() == 0 {
+			data := w.SendChannel(1, 3)
+			for i := 0; i < n; i++ {
+				binary.LittleEndian.PutUint64(buf, uint64(i))
+				data.Send(buf)
+			}
+			w.Recv(buf, 1, 4) // everything arrived and was checked
+			links = r.Runtime().LinkStates()
+			return
+		}
+		data := w.RecvChannel(0, 3)
+		for i := 0; i < n; i++ {
+			data.Recv(buf)
+			if got := binary.LittleEndian.Uint64(buf); got != uint64(i) {
+				panic(fmt.Sprintf("message %d carries %d", i, got))
+			}
+		}
+		w.Send(buf, 0, 4)
+	})
+	tcpAllOK(t, errs)
+	peer := obs.Label{Key: "peer", Value: "1"}
+	frames := mets[0].CounterL("pure_link_frames_sent_total", peer).Value()
+	writes := mets[0].CounterL("pure_link_writes_total", peer).Value()
+	t.Logf("node 0 -> 1: %d frames in %d writes", frames, writes)
+	if writes == 0 || frames < n || 2*writes > frames {
+		t.Errorf("%d frames in %d writes: the burst was not combined (or not counted)", frames, writes)
+	}
+	if len(links) != 1 || links[0].Writes == 0 || links[0].Writes > writes {
+		t.Errorf("/links view disagrees with the series (%d writes): %+v", writes, links)
 	}
 }

@@ -27,17 +27,20 @@ import (
 // tpDeliver is the transport's Deliver upcall: one KindData frame for a rank
 // on this node.  It runs on the owning link's reader goroutine in link
 // order; the frame's payload is only valid during the call, so the mailbox
-// gets a copy.  The destination rank's progress loops consume the mailbox
-// exactly as they do on the modeled network.
+// gets a copy, in a buffer the receiving rank handed back when it can.  The
+// destination rank's progress loops consume the mailbox exactly as they do
+// on the modeled network.
 func (rt *Runtime) tpDeliver(f *transport.Frame) {
 	key := chanKey{src: int(f.SrcRank), dst: int(f.DstRank), tag: int(f.Tag), comm: f.Comm}
-	v, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
+	v, ok := rt.remotes.Load(key)
+	if !ok {
+		v, _ = rt.remotes.LoadOrStore(key, &remoteChannel{})
+	}
 	rc := v.(*remoteChannel)
-	cp := make([]byte, len(f.Payload))
-	copy(cp, f.Payload)
 	rc.mu.lock()
-	rc.msgs = append(rc.msgs, netMsg{payload: cp})
-	rc.n.Add(1)
+	cp := rc.takeBuf(len(f.Payload))
+	copy(cp, f.Payload)
+	rc.push(netMsg{payload: cp})
 	rc.mu.unlock()
 }
 
@@ -100,8 +103,8 @@ func (rt *Runtime) tpPeerBye(node int, abort bool, reason string, dead []int) {
 
 // tpSendData routes one cross-node payload for key over the transport,
 // blocking (with poison checks) while the link's resend window is full.  On
-// return the link has copied the payload into its encoded resend buffer, so
-// the caller's buffer is immediately reusable — the same buffered-send
+// return the link has copied the payload into its resend window, so the
+// caller's buffer is immediately reusable — the same buffered-send
 // post-time completion as the fault-free modeled network.  A dead peer
 // poisons the runtime and unwinds the calling rank.
 func (r *Rank) tpSendData(key chanKey, payload []byte) {
@@ -141,8 +144,9 @@ func (r *Rank) tpSend(dstNode int, f *transport.Frame) {
 			r.checkPoison() // unwinds
 		default:
 			if err == transport.ErrBusy {
-				// Resend window full: the acks that drain it arrive on the
-				// netpoller, so sleep rather than yield-spin (see
+				// Resend window full, and the link has written every frame
+				// in it before saying so: the acks that drain it arrive on
+				// the netpoller, so sleep rather than yield-spin (see
 				// ssw.Waiter.WaitIdle); poison unwinds us if the peer never
 				// drains (the retry budget kills the link, the DeadError
 				// branch fires, or another rank poisons first).

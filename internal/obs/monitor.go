@@ -66,6 +66,7 @@ type LinkState struct {
 	AcksSent    int64 `json:"acks_sent"`
 	AcksRecv    int64 `json:"acks_recv"`
 	SendBusy    int64 `json:"send_busy"`
+	Writes      int64 `json:"writes"` // socket writes; frames_sent/writes is the combining factor
 
 	HeartbeatsSent int64 `json:"heartbeats_sent"`
 	HeartbeatsRecv int64 `json:"heartbeats_recv"`

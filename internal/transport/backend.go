@@ -78,8 +78,8 @@ func (l tcpListener) Close() error { return l.ln.Close() }
 func (l tcpListener) Addr() string { return l.ln.Addr().String() }
 
 // wrapTCP disables Nagle's algorithm: the runtime's messages are latency-
-// critical and the link layer already batches what it can behind a
-// bufio.Writer, so delaying small frames for coalescing only adds RTTs.
+// critical and the link layer does its own combining, clocked by its own
+// acks (see link), so the kernel delaying small writes only adds RTTs.
 func wrapTCP(c net.Conn) Conn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)

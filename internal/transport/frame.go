@@ -140,6 +140,12 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
+// encodedLen is the length of the encoded frame at the front of b, as its
+// header states it.  Only for bytes AppendFrame produced (the resend window).
+func encodedLen(b []byte) int {
+	return HeaderLen + int(binary.LittleEndian.Uint32(b[36:]))
+}
+
 // Encode serializes f into a fresh buffer.
 func (f *Frame) Encode() []byte {
 	return AppendFrame(make([]byte, 0, HeaderLen+len(f.Payload)), f)

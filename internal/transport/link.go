@@ -15,12 +15,25 @@ import (
 // accepts, and the pair never races two connections against each other.
 //
 // Sender side (guarded by mu): frames get consecutive sequence numbers and
-// are buffered in unacked until the peer's cumulative ack covers them.  The
-// ticker retransmits the whole unacked window when the ack stalls past the
-// backoff (go-back-N), and declares the peer dead when RetryBudget rounds
-// bring no progress.  A frame queued while the connection is down is simply
-// buffered; (re)connection replays everything past the peer's delivered
-// watermark.
+// their encoded bytes sit in the resend window (win) until the peer's
+// cumulative ack covers them.  The ticker retransmits the whole window when
+// the ack stalls past the backoff (go-back-N), and declares the peer dead
+// when RetryBudget rounds bring no progress.  A frame queued while the
+// connection is down is simply buffered; (re)connection replays everything
+// past the peer's delivered watermark.
+//
+// Writing is a self-clocking combiner.  Senders stage encoded frames in wbuf
+// under mu and never write under it; flush swaps wbuf against a spare buffer
+// and makes the one write(2) under the separate write-order lock wmu (lock
+// order: wmu, then mu).  A frame sent on an idle link — nothing unacked — is
+// flushed at once by its sender; behind unacked frames it stays staged until
+// the reader processes an ack from the peer, flushBytes accumulate, a control
+// frame goes out, the window fills, or the owner calls Transport.Flush (a
+// rank about to block).  Every staged frame is already in the resend window,
+// so each recovery path replays it like any other unacked frame; and short of
+// an injected drop (which the retransmit timer recovers, staged frames
+// included) the oldest unacked frame is a written one, so an ack is on its
+// way to release whatever is staged behind it.
 //
 // Receiver side (guarded by recvMu): sequenced frames are delivered to the
 // handlers strictly in order — the next expected sequence is delivered,
@@ -37,22 +50,30 @@ type link struct {
 
 	mu       sync.Mutex
 	conn     Conn
-	bw       *bufio.Writer
 	gen      uint64 // connection generation; readers of older generations are stale
 	dialing  bool   // a dialLoop goroutine is active
 	nextSeq  uint64
-	unacked  []outFrame // resend buffer, ascending seq
-	ackedOut uint64     // highest seq the peer has acked
-	attempts int        // retransmit rounds since the last ack progress
-	retryAt  time.Time  // when the next retransmit round is due
-	scratch  []byte     // control-frame encode buffer
-	rng      uint64     // send-side fault-injection stream
+	ackedOut uint64    // highest seq the peer has acked
+	win      []byte    // resend window: encoded frames ackedOut+1..nextSeq, live from winHead
+	winHead  int       // offset of frame ackedOut+1 in win
+	wbuf     []byte    // encoded frames staged for the next write
+	wframes  int       // frames in wbuf
+	wack     uint64    // Ack field of the newest frame in wbuf
+	attempts int       // retransmit rounds since the last ack progress
+	retryAt  time.Time // when the next retransmit round is due
+	rng      uint64    // send-side fault-injection stream
 	hbNonce  uint64
 	lastHB   time.Time
 
+	wmu   sync.Mutex // write order: held across the buffer swap and the socket write
+	spare []byte     // the staging buffer's double (guarded by wmu)
+
+	ackedOutA atomic.Uint64 // mirror of ackedOut: the reader locks mu only for acks that advance it
+	ackSent   atomic.Uint64 // highest delivered watermark written to the peer, piggybacked or explicit
+	staged    atomic.Bool   // wbuf is non-empty (lock-free probe for Transport.Flush)
+
 	recvMu    sync.Mutex
 	delivered uint64 // highest in-order seq handed to the handlers
-	sinceAck  int    // delivered frames since the last explicit/piggybacked ack we sent
 
 	deliveredA  atomic.Uint64 // mirror of delivered for lock-free reads (handshake, acks)
 	lastRecv    atomic.Int64  // unix nanos of the last frame heard from the peer
@@ -85,12 +106,6 @@ type link struct {
 // dumps; at the 25ms default heartbeat cadence it spans ~25s of run.
 const linkClockHistory = 1024
 
-// outFrame is one sequenced frame awaiting acknowledgement, fully encoded.
-type outFrame struct {
-	seq uint64
-	buf []byte
-}
-
 // linkCounters are the per-link observability counters (all atomics: the
 // ticker, reader, and Stats snapshot each other concurrently).
 type linkCounters struct {
@@ -105,6 +120,7 @@ type linkCounters struct {
 	dropsInjected            atomic.Int64
 	delaysInjected           atomic.Int64
 	sendBusy                 atomic.Int64
+	writes                   atomic.Int64
 }
 
 // ackEvery bounds how many delivered frames may ride on piggybacked acks
@@ -112,8 +128,19 @@ type linkCounters struct {
 // stream (a long Bcast fan-out) cannot stall the sender's resend window.
 const ackEvery = 64
 
-// send queues one sequenced frame and transmits it on the live connection.
-// It returns ErrBusy when the resend window is full (the caller yields and
+// flushBytes is the staged size past which a sender writes without waiting
+// for the ack clock: one socket buffer's worth, so a large message never
+// waits and a burst of small ones still shares its write.
+const flushBytes = 64 << 10
+
+// bufKeep is the largest window or staging buffer kept across an idle
+// moment; one oversized frame must not pin its capacity for the run.
+const bufKeep = 1 << 20
+
+// send queues one sequenced frame: it enters the resend window and, with a
+// live connection, the staging buffer.  On an idle link the sender writes it
+// at once; otherwise it rides the next flush (see the type comment).  send
+// returns ErrBusy when the resend window is full (the caller yields and
 // retries), a *DeadError when the peer has been declared dead, and nil
 // otherwise — including when the connection is down, in which case the
 // frame is buffered and replayed on reconnect.
@@ -131,16 +158,19 @@ func (l *link) send(f *Frame) error {
 		l.mu.Unlock()
 		return nil
 	}
-	if len(l.unacked) >= l.t.cfg.MaxUnacked {
+	if l.nextSeq-l.ackedOut >= uint64(l.t.cfg.MaxUnacked) {
 		l.stats.sendBusy.Add(1)
 		l.mu.Unlock()
+		// A full window must not hold unwritten frames: the acks that drain
+		// it only come for frames the peer has seen.
+		l.flush(0, nil)
 		return ErrBusy
 	}
+	idle := l.nextSeq == l.ackedOut
 	l.nextSeq++
 	f.Seq = l.nextSeq
 	f.Ack = l.deliveredA.Load()
 	f.SrcNode = int32(l.t.cfg.Node)
-	buf := AppendFrame(make([]byte, 0, HeaderLen+len(f.Payload)), f)
 	if l.events != nil {
 		l.events.add(obs.LinkEvent{
 			TS: time.Now().UnixNano(), Kind: obs.LinkSend,
@@ -148,65 +178,138 @@ func (l *link) send(f *Frame) error {
 			Seq: f.Seq, Bytes: int32(len(f.Payload)),
 		})
 	}
-	l.unacked = append(l.unacked, outFrame{seq: f.Seq, buf: buf})
-	if len(l.unacked) == 1 {
+	if idle {
 		l.attempts = 0
 		l.retryAt = time.Now().Add(l.t.cfg.RetryBackoff)
 	}
-	if l.conn != nil && !l.partitioned.Load() {
-		if l.injectDropLocked() {
-			l.stats.dropsInjected.Add(1)
-		} else {
-			l.writeLocked(buf)
+	at := len(l.win)
+	l.win = AppendFrame(l.win, f)
+	flushNow := false
+	switch {
+	case l.conn == nil || l.partitioned.Load():
+	case l.injectDropLocked():
+		l.stats.dropsInjected.Add(1)
+	default:
+		l.wbuf = append(l.wbuf, l.win[at:]...)
+		l.wframes++
+		l.wack = f.Ack
+		flushNow = idle || len(l.wbuf) >= flushBytes
+		if !flushNow {
+			l.staged.Store(true)
 		}
 	}
 	l.mu.Unlock()
+	if flushNow {
+		l.flush(0, nil)
+	}
 	return nil
 }
 
-// sendControl transmits one unsequenced frame (ack, heartbeat, handshake,
-// bye) on the live connection, best-effort: with the connection down the
-// frame is simply not sent.
-func (l *link) sendControl(kind Kind, payload []byte) {
+// sendControl transmits one unsequenced frame (ack, heartbeat, bye) together
+// with everything staged, best-effort: with the connection down the frame is
+// simply not sent.
+func (l *link) sendControl(kind Kind, payload []byte) { l.flush(kind, payload) }
+
+// flush writes everything staged — plus one control frame when kind is
+// non-zero — to the live connection in a single write.  The control frame is
+// staged and swapped out under one hold of mu while wmu is already held, so
+// whoever holds both locks finds only sequenced frames in wbuf: bytes the
+// resend window also has, which a replay may therefore discard.
+func (l *link) flush(kind Kind, payload []byte) {
+	l.wmu.Lock()
 	l.mu.Lock()
-	if l.conn != nil && !l.partitioned.Load() {
-		f := Frame{Kind: kind, SrcNode: int32(l.t.cfg.Node), Ack: l.deliveredA.Load(), Payload: payload}
-		l.scratch = AppendFrame(l.scratch[:0], &f)
-		l.writeLocked(l.scratch)
+	conn, gen := l.conn, l.gen
+	if conn == nil || l.partitioned.Load() {
+		// Nothing may go out; staged frames stay in the resend window.
+		l.discardStagedLocked()
+		l.mu.Unlock()
+		l.wmu.Unlock()
+		return
 	}
+	if kind != 0 {
+		cf := Frame{Kind: kind, SrcNode: int32(l.t.cfg.Node), Ack: l.deliveredA.Load(), Payload: payload}
+		l.wbuf = AppendFrame(l.wbuf, &cf)
+		l.wframes++
+		l.wack = cf.Ack
+	}
+	buf, frames, ack := l.wbuf, l.wframes, l.wack
+	l.wbuf, l.wframes = l.spare[:0], 0
+	l.staged.Store(false)
 	l.mu.Unlock()
+
+	switch {
+	case len(buf) == 0:
+	case l.write(conn, buf, frames):
+		l.ackSent.Store(ack) // frames are staged in order, so this only grows
+	default:
+		l.mu.Lock()
+		if l.gen == gen {
+			l.teardownConnLocked()
+		}
+		l.mu.Unlock()
+	}
+	if cap(buf) > bufKeep {
+		buf = nil
+	}
+	l.spare = buf
+	l.wmu.Unlock()
 }
 
-// writeLocked writes one encoded frame to the live connection, tearing the
-// connection down (and arming the redial) on error.  Caller holds mu.
-func (l *link) writeLocked(buf []byte) {
+// write makes one socket write of frames encoded frames and accounts for it.
+// Caller holds wmu.
+func (l *link) write(conn Conn, buf []byte, frames int) bool {
 	if d := l.t.cfg.PeerDeadAfter; d > 0 {
-		l.conn.SetWriteDeadline(time.Now().Add(d))
+		conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if _, err := l.bw.Write(buf); err == nil {
-		err = l.bw.Flush()
-		if err == nil {
-			l.stats.framesSent.Add(1)
-			l.stats.bytesSent.Add(int64(len(buf)))
-			return
-		}
+	if _, err := conn.Write(buf); err != nil {
+		return false
 	}
-	l.teardownConnLocked()
+	l.stats.framesSent.Add(int64(frames))
+	l.stats.bytesSent.Add(int64(len(buf)))
+	l.stats.writes.Add(1)
+	return true
+}
+
+// replayLocked rewrites the whole resend window — written and staged frames
+// alike — in one write, so the staging buffer empties with it.  It reports
+// the frames written, or -1 after tearing down a connection whose write
+// failed.  Caller holds wmu and mu.
+func (l *link) replayLocked() int {
+	l.discardStagedLocked()
+	n := int(l.nextSeq - l.ackedOut)
+	if n > 0 && !l.write(l.conn, l.win[l.winHead:], n) {
+		l.teardownConnLocked()
+		return -1
+	}
+	return n
+}
+
+// discardStagedLocked empties the staging buffer; its frames remain in the
+// resend window.  Caller holds mu.
+func (l *link) discardStagedLocked() {
+	l.wbuf, l.wframes = l.wbuf[:0], 0
+	l.staged.Store(false)
 }
 
 // teardownConnLocked drops the current connection (write error, read error,
 // or chaos KillLink) and arms the dialer's reconnect loop.  Caller holds mu.
 func (l *link) teardownConnLocked() {
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-		l.bw = nil
-		l.gen++
-	}
+	l.closeConnLocked()
 	if l.dialer && !l.dialing && !l.dead.Load() && !l.departed.Load() && !l.t.closed.Load() {
 		l.dialing = true
 		l.t.wg.Add(1)
 		go l.dialLoop()
+	}
+}
+
+// closeConnLocked closes the current connection, if any, and retires its
+// generation and whatever was staged for it.  Caller holds mu.
+func (l *link) closeConnLocked() {
+	if l.conn != nil {
+		l.conn.Close()
+		l.conn = nil
+		l.gen++
+		l.discardStagedLocked()
 	}
 }
 
@@ -216,6 +319,8 @@ func (l *link) teardownConnLocked() {
 // It reports whether the connection was accepted (a dead/departed/closed
 // link refuses) and starts the connection's reader.
 func (l *link) installConn(c Conn, peerDelivered uint64) bool {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	l.mu.Lock()
 	if l.dead.Load() || l.departed.Load() || l.t.closed.Load() {
 		l.mu.Unlock()
@@ -228,7 +333,6 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 		l.conn.Close()
 	}
 	l.conn = c
-	l.bw = bufio.NewWriterSize(c, 64<<10)
 	l.gen++
 	gen := l.gen
 	// Order matters against the (lockless) tick: lastRecv must be current
@@ -239,19 +343,13 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 		l.stats.reconnects.Add(1)
 	}
 	l.handleAckLocked(peerDelivered)
-	if n := len(l.unacked); n > 0 {
-		for _, of := range l.unacked {
-			l.bw.Write(of.buf)
-		}
-		if err := l.bw.Flush(); err != nil {
-			l.teardownConnLocked()
-			l.mu.Unlock()
-			return false
-		}
-		l.stats.framesSent.Add(int64(n))
-		if gen > 1 {
-			l.stats.retransmits.Add(int64(n))
-		}
+	n := l.replayLocked()
+	if n < 0 {
+		l.mu.Unlock()
+		return false
+	}
+	if gen > 1 {
+		l.stats.retransmits.Add(int64(n))
 	}
 	l.mu.Unlock()
 
@@ -261,26 +359,31 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 }
 
 // handleAckLocked processes a cumulative ack: completed frames leave the
-// resend buffer and ack progress resets the retransmit clock.  Caller
+// resend window and ack progress resets the retransmit clock.  Caller
 // holds mu.
 func (l *link) handleAckLocked(a uint64) {
+	if a > l.nextSeq {
+		a = l.nextSeq // nothing past what was sent can have been delivered
+	}
 	if a <= l.ackedOut {
 		return
 	}
-	l.ackedOut = a
-	drop := 0
-	for drop < len(l.unacked) && l.unacked[drop].seq <= a {
-		drop++
+	for n := a - l.ackedOut; n > 0; n-- {
+		l.winHead += encodedLen(l.win[l.winHead:])
 	}
-	if drop > 0 {
-		copy(l.unacked, l.unacked[drop:])
-		for i := len(l.unacked) - drop; i < len(l.unacked); i++ {
-			l.unacked[i] = outFrame{}
+	l.ackedOut = a
+	l.ackedOutA.Store(a)
+	switch live := len(l.win) - l.winHead; {
+	case live == 0:
+		l.win, l.winHead = l.win[:0], 0
+		if cap(l.win) > bufKeep {
+			l.win = nil
 		}
-		l.unacked = l.unacked[:len(l.unacked)-drop]
-		if len(l.unacked) == 0 {
-			l.unacked = nil
-		}
+	case l.winHead >= live:
+		// More dead bytes than live ones: slide the live frames down, so the
+		// slab stays within twice its live size at amortized constant cost.
+		l.win = l.win[:copy(l.win, l.win[l.winHead:])]
+		l.winHead = 0
 	}
 	l.attempts = 0
 	l.retryAt = time.Now().Add(l.t.cfg.RetryBackoff)
@@ -293,9 +396,13 @@ func (l *link) readLoop(c Conn, gen uint64) {
 	defer l.t.wg.Done()
 	br := bufio.NewReaderSize(c, 64<<10)
 	fr := frameReader{r: br}
+	// One Frame for the connection's lifetime: the handlers are func values,
+	// so a per-iteration variable would escape to the heap on every frame.
+	var f Frame
+	sinceAck := 0 // frames delivered since this reader last sent an explicit ack
 	for {
-		f, err := fr.Read()
-		if err != nil {
+		var err error
+		if f, err = fr.Read(); err != nil {
 			l.mu.Lock()
 			if l.gen == gen {
 				l.teardownConnLocked()
@@ -309,14 +416,22 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		l.lastRecv.Store(time.Now().UnixNano())
 		l.stats.framesRecv.Add(1)
 		l.stats.bytesRecv.Add(int64(HeaderLen + len(f.Payload)))
-		if f.Ack > 0 {
+		if f.Ack > l.ackedOutA.Load() {
+			// The ack clock: the peer has taken what was written, so what was
+			// staged behind it goes out now, in one write.
 			l.mu.Lock()
 			l.handleAckLocked(f.Ack)
+			staged := len(l.wbuf) > 0
 			l.mu.Unlock()
+			if staged {
+				l.flush(0, nil)
+			}
 		}
 		switch f.Kind {
 		case KindData, KindApplied:
-			l.acceptSequenced(&f, br)
+			if l.acceptSequenced(&f) {
+				sinceAck++
+			}
 		case KindHeartbeat:
 			l.stats.hbRecv.Add(1)
 			if hb, err := DecodeHeartbeat(f.Payload); err == nil {
@@ -330,23 +445,34 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		case KindHello, KindWelcome:
 			// A late handshake duplicate on an established stream; ignore.
 		}
+		// The sender's staged frames wait for this ack, so it is owed as soon
+		// as the stream goes idle, whatever kind of frame came last.
+		if sinceAck > 0 && (sinceAck >= ackEvery || br.Buffered() == 0) {
+			sinceAck = 0
+			// Unless a frame written meanwhile carried the watermark already
+			// (a handler that answered from inside Deliver).
+			if l.ackSent.Load() < l.deliveredA.Load() {
+				l.stats.acksSent.Add(1)
+				l.sendControl(KindAck, nil)
+			}
+		}
 	}
 }
 
 // acceptSequenced runs the receive side of the reliability protocol for one
-// Data/Applied frame and owes the sender an ack when the stream goes idle.
-func (l *link) acceptSequenced(f *Frame, br *bufio.Reader) {
+// Data/Applied frame and reports whether it was delivered.
+func (l *link) acceptSequenced(f *Frame) (delivered bool) {
 	if fl := &l.t.cfg.Faults; fl.DelayProb > 0 && l.t.rand01() < fl.DelayProb {
 		l.stats.delaysInjected.Add(1)
 		time.Sleep(time.Duration(l.t.rand01() * float64(fl.DelayMax)))
 	}
-	owesAck := false
 	l.recvMu.Lock()
+	defer l.recvMu.Unlock()
 	switch {
 	case f.Seq == l.delivered+1:
+		delivered = true
 		l.delivered++
 		l.deliveredA.Store(l.delivered)
-		l.sinceAck++
 		if l.events != nil {
 			l.events.add(obs.LinkEvent{
 				TS: time.Now().UnixNano(), Kind: obs.LinkRecv,
@@ -369,15 +495,7 @@ func (l *link) acceptSequenced(f *Frame, br *bufio.Reader) {
 		// retransmission replay the stream from the gap in order.
 		l.stats.oooDropped.Add(1)
 	}
-	if l.sinceAck > 0 && (l.sinceAck >= ackEvery || br.Buffered() == 0) {
-		l.sinceAck = 0
-		owesAck = true
-	}
-	l.recvMu.Unlock()
-	if owesAck {
-		l.stats.acksSent.Add(1)
-		l.sendControl(KindAck, nil)
-	}
+	return delivered
 }
 
 // handleBye processes a peer's departure announcement.
@@ -389,9 +507,12 @@ func (l *link) handleBye(f *Frame) {
 	l.mu.Lock()
 	already := l.departed.Swap(true)
 	// Nothing queued for a departed peer can be delivered; dropping the
-	// resend buffer stops the retransmit clock from declaring a clean
+	// resend window stops the retransmit clock from declaring a clean
 	// departure a failure.
-	l.unacked = nil
+	l.ackedOut = l.nextSeq
+	l.ackedOutA.Store(l.ackedOut)
+	l.win, l.winHead = nil, 0
+	l.discardStagedLocked()
 	l.mu.Unlock()
 	if !already {
 		if h := l.t.h.PeerBye; h != nil {
@@ -413,12 +534,7 @@ func (l *link) die(reason string) {
 	}
 	l.deadReason = reason
 	l.dead.Store(true)
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-		l.bw = nil
-		l.gen++
-	}
+	l.closeConnLocked()
 	l.mu.Unlock()
 	if h := l.t.h.PeerDead; h != nil {
 		h(l.peer, reason)
@@ -440,37 +556,12 @@ func (l *link) tick(now time.Time) {
 		}
 	}
 
-	l.mu.Lock()
-	if len(l.unacked) > 0 && now.After(l.retryAt) && l.conn != nil && !l.partitioned.Load() {
-		l.attempts++
-		if l.attempts > cfg.RetryBudget {
-			n, at := len(l.unacked), l.attempts-1
-			l.mu.Unlock()
-			l.die(fmt.Sprintf("retry budget exhausted: %d frames to node %d unacked after %d retransmit rounds",
-				n, l.peer, at))
-			return
-		}
-		n := len(l.unacked)
-		lowest := l.unacked[0].seq
-		for _, of := range l.unacked {
-			l.bw.Write(of.buf)
-		}
-		if err := l.bw.Flush(); err != nil {
-			l.teardownConnLocked()
-		} else {
-			l.stats.framesSent.Add(int64(n))
-			l.stats.retransmits.Add(int64(n))
-			l.stats.retryRounds.Add(1)
-			if l.events != nil {
-				l.events.add(obs.LinkEvent{
-					TS: now.UnixNano(), Kind: obs.LinkRetransmit,
-					Node: int32(l.t.cfg.Node), Peer: int32(l.peer),
-					Seq: lowest, Bytes: int32(n),
-				})
-			}
-		}
-		l.retryAt = now.Add(l.backoff(l.attempts))
+	if reason := l.retransmit(now); reason != "" {
+		l.die(reason)
+		return
 	}
+
+	l.mu.Lock()
 	sendHB := now.Sub(l.lastHB) >= cfg.HeartbeatEvery
 	if sendHB {
 		l.lastHB = now
@@ -491,6 +582,49 @@ func (l *link) tick(now time.Time) {
 		l.clockMu.Unlock()
 		l.sendControl(KindHeartbeat, hb.Encode())
 	}
+}
+
+// retransmit runs one go-back-N round when the oldest unacked frame has
+// outlived the retransmit timer.  A spent retry budget comes back as the
+// reason the peer is to be declared dead (by the caller, with no lock held).
+func (l *link) retransmit(now time.Time) (deadReason string) {
+	due := func() bool {
+		return l.nextSeq > l.ackedOut && now.After(l.retryAt) && l.conn != nil && !l.partitioned.Load()
+	}
+	l.mu.Lock()
+	if !due() {
+		l.mu.Unlock()
+		return ""
+	}
+	// The round writes, so it needs the write-order lock, which comes before
+	// mu; re-check once both are held.
+	l.mu.Unlock()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !due() {
+		return ""
+	}
+	l.attempts++
+	if l.attempts > l.t.cfg.RetryBudget {
+		return fmt.Sprintf("retry budget exhausted: %d frames to node %d unacked after %d retransmit rounds",
+			l.nextSeq-l.ackedOut, l.peer, l.attempts-1)
+	}
+	lowest := l.ackedOut + 1
+	if n := l.replayLocked(); n >= 0 {
+		l.stats.retransmits.Add(int64(n))
+		l.stats.retryRounds.Add(1)
+		if l.events != nil {
+			l.events.add(obs.LinkEvent{
+				TS: now.UnixNano(), Kind: obs.LinkRetransmit,
+				Node: int32(l.t.cfg.Node), Peer: int32(l.peer),
+				Seq: lowest, Bytes: int32(n),
+			})
+		}
+	}
+	l.retryAt = now.Add(l.backoff(l.attempts))
+	return ""
 }
 
 // noteHeartbeat ingests one received heartbeat: remembers it for echoing,
@@ -655,7 +789,7 @@ func (l *link) handshakeDial(c Conn) bool {
 func (l *link) snapshot() LinkStats {
 	l.mu.Lock()
 	up := l.conn != nil
-	unacked := len(l.unacked)
+	unacked := int(l.nextSeq - l.ackedOut)
 	reason := l.deadReason
 	l.mu.Unlock()
 	hbAge := int64(0)
@@ -685,5 +819,6 @@ func (l *link) snapshot() LinkStats {
 		DropsInjected:  l.stats.dropsInjected.Load(),
 		DelaysInjected: l.stats.delaysInjected.Load(),
 		SendBusy:       l.stats.sendBusy.Load(),
+		Writes:         l.stats.writes.Load(),
 	}
 }

@@ -209,12 +209,7 @@ func (t *Transport) Close() error {
 			continue
 		}
 		l.mu.Lock()
-		if l.conn != nil {
-			l.conn.Close()
-			l.conn = nil
-			l.bw = nil
-			l.gen++
-		}
+		l.closeConnLocked()
 		l.mu.Unlock()
 	}
 	if t.ln != nil {
@@ -235,13 +230,14 @@ func (t *Transport) Close() error {
 func (t *Transport) drain() {
 	deadline := time.Now().Add(t.cfg.DrainTimeout)
 	for time.Now().Before(deadline) {
+		t.Flush()
 		pending := false
 		for _, l := range t.links {
 			if l == nil || l.dead.Load() || l.departed.Load() || l.partitioned.Load() {
 				continue
 			}
 			l.mu.Lock()
-			n := len(l.unacked)
+			n := l.nextSeq - l.ackedOut
 			l.mu.Unlock()
 			if n > 0 {
 				pending = true
@@ -252,6 +248,19 @@ func (t *Transport) drain() {
 			return
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// Flush writes out whatever frames are staged behind unacked ones on any
+// link.  The runtime calls it when a rank is about to block: the rank may be
+// waiting for the answer to a frame that is still staged, and a second rank
+// sharing the link must not wait a round trip for the first one's ack.  With
+// nothing staged it costs one atomic load per link.
+func (t *Transport) Flush() {
+	for _, l := range t.links {
+		if l != nil && l.staged.Load() {
+			l.flush(0, nil)
+		}
 	}
 }
 
@@ -303,6 +312,7 @@ type LinkStats struct {
 	DropsInjected          int64 // fault plan: first transmissions suppressed
 	DelaysInjected         int64 // fault plan: deliveries delayed
 	SendBusy               int64 // sends refused by a full resend window
+	Writes                 int64 // socket writes; FramesSent/Writes is the combining factor
 
 	// Clock/latency telemetry from the heartbeat echo exchange; all zero
 	// until the first completed echo round trip.
@@ -408,6 +418,13 @@ func (t *Transport) handleAccept(c Conn) {
 		return
 	}
 	l := t.links[peer]
+	if l.dead.Load() || l.departed.Load() {
+		// No Welcome from a link that is over: answering would count as a
+		// sign of life, and a peer that has not noticed yet would reset its
+		// silence clock on every redial instead of running it out.
+		c.Close()
+		return
+	}
 	if int(hello.Nodes) != len(t.cfg.Addrs) || (t.nranks > 0 && hello.NRanks > 0 && int(hello.NRanks) != t.nranks) {
 		c.Close()
 		l.die(fmt.Sprintf("configuration mismatch with node %d: it runs %d nodes / %d ranks, this node %d / %d",

@@ -95,6 +95,12 @@ func (c *collector) byeFrom(node int) (string, bool, bool) {
 // collectors.  Cleanup closes both.
 func startPair(t *testing.T, mut func(node int, c *Config)) (tp [2]*Transport, col [2]*collector) {
 	t.Helper()
+	return startPairOn(t, [2]Backend{}, mut)
+}
+
+// startPairOn is startPair over the given per-node backends (nil = TCP).
+func startPairOn(t *testing.T, be [2]Backend, mut func(node int, c *Config)) (tp [2]*Transport, col [2]*collector) {
+	t.Helper()
 	addrs := reserveAddrs(t, 2)
 	for node := 0; node < 2; node++ {
 		cfg := Config{Node: node, Addrs: addrs, Job: 42}
@@ -103,7 +109,7 @@ func startPair(t *testing.T, mut func(node int, c *Config)) (tp [2]*Transport, c
 		}
 		col[node] = newCollector()
 		var err error
-		tp[node], err = New(cfg, nil, 2, col[node].handlers())
+		tp[node], err = New(cfg, be[node], 2, col[node].handlers())
 		if err != nil {
 			t.Fatalf("node %d: New: %v", node, err)
 		}
@@ -144,7 +150,13 @@ func waitUp(t *testing.T, tp *Transport, peer int) {
 // tp to dstNode, yielding through ErrBusy.
 func sendN(t *testing.T, tp *Transport, dstNode, n int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
+	sendRange(t, tp, dstNode, 0, n)
+}
+
+// sendRange is sendN for the frame indices [from, to).
+func sendRange(t *testing.T, tp *Transport, dstNode, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
 		var p [8]byte
 		binary.LittleEndian.PutUint64(p[:], uint64(i))
 		f := Frame{Kind: KindData, SrcRank: 1, DstRank: 2, Tag: 7, Comm: 1, Payload: p[:]}

@@ -55,6 +55,14 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "== cross-node allocation gates (link frame path <= 1/frame, TCP ping-pong <= 2/round trip)"
+# The same machine-independent quantity on the inter-node path: the link
+# encodes into reused buffers and the runtime recycles requests and mailbox
+# payloads, so the steady state stays (nearly) allocation-free.  The tests
+# count with testing.AllocsPerRun over real loopback TCP.
+go test -count=1 -run 'TestLinkFrameAllocs$' -v ./internal/transport
+go test -count=1 -run 'TestTCPPingPongAllocs$' -v ./internal/core
+
 echo "== TCP transport chaos (real sockets; full run: make chaos-net)"
 go test -race -count=1 -run 'TestChaosTCP' ./internal/core
 go test -count=1 ./internal/livechaos
