@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain `go` underneath.
 
-.PHONY: build test race chaos chaos-net check fuzz verify bench bench-json analyze statsd shmem
+.PHONY: build test race chaos chaos-net check fuzz verify bench bench-json benchpair analyze statsd shmem
 
 build:
 	go build ./...
@@ -16,7 +16,8 @@ race:
 # The deterministic schedule explorer: model tests for the lock-free
 # protocols (PBQ/ring FIFO refinement, SPTD no-lost-contribution, RMA
 # epochs, work-stealing exactly-once) over PCT seeds plus bounded
-# exhaustive runs.  Override the seed count with PURE_CHECK_SEEDS=n;
+# exhaustive runs; park/unpark under socket-completed waits: no lost
+# wake-up.  Override the seed count with PURE_CHECK_SEEDS=n;
 # replay one failing schedule with PURE_CHECK_SEED=n.
 check:
 	go test -tags purecheck -count=1 ./internal/check
@@ -61,6 +62,14 @@ bench:
 # comparison.
 bench-json:
 	sh scripts/bench_json.sh
+
+# Interleaved parent/change pairs of one benchmark workload with medians,
+# the parent's quartiles and wins/pairs (docs/TESTING.md "Comparing two
+# commits"): make benchpair PARENT=/root/scratch/parent WORKLOAD=xnode-tcp
+CHANGE ?= .
+PAIRS ?= 10
+benchpair:
+	sh scripts/benchpair.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(PAIRS)
 
 # Trace-analytics smoke: run a traced stencil, dump the binary trace, and
 # analyze it with puretrace (the same pipeline verify.sh gates on).

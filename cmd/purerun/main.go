@@ -195,6 +195,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		defer t.Stop()
 	}
 
+	// Wait closes a command's pipes, so the readers must have seen EOF (every
+	// worker exited, or was killed) before it is called: a last line still in
+	// the pipe would be lost.
+	outWG.Wait()
 	code := 0
 	for i, cmd := range cmds {
 		err := cmd.Wait()
@@ -214,7 +218,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	outWG.Wait()
 	return code
 }
 

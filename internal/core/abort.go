@@ -167,8 +167,14 @@ type lazyWait struct {
 	published bool
 	// idle marks a wait completed by the transport's reader goroutine
 	// (inter-node frames over a real socket) rather than by a local rank's
-	// store: it selects the netpoller-friendly sleep-backoff SSW loop.
+	// store: it selects the netpoller-friendly parking SSW loop.
 	idle bool
+	// peers are the parking spots of the ranks this one synchronizes with
+	// through shared memory inside an idle wait — a bridged collective's
+	// node group.  Their waits are completed by this rank's plain stores, so
+	// it unparks them itself: entering a wait (whatever it published, it
+	// published before) and in finish.
+	peers []*ssw.WakeCell
 }
 
 // wait runs one SSW wait under the pending record.  A multi-phase caller (a
@@ -181,6 +187,7 @@ type lazyWait struct {
 // deferred flag check per wait.  Abort diagnostics are unaffected either
 // way: the unwind handler below settles the record as the rank dies.
 func (lw *lazyWait) wait(cond func() bool) {
+	wakeCells(lw.peers)
 	completed := false
 	defer func() {
 		if !completed {
@@ -212,8 +219,17 @@ func (lw *lazyWait) wait(cond func() bool) {
 // finish closes the record out if it was published.  Like endWait it is
 // deliberately not deferred, so an abort unwind leaves the record visible.
 func (lw *lazyWait) finish() {
+	wakeCells(lw.peers)
 	if lw.published {
 		lw.r.endWait(lw.prev)
+	}
+}
+
+// wakeCells unparks whichever of the cells' owners are parked: one atomic
+// load for each that is not.
+func wakeCells(cells []*ssw.WakeCell) {
+	for _, c := range cells {
+		c.Wake()
 	}
 }
 
@@ -236,12 +252,12 @@ func (r *Rank) leafWait(cond func() bool) { r.leafWaitVia(false, cond) }
 
 // leafWaitIdle is leafWait for conditions completed by the transport's
 // reader goroutine (an inter-node frame arriving over a real socket)
-// rather than by a rank spinning on this node: it backs off to short
-// sleeps so the netpoller gets scheduled.  See ssw.Waiter.WaitIdle.
+// rather than by a rank spinning on this node: it parks, so the netpoller
+// gets scheduled, and the reader unparks it.  See ssw.Waiter.WaitIdle.
 func (r *Rank) leafWaitIdle(cond func() bool) { r.leafWaitVia(true, cond) }
 
 // sswWait dispatches one condition to the SSW loop, choosing the spin
-// (local completion) or sleep-backoff (socket completion) discipline.  A
+// (local completion) or parking (socket completion) discipline.  A
 // branch rather than a method value on purpose: binding r.wait.Wait to a
 // variable allocates, and this dispatcher sits on the zero-allocation
 // eager paths.
@@ -249,7 +265,9 @@ func (r *Rank) leafWaitIdle(cond func() bool) { r.leafWaitVia(true, cond) }
 // A rank about to block first flushes its node's links: frames it sent
 // behind unacked ones may still be staged for the ack clock (see
 // transport.Transport.Flush), and the answer it is about to wait for may
-// depend on them.
+// depend on them; so may an ack a link reader left to this rank when it woke
+// it.  tpProgress repeats the flush at every yield boundary, so a rank that
+// was woken and parks again has carried that ack.
 func (r *Rank) sswWait(idle bool, cond func() bool) {
 	if r.rt.tp != nil {
 		r.rt.tp.Flush()
@@ -380,6 +398,17 @@ func (rt *Runtime) poison(cause, text, diag string, cycle []int) {
 		msg := fmt.Sprintf("node %d aborted (%s): %s", rt.tp.Node(), cause, text)
 		go rt.tp.Abort(msg, nil)
 	}
+	// A rank parked in a socket-completed wait unwinds now, not at its next
+	// park timeout.
+	wakeCells(rt.cells)
+}
+
+// tpProgress is the Waiter's progress hook under a real transport: apply
+// incoming one-sided operations like rmaProgress, then write what this
+// node's links hold back — staged frames and acks left to woken ranks.
+func (r *Rank) tpProgress() {
+	r.rmaProgress()
+	r.rt.tp.Flush()
 }
 
 // poisonNodeDead poisons the runtime because a peer node failed (the

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/obs"
+	"repro/internal/ssw"
 )
 
 // collTag is the reserved tag space for runtime-internal leader-to-leader
@@ -31,9 +32,10 @@ type commShared struct {
 
 // commNode holds one node's collective structures for one communicator.
 type commNode struct {
-	sptd *collective.SPTD
-	prs  sync.Map // payload bucket (int) -> *collective.PartitionedReducer
-	n    int
+	sptd  *collective.SPTD
+	prs   sync.Map // payload bucket (int) -> *collective.PartitionedReducer
+	n     int
+	cells []*ssw.WakeCell // the group's parking spots, for bridged collectives (collWait)
 }
 
 type splitKey struct {
@@ -120,9 +122,14 @@ func (rt *Runtime) newCommShared(id uint64, members []int) *commShared {
 	}
 	sh.nodes = make([]*commNode, len(sh.nodeList))
 	for i, g := range sh.groups {
+		cells := make([]*ssw.WakeCell, len(g))
+		for j, cr := range g {
+			cells[j] = rt.cells[members[cr]]
+		}
 		sh.nodes[i] = &commNode{
-			sptd: collective.NewSPTD(len(g), rt.cfg.SPTDMax),
-			n:    len(g),
+			sptd:  collective.NewSPTD(len(g), rt.cfg.SPTDMax),
+			n:     len(g),
+			cells: cells,
 		}
 	}
 	return sh
@@ -249,17 +256,21 @@ func (c *Comm) multiNode() bool { return len(c.sh.nodeList) > 1 }
 // stuck Barrier shows which ranks reached round N and which are a round
 // behind — the classic "someone never entered the collective" signature.
 func (c *Comm) collWait(op string, ni, tid int) lazyWait {
-	return lazyWait{r: c.r, rec: WaitRecord{
+	lw := lazyWait{r: c.r, rec: WaitRecord{
 		Kind: WaitCollective, Peer: -1, Comm: c.sh.id, Op: op,
 		Seq: c.sh.nodes[ni].sptd.Round(tid) + 1,
-	},
-		// On a multi-node comm over the real transport the collective's
-		// critical path runs through the leaders' socket legs, so waiters
-		// back off to sleeps: a spinning non-leader would starve the very
-		// netpoller its leader is blocked on, and the extra wakeup
-		// microseconds vanish under the wire latency.  Single-node comms
-		// keep the pure spin even when a transport is up.
-		idle: c.r.rt.tp != nil && c.multiNode()}
+	}}
+	// On a multi-node comm over the real transport the collective's
+	// critical path runs through the leaders' socket legs, so waiters park:
+	// a spinning non-leader would starve the very netpoller its leader is
+	// blocked on.  The group's members complete each other's waits with
+	// plain stores, so they also unpark each other (lazyWait.peers) — the
+	// leader its non-leaders once the bridged result is published.
+	// Single-node comms keep the pure spin even when a transport is up.
+	if c.r.rt.tp != nil && c.multiNode() {
+		lw.idle, lw.peers = true, c.sh.nodes[ni].cells
+	}
+	return lw
 }
 
 // Barrier blocks until every comm member has entered it.

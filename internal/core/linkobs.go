@@ -25,6 +25,7 @@ type linkPeerMetrics struct {
 	retryRounds            *obs.Counter
 	reconnects             *obs.Counter
 	acksSent, acksRecv     *obs.Counter
+	acksDeferred           *obs.Counter
 	hbSent, hbRecv         *obs.Counter
 	sendBusy, writes       *obs.Counter
 
@@ -40,19 +41,20 @@ func newLinkMetrics(tp *transport.Transport, reg *obs.Metrics) *linkMetrics {
 		}
 		l := obs.Label{Key: "peer", Value: strconv.Itoa(peer)}
 		lm.peers[peer] = &linkPeerMetrics{
-			framesSent:  reg.CounterL("pure_link_frames_sent_total", l),
-			framesRecv:  reg.CounterL("pure_link_frames_recv_total", l),
-			bytesSent:   reg.CounterL("pure_link_bytes_sent_total", l),
-			bytesRecv:   reg.CounterL("pure_link_bytes_recv_total", l),
-			retransmits: reg.CounterL("pure_link_retransmits_total", l),
-			retryRounds: reg.CounterL("pure_link_retry_rounds_total", l),
-			reconnects:  reg.CounterL("pure_link_reconnects_total", l),
-			acksSent:    reg.CounterL("pure_link_acks_sent_total", l),
-			acksRecv:    reg.CounterL("pure_link_acks_recv_total", l),
-			hbSent:      reg.CounterL("pure_link_heartbeats_sent_total", l),
-			hbRecv:      reg.CounterL("pure_link_heartbeats_recv_total", l),
-			sendBusy:    reg.CounterL("pure_link_send_busy_total", l),
-			writes:      reg.CounterL("pure_link_writes_total", l),
+			framesSent:   reg.CounterL("pure_link_frames_sent_total", l),
+			framesRecv:   reg.CounterL("pure_link_frames_recv_total", l),
+			bytesSent:    reg.CounterL("pure_link_bytes_sent_total", l),
+			bytesRecv:    reg.CounterL("pure_link_bytes_recv_total", l),
+			retransmits:  reg.CounterL("pure_link_retransmits_total", l),
+			retryRounds:  reg.CounterL("pure_link_retry_rounds_total", l),
+			reconnects:   reg.CounterL("pure_link_reconnects_total", l),
+			acksSent:     reg.CounterL("pure_link_acks_sent_total", l),
+			acksRecv:     reg.CounterL("pure_link_acks_recv_total", l),
+			acksDeferred: reg.CounterL("pure_link_acks_deferred_total", l),
+			hbSent:       reg.CounterL("pure_link_heartbeats_sent_total", l),
+			hbRecv:       reg.CounterL("pure_link_heartbeats_recv_total", l),
+			sendBusy:     reg.CounterL("pure_link_send_busy_total", l),
+			writes:       reg.CounterL("pure_link_writes_total", l),
 
 			up:         reg.GaugeL("pure_link_up", l),
 			queueDepth: reg.GaugeL("pure_link_send_queue_depth", l),
@@ -82,6 +84,7 @@ func (lm *linkMetrics) sync() {
 		pm.reconnects.Store(st.Reconnects)
 		pm.acksSent.Store(st.AcksSent)
 		pm.acksRecv.Store(st.AcksRecv)
+		pm.acksDeferred.Store(st.AcksDeferred)
 		pm.hbSent.Store(st.HeartbeatsSent)
 		pm.hbRecv.Store(st.HeartbeatsRecv)
 		pm.sendBusy.Store(st.SendBusy)
@@ -120,17 +123,18 @@ func (rt *Runtime) LinkStates() []obs.LinkState {
 			DeadReason: st.DeadReason,
 			Unacked:    st.Unacked,
 
-			FramesSent:  st.FramesSent,
-			FramesRecv:  st.FramesRecv,
-			BytesSent:   st.BytesSent,
-			BytesRecv:   st.BytesRecv,
-			Retransmits: st.Retransmits,
-			RetryRounds: st.RetryRounds,
-			Reconnects:  st.Reconnects,
-			AcksSent:    st.AcksSent,
-			AcksRecv:    st.AcksRecv,
-			SendBusy:    st.SendBusy,
-			Writes:      st.Writes,
+			FramesSent:   st.FramesSent,
+			FramesRecv:   st.FramesRecv,
+			BytesSent:    st.BytesSent,
+			BytesRecv:    st.BytesRecv,
+			Retransmits:  st.Retransmits,
+			RetryRounds:  st.RetryRounds,
+			Reconnects:   st.Reconnects,
+			AcksSent:     st.AcksSent,
+			AcksRecv:     st.AcksRecv,
+			AcksDeferred: st.AcksDeferred,
+			SendBusy:     st.SendBusy,
+			Writes:       st.Writes,
 
 			HeartbeatsSent: st.HeartbeatsSent,
 			HeartbeatsRecv: st.HeartbeatsRecv,

@@ -37,6 +37,10 @@ type metricSet struct {
 	stealAttempts *obs.Counter
 	steals        *obs.Counter
 
+	// Parks of socket-completed waits and how they ended (harvested from the
+	// ranks' wake cells at run end, like the steal totals).
+	parks, parkWakes, parkTimeouts *obs.Counter
+
 	// Pure Task executions and the chunks thieves took from them.
 	tasks        *obs.Counter
 	chunksStolen *obs.Counter
@@ -89,6 +93,9 @@ func newMetricSet(reg *obs.Metrics) *metricSet {
 		stealLatency:   reg.Histogram("pure_steal_latency_ns", nil),
 		stealAttempts:  reg.Counter("pure_steal_attempts_total"),
 		steals:         reg.Counter("pure_steals_total"),
+		parks:          reg.Counter("pure_ssw_parks_total"),
+		parkWakes:      reg.Counter("pure_ssw_park_wakes_total"),
+		parkTimeouts:   reg.Counter("pure_ssw_park_timeouts_total"),
 		tasks:          reg.Counter("pure_tasks_executed_total"),
 		chunksStolen:   reg.Counter("pure_chunks_stolen_total"),
 
@@ -125,8 +132,8 @@ func (m *metricSet) countSend(kind reqKind, n int) {
 }
 
 // harvestObs folds the counters that are only cheap to read after the ranks
-// have stopped — queue-level enqueue-full totals and the thieves' lifetime
-// attempt/success counts — into the metrics registry.
+// have stopped — queue-level enqueue-full totals and the rank-owned steal and
+// park counts, the same cells RankStats reports — into the metrics registry.
 func (rt *Runtime) harvestObs(ranks []*Rank) {
 	m := rt.met
 	if m == nil {
@@ -145,8 +152,12 @@ func (rt *Runtime) harvestObs(ranks []*Rank) {
 		if r == nil {
 			continue
 		}
-		m.stealAttempts.Add(r.thief.Attempts)
-		m.steals.Add(r.thief.Stolen)
+		st := r.Stats()
+		m.stealAttempts.Add(st.StealAttempts)
+		m.steals.Add(st.StealsSucceeded)
+		m.parks.Add(st.Parks)
+		m.parkWakes.Add(st.ParkWakes)
+		m.parkTimeouts.Add(st.ParkTimeouts)
 	}
 	if fs := rt.net.FaultStats(); fs.Transmits > 0 {
 		m.reg.Counter("pure_net_transmits_total").Add(fs.Transmits)

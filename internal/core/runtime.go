@@ -270,6 +270,11 @@ type Runtime struct {
 	mon *monitorServer
 	// abort is the runtime poison: once set, every SSW wait unwinds its rank.
 	abort abortState
+	// cells are the ranks' parking spots for socket-completed waits, indexed
+	// by global rank (a rank another process runs simply never parks on
+	// its).  They exist before the transport starts and before any rank
+	// does, so an upcall can always unpark the rank it completed a wait for.
+	cells []*ssw.WakeCell
 }
 
 // Rank is one application rank's runtime handle.  Every runtime call a rank
@@ -373,7 +378,10 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 	if err != nil {
 		return fmt.Errorf("core: placing ranks: %w", err)
 	}
-	rt := &Runtime{cfg: rcfg, place: place, net: netsim.New(rcfg.Net)}
+	rt := &Runtime{cfg: rcfg, place: place, net: netsim.New(rcfg.Net), cells: make([]*ssw.WakeCell, rcfg.NRanks)}
+	for i := range rt.cells {
+		rt.cells[i] = ssw.NewWakeCell()
+	}
 	if rcfg.Metrics == nil && rcfg.MonitorAddr != "" {
 		// A monitored run without an explicit registry still wants /metrics
 		// to carry the runtime counters (the cluster monitor scrapes them),
@@ -425,6 +433,7 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 			Applied:  rt.tpApplied,
 			PeerDead: rt.tpPeerDead,
 			PeerBye:  rt.tpPeerBye,
+			Writable: rt.tpWritable,
 		})
 		if err != nil {
 			return fmt.Errorf("core: building transport: %w", err)
@@ -626,7 +635,13 @@ func (rt *Runtime) newRank(id int) *Rank {
 	// Progress applies incoming one-sided operations at every SSW yield
 	// boundary, so a rank parked in any wait still exposes its windows and
 	// unblocks remote origins.
-	r.wait = ssw.Waiter{Steal: r.thief, SpinBudget: rt.cfg.SpinBudget, Poison: rt.abortErr, Progress: r.rmaProgress}
+	r.wait = ssw.Waiter{
+		Steal: r.thief, SpinBudget: rt.cfg.SpinBudget, Poison: rt.abortErr, Progress: r.rmaProgress,
+		Cell: rt.cells[id],
+	}
+	if rt.tp != nil {
+		r.wait.Progress = r.tpProgress
+	}
 	r.world = &Comm{r: r, sh: rt.world, myRank: id}
 	return r
 }

@@ -454,7 +454,7 @@ func (m *Mailbox) consume(dst []byte) int {
 }
 
 // Recv consumes one message into dst, blocking until one is published.
-// Owner only; the wait parks via the SSW loop (stealing locally, sleeping
+// Owner only; the wait goes through the SSW loop (stealing locally, parked
 // for the netpoller when the senders are in other processes).
 func (m *Mailbox) Recv(dst []byte) int {
 	m.checkOwner("Recv")

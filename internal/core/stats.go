@@ -53,6 +53,14 @@ type RankStats struct {
 	// SSW-Loop stealing performed by this rank while blocked.
 	StealAttempts   int64
 	StealsSucceeded int64
+
+	// Socket-completed waits (ssw.Waiter.WaitIdle): how often this rank
+	// parked, and how those parks ended — unparked by whoever completed the
+	// wait, or by the timer that keeps a parked rank stealing and checking
+	// for poison.  Waits satisfied while still spinning count nowhere.
+	Parks        int64
+	ParkWakes    int64
+	ParkTimeouts int64
 }
 
 // Add folds other into s (Rank is left untouched).
@@ -88,6 +96,9 @@ func (s *RankStats) Add(o RankStats) {
 	s.ChunksStolen += o.ChunksStolen
 	s.StealAttempts += o.StealAttempts
 	s.StealsSucceeded += o.StealsSucceeded
+	s.Parks += o.Parks
+	s.ParkWakes += o.ParkWakes
+	s.ParkTimeouts += o.ParkTimeouts
 }
 
 // Messages returns the total point-to-point message count this rank sent.
@@ -103,6 +114,8 @@ func (r *Rank) Stats() RankStats {
 	st.Node = r.node
 	st.StealAttempts = r.thief.Attempts
 	st.StealsSucceeded = r.thief.Stolen
+	cell := r.wait.Cell
+	st.Parks, st.ParkWakes, st.ParkTimeouts = cell.Parks, cell.Wakes, cell.Timeouts
 	return st
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"net"
 	"sort"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/obs"
+	"repro/internal/ssw"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
@@ -46,9 +48,18 @@ func tcpReserveAddrs(t testing.TB, n int) []string {
 // per node.  mut (optional) adjusts each node's config before launch.
 func tcpWorld(t testing.TB, nodes, perNode int, mut func(node int, cfg *Config), main func(r *Rank)) []error {
 	t.Helper()
+	errs, _ := tcpWorldStats(t, nodes, perNode, mut, main)
+	return errs
+}
+
+// tcpWorldStats is tcpWorld returning every rank's counters too, as its own
+// node harvested them.
+func tcpWorldStats(t testing.TB, nodes, perNode int, mut func(node int, cfg *Config), main func(r *Rank)) ([]error, []RankStats) {
+	t.Helper()
 	addrs := tcpReserveAddrs(t, nodes)
 	job := tcpJobSeq.Add(1)
 	errs := make([]error, nodes)
+	stats := make([]RankStats, nodes*perNode)
 	var wg sync.WaitGroup
 	for n := 0; n < nodes; n++ {
 		cfg := Config{
@@ -71,11 +82,13 @@ func tcpWorld(t testing.TB, nodes, perNode int, mut func(node int, cfg *Config),
 		wg.Add(1)
 		go func(n int, cfg Config) {
 			defer wg.Done()
-			errs[n] = Run(cfg, main)
+			var st []RankStats
+			st, errs[n] = RunWithStats(cfg, main)
+			copy(stats[n*perNode:(n+1)*perNode], st[n*perNode:]) // block placement: node n runs these
 		}(n, cfg)
 	}
 	wg.Wait()
-	return errs
+	return errs, stats
 }
 
 func tcpAllOK(t *testing.T, errs []error) {
@@ -509,6 +522,251 @@ func TestTCPPingPongAllocs(t *testing.T) {
 	if perRoundTrip > 2 {
 		t.Fatalf("TCP ping-pong allocates %.2f times per round trip, want <= 2", perRoundTrip)
 	}
+}
+
+// TestTCPPutFenceAllocs is the same gate on the one-sided path: a remote
+// Put + Fence costs a data frame one way and an applied-watermark frame back
+// (tpApplied), and in steady state neither upcall allocates.  Counted over
+// both processes; what remains is the origin's encoded rma frame and its
+// completion request, the target's mailbox copy of a frame that is never
+// handed back, and the fence's barrier tokens: 8 where the parent, with
+// tpApplied's two LoadOrStore arguments escaping per watermark, measures 12.
+func TestTCPPutFenceAllocs(t *testing.T) {
+	const warm, runs = 200, 1000
+	var perEpoch float64
+	errs := tcpWorld(t, 2, 1, nil, func(r *Rank) {
+		w := r.World()
+		win := w.WinCreate(make([]byte, 64))
+		data := make([]byte, 8)
+		epoch := func() {
+			if r.ID() == 0 {
+				win.Put(data, 1, 0)
+			}
+			win.Fence()
+		}
+		for i := 0; i < warm; i++ {
+			epoch()
+		}
+		if r.ID() == 0 {
+			perEpoch = testing.AllocsPerRun(runs, epoch)
+		} else {
+			for i := 0; i < 1+runs; i++ {
+				epoch()
+			}
+		}
+		win.Free()
+	})
+	tcpAllOK(t, errs)
+	t.Logf("%.2f allocs per remote Put+Fence", perEpoch)
+	if perEpoch > 8 {
+		t.Fatalf("remote Put+Fence allocates %.2f times per epoch, want <= 8", perEpoch)
+	}
+}
+
+// smallWindow makes the links' resend window two frames deep, so a burst
+// outruns the acks at once and every other send goes through tpSend's
+// full-window wait — and, with a spin budget of one probe, on into its yield
+// boundaries and parks.
+func smallWindow(_ int, cfg *Config) { cfg.Transport.MaxUnacked, cfg.SpinBudget = 2, 1 }
+
+// TestTCPFullWindowSendsOnce: a send that found the resend window full goes
+// out exactly once when there is room again.  A one-way burst through a
+// two-frame window must arrive complete, in order and without duplicates, and
+// must actually have waited for room.
+func TestTCPFullWindowSendsOnce(t *testing.T) {
+	const msgs = 20000
+	var busy int64
+	errs := tcpWorld(t, 2, 1, smallWindow, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		if r.ID() == 0 {
+			for i := uint64(0); i < msgs; i++ {
+				binary.LittleEndian.PutUint64(buf, i)
+				w.Send(buf, 1, 4)
+			}
+			w.Recv(buf, 1, 5) // the receiver has checked them all
+			busy = r.Runtime().LinkStates()[0].SendBusy
+			return
+		}
+		for i := uint64(0); i < msgs; i++ {
+			w.Recv(buf, 0, 4)
+			if got := binary.LittleEndian.Uint64(buf); got != i {
+				panic(fmt.Sprintf("message %d carries sequence %d", i, got))
+			}
+		}
+		w.Send(buf, 0, 5)
+	})
+	tcpAllOK(t, errs)
+	t.Logf("%d of %d sends waited for window room", busy, msgs)
+	if busy == 0 {
+		t.Fatal("no send found the window full: the wait was not exercised")
+	}
+}
+
+// TestTCPFullWindowRMA: the same window under one-sided traffic.  Each epoch
+// one rank puts every slot twice (the second value must win) while the other
+// reads the putter's constants, so a rank serves gets while its own frames
+// wait for room; after the fence the puts are in place and every get reply
+// matched its get.  (A frame sent twice shows up here as a reply that matches
+// no get.  That the wait for room lets nothing else of the rank's onto the
+// flow — the frame already holds its sequence number — is ssw's
+// TestWaitQuietRunsNoHooks; the reordering itself was not reproduced.)
+func TestTCPFullWindowRMA(t *testing.T) {
+	const epochs, slots = 200, 40
+	errs := tcpWorld(t, 2, 1, smallWindow, func(r *Rank) {
+		w := r.World()
+		me, peer := r.ID(), 1-r.ID()
+		buf := make([]byte, 8*2*slots) // [0, slots) are put into, [slots, 2*slots) are constants
+		for i := 0; i < slots; i++ {
+			binary.LittleEndian.PutUint64(buf[8*(slots+i):], uint64(me<<8|i))
+		}
+		win := w.WinCreate(buf)
+		win.Fence()
+		word := make([]byte, 8)
+		got := make([]byte, 8*slots)
+		reqs := make([]*Request, slots)
+		for e := 1; e <= epochs; e++ {
+			if e%2 == me {
+				for i := 0; i < slots; i++ {
+					for _, v := range []int{-1, e<<8 | i} {
+						binary.LittleEndian.PutUint64(word, uint64(v))
+						win.Put(word, peer, 8*i)
+					}
+				}
+				win.Fence()
+				continue
+			}
+			for i := range reqs {
+				reqs[i] = win.Rget(got[8*i:8*i+8], peer, 8*(slots+i))
+			}
+			w.Waitall(reqs...)
+			win.Fence()
+			for i := 0; i < slots; i++ {
+				if v, want := int(binary.LittleEndian.Uint64(got[8*i:])), peer<<8|i; v != want {
+					panic(fmt.Sprintf("rank %d epoch %d: get of constant %d returned %#x, want %#x", me, e, i, v, want))
+				}
+				if v, want := int(binary.LittleEndian.Uint64(buf[8*i:])), e<<8|i; v != want {
+					panic(fmt.Sprintf("rank %d epoch %d: slot %d holds %#x after the fence, want %#x", me, e, i, v, want))
+				}
+			}
+		}
+		win.Free()
+	})
+	tcpAllOK(t, errs)
+}
+
+// TestPoisonUnparksCrossNodeRecv: a rank parked in a cross-node receive is
+// ended by the poison itself, not by its park timer.  The timer is set to
+// never fire, so the counts say who ended the park: every rank parked, every
+// park was ended by a wake-up, none by a timeout — rank 0 by its node's
+// abort, the ranks of node 1 by the abort Bye's upcall.
+func TestPoisonUnparksCrossNodeRecv(t *testing.T) {
+	lo, hi := ssw.ParkMin, ssw.ParkMax
+	ssw.ParkMin, ssw.ParkMax = 24*time.Hour, 24*time.Hour
+	defer func() { ssw.ParkMin, ssw.ParkMax = lo, hi }()
+	errs, stats := tcpWorldStats(t, 2, 2, nil, func(r *Rank) {
+		w := r.World()
+		w.Barrier() // links up: the abort will reach node 1
+		if r.ID() == 1 {
+			time.Sleep(50 * time.Millisecond) // the others park meanwhile (checked below, not assumed)
+			r.Abort(fmt.Errorf("deliberate"))
+		}
+		buf := make([]byte, 8)
+		w.Recv(buf, (r.ID()+2)%4, 3) // from the other node; nobody ever sends
+	})
+	for node, err := range errs {
+		re, ok := err.(*RunError)
+		if !ok {
+			t.Fatalf("node %d returned %v, want a *RunError", node, err)
+		}
+		if want := [2]string{CauseAbort, CauseNodeDead}[node]; re.Cause != want {
+			t.Errorf("node %d: cause %q, want %q", node, re.Cause, want)
+		}
+	}
+	for _, rank := range []int{0, 2, 3} {
+		st := stats[rank]
+		t.Logf("rank %d: %d parks, %d woken, %d timed out", rank, st.Parks, st.ParkWakes, st.ParkTimeouts)
+		if st.ParkTimeouts != 0 {
+			t.Errorf("rank %d: %d park timeouts with a timer that never fires", rank, st.ParkTimeouts)
+		}
+		if st.Parks == 0 || st.ParkWakes != st.Parks {
+			t.Errorf("rank %d: %d parks, %d ended by a wake-up; want every park, and at least the last one", rank, st.Parks, st.ParkWakes)
+		}
+	}
+}
+
+// TestTCPPingPongAckFree is the cross-node count gate: on a strict 8 B
+// ping-pong through persistent endpoints every frame finds its rank waiting,
+// the woken rank's answer carries the ack, and the links write (nearly) no
+// ack frames — one socket write per message, nothing retransmitted.
+//
+// Nearly: a frame that beats its rank into the wait is acked at once, as it
+// should be, and a woken rank kept off the CPU past the link's fallback has
+// its ack written for it.  How often is the scheduler's doing: 0.4-2.8 % of
+// frames on the idle 2-vCPU development VM (160 link samples; taking the
+// fallback timer out does not change it), ~10 % under the race detector, up
+// to 20 % beside two busy processes — against 100 % with the hand-off broken
+// in either direction.  So the bound every run enforces is a quarter, which
+// holds on a loaded machine, and scripts/verify.sh, which runs this test alone
+// on a machine doing nothing else, passes -ackfree.tight: 3 % in the best of
+// three runs, which a hand-off that only mostly works does not meet.
+var ackFreeTight = flag.Bool("ackfree.tight", false, "TestTCPPingPongAckFree: enforce the idle-machine bound (3 %, best of 3 runs)")
+
+func TestTCPPingPongAckFree(t *testing.T) {
+	const rounds = 5000
+	percent, attempts := int64(25), 1
+	if *ackFreeTight {
+		percent, attempts = 3, 3
+	}
+	for i := 1; ; i++ {
+		worst := int64(0)
+		for node, st := range ackFreeRun(t, rounds) {
+			t.Logf("run %d node %d: %d data frames, %d frames in %d writes, %d acks written, %d handed off",
+				i, node, rounds, st.FramesSent, st.Writes, st.AcksSent, st.AcksDeferred)
+			if st.Retransmits != 0 {
+				t.Fatalf("node %d retransmitted %d frames on loopback", node, st.Retransmits)
+			}
+			worst = max(worst, st.AcksSent, st.Writes-rounds)
+		}
+		if worst*100 <= rounds*percent {
+			return
+		}
+		if i == attempts {
+			t.Fatalf("a link wrote %d acks or extra socket writes for %d data frames, want <= %d %% (best of %d runs)", worst, rounds, percent, attempts)
+		}
+	}
+}
+
+// ackFreeRun does the ping-pong and returns each node's link counters for it.
+func ackFreeRun(t *testing.T, rounds int) (links [2]obs.LinkState) {
+	errs := tcpWorld(t, 2, 1, nil, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		me := r.ID()
+		w.Barrier() // link up, handshake traffic behind us
+		before := r.Runtime().LinkStates()[0]
+		if me == 0 {
+			ping, pong := w.SendChannel(1, 5), w.RecvChannel(1, 6)
+			for i := 0; i < rounds; i++ {
+				ping.Send(buf)
+				pong.Recv(buf)
+			}
+		} else {
+			ping, pong := w.RecvChannel(0, 5), w.SendChannel(0, 6)
+			for i := 0; i < rounds; i++ {
+				ping.Recv(buf)
+				pong.Send(buf)
+			}
+		}
+		after := r.Runtime().LinkStates()[0]
+		after.FramesSent -= before.FramesSent
+		after.Writes -= before.Writes
+		after.AcksSent -= before.AcksSent
+		after.AcksDeferred -= before.AcksDeferred
+		links[me] = after
+	})
+	tcpAllOK(t, errs)
+	return links
 }
 
 // TestChaosTCPSharedLinkRoundTrips: two ranks of one node round-tripping

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/transport"
 )
@@ -16,6 +15,12 @@ import (
 // frames land in the same remoteChannel mailboxes the in-process modeled
 // network uses, so the receive paths (progressRemoteRecv, rmaProgress) are
 // unchanged.
+//
+// A rank waiting for a frame is parked (ssw.Waiter.WaitIdle), so every upcall
+// that completes such a wait publishes first and then unparks the rank it
+// completed it for.  A rank found inside such a wait takes over the frame's
+// ack: it is about to send, or to block again, and either act carries the
+// watermark (transport.Frame.Waiting), so a ping-pong costs no ack frame.
 //
 // The one shared-memory signal that cannot cross processes is the RMA
 // applied watermark: with one address space the target's rmaProgress
@@ -42,6 +47,7 @@ func (rt *Runtime) tpDeliver(f *transport.Frame) {
 	copy(cp, f.Payload)
 	rc.push(netMsg{payload: cp})
 	rc.mu.unlock()
+	f.Waiting = rt.wake(int(f.DstRank))
 }
 
 // tpApplied is the transport's Applied upcall: the peer's cumulative applied
@@ -56,15 +62,37 @@ func (rt *Runtime) tpApplied(f *transport.Frame) {
 	}
 	applied := binary.LittleEndian.Uint64(f.Payload)
 	key := chanKey{src: int(f.DstRank), dst: int(f.SrcRank), tag: rmaTag, comm: f.Comm}
-	rcv, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
-	v, _ := rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rcv.(*remoteChannel)})
+	v, ok := rt.rmaFlows.Load(key)
+	if !ok {
+		rcv, ok := rt.remotes.Load(key)
+		if !ok {
+			rcv, _ = rt.remotes.LoadOrStore(key, &remoteChannel{})
+		}
+		v, _ = rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rcv.(*remoteChannel)})
+	}
 	flow := v.(*rmaFlow)
 	for {
 		cur := flow.applied.Load()
-		if applied <= cur || flow.applied.CompareAndSwap(cur, applied) {
-			return
+		if applied <= cur {
+			return // a replayed total: nothing completed, nobody to wake
+		}
+		if flow.applied.CompareAndSwap(cur, applied) {
+			break
 		}
 	}
+	f.Waiting = rt.wake(int(f.DstRank))
+}
+
+// tpWritable is the transport's upcall for a resend window that refused a
+// send and has room again.  Which ranks wait for which link is not tracked:
+// every parked rank probes once.
+func (rt *Runtime) tpWritable(int) { wakeCells(rt.cells) }
+
+// wake unparks rank (a rank id off the wire) if it is parked and reports
+// whether it is inside a socket-completed wait at all.  The caller has
+// published what the rank waits for.
+func (rt *Runtime) wake(rank int) bool {
+	return rank >= 0 && rank < len(rt.cells) && rt.cells[rank].Wake()
 }
 
 // tpPeerDead is the transport's failure-detector upcall.  After this
@@ -132,33 +160,38 @@ func (r *Rank) tpSendApplied(in *rmaInbox) {
 	r.tpSend(r.rt.place.NodeOf(in.origin), &f)
 }
 
-// tpSend submits one sequenced frame, retrying through backpressure.
+// tpSend submits one sequenced frame, waiting out backpressure.
 func (r *Rank) tpSend(dstNode int, f *transport.Frame) {
-	for {
-		err := r.rt.tp.Send(dstNode, f)
-		switch e := err.(type) {
-		case nil:
-			return
-		case *transport.DeadError:
-			r.rt.poisonNodeDead(e.Node, e.Reason)
-			r.checkPoison() // unwinds
-		default:
-			if err == transport.ErrBusy {
-				// Resend window full, and the link has written every frame
-				// in it before saying so: the acks that drain it arrive on
-				// the netpoller, so sleep rather than yield-spin (see
-				// ssw.Waiter.WaitIdle); poison unwinds us if the peer never
-				// drains (the retry budget kills the link, the DeadError
-				// branch fires, or another rank poisons first).
-				r.checkPoison()
-				time.Sleep(20 * time.Microsecond)
-				continue
-			}
-			// ErrClosed and routing errors cannot happen from a live rank
-			// (Close runs only after every local rank returned) — unless the
-			// runtime is already unwinding, in which case poison wins.
-			r.checkPoison()
-			panic(fmt.Sprintf("core: rank %d: transport send to node %d: %v", r.id, dstNode, err))
-		}
+	tp := r.rt.tp
+	err := tp.Send(dstNode, f)
+	if err == transport.ErrBusy {
+		// Resend window full, and the link has written every frame in it
+		// before saying so.  The acks that drain it arrive on the netpoller,
+		// so park and retry when the reader says there is room (tpWritable);
+		// poison unwinds us if the peer never drains (the retry budget kills
+		// the link and the DeadError branch fires, or another rank poisons
+		// first).  The wait is a quiet one: the frame may already hold its
+		// place in an RMA flow (rmaTransmit counted it), so neither a stolen
+		// chunk nor rmaProgress may put another frame of this rank's on the
+		// wire before it.  The flush is for an ack a reader left to this rank
+		// when it woke it; the retry is the condition, and is made once per
+		// probe (ssw.Waiter never asks again after a true).
+		r.wait.WaitQuiet(func() bool {
+			tp.Flush()
+			err = tp.Send(dstNode, f)
+			return err != transport.ErrBusy
+		})
+	}
+	switch e := err.(type) {
+	case nil:
+	case *transport.DeadError:
+		r.rt.poisonNodeDead(e.Node, e.Reason)
+		r.checkPoison() // unwinds
+	default:
+		// ErrClosed and routing errors cannot happen from a live rank (Close
+		// runs only after every local rank returned) — unless the runtime is
+		// already unwinding, in which case poison wins.
+		r.checkPoison()
+		panic(fmt.Sprintf("core: rank %d: transport send to node %d: %v", r.id, dstNode, err))
 	}
 }

@@ -65,8 +65,11 @@ type LinkState struct {
 	Reconnects  int64 `json:"reconnects"`
 	AcksSent    int64 `json:"acks_sent"`
 	AcksRecv    int64 `json:"acks_recv"`
-	SendBusy    int64 `json:"send_busy"`
-	Writes      int64 `json:"writes"` // socket writes; frames_sent/writes is the combining factor
+	// AcksDeferred counts owed acks the reader left to a woken rank to
+	// carry; acks_sent counts the explicit ones written.
+	AcksDeferred int64 `json:"acks_deferred"`
+	SendBusy     int64 `json:"send_busy"`
+	Writes       int64 `json:"writes"` // socket writes; frames_sent/writes is the combining factor
 
 	HeartbeatsSent int64 `json:"heartbeats_sent"`
 	HeartbeatsRecv int64 `json:"heartbeats_recv"`

@@ -8,15 +8,23 @@
 // The paper pins one rank per hardware thread and spins unconditionally.
 // This port runs ranks as goroutines, frequently oversubscribed onto far
 // fewer cores (the development host has a single core), so unbounded
-// spinning would starve the very goroutine being waited on.  Waiter
+// spinning would starve the very goroutine being waited on.  Waiter.Wait
 // therefore spins for a bounded budget and then yields to the Go scheduler
 // (runtime.Gosched), keeping the lock-free fast paths byte-identical while
 // preserving liveness.  The budget is configurable; with enough real cores a
 // large budget recovers the paper's pure-spin behaviour.
+//
+// Conditions completed by a socket rather than by another rank's store go
+// through Waiter.WaitIdle, which is event-driven: after one yield round the
+// rank parks on its WakeCell and whoever completes the condition — the
+// transport's reader goroutine, a node leader, the abort path — unparks it.
+// A timer remains only as the cadence at which a parked rank still steals,
+// checks for poison and makes progress on one-sided traffic.
 package ssw
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,15 +32,20 @@ import (
 // yields when the caller does not specify one.
 const DefaultSpinBudget = 64
 
-// WaitIdle's backoff: after idleYieldRounds yield boundaries without
-// progress the wait starts sleeping, doubling from idleSleepMin up to
-// idleSleepMax.  The cap bounds the wakeup latency a long wait pays once
-// its condition finally completes; the first few 1–2µs sleeps cost almost
-// nothing on a wait that was about to be satisfied anyway.
-const (
-	idleYieldRounds = 4
-	idleSleepMin    = time.Microsecond
-	idleSleepMax    = 128 * time.Microsecond
+// WaitIdle's cadence.  A wait whose condition did not come true within
+// idleYieldRounds yield boundaries parks; a park nobody ends is ended by a
+// timer, so the rank keeps stealing, checking for poison and running its
+// progress hook.  The timeout doubles from ParkMin to ParkMax: the short
+// first ones bound what a completer that does not unpark (another rank's
+// plain store into shared memory, an application condition) costs a short
+// wait, the cap is what a long one pays per round.
+const idleYieldRounds = 1
+
+// ParkMin and ParkMax are variables for tests only: with a timer that never
+// fires, the cells' counters show who ended a park.  Nothing else sets them.
+var (
+	ParkMin = 32 * time.Microsecond
+	ParkMax = 128 * time.Microsecond
 )
 
 // Stealer attempts one unit of stolen work and reports whether it stole
@@ -70,6 +83,11 @@ type Waiter struct {
 	// advances remote origins (the paper's runtime makes the same promise
 	// for message progress via its helper threads).
 	Progress func()
+	// Cell is where WaitIdle parks and where completers unpark this waiter.
+	// The owner shares it before it starts waiting; when nil, the first
+	// WaitIdle that has to park makes one nobody else knows of, and only the
+	// timer ends its parks.
+	Cell *WakeCell
 }
 
 // Wait blocks until cond returns true, stealing task chunks while it waits.
@@ -112,48 +130,176 @@ func (w *Waiter) Wait(cond func() bool) {
 // by another rank's store.  Pure yield-spinning starves the Go netpoller:
 // goroutines that Gosched in a loop keep the run queues non-empty, so no P
 // ever parks in network poll and socket readiness is only discovered by
-// sysmon's ~10ms fallback — every cross-node message pays ~10ms however
-// fast the wire is.  After a few yield rounds without progress WaitIdle
-// sleeps with exponential backoff instead, parking the goroutine on a
-// timer so a P goes idle and the netpoller delivers the frame promptly.
+// sysmon's ~10ms fallback.  So after one yield round without progress the
+// rank parks on its WakeCell: its P goes idle, the netpoller hands the frame
+// to the reader goroutine, and the reader — having published the delivery —
+// unparks the rank (see WakeCell for why no wake-up is lost).  One yield
+// round, not several: each round holds the P the reader needs, and a rank
+// that yielded once has already let every runnable goroutine go first.
 //
 // Shared-memory waits must keep using Wait: their completer is another
 // spinning rank that owns (or shares) a hardware thread, the paper's
-// assumption, and a sleep there only adds latency.  Steal, Poison and
-// Progress behave exactly as in Wait, and a successful steal resets the
-// backoff — running a chunk was progress.
-func (w *Waiter) WaitIdle(cond func() bool) {
+// assumption, and parking there only adds latency.  Steal, Poison and
+// Progress behave exactly as in Wait — a park that times out runs them and
+// parks again — and a successful steal resets the cadence: running a chunk
+// was progress.
+func (w *Waiter) WaitIdle(cond func() bool) { w.waitIdle(cond, false) }
+
+// WaitQuiet is WaitIdle for a wait in the middle of an operation that nothing
+// of this rank's may re-enter — a frame that holds its sequence number and
+// waits for room on the link.  It parks and checks for poison, but neither
+// steals nor runs Progress.
+func (w *Waiter) WaitQuiet(cond func() bool) { w.waitIdle(cond, true) }
+
+// waitIdle, like Wait, never evaluates cond again once it has returned true:
+// a condition may do the thing it waits for.
+func (w *Waiter) waitIdle(cond func() bool, quiet bool) {
 	budget := w.SpinBudget
 	if budget <= 0 {
 		budget = DefaultSpinBudget
 	}
+	if cond() {
+		return
+	}
+	if w.Cell == nil {
+		w.Cell = NewWakeCell()
+	}
+	// From here to the return the rank counts as waiting, spinning or parked:
+	// a completer that finds it so knows it is about to act on the completion.
+	// A wait nested in this one (a progress hook that blocks) restores it.
+	outer := w.Cell.state.Swap(cellWaiting)
 	spins, rounds := 0, 0
-	sleep := idleSleepMin
-	for !cond() {
-		if w.Steal != nil && w.Steal.TrySteal() {
-			spins, rounds, sleep = 0, 0, idleSleepMin
+	timeout := ParkMin
+	for done := false; !done; done = done || cond() {
+		if !quiet && w.Steal != nil && w.Steal.TrySteal() {
+			spins, rounds, timeout = 0, 0, ParkMin
 			continue
 		}
-		spins++
-		if spins >= budget {
-			if w.Poison != nil {
-				if err := w.Poison(); err != nil {
-					panic(AbortPanic{Err: err})
-				}
-			}
-			if w.Progress != nil {
-				w.Progress()
-			}
-			spins = 0
-			if rounds++; rounds <= idleYieldRounds {
-				runtime.Gosched()
-			} else {
-				time.Sleep(sleep)
-				if sleep < idleSleepMax {
-					sleep *= 2
-				}
+		if spins++; spins < budget {
+			continue
+		}
+		spins = 0
+		if w.Poison != nil {
+			if err := w.Poison(); err != nil {
+				panic(AbortPanic{Err: err})
 			}
 		}
+		if !quiet && w.Progress != nil {
+			w.Progress()
+		}
+		if rounds < idleYieldRounds {
+			rounds++
+			runtime.Gosched()
+			continue
+		}
+		var woken bool
+		if done, woken = w.Cell.Park(cond, timeout); !woken {
+			timeout = min(2*timeout, ParkMax)
+		}
+	}
+	w.Cell.state.Store(outer)
+}
+
+// WakeCell is one waiter's parking spot: a state word and a one-slot signal.
+// Exactly one goroutine — the owner — waits on it; any goroutine may Wake it.
+//
+// No wake-up is lost, by the store-then-load argument on both sides.  The
+// owner publishes parked, then re-checks its condition, then blocks; a
+// completer publishes what makes the condition true, then loads the state.
+// The operations are sequentially consistent atomics, so either the owner's
+// re-check sees the completion (it does not block) or the completer sees
+// parked (it leaves a token; the slot holds it even if the owner has not
+// reached the block yet).  A token left for a park that already ended — the
+// re-check caught the completion, or two completers raced — makes the next
+// park return at once: one spurious probe of a condition that is then simply
+// checked again.
+type WakeCell struct {
+	state atomic.Uint32 // cellRunning, cellWaiting or cellParked; written by the owner only
+	sig   chan struct{}
+
+	// Owner-only from here on.
+	timer *time.Timer
+	// Parks counts parks that blocked; Wakes those ended by a token, Timeouts
+	// those ended by the timer.  The owner reads them itself or hands them
+	// over once it has stopped.
+	Parks, Wakes, Timeouts int64
+}
+
+const (
+	cellRunning = iota // outside any WaitIdle
+	cellWaiting        // inside WaitIdle, probing
+	cellParked         // inside WaitIdle, blocked or about to block
+)
+
+// NewWakeCell returns an empty cell.
+func NewWakeCell() *WakeCell { return &WakeCell{sig: make(chan struct{}, 1)} }
+
+// Wake is what a completer calls after publishing what the owner may be
+// waiting for.  It unparks the owner if it is parked (or about to block) and
+// reports whether the owner is inside a WaitIdle at all: if so it is about to
+// see the completion and act on it.  With the owner not parked it costs one
+// atomic load.
+func (c *WakeCell) Wake() bool {
+	schedpoint("ssw:wake:load")
+	switch c.state.Load() {
+	case cellRunning:
+		return false
+	case cellParked:
+		schedpoint("ssw:wake:signal")
+		select {
+		case c.sig <- struct{}{}:
+		default: // a token is already waiting for the owner
+		}
+	}
+	return true
+}
+
+// Park blocks the owner until a Wake or for timeout, unless cond holds once
+// parked is published.  done reports that it did: the owner never blocked and
+// cond has returned true, which it is not asked again.  Otherwise woken says
+// whether a Wake ended the park or the timer did, and the caller re-checks
+// cond either way.
+func (c *WakeCell) Park(cond func() bool, timeout time.Duration) (done, woken bool) {
+	schedpoint("ssw:park:publish")
+	c.state.Store(cellParked)
+	schedpoint("ssw:park:recheck")
+	if cond() {
+		c.state.Store(cellWaiting)
+		return true, true
+	}
+	schedpoint("ssw:park:block")
+	c.Parks++
+	woken = c.block(timeout)
+	c.state.Store(cellWaiting)
+	if woken {
+		c.Wakes++
+	} else {
+		c.Timeouts++
+	}
+	return false, woken
+}
+
+// blockTimed waits for a token or the reused timer, whichever is first.
+func (c *WakeCell) blockTimed(timeout time.Duration) bool {
+	if c.timer == nil {
+		c.timer = time.NewTimer(timeout)
+	} else {
+		c.timer.Reset(timeout)
+	}
+	select {
+	case <-c.sig:
+		if !c.timer.Stop() {
+			// Fired meanwhile.  Not a blocking receive: whether the value is
+			// in the channel yet depends on the timer implementation in use,
+			// and one left behind only ends a later park early.
+			select {
+			case <-c.timer.C:
+			default:
+			}
+		}
+		return true
+	case <-c.timer.C:
+		return false
 	}
 }
 

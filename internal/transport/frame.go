@@ -115,6 +115,12 @@ type Frame struct {
 	Tag     int32  // channel tag (KindData/KindApplied)
 	Comm    uint64 // communicator id (KindData/KindApplied)
 	Payload []byte
+
+	// Waiting never travels.  A Deliver or Applied handler sets it to report
+	// that the frame went to a rank it found waiting for it and woke: that
+	// rank is about to send or to wait again, and either act carries the
+	// frame's ack, so the reader need not write one (link.deferAck).
+	Waiting bool
 }
 
 // AppendFrame serializes f (header plus payload) onto dst and returns the

@@ -41,7 +41,9 @@ import (
 // expected sequence is dropped too, to be recovered by the sender's
 // retransmission.  Acks piggyback on every outgoing frame; an explicit ack
 // flows when the reader drains its buffer (the stream went idle) or every
-// ackEvery frames, whichever comes first.
+// ackEvery frames, whichever comes first — unless the handler reported that
+// the newest frame woke a waiting rank, in which case that rank carries the
+// ack (deferAck).
 type link struct {
 	t      *Transport
 	peer   int
@@ -71,6 +73,10 @@ type link struct {
 	ackedOutA atomic.Uint64 // mirror of ackedOut: the reader locks mu only for acks that advance it
 	ackSent   atomic.Uint64 // highest delivered watermark written to the peer, piggybacked or explicit
 	staged    atomic.Bool   // wbuf is non-empty (lock-free probe for Transport.Flush)
+
+	ackDeferred atomic.Bool // the reader handed an owed ack to a woken rank; nobody has carried it yet
+	ackTimer    *time.Timer // writes a deferred ack nobody carried within ackDelay
+	windowFull  atomic.Bool // a send was refused with ErrBusy since the last ack progress
 
 	recvMu    sync.Mutex
 	delivered uint64 // highest in-order seq handed to the handlers
@@ -115,7 +121,7 @@ type linkCounters struct {
 	dupsDropped, oooDropped  atomic.Int64
 	reconnects               atomic.Int64
 	hbSent, hbRecv, acksSent atomic.Int64
-	acksRecv                 atomic.Int64
+	acksRecv, acksDeferred   atomic.Int64
 	retryRounds              atomic.Int64
 	dropsInjected            atomic.Int64
 	delaysInjected           atomic.Int64
@@ -132,6 +138,14 @@ const ackEvery = 64
 // for the ack clock: one socket buffer's worth, so a large message never
 // waits and a burst of small ones still shares its write.
 const flushBytes = 64 << 10
+
+// ackDelay bounds how long an ack handed to a woken rank may stay unwritten:
+// the peer's staged frames wait for it, so past this the link writes it
+// itself.  Far above what a woken rank needs to send or block again, far
+// below anything a sender would notice as a stall — the bound that keeps the
+// hand-off from being Nagle x delayed-ack.  A variable only so that tests can
+// stretch it and count carried acks exactly; nothing else sets it.
+var ackDelay = 100 * time.Microsecond
 
 // bufKeep is the largest window or staging buffer kept across an idle
 // moment; one oversized frame must not pin its capacity for the run.
@@ -160,6 +174,7 @@ func (l *link) send(f *Frame) error {
 	}
 	if l.nextSeq-l.ackedOut >= uint64(l.t.cfg.MaxUnacked) {
 		l.stats.sendBusy.Add(1)
+		l.windowFull.Store(true)
 		l.mu.Unlock()
 		// A full window must not hold unwritten frames: the acks that drain
 		// it only come for frames the peer has seen.
@@ -352,6 +367,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 		l.stats.retransmits.Add(int64(n))
 	}
 	l.mu.Unlock()
+	l.wakeWindowWaiters() // the handshake watermark is an ack too
 
 	l.t.wg.Add(1)
 	go l.readLoop(c, gen)
@@ -399,7 +415,8 @@ func (l *link) readLoop(c Conn, gen uint64) {
 	// One Frame for the connection's lifetime: the handlers are func values,
 	// so a per-iteration variable would escape to the heap on every frame.
 	var f Frame
-	sinceAck := 0 // frames delivered since this reader last sent an explicit ack
+	sinceAck := 0    // frames delivered since this reader last settled its ack
+	carried := false // the newest of them woke a rank that will carry the ack
 	for {
 		var err error
 		if f, err = fr.Read(); err != nil {
@@ -426,11 +443,13 @@ func (l *link) readLoop(c Conn, gen uint64) {
 			if staged {
 				l.flush(0, nil)
 			}
+			l.wakeWindowWaiters()
 		}
 		switch f.Kind {
 		case KindData, KindApplied:
 			if l.acceptSequenced(&f) {
 				sinceAck++
+				carried = f.Waiting
 			}
 		case KindHeartbeat:
 			l.stats.hbRecv.Add(1)
@@ -448,14 +467,53 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		// The sender's staged frames wait for this ack, so it is owed as soon
 		// as the stream goes idle, whatever kind of frame came last.
 		if sinceAck > 0 && (sinceAck >= ackEvery || br.Buffered() == 0) {
-			sinceAck = 0
-			// Unless a frame written meanwhile carried the watermark already
-			// (a handler that answered from inside Deliver).
-			if l.ackSent.Load() < l.deliveredA.Load() {
-				l.stats.acksSent.Add(1)
-				l.sendControl(KindAck, nil)
+			switch {
+			case l.ackSent.Load() >= l.deliveredA.Load():
+				// A frame written meanwhile carried the watermark already (a
+				// handler that answered from inside Deliver).
+			case carried && sinceAck < ackEvery:
+				l.deferAck()
+			default:
+				l.writeAck()
 			}
+			sinceAck = 0
 		}
+	}
+}
+
+// wakeWindowWaiters tells the owner that a window which refused a send may
+// have room again: acks advanced, or the link reached a state (departed,
+// dead) in which send no longer answers ErrBusy.  Called with no lock held.
+func (l *link) wakeWindowWaiters() {
+	if l.windowFull.Load() && l.windowFull.Swap(false) {
+		if h := l.t.h.Writable; h != nil {
+			h(l.peer)
+		}
+	}
+}
+
+// writeAck writes the explicit ack, with whatever is staged.
+func (l *link) writeAck() {
+	l.stats.acksSent.Add(1)
+	l.sendControl(KindAck, nil)
+}
+
+// deferAck leaves an owed ack to the rank the newest frame woke.  It rides on
+// that rank's next frame (every frame carries the watermark), or goes out of
+// Transport.Flush when the rank next blocks; the timer writes it if neither
+// happened within ackDelay of the oldest ack still deferred.
+func (l *link) deferAck() {
+	l.stats.acksDeferred.Add(1)
+	if !l.ackDeferred.Swap(true) {
+		l.ackTimer.Reset(ackDelay)
+	}
+}
+
+// settleAck writes a deferred ack unless a frame has carried it meanwhile.
+// Called by a rank about to block and by the timer.
+func (l *link) settleAck() {
+	if l.ackDeferred.Swap(false) && l.ackSent.Load() < l.deliveredA.Load() {
+		l.writeAck()
 	}
 }
 
@@ -514,6 +572,7 @@ func (l *link) handleBye(f *Frame) {
 	l.win, l.winHead = nil, 0
 	l.discardStagedLocked()
 	l.mu.Unlock()
+	l.wakeWindowWaiters()
 	if !already {
 		if h := l.t.h.PeerBye; h != nil {
 			var dead []int
@@ -536,6 +595,7 @@ func (l *link) die(reason string) {
 	l.dead.Store(true)
 	l.closeConnLocked()
 	l.mu.Unlock()
+	l.wakeWindowWaiters()
 	if h := l.t.h.PeerDead; h != nil {
 		h(l.peer, reason)
 	}
@@ -815,6 +875,7 @@ func (l *link) snapshot() LinkStats {
 		HeartbeatsRecv: l.stats.hbRecv.Load(),
 		AcksSent:       l.stats.acksSent.Load(),
 		AcksRecv:       l.stats.acksRecv.Load(),
+		AcksDeferred:   l.stats.acksDeferred.Load(),
 		RetryRounds:    l.stats.retryRounds.Load(),
 		DropsInjected:  l.stats.dropsInjected.Load(),
 		DelaysInjected: l.stats.delaysInjected.Load(),

@@ -35,7 +35,8 @@ func (e *DeadError) Error() string {
 // runtime).  Deliver and Applied run on a link's reader goroutine with the
 // link's receive lock held, strictly in link order; their Frame (payload
 // included) is only valid for the duration of the call — the handler copies
-// what it keeps.  PeerDead and PeerBye run at most once per peer, off the
+// what it keeps, and may set Frame.Waiting to take the frame's ack off the
+// reader's hands.  PeerDead and PeerBye run at most once per peer, off the
 // transport's internal goroutines.
 type Handlers struct {
 	// Deliver receives one KindData frame.
@@ -51,6 +52,11 @@ type Handlers struct {
 	// survivor hearing of a failure second-hand still names the node that
 	// actually died rather than the peer relaying the news.
 	PeerBye func(node int, abort bool, reason string, dead []int)
+	// Writable reports that a send toward node, refused with ErrBusy since
+	// the last report, may succeed now (acks made room in the resend window):
+	// whoever waits to retry should.  It runs on a transport goroutine with
+	// no link lock held.
+	Writable func(node int)
 }
 
 // Transport is one node's endpoint in the job's full mesh.  See the package
@@ -107,6 +113,8 @@ func New(cfg Config, be Backend, nranks int, h Handlers) (*Transport, error) {
 			rng:    cfg.Faults.Seed ^ (uint64(cfg.Node)<<32 | uint64(peer)) ^ 0x9e3779b97f4a7c15,
 			events: newLinkEventRing(cfg.LinkEvents),
 		}
+		l.ackTimer = time.AfterFunc(time.Hour, l.settleAck)
+		l.ackTimer.Stop()
 		t.links[peer] = l
 	}
 	return t, nil
@@ -208,6 +216,7 @@ func (t *Transport) Close() error {
 		if l == nil {
 			continue
 		}
+		l.ackTimer.Stop()
 		l.mu.Lock()
 		l.closeConnLocked()
 		l.mu.Unlock()
@@ -252,13 +261,21 @@ func (t *Transport) drain() {
 }
 
 // Flush writes out whatever frames are staged behind unacked ones on any
-// link.  The runtime calls it when a rank is about to block: the rank may be
-// waiting for the answer to a frame that is still staged, and a second rank
-// sharing the link must not wait a round trip for the first one's ack.  With
-// nothing staged it costs one atomic load per link.
+// link, and any ack the reader left to a woken rank that no frame has carried
+// since.  The runtime calls it when a rank is about to block: the rank may be
+// waiting for the answer to a frame that is still staged, a second rank
+// sharing the link must not wait a round trip for the first one's ack, and
+// the peer's own staged frames wait for ours.  With nothing staged or owed it
+// costs two atomic loads per link.
 func (t *Transport) Flush() {
 	for _, l := range t.links {
-		if l != nil && l.staged.Load() {
+		if l == nil {
+			continue
+		}
+		if l.ackDeferred.Load() {
+			l.settleAck() // the ack takes what is staged with it
+		}
+		if l.staged.Load() {
 			l.flush(0, nil)
 		}
 	}
@@ -308,6 +325,7 @@ type LinkStats struct {
 	HeartbeatsRecv         int64
 	AcksSent               int64 // explicit ack frames (piggybacks not counted)
 	AcksRecv               int64 // explicit ack frames received
+	AcksDeferred           int64 // owed acks left to a woken rank to carry instead of written at once
 	RetryRounds            int64 // go-back-N retransmit rounds (backoff events)
 	DropsInjected          int64 // fault plan: first transmissions suppressed
 	DelaysInjected         int64 // fault plan: deliveries delayed

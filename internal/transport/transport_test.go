@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -35,6 +36,9 @@ func reserveAddrs(t testing.TB, n int) []string {
 type collector struct {
 	mu     sync.Mutex
 	frames []Frame
+	// waiting is what Deliver reports in Frame.Waiting: the test plays a
+	// runtime whose destination rank was (or was not) found waiting.
+	waiting atomic.Bool
 
 	deadMu   sync.Mutex
 	dead     map[int]string
@@ -55,6 +59,7 @@ func (c *collector) handlers() Handlers {
 			c.mu.Lock()
 			c.frames = append(c.frames, cp)
 			c.mu.Unlock()
+			f.Waiting = c.waiting.Load()
 		},
 		PeerDead: func(node int, reason string) {
 			c.deadMu.Lock()

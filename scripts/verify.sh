@@ -55,13 +55,18 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
-echo "== cross-node allocation gates (link frame path <= 1/frame, TCP ping-pong <= 2/round trip)"
-# The same machine-independent quantity on the inter-node path: the link
+echo "== cross-node allocation and count gates (link <= 1 alloc/frame, TCP ping-pong <= 2/round trip and ack-free, remote Put+Fence <= 8)"
+# The same machine-independent quantities on the inter-node path: the link
 # encodes into reused buffers and the runtime recycles requests and mailbox
-# payloads, so the steady state stays (nearly) allocation-free.  The tests
-# count with testing.AllocsPerRun over real loopback TCP.
+# payloads, so the steady state stays (nearly) allocation-free; and a woken
+# rank carries its frame's ack, so a ping-pong writes (nearly) no ack
+# frames.  The tests count — testing.AllocsPerRun, the links' own counters —
+# over real loopback TCP.  The ack count also depends on how promptly woken
+# ranks get a CPU, so its tight bound (3 %, best of three runs) is asked for
+# here, where nothing runs beside it; everywhere else the test holds a loose
+# one.
 go test -count=1 -run 'TestLinkFrameAllocs$' -v ./internal/transport
-go test -count=1 -run 'TestTCPPingPongAllocs$' -v ./internal/core
+go test -count=1 -run 'TestTCPPingPongAllocs$|TestTCPPutFenceAllocs$|TestTCPPingPongAckFree$' -v ./internal/core -ackfree.tight
 
 echo "== TCP transport chaos (real sockets; full run: make chaos-net)"
 go test -race -count=1 -run 'TestChaosTCP' ./internal/core
