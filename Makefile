@@ -27,13 +27,17 @@ check:
 fuzz:
 	go test -count=1 -fuzz FuzzFrameDecode -fuzztime 30s ./internal/rma
 	go test -count=1 -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/codec
+	go test -count=1 -fuzz FuzzFrameDecode -fuzztime 30s ./internal/transport
+	go test -count=1 -fuzz FuzzControlDecode -fuzztime 30s ./internal/transport
 	go test -count=1 -fuzz FuzzStatsdParse -fuzztime 30s ./internal/statsd
 	go test -count=1 -fuzz FuzzShmemFrame -fuzztime 30s ./internal/shmem
 
 # The robustness suite under the race detector: watchdog/abort containment
-# plus the fault-injection (drop/dup/reorder) chaos tests across several
-# seeds (override with PURE_CHAOS_SEEDS=comma,separated,ints).  Sized to
-# stay CI-friendly on a single CPU.
+# plus the lossy-link chaos tests — one runtime per node over loopback TCP
+# with Transport.Faults (drops, delays, and the duplicates and out-of-order
+# discards go-back-N makes of them) — across several seeds (override with
+# PURE_CHAOS_SEEDS=comma,separated,ints).  Sized to stay CI-friendly on a
+# single CPU.
 chaos:
 	go test -race -count=1 \
 		-run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \
@@ -87,8 +91,9 @@ statsd:
 	go run ./cmd/purebench -quick -exp statsd
 
 # The PGAS layer (docs/SHMEM.md): symmetric-heap/mailbox unit tests and
-# the exactness-proof apps (the lossy netsim chaos runs under -race),
-# then the exactness-gated benchmark table.
+# the exactness-proof apps (the lossy-link chaos runs, one runtime per
+# node over loopback TCP, under -race), then the exactness-gated benchmark
+# table.
 shmem:
 	go test -count=1 ./internal/shmem ./internal/apps/shmem ./pure
 	go test -race -count=1 ./internal/shmem ./internal/apps/shmem

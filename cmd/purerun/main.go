@@ -91,7 +91,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		var err error
-		if addrList, err = reservePorts(*n); err != nil {
+		if addrList, err = transport.ReserveLoopback(*n); err != nil {
 			fmt.Fprintf(stderr, "purerun: reserving ports: %v\n", err)
 			return 1
 		}
@@ -116,7 +116,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var monAddrs []string
 	if *monitor != "" {
 		var err error
-		if monAddrs, err = reservePorts(nodes); err != nil {
+		if monAddrs, err = transport.ReserveLoopback(nodes); err != nil {
 			fmt.Fprintf(stderr, "purerun: reserving monitor ports: %v\n", err)
 			return 1
 		}
@@ -219,22 +219,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return code
-}
-
-// reservePorts picks n distinct localhost ports by binding and releasing
-// them.  The usual bind-race caveat applies; workers that lose the race
-// fail their Listen with a descriptive error rather than hanging.
-func reservePorts(n int) ([]string, error) {
-	out := make([]string, n)
-	for i := range out {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return out, nil
 }
 
 func parseKill(spec string, nodes int) (node int, delay time.Duration, err error) {

@@ -309,20 +309,3 @@ func TestParseKill(t *testing.T) {
 		}
 	}
 }
-
-func TestReservePorts(t *testing.T) {
-	addrs, err := reservePorts(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, a := range addrs {
-		if !strings.HasPrefix(a, "127.0.0.1:") {
-			t.Fatalf("reserved address %q is not localhost", a)
-		}
-		if seen[a] {
-			t.Fatalf("duplicate reserved address %q in %v", a, addrs)
-		}
-		seen[a] = true
-	}
-}

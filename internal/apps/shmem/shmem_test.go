@@ -2,37 +2,16 @@ package shmemapp
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/puretest"
 	"repro/pure"
 )
 
-// chaosSeeds mirrors the pure-package convention: {1, 2, 3} by default,
-// PURE_CHAOS_SEEDS=comma,separated,ints to override.
-func chaosSeeds(t *testing.T) []int64 {
-	t.Helper()
-	env := os.Getenv("PURE_CHAOS_SEEDS")
-	if env == "" {
-		return []int64{1, 2, 3}
-	}
-	var seeds []int64
-	for _, f := range strings.Split(env, ",") {
-		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("bad PURE_CHAOS_SEEDS entry %q: %v", f, err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
-
 // multiNodeCfg places one rank per node so every remote operation crosses
-// the modeled network.
+// the network: the modeled wire under pure.Run, real links under
+// puretest.RunNodes.
 func multiNodeCfg(nodes int) pure.Config {
 	return pure.Config{
 		NRanks:       nodes,
@@ -43,20 +22,25 @@ func multiNodeCfg(nodes int) pure.Config {
 	}
 }
 
-func runHist(t *testing.T, cfg pure.Config, hcfg HistConfig) HistResult {
-	t.Helper()
-	var res HistResult
-	err := pure.Run(cfg, func(r *pure.Rank) {
+// histMain is the rank body of a histogram run; rank 0 leaves its result in
+// res (every rank computes the same one).
+func histMain(hcfg HistConfig, res *HistResult) func(r *pure.Rank) {
+	return func(r *pure.Rank) {
 		got, herr := RunHistogram(r, hcfg)
 		if herr != nil {
 			r.Abort(herr)
 			return
 		}
 		if r.ID() == 0 {
-			res = got
+			*res = got
 		}
-	})
-	if err != nil {
+	}
+}
+
+func runHist(t *testing.T, cfg pure.Config, hcfg HistConfig) HistResult {
+	t.Helper()
+	var res HistResult
+	if err := pure.Run(cfg, histMain(hcfg, &res)); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -93,41 +77,45 @@ func TestHistogramCrossNode(t *testing.T) {
 	}
 }
 
-// TestChaosHistogramLossy is the ISSUE's acceptance gate: ≥2 processes
-// (modeled as 2 one-rank nodes) under a 15%-lossy wire, and the histogram
-// must still be bit-exact — the link layer recovers every dropped,
-// duplicated, or reordered atomic-add frame.
+// TestChaosHistogramLossy: two one-rank nodes over 15%-lossy loopback links
+// (one pure.Run per node, puretest.RunNodes), and the histogram must still
+// be bit-exact — the link layer recovers every dropped atomic-add frame and
+// discards every duplicate.
 func TestChaosHistogramLossy(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
-		seed := seed
+	for _, seed := range puretest.ChaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := multiNodeCfg(2)
-			cfg.Net.Faults = netsim.Faults{
-				Seed: seed, DropProb: 0.15, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			res := runHist(t, cfg, HistConfig{Bins: 32, Items: 60, Rounds: 2, Seed: uint64(seed)})
+			var res HistResult
+			c := puretest.RunNodes(t, multiNodeCfg(2), puretest.Lossy(seed, 0.15),
+				histMain(HistConfig{Bins: 32, Items: 60, Rounds: 2, Seed: uint64(seed)}, &res))
 			if !res.Exact {
-				t.Fatal("lossy-wire histogram diverged from the serial reference")
+				t.Fatal("lossy-link histogram diverged from the serial reference")
+			}
+			if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
+				t.Fatalf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
+					c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
 			}
 		})
 	}
 }
 
-func runBFS(t *testing.T, cfg pure.Config, bcfg BFSConfig) BFSResult {
-	t.Helper()
-	var res BFSResult
-	err := pure.Run(cfg, func(r *pure.Rank) {
+// bfsMain is the rank body of a BFS run; rank 0 leaves its result in res.
+func bfsMain(bcfg BFSConfig, res *BFSResult) func(r *pure.Rank) {
+	return func(r *pure.Rank) {
 		got, berr := RunBFS(r, bcfg)
 		if berr != nil {
 			r.Abort(berr)
 			return
 		}
 		if r.ID() == 0 {
-			res = got
+			*res = got
 		}
-	})
-	if err != nil {
+	}
+}
+
+func runBFS(t *testing.T, cfg pure.Config, bcfg BFSConfig) BFSResult {
+	t.Helper()
+	var res BFSResult
+	if err := pure.Run(cfg, bfsMain(bcfg, &res)); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -168,21 +156,22 @@ func TestBFSCrossNode(t *testing.T) {
 	}
 }
 
-// TestChaosBFSLossy runs the mailbox frontier exchange over a 15%-lossy
-// wire: per-sender FIFO and exactly-once delivery must survive
-// retransmission, or distances diverge.
+// TestChaosBFSLossy runs the mailbox frontier exchange over 15%-lossy
+// loopback links: per-sender FIFO and exactly-once delivery must survive
+// retransmission, or distances diverge.  (A small graph: every claim is a
+// remote round trip, and every dropped one waits out a retransmit timer.)
 func TestChaosBFSLossy(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
-		seed := seed
+	for _, seed := range puretest.ChaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := multiNodeCfg(2)
-			cfg.Net.Faults = netsim.Faults{
-				Seed: seed, DropProb: 0.15, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			res := runBFS(t, cfg, BFSConfig{Vertices: 48, Degree: 2, MailboxCap: 4, Seed: uint64(seed) + 1})
+			var res BFSResult
+			c := puretest.RunNodes(t, multiNodeCfg(2), puretest.Lossy(seed, 0.15),
+				bfsMain(BFSConfig{Vertices: 24, Degree: 2, MailboxCap: 4, Seed: uint64(seed) + 1}, &res))
 			if !res.Exact {
-				t.Fatal("lossy-wire BFS diverged from the serial reference")
+				t.Fatal("lossy-link BFS diverged from the serial reference")
+			}
+			if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
+				t.Fatalf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
+					c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
 			}
 		})
 	}

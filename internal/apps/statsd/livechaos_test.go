@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	proto "repro/internal/statsd"
+	"repro/internal/transport"
 	"repro/pure"
 )
 
@@ -142,14 +142,9 @@ func launchWorld(t *testing.T, nodes int, extraEnv []string) []*proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make([]string, nodes)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+	addrs, err := transport.ReserveLoopback(nodes)
+	if err != nil {
+		t.Fatal(err)
 	}
 	job := uint64(os.Getpid())<<32 ^ uint64(time.Now().UnixNano())
 	procs := make([]*proc, nodes)

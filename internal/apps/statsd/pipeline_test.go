@@ -3,28 +3,34 @@ package statsd
 import (
 	"testing"
 
+	"repro/internal/puretest"
 	proto "repro/internal/statsd"
 	"repro/pure"
 )
 
-// runPipeline executes the pipeline under pure.Run and returns rank 0's
-// Result (every rank receives the identical Allreduce, so one is enough).
-func runPipeline(t *testing.T, pcfg pure.Config, cfg Config) Result {
-	t.Helper()
-	var res Result
+// pipelineMain is the rank body of a pipeline run; rank 0 leaves its Result
+// in res (every rank receives the identical Allreduce, so one is enough).
+func pipelineMain(cfg Config, res *Result) func(r *pure.Rank) {
 	if cfg.Interner == nil {
 		cfg.Interner = proto.NewInterner(4096)
 	}
-	err := pure.Run(pcfg, func(r *pure.Rank) {
+	return func(r *pure.Rank) {
 		got, err := Run(r, cfg)
 		if err != nil {
 			r.Abort(err)
 		}
 		if r.ID() == 0 {
-			res = got
+			*res = got
 		}
-	})
-	if err != nil {
+	}
+}
+
+// runPipeline executes the pipeline under pure.Run and returns rank 0's
+// Result.
+func runPipeline(t *testing.T, pcfg pure.Config, cfg Config) Result {
+	t.Helper()
+	var res Result
+	if err := pure.Run(pcfg, pipelineMain(cfg, &res)); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -78,20 +84,26 @@ func TestPipelineExactDropPolicy(t *testing.T) {
 }
 
 func TestPipelineExactUnderLoss(t *testing.T) {
-	// Two modeled nodes (ingesters on node 0, aggregators on node 1 under
-	// SMP placement) with 15%% of inter-node transmits dropped on the wire.
-	// The link layer retransmits; the pipeline totals must stay exact.
+	// Two nodes (ingesters on node 0, aggregators on node 1 under SMP
+	// placement), one pure.Run each, joined by loopback links that drop 15%
+	// of first transmissions.  The link layer retransmits; the pipeline
+	// totals must stay exact.
 	const events = 8000
-	res := runPipeline(t,
+	var res Result
+	c := puretest.RunNodes(t,
 		pure.Config{
 			NRanks: 4,
 			Spec:   pure.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
-			Net:    pure.NetConfig{Faults: pure.Faults{Seed: 7, DropProb: 0.15}},
 		},
-		Config{Ingesters: 2, Aggregators: 2, Events: events, Rounds: 2})
+		pure.TransportFaults{Seed: 7, DropProb: 0.15},
+		pipelineMain(Config{Ingesters: 2, Aggregators: 2, Events: events, Rounds: 2}, &res))
 	checkExact(t, res, events)
 	if res.Applied != events {
-		t.Errorf("lossy wire lost events: applied %d of %d", res.Applied, events)
+		t.Errorf("lossy links lost events: applied %d of %d", res.Applied, events)
+	}
+	if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
+		t.Errorf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
+			c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
 	}
 }
 

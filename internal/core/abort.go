@@ -34,7 +34,6 @@ const (
 	WaitRvzRecv             // rendezvous receive: waiting for the sender's handoff
 	WaitRvzSend             // rendezvous send: waiting for the receiver to post an envelope
 	WaitRemoteRecv          // inter-node receive: waiting for a mailbox arrival
-	WaitRemoteAck           // inter-node reliable send: waiting for the link-layer ack
 	WaitCollective          // inside a collective phase (SPTD / PartitionedReducer / leader tree)
 	WaitTask                // Task.Execute straggler wait (stolen chunks still running)
 	WaitRmaRemote           // one-sided remote op: waiting for target-side application (or a Get reply)
@@ -47,7 +46,7 @@ const (
 
 var waitKindNames = [...]string{
 	"none", "p2p-recv", "p2p-send", "rendezvous-recv", "rendezvous-send",
-	"remote-recv", "remote-send-ack", "collective", "task",
+	"remote-recv", "collective", "task",
 	"rma-remote", "rma-fence", "rma-pscw", "rma-notify", "app-wait",
 	"shmem-mailbox",
 }
@@ -64,7 +63,7 @@ func (k WaitKind) String() string {
 // (the edges of the wait-for graph).
 func (k WaitKind) waitsOnPeer() bool {
 	switch k {
-	case WaitP2PRecv, WaitP2PSend, WaitRvzRecv, WaitRvzSend, WaitRemoteRecv, WaitRemoteAck,
+	case WaitP2PRecv, WaitP2PSend, WaitRvzRecv, WaitRvzSend, WaitRemoteRecv,
 		WaitRmaRemote, WaitRmaPSCW:
 		return true
 	}
@@ -77,7 +76,7 @@ type WaitRecord struct {
 	Peer int    // global peer rank, -1 when not peer-directed
 	Tag  int    // message tag (p2p kinds)
 	Comm uint64 // communicator id
-	Seq  uint64 // SPTD round / rendezvous ticket / remote link sequence
+	Seq  uint64 // SPTD round / rendezvous ticket
 	Op   string // collective op name ("barrier", "allreduce", ...), else ""
 	// Since is the wall-clock time the rank blocked (for "blocked for X"
 	// diagnostics).
@@ -345,7 +344,6 @@ const (
 	CauseDeadlock = "deadlock"  // watchdog found a wait-for cycle
 	CauseStall    = "stall"     // watchdog found global no-progress without a cycle
 	CauseDeadline = "deadline"  // Config.Deadline expired
-	CauseNetDead  = "net-dead"  // a remote send exhausted its retry budget
 	CauseNodeDead = "node-dead" // the transport failure detector declared a peer node dead
 )
 
@@ -483,7 +481,7 @@ type BlockedRank struct {
 // multi-line diagnostic dump.
 type RunError struct {
 	// Cause is one of CausePanic, CauseAbort, CauseDeadlock, CauseStall,
-	// CauseDeadline, CauseNetDead.
+	// CauseDeadline, CauseNodeDead.
 	Cause string
 	// Text is the one-line summary of the first abort cause.
 	Text string

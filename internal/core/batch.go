@@ -201,9 +201,7 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 			panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(buf)))
 		}
 		n := copy(buf, msg)
-		if r.rt.tp != nil {
-			rc.recycle(msg)
-		}
+		rc.recycle(msg)
 		r.stats.RecvsRemote++
 		r.stats.BytesReceived += int64(n)
 		if ep.trace != nil {

@@ -10,15 +10,15 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // This file is the robustness suite: watchdog hang diagnosis, panic
-// containment and cooperative abort, and the netsim fault-injection /
-// link-layer recovery path.  The TestChaos* subset is what `make chaos` runs
-// under -race across several seeds.
+// containment and cooperative abort, and runs over lossy links (real
+// runtimes over loopback TCP with transport.Faults; see tcp_test.go).  The
+// TestChaos* subset is what `make chaos` runs under -race across several
+// seeds.
 
 // chaosSeeds returns the fault-injection seeds to sweep: {1, 2, 3} by
 // default, overridable with PURE_CHAOS_SEEDS=comma,separated,ints.
@@ -37,17 +37,6 @@ func chaosSeeds(t *testing.T) []int64 {
 		seeds = append(seeds, s)
 	}
 	return seeds
-}
-
-// twoNodeConfig is a 2-node cluster with rpn ranks per node and a cheap
-// modeled wire, the base for cross-node fault tests.
-func twoNodeConfig(rpn int) Config {
-	return Config{
-		NRanks:       2 * rpn,
-		Spec:         topology.Spec{Nodes: 2, SocketsPerNode: 2, CoresPerSocket: (rpn + 3) / 4 * 2, ThreadsPerCore: 1},
-		RanksPerNode: rpn,
-		Net:          netsim.Config{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
-	}
 }
 
 func asRunError(t *testing.T, err error) *RunError {
@@ -359,82 +348,25 @@ func TestAbortEmitsTraceEvent(t *testing.T) {
 	}
 }
 
-// ---- Fault injection and link-layer recovery (the `make chaos` subset) ----
+// ---- Lossy links (the `make chaos` subset; more in tcp_test.go) ----
 
-// TestChaosLossyPingPong drives a cross-node ping-pong through 10% drops:
-// the ack/retransmit layer must deliver every payload bit-identically, and
-// the metrics must show both the injected drops and the recoveries.
-func TestChaosLossyPingPong(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := twoNodeConfig(1)
-			cfg.Net.Faults = netsim.Faults{Seed: seed, DropProb: 0.10, RetryBackoffNs: 20_000}
-			cfg.HangTimeout = 10 * time.Second // safety net: diagnose, don't hang, if the protocol breaks
-			met := obs.NewMetrics()
-			cfg.Metrics = met
-			const rounds = 40
-			err := Run(cfg, func(r *Rank) {
-				w := r.World()
-				buf := make([]byte, 32)
-				for i := 0; i < rounds; i++ {
-					if r.ID() == 0 {
-						for b := range buf {
-							buf[b] = byte(i + b)
-						}
-						w.Send(buf, 1, 5)
-						n := w.Recv(buf, 1, 6)
-						if n != len(buf) {
-							r.Abort(fmt.Errorf("round %d: short reply %d", i, n))
-						}
-						for b := range buf {
-							if buf[b] != byte(i+b+1) {
-								r.Abort(fmt.Errorf("round %d: reply byte %d = %d, want %d", i, b, buf[b], byte(i+b+1)))
-							}
-						}
-					} else {
-						w.Recv(buf, 0, 5)
-						for b := range buf {
-							buf[b]++
-						}
-						w.Send(buf, 0, 6)
-					}
-				}
-			})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			snap := counters(met)
-			if snap["pure_net_drops_injected_total"] == 0 {
-				t.Fatalf("seed %d: no drops injected; snapshot %v", seed, snap)
-			}
-			if snap["pure_net_retransmits_total"] == 0 {
-				t.Fatalf("seed %d: drops injected but no retransmits", seed)
-			}
-			if snap["pure_net_retry_exhausted_total"] != 0 {
-				t.Fatalf("seed %d: retry budget exhausted in a recoverable run", seed)
-			}
-		})
-	}
-}
-
-// TestChaosLossyAllreduce runs cross-node allreduces (leader-tree traffic
-// over the lossy wire) under combined drop+dup+reorder+jitter and checks the
-// results are exact.
+// TestChaosLossyAllreduce runs cross-node allreduces — leader-tree traffic of
+// two ranks per node sharing one link — over links that drop first
+// transmissions and delay arrivals, and checks the results are exact and the
+// recovery visible in the harvested link counters.
 func TestChaosLossyAllreduce(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := twoNodeConfig(2)
-			cfg.Net.Faults = netsim.Faults{
-				Seed: seed, DropProb: 0.08, DupProb: 0.08, ReorderProb: 0.08,
-				JitterNs: 2_000, RetryBackoffNs: 20_000,
-			}
-			cfg.HangTimeout = 10 * time.Second
-			met := obs.NewMetrics()
-			cfg.Metrics = met
-			const rounds = 12
-			err := Run(cfg, func(r *Rank) {
+			mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
+			const rounds = 40
+			errs := tcpWorld(t, 2, 2, func(n int, cfg *Config) {
+				cfg.Metrics = mets[n]
+				cfg.Transport.Faults = transport.Faults{
+					Seed: uint64(seed), DropProb: 0.15, DelayProb: 0.10, DelayMax: time.Millisecond,
+				}
+				cfg.Transport.RetryBackoff = 2 * time.Millisecond
+				cfg.Transport.RetryBudget = 1000
+			}, func(r *Rank) {
 				w := r.World()
 				out := make([]byte, 8)
 				for i := 0; i < rounds; i++ {
@@ -446,124 +378,56 @@ func TestChaosLossyAllreduce(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+			tcpAllOK(t, errs)
+			if tcpCounter(mets, "pure_tp_drops_injected_total") == 0 {
+				t.Fatalf("seed %d: fault plan injected no drops; the test exercised nothing", seed)
 			}
-			snap := counters(met)
-			if snap["pure_net_transmits_total"] == 0 {
-				t.Fatalf("seed %d: no transmits recorded", seed)
-			}
-			if snap["pure_net_drops_injected_total"]+snap["pure_net_dups_injected_total"]+
-				snap["pure_net_reorders_injected_total"] == 0 {
-				t.Fatalf("seed %d: no faults injected; snapshot %v", seed, snap)
+			if tcpCounter(mets, "pure_tp_retransmits_total") == 0 {
+				t.Fatalf("seed %d: drops were injected but nothing was retransmitted", seed)
 			}
 		})
 	}
 }
 
-// TestChaosDupsDiscarded checks the receiving NIC's dedup: under heavy
-// duplication every payload still arrives exactly once.
+// TestChaosDupsDiscarded checks the receiving link's dedup through the whole
+// runtime: on a ping-pong, an arrival delayed past the sender's retransmit
+// timer makes it resend a frame the receiver is about to deliver, and every
+// payload must still arrive exactly once, in order, with the discards
+// counted.
 func TestChaosDupsDiscarded(t *testing.T) {
-	cfg := twoNodeConfig(1)
-	cfg.Net.Faults = netsim.Faults{Seed: 7, DupProb: 0.5, RetryBackoffNs: 20_000}
-	cfg.HangTimeout = 10 * time.Second
-	met := obs.NewMetrics()
-	cfg.Metrics = met
-	const msgs = 50
-	err := Run(cfg, func(r *Rank) {
+	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
+	const rounds = 50
+	errs := tcpWorld(t, 2, 1, func(n int, cfg *Config) {
+		cfg.Metrics = mets[n]
+		cfg.Transport.Faults = transport.Faults{Seed: 7, DelayProb: 0.5, DelayMax: 10 * time.Millisecond}
+		cfg.Transport.RetryBackoff = time.Millisecond
+		cfg.Transport.RetryBudget = 1000
+		// A duplicate still unread when the first node to finish closes its
+		// socket turns the close into a reset, which can take the Bye with it;
+		// the other node then waits out its drain for an ack of its last frame.
+		cfg.Transport.DrainTimeout = 100 * time.Millisecond
+	}, func(r *Rank) {
 		w := r.World()
 		buf := make([]byte, 16)
-		if r.ID() == 0 {
-			for i := 0; i < msgs; i++ {
-				buf[0] = byte(i)
-				w.Send(buf, 1, 0)
-			}
-		} else {
-			for i := 0; i < msgs; i++ {
-				w.Recv(buf, 0, 0)
-				if buf[0] != byte(i) {
-					r.Abort(fmt.Errorf("message %d arrived as %d (dup or loss leaked through)", i, buf[0]))
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := counters(met)
-	if snap["pure_net_dups_injected_total"] == 0 {
-		t.Fatal("no dups injected")
-	}
-	if snap["pure_net_dups_discarded_total"] == 0 {
-		t.Fatal("dups injected but none discarded at the NIC")
-	}
-}
-
-// TestChaosRetryBudgetExhausted cuts the wire entirely: the sender must give
-// up after its retry budget and Run must name the dead link.
-func TestChaosRetryBudgetExhausted(t *testing.T) {
-	cfg := twoNodeConfig(1)
-	cfg.Net.Faults = netsim.Faults{Seed: 1, DropProb: 1.0, RetryBudget: 4, RetryBackoffNs: 1_000}
-	met := obs.NewMetrics()
-	cfg.Metrics = met
-	err := Run(cfg, func(r *Rank) {
-		buf := make([]byte, 16)
-		if r.ID() == 0 {
-			r.World().Send(buf, 1, 0)
-		} else {
-			r.World().Recv(buf, 0, 0)
-		}
-	})
-	re := asRunError(t, err)
-	if re.Cause != CauseNetDead {
-		t.Fatalf("cause = %q, want %q (err: %v)", re.Cause, CauseNetDead, err)
-	}
-	for _, s := range []string{"retry budget", "rank 0"} {
-		if !strings.Contains(err.Error(), s) {
-			t.Errorf("error text missing %q:\n%v", s, err)
-		}
-	}
-	if counters(met)["pure_net_retry_exhausted_total"] == 0 {
-		t.Fatal("exhaustion not counted")
-	}
-}
-
-// TestChaosFaultsDisabledFastPath pins the invariant behind the "latency
-// within noise" acceptance bar: with no faults configured the runtime never
-// touches the reliable-path machinery.
-func TestChaosFaultsDisabledFastPath(t *testing.T) {
-	cfg := twoNodeConfig(1)
-	met := obs.NewMetrics()
-	cfg.Metrics = met
-	err := Run(cfg, func(r *Rank) {
-		w := r.World()
-		buf := make([]byte, 32)
-		for i := 0; i < 20; i++ {
+		for i := 0; i < rounds; i++ {
 			if r.ID() == 0 {
+				buf[0] = byte(i)
 				w.Send(buf, 1, 0)
 				w.Recv(buf, 1, 1)
 			} else {
 				w.Recv(buf, 0, 0)
 				w.Send(buf, 0, 1)
 			}
+			if buf[0] != byte(i) {
+				r.Abort(fmt.Errorf("round %d carried message %d (dup or loss leaked through)", i, buf[0]))
+			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	tcpAllOK(t, errs)
+	if tcpCounter(mets, "pure_tp_retransmits_total") == 0 {
+		t.Fatal("no frame was resent; the test exercised nothing")
 	}
-	snap := counters(met)
-	for _, k := range []string{"pure_net_transmits_total", "pure_net_retransmits_total"} {
-		if snap[k] != 0 {
-			t.Fatalf("%s = %d on the fault-free path, want 0", k, snap[k])
-		}
+	if tcpCounter(mets, "pure_tp_dups_dropped_total") == 0 {
+		t.Fatal("frames were resent but no duplicate was discarded at the receiver")
 	}
-}
-
-// counters flattens a metrics snapshot into name -> counter value.
-func counters(m *obs.Metrics) map[string]int64 {
-	out := map[string]int64{}
-	for _, c := range m.Snapshot().Counters {
-		out[c.Name] = c.Value
-	}
-	return out
 }

@@ -45,15 +45,11 @@ type metricSet struct {
 	tasks        *obs.Counter
 	chunksStolen *obs.Counter
 
-	// Fault tolerance: runtime aborts (all causes), watchdog hang dumps, and
-	// the reliable inter-node path's retransmits / exhausted retry budgets.
-	// The injected-fault counts (drops, dups, reorders) are harvested from
-	// the netsim layer at run end.
-	aborts            *obs.Counter
-	hangs             *obs.Counter
-	netRetransmits    *obs.Counter
-	netRetryExhausted *obs.Counter
-	netDupsDropped    *obs.Counter
+	// Fault tolerance: runtime aborts (all causes) and watchdog hang dumps.
+	// Link-level loss and recovery are the transport's counters (pure_tp_*,
+	// harvested at run end).
+	aborts *obs.Counter
+	hangs  *obs.Counter
 
 	// One-sided (RMA) operations: posts and bytes by kind, fence epochs,
 	// notifications, frames shipped between nodes, and payload copies into
@@ -99,11 +95,8 @@ func newMetricSet(reg *obs.Metrics) *metricSet {
 		tasks:          reg.Counter("pure_tasks_executed_total"),
 		chunksStolen:   reg.Counter("pure_chunks_stolen_total"),
 
-		aborts:            reg.Counter("pure_aborts_total"),
-		hangs:             reg.Counter("pure_watchdog_hangs_total"),
-		netRetransmits:    reg.Counter("pure_net_retransmits_total"),
-		netRetryExhausted: reg.Counter("pure_net_retry_exhausted_total"),
-		netDupsDropped:    reg.Counter("pure_net_dups_discarded_total"),
+		aborts: reg.Counter("pure_aborts_total"),
+		hangs:  reg.Counter("pure_watchdog_hangs_total"),
 
 		rmaPuts:          reg.Counter("pure_rma_puts_total"),
 		rmaGets:          reg.Counter("pure_rma_gets_total"),
@@ -158,18 +151,6 @@ func (rt *Runtime) harvestObs(ranks []*Rank) {
 		m.parks.Add(st.Parks)
 		m.parkWakes.Add(st.ParkWakes)
 		m.parkTimeouts.Add(st.ParkTimeouts)
-	}
-	if fs := rt.net.FaultStats(); fs.Transmits > 0 {
-		m.reg.Counter("pure_net_transmits_total").Add(fs.Transmits)
-		m.reg.Counter("pure_net_drops_injected_total").Add(fs.Drops)
-		m.reg.Counter("pure_net_dups_injected_total").Add(fs.Dups)
-		m.reg.Counter("pure_net_reorders_injected_total").Add(fs.Reorders)
-		var dupes int64
-		rt.remotes.Range(func(_, v any) bool {
-			dupes += v.(*remoteChannel).dupes
-			return true
-		})
-		m.netDupsDropped.Add(dupes)
 	}
 	if rt.tp != nil {
 		var agg transport.LinkStats

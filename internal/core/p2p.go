@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/queue"
@@ -58,40 +57,19 @@ func (l *reqList) pop() {
 	}
 }
 
-// netMsg is one mailbox entry.  seq is only meaningful on the reliable
-// (fault-injected) path, where the link layer sequences, deduplicates and
-// acknowledges messages; the fault-free fast path leaves it zero.
-type netMsg struct {
-	seq     uint64
-	payload []byte
-}
-
 // remoteChannel is an inter-node channel.  In the paper this is MPI_Send /
 // MPI_Recv with sender/receiver thread ids encoded in the tag's upper bits;
 // here it is an ordered mailbox whose enqueue pays the modeled network cost
 // and contends on the destination node's "NIC" lock (the
-// MPI_THREAD_MULTIPLE serialization Pure accepts on this path).
-//
-// When fault injection is active the channel additionally runs a link-layer
-// ack/retransmit protocol: the (single) sending rank stamps each message with
-// a sequence number, the receiving NIC accepts messages in order — stashing
-// out-of-order arrivals, discarding duplicates — and publishes the highest
-// contiguous sequence in arrived, which doubles as the (shared-memory) ack
-// the sender polls.  Injected drops are recovered by retransmission with
-// exponential backoff under a retry budget.
+// MPI_THREAD_MULTIPLE serialization Pure accepts on this path) — or, under a
+// real transport, that the link's Deliver upcall fills.  It is only a
+// mailbox: sequencing, acks and retransmission belong to the transport.
 type remoteChannel struct {
 	n    atomic.Int64 // buffered message count (lock-free emptiness probe)
 	mu   chanMutex
-	msgs []netMsg // ring of n entries from head; len is zero or a power of two
+	msgs [][]byte // ring of n payloads from head; len is zero or a power of two
 	head int
-	free [][]byte // payload buffers handed back by the receiver, for tpDeliver
-
-	// Reliable-path state (untouched on the fault-free path).
-	sendSeq uint64            // last sequence assigned; owned by the sending rank
-	arrived atomic.Uint64     // highest contiguous seq accepted into msgs (the ack)
-	pending map[uint64][]byte // out-of-order arrivals keyed by seq (guarded by mu)
-	hold    *netMsg           // reorder-injection hold slot (guarded by mu)
-	dupes   int64             // duplicates discarded at the NIC (guarded by mu)
+	free [][]byte // payload buffers handed back by the receiver, for the next arrival
 }
 
 // chanMutex is a tiny spinlock; contention on it plays the role of the MPI
@@ -186,18 +164,13 @@ type Request struct {
 	ch     *channel
 	rem    *remoteChannel
 	buf    []byte
-	seq    uint64 // rendezvous ticket (recv side) or remote link sequence
+	seq    uint64 // rendezvous ticket (recv side)
 	peer   int32  // global peer rank (for trace events and wait records)
 	tag    int    // message tag (wait-registry diagnostics)
 	comm   uint64 // communicator id (wait-registry diagnostics)
 	posted bool   // rendezvous recv: envelope pushed
 	done   bool
 	n      int // bytes transferred (recv side)
-
-	// Reliable remote-send state (fault-injected runs only).
-	dstNode  int       // destination node (for the NIC lock on retransmit)
-	attempts int       // transmit attempts so far
-	retryAt  time.Time // when the next retransmit is due
 
 	// One-sided (RMA) completion state: a remote Put/Accumulate/Notify is
 	// done once flow.applied covers flowSeq (the target applied the frame).
@@ -253,10 +226,11 @@ func DecodeInterNodeTag(enc, bits int) (tag, srcLocal, dstLocal int) {
 // translation) ----
 
 // startRemoteSend starts the send of buf on the inter-node channel key,
-// filling in req (fresh from the endpoint's pool).  On the real transport and
-// on the fault-free modeled wire the send completes at post time (MPI
-// buffered-send semantics: the caller may reuse buf at once); with fault
-// injection Wait/Test drive retransmits until the receiving NIC acks.
+// filling in req (fresh from the endpoint's pool).  The send completes at post
+// time (MPI buffered-send semantics: the caller may reuse buf at once): the
+// modeled wire has copied it into the destination mailbox, the real transport
+// into the link's resend window, where loss, reordering and reconnects are
+// the link protocol's problem.
 func (r *Rank) startRemoteSend(req *Request, key chanKey, buf []byte) {
 	r.stats.BytesSent += int64(len(buf))
 	r.stats.SendsRemote++
@@ -268,25 +242,12 @@ func (r *Rank) startRemoteSend(req *Request, key chanKey, buf []byte) {
 	}
 	req.kind, req.buf = reqRemoteSend, buf
 	req.peer, req.tag, req.comm = int32(key.dst), key.tag, key.comm
-	switch {
-	case r.rt.tp != nil:
-		// The link copies the payload into its resend window at send time;
-		// loss, reordering and reconnects are the link protocol's problem.
+	if r.rt.tp != nil {
 		r.tpSendData(key, buf)
-		req.done, req.n = true, len(buf)
-	case !r.rt.net.FaultsActive():
+	} else {
 		r.remoteSend(key, buf)
-		req.done = true
-	default:
-		// Reliable path: stamp a link sequence, transmit attempt 1, and let
-		// Wait/Test drive retransmits until the receiving NIC acks.
-		rc := r.getRemote(key)
-		rc.sendSeq++ // channels are SPSC: this rank is the only sender
-		req.rem = rc
-		req.seq = rc.sendSeq
-		req.dstNode = r.rt.place.NodeOf(key.dst)
-		r.transmitRemote(req)
 	}
+	req.done, req.n = true, len(buf)
 }
 
 // waitKindFor maps a request's protocol path to its wait-registry kind.
@@ -300,8 +261,6 @@ func waitKindFor(k reqKind) WaitKind {
 		return WaitP2PRecv
 	case reqRecvRvz:
 		return WaitRvzRecv
-	case reqRemoteSend:
-		return WaitRemoteAck
 	case reqRemoteRecv:
 		return WaitRemoteRecv
 	case reqRmaRemote, reqRmaGet:
@@ -330,16 +289,6 @@ func (r *Rank) waitReq(req *Request) int {
 	// network the waiting rank drives delivery itself and keeps spinning.
 	idle := r.rt.tp != nil
 	switch req.kind {
-	case reqRemoteSend:
-		// Reliable path only (fault-free remote sends complete at post time):
-		// poll the receiver NIC's ack watermark, retransmitting on timeout.
-		r.leafWaitVia(idle, func() bool {
-			if req.done {
-				return true
-			}
-			r.progressRemoteSend(req)
-			return req.done
-		})
 	case reqRemoteRecv:
 		r.leafWaitVia(idle, func() bool {
 			if req.done {
@@ -349,10 +298,9 @@ func (r *Rank) waitReq(req *Request) int {
 			return req.done
 		})
 	case reqRmaRemote:
-		// Origin side of a remote one-sided op: drive our own frame
-		// retransmits and apply incoming frames (two origins putting at
-		// each other must each drain their inbox), then poll the target's
-		// applied watermark.
+		// Origin side of a remote one-sided op: apply incoming frames (two
+		// origins putting at each other must each drain their inbox), then
+		// poll the target's applied watermark.
 		r.leafWaitVia(idle, func() bool {
 			if req.flow.applied.Load() >= req.flowSeq {
 				req.done = true
@@ -490,14 +438,16 @@ func (r *Rank) progressRecv(ch *channel) {
 	}
 }
 
-// remoteSend delivers buf to a rank on another node: pay the modeled wire
-// time, then append to the destination mailbox under the destination node's
-// NIC lock.  Fault-free fast path only; the reliable path goes through
-// transmitRemote.
+// remoteSend delivers buf to a rank on another node over the modeled wire:
+// pay the wire time, then copy it into the destination mailbox under the
+// destination node's NIC lock.
 func (r *Rank) remoteSend(key chanKey, buf []byte) {
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	r.remoteSendOwned(key, cp)
+	rc := r.getRemote(key)
+	r.rt.net.Transfer(len(buf))
+	nic := &r.rt.nodes[r.rt.place.NodeOf(key.dst)].nic
+	nic.Lock()
+	rc.deposit(buf)
+	nic.Unlock()
 }
 
 // remoteSendOwned is remoteSend for a payload the caller hands over (a
@@ -509,124 +459,27 @@ func (r *Rank) remoteSendOwned(key chanKey, buf []byte) {
 	nic := &r.rt.nodes[dstNode].nic
 	nic.Lock()
 	rc.mu.lock()
-	rc.push(netMsg{payload: buf})
+	rc.push(buf)
 	rc.mu.unlock()
 	nic.Unlock()
 }
 
-// transmitRemote pushes one (re)transmission of a reliable remote send onto
-// the wire, letting the fault injector drop, duplicate, reorder or delay it.
-// The ack is the receiving channel's arrived watermark, advanced under the
-// NIC lock by whoever delivers the missing sequence — which, because acks are
-// modeled as free shared-memory reads, the sender observes without the
-// receiver ever posting a matching recv.
-func (r *Rank) transmitRemote(req *Request) {
-	req.attempts++
-	req.retryAt = time.Now().Add(r.rt.net.RetryBackoff(req.attempts))
-	net := r.rt.net
-	v := net.Inject()
-	if v.Drop {
-		return // the wire ate it; Wait will retransmit after the backoff
-	}
-	cp := make([]byte, len(req.buf))
-	copy(cp, req.buf)
-	net.TransferExtra(len(req.buf), v.ExtraNs)
-	rc := req.rem
-	nic := &r.rt.nodes[req.dstNode].nic
-	nic.Lock()
+// deposit appends a copy of payload to the mailbox, in a buffer the receiving
+// rank handed back when there is one.
+func (rc *remoteChannel) deposit(payload []byte) {
 	rc.mu.lock()
-	rc.deliver(netMsg{seq: req.seq, payload: cp}, v.Reorder)
-	if v.Dup {
-		rc.deliver(netMsg{seq: req.seq, payload: cp}, false)
-	}
+	cp := rc.takeBuf(len(payload))
+	copy(cp, payload)
+	rc.push(cp)
 	rc.mu.unlock()
-	nic.Unlock()
-}
-
-// deliver runs the receiving NIC's link-layer accept logic for one arriving
-// frame.  Caller holds rc.mu (and the node NIC lock).  A Reorder verdict
-// parks the frame in the one-slot hold; the next arrival (or retransmit)
-// releases it afterwards, swapping their order on an in-order stream.
-func (rc *remoteChannel) deliver(m netMsg, reorder bool) {
-	if held := rc.hold; held != nil {
-		rc.hold = nil
-		rc.accept(m)
-		rc.accept(*held)
-		return
-	}
-	if reorder {
-		rc.hold = &m
-		return
-	}
-	rc.accept(m)
-}
-
-// accept sequences one frame into the mailbox: duplicates (at or below the
-// watermark, or already stashed) are discarded, out-of-order arrivals are
-// stashed, and the in-order frame is appended along with any stashed
-// successors it unblocks.  Advancing arrived is the ack.
-func (rc *remoteChannel) accept(m netMsg) {
-	want := rc.arrived.Load() + 1
-	switch {
-	case m.seq < want:
-		rc.dupes++
-	case m.seq > want:
-		if rc.pending == nil {
-			rc.pending = make(map[uint64][]byte)
-		}
-		if _, ok := rc.pending[m.seq]; ok {
-			rc.dupes++
-			return
-		}
-		rc.pending[m.seq] = m.payload
-	default:
-		rc.push(m)
-		for {
-			want++
-			p, ok := rc.pending[want]
-			if !ok {
-				break
-			}
-			delete(rc.pending, want)
-			rc.push(netMsg{seq: want, payload: p})
-		}
-		rc.arrived.Store(want - 1)
-	}
-}
-
-// progressRemoteSend advances a reliable remote send: done once the receiver
-// NIC's watermark covers our sequence; otherwise retransmit when the backoff
-// expires, poisoning the runtime when the retry budget runs out.
-func (r *Rank) progressRemoteSend(req *Request) {
-	if req.rem.arrived.Load() >= req.seq {
-		req.done = true
-		req.n = len(req.buf)
-		return
-	}
-	if time.Now().Before(req.retryAt) {
-		return
-	}
-	if req.attempts >= r.rt.net.RetryBudget() {
-		if r.met != nil {
-			r.met.netRetryExhausted.Inc()
-		}
-		r.rt.poison(CauseNetDead, fmt.Sprintf(
-			"rank %d: remote send seq %d to rank %d (tag %d) unacked after %d attempts: retry budget exhausted",
-			r.id, req.seq, req.peer, req.tag, req.attempts), "", nil)
-		r.checkPoison() // unwinds
-	}
-	if r.met != nil {
-		r.met.netRetransmits.Inc()
-	}
-	r.transmitRemote(req)
 }
 
 // push appends one message to the mailbox ring, doubling it when full.
 // Caller holds rc.mu.
-func (rc *remoteChannel) push(m netMsg) {
+func (rc *remoteChannel) push(m []byte) {
 	n := int(rc.n.Load())
 	if n == len(rc.msgs) {
-		grown := make([]netMsg, max(8, 2*n))
+		grown := make([][]byte, max(8, 2*n))
 		for i := 0; i < n; i++ {
 			grown[i] = rc.msgs[(rc.head+i)&(n-1)]
 		}
@@ -643,8 +496,8 @@ func (rc *remoteChannel) tryPop() ([]byte, bool) {
 		rc.mu.unlock()
 		return nil, false
 	}
-	msg := rc.msgs[rc.head].payload
-	rc.msgs[rc.head] = netMsg{}
+	msg := rc.msgs[rc.head]
+	rc.msgs[rc.head] = nil
 	rc.head = (rc.head + 1) & (len(rc.msgs) - 1)
 	rc.n.Add(-1)
 	rc.mu.unlock()
@@ -652,8 +505,7 @@ func (rc *remoteChannel) tryPop() ([]byte, bool) {
 }
 
 // recycle hands a popped payload buffer back once its bytes are copied out,
-// for tpDeliver to fill again.  Only mailboxes the transport feeds recycle:
-// the modeled wire allocates its own payloads and would never take them.
+// for the next deposit to fill again.
 func (rc *remoteChannel) recycle(buf []byte) {
 	rc.mu.lock()
 	rc.free = append(rc.free, buf)
@@ -688,9 +540,7 @@ func (r *Rank) progressRemoteRecv(req *Request) {
 		panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(req.buf)))
 	}
 	req.n = copy(req.buf, msg)
-	if r.rt.tp != nil {
-		rc.recycle(msg)
-	}
+	rc.recycle(msg)
 	r.stats.BytesReceived += int64(req.n)
 	if r.trace != nil {
 		r.trace.Emit(obs.KRecvRemote, req.peer, int64(req.n))

@@ -16,13 +16,12 @@ import (
 // bounds-checked copy into the target rank's exposed buffer — the same
 // single-copy discipline as the rendezvous path — ordered by the epoch
 // primitives' atomic flags.  Inter-node operations are encoded as frames
-// and ride the existing mailbox transport on a reserved tag (and, under
-// fault injection, the same link-layer ack/retransmit protocol as ordinary
-// remote sends).  The target applies incoming frames from its own
-// goroutine — in every runtime wait via the SSW loop's Progress hook, and
-// inside the RMA wait loops themselves — and advances a per-flow applied
-// watermark that doubles as the origin's completion signal (a free
-// shared-memory read, modeled exactly like the link-layer ack).
+// and ride the existing mailbox transport on a reserved tag.  The target
+// applies incoming frames from its own goroutine — in every runtime wait
+// via the SSW loop's Progress hook, and inside the RMA wait loops
+// themselves — and advances a per-flow applied watermark that doubles as
+// the origin's completion signal (a shared-memory read in one process, a
+// KindApplied frame across processes; see transport.go).
 
 // rmaTag is the reserved channel-manager tag space for RMA frames; it sits
 // above collTag, so it can never collide with application tags (checked
@@ -187,9 +186,7 @@ func (win *Win) completePending() {
 
 // rmaTransmit encodes f and ships it on the calling rank's flow toward
 // dstGlobal, returning the flow and the frame's sequence in it (the
-// applied watermark that signals completion).  Under fault injection the
-// frame goes through the link-layer ack/retransmit protocol; the link
-// request joins r.rmaLinks and is driven by rmaProgress.
+// applied watermark that signals completion).
 func (r *Rank) rmaTransmit(commID uint64, dstGlobal int, f *rma.Frame) (*rmaFlow, uint64) {
 	key := chanKey{src: r.id, dst: dstGlobal, tag: rmaTag, comm: commID}
 	flow := r.rmaFlowFor(key)
@@ -205,18 +202,7 @@ func (r *Rank) rmaTransmit(commID uint64, dstGlobal int, f *rma.Frame) (*rmaFlow
 		r.tpSendData(key, buf)
 		return flow, flow.sent
 	}
-	if !r.rt.net.FaultsActive() {
-		r.remoteSendOwned(key, buf)
-		return flow, flow.sent
-	}
-	rc := flow.rc
-	rc.sendSeq++ // this rank is the flow's only sender
-	lreq := &Request{
-		kind: reqRemoteSend, rem: rc, seq: rc.sendSeq, peer: int32(dstGlobal),
-		tag: rmaTag, comm: commID, buf: buf, dstNode: r.rt.place.NodeOf(dstGlobal),
-	}
-	r.transmitRemote(lreq)
-	r.rmaLinks = append(r.rmaLinks, lreq)
+	r.remoteSendOwned(key, buf)
 	return flow, flow.sent
 }
 
@@ -226,9 +212,8 @@ func (r *Rank) rmaRemoteReq(flow *rmaFlow, seq uint64, dstGlobal int, commID uin
 	return &Request{kind: reqRmaRemote, flow: flow, flowSeq: seq, peer: int32(dstGlobal), tag: rmaTag, comm: commID}
 }
 
-// rmaProgress drives this rank's share of the one-sided machinery: it
-// retransmits outstanding frame sends on the lossy path and applies every
-// arrived frame targeting this rank.  It runs only on the rank's own
+// rmaProgress drives this rank's share of the one-sided machinery: it applies
+// every arrived frame targeting this rank.  It runs only on the rank's own
 // goroutine — from the SSW loop's Progress hook at yield boundaries and
 // from the RMA wait conditions — so the inboxes stay single-consumer.
 func (r *Rank) rmaProgress() {
@@ -238,30 +223,12 @@ func (r *Rank) rmaProgress() {
 		// from that wait would apply later frames before earlier ones.
 		return
 	}
-	if len(r.rmaLinks) == 0 && len(r.rmaIn) == 0 {
+	if len(r.rmaIn) == 0 {
 		return
 	}
 	r.inRmaProgress = true
 	defer func() { r.inRmaProgress = false }()
 
-	if len(r.rmaLinks) > 0 {
-		live := r.rmaLinks[:0]
-		for _, lq := range r.rmaLinks {
-			if !lq.done {
-				r.progressRemoteSend(lq)
-			}
-			if !lq.done {
-				live = append(live, lq)
-			}
-		}
-		for i := len(live); i < len(r.rmaLinks); i++ {
-			r.rmaLinks[i] = nil
-		}
-		r.rmaLinks = live
-		if len(r.rmaLinks) == 0 {
-			r.rmaLinks = nil
-		}
-	}
 	for _, in := range r.rmaIn {
 		schedpoint("core:rma:drain-inbox")
 		drained := 0

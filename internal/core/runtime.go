@@ -72,9 +72,11 @@ type Config struct {
 	// SpinBudget is the SSW-Loop probe count between yields.
 	SpinBudget int
 
-	// Net is the inter-node cost model (netsim.Loopback() for 1 node).
-	// Net.Faults enables seeded drop/duplicate/reorder/jitter injection,
-	// which also switches the inter-node path onto the ack/retransmit layer.
+	// Net is the cost model of the in-process modeled wire between virtual
+	// nodes (netsim.Loopback() for 1 node): latency, bandwidth and
+	// per-message overhead, nothing else.  The modeled wire never loses or
+	// reorders a message; loss, duplication and recovery exist only on the
+	// real transport below (Transport.Faults injects them).
 	Net netsim.Config
 
 	// Transport, when non-nil, replaces the in-process modeled network with
@@ -83,9 +85,8 @@ type Config struct {
 	// node in Transport.Addrs, and all cross-node traffic — two-sided sends,
 	// leader-tree collective legs, and RMA frames — travels the transport's
 	// sequenced, acked, heartbeat-monitored links.  Spec.Nodes must equal
-	// len(Transport.Addrs).  Mutually exclusive with Net.Faults, whose
-	// injection models the in-process wire; use Transport.Faults for
-	// link-level drop/delay injection instead.
+	// len(Transport.Addrs).  Net is unused then.  Transport.Faults injects
+	// link-level drops and delays, which the link protocol recovers.
 	Transport *transport.Config
 
 	// HangTimeout arms the watchdog: when every live rank is blocked and no
@@ -169,21 +170,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.Deadline < 0 {
 		return cfg, fmt.Errorf("core: Deadline must not be negative, got %v", cfg.Deadline)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"DropProb", cfg.Net.Faults.DropProb},
-		{"DupProb", cfg.Net.Faults.DupProb},
-		{"ReorderProb", cfg.Net.Faults.ReorderProb},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return cfg, fmt.Errorf("core: Net.Faults.%s must be in [0, 1], got %g", p.name, p.v)
-		}
-	}
-	if cfg.Net.Faults.JitterNs < 0 || cfg.Net.Faults.RetryBudget < 0 || cfg.Net.Faults.RetryBackoffNs < 0 {
-		return cfg, fmt.Errorf("core: Net.Faults jitter/retry knobs must not be negative")
-	}
 	if cfg.Spec == (topology.Spec{}) {
 		cfg.Spec = topology.Spec{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: cfg.NRanks, ThreadsPerCore: 1}
 	}
@@ -195,9 +181,6 @@ func (c *Config) withDefaults() (Config, error) {
 		if len(t.Addrs) != cfg.Spec.Nodes {
 			return cfg, fmt.Errorf("core: Transport lists %d node addresses but Spec.Nodes is %d — one cooperating process per node",
 				len(t.Addrs), cfg.Spec.Nodes)
-		}
-		if cfg.Net.Faults.Active() {
-			return cfg, fmt.Errorf("core: Net.Faults injects on the in-process modeled wire, which a real Transport replaces; use Transport.Faults for link-level injection")
 		}
 		cfg.Transport = &t
 	}
@@ -299,13 +282,11 @@ type Rank struct {
 	eps epTable
 
 	// One-sided communication state, all owned by this rank's goroutine:
-	// incoming remote flows to drain, outstanding link-layer frame sends to
-	// drive, outstanding remote gets by request id, and the reentrancy
-	// guard that keeps frame application in flow order.
+	// incoming remote flows to drain, outstanding remote gets by request id,
+	// and the reentrancy guard that keeps frame application in flow order.
 	rmaIn         []*rmaInbox
 	rmaInSet      map[chanKey]bool
 	rmaFlowCache  map[chanKey]*rmaFlow
-	rmaLinks      []*Request
 	rmaGets       map[uint64]*Request
 	rmaGetSeq     uint64
 	inRmaProgress bool
@@ -438,10 +419,13 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 		if err != nil {
 			return fmt.Errorf("core: building transport: %w", err)
 		}
+		// Upcalls may run before Start returns — a peer that was up first has
+		// frames waiting for the handshake — and the ones that poison read
+		// rt.tp.
+		rt.tp = tp
 		if err := tp.Start(); err != nil {
 			return err
 		}
-		rt.tp = tp
 		defer func() {
 			rt.tpFinished.Store(true)
 			tp.Close()

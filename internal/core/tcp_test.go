@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,23 +27,6 @@ import (
 
 var tcpJobSeq atomic.Uint64
 
-// tcpReserveAddrs picks n distinct localhost ports by binding and releasing
-// them; the window between release and the transport's bind is the usual
-// ephemeral-port reuse gamble, fine for tests.
-func tcpReserveAddrs(t testing.TB, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserving port: %v", err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
-}
-
 // tcpWorld runs one Runtime per node over real TCP and returns Run's error
 // per node.  mut (optional) adjusts each node's config before launch.
 func tcpWorld(t testing.TB, nodes, perNode int, mut func(node int, cfg *Config), main func(r *Rank)) []error {
@@ -56,7 +39,10 @@ func tcpWorld(t testing.TB, nodes, perNode int, mut func(node int, cfg *Config),
 // node harvested them.
 func tcpWorldStats(t testing.TB, nodes, perNode int, mut func(node int, cfg *Config), main func(r *Rank)) ([]error, []RankStats) {
 	t.Helper()
-	addrs := tcpReserveAddrs(t, nodes)
+	addrs, err := transport.ReserveLoopback(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	job := tcpJobSeq.Add(1)
 	errs := make([]error, nodes)
 	stats := make([]RankStats, nodes*perNode)
@@ -98,6 +84,14 @@ func tcpAllOK(t *testing.T, errs []error) {
 			t.Fatalf("node %d: %v", n, err)
 		}
 	}
+}
+
+// tcpCounter sums one counter over the nodes' registries.
+func tcpCounter(mets []*obs.Metrics, name string) (sum int64) {
+	for _, m := range mets {
+		sum += m.Counter(name).Value()
+	}
+	return sum
 }
 
 func TestChaosTCPPingPong(t *testing.T) {
@@ -280,15 +274,10 @@ func TestChaosTCPLossyRecovers(t *testing.T) {
 		}
 	})
 	tcpAllOK(t, errs)
-	var drops, retrans int64
-	for _, m := range mets {
-		drops += m.Counter("pure_tp_drops_injected_total").Value()
-		retrans += m.Counter("pure_tp_retransmits_total").Value()
-	}
-	if drops == 0 {
+	if tcpCounter(mets, "pure_tp_drops_injected_total") == 0 {
 		t.Fatal("fault plan injected no drops; the test exercised nothing")
 	}
-	if retrans == 0 {
+	if tcpCounter(mets, "pure_tp_retransmits_total") == 0 {
 		t.Fatal("drops were injected but nothing was retransmitted")
 	}
 }
@@ -319,11 +308,7 @@ func TestChaosTCPLatencyInjection(t *testing.T) {
 		}
 	})
 	tcpAllOK(t, errs)
-	var delays int64
-	for _, m := range mets {
-		delays += m.Counter("pure_tp_delays_injected_total").Value()
-	}
-	if delays == 0 {
+	if tcpCounter(mets, "pure_tp_delays_injected_total") == 0 {
 		t.Fatal("fault plan injected no delays; the test exercised nothing")
 	}
 }
@@ -412,6 +397,63 @@ func TestChaosTCPPartitionDeath(t *testing.T) {
 	}
 	if elapsed >= hang {
 		t.Fatalf("failure detection took %v, not inside HangTimeout %v", elapsed, hang)
+	}
+}
+
+// TestTCPRejectsUnservedRankPair: the rank pair of an arriving frame is
+// outside input.  A bare transport plays node 1 of a two-node, two-rank job
+// and sends node 0 one frame whose pair node 0 does not serve; the frame must
+// not become a mailbox nobody drains — the run ends at once, naming the
+// sending node and the pair, where it used to buffer the frame and block
+// until the watchdog called it an anonymous stall.
+func TestTCPRejectsUnservedRankPair(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		kind     transport.Kind
+		src, dst int32
+	}{
+		{"negative destination", transport.KindData, 1, -1},
+		{"destination past the last rank", transport.KindData, 1, 2},
+		{"destination on the sending node", transport.KindData, 1, 1},
+		{"negative source", transport.KindData, -5, 0},
+		{"source past the last rank", transport.KindData, 7, 0},
+		{"source on the receiving node", transport.KindData, 0, 0},
+		{"applied watermark for a foreign rank", transport.KindApplied, 1, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			addrs, err := transport.ReserveLoopback(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := tcpJobSeq.Add(1)
+			peer, err := transport.New(transport.Config{Node: 1, Addrs: addrs, Job: job}, nil, 2, transport.Handlers{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := peer.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			f := transport.Frame{Kind: c.kind, SrcRank: c.src, DstRank: c.dst, Tag: 3, Payload: make([]byte, 8)}
+			if err := peer.Send(0, &f); err != nil { // buffered until node 0 connects
+				t.Fatal(err)
+			}
+			err = Run(Config{
+				NRanks:      2,
+				Spec:        topology.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 1, ThreadsPerCore: 1},
+				Transport:   &transport.Config{Node: 0, Addrs: addrs, Job: job},
+				HangTimeout: 20 * time.Second,
+			}, func(r *Rank) {
+				r.World().Recv(make([]byte, 8), 1, 3) // nothing valid ever arrives
+			})
+			re := asRunError(t, err)
+			if re.Cause != CauseNodeDead || len(re.DeadNodes) != 1 || re.DeadNodes[0] != 1 {
+				t.Fatalf("cause %q, dead nodes %v; want %q naming node 1\n%v", re.Cause, re.DeadNodes, CauseNodeDead, re)
+			}
+			if want := fmt.Sprintf("rank pair %d -> %d", c.src, c.dst); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error does not name the %s:\n%v", want, err)
+			}
+		})
 	}
 }
 
@@ -521,6 +563,40 @@ func TestTCPPingPongAllocs(t *testing.T) {
 	t.Logf("%.2f allocs per round trip", perRoundTrip)
 	if perRoundTrip > 2 {
 		t.Fatalf("TCP ping-pong allocates %.2f times per round trip, want <= 2", perRoundTrip)
+	}
+}
+
+// TestModeledWirePingPongAllocs is the same gate on the in-process modeled
+// wire (Config.Net, two virtual nodes in one runtime): remoteSend copies into
+// a buffer the receiving rank handed back, as the transport's Deliver upcall
+// does, so the steady state allocates nothing — where the parent made one
+// copy per message and never recycled it.
+func TestModeledWirePingPongAllocs(t *testing.T) {
+	const warm, runs = 200, 2000
+	var perRoundTrip float64
+	runMulti(t, 2, 2, 1, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		if r.ID() == 0 {
+			ping, pong := w.SendChannel(1, 5), w.RecvChannel(1, 6)
+			roundTrip := func() {
+				ping.Send(buf)
+				pong.Recv(buf)
+			}
+			for i := 0; i < warm; i++ {
+				roundTrip()
+			}
+			perRoundTrip = testing.AllocsPerRun(runs, roundTrip)
+			return
+		}
+		ping, pong := w.RecvChannel(0, 5), w.SendChannel(0, 6)
+		for i := 0; i < warm+1+runs; i++ {
+			ping.Recv(buf)
+			pong.Send(buf)
+		}
+	})
+	if perRoundTrip != 0 {
+		t.Fatalf("modeled-wire ping-pong allocates %.2f times per round trip, want 0", perRoundTrip)
 	}
 }
 

@@ -36,17 +36,15 @@ import (
 // destination rank's progress loops consume the mailbox exactly as they do
 // on the modeled network.
 func (rt *Runtime) tpDeliver(f *transport.Frame) {
+	if !rt.tpAdmit(f) {
+		return
+	}
 	key := chanKey{src: int(f.SrcRank), dst: int(f.DstRank), tag: int(f.Tag), comm: f.Comm}
 	v, ok := rt.remotes.Load(key)
 	if !ok {
 		v, _ = rt.remotes.LoadOrStore(key, &remoteChannel{})
 	}
-	rc := v.(*remoteChannel)
-	rc.mu.lock()
-	cp := rc.takeBuf(len(f.Payload))
-	copy(cp, f.Payload)
-	rc.push(netMsg{payload: cp})
-	rc.mu.unlock()
+	v.(*remoteChannel).deposit(f.Payload)
 	f.Waiting = rt.wake(int(f.DstRank))
 }
 
@@ -59,6 +57,9 @@ func (rt *Runtime) tpDeliver(f *transport.Frame) {
 func (rt *Runtime) tpApplied(f *transport.Frame) {
 	if len(f.Payload) != 8 {
 		return // malformed watermark; the retransmitted successor will carry it
+	}
+	if !rt.tpAdmit(f) {
+		return
 	}
 	applied := binary.LittleEndian.Uint64(f.Payload)
 	key := chanKey{src: int(f.DstRank), dst: int(f.SrcRank), tag: rmaTag, comm: f.Comm}
@@ -81,6 +82,27 @@ func (rt *Runtime) tpApplied(f *transport.Frame) {
 		}
 	}
 	f.Waiting = rt.wake(int(f.DstRank))
+}
+
+// tpAdmit checks the rank pair a sequenced frame names before anything is
+// keyed by it.  The fields come off the wire: a frame from a rank that is not
+// the peer's to a rank that is not ours — ids out of range, or processes
+// launched with different placements — would otherwise create a mailbox no
+// rank ever drains and buffer into it without bound.  Such a frame is dropped
+// and the run poisoned, with the sending node recorded as the failed one.
+func (rt *Runtime) tpAdmit(f *transport.Frame) bool {
+	n, me := int32(rt.cfg.NRanks), rt.cfg.Transport.Node
+	if f.SrcRank >= 0 && f.SrcRank < n && f.DstRank >= 0 && f.DstRank < n &&
+		rt.place.NodeOf(int(f.SrcRank)) != me && rt.place.NodeOf(int(f.DstRank)) == me {
+		return true
+	}
+	if rt.tpFinished.Load() {
+		return false // our ranks are done: drop it, there is no run left to fail
+	}
+	rt.poisonNodeDead(int(f.SrcNode), fmt.Sprintf(
+		"node %d sent a %s frame for rank pair %d -> %d, which node %d does not serve (ranks are 0..%d, the source must be placed on another node and the destination on this one): the processes disagree on the job's placement",
+		f.SrcNode, f.Kind, f.SrcRank, f.DstRank, me, n-1))
+	return false
 }
 
 // tpWritable is the transport's upcall for a resend window that refused a

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // scrapeLinks fetches one node's /links view; any error means the monitor
@@ -48,14 +48,9 @@ func TestChaosDyingLinkVisibleOnMonitor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes and waits on failure detection")
 	}
-	monAddrs := make([]string, 2)
-	for i := range monAddrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		monAddrs[i] = ln.Addr().String()
-		ln.Close()
+	monAddrs, err := transport.ReserveLoopback(2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	procs := launchWorld(t, 2, []string{
 		"PURE_ITERS=1000000", // far more than will run: the kill cuts it short

@@ -80,155 +80,3 @@ func TestTimeScaleDividesDelay(t *testing.T) {
 		t.Fatal("TimeScale not applied")
 	}
 }
-
-func TestFaultsActive(t *testing.T) {
-	if (Faults{}).Active() {
-		t.Fatal("zero Faults reports active")
-	}
-	for _, f := range []Faults{
-		{DropProb: 0.1}, {DupProb: 0.1}, {ReorderProb: 0.1}, {JitterNs: 10},
-	} {
-		if !f.Active() {
-			t.Fatalf("%+v reports inactive", f)
-		}
-	}
-	// Recovery knobs alone do not switch the reliable path on.
-	if (Faults{RetryBudget: 3, RetryBackoffNs: 10}).Active() {
-		t.Fatal("recovery-only Faults reports active")
-	}
-}
-
-func TestInjectDeterministicPerSeed(t *testing.T) {
-	mk := func(seed int64) []Verdict {
-		n := New(Config{Faults: Faults{Seed: seed, DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.2, JitterNs: 100}})
-		out := make([]Verdict, 200)
-		for i := range out {
-			out[i] = n.Inject()
-		}
-		return out
-	}
-	a, b := mk(42), mk(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("verdict %d differs across identical seeds: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	c := mk(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seeds 42 and 43 produced identical verdict streams")
-	}
-}
-
-func TestInjectRatesAndStats(t *testing.T) {
-	f := Faults{Seed: 7, DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.1, JitterNs: 1000}
-	n := New(Config{Faults: f})
-	const trials = 20000
-	var drops, dups, reorders int
-	for i := 0; i < trials; i++ {
-		v := n.Inject()
-		if v.Drop {
-			drops++
-			if v.Dup || v.Reorder {
-				t.Fatal("a dropped message cannot also be duplicated or reordered")
-			}
-		}
-		if v.Dup {
-			dups++
-		}
-		if v.Reorder {
-			reorders++
-		}
-		if v.ExtraNs < 0 || v.ExtraNs > f.JitterNs {
-			t.Fatalf("jitter %d outside [0, %d]", v.ExtraNs, f.JitterNs)
-		}
-	}
-	within := func(name string, got int, p float64) {
-		t.Helper()
-		want := p * trials
-		if float64(got) < want*0.85 || float64(got) > want*1.15 {
-			t.Fatalf("%s rate: got %d of %d, want about %.0f", name, got, trials, want)
-		}
-	}
-	within("drop", drops, f.DropProb)
-	// Dup and reorder are only judged for non-dropped messages.
-	within("dup", dups, f.DupProb*(1-f.DropProb))
-	within("reorder", reorders, f.ReorderProb*(1-f.DropProb))
-	st := n.FaultStats()
-	if st.Transmits != trials || st.Drops != int64(drops) || st.Dups != int64(dups) || st.Reorders != int64(reorders) {
-		t.Fatalf("FaultStats %+v disagrees with observed counts (%d/%d/%d/%d)", st, trials, drops, dups, reorders)
-	}
-}
-
-func TestRetryBackoffDoublesAndCaps(t *testing.T) {
-	n := New(Config{Faults: Faults{DropProb: 0.1, RetryBackoffNs: 1000}})
-	if got := n.RetryBackoff(1); got != 1000*time.Nanosecond {
-		t.Fatalf("attempt 1 backoff = %v, want 1us", got)
-	}
-	if got := n.RetryBackoff(2); got != 2000*time.Nanosecond {
-		t.Fatalf("attempt 2 backoff = %v, want 2us", got)
-	}
-	// Exponent caps at 64x so huge attempt counts cannot overflow.
-	if got, want := n.RetryBackoff(50), 64*1000*time.Nanosecond; got != want {
-		t.Fatalf("attempt 50 backoff = %v, want %v", got, want)
-	}
-	d := New(Config{Faults: Faults{DropProb: 0.1}})
-	if got := d.RetryBackoff(1); got != DefaultRetryBackoffNs*time.Nanosecond {
-		t.Fatalf("default backoff = %v, want %v", got, DefaultRetryBackoffNs*time.Nanosecond)
-	}
-	if got := d.RetryBudget(); got != DefaultRetryBudget {
-		t.Fatalf("default budget = %d, want %d", got, DefaultRetryBudget)
-	}
-}
-
-// TestRetryBackoffFloorsAtBase pins the low edge of the exponent: attempt 0
-// (before any retransmit) and junk negative attempts return the base
-// backoff instead of panicking on a negative shift.
-func TestRetryBackoffFloorsAtBase(t *testing.T) {
-	n := New(Config{Faults: Faults{DropProb: 0.1, RetryBackoffNs: 1000}})
-	for _, attempt := range []int{0, -1, -50} {
-		if got := n.RetryBackoff(attempt); got != 1000*time.Nanosecond {
-			t.Fatalf("attempt %d backoff = %v, want the 1us base", attempt, got)
-		}
-	}
-}
-
-// TestRetryBudgetConfigured pins that a configured budget overrides the
-// default exactly (the exhaustion test in internal/core counts attempts
-// against this number, so an off-by-one here doubles as a protocol bug).
-func TestRetryBudgetConfigured(t *testing.T) {
-	for _, budget := range []int{1, 4, DefaultRetryBudget + 1} {
-		n := New(Config{Faults: Faults{DropProb: 1.0, RetryBudget: budget}})
-		if got := n.RetryBudget(); got != budget {
-			t.Fatalf("RetryBudget() = %d, want configured %d", got, budget)
-		}
-	}
-	// Zero and negative fall back to the default rather than disabling
-	// retransmits entirely (a budget of 0 would hang every lossy run).
-	for _, budget := range []int{0, -3} {
-		n := New(Config{Faults: Faults{DropProb: 1.0, RetryBudget: budget}})
-		if got := n.RetryBudget(); got != DefaultRetryBudget {
-			t.Fatalf("RetryBudget() with %d configured = %d, want default %d", budget, got, DefaultRetryBudget)
-		}
-	}
-}
-
-func TestInjectInactiveIsFreeOfFaults(t *testing.T) {
-	n := New(Config{})
-	for i := 0; i < 100; i++ {
-		if v := n.Inject(); v != (Verdict{}) {
-			t.Fatalf("inactive network injected %+v", v)
-		}
-	}
-	// The inactive path is deliberately counter-free (the runtime only
-	// exports fault metrics when transmits were judged).
-	if st := n.FaultStats(); st != (FaultStats{}) {
-		t.Fatalf("inactive FaultStats = %+v, want zero", st)
-	}
-}

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"sync/atomic"
 	"time"
 )
 
@@ -90,3 +93,32 @@ func wrapTCP(c net.Conn) Conn {
 type tcpConn struct{ net.Conn }
 
 func (c tcpConn) RemoteAddr() string { return c.Conn.RemoteAddr().String() }
+
+// ReserveLoopback picks n distinct free loopback addresses for the listeners
+// a launcher or a test is about to start (transport nodes, worker monitors),
+// by binding and releasing them.  The ports lie below the kernel's ephemeral
+// range, because a port from ":0" is itself ephemeral: between its release
+// and the real bind, a peer's own dial can be handed it as a source port —
+// rare, but a launch that loses that race fails for no reason of its own.
+// Each process walks the range from where its pid says and never revisits a
+// port, so concurrent launchers (`go test ./...`) do not walk it in step.
+func ReserveLoopback(n int) ([]string, error) {
+	const lo, hi, perProcess = 10000, 30000, 512
+	addrs := make([]string, 0, n)
+	for tries := 0; len(addrs) < n; tries++ {
+		if tries >= hi-lo {
+			return nil, fmt.Errorf("transport: no %d free loopback ports in [%d, %d)", n, lo, hi)
+		}
+		addr := fmt.Sprintf("127.0.0.1:%d", lo+(os.Getpid()*perProcess+int(reservedPorts.Add(1)))%(hi-lo))
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			continue // taken by someone else; try the next one
+		}
+		ln.Close()
+		addrs = append(addrs, addr)
+	}
+	return addrs, nil
+}
+
+// reservedPorts counts the ports this process has tried.
+var reservedPorts atomic.Uint32

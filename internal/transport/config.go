@@ -31,12 +31,14 @@ const (
 	DefaultDrainTimeout = 2 * time.Second
 )
 
-// Faults is the transport-level fault plan, the real-socket analogue of the
-// simulator's netsim.Faults: seeded, deterministic per link, and applied
-// only to the first transmission of a sequenced frame — retransmissions are
-// exempt, so every injected drop is recoverable and exercises exactly the
-// recovery path.  Delays are applied on the receive side (the reader sleeps
-// before processing), modeling added one-way latency.
+// Faults is the fault plan, the runtime's only injector of loss and delay:
+// seeded, deterministic per link, and applied only to the first transmission
+// of a sequenced frame — retransmissions are exempt, so every injected drop
+// is recoverable and exercises exactly the recovery path.  Delays are applied
+// on the receive side (the reader sleeps before processing), modeling added
+// one-way latency; one longer than the sender's retransmit timer also brings
+// duplicates.  Nothing reorders a stream: what arrives past a gap is the
+// go-back-N receiver's own discard.
 type Faults struct {
 	Seed      uint64        // RNG seed; links derive independent streams from it
 	DropProb  float64       // probability a sequenced frame's first transmission is dropped

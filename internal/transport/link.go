@@ -737,8 +737,7 @@ func (l *link) clockSamples() []obs.ClockSample {
 }
 
 // backoff returns the exponential retransmit backoff for the given round,
-// capped at RetryBackoffMax (the netsim link layer's discipline, on real
-// clocks).
+// capped at RetryBackoffMax.
 func (l *link) backoff(attempts int) time.Duration {
 	d := l.t.cfg.RetryBackoff
 	for i := 1; i < attempts && d < l.t.cfg.RetryBackoffMax; i++ {

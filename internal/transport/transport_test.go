@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,24 +12,40 @@ import (
 	"time"
 )
 
-// reserveAddrs picks n free loopback ports the way the purerun launcher
-// does: bind, record, release.
+// reserveAddrs is ReserveLoopback for tests.
 func reserveAddrs(t testing.TB, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserving port %d: %v", i, err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
+	addrs, err := ReserveLoopback(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
+}
+
+// TestReserveLoopback: distinct loopback addresses, all below the kernel's
+// ephemeral range (a peer's dial can never be handed one as a source port),
+// and all free to bind at once.
+func TestReserveLoopback(t *testing.T) {
+	addrs := reserveAddrs(t, 3)
+	seen := map[string]bool{}
+	for _, a := range addrs {
+		host, port, err := net.SplitHostPort(a)
+		if err != nil || host != "127.0.0.1" {
+			t.Fatalf("reserved address %q is not a loopback host:port", a)
+		}
+		if p, _ := strconv.Atoi(port); p < 10000 || p >= 30000 {
+			t.Fatalf("reserved port %s is not below the ephemeral range", port)
+		}
+		if seen[a] {
+			t.Fatalf("duplicate reserved address %q in %v", a, addrs)
+		}
+		seen[a] = true
+		ln, err := net.Listen("tcp", a)
+		if err != nil {
+			t.Fatalf("reserved address %q cannot be bound: %v", a, err)
+		}
+		defer ln.Close()
+	}
 }
 
 // collector gathers delivered frames (payloads copied — the handler

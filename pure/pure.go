@@ -104,14 +104,11 @@ type Seat = topology.HWThread
 // CoriNode returns a Cori-like node spec (2 sockets x 16 cores x 2 HT).
 func CoriNode(nodes int) Spec { return topology.CoriSpec(nodes) }
 
-// NetConfig is the inter-node network cost model; see netsim.Config.
+// NetConfig is the cost model of the in-process modeled wire between virtual
+// nodes (latency, bandwidth, per-message overhead); see netsim.Config.  The
+// modeled wire is lossless — fault injection lives on the real transport
+// (TransportFaults).
 type NetConfig = netsim.Config
-
-// Faults is the inter-node fault-injection configuration (set it on
-// NetConfig.Faults); see netsim.Faults.  Injected drops, duplicates and
-// reorders are recovered transparently by the runtime's link-layer
-// ack/retransmit protocol, at the cost of retransmission latency.
-type Faults = netsim.Faults
 
 // AriesNet returns the Cray-Aries-like model used for multi-node runs.
 func AriesNet() NetConfig { return netsim.Aries() }
@@ -122,9 +119,11 @@ func AriesNet() NetConfig { return netsim.Aries() }
 // purerun launcher.
 type TransportConfig = transport.Config
 
-// TransportFaults is the real transport's fault-injection plan (set it on
+// TransportFaults is the runtime's one fault injector (set it on
 // TransportConfig.Faults): seeded drops of first transmissions and
-// receive-side delays, all recovered by the link protocol.
+// receive-side delays, all recovered transparently by the link protocol at
+// the cost of retransmission latency.  docs/ROBUSTNESS.md shows how to run a
+// lossy multi-node program inside one process.
 type TransportFaults = transport.Faults
 
 // TransportFromEnv builds a TransportConfig from the PURE_NODE/PURE_ADDRS/
@@ -149,15 +148,17 @@ type Config struct {
 	// topology.PlacementFromReorder).
 	Policy Policy
 	Seats  []Seat
-	// Net is the inter-node cost model (zero = free loopback).
+	// Net is the cost model of the modeled wire between virtual nodes
+	// (zero = free loopback).  It only charges time; it never loses a message.
 	Net NetConfig
 	// Transport, when non-nil, replaces the modeled network with a real
 	// inter-node transport: this process runs only the ranks topology
 	// places on Transport.Node, and cross-node traffic travels real
 	// sockets.  Launch one process per node with matching configs —
 	// normally via cmd/purerun, which provides the config through the
-	// environment (TransportFromEnv).  Mutually exclusive with Net.Faults;
-	// Spec.Nodes must equal len(Transport.Addrs).
+	// environment (TransportFromEnv).  Spec.Nodes must equal
+	// len(Transport.Addrs); Net is unused.  Transport.Faults injects link-level
+	// loss and delay.
 	Transport *TransportConfig
 	// SmallMsgMax is the eager/rendezvous threshold in bytes (default 8 KiB).
 	SmallMsgMax int
@@ -248,8 +249,9 @@ func coreConfig(cfg Config) core.Config {
 
 // RunError is the structured error Run returns when the runtime aborts
 // instead of completing (a rank panicked or called Abort, the watchdog
-// diagnosed a deadlock or stall, the deadline expired, or a remote send
-// exhausted its retry budget).  Inspect it with errors.As.
+// diagnosed a deadlock or stall, the deadline expired, or the transport
+// declared a peer node dead — heartbeat silence or an exhausted retry
+// budget).  Inspect it with errors.As.
 type RunError = core.RunError
 
 // RankFailure names one failed rank inside a RunError.
@@ -271,7 +273,6 @@ const (
 	CauseDeadlock = core.CauseDeadlock
 	CauseStall    = core.CauseStall
 	CauseDeadline = core.CauseDeadline
-	CauseNetDead  = core.CauseNetDead
 	CauseNodeDead = core.CauseNodeDead
 )
 

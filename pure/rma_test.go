@@ -4,34 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// chaosSeeds returns the fault-injection seeds to sweep: {1, 2, 3} by
-// default, overridable with PURE_CHAOS_SEEDS=comma,separated,ints (the same
-// convention the internal/core chaos suite uses).
-func chaosSeeds(t *testing.T) []int64 {
-	t.Helper()
-	env := os.Getenv("PURE_CHAOS_SEEDS")
-	if env == "" {
-		return []int64{1, 2, 3}
-	}
-	var seeds []int64
-	for _, f := range strings.Split(env, ",") {
-		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("bad PURE_CHAOS_SEEDS entry %q: %v", f, err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
 
 // twoNodeCfg places one rank per node on a two-node machine so every RMA
 // operation between the ranks crosses the modeled network.
@@ -352,77 +330,6 @@ func TestRMARemoteProgressWhileBlocked(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestChaosRMARemotePutLossy drives remote Put/Accumulate traffic over a
-// lossy, duplicating, reordering wire across several seeds: the reliable
-// link layer must deliver every frame exactly once (exact final sums), and
-// recovery must be visible in the retransmit counters.
-func TestChaosRMARemotePutLossy(t *testing.T) {
-	const rounds = 30
-	for _, seed := range chaosSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := twoNodeCfg()
-			cfg.Metrics = NewMetrics()
-			cfg.Net.Faults = Faults{
-				Seed: seed, DropProb: 0.20, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			err := Run(cfg, func(r *Rank) {
-				w := r.World().WinCreate(make([]byte, 16))
-				w.Fence()
-				if r.ID() == 0 {
-					for i := 1; i <= rounds; i++ {
-						w.Put(Int64Bytes([]int64{int64(i)}), 1, 0)
-						w.Accumulate(Int64Bytes([]int64{int64(i)}), 1, 8, Sum, Int64)
-					}
-				}
-				w.Fence()
-				if r.ID() == 1 {
-					var got [2]int64
-					GetInt64s(got[:], w.Buffer())
-					if got[0] != rounds {
-						r.Abort(fmt.Errorf("last put = %d, want %d", got[0], rounds))
-					}
-					if got[1] != rounds*(rounds+1)/2 {
-						r.Abort(fmt.Errorf("accumulated sum = %d, want %d (lost or duplicated frame)", got[1], rounds*(rounds+1)/2))
-					}
-				}
-				w.Fence()
-				// PSCW epochs over the same lossy wire: each round's put
-				// must be ordered inside its Post/Wait exposure.
-				for round := 0; round < 10; round++ {
-					if r.ID() == 1 {
-						w.Post([]int{0})
-						w.Wait()
-						var got [1]int64
-						GetInt64s(got[:], w.Buffer())
-						if got[0] != int64(round) {
-							r.Abort(fmt.Errorf("pscw round %d: exposed %d", round, got[0]))
-						}
-					} else {
-						w.Start([]int{1})
-						w.Put(Int64Bytes([]int64{int64(round)}), 1, 0)
-						w.Complete()
-					}
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := map[string]int64{}
-			for _, s := range cfg.Metrics.Snapshot().Counters {
-				c[s.Name] = s.Value
-			}
-			if c["pure_net_drops_injected_total"] > 0 && c["pure_net_retransmits_total"] == 0 {
-				t.Errorf("seed %d: %d drops injected but zero retransmits", seed, c["pure_net_drops_injected_total"])
-			}
-			if c["pure_rma_remote_packets_total"] == 0 {
-				t.Errorf("seed %d: no remote RMA packets recorded", seed)
-			}
-		})
 	}
 }
 

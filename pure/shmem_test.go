@@ -219,55 +219,6 @@ func TestShmemRemoteOps(t *testing.T) {
 	}
 }
 
-// TestChaosShmemRemoteLossy drives remote atomic adds over a lossy,
-// duplicating, reordering wire: the reliable link layer must apply every
-// add exactly once (exact sum), across several seeds.
-func TestChaosShmemRemoteLossy(t *testing.T) {
-	const rounds = 40
-	for _, seed := range chaosSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := twoNodeCfg()
-			cfg.Metrics = NewMetrics()
-			cfg.Net.Faults = Faults{
-				Seed: seed, DropProb: 0.20, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			err := Run(cfg, func(r *Rank) {
-				s := r.World().ShmemCreate(4096, 0)
-				cell := s.Malloc(8)
-				last := s.Malloc(8)
-				if s.Rank() == 0 {
-					for i := 1; i <= rounds; i++ {
-						s.AtomicAdd(1, cell, int64(i))
-						s.AtomicStore(1, last, int64(i))
-					}
-				}
-				s.Barrier()
-				if s.Rank() == 1 {
-					if got := s.AtomicLoad(1, cell); got != rounds*(rounds+1)/2 {
-						r.Abort(fmt.Errorf("sum = %d, want %d (lost or duplicated add)", got, rounds*(rounds+1)/2))
-					}
-					if got := s.AtomicLoad(1, last); got != rounds {
-						r.Abort(fmt.Errorf("last store = %d, want %d (reordered flow)", got, rounds))
-					}
-				}
-				s.Barrier()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := map[string]int64{}
-			for _, s := range cfg.Metrics.Snapshot().Counters {
-				c[s.Name] = s.Value
-			}
-			if c["pure_net_drops_injected_total"] > 0 && c["pure_net_retransmits_total"] == 0 {
-				t.Errorf("seed %d: %d drops injected but zero retransmits", seed, c["pure_net_drops_injected_total"])
-			}
-		})
-	}
-}
-
 // TestShmemMailbox drives the actor layer intra-node: every rank sends a
 // numbered stream to rank 0's mailbox, and the owner checks zero loss and
 // per-sender FIFO.

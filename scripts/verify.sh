@@ -32,7 +32,7 @@ go test -count=1 -fuzz FuzzControlDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzStatsdParse -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShmemFrame -fuzztime 5s ./internal/shmem
 
-echo "== chaos suite (watchdog/abort/fault-injection under -race)"
+echo "== chaos suite (watchdog/abort/lossy links under -race)"
 go test -race -count=1 \
     -run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \
     ./internal/core ./internal/ssw ./pure
