@@ -341,9 +341,9 @@ func run(ch chooser, th Threads, maxSteps int) Result {
 // ---- Hooks installed into the packages under test ----
 
 // Hook is the scheduling hook the instrumented packages call at every
-// synchronization point.  Model tests install it via each package's
-// SetSchedHook (available under the purecheck build tag); outside a run it
-// is a no-op, so hooked code keeps working in ordinary tests.
+// synchronization point.  Model tests install it with schedpoint.Set
+// (available under the purecheck build tag); outside a run it is a no-op, so
+// hooked code keeps working in ordinary tests.
 func Hook(label string) {
 	if s := cursched; s != nil {
 		s.yield(label)

@@ -17,13 +17,6 @@ import (
 	"repro/internal/queue"
 )
 
-// hookCore routes internal/core's schedpoints to the checker for the
-// duration of the test.
-func hookCore(t *testing.T) {
-	core.SetSchedHook(Hook)
-	t.Cleanup(func() { core.SetSchedHook(nil) })
-}
-
 // endpointRaceThreads builds one schedule's workload: a sender and a
 // receiver concurrently creating their endpoints for the same fresh channel
 // key (the concurrent-first-use race), then the invariant sends a message
@@ -92,7 +85,7 @@ func reuseAndIsolateThreads() Threads {
 // endpoint creation by the two halves of a pair always yields one channel
 // and one queue, and a message flows across the two handles.
 func TestCheckEndpointCreationRace(t *testing.T) {
-	hookCore(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, endpointRaceThreads)
 	if rep.Failed {
 		t.Fatalf("endpoint creation race: %s", rep.Error())
@@ -103,7 +96,7 @@ func TestCheckEndpointCreationRace(t *testing.T) {
 // TestCheckEndpointCreationExhaustive explores EVERY schedule of the
 // two-thread creation race (small: 3 schedpoints per thread).
 func TestCheckEndpointCreationExhaustive(t *testing.T) {
-	hookCore(t)
+	hook(t)
 	rep := Exhaust(0, 0, endpointRaceThreads)
 	if rep.Failed {
 		t.Fatalf("endpoint creation race (exhaustive): %s", rep.Error())
@@ -117,7 +110,7 @@ func TestCheckEndpointCreationExhaustive(t *testing.T) {
 // TestCheckEndpointReuseIsolation: a racing reuse and a racing fresh-tag
 // creation neither split nor alias channels, under every schedule.
 func TestCheckEndpointReuseIsolation(t *testing.T) {
-	hookCore(t)
+	hook(t)
 	rep := Exhaust(0, 0, reuseAndIsolateThreads)
 	if rep.Failed {
 		t.Fatalf("endpoint reuse/isolation: %s", rep.Error())

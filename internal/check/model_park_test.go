@@ -3,7 +3,7 @@
 // Model tests for the park/unpark protocol under socket-completed waits
 // (ssw.WakeCell): the owner publishes parked, re-checks, blocks; a completer
 // publishes, loads the state, signals.  Under the checker the block has no
-// timer (ssw/hooks_check.go), so a wake-up lost in any explored interleaving
+// timer (schedpoint.Block), so a wake-up lost in any explored interleaving
 // is a deadlock the scheduler reports.
 package check
 
@@ -16,11 +16,6 @@ import (
 
 	"repro/internal/ssw"
 )
-
-func hookPark(t *testing.T) {
-	ssw.SetSchedHook(Hook, Wait)
-	t.Cleanup(func() { ssw.SetSchedHook(nil, nil) })
-}
 
 // parkThreads: one owner waits, park by park, for `rounds` conditions in
 // turn; condition r holds once every completer has published its flag for
@@ -80,7 +75,7 @@ func parkThreads(completers, rounds int, wakeFirst bool) Threads {
 // blocked — one completer and two concurrent ones, one wait and two in a row
 // (stale tokens), under PCT and exhaustively.
 func TestCheckParkNoLostWakeup(t *testing.T) {
-	hookPark(t)
+	hook(t)
 	for _, cfg := range []struct{ completers, rounds int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
 		name := fmt.Sprintf("%d completers, %d rounds", cfg.completers, cfg.rounds)
 		mk := func() Threads { return parkThreads(cfg.completers, cfg.rounds, false) }
@@ -102,7 +97,7 @@ func TestCheckParkNoLostWakeup(t *testing.T) {
 // signals before it publishes loses the wake-up in some interleaving, and
 // the model must find it — as the deadlock it is.
 func TestCheckParkModelCatchesWakeBeforePublish(t *testing.T) {
-	hookPark(t)
+	hook(t)
 	rep := Exhaust(0, 0, func() Threads { return parkThreads(1, 1, true) })
 	if !rep.Failed || !strings.Contains(rep.Result.Err.Error(), "deadlock") {
 		t.Fatalf("signal-before-publish went unnoticed over %d schedules (failed=%v, err=%v)", rep.Schedules, rep.Failed, rep.Result.Err)

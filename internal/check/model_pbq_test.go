@@ -14,13 +14,6 @@ import (
 	"repro/internal/queue"
 )
 
-// hookQueue routes internal/queue's schedpoints to the checker for the
-// duration of the test.
-func hookQueue(t *testing.T) {
-	queue.SetSchedHook(Hook)
-	t.Cleanup(func() { queue.SetSchedHook(nil) })
-}
-
 // pbqFIFOThreads builds one schedule's workload: a producer streaming k
 // distinct messages through a small PBQ and a consumer draining them, with
 // the consumed sequence checked against the sequential FIFO spec (refinement:
@@ -73,7 +66,7 @@ func pbqFIFOThreads(slots, k int) Threads {
 // observable dequeue history equals the sequential FIFO spec — no loss, no
 // duplication, no reordering, no torn payload.
 func TestCheckPBQFIFORefinement(t *testing.T) {
-	hookQueue(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return pbqFIFOThreads(2, 6) // 2 slots forces full-queue backpressure
 	})
@@ -87,7 +80,7 @@ func TestCheckPBQFIFORefinement(t *testing.T) {
 // configuration (1 slot, 2 messages — the single slot forces the
 // full-queue backpressure path into every schedule; ~18k schedules).
 func TestCheckPBQFIFOExhaustive(t *testing.T) {
-	hookQueue(t)
+	hook(t)
 	rep := Exhaust(0, 0, func() Threads { return pbqFIFOThreads(1, 2) })
 	if rep.Failed {
 		t.Fatalf("PBQ FIFO refinement (exhaustive): %s", rep.Error())
@@ -160,7 +153,7 @@ func pbqObserverThreads(slots, k, polls int) Threads {
 // unclamped difference underflows when the head passes the stale tail
 // snapshot); see TestCheckPBQObserverLenRegression for the exhibiting seeds.
 func TestCheckPBQObserverSanity(t *testing.T) {
-	hookQueue(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return pbqObserverThreads(2, 4, 6)
 	})
@@ -175,7 +168,7 @@ func TestCheckPBQObserverSanity(t *testing.T) {
 // of TestCheckPBQObserverSanity against the pre-fix Len; they must stay
 // green forever.
 func TestCheckPBQObserverLenRegression(t *testing.T) {
-	hookQueue(t)
+	hook(t)
 	for _, seed := range pbqLenRegressionSeeds {
 		res := RunSeed(seed, DefaultPCTDepth, pbqObserverThreads(2, 4, 6))
 		if res.Failed() {
@@ -243,7 +236,7 @@ func ringThreads(slots, k, polls int) Threads {
 
 // TestCheckRingFIFO covers the rendezvous-path SPSC ring the same way.
 func TestCheckRingFIFO(t *testing.T) {
-	hookQueue(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return ringThreads(2, 5, 5)
 	})

@@ -14,11 +14,6 @@ import (
 	"repro/internal/rma"
 )
 
-func hookRMA(t *testing.T) {
-	rma.SetSchedHook(Hook)
-	t.Cleanup(func() { rma.SetSchedHook(nil) })
-}
-
 // rmaFenceThreads: each rank Puts a distinct per-epoch value into its
 // right neighbor's window, fences, and then must observe its left
 // neighbor's value in its own window — the fence's happens-before edge is
@@ -66,7 +61,7 @@ func rmaFenceThreads(n, epochs int) Threads {
 // TestCheckRMAFenceVisibility: after a fence, every rank must see the
 // bytes its peer Put during the closing epoch, in every explored schedule.
 func TestCheckRMAFenceVisibility(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return rmaFenceThreads(3, 2)
 	})
@@ -80,7 +75,7 @@ func TestCheckRMAFenceVisibility(t *testing.T) {
 // 1-epoch fence exchange (the fence conds are pure loads, so bounded
 // exhaustive exploration is sound here).
 func TestCheckRMAFenceExhaustive(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	rep := Exhaust(0, 0, func() Threads { return rmaFenceThreads(2, 1) })
 	if rep.Failed {
 		t.Fatalf("RMA fence (exhaustive): %s", rep.Error())
@@ -97,7 +92,7 @@ func TestCheckRMAFenceExhaustive(t *testing.T) {
 // notification covers.  The consumer acks on a second slot so the producer
 // cannot overwrite an unread value.
 func TestCheckRMANotifyOrdering(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	const k = 3
 	mk := func() Threads {
 		w := rma.NewWindow(2)
@@ -143,7 +138,7 @@ func TestCheckRMANotifyOrdering(t *testing.T) {
 // an unposted epoch, no round-r+1 write may land before the target drains
 // round r).
 func TestCheckRMAPSCWRoundMatching(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	const rounds = 2
 	mk := func() Threads {
 		w := rma.NewWindow(3)
@@ -194,7 +189,7 @@ func TestCheckRMAPSCWRoundMatching(t *testing.T) {
 // effect (acquiring the lock), which the exhaustive mode's replay-purity
 // requirement disallows but PCT's probe-then-run discipline tolerates.
 func TestCheckRMAAccumulateAtomicity(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	const perThread = 2
 	mk := func() Threads {
 		w := rma.NewWindow(3)

@@ -12,11 +12,6 @@ import (
 	"repro/internal/sched"
 )
 
-func hookSched(t *testing.T) {
-	sched.SetSchedHook(Hook)
-	t.Cleanup(func() { sched.SetSchedHook(nil) })
-}
-
 // schedStealThreads builds one schedule's workload: the owner in slot 0
 // runs `runs` consecutive task executions of nchunks chunks each while
 // nthieves thief threads make bounded TrySteal probes throughout.  Every
@@ -97,7 +92,7 @@ func TestCheckSchedExactlyOnce(t *testing.T) {
 	for _, p := range policies {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			hookSched(t)
+			hook(t)
 			rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 				return schedStealThreads(p.cfg, 2, 1, 4, 6)
 			})
@@ -114,7 +109,7 @@ func TestCheckSchedExactlyOnce(t *testing.T) {
 // detect the swap (pointer inequality) rather than grab from the dead
 // execution.
 func TestCheckSchedStickyAcrossRuns(t *testing.T) {
-	hookSched(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return schedStealThreads(sched.Config{Slots: 3, Policy: sched.StickySteal}, 2, 2, 3, 10)
 	})
@@ -129,7 +124,7 @@ func TestCheckSchedStickyAcrossRuns(t *testing.T) {
 // here are pure (the straggler wait polls the done counter), so bounded
 // exhaustive exploration is sound.
 func TestCheckSchedExhaustive(t *testing.T) {
-	hookSched(t)
+	hook(t)
 	rep := Exhaust(0, 0, func() Threads {
 		return schedStealThreads(sched.Config{Slots: 2, Policy: sched.RandomSteal}, 1, 1, 2, 3)
 	})

@@ -17,11 +17,6 @@ import (
 	"repro/internal/shmem"
 )
 
-func hookShmem(t *testing.T) {
-	shmem.SetSchedHook(Hook)
-	t.Cleanup(func() { shmem.SetSchedHook(nil) })
-}
-
 // ---- Symmetric-heap publish convergence ----
 
 // heapPublishRaceThreads: two ranks race to publish the same Malloc (their
@@ -60,7 +55,7 @@ func heapPublishRaceThreads() Threads {
 // TestCheckShmemHeapPublishRace: under PCT schedules, racing Malloc
 // publishes always converge to one offset and racing frees always land.
 func TestCheckShmemHeapPublishRace(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, heapPublishRaceThreads)
 	if rep.Failed {
 		t.Fatalf("heap publish race: %s", rep.Error())
@@ -72,7 +67,7 @@ func TestCheckShmemHeapPublishRace(t *testing.T) {
 // two-rank publish+free race (no waits, so all conditions are trivially
 // pure).
 func TestCheckShmemHeapPublishExhaustive(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := Exhaust(0, 0, heapPublishRaceThreads)
 	if rep.Failed {
 		t.Fatalf("heap publish race (exhaustive): %s", rep.Error())
@@ -128,7 +123,7 @@ func atomicAddThreads(adders, perThread int) Threads {
 // TestCheckShmemAtomicAddNoLostUpdates: three mixed add/CAS threads under
 // PCT schedules; the cell must end at the exact sum.
 func TestCheckShmemAtomicAddNoLostUpdates(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return atomicAddThreads(2, 3)
 	})
@@ -142,7 +137,7 @@ func TestCheckShmemAtomicAddNoLostUpdates(t *testing.T) {
 // racing one CAS-loop thread (small enough to enumerate; the CAS retry
 // loop is lock-free, so every schedule terminates).
 func TestCheckShmemAtomicAddExhaustive(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := Exhaust(0, 0, func() Threads { return atomicAddThreads(1, 2) })
 	if rep.Failed {
 		t.Fatalf("atomic add (exhaustive): %s", rep.Error())
@@ -243,7 +238,7 @@ func mailboxThreads(senders, perSender, cap int) Threads {
 // than the message count, under PCT schedules — per-sender FIFO and
 // exactly-once delivery hold through the full-ring/recycle path.
 func TestCheckShmemMailboxFIFO(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return mailboxThreads(2, 3, 2)
 	})
@@ -316,7 +311,7 @@ func mailboxRecycleThreads() Threads {
 // recycle handoff (sender blocked on a full ring, consumer freeing a slot,
 // generation-wrapped reclaim).
 func TestCheckShmemMailboxExhaustive(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := Exhaust(0, 0, mailboxRecycleThreads)
 	if rep.Failed {
 		t.Fatalf("mailbox (exhaustive): %s", rep.Error())
@@ -357,7 +352,7 @@ func shmemRegistryRaceThreads() Threads {
 
 // TestCheckShmemRegistryRace: PCT over the heap registry's first-use race.
 func TestCheckShmemRegistryRace(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, shmemRegistryRaceThreads)
 	if rep.Failed {
 		t.Fatalf("shmem registry race: %s", rep.Error())
@@ -366,7 +361,7 @@ func TestCheckShmemRegistryRace(t *testing.T) {
 
 // TestCheckShmemRegistryExhaustive: every schedule of the same race.
 func TestCheckShmemRegistryExhaustive(t *testing.T) {
-	hookShmem(t)
+	hook(t)
 	rep := Exhaust(0, 0, shmemRegistryRaceThreads)
 	if rep.Failed {
 		t.Fatalf("shmem registry race (exhaustive): %s", rep.Error())
@@ -404,7 +399,7 @@ func rmaRegistryRaceThreads() Threads {
 
 // TestCheckRMARegistryRace: PCT over the window registry's first-use race.
 func TestCheckRMARegistryRace(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, rmaRegistryRaceThreads)
 	if rep.Failed {
 		t.Fatalf("rma registry race: %s", rep.Error())
@@ -413,7 +408,7 @@ func TestCheckRMARegistryRace(t *testing.T) {
 
 // TestCheckRMARegistryExhaustive: every schedule of the same race.
 func TestCheckRMARegistryExhaustive(t *testing.T) {
-	hookRMA(t)
+	hook(t)
 	rep := Exhaust(0, 0, rmaRegistryRaceThreads)
 	if rep.Failed {
 		t.Fatalf("rma registry race (exhaustive): %s", rep.Error())

@@ -12,11 +12,6 @@ import (
 	"repro/internal/collective"
 )
 
-func hookCollective(t *testing.T) {
-	collective.SetSchedHook(Hook)
-	t.Cleanup(func() { collective.SetSchedHook(nil) })
-}
-
 // sptdAllreduceThreads runs `rounds` all-reduce rounds over n threads with
 // distinct per-thread/per-round contributions; every thread must observe the
 // exact sum every round (no lost contribution, no stale result reuse).
@@ -61,7 +56,7 @@ func sptdAllreduceThreads(n, rounds int) Threads {
 // result in every explored schedule, across multiple reuse rounds (the
 // round r-1 ack gate protects the shared result buffer).
 func TestCheckSPTDAllreduceNoLostContribution(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		return sptdAllreduceThreads(3, 2)
 	})
@@ -109,7 +104,7 @@ func sptdBarrierThreads(n, rounds int, mkBarrier func() func(tid int)) Threads {
 // TestCheckSPTDBarrierSequenceInvariant covers the static-leader SPTD
 // barrier (the paper's chosen design).
 func TestCheckSPTDBarrierSequenceInvariant(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		s := collective.NewSPTD(3, 8)
 		return sptdBarrierThreads(3, 2, func() func(int) {
@@ -124,7 +119,7 @@ func TestCheckSPTDBarrierSequenceInvariant(t *testing.T) {
 // TestCheckSPTDBarrierExhaustive explores every schedule of the 2-thread,
 // 2-round barrier.
 func TestCheckSPTDBarrierExhaustive(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	rep := Exhaust(0, 0, func() Threads {
 		s := collective.NewSPTD(2, 8)
 		return sptdBarrierThreads(2, 2, func() func(int) {
@@ -144,7 +139,7 @@ func TestCheckSPTDBarrierExhaustive(t *testing.T) {
 // leader election retained for the ablation benchmarks — its per-round
 // leader race is exactly the kind of protocol the checker exists for.
 func TestCheckCASBarrierElection(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
 		b := collective.NewCASBarrier(3)
 		return sptdBarrierThreads(3, 2, func() func(int) {
@@ -160,7 +155,7 @@ func TestCheckCASBarrierElection(t *testing.T) {
 // rooted reduce (root 1, a non-leader) followed by a broadcast from root 2,
 // checking payload integrity and round lockstep.
 func TestCheckSPTDReduceBroadcast(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	mk := func() Threads {
 		s := collective.NewSPTD(3, 64)
 		errs := make([]error, 3)
@@ -213,7 +208,7 @@ func TestCheckSPTDReduceBroadcast(t *testing.T) {
 // distinct contributions: every result must be its own round's sum in every
 // explored schedule.
 func TestCheckSPTDReduceBoxReuse(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	const n, root = 3, 1
 	sum := func(round int) int64 { return int64(n*100*round + n*(n-1)/2) }
 	mk := func() Threads {
@@ -262,7 +257,7 @@ func TestCheckSPTDReduceBoxReuse(t *testing.T) {
 // ack protocol, with a payload sized so the cacheline chunking leaves one
 // thread with no fold work (the asymmetric case).
 func TestCheckPartitionedReducer(t *testing.T) {
-	hookCollective(t)
+	hook(t)
 	mk := func() Threads {
 		p := collective.NewPartitionedReducer(3, 128)
 		errs := make([]error, 3)

@@ -15,13 +15,6 @@ import (
 	"repro/internal/statsd"
 )
 
-// hookStatsd routes internal/statsd's schedpoints to the checker for the
-// duration of the test.
-func hookStatsd(t *testing.T) {
-	statsd.SetSchedHook(Hook)
-	t.Cleanup(func() { statsd.SetSchedHook(nil) })
-}
-
 // internRaceThreads builds one schedule's workload: two ranks concurrently
 // first-interning the same raw tagset.  The invariant demands pointer
 // convergence, a single occupied slot, and exactly one recorded miss (the
@@ -104,7 +97,7 @@ func internCollisionThreads() Threads {
 // of one tagset always converges on a single canonical pointer with exact
 // hit/miss accounting.
 func TestCheckInternFirstUseRace(t *testing.T) {
-	hookStatsd(t)
+	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, internRaceThreads)
 	if rep.Failed {
 		t.Fatalf("intern first-use race: %s", rep.Error())
@@ -115,7 +108,7 @@ func TestCheckInternFirstUseRace(t *testing.T) {
 // TestCheckInternFirstUseExhaustive explores EVERY schedule of the
 // two-thread first-intern race (two schedpoints per thread).
 func TestCheckInternFirstUseExhaustive(t *testing.T) {
-	hookStatsd(t)
+	hook(t)
 	rep := Exhaust(0, 0, internRaceThreads)
 	if rep.Failed {
 		t.Fatalf("intern first-use race (exhaustive): %s", rep.Error())
@@ -129,7 +122,7 @@ func TestCheckInternFirstUseExhaustive(t *testing.T) {
 // TestCheckInternCollisionRace: racing inserts of distinct colliding
 // tagsets neither alias nor lose an entry, under every schedule.
 func TestCheckInternCollisionRace(t *testing.T) {
-	hookStatsd(t)
+	hook(t)
 	rep := Exhaust(0, 0, internCollisionThreads)
 	if rep.Failed {
 		t.Fatalf("intern collision race: %s", rep.Error())

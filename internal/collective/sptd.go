@@ -3,6 +3,8 @@ package collective
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/schedpoint"
 )
 
 // pad separates atomics owned by different threads so sequence numbers never
@@ -133,14 +135,14 @@ func (s *SPTD) BarrierBridged(tid int, bridge func(), wait WaitFunc) {
 		if bridge != nil {
 			bridge()
 		}
-		schedpoint("sptd:barrier:publish-result")
+		schedpoint.Point("sptd:barrier:publish-result")
 		s.resultSeq.Store(r)
 	} else {
-		schedpoint("sptd:barrier:arrive")
+		schedpoint.Point("sptd:barrier:arrive")
 		s.boxes[tid].seq.Store(r)
 		wait(func() bool { return s.resultSeq.Load() >= r })
 	}
-	schedpoint("sptd:barrier:finish")
+	schedpoint.Point("sptd:barrier:finish")
 	s.finish(tid, r)
 }
 
@@ -156,19 +158,19 @@ func (s *SPTD) Reduce(tid, root int, in, out []byte, op Op, dt DType, bridge fun
 	if tid == 0 {
 		// Gather and fold every non-leader's dropbox payload.
 		s.waitAllFinished(r-1, wait) // result buffer reuse safety
-		schedpoint("sptd:reduce:leader-fold")
+		schedpoint.Point("sptd:reduce:leader-fold")
 		acc := s.result[:len(in)]
 		copy(acc, in)
 		for t := 1; t < s.nthreads; t++ {
 			b := &s.boxes[t]
 			wait(func() bool { return b.seq.Load() >= r })
-			schedpoint("sptd:reduce:consume-box")
+			schedpoint.Point("sptd:reduce:consume-box")
 			Accumulate(acc, b.buf[:len(in)], op, dt)
 		}
 		if bridge != nil {
 			bridge(acc)
 		}
-		schedpoint("sptd:reduce:publish-result")
+		schedpoint.Point("sptd:reduce:publish-result")
 		s.resultSeq.Store(r)
 		if root == 0 {
 			copy(out, acc)
@@ -176,17 +178,17 @@ func (s *SPTD) Reduce(tid, root int, in, out []byte, op Op, dt DType, bridge fun
 	} else {
 		b := &s.boxes[tid]
 		s.waitBoxFree(r, wait)
-		schedpoint("sptd:reduce:write-box")
+		schedpoint.Point("sptd:reduce:write-box")
 		copy(b.buf[:len(in)], in)
-		schedpoint("sptd:reduce:publish-box")
+		schedpoint.Point("sptd:reduce:publish-box")
 		b.seq.Store(r)
 		if tid == root {
 			wait(func() bool { return s.resultSeq.Load() >= r })
-			schedpoint("sptd:reduce:copy-out")
+			schedpoint.Point("sptd:reduce:copy-out")
 			copy(out, s.result[:len(in)])
 		}
 	}
-	schedpoint("sptd:reduce:finish")
+	schedpoint.Point("sptd:reduce:finish")
 	s.finish(tid, r)
 	// The leader must not return before the root has copied the result out;
 	// otherwise the leader could start the next round and overwrite it.  The
@@ -204,33 +206,33 @@ func (s *SPTD) Allreduce(tid int, in, out []byte, op Op, dt DType, bridge func([
 	r := s.nextRound(tid)
 	if tid == 0 {
 		s.waitAllFinished(r-1, wait)
-		schedpoint("sptd:allreduce:leader-fold")
+		schedpoint.Point("sptd:allreduce:leader-fold")
 		acc := s.result[:len(in)]
 		copy(acc, in)
 		for t := 1; t < s.nthreads; t++ {
 			b := &s.boxes[t]
 			wait(func() bool { return b.seq.Load() >= r })
-			schedpoint("sptd:allreduce:consume-box")
+			schedpoint.Point("sptd:allreduce:consume-box")
 			Accumulate(acc, b.buf[:len(in)], op, dt)
 		}
 		if bridge != nil {
 			bridge(acc)
 		}
-		schedpoint("sptd:allreduce:publish-result")
+		schedpoint.Point("sptd:allreduce:publish-result")
 		s.resultSeq.Store(r)
 		copy(out, acc)
 	} else {
 		b := &s.boxes[tid]
 		s.waitBoxFree(r, wait)
-		schedpoint("sptd:allreduce:write-box")
+		schedpoint.Point("sptd:allreduce:write-box")
 		copy(b.buf[:len(in)], in)
-		schedpoint("sptd:allreduce:publish-box")
+		schedpoint.Point("sptd:allreduce:publish-box")
 		b.seq.Store(r)
 		wait(func() bool { return s.resultSeq.Load() >= r })
-		schedpoint("sptd:allreduce:copy-out")
+		schedpoint.Point("sptd:allreduce:copy-out")
 		copy(out, s.result[:len(in)])
 	}
-	schedpoint("sptd:allreduce:finish")
+	schedpoint.Point("sptd:allreduce:finish")
 	s.finish(tid, r)
 }
 
@@ -247,15 +249,15 @@ func (s *SPTD) Broadcast(tid, root int, buf []byte, bridge func([]byte), wait Wa
 		if bridge != nil {
 			bridge(buf)
 		}
-		schedpoint("sptd:bcast:write-result")
+		schedpoint.Point("sptd:bcast:write-result")
 		copy(s.result[:len(buf)], buf)
-		schedpoint("sptd:bcast:publish-result")
+		schedpoint.Point("sptd:bcast:publish-result")
 		s.resultSeq.Store(r)
 	} else {
 		wait(func() bool { return s.resultSeq.Load() >= r })
-		schedpoint("sptd:bcast:copy-out")
+		schedpoint.Point("sptd:bcast:copy-out")
 		copy(buf, s.result[:len(buf)])
 	}
-	schedpoint("sptd:bcast:finish")
+	schedpoint.Point("sptd:bcast:finish")
 	s.finish(tid, r)
 }

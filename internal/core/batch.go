@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // This file adds the many-small-messages tooling on persistent endpoints:
@@ -158,21 +156,13 @@ func (ep *Channel) TrySend(buf []byte) bool {
 	if q == nil {
 		q = ep.bindPBQ()
 	}
+	r := ep.r
 	if !q.TryEnqueue(buf) {
-		if ep.cStalls != nil {
-			ep.cStalls.Inc()
-		}
+		r.count(&r.stats.PBQStallWaits, 1)
 		return false
 	}
-	r := ep.r
-	r.stats.SendsEager++
-	r.stats.BytesSent += int64(len(buf))
-	if ep.trace != nil {
-		ep.trace.Emit(obs.KSendEager, ep.peer32, int64(len(buf)))
-	}
-	if ep.cSends != nil {
-		ep.cSends.Inc()
-		ep.cSendBytes.Add(int64(len(buf)))
+	r.note(reqSendEager, ep.peer32, len(buf))
+	if ep.gDepth != nil {
 		ep.gDepth.Max(int64(q.Len()))
 	}
 	return true
@@ -189,29 +179,9 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 	}
 	r := ep.r
 	if ep.ch == nil {
-		rc := ep.bindRemote()
-		if rc.n.Load() == 0 {
-			return 0, false
-		}
-		msg, ok := rc.tryPop()
-		if !ok {
-			return 0, false
-		}
-		if len(msg) > len(buf) {
-			panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(buf)))
-		}
-		n := copy(buf, msg)
-		rc.recycle(msg)
-		r.stats.RecvsRemote++
-		r.stats.BytesReceived += int64(n)
-		if ep.trace != nil {
-			ep.trace.Emit(obs.KRecvRemote, ep.peer32, int64(n))
-		}
-		if ep.cRecvs != nil {
-			ep.cRecvs.Inc()
-			ep.cRecvBytes.Add(int64(n))
-		}
-		return n, true
+		req := Request{rem: ep.bindRemote(), buf: buf, peer: ep.peer32}
+		r.progressRemoteRecv(&req)
+		return req.n, req.done
 	}
 	if len(buf) >= ep.eagerMax {
 		panic(fmt.Sprintf("core: TryRecv buffer of %d bytes is rendezvous-sized (eager limit %d); there is no nonblocking rendezvous receive",
@@ -232,19 +202,10 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 		q = ep.bindPBQ()
 	}
 	n, ok := q.TryDequeue(buf)
-	if !ok {
-		return 0, false
+	if ok {
+		r.note(reqRecvEager, ep.peer32, n)
 	}
-	r.stats.RecvsEager++
-	r.stats.BytesReceived += int64(n)
-	if ep.trace != nil {
-		ep.trace.Emit(obs.KRecvEager, ep.peer32, int64(n))
-	}
-	if ep.cRecvs != nil {
-		ep.cRecvs.Inc()
-		ep.cRecvBytes.Add(int64(n))
-	}
-	return n, true
+	return n, ok
 }
 
 // RecvReady reports whether a TryRecv would find a message now.  It is a
@@ -267,12 +228,17 @@ func (ep *Channel) RecvReady() bool {
 	return q.Len() > 0
 }
 
-// bindRemote resolves the inter-node mailbox on the endpoint's first
-// receive or probe.
+// bindRemote resolves the endpoint's inter-node mailbox on first use: a
+// receive endpoint's on its first receive or probe, a send endpoint's on its
+// first send over the modeled wire (the real transport's sender has none:
+// the mailbox is in the peer's process).
 func (ep *Channel) bindRemote() *remoteChannel {
 	if ep.rem == nil {
 		key := chanKey{src: ep.peer, dst: ep.r.id, tag: ep.tag, comm: ep.comm}
-		ep.rem = ep.r.getRemote(key)
+		if ep.dir == epSend {
+			key.src, key.dst = key.dst, key.src
+		}
+		ep.rem = ep.r.rt.remote(key)
 	}
 	return ep.rem
 }

@@ -100,10 +100,10 @@ func BenchmarkChannelPingPong(b *testing.B) {
 }
 
 // BenchmarkChannelPingPongObserved is the endpoint exchange with tracing and
-// metrics on.  Because the endpoint pre-resolves its counter pointers, the
-// delta against BenchmarkChannelPingPong is the true recording cost (ring
-// write + atomic adds), with no registry map or interface hops left on the
-// path; compare the wrapper benchmarks for the pre-redesign indirection.
+// metrics on.  The delta against BenchmarkChannelPingPong is the true
+// recording cost: a ring write per event, and the rank's counter cells
+// bumped atomically — rank-private lines, no shared counter — instead of
+// plainly; compare the wrapper benchmarks for the pre-redesign indirection.
 func BenchmarkChannelPingPongObserved(b *testing.B) {
 	for _, size := range []int{8, 1 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {

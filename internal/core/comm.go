@@ -275,7 +275,7 @@ func (c *Comm) collWait(op string, ni, tid int) lazyWait {
 
 // Barrier blocks until every comm member has entered it.
 func (c *Comm) Barrier() {
-	c.r.stats.Barriers++
+	c.r.count(&c.r.stats.Barriers, 1)
 	t0 := c.r.traceStart()
 	sh := c.sh
 	ni := sh.nodeIdxOfRank[c.myRank]
@@ -295,7 +295,7 @@ func (c *Comm) Barrier() {
 // the SPTD threshold use the leader flat-combining path (paper §4.2.1);
 // larger payloads use the Partitioned Reducer (§4.2.2).
 func (c *Comm) Allreduce(in, out []byte, op collective.Op, dt collective.DType) {
-	c.r.stats.Allreduces++
+	c.r.count(&c.r.stats.Allreduces, 1)
 	sh := c.sh
 	ni := sh.nodeIdxOfRank[c.myRank]
 	tid := sh.localIdxOf[c.myRank]
@@ -323,7 +323,7 @@ func (c *Comm) Allreduce(in, out []byte, op collective.Op, dt collective.DType) 
 // Reduce folds every member's in buffer; the result lands in root's out
 // buffer (other ranks may pass nil).
 func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.DType) {
-	c.r.stats.Reduces++
+	c.r.count(&c.r.stats.Reduces, 1)
 	c.checkPeer(root, "root")
 	sh := c.sh
 	ni := sh.nodeIdxOfRank[c.myRank]
@@ -358,7 +358,7 @@ func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.
 
 // Bcast distributes root's buf to every member's buf.
 func (c *Comm) Bcast(buf []byte, root int) {
-	c.r.stats.Bcasts++
+	c.r.count(&c.r.stats.Bcasts, 1)
 	c.checkPeer(root, "root")
 	sh := c.sh
 	ni := sh.nodeIdxOfRank[c.myRank]
@@ -533,7 +533,7 @@ func (c *Comm) leaderBcast(myNi, rootNi, rootGlobal int, buf []byte) {
 // processes over a real transport; the gather/broadcast pair also provides
 // the synchronization the old table needed explicit barriers for.
 func (c *Comm) Split(color, key int) *Comm {
-	c.r.stats.Splits++
+	c.r.count(&c.r.stats.Splits, 1)
 	sh := c.sh
 	c.splitEpoch++
 
@@ -579,7 +579,7 @@ func (c *Comm) Split(color, key int) *Comm {
 // buffer (out must hold Size()*len(in) bytes at the root; others may pass
 // nil).  Collective.
 func (c *Comm) Gather(in, out []byte, root int) {
-	c.r.stats.Gathers++
+	c.r.count(&c.r.stats.Gathers, 1)
 	c.checkPeer(root, "root")
 	n := c.Size()
 	if c.myRank == root {
@@ -612,7 +612,7 @@ func (c *Comm) Allgather(in, out []byte) {
 // to each member's out buffer (in must hold Size()*len(out) bytes at the
 // root; others may pass nil).  Collective.
 func (c *Comm) Scatter(in, out []byte, root int) {
-	c.r.stats.Scatters++
+	c.r.count(&c.r.stats.Scatters, 1)
 	c.checkPeer(root, "root")
 	n := c.Size()
 	if c.myRank == root {

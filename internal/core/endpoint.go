@@ -13,11 +13,11 @@ import (
 // logical (sender, receiver, tag, comm) pair reuses the resolved object.
 // A Channel binds everything the per-call path used to recompute — the
 // chanKey hash lookup, the peer-rank translation, the SameNode placement
-// test, the eager-queue pointer, and the trace/metric handles — so the
-// steady-state Send/Recv fast paths touch only pre-resolved fields and
-// allocate nothing.  Comm.Send/Recv/Isend/Irecv are thin wrappers over a
-// per-rank open-addressed endpoint cache, so legacy callers get the same
-// fast path without source changes.
+// test, the eager-queue pointer, and the trace handle — so the steady-state
+// Send/Recv fast paths touch only pre-resolved fields and allocate nothing.
+// Comm.Send/Recv/Isend/Irecv are thin wrappers over a per-rank
+// open-addressed endpoint cache, so legacy callers get the same fast path
+// without source changes.
 
 // epDir distinguishes the two halves of a unidirectional channel.
 type epDir uint8
@@ -144,19 +144,13 @@ type Channel struct {
 	eagerMax int            // the eager/rendezvous threshold, resolved once
 	ch       *channel       // intra-node channel; nil when the peer is remote
 	q        *queue.PBQ     // eager queue, bound on first eager operation
-	rem      *remoteChannel // inter-node mailbox, bound on first nonblocking probe
+	rem      *remoteChannel // inter-node mailbox, bound on first use (see bindRemote)
 	batch    []byte         // SendBatch coalescing scratch, endpoint-owned
 
-	// Pre-resolved observability handles.  All nil when the corresponding
-	// layer is disabled, so the fast path pays one nil check per layer and
-	// zero map or interface hops.
-	trace      *obs.RankTrace
-	cSends     *obs.Counter // eager sends (send endpoints)
-	cSendBytes *obs.Counter
-	gDepth     *obs.Gauge
-	cStalls    *obs.Counter
-	cRecvs     *obs.Counter // eager receives (recv endpoints)
-	cRecvBytes *obs.Counter
+	// Pre-resolved observability handles, nil when the layer is off: the
+	// rank's trace ring, and the queue-depth high-water gauge senders sample.
+	trace  *obs.RankTrace
+	gDepth *obs.Gauge
 
 	freeReq *Request // intrusive free list of recycled requests
 }
@@ -173,7 +167,7 @@ func (r *Rank) endpoint(commID uint64, peer, tag int, dir epDir) *Channel {
 
 // newEndpoint builds and caches one endpoint: all the per-message work the
 // old per-call path repeated — peer validation, placement lookup, channel
-// resolution, metric handle resolution — happens exactly once, here.
+// resolution — happens exactly once, here.
 func (r *Rank) newEndpoint(k epKey) *Channel {
 	peer := int(k.peer)
 	if peer == r.id {
@@ -191,12 +185,10 @@ func (r *Rank) newEndpoint(k epKey) *Channel {
 		if k.dir == epRecv {
 			ck.src, ck.dst = peer, r.id
 		}
-		ep.ch = r.getChannel(ck)
+		ep.ch = lookupChannel(&r.rt.channels, ck)
 	}
-	if m := r.met; m != nil {
-		ep.cSends, ep.cSendBytes = m.sendsEager, m.bytesEager
-		ep.gDepth, ep.cStalls = m.pbqDepthMax, m.pbqStallWaits
-		ep.cRecvs, ep.cRecvBytes = m.recvsEager, m.bytesReceived
+	if m := r.rt.met; m != nil {
+		ep.gDepth = m.pbqDepthMax
 	}
 	r.eps.insert(k, ep)
 	return ep
@@ -229,19 +221,12 @@ func (ep *Channel) Send(buf []byte) {
 	}
 	if ep.ch != nil && len(buf) < ep.eagerMax {
 		if ep.ch.sendPend.head() == nil {
-			r := ep.r
-			r.stats.SendsEager++
-			r.stats.BytesSent += int64(len(buf))
 			q := ep.q
 			if q == nil {
 				q = ep.bindPBQ()
 			}
-			if ep.trace != nil {
-				ep.trace.Emit(obs.KSendEager, ep.peer32, int64(len(buf)))
-			}
-			if ep.cSends != nil {
-				ep.cSends.Inc()
-				ep.cSendBytes.Add(int64(len(buf)))
+			ep.r.note(reqSendEager, ep.peer32, len(buf))
+			if ep.gDepth != nil {
 				ep.gDepth.Max(int64(q.Len()))
 			}
 			if q.TryEnqueue(buf) {
@@ -262,9 +247,7 @@ func (ep *Channel) sendStall(q *queue.PBQ, buf []byte) {
 	if ep.trace != nil {
 		t0 = ep.trace.Now()
 	}
-	if ep.cStalls != nil {
-		ep.cStalls.Inc()
-	}
+	r.count(&r.stats.PBQStallWaits, 1)
 	r.pendRec = WaitRecord{Kind: WaitP2PSend, Peer: ep.peer, Tag: ep.tag, Comm: ep.comm}
 	r.leafWait(func() bool { return q.TryEnqueue(buf) })
 	if ep.trace != nil {
@@ -281,8 +264,6 @@ func (ep *Channel) Recv(buf []byte) int {
 	}
 	if ep.ch != nil && len(buf) < ep.eagerMax {
 		if ep.ch.recvPend.head() == nil {
-			r := ep.r
-			r.stats.RecvsEager++
 			q := ep.q
 			if q == nil {
 				q = ep.bindPBQ()
@@ -291,14 +272,7 @@ func (ep *Channel) Recv(buf []byte) int {
 			if !ok {
 				n = ep.recvStall(q, buf)
 			}
-			r.stats.BytesReceived += int64(n)
-			if ep.trace != nil {
-				ep.trace.Emit(obs.KRecvEager, ep.peer32, int64(n))
-			}
-			if ep.cRecvs != nil {
-				ep.cRecvs.Inc()
-				ep.cRecvBytes.Add(int64(n))
-			}
+			ep.r.note(reqRecvEager, ep.peer32, n)
 			return n
 		}
 	}
@@ -326,32 +300,20 @@ func (ep *Channel) Isend(buf []byte) *Request {
 	}
 	r := ep.r
 	req := ep.getReq()
-	if ep.ch == nil {
-		r.startRemoteSend(req, chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}, buf)
-		return req
-	}
-	r.stats.BytesSent += int64(len(buf))
 	req.ch, req.buf = ep.ch, buf
 	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
-	if len(buf) < ep.eagerMax {
-		r.stats.SendsEager++
+	switch {
+	case ep.ch == nil:
+		req.kind = reqRemoteSend
+	case len(buf) < ep.eagerMax:
 		req.kind = reqSendEager
-		if ep.trace != nil {
-			ep.trace.Emit(obs.KSendEager, ep.peer32, int64(len(buf)))
-		}
-		if ep.cSends != nil {
-			ep.cSends.Inc()
-			ep.cSendBytes.Add(int64(len(buf)))
-		}
-	} else {
-		r.stats.SendsRendezvous++
+	default:
 		req.kind = reqSendRvz
-		if ep.trace != nil {
-			ep.trace.Emit(obs.KSendRendezvous, ep.peer32, int64(len(buf)))
-		}
-		if r.met != nil {
-			r.met.countSend(reqSendRvz, len(buf))
-		}
+	}
+	r.note(req.kind, ep.peer32, len(buf))
+	if ep.ch == nil {
+		ep.startRemoteSend(req)
+		return req
 	}
 	ep.ch.sendPend.push(req)
 	r.progressSend(ep.ch)
@@ -369,15 +331,12 @@ func (ep *Channel) Irecv(buf []byte) *Request {
 	req.ch, req.buf = ep.ch, buf
 	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
 	if ep.ch == nil {
-		r.stats.RecvsRemote++
 		req.kind, req.rem = reqRemoteRecv, ep.bindRemote()
 		return req
 	}
 	if len(buf) < ep.eagerMax {
-		r.stats.RecvsEager++
 		req.kind = reqRecvEager
 	} else {
-		r.stats.RecvsRendezvous++
 		req.kind = reqRecvRvz
 	}
 	ep.ch.recvPend.push(req)

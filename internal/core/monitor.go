@@ -32,9 +32,6 @@ func (rt *Runtime) startMonitor() error {
 	}
 	mon := obs.NewMonitor(rt.cfg.Metrics, rt.RankStates)
 	mon.SetLinks(rt.LinkStates)
-	if rt.linkMet != nil {
-		mon.SetOnScrape(rt.linkMet.sync)
-	}
 	ms := &monitorServer{
 		ln:   ln,
 		srv:  &http.Server{Handler: mon.Handler()},

@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/obs"
 )
 
@@ -81,13 +84,114 @@ func TestMonitorLiveRun(t *testing.T) {
 		t.Fatalf("blocked wait state = %+v, want p2p-recv from rank 0 tag 7", w)
 	}
 	// The run's registry (not a private one) must be what the scrape serves:
-	// the runtime's pre-resolved metric set registers pure_* series on it.
+	// the runtime's collector reports the pure_* series through it.
 	names := map[string]bool{}
 	for _, c := range s.metrics.Counters {
 		names[c.Name] = true
 	}
 	if !names["pure_monitor_scrapes_total"] || !names["pure_sends_eager_total"] {
 		t.Fatalf("mid-run scrape missing runtime metrics: %+v", names)
+	}
+}
+
+// TestMetricsLiveScrape: ranks bump their cells (atomically, because the run
+// has a registry) while another goroutine scrapes /metrics as fast as it can.
+// Run under -race this is the check on the mixed plain/atomic discipline;
+// everywhere it checks that no scraped counter ever decreases and that the
+// final snapshot is exactly the harvested counters' sum.
+func TestMetricsLiveScrape(t *testing.T) {
+	met := obs.NewMetrics()
+	addr := make(chan string, 1)
+	stop := make(chan struct{})
+	var scrapes atomic.Int64
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		url := "http://" + <-addr + "/metrics"
+		last := map[string]int64{}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Errorf("scrape: %v", err)
+				scrapes.Add(1)
+				continue
+			}
+			snap, err := obs.ParsePrometheus(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("scrape does not parse: %v", err)
+			}
+			for _, c := range snap.Counters {
+				if c.Value < last[c.Name] {
+					t.Errorf("%s went from %d to %d", c.Name, last[c.Name], c.Value)
+				}
+				last[c.Name] = c.Value
+			}
+			scrapes.Add(1)
+		}
+	}()
+	stats, err := RunWithStats(Config{NRanks: 4, Metrics: met, MonitorAddr: "127.0.0.1:0"}, func(r *Rank) {
+		w, buf := r.World(), make([]byte, 8)
+		in, out := make([]byte, 8), make([]byte, 8)
+		if r.ID() == 0 {
+			addr <- r.MonitorAddr()
+		}
+		peer := r.ID() ^ 1
+		for it := 0; ; it++ {
+			if r.ID() < peer {
+				w.Send(buf, peer, 1)
+				w.Recv(buf, peer, 2)
+			} else {
+				w.Recv(buf, peer, 1)
+				w.Send(buf, peer, 2)
+			}
+			// Rank 0 decides when the scraper has seen enough; the Allreduce
+			// tells everyone.
+			in[0] = 0
+			if r.ID() == 0 && it >= 200 && scrapes.Load() >= 5 {
+				in[0] = 1
+			}
+			w.Allreduce(in, out, collective.OpSum, collective.Int64)
+			if out[0] != 0 {
+				break
+			}
+		}
+		if r.ID() == 0 {
+			// The monitor stops once the ranks have returned: stop scraping first.
+			close(stop)
+			scraper.Wait()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total RankStats
+	for _, st := range stats {
+		total.Add(st)
+	}
+	want := map[string]int64{}
+	for _, row := range rankSeries {
+		if row.name != "" {
+			want[row.name] += *row.cell(&total)
+		}
+	}
+	if want["pure_sends_eager_total"] < 800 || want["pure_allreduces_total"] < 800 {
+		t.Fatalf("the run did not do its work: %+v", total)
+	}
+	for _, c := range met.Snapshot().Counters {
+		if w, ok := want[c.Name]; ok && c.Value != w {
+			t.Errorf("%s = %d in the final snapshot, %d in the harvested stats", c.Name, c.Value, w)
+		}
+		delete(want, c.Name)
+	}
+	for name := range want {
+		t.Errorf("%s missing from the final snapshot", name)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/queue"
+	"repro/internal/schedpoint"
 )
 
 // chanKey identifies a persistent point-to-point channel: the paper's
@@ -83,48 +84,39 @@ func (m *chanMutex) lock() {
 }
 func (m *chanMutex) unlock() { m.state.Store(0) }
 
-// getChannel returns the persistent intra-node channel for key, creating it
-// on demand (paper §4.1: "we allocate a persistent 'channel' object that is
-// stored in the runtime system and is reused throughout the program").
-func (r *Rank) getChannel(key chanKey) *channel {
-	if ch, ok := r.chanCache[key]; ok {
-		return ch
-	}
-	ch := lookupChannel(&r.rt.channels, key)
-	r.chanCache[key] = ch
-	return ch
-}
-
 // lookupChannel resolves key in the shared channel-manager map, creating the
-// channel on demand.  This is the endpoint-creation seam: the two ranks of a
-// pair race to create the same channel on first use (typically from
-// newEndpoint), and the schedpoints let the purecheck model explore every
-// interleaving of that race.
+// persistent intra-node channel on demand (paper §4.1: "we allocate a
+// persistent 'channel' object that is stored in the runtime system and is
+// reused throughout the program").  This is the endpoint-creation seam: the
+// two ranks of a pair race to create the same channel on first use (from
+// newEndpoint, once per endpoint), and the schedpoints let the purecheck
+// model explore every interleaving of that race.
 func lookupChannel(m *sync.Map, key chanKey) *channel {
-	schedpoint("core:chan:lookup")
+	schedpoint.Point("core:chan:lookup")
 	if v, ok := m.Load(key); ok {
 		return v.(*channel)
 	}
-	schedpoint("core:chan:create")
+	schedpoint.Point("core:chan:create")
 	v, _ := m.LoadOrStore(key, &channel{})
 	return v.(*channel)
 }
 
-func (r *Rank) getRemote(key chanKey) *remoteChannel {
-	if ch, ok := r.remCache[key]; ok {
-		return ch
+// remote resolves key's inter-node mailbox, creating it on demand.  Callers
+// keep what it returns: an endpoint binds its mailbox once (bindRemote), an
+// RMA flow holds its own.
+func (rt *Runtime) remote(key chanKey) *remoteChannel {
+	if v, ok := rt.remotes.Load(key); ok {
+		return v.(*remoteChannel)
 	}
-	v, _ := r.rt.remotes.LoadOrStore(key, &remoteChannel{})
-	ch := v.(*remoteChannel)
-	r.remCache[key] = ch
-	return ch
+	v, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
+	return v.(*remoteChannel)
 }
 
 func (ch *channel) pbq(slots, maxPayload int) *queue.PBQ {
 	if q := ch.pbqOnce.Load(); q != nil {
 		return q
 	}
-	schedpoint("core:pbq:create")
+	schedpoint.Point("core:pbq:create")
 	q := queue.NewPBQ(slots, maxPayload)
 	if ch.pbqOnce.CompareAndSwap(nil, q) {
 		return q
@@ -225,29 +217,19 @@ func DecodeInterNodeTag(enc, bits int) (tag, srcLocal, dstLocal int) {
 // ---- Point-to-point operations (rank-level; Comm wraps these with rank
 // translation) ----
 
-// startRemoteSend starts the send of buf on the inter-node channel key,
-// filling in req (fresh from the endpoint's pool).  The send completes at post
-// time (MPI buffered-send semantics: the caller may reuse buf at once): the
-// modeled wire has copied it into the destination mailbox, the real transport
-// into the link's resend window, where loss, reordering and reconnects are
-// the link protocol's problem.
-func (r *Rank) startRemoteSend(req *Request, key chanKey, buf []byte) {
-	r.stats.BytesSent += int64(len(buf))
-	r.stats.SendsRemote++
-	if r.trace != nil {
-		r.trace.Emit(obs.KSendRemote, int32(key.dst), int64(len(buf)))
-	}
-	if r.met != nil {
-		r.met.countSend(reqRemoteSend, len(buf))
-	}
-	req.kind, req.buf = reqRemoteSend, buf
-	req.peer, req.tag, req.comm = int32(key.dst), key.tag, key.comm
+// startRemoteSend sends req's buffer on the endpoint's inter-node channel.
+// The send completes at post time (MPI buffered-send semantics: the caller
+// may reuse the buffer at once): the modeled wire has copied it into the
+// destination mailbox, the real transport into the link's resend window,
+// where loss, reordering and reconnects are the link protocol's problem.
+func (ep *Channel) startRemoteSend(req *Request) {
+	r := ep.r
 	if r.rt.tp != nil {
-		r.tpSendData(key, buf)
+		r.tpSendData(chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}, req.buf)
 	} else {
-		r.remoteSend(key, buf)
+		r.remoteSend(ep.bindRemote(), ep.peer, req.buf)
 	}
-	req.done, req.n = true, len(buf)
+	req.done, req.n = true, len(req.buf)
 }
 
 // waitKindFor maps a request's protocol path to its wait-registry kind.
@@ -371,11 +353,9 @@ func (r *Rank) progressSend(ch *channel) {
 				r.checkPoison() // receiver may have unwound without draining
 				gosched()       // completion ring full: receiver must drain; bounded wait
 			}
+			r.count(&r.stats.RendezvousHandoffs, 1)
 			if r.trace != nil {
 				r.trace.Emit(obs.KRendezvousHandoff, req.peer, int64(n))
-			}
-			if r.met != nil {
-				r.met.rvzHandoffs.Inc()
 			}
 		}
 		req.done = true
@@ -399,14 +379,6 @@ func (r *Rank) progressRecv(ch *channel) {
 				return
 			}
 			req.n = n
-			r.stats.BytesReceived += int64(n)
-			if r.trace != nil {
-				r.trace.Emit(obs.KRecvEager, req.peer, int64(n))
-			}
-			if r.met != nil {
-				r.met.recvsEager.Inc()
-				r.met.bytesReceived.Add(int64(n))
-			}
 		case reqRecvRvz:
 			rz := ch.rvz(r.rt.cfg.RendezvousDepth)
 			if !req.posted {
@@ -424,27 +396,19 @@ func (r *Rank) progressRecv(ch *channel) {
 			}
 			rz.Completions.TryPop()
 			req.n = c.Bytes
-			r.stats.BytesReceived += int64(c.Bytes)
-			if r.trace != nil {
-				r.trace.Emit(obs.KRecvRendezvous, req.peer, int64(c.Bytes))
-			}
-			if r.met != nil {
-				r.met.recvsRvz.Inc()
-				r.met.bytesReceived.Add(int64(c.Bytes))
-			}
 		}
+		r.note(req.kind, req.peer, req.n)
 		req.done = true
 		ch.recvPend.pop()
 	}
 }
 
-// remoteSend delivers buf to a rank on another node over the modeled wire:
-// pay the wire time, then copy it into the destination mailbox under the
+// remoteSend delivers buf to rank dst's mailbox rc on another node over the
+// modeled wire: pay the wire time, then copy it into the mailbox under the
 // destination node's NIC lock.
-func (r *Rank) remoteSend(key chanKey, buf []byte) {
-	rc := r.getRemote(key)
+func (r *Rank) remoteSend(rc *remoteChannel, dst int, buf []byte) {
 	r.rt.net.Transfer(len(buf))
-	nic := &r.rt.nodes[r.rt.place.NodeOf(key.dst)].nic
+	nic := &r.rt.nodes[r.rt.place.NodeOf(dst)].nic
 	nic.Lock()
 	rc.deposit(buf)
 	nic.Unlock()
@@ -452,11 +416,9 @@ func (r *Rank) remoteSend(key chanKey, buf []byte) {
 
 // remoteSendOwned is remoteSend for a payload the caller hands over (a
 // freshly encoded RMA frame): no defensive copy.
-func (r *Rank) remoteSendOwned(key chanKey, buf []byte) {
-	rc := r.getRemote(key)
+func (r *Rank) remoteSendOwned(rc *remoteChannel, dst int, buf []byte) {
 	r.rt.net.Transfer(len(buf))
-	dstNode := r.rt.place.NodeOf(key.dst)
-	nic := &r.rt.nodes[dstNode].nic
+	nic := &r.rt.nodes[r.rt.place.NodeOf(dst)].nic
 	nic.Lock()
 	rc.mu.lock()
 	rc.push(buf)
@@ -526,7 +488,9 @@ func (rc *remoteChannel) takeBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// progressRemoteRecv completes a remote receive if a message has arrived.
+// progressRemoteRecv completes a remote receive if a message has arrived:
+// copy it out, hand its buffer back, observe it.  TryRecv's inter-node arm is
+// this too, on a request of its own.
 func (r *Rank) progressRemoteRecv(req *Request) {
 	rc := req.rem
 	if rc.n.Load() == 0 {
@@ -541,13 +505,6 @@ func (r *Rank) progressRemoteRecv(req *Request) {
 	}
 	req.n = copy(req.buf, msg)
 	rc.recycle(msg)
-	r.stats.BytesReceived += int64(req.n)
-	if r.trace != nil {
-		r.trace.Emit(obs.KRecvRemote, req.peer, int64(req.n))
-	}
-	if r.met != nil {
-		r.met.recvsRemote.Inc()
-		r.met.bytesReceived.Add(int64(req.n))
-	}
+	r.note(reqRemoteRecv, req.peer, req.n)
 	req.done = true
 }

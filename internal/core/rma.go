@@ -8,6 +8,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/obs"
 	"repro/internal/rma"
+	"repro/internal/schedpoint"
 )
 
 // One-sided communication (RMA): the core-layer glue around internal/rma.
@@ -53,8 +54,7 @@ func (r *Rank) rmaFlowFor(key chanKey) *rmaFlow {
 	if f, ok := r.rmaFlowCache[key]; ok {
 		return f
 	}
-	rc := r.getRemote(key)
-	v, _ := r.rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rc})
+	v, _ := r.rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: r.rt.remote(key)})
 	f := v.(*rmaFlow)
 	if r.rmaFlowCache == nil {
 		r.rmaFlowCache = make(map[chanKey]*rmaFlow)
@@ -192,9 +192,7 @@ func (r *Rank) rmaTransmit(commID uint64, dstGlobal int, f *rma.Frame) (*rmaFlow
 	flow := r.rmaFlowFor(key)
 	buf := f.Encode()
 	flow.sent++
-	if r.met != nil {
-		r.met.rmaRemotePackets.Inc()
-	}
+	r.count(&r.stats.RmaRemotePackets, 1)
 	if r.rt.tp != nil {
 		// Real transport: the encoded frame rides the link's sequenced
 		// stream into the target process's mailbox; the applied watermark
@@ -202,7 +200,7 @@ func (r *Rank) rmaTransmit(commID uint64, dstGlobal int, f *rma.Frame) (*rmaFlow
 		r.tpSendData(key, buf)
 		return flow, flow.sent
 	}
-	r.remoteSendOwned(key, buf)
+	r.remoteSendOwned(flow.rc, dstGlobal, buf)
 	return flow, flow.sent
 }
 
@@ -230,7 +228,7 @@ func (r *Rank) rmaProgress() {
 	defer func() { r.inRmaProgress = false }()
 
 	for _, in := range r.rmaIn {
-		schedpoint("core:rma:drain-inbox")
+		schedpoint.Point("core:rma:drain-inbox")
 		drained := 0
 		for in.flow.rc.n.Load() > 0 {
 			msg, ok := in.flow.rc.tryPop()
@@ -238,7 +236,7 @@ func (r *Rank) rmaProgress() {
 				break
 			}
 			r.rmaApply(in, msg)
-			schedpoint("core:rma:applied")
+			schedpoint.Point("core:rma:applied")
 			in.flow.applied.Add(1)
 			drained++
 			r.slot.progress.Add(1) // frame application is forward progress
@@ -264,7 +262,7 @@ func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 		}
 		delete(r.rmaGets, f.Aux)
 		req.n = copy(req.buf, f.Payload)
-		r.stats.BytesReceived += int64(req.n)
+		r.count(&r.stats.BytesReceived, int64(req.n))
 		req.done = true
 		return
 	}
@@ -275,9 +273,7 @@ func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 	switch f.Kind {
 	case rma.FramePut:
 		w.CopyIn(int(f.Target), int(f.Off), f.Payload)
-		if r.met != nil {
-			r.met.rmaPutCopies.Inc()
-		}
+		r.count(&r.stats.RmaPutCopies, 1)
 	case rma.FrameAcc:
 		op, dt := rma.UnpackAcc(f.Aux)
 		w.AccumulateLocal(int(f.Target), int(f.Off), f.Payload, op, dt, func(cond func() bool) {
@@ -333,21 +329,15 @@ func (win *Win) Rput(data []byte, target, off int) *Request {
 	r := c.r
 	c.checkPeer(target, "Put target")
 	win.w.Check(target, off, len(data), "Put")
-	r.stats.RmaPuts++
-	r.stats.RmaBytesPut += int64(len(data))
+	r.count(&r.stats.RmaPuts, 1)
+	r.count(&r.stats.RmaBytesPut, int64(len(data)))
 	if r.trace != nil {
 		r.trace.Emit(obs.KRmaPut, int32(c.sh.members[target]), int64(len(data)))
-	}
-	if r.met != nil {
-		r.met.rmaPuts.Inc()
-		r.met.rmaBytes.Add(int64(len(data)))
 	}
 	g, sameNode := win.local(target)
 	if sameNode {
 		win.w.CopyIn(target, off, data)
-		if r.met != nil {
-			r.met.rmaPutCopies.Inc()
-		}
+		r.count(&r.stats.RmaPutCopies, 1)
 		return &Request{kind: reqRmaRemote, peer: int32(g), tag: rmaTag, comm: win.key.Comm, done: true}
 	}
 	f := &rma.Frame{Kind: rma.FramePut, WinSeq: win.key.Seq, Origin: uint32(c.myRank), Target: uint32(target), Off: uint64(off), Payload: data}
@@ -370,13 +360,10 @@ func (win *Win) Rget(dest []byte, target, off int) *Request {
 	r := c.r
 	c.checkPeer(target, "Get target")
 	win.w.Check(target, off, len(dest), "Get")
-	r.stats.RmaGets++
+	r.count(&r.stats.RmaGets, 1)
+	r.count(&r.stats.RmaBytesGot, int64(len(dest)))
 	if r.trace != nil {
 		r.trace.Emit(obs.KRmaGet, int32(c.sh.members[target]), int64(len(dest)))
-	}
-	if r.met != nil {
-		r.met.rmaGets.Inc()
-		r.met.rmaBytes.Add(int64(len(dest)))
 	}
 	g, sameNode := win.local(target)
 	if sameNode {
@@ -404,14 +391,10 @@ func (win *Win) Accumulate(data []byte, target, off int, op collective.Op, dt co
 	r := c.r
 	c.checkPeer(target, "Accumulate target")
 	win.w.Check(target, off, len(data), "Accumulate")
-	r.stats.RmaAccumulates++
-	r.stats.RmaBytesPut += int64(len(data))
+	r.count(&r.stats.RmaAccumulates, 1)
+	r.count(&r.stats.RmaBytesPut, int64(len(data)))
 	if r.trace != nil {
 		r.trace.Emit(obs.KRmaAcc, int32(c.sh.members[target]), int64(len(data)))
-	}
-	if r.met != nil {
-		r.met.rmaAccs.Inc()
-		r.met.rmaBytes.Add(int64(len(data)))
 	}
 	g, sameNode := win.local(target)
 	if sameNode {
@@ -443,36 +426,26 @@ func (win *Win) Fence() {
 		// guarantee: everyone's outstanding operations were applied (their
 		// completePending ran first) before anyone proceeds.
 		win.c.Barrier()
-		r.stats.RmaFences++
-		if r.trace != nil {
-			r.trace.EmitSpan(obs.KRmaFence, -1, int64(win.fenceRound), t0)
+	} else {
+		win.w.FenceArrive(win.c.myRank, win.fenceRound)
+		if !win.w.FenceReached(win.fenceRound) {
+			lw := lazyWait{r: r, rec: WaitRecord{
+				Kind: WaitRmaFence, Peer: -1, Tag: rmaTag, Comm: win.key.Comm, Seq: win.fenceRound, Op: "fence",
+			}}
+			lw.wait(func() bool {
+				if win.w.FenceReached(win.fenceRound) {
+					return true
+				}
+				schedpoint.Point("core:rma:fence-poll")
+				r.rmaProgress()
+				return win.w.FenceReached(win.fenceRound)
+			})
+			lw.finish()
 		}
-		if r.met != nil {
-			r.met.rmaFences.Inc()
-		}
-		return
 	}
-	win.w.FenceArrive(win.c.myRank, win.fenceRound)
-	if !win.w.FenceReached(win.fenceRound) {
-		lw := lazyWait{r: r, rec: WaitRecord{
-			Kind: WaitRmaFence, Peer: -1, Tag: rmaTag, Comm: win.key.Comm, Seq: win.fenceRound, Op: "fence",
-		}}
-		lw.wait(func() bool {
-			if win.w.FenceReached(win.fenceRound) {
-				return true
-			}
-			schedpoint("core:rma:fence-poll")
-			r.rmaProgress()
-			return win.w.FenceReached(win.fenceRound)
-		})
-		lw.finish()
-	}
-	r.stats.RmaFences++
+	r.count(&r.stats.RmaFences, 1)
 	if r.trace != nil {
 		r.trace.EmitSpan(obs.KRmaFence, -1, int64(win.fenceRound), t0)
-	}
-	if r.met != nil {
-		r.met.rmaFences.Inc()
 	}
 }
 
@@ -611,10 +584,7 @@ func (win *Win) Notify(target, slot int) {
 	c := win.c
 	r := c.r
 	c.checkPeer(target, "Notify target")
-	r.stats.RmaNotifies++
-	if r.met != nil {
-		r.met.rmaNotifies.Inc()
-	}
+	r.count(&r.stats.RmaNotifies, 1)
 	g, sameNode := win.local(target)
 	if sameNode {
 		win.w.Notify(target, slot)
@@ -645,7 +615,7 @@ func (win *Win) NotifyWait(slot, count int) {
 		if win.w.NotifyCount(me, slot) >= need {
 			return true
 		}
-		schedpoint("core:rma:notify-poll")
+		schedpoint.Point("core:rma:notify-poll")
 		r.rmaProgress()
 		return win.w.NotifyCount(me, slot) >= need
 	})

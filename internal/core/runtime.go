@@ -113,8 +113,11 @@ type Config struct {
 	// NRanks ranks (obs.NewTrace).  When nil, every instrumentation site
 	// costs a single pointer nil check.
 	Trace *obs.Trace
-	// Metrics, when non-nil, registers live counters/gauges/histograms that
-	// may be snapshotted at any time, including mid-run.
+	// Metrics, when non-nil, is the registry the run reports through: a
+	// snapshot taken at any time — mid-run, or after Run has returned — reads
+	// the ranks' counters, the link counters and the runtime's few registry
+	// objects as they stand (see collector).  Setting it is also what
+	// makes the ranks' counter updates atomic.
 	Metrics *obs.Metrics
 	// MonitorAddr, when non-empty, serves the live runtime monitor on that
 	// TCP address for the duration of the run: a Prometheus scrape of
@@ -239,12 +242,13 @@ type Runtime struct {
 
 	world *commShared
 
-	// met holds the pre-resolved metric handles when cfg.Metrics is set
-	// (nil otherwise — the disabled state every hot path nil-checks).
-	met *metricSet
-	// linkMet mirrors the transport's per-link counters into per-peer
-	// labeled series (nil without both a transport and a registry).
-	linkMet *linkMetrics
+	// stats are the ranks' counter cells, indexed by global rank: written by
+	// their rank, harvested after the run and, when cfg.Metrics is set, read
+	// at any time by the registry's collector (see collector).  met holds the
+	// few metrics that are registry objects of their own (nil without a
+	// registry).
+	stats []rankCells
+	met   *metricSet
 
 	// waitSlots is the wait registry: one slot per rank, scanned by the
 	// watchdog and harvested into RunError diagnostics on abort.
@@ -270,12 +274,12 @@ type Rank struct {
 	thief *sched.Thief
 	wait  ssw.Waiter
 	world *Comm
-	stats RankStats
+	// stats points at the rank's cells in Runtime.stats; every write goes
+	// through count, which is atomic exactly when liveStats says a collector
+	// may be reading (Config.Metrics is set).
+	stats     *RankStats
+	liveStats bool
 
-	// chanCache avoids the shared channel-manager map on the fast path; the
-	// paper's channels are persistent objects reused for the whole program.
-	chanCache map[chanKey]*channel
-	remCache  map[chanKey]*remoteChannel
 	// eps is the persistent-endpoint cache (Comm.SendChannel/RecvChannel):
 	// an open-addressed table owned by this rank's goroutine, so repeat
 	// pairs resolve with one hash and no locks.
@@ -292,9 +296,8 @@ type Rank struct {
 	inRmaProgress bool
 
 	// trace is this rank's single-writer event ring (nil when tracing is
-	// off); met is the runtime's shared metric set (nil when metrics are off).
+	// off).
 	trace *obs.RankTrace
-	met   *metricSet
 
 	// slot is the rank's entry in the runtime's wait registry (watchdog and
 	// abort diagnostics read it).
@@ -317,6 +320,11 @@ type Rank struct {
 	// needs wait records published while ranks are still blocked (not just
 	// at abort unwind).
 	liveWaitRecords bool
+
+	// Ranks are allocated back to back; the pad keeps one rank's wait record
+	// (rewritten at every blocking wait) off the cacheline the next rank's
+	// handle starts on.
+	_ [64]byte
 }
 
 // ID returns the rank's global id in [0, NRanks).
@@ -348,9 +356,9 @@ func Run(cfg Config, main func(r *Rank)) error {
 	return runInternal(cfg, main, nil)
 }
 
-// runInternal is Run with an optional post-run hook over the rank handles
-// (used by RunWithStats to harvest profiling counters).
-func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
+// runInternal is Run with an optional post-run hook (used by RunWithStats to
+// harvest the ranks' counter cells).
+func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 	rcfg, err := cfg.withDefaults()
 	if err != nil {
 		return err
@@ -360,8 +368,10 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 		return fmt.Errorf("core: placing ranks: %w", err)
 	}
 	rt := &Runtime{cfg: rcfg, place: place, net: netsim.New(rcfg.Net), cells: make([]*ssw.WakeCell, rcfg.NRanks)}
+	rt.stats = make([]rankCells, rcfg.NRanks)
 	for i := range rt.cells {
 		rt.cells[i] = ssw.NewWakeCell()
+		rt.stats[i].Rank, rt.stats[i].Node = i, place.NodeOf(i)
 	}
 	if rcfg.Metrics == nil && rcfg.MonitorAddr != "" {
 		// A monitored run without an explicit registry still wants /metrics
@@ -370,8 +380,11 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 		rcfg.Metrics = obs.NewMetrics()
 		rt.cfg.Metrics = rcfg.Metrics
 	}
+	var col *collector
 	if rcfg.Metrics != nil {
 		rt.met = newMetricSet(rcfg.Metrics)
+		col = &collector{stats: rt.stats, rt: rt}
+		defer col.finish() // deferred first, so it runs last: after the transport's Close
 	}
 	rt.nodes = make([]*nodeState, rcfg.Spec.Nodes)
 	for n := range rt.nodes {
@@ -430,9 +443,6 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 			rt.tpFinished.Store(true)
 			tp.Close()
 		}()
-		if rt.met != nil {
-			rt.linkMet = newLinkMetrics(tp, rt.met.reg)
-		}
 		myNode := tp.Node()
 		localRank = func(id int) bool { return place.NodeOf(id) == myNode }
 	}
@@ -468,6 +478,11 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 	}
 
 	rt.waitSlots = make([]rankWaitSlot, rcfg.NRanks)
+	if col != nil {
+		// Everything the collector reads — the cells, the transport — exists
+		// by now.
+		rcfg.Metrics.Collect(col.collect)
+	}
 	if rcfg.MonitorAddr != "" {
 		if err := rt.startMonitor(); err != nil {
 			return fmt.Errorf("core: starting monitor: %w", err)
@@ -488,6 +503,9 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 		go func(id int) {
 			defer wg.Done()
 			defer func() {
+				if r := ranks[id]; r != nil {
+					r.settleStats()
+				}
 				rt.waitSlots[id].done.Store(true)
 				p := recover()
 				if p == nil {
@@ -565,9 +583,8 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 		}
 		rcfg.Trace.SetMeta(meta)
 	}
-	rt.harvestObs(ranks)
 	if harvest != nil {
-		harvest(ranks)
+		harvest(rt)
 	}
 
 	if rcfg.HelpersPerNode > 0 {
@@ -606,8 +623,8 @@ func (rt *Runtime) newRank(id int) *Rank {
 		rt:        rt,
 		node:      node,
 		local:     local,
-		chanCache: make(map[chanKey]*channel),
-		remCache:  make(map[chanKey]*remoteChannel),
+		stats:     &rt.stats[id].RankStats,
+		liveStats: rt.cfg.Metrics != nil,
 		slot:      &rt.waitSlots[id],
 
 		// Live wait-record publication feeds both the hang watchdog and
@@ -631,12 +648,7 @@ func (rt *Runtime) newRank(id int) *Rank {
 }
 
 // Metrics returns the run's metrics registry, or nil when metrics are off.
-func (r *Rank) Metrics() *obs.Metrics {
-	if r.met == nil {
-		return nil
-	}
-	return r.met.reg
-}
+func (r *Rank) Metrics() *obs.Metrics { return r.rt.cfg.Metrics }
 
 func allRanks(n int) []int {
 	m := make([]int, n)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/rma"
+	"repro/internal/schedpoint"
 	"repro/internal/shmem"
 )
 
@@ -141,7 +142,7 @@ func (s *Shm) Put(target int, off int64, data []byte) {
 	r := c.r
 	c.checkPeer(target, "shmem Put target")
 	s.win.w.Check(target, int(off), len(data), "shmem Put")
-	r.stats.ShmemPuts++
+	r.count(&r.stats.ShmemPuts, 1)
 	g, same := s.win.local(target)
 	if same {
 		s.win.w.CopyIn(target, int(off), data)
@@ -158,7 +159,7 @@ func (s *Shm) Get(target int, off int64, dest []byte) {
 	r := c.r
 	c.checkPeer(target, "shmem Get target")
 	s.win.w.Check(target, int(off), len(dest), "shmem Get")
-	r.stats.ShmemGets++
+	r.count(&r.stats.ShmemGets, 1)
 	g, same := s.win.local(target)
 	if same {
 		s.win.w.CopyOut(target, int(off), dest)
@@ -176,7 +177,7 @@ func (s *Shm) AtomicAdd(target int, off, delta int64) {
 	c := s.win.c
 	r := c.r
 	c.checkPeer(target, "shmem AtomicAdd target")
-	r.stats.ShmemAtomics++
+	r.count(&r.stats.ShmemAtomics, 1)
 	g, same := s.win.local(target)
 	if same {
 		shmem.AtomicAdd(s.win.w.Buffer(target), int(off), delta)
@@ -192,7 +193,7 @@ func (s *Shm) AtomicFetchAdd(target int, off, delta int64) int64 {
 	c := s.win.c
 	r := c.r
 	c.checkPeer(target, "shmem AtomicFetchAdd target")
-	r.stats.ShmemAtomics++
+	r.count(&r.stats.ShmemAtomics, 1)
 	g, same := s.win.local(target)
 	if same {
 		return shmem.AtomicFetchAdd(s.win.w.Buffer(target), int(off), delta)
@@ -210,7 +211,7 @@ func (s *Shm) AtomicCAS(target int, off, old, new int64) int64 {
 	c := s.win.c
 	r := c.r
 	c.checkPeer(target, "shmem AtomicCAS target")
-	r.stats.ShmemAtomics++
+	r.count(&r.stats.ShmemAtomics, 1)
 	g, same := s.win.local(target)
 	if same {
 		return shmem.AtomicCAS(s.win.w.Buffer(target), int(off), old, new)
@@ -227,7 +228,7 @@ func (s *Shm) AtomicStore(target int, off, v int64) {
 	c := s.win.c
 	r := c.r
 	c.checkPeer(target, "shmem AtomicStore target")
-	r.stats.ShmemAtomics++
+	r.count(&r.stats.ShmemAtomics, 1)
 	g, same := s.win.local(target)
 	if same {
 		shmem.AtomicStore(s.win.w.Buffer(target), int(off), v)
@@ -244,7 +245,7 @@ func (s *Shm) AtomicLoad(target int, off int64) int64 {
 	c := s.win.c
 	c.checkPeer(target, "shmem AtomicLoad target")
 	if _, same := s.win.local(target); same {
-		c.r.stats.ShmemAtomics++
+		c.r.count(&c.r.stats.ShmemAtomics, 1)
 		return shmem.AtomicLoad(s.win.w.Buffer(target), int(off))
 	}
 	return s.AtomicFetchAdd(target, off, 0)
@@ -378,7 +379,7 @@ func (m *Mailbox) TrySend(msg []byte) bool {
 		shmem.SendFill(buf, rg, t, msg)
 		shmem.SendPublish(buf, rg, t)
 		s.win.w.Notify(m.owner, m.slot)
-		r.stats.ShmemSends++
+		r.count(&r.stats.ShmemSends, 1)
 		return true
 	}
 	for {
@@ -398,7 +399,7 @@ func (m *Mailbox) TrySend(msg []byte) bool {
 		s.AtomicStore(m.owner, rg.LenOff(i), int64(len(msg)))
 		s.AtomicStore(m.owner, rg.StampOff(i), t+1)
 		s.win.Notify(m.owner, m.slot)
-		r.stats.ShmemSends++
+		r.count(&r.stats.ShmemSends, 1)
 		return true
 	}
 }
@@ -449,7 +450,8 @@ func (m *Mailbox) consume(dst []byte) int {
 	}
 	n := shmem.Consume(m.s.buf, m.ring, m.head, dst)
 	m.head++
-	m.s.win.c.r.stats.ShmemRecvs++
+	r := m.s.win.c.r
+	r.count(&r.stats.ShmemRecvs, 1)
 	return n
 }
 
@@ -469,7 +471,7 @@ func (m *Mailbox) Recv(dst []byte) int {
 		if m.ready() {
 			return true
 		}
-		schedpoint("core:shmem:recv-poll")
+		schedpoint.Point("core:shmem:recv-poll")
 		r.rmaProgress()
 		return m.ready()
 	})
@@ -509,7 +511,7 @@ func (s *Shm) Select(mboxes ...*Mailbox) int {
 		if scan() {
 			return true
 		}
-		schedpoint("core:shmem:select-poll")
+		schedpoint.Point("core:shmem:select-poll")
 		r.rmaProgress()
 		return scan()
 	})

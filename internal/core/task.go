@@ -54,15 +54,11 @@ func (t *Task) Execute(extra any) sched.RunStats {
 	lw := lazyWait{r: r, rec: WaitRecord{Kind: WaitTask, Peer: -1, Seq: uint64(t.nchunks), Op: "execute"}}
 	stats := ns.sched.Run(r.local, t.nchunks, t.body, extra, lw.wait)
 	lw.finish()
-	r.stats.TasksExecuted++
-	r.stats.ChunksOwned += stats.OwnerChunks
-	r.stats.ChunksStolen += stats.StolenChunks
+	r.count(&r.stats.TasksExecuted, 1)
+	r.count(&r.stats.ChunksOwned, stats.OwnerChunks)
+	r.count(&r.stats.ChunksStolen, stats.StolenChunks)
 	if r.trace != nil {
 		r.trace.EmitSpan(obs.KTaskExecute, -1, t.nchunks, t0)
-	}
-	if r.met != nil {
-		r.met.tasks.Inc()
-		r.met.chunksStolen.Add(stats.StolenChunks)
 	}
 	return stats
 }

@@ -86,10 +86,15 @@ func tcpAllOK(t *testing.T, errs []error) {
 	}
 }
 
-// tcpCounter sums one counter over the nodes' registries.
+// tcpCounter sums one counter series over the nodes' registries, as their
+// snapshots report it.
 func tcpCounter(mets []*obs.Metrics, name string) (sum int64) {
 	for _, m := range mets {
-		sum += m.Counter(name).Value()
+		for _, c := range m.Snapshot().Counters {
+			if c.Name == name {
+				sum += c.Value
+			}
+		}
 	}
 	return sum
 }
@@ -279,6 +284,56 @@ func TestChaosTCPLossyRecovers(t *testing.T) {
 	}
 	if tcpCounter(mets, "pure_tp_retransmits_total") == 0 {
 		t.Fatal("drops were injected but nothing was retransmitted")
+	}
+}
+
+// TestChaosTCPDrainIsCounted: link series are read when the snapshot is
+// taken, so they include what Transport.Close's drain did.  Node 0 drops
+// every first transmission and its rank's last act is a send, which therefore
+// only reaches node 1 by a retransmission made during the drain, after the
+// rank has returned.  The registry's snapshot after Run must carry that
+// retransmission: it equals Transport.Stats() after Close, per peer and
+// summed.
+func TestChaosTCPDrainIsCounted(t *testing.T) {
+	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
+	var rts [2]*Runtime
+	errs := tcpWorld(t, 2, 1, func(n int, cfg *Config) {
+		cfg.Metrics = mets[n]
+		cfg.Transport.RetryBackoff = 2 * time.Millisecond
+		if n == 0 {
+			cfg.Transport.Faults = transport.Faults{Seed: 1, DropProb: 1}
+		}
+	}, func(r *Rank) {
+		w, buf := r.World(), make([]byte, 8)
+		rts[r.ID()] = r.Runtime()
+		if r.ID() == 0 {
+			w.Recv(buf, 1, 1) // the link is up
+			w.Send(buf, 1, 2) // dropped; nothing but the drain is left to resend it
+		} else {
+			w.Send(buf, 0, 1)
+			w.Recv(buf, 0, 2)
+		}
+	})
+	tcpAllOK(t, errs)
+	for n, rt := range rts {
+		peer := 1 - n
+		final := rt.tp.Stats()[peer] // after Close
+		label := fmt.Sprintf(`{peer="%d"}`, peer)
+		for name, want := range map[string]int64{
+			"pure_link_frames_sent_total" + label:  final.FramesSent,
+			"pure_link_retransmits_total" + label:  final.Retransmits,
+			"pure_link_retry_rounds_total" + label: final.RetryRounds,
+			"pure_link_acks_recv_total" + label:    final.AcksRecv,
+			"pure_tp_retransmits_total":            final.Retransmits,
+			"pure_tp_drops_injected_total":         final.DropsInjected,
+		} {
+			if got := tcpCounter(mets[n:n+1], name); got != want {
+				t.Errorf("node %d: %s = %d in the snapshot, %d in Transport.Stats() after Close", n, name, got, want)
+			}
+		}
+		if n == 0 && (final.DropsInjected == 0 || final.Retransmits == 0 || final.Unacked != 0) {
+			t.Errorf("node 0's last send was not recovered by the drain: %+v", final)
+		}
 	}
 }
 
@@ -487,7 +542,7 @@ func BenchmarkTCPPingPong8B(b *testing.B) {
 // serves /metrics, /ranks and /links.  The delta against
 // BenchmarkTCPPingPong8B is the link-telemetry overhead, which must stay
 // under 5% — the counters are lock-free atomics off the syscall path, and
-// the labeled-series mirror only syncs on scrape.
+// the registry reads them only when a snapshot is taken.
 func BenchmarkTCPPingPong8BMonitored(b *testing.B) {
 	n := b.N
 	errs := tcpWorld(b, 2, 1, func(node int, cfg *Config) {
@@ -597,6 +652,60 @@ func TestModeledWirePingPongAllocs(t *testing.T) {
 	})
 	if perRoundTrip != 0 {
 		t.Fatalf("modeled-wire ping-pong allocates %.2f times per round trip, want 0", perRoundTrip)
+	}
+}
+
+// TestChannelPingPongAllocs is the gate on the intra-node endpoint paths,
+// blocking and pooled nonblocking: 0 allocations per round trip, with the
+// counter cells plain (no registry) and atomic (one set) alike.
+func TestChannelPingPongAllocs(t *testing.T) {
+	const warm, runs = 200, 2000
+	for _, tc := range []struct {
+		name                 string
+		nonblocking, metrics bool
+	}{
+		{"blocking", false, false},
+		{"blocking/metrics", false, true},
+		{"isend-irecv", true, false},
+		{"isend-irecv/metrics", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{NRanks: 2}
+			if tc.metrics {
+				cfg.Metrics = obs.NewMetrics()
+			}
+			var perRoundTrip float64
+			err := Run(cfg, func(r *Rank) {
+				w, buf := r.World(), make([]byte, 8)
+				send, recv := func(ch *Channel) { ch.Send(buf) }, func(ch *Channel) { ch.Recv(buf) }
+				if tc.nonblocking {
+					send, recv = func(ch *Channel) { w.Wait(ch.Isend(buf)) }, func(ch *Channel) { w.Wait(ch.Irecv(buf)) }
+				}
+				if r.ID() == 0 {
+					ping, pong := w.SendChannel(1, 5), w.RecvChannel(1, 6)
+					roundTrip := func() {
+						send(ping)
+						recv(pong)
+					}
+					for i := 0; i < warm; i++ {
+						roundTrip()
+					}
+					perRoundTrip = testing.AllocsPerRun(runs, roundTrip)
+					return
+				}
+				ping, pong := w.RecvChannel(0, 5), w.SendChannel(0, 6)
+				for i := 0; i < warm+1+runs; i++ {
+					recv(ping)
+					send(pong)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perRoundTrip != 0 {
+				t.Fatalf("channel ping-pong allocates %.2f times per round trip, want 0", perRoundTrip)
+			}
+		})
 	}
 }
 
@@ -914,9 +1023,8 @@ func TestChaosTCPStreamCombines(t *testing.T) {
 		w.Send(buf, 0, 4)
 	})
 	tcpAllOK(t, errs)
-	peer := obs.Label{Key: "peer", Value: "1"}
-	frames := mets[0].CounterL("pure_link_frames_sent_total", peer).Value()
-	writes := mets[0].CounterL("pure_link_writes_total", peer).Value()
+	frames := tcpCounter(mets[:1], `pure_link_frames_sent_total{peer="1"}`)
+	writes := tcpCounter(mets[:1], `pure_link_writes_total{peer="1"}`)
 	t.Logf("node 0 -> 1: %d frames in %d writes", frames, writes)
 	if writes == 0 || frames < n || 2*writes > frames {
 		t.Errorf("%d frames in %d writes: the burst was not combined (or not counted)", frames, writes)

@@ -40,11 +40,7 @@ func (rt *Runtime) tpDeliver(f *transport.Frame) {
 		return
 	}
 	key := chanKey{src: int(f.SrcRank), dst: int(f.DstRank), tag: int(f.Tag), comm: f.Comm}
-	v, ok := rt.remotes.Load(key)
-	if !ok {
-		v, _ = rt.remotes.LoadOrStore(key, &remoteChannel{})
-	}
-	v.(*remoteChannel).deposit(f.Payload)
+	rt.remote(key).deposit(f.Payload)
 	f.Waiting = rt.wake(int(f.DstRank))
 }
 
@@ -65,11 +61,7 @@ func (rt *Runtime) tpApplied(f *transport.Frame) {
 	key := chanKey{src: int(f.DstRank), dst: int(f.SrcRank), tag: rmaTag, comm: f.Comm}
 	v, ok := rt.rmaFlows.Load(key)
 	if !ok {
-		rcv, ok := rt.remotes.Load(key)
-		if !ok {
-			rcv, _ = rt.remotes.LoadOrStore(key, &remoteChannel{})
-		}
-		v, _ = rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rcv.(*remoteChannel)})
+		v, _ = rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rt.remote(key)})
 	}
 	flow := v.(*rmaFlow)
 	for {

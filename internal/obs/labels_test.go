@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -130,15 +131,47 @@ func TestCounterLHandleStability(t *testing.T) {
 	}
 }
 
-// TestCounterStoreMirrorsMonotonicSource checks the Store path the link
-// telemetry mirror uses: repeated syncs must not double-count.
-func TestCounterStoreMirrorsMonotonicSource(t *testing.T) {
+// TestCollectorsReadAtSnapshotTime checks the registry's read side: a
+// collector is evaluated by every Snapshot (so repeated snapshots serve the
+// source's current value and never double-count), same-named counters add
+// up across collectors and with a registry counter, and the link table
+// exports a counter per peer and summed.
+func TestCollectorsReadAtSnapshotTime(t *testing.T) {
 	m := NewMetrics()
-	c := m.CounterL("mirror_total", Label{"peer", "2"})
-	c.Store(10)
-	c.Store(10)
-	c.Store(25)
-	if c.Value() != 25 {
-		t.Fatalf("Counter.Store: value = %d, want 25", c.Value())
+	m.Counter("shared_total").Add(1)
+	var src int64 = 10
+	for i := 0; i < 2; i++ {
+		m.Collect(func(s *Sink) { s.Counter("shared_total", src) })
 	}
+	links := []LinkState{{Peer: 1, FramesSent: 5, Up: true}, {Peer: 2, FramesSent: 7, Dead: true}}
+	m.Collect(func(s *Sink) { ReportLinks(s, links) })
+
+	want := map[string]int64{
+		"shared_total": 21, `pure_link_frames_sent_total{peer="1"}`: 5, `pure_link_frames_sent_total{peer="2"}`: 7,
+		"pure_tp_frames_sent_total": 12, "pure_tp_dead_peers_total": 1, `pure_link_up{peer="1"}`: 1, `pure_link_up{peer="2"}`: 0,
+	}
+	check := func() {
+		t.Helper()
+		snap := m.Snapshot()
+		got := map[string]int64{}
+		for _, c := range snap.Counters {
+			got[c.Name] = c.Value
+		}
+		for _, g := range snap.Gauges {
+			got[g.Name] = g.Value
+		}
+		for name, v := range want {
+			if got[name] != v {
+				t.Errorf("%s = %d, want %d", name, got[name], v)
+			}
+		}
+		if !sort.SliceIsSorted(snap.Counters, func(a, b int) bool { return snap.Counters[a].Name < snap.Counters[b].Name }) {
+			t.Error("collected counters not merged into name order")
+		}
+	}
+	check()
+	check() // a second snapshot reads again, it does not accumulate
+	src, links[0].FramesSent = 25, 6
+	want["shared_total"], want[`pure_link_frames_sent_total{peer="1"}`], want["pure_tp_frames_sent_total"] = 51, 6, 13
+	check()
 }

@@ -79,18 +79,19 @@ func TestTraceBinEventsOnlyReadsAsNoMeta(t *testing.T) {
 	}
 }
 
-// TestMonitorLinksEndpoint checks /links serves the installed source and the
-// on-scrape hook runs before /metrics snapshots.
+// TestMonitorLinksEndpoint checks /links serves the installed source and a
+// /metrics scrape evaluates the registry's collectors.
 func TestMonitorLinksEndpoint(t *testing.T) {
 	reg := NewMetrics()
 	synced := 0
 	mon := NewMonitor(reg, nil)
-	mon.SetLinks(func() []LinkState {
+	links := func() []LinkState {
 		return []LinkState{{Peer: 1, Up: true, EverUp: true, FramesSent: 12, SmoothedRTTNs: 80_000}}
-	})
-	mon.SetOnScrape(func() {
+	}
+	mon.SetLinks(links)
+	reg.Collect(func(s *Sink) {
 		synced++
-		reg.CounterL("pure_link_frames_sent_total", Label{Key: "peer", Value: "1"}).Store(12)
+		ReportLinks(s, links())
 	})
 	srv := httptest.NewServer(mon.Handler())
 	defer srv.Close()
@@ -106,9 +107,9 @@ func TestMonitorLinksEndpoint(t *testing.T) {
 
 	_, body = monitorGet(t, srv, "/metrics")
 	if synced != 1 {
-		t.Fatalf("on-scrape hook ran %d times, want 1", synced)
+		t.Fatalf("collector ran %d times, want 1", synced)
 	}
 	if !bytes.Contains([]byte(body), []byte(`pure_link_frames_sent_total{peer="1"} 12`)) {
-		t.Fatalf("scrape missing synced labeled series:\n%s", body)
+		t.Fatalf("scrape missing collected labeled series:\n%s", body)
 	}
 }

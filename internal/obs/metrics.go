@@ -23,11 +23,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Store overwrites the count.  It exists for mirroring an external monotonic
-// source (e.g. a transport link's internal frame counters) into the
-// registry; regular instrumentation should use Add/Inc.
-func (c *Counter) Store(v int64) { c.v.Store(v) }
-
 // Gauge is a metric that can go up and down (e.g. a sampled queue depth).
 type Gauge struct {
 	v atomic.Int64
@@ -88,11 +83,41 @@ var LatencyBuckets = []int64{
 // are created on first use and stable for the registry's lifetime; resolve
 // them once outside hot paths.  Metric names must match the Prometheus
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]*.
+//
+// A registry also has a read side: collectors (Collect) that report counts
+// kept elsewhere — the runtime's rank-private cells, a transport's link
+// counters — at the moment a snapshot is taken, so the writer pays nothing
+// for being observable and no copy of the count can go stale.
 type Metrics struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	collectors []func(*Sink)
+}
+
+// Sink is what a collector reports into during one Snapshot.  Names are
+// canonical series strings: a bare metric name, or one built by SeriesName.
+type Sink struct {
+	counters, gauges map[string]int64
+}
+
+// Counter adds v to the snapshot's sample of the named counter.  Same-named
+// counters add up — across collectors, and with a registry counter of that
+// name — so several runs, or several nodes of one process, can serve one
+// registry.
+func (s *Sink) Counter(name string, v int64) { s.counters[name] += v }
+
+// Gauge sets the snapshot's sample of the named gauge.
+func (s *Sink) Gauge(name string, v int64) { s.gauges[name] = v }
+
+// Collect registers a collector: f runs inside every Snapshot, on the
+// snapshotting goroutine, for the rest of the registry's lifetime.  It must
+// be safe to call at any time from any goroutine.
+func (m *Metrics) Collect(f func(*Sink)) {
+	m.mu.Lock()
+	m.collectors = append(m.collectors, f)
+	m.mu.Unlock()
 }
 
 // NewMetrics builds an empty registry.
@@ -205,16 +230,17 @@ type Snapshot struct {
 	Histograms []HistogramSample `json:"histograms"`
 }
 
-// Snapshot captures the registry's current values.
+// Snapshot captures the registry's current values and what its collectors
+// report.
 func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var s Snapshot
+	sink := Sink{counters: map[string]int64{}, gauges: map[string]int64{}}
+	m.mu.Lock()
 	for name, c := range m.counters {
-		s.Counters = append(s.Counters, CounterSample{Name: name, Value: c.Value()})
+		sink.counters[name] = c.Value()
 	}
 	for name, g := range m.gauges {
-		s.Gauges = append(s.Gauges, GaugeSample{Name: name, Value: g.Value()})
+		sink.gauges[name] = g.Value()
 	}
 	for name, h := range m.hists {
 		hs := HistogramSample{
@@ -228,6 +254,18 @@ func (m *Metrics) Snapshot() Snapshot {
 			hs.Counts[i] = h.counts[i].Load()
 		}
 		s.Histograms = append(s.Histograms, hs)
+	}
+	collectors := m.collectors
+	m.mu.Unlock()
+	// Collectors run unlocked: they are the owner's code and take its locks.
+	for _, f := range collectors {
+		f(&sink)
+	}
+	for name, v := range sink.counters {
+		s.Counters = append(s.Counters, CounterSample{Name: name, Value: v})
+	}
+	for name, v := range sink.gauges {
+		s.Gauges = append(s.Gauges, GaugeSample{Name: name, Value: v})
 	}
 	sort.Slice(s.Counters, func(a, b int) bool { return s.Counters[a].Name < s.Counters[b].Name })
 	sort.Slice(s.Gauges, func(a, b int) bool { return s.Gauges[a].Name < s.Gauges[b].Name })

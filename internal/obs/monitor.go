@@ -44,62 +44,20 @@ type RankState struct {
 	Wait *WaitState `json:"wait,omitempty"`
 }
 
-// LinkState is one transport link's entry in the monitor's /links view —
-// the JSON rendering of the transport's per-peer snapshot, which is also
-// what the cluster monitor folds into its /cluster view.
-type LinkState struct {
-	Peer       int    `json:"peer"`
-	Up         bool   `json:"up"`
-	EverUp     bool   `json:"ever_up"`
-	Departed   bool   `json:"departed"`
-	Dead       bool   `json:"dead"`
-	DeadReason string `json:"dead_reason,omitempty"`
-	Unacked    int    `json:"unacked"`
-
-	FramesSent  int64 `json:"frames_sent"`
-	FramesRecv  int64 `json:"frames_recv"`
-	BytesSent   int64 `json:"bytes_sent"`
-	BytesRecv   int64 `json:"bytes_recv"`
-	Retransmits int64 `json:"retransmits"`
-	RetryRounds int64 `json:"retry_rounds"`
-	Reconnects  int64 `json:"reconnects"`
-	AcksSent    int64 `json:"acks_sent"`
-	AcksRecv    int64 `json:"acks_recv"`
-	// AcksDeferred counts owed acks the reader left to a woken rank to
-	// carry; acks_sent counts the explicit ones written.
-	AcksDeferred int64 `json:"acks_deferred"`
-	SendBusy     int64 `json:"send_busy"`
-	Writes       int64 `json:"writes"` // socket writes; frames_sent/writes is the combining factor
-
-	HeartbeatsSent int64 `json:"heartbeats_sent"`
-	HeartbeatsRecv int64 `json:"heartbeats_recv"`
-	HeartbeatAgeNs int64 `json:"heartbeat_age_ns"`
-	SmoothedRTTNs  int64 `json:"smoothed_rtt_ns"`
-	ClockOffsetNs  int64 `json:"clock_offset_ns"`
-}
-
 // Monitor serves the live introspection endpoints over one metrics registry
 // and one rank-state source.  Both are optional: a nil registry serves an
 // empty (but valid) scrape, a nil source serves an empty rank list.
 type Monitor struct {
-	metrics  *Metrics
-	ranks    func() []RankState
-	links    func() []LinkState
-	onScrape func()
-	started  time.Time
-	scrapes  *Counter
+	metrics *Metrics
+	ranks   func() []RankState
+	links   func() []LinkState
+	started time.Time
+	scrapes *Counter
 }
 
 // SetLinks installs the transport link-state source behind /links.  A nil
 // source (the default; also any non-transport run) serves an empty list.
 func (mon *Monitor) SetLinks(f func() []LinkState) { mon.links = f }
-
-// SetOnScrape installs a hook run at the start of every /metrics scrape,
-// before the registry snapshot.  The runtime uses it to sync the per-peer
-// link telemetry counters from the transport's internal atomics, so a
-// scrape always serves current values without the transport paying for
-// registry writes on its hot paths.
-func (mon *Monitor) SetOnScrape(f func()) { mon.onScrape = f }
 
 // NewMonitor builds a monitor over the given registry (nil creates a private
 // one, so /metrics always serves valid exposition text) and rank-state
@@ -152,9 +110,6 @@ func (mon *Monitor) serveIndex(w http.ResponseWriter, r *http.Request) {
 
 func (mon *Monitor) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	mon.scrapes.Inc()
-	if mon.onScrape != nil {
-		mon.onScrape()
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := mon.metrics.Snapshot().WritePrometheus(w); err != nil {
 		// Headers are gone; all we can do is log nothing and drop the conn.

@@ -3,6 +3,8 @@ package queue
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/schedpoint"
 )
 
 // PBQ is the PureBufferQueue: the lock-free SPSC circular queue Pure uses
@@ -68,9 +70,9 @@ func (q *PBQ) MaxPayload() int { return q.maxPayload }
 // difference — a torn read the deterministic checker exhibits; see
 // internal/check's PBQ observer model test.)
 func (q *PBQ) Len() int {
-	schedpoint("pbq:len:load-head")
+	schedpoint.Point("pbq:len:load-head")
 	h := q.head.Load()
-	schedpoint("pbq:len:load-tail")
+	schedpoint.Point("pbq:len:load-tail")
 	t := q.tail.Load()
 	// The tail never trails the head, and h is the older snapshot, so t >= h
 	// always; but both endpoints may have advanced between the two loads, so
@@ -94,18 +96,18 @@ func (q *PBQ) TryEnqueue(msg []byte) bool {
 	if len(msg) > q.maxPayload {
 		panic(fmt.Sprintf("queue: message of %d bytes exceeds PBQ payload limit %d", len(msg), q.maxPayload))
 	}
-	schedpoint("pbq:enq:load-tail")
+	schedpoint.Point("pbq:enq:load-tail")
 	t := q.tail.Load()
-	schedpoint("pbq:enq:load-head")
+	schedpoint.Point("pbq:enq:load-head")
 	if t-q.head.Load() > q.mask {
 		q.stalls.Add(1)
 		return false // full
 	}
 	slot := int(t&q.mask) * q.slotStride
-	schedpoint("pbq:enq:write-slot")
+	schedpoint.Point("pbq:enq:write-slot")
 	copy(q.buf[slot:slot+len(msg)], msg)
 	q.lens[t&q.mask] = int32(len(msg))
-	schedpoint("pbq:enq:publish")
+	schedpoint.Point("pbq:enq:publish")
 	q.tail.Store(t + 1) // publish: everything written above happens-before the consumer's load
 	return true
 }
@@ -115,21 +117,21 @@ func (q *PBQ) TryEnqueue(msg []byte) bool {
 // buffered message (message semantics, like MPI_Recv: a too-small buffer is
 // a program error and panics rather than truncating silently).
 func (q *PBQ) TryDequeue(dst []byte) (n int, ok bool) {
-	schedpoint("pbq:deq:load-head")
+	schedpoint.Point("pbq:deq:load-head")
 	h := q.head.Load()
-	schedpoint("pbq:deq:load-tail")
+	schedpoint.Point("pbq:deq:load-tail")
 	if h == q.tail.Load() {
 		return 0, false // empty
 	}
 	idx := h & q.mask
-	schedpoint("pbq:deq:read-slot")
+	schedpoint.Point("pbq:deq:read-slot")
 	n = int(q.lens[idx])
 	if n > len(dst) {
 		panic(fmt.Sprintf("queue: receive buffer of %d bytes too small for %d-byte message", len(dst), n))
 	}
 	slot := int(idx) * q.slotStride
 	copy(dst[:n], q.buf[slot:slot+n])
-	schedpoint("pbq:deq:release")
+	schedpoint.Point("pbq:deq:release")
 	q.head.Store(h + 1) // release the slot to the producer
 	return n, true
 }
@@ -138,9 +140,9 @@ func (q *PBQ) TryDequeue(dst []byte) (n int, ok bool) {
 // consuming it.  ok is false when the queue is empty.  Receivers use this to
 // size probe-style operations.
 func (q *PBQ) PeekLen() (n int, ok bool) {
-	schedpoint("pbq:peek:load-head")
+	schedpoint.Point("pbq:peek:load-head")
 	h := q.head.Load()
-	schedpoint("pbq:peek:load-tail")
+	schedpoint.Point("pbq:peek:load-tail")
 	if h == q.tail.Load() {
 		return 0, false
 	}

@@ -19,6 +19,8 @@ package queue
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/schedpoint"
 )
 
 // CachelineBytes is the coherence granularity the queues pad to.  64 bytes
@@ -65,9 +67,9 @@ func (r *Ring[T]) Cap() int { return len(r.slots) }
 // [0, Cap] (the head is loaded first, so a concurrent push/pop pair between
 // the two loads inflates rather than underflows the difference).
 func (r *Ring[T]) Len() int {
-	schedpoint("ring:len:load-head")
+	schedpoint.Point("ring:len:load-head")
 	h := r.head.Load()
-	schedpoint("ring:len:load-tail")
+	schedpoint.Point("ring:len:load-tail")
 	n := r.tail.Load() - h
 	if n > uint64(len(r.slots)) {
 		n = uint64(len(r.slots))
@@ -77,42 +79,42 @@ func (r *Ring[T]) Len() int {
 
 // TryPush appends v and reports whether space was available.
 func (r *Ring[T]) TryPush(v T) bool {
-	schedpoint("ring:push:load-tail")
+	schedpoint.Point("ring:push:load-tail")
 	t := r.tail.Load()
-	schedpoint("ring:push:load-head")
+	schedpoint.Point("ring:push:load-head")
 	if t-r.head.Load() >= uint64(len(r.slots)) {
 		return false // full
 	}
-	schedpoint("ring:push:write-slot")
+	schedpoint.Point("ring:push:write-slot")
 	r.slots[t&r.mask] = v
-	schedpoint("ring:push:publish")
+	schedpoint.Point("ring:push:publish")
 	r.tail.Store(t + 1)
 	return true
 }
 
 // TryPop removes the oldest value and reports whether one was available.
 func (r *Ring[T]) TryPop() (v T, ok bool) {
-	schedpoint("ring:pop:load-head")
+	schedpoint.Point("ring:pop:load-head")
 	h := r.head.Load()
-	schedpoint("ring:pop:load-tail")
+	schedpoint.Point("ring:pop:load-tail")
 	if h == r.tail.Load() {
 		return v, false // empty
 	}
 	idx := h & r.mask
-	schedpoint("ring:pop:read-slot")
+	schedpoint.Point("ring:pop:read-slot")
 	v = r.slots[idx]
 	var zero T
 	r.slots[idx] = zero // drop references so payload buffers can be collected
-	schedpoint("ring:pop:release")
+	schedpoint.Point("ring:pop:release")
 	r.head.Store(h + 1)
 	return v, true
 }
 
 // Peek returns the oldest value without removing it.
 func (r *Ring[T]) Peek() (v T, ok bool) {
-	schedpoint("ring:peek:load-head")
+	schedpoint.Point("ring:peek:load-head")
 	h := r.head.Load()
-	schedpoint("ring:peek:load-tail")
+	schedpoint.Point("ring:peek:load-tail")
 	if h == r.tail.Load() {
 		return v, false
 	}

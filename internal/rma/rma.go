@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collective"
+	"repro/internal/schedpoint"
 )
 
 // padUint64 is a cache-line padded atomic sequence flag (the same layout the
@@ -136,14 +137,14 @@ func (w *Window) checkRange(target, off, n int, what string) {
 // epoch flag (fence/PSCW/notify) published subsequently.
 func (w *Window) CopyIn(target, off int, data []byte) {
 	w.checkRange(target, off, len(data), "Put")
-	schedpoint("rma:put:copy-in")
+	schedpoint.Point("rma:put:copy-in")
 	copy(w.bufs[target][off:], data)
 }
 
 // CopyOut applies a Get: one direct copy out of target's window at off.
 func (w *Window) CopyOut(target, off int, dest []byte) {
 	w.checkRange(target, off, len(dest), "Get")
-	schedpoint("rma:get:copy-out")
+	schedpoint.Point("rma:get:copy-out")
 	copy(dest, w.bufs[target][off:])
 }
 
@@ -155,13 +156,13 @@ func (w *Window) CopyOut(target, off int, dest []byte) {
 func (w *Window) AccumulateLocal(target, off int, data []byte, op collective.Op, dt collective.DType, wait func(func() bool)) {
 	w.checkRange(target, off, len(data), "Accumulate")
 	mu := &w.accMu[target]
-	schedpoint("rma:acc:trylock")
+	schedpoint.Point("rma:acc:trylock")
 	if !mu.TryLock() {
 		wait(mu.TryLock)
 	}
-	schedpoint("rma:acc:fold")
+	schedpoint.Point("rma:acc:fold")
 	collective.Accumulate(w.bufs[target][off:off+len(data)], data, op, dt)
-	schedpoint("rma:acc:unlock")
+	schedpoint.Point("rma:acc:unlock")
 	mu.Unlock()
 }
 
@@ -171,7 +172,7 @@ func (w *Window) AccumulateLocal(target, off int, data []byte, op collective.Op,
 // increasing, starting at 1).  The caller must have completed its own
 // outstanding window operations first.
 func (w *Window) FenceArrive(tid int, round uint64) {
-	schedpoint("rma:fence:arrive")
+	schedpoint.Point("rma:fence:arrive")
 	w.fence[tid].v.Store(round)
 }
 
@@ -203,7 +204,7 @@ func (w *Window) FenceLaggards(round uint64) []int {
 
 // Post publishes rank tid's exposure epoch round (the target side of PSCW).
 func (w *Window) Post(tid int, round uint64) {
-	schedpoint("rma:pscw:post")
+	schedpoint.Point("rma:pscw:post")
 	w.post[tid].v.Store(round)
 }
 
@@ -214,7 +215,7 @@ func (w *Window) Posted(target int, round uint64) bool {
 
 // Complete publishes origin's completion of access epoch round at target.
 func (w *Window) Complete(origin, target int, round uint64) {
-	schedpoint("rma:pscw:complete")
+	schedpoint.Point("rma:pscw:complete")
 	w.complete[origin*w.n+target].v.Store(round)
 }
 
@@ -241,7 +242,7 @@ func (w *Window) Notify(target, slot int) {
 	if target < 0 || target >= w.n {
 		panic(fmt.Sprintf("rma: Notify target rank %d out of range [0,%d)", target, w.n))
 	}
-	schedpoint("rma:notify:add")
+	schedpoint.Point("rma:notify:add")
 	w.notify[target*NotifySlots+slot].v.Add(1)
 }
 
@@ -274,11 +275,11 @@ type Registry struct{ m sync.Map }
 // tests drive both orders and prove the racers converge on one *Window
 // (the loser's freshly built window is garbage, never visible).
 func (g *Registry) GetOrCreate(k Key, n int) *Window {
-	schedpoint("rma:reg:lookup")
+	schedpoint.Point("rma:reg:lookup")
 	if v, ok := g.m.Load(k); ok {
 		return v.(*Window)
 	}
-	schedpoint("rma:reg:create")
+	schedpoint.Point("rma:reg:create")
 	v, _ := g.m.LoadOrStore(k, NewWindow(n))
 	return v.(*Window)
 }

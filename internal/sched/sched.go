@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/schedpoint"
 )
 
 // Body is the executable of a Pure Task.  The runtime calls it with a
@@ -99,7 +101,7 @@ func (e *exec) grab() (start, end int64, ok bool) {
 			}
 		}
 	}
-	schedpoint("sched:grab:alloc")
+	schedpoint.Point("sched:grab:alloc")
 	start = e.curr.Add(k) - k
 	if start >= e.nchunks {
 		return 0, 0, false
@@ -171,7 +173,7 @@ func (s *Scheduler) Run(slot int, nchunks int64, body Body, extra any, wait func
 		return RunStats{}
 	}
 	e := &exec{body: body, nchunks: nchunks, extra: extra, mode: s.cfg.ChunkMode, nslots: int64(s.cfg.Slots)}
-	schedpoint("sched:run:open")
+	schedpoint.Point("sched:run:open")
 	s.active[slot].Store(e) // publish: open for stealing
 
 	var localDone int64 // the paper's owner-local completion count (avoids a
@@ -181,7 +183,7 @@ func (s *Scheduler) Run(slot int, nchunks int64, body Body, extra any, wait func
 		if !ok {
 			break
 		}
-		schedpoint("sched:run:exec-chunk")
+		schedpoint.Point("sched:run:exec-chunk")
 		body(start, end, extra)
 		localDone += end - start
 	}
@@ -199,7 +201,7 @@ func (s *Scheduler) Run(slot int, nchunks int64, body Body, extra any, wait func
 	} else {
 		wait(func() bool { return e.done.Load()+localDone == nchunks })
 	}
-	schedpoint("sched:run:close")
+	schedpoint.Point("sched:run:close")
 	s.active[slot].Store(nil) // close
 	return RunStats{OwnerChunks: localDone, StolenChunks: nchunks - localDone}
 }
@@ -215,7 +217,7 @@ func (s *Scheduler) ownerThief(slot int) *Thief {
 // stealGrab attempts to allocate one chunk range from the exec in the victim
 // slot without executing it (so the thief can time the execution separately).
 func (s *Scheduler) stealGrab(victim int) (e *exec, start, end int64, ok bool) {
-	schedpoint("sched:steal:load-victim")
+	schedpoint.Point("sched:steal:load-victim")
 	e = s.active[victim].Load()
 	if e == nil {
 		return nil, 0, 0, false
@@ -234,9 +236,9 @@ func (t *Thief) runStolen(e *exec, start, end int64) {
 		t.Obs(time.Since(t0).Nanoseconds())
 		return
 	}
-	schedpoint("sched:steal:exec-chunk")
+	schedpoint.Point("sched:steal:exec-chunk")
 	e.body(start, end, e.extra)
-	schedpoint("sched:steal:count-done")
+	schedpoint.Point("sched:steal:count-done")
 	e.done.Add(end - start)
 }
 

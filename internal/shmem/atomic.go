@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/schedpoint"
 )
 
 // CellBytes is the size of an atomically addressable symmetric-heap cell.
@@ -62,7 +64,7 @@ func cell(buf []byte, off int, what string) *atomic.Int64 {
 // rma.AccumulateLocal, whose spinlock only serializes accumulates against
 // each other, this composes with every other cell operation.
 func AtomicAdd(buf []byte, off int, delta int64) {
-	schedpoint("shmem:atomic:add")
+	schedpoint.Point("shmem:atomic:add")
 	cell(buf, off, "AtomicAdd").Add(delta)
 }
 
@@ -70,7 +72,7 @@ func AtomicAdd(buf []byte, off int, delta int64) {
 // cell held immediately before — the primitive mailbox senders claim ring
 // tickets with.
 func AtomicFetchAdd(buf []byte, off int, delta int64) int64 {
-	schedpoint("shmem:atomic:fetch-add")
+	schedpoint.Point("shmem:atomic:fetch-add")
 	return cell(buf, off, "AtomicFetchAdd").Add(delta) - delta
 }
 
@@ -81,12 +83,12 @@ func AtomicFetchAdd(buf []byte, off int, delta int64) int64 {
 func AtomicCAS(buf []byte, off int, old, new int64) int64 {
 	c := cell(buf, off, "AtomicCAS")
 	for {
-		schedpoint("shmem:atomic:cas-load")
+		schedpoint.Point("shmem:atomic:cas-load")
 		cur := c.Load()
 		if cur != old {
 			return cur
 		}
-		schedpoint("shmem:atomic:cas-swap")
+		schedpoint.Point("shmem:atomic:cas-swap")
 		if c.CompareAndSwap(old, new) {
 			return old
 		}
@@ -98,7 +100,7 @@ func AtomicCAS(buf []byte, off int, old, new int64) int64 {
 
 // AtomicLoad returns the cell at off.
 func AtomicLoad(buf []byte, off int) int64 {
-	schedpoint("shmem:atomic:load")
+	schedpoint.Point("shmem:atomic:load")
 	return cell(buf, off, "AtomicLoad").Load()
 }
 
@@ -107,6 +109,6 @@ func AtomicLoad(buf []byte, off int) int64 {
 // earlier (a mailbox payload fill) are visible to any goroutine that
 // observes v with AtomicLoad.
 func AtomicStore(buf []byte, off int, v int64) {
-	schedpoint("shmem:atomic:store")
+	schedpoint.Point("shmem:atomic:store")
 	cell(buf, off, "AtomicStore").Store(v)
 }

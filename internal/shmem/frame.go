@@ -3,6 +3,8 @@ package shmem
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/schedpoint"
 )
 
 // The shmem operation codec.
@@ -123,7 +125,7 @@ func (o *Op) Apply(buf []byte) (int64, bool) {
 		if o.Off+int64(len(o.Data)) > int64(len(buf)) {
 			panic(fmt.Sprintf("shmem: remote put of %d bytes at %d overflows the %d-byte symmetric region", len(o.Data), o.Off, len(buf)))
 		}
-		schedpoint("shmem:op:put")
+		schedpoint.Point("shmem:op:put")
 		copy(buf[o.Off:o.Off+int64(len(o.Data))], o.Data)
 		return 0, false
 	case OpAdd:

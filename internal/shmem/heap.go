@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/schedpoint"
 )
 
 // The symmetric heap.
@@ -92,11 +94,11 @@ func (h *Heap) Publish(seq int, off, size int64) int64 {
 		panic(fmt.Sprintf("shmem: allocation %d (%d bytes at %d) overflows the %d-byte symmetric heap", seq, size, off, h.size))
 	}
 	packed := packExtent(off, size)
-	schedpoint("shmem:heap:publish")
+	schedpoint.Point("shmem:heap:publish")
 	if h.slots[seq].v.CompareAndSwap(0, packed) {
 		return off
 	}
-	schedpoint("shmem:heap:adopt")
+	schedpoint.Point("shmem:heap:adopt")
 	won := h.slots[seq].v.Load() &^ heapFreedBit
 	wOff, wSize := unpackExtent(won)
 	if wOff != off || wSize != size {
@@ -115,7 +117,7 @@ func (h *Heap) PublishFree(seq int) {
 		panic(fmt.Sprintf("shmem: free of allocation %d overflows the %d-entry symmetric alloc table", seq, len(h.slots)))
 	}
 	for {
-		schedpoint("shmem:heap:free")
+		schedpoint.Point("shmem:heap:free")
 		v := h.slots[seq].v.Load()
 		if v == 0 {
 			panic(fmt.Sprintf("shmem: free of never-published allocation %d", seq))
@@ -263,11 +265,11 @@ type Registry struct{ m sync.Map }
 
 // GetOrCreate returns the heap for k, creating it if it does not exist yet.
 func (g *Registry) GetOrCreate(k Key, size int64, maxAllocs int) *Heap {
-	schedpoint("shmem:reg:lookup")
+	schedpoint.Point("shmem:reg:lookup")
 	if v, ok := g.m.Load(k); ok {
 		return v.(*Heap)
 	}
-	schedpoint("shmem:reg:create")
+	schedpoint.Point("shmem:reg:create")
 	v, _ := g.m.LoadOrStore(k, NewHeap(size, maxAllocs))
 	return v.(*Heap)
 }

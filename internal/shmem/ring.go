@@ -1,5 +1,7 @@
 package shmem
 
+import "repro/internal/schedpoint"
+
 // The mailbox ring protocol.
 //
 // A mailbox is a bounded multi-producer/single-consumer ring living in the
@@ -91,12 +93,12 @@ func InitRing(buf []byte, r Ring) {
 // ticket.
 func SendClaim(buf []byte, r Ring) (int64, bool) {
 	for {
-		schedpoint("shmem:ring:claim-tail")
+		schedpoint.Point("shmem:ring:claim-tail")
 		t := AtomicLoad(buf, int(r.TailOff()))
-		schedpoint("shmem:ring:claim-stamp")
+		schedpoint.Point("shmem:ring:claim-stamp")
 		s := AtomicLoad(buf, int(r.StampOff(r.SlotOf(t))))
 		if s == t {
-			schedpoint("shmem:ring:claim-cas")
+			schedpoint.Point("shmem:ring:claim-cas")
 			if AtomicCAS(buf, int(r.TailOff()), t, t+1) == t {
 				return t, true
 			}
@@ -117,7 +119,7 @@ func SendFill(buf []byte, r Ring, t int64, msg []byte) {
 		panic("shmem: mailbox message exceeds slot size")
 	}
 	i := r.SlotOf(t)
-	schedpoint("shmem:ring:fill")
+	schedpoint.Point("shmem:ring:fill")
 	copy(buf[r.PayloadOff(i):r.PayloadOff(i)+int64(r.Slot)], msg)
 	AtomicStore(buf, int(r.LenOff(i)), int64(len(msg)))
 }
@@ -126,14 +128,14 @@ func SendFill(buf []byte, r Ring, t int64, msg []byte) {
 // t+1.  The release-store makes the fill visible to the consumer's
 // acquire-load in PollStamp.
 func SendPublish(buf []byte, r Ring, t int64) {
-	schedpoint("shmem:ring:publish")
+	schedpoint.Point("shmem:ring:publish")
 	AtomicStore(buf, int(r.StampOff(r.SlotOf(t))), t+1)
 }
 
 // PollStamp reports whether the message at consumer cursor h has been
 // published (stamp == h+1).
 func PollStamp(buf []byte, r Ring, h int64) bool {
-	schedpoint("shmem:ring:poll")
+	schedpoint.Point("shmem:ring:poll")
 	return AtomicLoad(buf, int(r.StampOff(r.SlotOf(h)))) == h+1
 }
 
@@ -144,9 +146,9 @@ func PollStamp(buf []byte, r Ring, h int64) bool {
 func Consume(buf []byte, r Ring, h int64, dst []byte) int {
 	i := r.SlotOf(h)
 	n := AtomicLoad(buf, int(r.LenOff(i)))
-	schedpoint("shmem:ring:consume")
+	schedpoint.Point("shmem:ring:consume")
 	copy(dst[:n], buf[r.PayloadOff(i):r.PayloadOff(i)+n])
-	schedpoint("shmem:ring:recycle")
+	schedpoint.Point("shmem:ring:recycle")
 	AtomicStore(buf, int(r.StampOff(i)), h+int64(r.Cap))
 	return int(n)
 }

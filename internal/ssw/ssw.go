@@ -26,6 +26,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/schedpoint"
 )
 
 // DefaultSpinBudget is how many condition probes a waiter performs between
@@ -240,12 +242,12 @@ func NewWakeCell() *WakeCell { return &WakeCell{sig: make(chan struct{}, 1)} }
 // see the completion and act on it.  With the owner not parked it costs one
 // atomic load.
 func (c *WakeCell) Wake() bool {
-	schedpoint("ssw:wake:load")
+	schedpoint.Point("ssw:wake:load")
 	switch c.state.Load() {
 	case cellRunning:
 		return false
 	case cellParked:
-		schedpoint("ssw:wake:signal")
+		schedpoint.Point("ssw:wake:signal")
 		select {
 		case c.sig <- struct{}{}:
 		default: // a token is already waiting for the owner
@@ -260,16 +262,24 @@ func (c *WakeCell) Wake() bool {
 // whether a Wake ended the park or the timer did, and the caller re-checks
 // cond either way.
 func (c *WakeCell) Park(cond func() bool, timeout time.Duration) (done, woken bool) {
-	schedpoint("ssw:park:publish")
+	schedpoint.Point("ssw:park:publish")
 	c.state.Store(cellParked)
-	schedpoint("ssw:park:recheck")
+	schedpoint.Point("ssw:park:recheck")
 	if cond() {
 		c.state.Store(cellWaiting)
 		return true, true
 	}
-	schedpoint("ssw:park:block")
+	schedpoint.Point("ssw:park:block")
 	c.Parks++
-	woken = c.block(timeout)
+	if schedpoint.Block(func() bool { return len(c.sig) > 0 }) {
+		// Under the checker there is no timer: the owner has waited, as a
+		// checker thread, for a token to be in the slot, so a lost wake-up is
+		// a deadlock the checker reports, not a timeout that hides it.
+		<-c.sig
+		woken = true
+	} else {
+		woken = c.blockTimed(timeout)
+	}
 	c.state.Store(cellWaiting)
 	if woken {
 		c.Wakes++

@@ -2,6 +2,8 @@ package statsd
 
 import (
 	"sync/atomic"
+
+	"repro/internal/schedpoint"
 )
 
 // Tagset is an immutable interned tag list (the DataDog RFC's central
@@ -61,14 +63,14 @@ func NewInterner(capacity int) *Interner {
 func (it *Interner) Intern(hash uint64, raw []byte) *Tagset {
 	i := hash & it.mask
 	for {
-		schedpoint("statsd:intern:load")
+		schedpoint.Point("statsd:intern:load")
 		ts := it.slots[i].Load()
 		if ts == nil {
 			if it.occupied.Load() >= it.limit {
 				break // table full: degrade to non-interned
 			}
 			nt := &Tagset{Hash: hash, Raw: string(raw)}
-			schedpoint("statsd:intern:cas")
+			schedpoint.Point("statsd:intern:cas")
 			if it.slots[i].CompareAndSwap(nil, nt) {
 				it.occupied.Add(1)
 				it.misses.Add(1)

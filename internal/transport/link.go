@@ -845,7 +845,7 @@ func (l *link) handshakeDial(c Conn) bool {
 }
 
 // snapshot captures the link's counters for Stats.
-func (l *link) snapshot() LinkStats {
+func (l *link) snapshot() obs.LinkState {
 	l.mu.Lock()
 	up := l.conn != nil
 	unacked := int(l.nextSeq - l.ackedOut)
@@ -855,11 +855,11 @@ func (l *link) snapshot() LinkStats {
 	if last := l.lastRecv.Load(); last > 0 && l.everUp.Load() {
 		hbAge = time.Now().UnixNano() - last
 	}
-	return LinkStats{
+	return obs.LinkState{
 		SmoothedRTTNs:  l.rttNs.Load(),
 		ClockOffsetNs:  l.offNs.Load(),
 		HeartbeatAgeNs: hbAge,
-		Node:           l.peer, Up: up, EverUp: l.everUp.Load(),
+		Peer:           l.peer, Up: up, EverUp: l.everUp.Load(),
 		Departed: l.departed.Load(), Dead: l.dead.Load(), DeadReason: reason,
 		Unacked:        unacked,
 		FramesSent:     l.stats.framesSent.Load(),

@@ -305,44 +305,12 @@ func (t *Transport) SetPartitioned(node int, on bool) {
 	t.links[node].partitioned.Store(on)
 }
 
-// LinkStats is a point-in-time snapshot of one link's state and counters.
-type LinkStats struct {
-	Node       int
-	Up         bool // a connection is currently established
-	EverUp     bool // a connection has existed at some point
-	Departed   bool // peer sent Bye
-	Dead       bool // failure detector gave up on the peer
-	DeadReason string
-	Unacked    int // frames awaiting ack (resend buffer depth)
-
-	FramesSent, FramesRecv int64
-	BytesSent, BytesRecv   int64
-	Retransmits            int64 // frames re-sent (timeout rounds + reconnect replays)
-	DupsDropped            int64 // received at or below the delivered watermark
-	OooDropped             int64 // received past a gap (go-back-N discard)
-	Reconnects             int64 // successful re-establishments after the first
-	HeartbeatsSent         int64
-	HeartbeatsRecv         int64
-	AcksSent               int64 // explicit ack frames (piggybacks not counted)
-	AcksRecv               int64 // explicit ack frames received
-	AcksDeferred           int64 // owed acks left to a woken rank to carry instead of written at once
-	RetryRounds            int64 // go-back-N retransmit rounds (backoff events)
-	DropsInjected          int64 // fault plan: first transmissions suppressed
-	DelaysInjected         int64 // fault plan: deliveries delayed
-	SendBusy               int64 // sends refused by a full resend window
-	Writes                 int64 // socket writes; FramesSent/Writes is the combining factor
-
-	// Clock/latency telemetry from the heartbeat echo exchange; all zero
-	// until the first completed echo round trip.
-	SmoothedRTTNs  int64 // EWMA of the filtered heartbeat round trip
-	ClockOffsetNs  int64 // estimated peer clock minus local clock
-	HeartbeatAgeNs int64 // time since anything was heard from the peer
-}
-
 // Stats snapshots every link.  The slice is indexed by peer node id with
-// this node's own entry zeroed.
-func (t *Transport) Stats() []LinkStats {
-	out := make([]LinkStats, len(t.links))
+// this node's own entry zeroed.  It stays valid after Close, when it reports
+// the final counts — the close-time drain's retransmissions included — with
+// every link down.
+func (t *Transport) Stats() []obs.LinkState {
+	out := make([]obs.LinkState, len(t.links))
 	for i, l := range t.links {
 		if l != nil {
 			out[i] = l.snapshot()

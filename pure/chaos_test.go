@@ -56,13 +56,8 @@ func TestFaultInjectionFromPublicAPI(t *testing.T) {
 				}
 			}
 		}
-		// The sender stays until everything arrived, so that its counters are
-		// harvested after the retransmissions, not before.
-		if r.ID() == 0 {
-			w.Recv(buf, 1, 1)
-		} else {
-			w.Send(buf, 0, 1)
-		}
+		// The sender may return with its last messages unacknowledged: what the
+		// close-time drain resends is counted too.
 	})
 	if c["pure_tp_retransmits_total"] == 0 {
 		t.Fatal("10% drops but zero retransmits recorded")

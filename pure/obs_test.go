@@ -3,6 +3,7 @@ package pure
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -67,23 +68,15 @@ func TestTracedRunEndToEnd(t *testing.T) {
 		t.Errorf("handoff events = %d, want 1", kinds[obs.KRendezvousHandoff])
 	}
 
-	// Metrics agree with the per-rank counter report.
+	// The registry serves the cells Report sums (TestMetricsAgreeWithReport
+	// covers point-to-point path by path).
 	snap := met.Snapshot()
 	counters := map[string]int64{}
 	for _, c := range snap.Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters["pure_sends_eager_total"] != rep.Total.SendsEager {
-		t.Errorf("eager sends: metric %d, stats %d", counters["pure_sends_eager_total"], rep.Total.SendsEager)
-	}
-	if counters["pure_sends_rendezvous_total"] != rep.Total.SendsRendezvous {
-		t.Errorf("rvz sends: metric %d, stats %d", counters["pure_sends_rendezvous_total"], rep.Total.SendsRendezvous)
-	}
-	if counters["pure_bytes_received_total"] != rep.Total.BytesReceived {
-		t.Errorf("bytes received: metric %d, stats %d", counters["pure_bytes_received_total"], rep.Total.BytesReceived)
-	}
-	if counters["pure_barriers_total"] != rep.Total.Barriers {
-		t.Errorf("barriers: metric %d, stats %d", counters["pure_barriers_total"], rep.Total.Barriers)
+	if counters["pure_barriers_total"] != 8 || rep.Total.Barriers != 8 {
+		t.Errorf("barriers: metric %d, stats %d, want 8", counters["pure_barriers_total"], rep.Total.Barriers)
 	}
 	if counters["pure_tasks_executed_total"] != 1 {
 		t.Errorf("tasks metric = %d", counters["pure_tasks_executed_total"])
@@ -115,6 +108,107 @@ func TestTracedRunEndToEnd(t *testing.T) {
 	}
 	if len(doc.TraceEvents) != len(tl)+4 { // 4 thread_name metadata records
 		t.Errorf("chrome trace has %d records, want %d", len(doc.TraceEvents), len(tl)+4)
+	}
+}
+
+// TestMetricsAgreeWithReport checks that the registry and Report read the
+// same cells: for every point-to-point API on every protocol path it can
+// take, the per-path series equal the RankStats sums, count exactly the
+// messages sent, and are zero for the other two paths.
+func TestMetricsAgreeWithReport(t *testing.T) {
+	const msgs = 10
+	apis := []struct {
+		name      string
+		eagerOnly bool // no rendezvous-sized form: TryRecv refuses one, a batch must fit the eager limit
+		send      func(w *Comm, ch *Channel, buf []byte)
+		recv      func(w *Comm, ch *Channel, buf []byte)
+	}{
+		{"Send/Recv", false,
+			func(_ *Comm, ch *Channel, buf []byte) { ch.Send(buf) },
+			func(_ *Comm, ch *Channel, buf []byte) { ch.Recv(buf) }},
+		{"Isend/Irecv", false,
+			func(w *Comm, ch *Channel, buf []byte) { w.Wait(ch.Isend(buf)) },
+			func(w *Comm, ch *Channel, buf []byte) { w.Wait(ch.Irecv(buf)) }},
+		{"TrySend/TryRecv", true,
+			func(_ *Comm, ch *Channel, buf []byte) {
+				for !ch.TrySend(buf) {
+					runtime.Gosched()
+				}
+			},
+			func(_ *Comm, ch *Channel, buf []byte) {
+				for {
+					if _, ok := ch.TryRecv(buf); ok {
+						return
+					}
+					runtime.Gosched()
+				}
+			}},
+		{"SendBatch/RecvBatch", true,
+			func(_ *Comm, ch *Channel, buf []byte) { ch.SendBatch([][]byte{buf[:len(buf)/2]}) },
+			func(_ *Comm, ch *Channel, buf []byte) { ch.RecvBatch(buf, nil) }},
+	}
+	twoNodes := Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 1, ThreadsPerCore: 1}
+	paths := []struct {
+		name string
+		size int
+		spec Spec
+	}{
+		{"eager", 64, Spec{}},
+		{"rendezvous", 16 << 10, Spec{}},
+		{"remote", 64, twoNodes},
+	}
+	for _, api := range apis {
+		for _, path := range paths {
+			if api.eagerOnly && path.name == "rendezvous" {
+				continue
+			}
+			t.Run(api.name+"/"+path.name, func(t *testing.T) {
+				met := NewMetrics()
+				rep, err := RunWithReport(Config{NRanks: 2, Spec: path.spec, Metrics: met}, func(r *Rank) {
+					w, buf := r.World(), make([]byte, path.size)
+					for i := 0; i < msgs; i++ {
+						if r.ID() == 0 {
+							api.send(w, w.SendChannel(1, 5), buf)
+						} else {
+							api.recv(w, w.RecvChannel(0, 5), buf)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				series := map[string]int64{}
+				for _, c := range met.Snapshot().Counters {
+					series[c.Name] = c.Value
+				}
+				tot := rep.Total
+				for _, row := range []struct {
+					path               string
+					sends, recvs, sent int64
+				}{
+					{"eager", tot.SendsEager, tot.RecvsEager, tot.BytesSentEager},
+					{"rendezvous", tot.SendsRendezvous, tot.RecvsRendezvous, tot.BytesSentRendezvous},
+					{"remote", tot.SendsRemote, tot.RecvsRemote, tot.BytesSentRemote},
+				} {
+					want := int64(0)
+					if row.path == path.name {
+						want = msgs
+					}
+					if got := series["pure_sends_"+row.path+"_total"]; got != want || row.sends != want {
+						t.Errorf("%s sends: series %d, report %d, want %d", row.path, got, row.sends, want)
+					}
+					if got := series["pure_recvs_"+row.path+"_total"]; got != want || row.recvs != want {
+						t.Errorf("%s recvs: series %d, report %d, want %d", row.path, got, row.recvs, want)
+					}
+					if got := series["pure_bytes_sent_"+row.path+"_total"]; got != row.sent || (want == 0) != (got == 0) {
+						t.Errorf("%s bytes sent: series %d, report %d (path carried %d messages)", row.path, got, row.sent, want)
+					}
+				}
+				if got := series["pure_bytes_received_total"]; got != tot.BytesReceived || got != tot.BytesSent || got < msgs*int64(path.size)/2 {
+					t.Errorf("bytes: series received %d, report received %d sent %d", got, tot.BytesReceived, tot.BytesSent)
+				}
+			})
+		}
 	}
 }
 

@@ -7,6 +7,23 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# zero_allocs WHAT PACKAGE BENCH_REGEXP: run the benchmarks and fail unless
+# every one reports 0 allocs/op — a machine-independent gate (a count, not
+# ns/op), so it holds on any hardware.
+zero_allocs() {
+    allocout="$(go test -run XXX -bench "$3" -benchmem -benchtime 5000x "$2")"
+    echo "$allocout" | grep '^Benchmark'
+    bad="$(echo "$allocout" | awk '/^Benchmark/ {
+        for (i = 2; i < NF; i++)
+            if ($(i + 1) == "allocs/op" && $i + 0 != 0) print $1, $i, "allocs/op"
+    }')"
+    if [ -n "$bad" ]; then
+        echo "verify: FAIL — $1 benchmarks allocate:" >&2
+        echo "$bad" >&2
+        exit 1
+    fi
+}
+
 echo "== go build ./..."
 go build ./...
 
@@ -38,22 +55,11 @@ go test -race -count=1 \
     ./internal/core ./internal/ssw ./pure
 
 echo "== zero-allocation gate (eager persistent-channel endpoint hot paths)"
-# The Channel API's whole point is an allocation-free eager fast path; this
-# gate is machine-independent (allocs/op, not ns/op), so it holds on any
-# hardware.  Both blocking endpoints and the pooled nonblocking pair must
-# report 0 allocs/op.
-allocout="$(go test -run XXX -bench 'BenchmarkChannelPingPong$|BenchmarkChannelIsendIrecv$' \
-    -benchmem -benchtime 5000x ./internal/core)"
-echo "$allocout" | grep '^Benchmark'
-bad="$(echo "$allocout" | awk '/^Benchmark/ {
-    for (i = 2; i < NF; i++)
-        if ($(i + 1) == "allocs/op" && $i + 0 != 0) print $1, $i, "allocs/op"
-}')"
-if [ -n "$bad" ]; then
-    echo "verify: FAIL — eager endpoint benchmarks allocate:" >&2
-    echo "$bad" >&2
-    exit 1
-fi
+# The Channel API's whole point is an allocation-free eager fast path: both
+# blocking endpoints and the pooled nonblocking pair must report 0 allocs/op
+# (tier-1's TestChannelPingPongAllocs holds the same line with the counter
+# cells atomic, i.e. Config.Metrics set).
+zero_allocs "eager endpoint" ./internal/core 'BenchmarkChannelPingPong$|BenchmarkChannelIsendIrecv$'
 
 echo "== cross-node allocation and count gates (link <= 1 alloc/frame, TCP ping-pong <= 2/round trip and ack-free, remote Put+Fence <= 8)"
 # The same machine-independent quantities on the inter-node path: the link
@@ -138,8 +144,8 @@ go test -count=1 -run 'TestRunMonitorServesClusterView' ./cmd/purerun
 
 echo "== monitored TCP overhead gate (min-over-runs ping-pong, <5%)"
 # Per-peer link telemetry must be effectively free on the frame path: the
-# counters are lock-free atomics and the labeled-series mirror only syncs on
-# scrape.  Minimum-over-6-runs filters scheduler noise on shared CI boxes; a
+# counters are lock-free atomics that the registry reads only when a snapshot
+# is taken.  Minimum-over-6-runs filters scheduler noise on shared CI boxes; a
 # persistently high ratio across 3 attempts is a real regression.
 attempts=0
 while :; do
@@ -190,20 +196,8 @@ esac
 
 echo "== statsd zero-allocation gate (steady-state parse + aggregation paths)"
 # The serving pipeline's throughput claim rests on an allocation-free
-# steady state: parse is zero-copy and aggregation hits the slab.  Like the
-# endpoint gate above, allocs/op is machine-independent.
-allocout="$(go test -run XXX -bench 'BenchmarkStatsdParse$|BenchmarkStatsdAggregate$' \
-    -benchmem -benchtime 5000x ./internal/statsd)"
-echo "$allocout" | grep '^Benchmark'
-bad="$(echo "$allocout" | awk '/^Benchmark/ {
-    for (i = 2; i < NF; i++)
-        if ($(i + 1) == "allocs/op" && $i + 0 != 0) print $1, $i, "allocs/op"
-}')"
-if [ -n "$bad" ]; then
-    echo "verify: FAIL — statsd steady-state benchmarks allocate:" >&2
-    echo "$bad" >&2
-    exit 1
-fi
+# steady state: parse is zero-copy and aggregation hits the slab.
+zero_allocs "statsd steady-state" ./internal/statsd 'BenchmarkStatsdParse$|BenchmarkStatsdAggregate$'
 
 echo "== shmem PGAS smoke (exactness-gated histogram/BFS/mailbox table; docs/SHMEM.md)"
 # Every row of the shmem table is exactness-gated: the last column is
@@ -221,19 +215,8 @@ PURE_CHECK_SEEDS=16 go test -race -tags purecheck -count=1 -run 'TestCheckShmem|
 
 echo "== shmem zero-allocation gate (intra-node Put/AtomicAdd hot paths)"
 # The PGAS claim rests on intra-node addressed ops being direct copies
-# and hardware atomics — allocation-free, machine-independently.
-allocout="$(go test -run XXX -bench 'BenchmarkShmemPut$|BenchmarkShmemAtomicAdd$' \
-    -benchmem -benchtime 5000x ./internal/core)"
-echo "$allocout" | grep '^Benchmark'
-bad="$(echo "$allocout" | awk '/^Benchmark/ {
-    for (i = 2; i < NF; i++)
-        if ($(i + 1) == "allocs/op" && $i + 0 != 0) print $1, $i, "allocs/op"
-}')"
-if [ -n "$bad" ]; then
-    echo "verify: FAIL — shmem intra-node benchmarks allocate:" >&2
-    echo "$bad" >&2
-    exit 1
-fi
+# and hardware atomics — allocation-free.
+zero_allocs "shmem intra-node" ./internal/core 'BenchmarkShmemPut$|BenchmarkShmemAtomicAdd$'
 
 echo "== purebench RMA smoke (one-sided vs two-sided halo, quick scale)"
 go run ./cmd/purebench -quick -exp rma
