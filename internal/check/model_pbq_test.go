@@ -18,6 +18,13 @@ import (
 // distinct messages through a small PBQ and a consumer draining them, with
 // the consumed sequence checked against the sequential FIFO spec (refinement:
 // every schedule's observable history must equal the spec queue's).
+//
+// The producer's park stands in for the runtime's retry loop (leafWait
+// probing TryEnqueue itself).  Its condition must be pure and exact, or the
+// retry spins forever in some schedule: Len is not exact for an endpoint (it
+// leads the slot word between the consumer's position store and its
+// release), so the model waits on the consumer having returned from the
+// dequeue that frees the slot — the same scheduling step as the release.
 func pbqFIFOThreads(slots, k int) Threads {
 	q := queue.NewPBQ(slots, 32)
 	var got [][]byte
@@ -32,7 +39,7 @@ func pbqFIFOThreads(slots, k int) Threads {
 			func() {
 				for i := 0; i < k; i++ {
 					for !q.TryEnqueue(msg(i)) {
-						WaitLabeled("pbq:wait-space", func() bool { return q.Len() < q.Cap() })
+						WaitLabeled("pbq:wait-space", func() bool { return i-len(got) < q.Cap() })
 					}
 				}
 			},
@@ -77,11 +84,12 @@ func TestCheckPBQFIFORefinement(t *testing.T) {
 }
 
 // TestCheckPBQFIFOExhaustive explores EVERY schedule of a small
-// configuration (1 slot, 2 messages — the single slot forces the
-// full-queue backpressure path into every schedule; ~18k schedules).
+// configuration (1 slot, 3 messages — the single slot forces the
+// full-queue backpressure path into every schedule and is handed over five
+// times; ~24k schedules).
 func TestCheckPBQFIFOExhaustive(t *testing.T) {
 	hook(t)
-	rep := Exhaust(0, 0, func() Threads { return pbqFIFOThreads(1, 2) })
+	rep := Exhaust(0, 0, func() Threads { return pbqFIFOThreads(1, 3) })
 	if rep.Failed {
 		t.Fatalf("PBQ FIFO refinement (exhaustive): %s", rep.Error())
 	}
@@ -93,12 +101,18 @@ func TestCheckPBQFIFOExhaustive(t *testing.T) {
 
 // pbqObserverThreads adds a third, read-only observer thread polling the
 // relaxed observer methods (Len, PeekLen, Stalls) while a stream is in
-// flight; every snapshot must stay within the structure's invariants.
+// flight; every snapshot must stay within the structure's invariants.  For
+// Len that is more than its range: a depth can never exceed the enqueues
+// begun by the time Len returns minus the dequeues that had returned before
+// it was called — so it is 0 once the consumer has drained.  A side that
+// published its slot word before its position breaks exactly that (the
+// consumer's head passes the producer's stale tail and the clamp turns the
+// underflow into Cap on an empty queue) while staying in range.
 func pbqObserverThreads(slots, k, polls int) Threads {
 	q := queue.NewPBQ(slots, 16)
 	capn := q.Cap()
 	var obsErr error
-	done := 0
+	started, done := 0, 0 // TryEnqueue calls begun (per message), TryDequeue successes returned
 	return Threads{
 		Names: []string{"producer", "consumer", "observer"},
 		Fns: []func(){
@@ -106,8 +120,9 @@ func pbqObserverThreads(slots, k, polls int) Threads {
 				m := make([]byte, 5)
 				for i := 0; i < k; i++ {
 					m[0] = byte(i)
+					started = i + 1
 					for !q.TryEnqueue(m) {
-						WaitLabeled("pbq:wait-space", func() bool { return q.Len() < capn })
+						WaitLabeled("pbq:wait-space", func() bool { return i-done < capn })
 					}
 				}
 			},
@@ -124,9 +139,14 @@ func pbqObserverThreads(slots, k, polls int) Threads {
 			func() {
 				lastStalls := int64(0)
 				for i := 0; i < polls; i++ {
+					doneBefore := done
 					l := q.Len()
 					if l < 0 || l > capn {
 						obsErr = fmt.Errorf("torn Len snapshot: %d outside [0,%d]", l, capn)
+						return
+					}
+					if l > started-doneBefore {
+						obsErr = fmt.Errorf("Len = %d with %d enqueues begun and %d dequeues returned", l, started, doneBefore)
 						return
 					}
 					if n, ok := q.PeekLen(); ok && (n <= 0 || n > q.MaxPayload()) {

@@ -38,12 +38,29 @@ type SPTD struct {
 	nthreads   int
 	maxPayload int
 	boxes      []dropbox
-	// leader zone: result payload and its publication sequence.
+	// leader zone: result payload and its publication sequence.  The
+	// sequence is stored every round and polled by every non-leader, so it
+	// gets a line of its own: the read-only fields on either side are loaded
+	// on every call and would otherwise miss once per round.
+	_         pad
 	resultSeq atomic.Uint64
 	_         pad
 	result    []byte
 	// per-thread round counters, padded.
 	rounds []paddedCounter
+	// per-thread wait conditions, padded.
+	conds []atLeast
+}
+
+// atLeast is one thread's reusable wait condition "*a >= v".  Every wait in
+// this file has that shape, and a closure built at the wait site would be
+// heap-allocated per call (WaitFunc is an unknown function, so its argument
+// escapes); cond is bound once, in NewSPTD, and a wait only sets a and v.
+type atLeast struct {
+	a    *atomic.Uint64
+	v    uint64
+	cond func() bool
+	_    [40]byte
 }
 
 // paddedCounter is a per-thread round counter.  Only the owning thread
@@ -70,9 +87,12 @@ func NewSPTD(nthreads, maxPayload int) *SPTD {
 		boxes:      make([]dropbox, nthreads),
 		result:     make([]byte, maxPayload),
 		rounds:     make([]paddedCounter, nthreads),
+		conds:      make([]atLeast, nthreads),
 	}
 	for i := range s.boxes {
 		s.boxes[i].buf = make([]byte, maxPayload)
+		c := &s.conds[i]
+		c.cond = func() bool { return c.a.Load() >= c.v }
 	}
 	return s
 }
@@ -94,14 +114,21 @@ func (s *SPTD) nextRound(tid int) uint64 {
 // finish records that tid has completed round r.
 func (s *SPTD) finish(tid int, r uint64) { s.boxes[tid].ack.Store(r) }
 
+// waitAtLeast blocks thread tid until a has reached v.
+func (s *SPTD) waitAtLeast(tid int, a *atomic.Uint64, v uint64, wait WaitFunc) {
+	c := &s.conds[tid]
+	c.a, c.v = a, v
+	wait(c.cond)
+}
+
 // waitBoxFree blocks a non-leader about to refill its dropbox for round r
 // until the leader is done reading round r-1's payload out of it, which is
 // what publishing round r-1's result says.  A thread that waited for that
 // result (Allreduce, Barrier, Broadcast) finds it on the first load; only a
 // non-root thread leaving Reduce runs ahead of the leader's fold.
-func (s *SPTD) waitBoxFree(r uint64, wait WaitFunc) {
+func (s *SPTD) waitBoxFree(tid int, r uint64, wait WaitFunc) {
 	if s.resultSeq.Load() < r-1 {
-		wait(func() bool { return s.resultSeq.Load() >= r-1 })
+		s.waitAtLeast(tid, &s.resultSeq, r-1, wait)
 	}
 }
 
@@ -109,10 +136,9 @@ func (s *SPTD) waitBoxFree(r uint64, wait WaitFunc) {
 // of the shared result buffer call this with the previous round before
 // overwriting, so a slow thread still copying out can never observe a torn
 // result.
-func (s *SPTD) waitAllFinished(r uint64, wait WaitFunc) {
+func (s *SPTD) waitAllFinished(tid int, r uint64, wait WaitFunc) {
 	for t := 0; t < s.nthreads; t++ {
-		b := &s.boxes[t]
-		wait(func() bool { return b.ack.Load() >= r })
+		s.waitAtLeast(tid, &s.boxes[t].ack, r, wait)
 	}
 }
 
@@ -129,8 +155,7 @@ func (s *SPTD) BarrierBridged(tid int, bridge func(), wait WaitFunc) {
 	r := s.nextRound(tid)
 	if tid == 0 {
 		for t := 1; t < s.nthreads; t++ {
-			b := &s.boxes[t]
-			wait(func() bool { return b.seq.Load() >= r })
+			s.waitAtLeast(tid, &s.boxes[t].seq, r, wait)
 		}
 		if bridge != nil {
 			bridge()
@@ -140,7 +165,7 @@ func (s *SPTD) BarrierBridged(tid int, bridge func(), wait WaitFunc) {
 	} else {
 		schedpoint.Point("sptd:barrier:arrive")
 		s.boxes[tid].seq.Store(r)
-		wait(func() bool { return s.resultSeq.Load() >= r })
+		s.waitAtLeast(tid, &s.resultSeq, r, wait)
 	}
 	schedpoint.Point("sptd:barrier:finish")
 	s.finish(tid, r)
@@ -157,13 +182,13 @@ func (s *SPTD) Reduce(tid, root int, in, out []byte, op Op, dt DType, bridge fun
 	r := s.nextRound(tid)
 	if tid == 0 {
 		// Gather and fold every non-leader's dropbox payload.
-		s.waitAllFinished(r-1, wait) // result buffer reuse safety
+		s.waitAllFinished(tid, r-1, wait) // result buffer reuse safety
 		schedpoint.Point("sptd:reduce:leader-fold")
 		acc := s.result[:len(in)]
 		copy(acc, in)
 		for t := 1; t < s.nthreads; t++ {
 			b := &s.boxes[t]
-			wait(func() bool { return b.seq.Load() >= r })
+			s.waitAtLeast(tid, &b.seq, r, wait)
 			schedpoint.Point("sptd:reduce:consume-box")
 			Accumulate(acc, b.buf[:len(in)], op, dt)
 		}
@@ -177,13 +202,13 @@ func (s *SPTD) Reduce(tid, root int, in, out []byte, op Op, dt DType, bridge fun
 		}
 	} else {
 		b := &s.boxes[tid]
-		s.waitBoxFree(r, wait)
+		s.waitBoxFree(tid, r, wait)
 		schedpoint.Point("sptd:reduce:write-box")
 		copy(b.buf[:len(in)], in)
 		schedpoint.Point("sptd:reduce:publish-box")
 		b.seq.Store(r)
 		if tid == root {
-			wait(func() bool { return s.resultSeq.Load() >= r })
+			s.waitAtLeast(tid, &s.resultSeq, r, wait)
 			schedpoint.Point("sptd:reduce:copy-out")
 			copy(out, s.result[:len(in)])
 		}
@@ -205,13 +230,13 @@ func (s *SPTD) Allreduce(tid int, in, out []byte, op Op, dt DType, bridge func([
 	}
 	r := s.nextRound(tid)
 	if tid == 0 {
-		s.waitAllFinished(r-1, wait)
+		s.waitAllFinished(tid, r-1, wait)
 		schedpoint.Point("sptd:allreduce:leader-fold")
 		acc := s.result[:len(in)]
 		copy(acc, in)
 		for t := 1; t < s.nthreads; t++ {
 			b := &s.boxes[t]
-			wait(func() bool { return b.seq.Load() >= r })
+			s.waitAtLeast(tid, &b.seq, r, wait)
 			schedpoint.Point("sptd:allreduce:consume-box")
 			Accumulate(acc, b.buf[:len(in)], op, dt)
 		}
@@ -223,12 +248,12 @@ func (s *SPTD) Allreduce(tid int, in, out []byte, op Op, dt DType, bridge func([
 		copy(out, acc)
 	} else {
 		b := &s.boxes[tid]
-		s.waitBoxFree(r, wait)
+		s.waitBoxFree(tid, r, wait)
 		schedpoint.Point("sptd:allreduce:write-box")
 		copy(b.buf[:len(in)], in)
 		schedpoint.Point("sptd:allreduce:publish-box")
 		b.seq.Store(r)
-		wait(func() bool { return s.resultSeq.Load() >= r })
+		s.waitAtLeast(tid, &s.resultSeq, r, wait)
 		schedpoint.Point("sptd:allreduce:copy-out")
 		copy(out, s.result[:len(in)])
 	}
@@ -245,7 +270,7 @@ func (s *SPTD) Broadcast(tid, root int, buf []byte, bridge func([]byte), wait Wa
 	}
 	r := s.nextRound(tid)
 	if tid == root {
-		s.waitAllFinished(r-1, wait)
+		s.waitAllFinished(tid, r-1, wait)
 		if bridge != nil {
 			bridge(buf)
 		}
@@ -254,7 +279,7 @@ func (s *SPTD) Broadcast(tid, root int, buf []byte, bridge func([]byte), wait Wa
 		schedpoint.Point("sptd:bcast:publish-result")
 		s.resultSeq.Store(r)
 	} else {
-		wait(func() bool { return s.resultSeq.Load() >= r })
+		s.waitAtLeast(tid, &s.resultSeq, r, wait)
 		schedpoint.Point("sptd:bcast:copy-out")
 		copy(buf, s.result[:len(buf)])
 	}

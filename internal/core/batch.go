@@ -209,8 +209,8 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 }
 
 // RecvReady reports whether a TryRecv would find a message now.  It is a
-// cheap probe (one atomic load) meant for Rank.WaitFor conditions over
-// many sources.
+// cheap probe (one atomic load: the eager queue's head slot word, or the
+// mailbox count) meant for Rank.WaitFor conditions over many sources.
 func (ep *Channel) RecvReady() bool {
 	if ep.dir != epRecv {
 		ep.badDir("RecvReady")
@@ -225,7 +225,8 @@ func (ep *Channel) RecvReady() bool {
 		}
 		q = ep.bindPBQ()
 	}
-	return q.Len() > 0
+	_, ok := q.PeekLen()
+	return ok
 }
 
 // bindRemote resolves the endpoint's inter-node mailbox on first use: a

@@ -158,6 +158,44 @@ func TestTrySendBarrierOrder(t *testing.T) {
 	}
 }
 
+// RecvReady is TryRecv's probe: true means the next TryRecv succeeds, a
+// zero-length message counts as ready, and a drained queue reads false.
+func TestRecvReadyMatchesTryRecv(t *testing.T) {
+	err := Run(Config{NRanks: 2}, func(r *Rank) {
+		c := r.World()
+		if r.ID() == 0 {
+			ch := c.SendChannel(1, 0)
+			for _, m := range [][]byte{nil, []byte("ab")} {
+				ch.Send(m)
+				c.Barrier() // the message is queued
+				c.Barrier() // the receiver has drained it
+			}
+			return
+		}
+		ch := c.RecvChannel(0, 0)
+		buf := make([]byte, 16)
+		for _, want := range []int{0, 2} {
+			c.Barrier()
+			if !ch.RecvReady() {
+				t.Errorf("RecvReady false with a %d-byte message queued", want)
+			}
+			if n, ok := ch.TryRecv(buf); !ok || n != want {
+				t.Errorf("TryRecv after RecvReady = (%d, %v), want (%d, true)", n, ok, want)
+			}
+			if ch.RecvReady() {
+				t.Error("RecvReady true on a drained queue")
+			}
+			if _, ok := ch.TryRecv(buf); ok {
+				t.Error("TryRecv succeeded on a drained queue")
+			}
+			c.Barrier()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSendBatchTooLargePanics(t *testing.T) {
 	err := Run(Config{NRanks: 2, SmallMsgMax: 64}, func(r *Rank) {
 		c := r.World()

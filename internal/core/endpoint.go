@@ -226,13 +226,12 @@ func (ep *Channel) Send(buf []byte) {
 				q = ep.bindPBQ()
 			}
 			ep.r.note(reqSendEager, ep.peer32, len(buf))
+			if !q.TryEnqueue(buf) {
+				ep.sendStall(q, buf)
+			}
 			if ep.gDepth != nil {
-				ep.gDepth.Max(int64(q.Len()))
+				ep.gDepth.Max(int64(q.Len())) // depth after the enqueue, as in TrySend
 			}
-			if q.TryEnqueue(buf) {
-				return
-			}
-			ep.sendStall(q, buf)
 			return
 		}
 	}

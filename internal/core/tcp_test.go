@@ -709,6 +709,52 @@ func TestChannelPingPongAllocs(t *testing.T) {
 	}
 }
 
+// TestSPTDCollectiveAllocs is the same gate on the small-collective path:
+// every SPTD wait is a preallocated per-thread condition, so a Barrier, an
+// Allreduce up to the SPTD threshold, a Reduce and a Bcast allocate nothing
+// on any rank (AllocsPerRun counts the whole process).  With a closure per
+// wait an 8 B Allreduce on 4 ranks cost 10.
+func TestSPTDCollectiveAllocs(t *testing.T) {
+	const warm, runs = 100, 1000
+	for _, nranks := range []int{2, 4} {
+		for _, tc := range []struct {
+			name string
+			size int
+			op   func(w *Comm, in, out []byte)
+		}{
+			{"barrier", 0, func(w *Comm, _, _ []byte) { w.Barrier() }},
+			{"allreduce-8B", 8, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
+			{"allreduce-2KiB", DefaultSPTDMax, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
+			{"reduce", 8, func(w *Comm, in, out []byte) { w.Reduce(in, out, 1, collective.OpSum, collective.Float64) }},
+			{"bcast", 8, func(w *Comm, in, _ []byte) { w.Bcast(in, 1) }},
+		} {
+			t.Run(fmt.Sprintf("%s/%dranks", tc.name, nranks), func(t *testing.T) {
+				var perCall float64
+				err := Run(Config{NRanks: nranks}, func(r *Rank) {
+					w, in, out := r.World(), make([]byte, tc.size), make([]byte, tc.size)
+					call := func() { tc.op(w, in, out) }
+					for i := 0; i < warm; i++ {
+						call()
+					}
+					if r.ID() == 0 {
+						perCall = testing.AllocsPerRun(runs, call)
+						return
+					}
+					for i := 0; i < 1+runs; i++ {
+						call()
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if perCall != 0 {
+					t.Fatalf("%s on %d ranks allocates %.2f times per call, want 0", tc.name, nranks, perCall)
+				}
+			})
+		}
+	}
+}
+
 // TestTCPPutFenceAllocs is the same gate on the one-sided path: a remote
 // Put + Fence costs a data frame one way and an applied-watermark frame back
 // (tpApplied), and in steady state neither upcall allocates.  Counted over

@@ -3,80 +3,118 @@ package queue
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/schedpoint"
 )
 
 // PBQ is the PureBufferQueue: the lock-free SPSC circular queue Pure uses
 // for short intra-node messages (paper §4.1.1).  A single contiguous buffer
-// stores all message slots; each slot's stride is rounded up to a cacheline
-// multiple so the writing sender and reading receiver never false-share.
+// stores all message slots; a slot is [state word (8 B) | payload], its
+// stride is rounded up to a cacheline multiple and the buffer starts on a
+// cacheline, so the writing sender and reading receiver never false-share
+// and a message of up to 56 bytes travels — flag, length and payload — in
+// one line.
 //
-// The protocol is the classic two-copy buffered ("eager") scheme: the sender
-// copies its message into a free slot and publishes it by advancing the tail;
-// the receiver copies the message out and releases the slot by advancing the
-// head.  Once Enqueue returns, the sender may immediately reuse its buffer.
+// The protocol is the classic two-copy buffered ("eager") scheme with the
+// publication in the slot itself: the state word is 0 while the slot is
+// empty and len+1 while it holds a message.  The sender finds the slot at
+// its own position empty, copies its message in and publishes it with one
+// atomic store of len+1; the receiver finds the slot at its own position
+// full, copies the message out and releases it with one atomic store of 0.
+// Neither side ever loads the other's position: head and tail are written by
+// their owner for observers (Len) only.  Once Enqueue returns, the sender may
+// immediately reuse its buffer.
 //
 // Exactly one goroutine may produce and one may consume.
 type PBQ struct {
-	slotStride int    // bytes per slot, cacheline multiple
+	slotWords  int    // 8-byte words per slot, state word included
 	maxPayload int    // usable payload bytes per slot
 	mask       uint64 // slot-count mask (power of two)
-	lens       []int32
-	buf        []byte
+	// words and buf are two views of one allocation: slot i's state word is
+	// words[i*slotWords], its payload starts at buf[(i*slotWords+1)*8].
+	words []atomic.Uint64
+	buf   []byte
 
 	_      pad
-	head   atomic.Uint64 // consumer-owned
+	head   atomic.Uint64 // consumer's position; nobody else writes it
 	_      pad
-	tail   atomic.Uint64 // producer-owned
-	_      pad
-	stalls atomic.Int64 // failed (queue-full) enqueue attempts, for observability
+	tail   atomic.Uint64 // producer's position; nobody else writes it
+	stalls atomic.Int64  // failed (queue-full) enqueue probes; producer-written
 	_      pad
 }
+
+// stateBytes is the size of the per-slot state word in front of the payload.
+const stateBytes = 8
 
 // NewPBQ builds a PureBufferQueue with at least minSlots slots (rounded up to
 // a power of two), each able to carry maxPayload bytes.  The paper's default
 // is a handful of slots of up to 8 KiB; the slot count was "not a material
 // performance driver" (we ablate this in the benchmarks).
 func NewPBQ(minSlots, maxPayload int) *PBQ {
+	return newPBQ("NewPBQ", minSlots, maxPayload, CachelineBytes)
+}
+
+// NewPBQPacked builds a PureBufferQueue whose slots are packed back-to-back
+// with no cacheline padding (the stride is only rounded up to the state
+// word's 8-byte alignment).  The paper identifies avoiding false sharing as
+// one of the three key drivers of messaging performance; this constructor
+// exists so the claim can be measured (BenchmarkAblationFalseSharing) — do
+// not use it for real channels.
+func NewPBQPacked(minSlots, maxPayload int) *PBQ {
+	return newPBQ("NewPBQPacked", minSlots, maxPayload, stateBytes)
+}
+
+func newPBQ(name string, minSlots, maxPayload, strideAlign int) *PBQ {
 	if minSlots <= 0 || maxPayload <= 0 {
-		panic(fmt.Sprintf("queue: NewPBQ(%d, %d): both arguments must be positive", minSlots, maxPayload))
+		panic(fmt.Sprintf("queue: %s(%d, %d): both arguments must be positive", name, minSlots, maxPayload))
 	}
 	n := 1
 	for n < minSlots {
 		n <<= 1
 	}
-	stride := (maxPayload + CachelineBytes - 1) / CachelineBytes * CachelineBytes
+	stride := (stateBytes + maxPayload + strideAlign - 1) / strideAlign * strideAlign
+	slotWords := stride / stateBytes
+	// A []atomic.Uint64 is 8-aligned by construction; one spare cacheline
+	// lets the first slot start on a cacheline boundary wherever the
+	// allocator put the array (heap objects do not move).
+	const lineWords = CachelineBytes / stateBytes
+	words := make([]atomic.Uint64, n*slotWords+lineWords-1)
+	skip := int(-uintptr(unsafe.Pointer(&words[0])) % CachelineBytes / stateBytes)
+	words = words[skip : skip+n*slotWords : skip+n*slotWords]
 	return &PBQ{
-		slotStride: stride,
+		slotWords:  slotWords,
 		maxPayload: maxPayload,
 		mask:       uint64(n - 1),
-		lens:       make([]int32, n),
-		buf:        make([]byte, n*stride),
+		words:      words,
+		buf:        unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n*stride),
 	}
 }
 
 // Cap returns the number of message slots.
-func (q *PBQ) Cap() int { return len(q.lens) }
+func (q *PBQ) Cap() int { return int(q.mask) + 1 }
 
 // MaxPayload returns the largest message the queue accepts.
 func (q *PBQ) MaxPayload() int { return q.maxPayload }
 
 // Len returns the number of buffered messages.  Safe for any observer
-// goroutine: the head is loaded before the tail and the difference is
-// clamped to [0, Cap], so a snapshot taken while both endpoints advance can
-// never report a negative or over-capacity depth.  (Loading the tail first
-// could see a head that had already passed it, underflowing the unsigned
-// difference — a torn read the deterministic checker exhibits; see
-// internal/check's PBQ observer model test.)
+// goroutine: each side publishes its position before the slot word that
+// hands the slot over, so head <= tail <= head+Cap holds at every instant;
+// the head is loaded before the tail and the difference is clamped to Cap,
+// so a snapshot taken while both endpoints advance can never report a
+// negative or over-capacity depth.  (Loading the tail first could see a head
+// that had already passed it, underflowing the unsigned difference — a torn
+// read the deterministic checker exhibits; see internal/check's PBQ observer
+// model test.)  Between a position store and its slot word the count leads
+// the slot by one, so Len is for observers, not for the endpoints' own
+// full/empty decisions.
 func (q *PBQ) Len() int {
 	schedpoint.Point("pbq:len:load-head")
 	h := q.head.Load()
 	schedpoint.Point("pbq:len:load-tail")
 	t := q.tail.Load()
-	// The tail never trails the head, and h is the older snapshot, so t >= h
-	// always; but both endpoints may have advanced between the two loads, so
-	// the difference is capped at the slot count.
+	// t >= h because h is the older snapshot; but both endpoints may have
+	// advanced between the two loads, so the difference is capped.
 	n := t - h
 	if n > q.mask+1 {
 		n = q.mask + 1
@@ -96,57 +134,63 @@ func (q *PBQ) TryEnqueue(msg []byte) bool {
 	if len(msg) > q.maxPayload {
 		panic(fmt.Sprintf("queue: message of %d bytes exceeds PBQ payload limit %d", len(msg), q.maxPayload))
 	}
-	schedpoint.Point("pbq:enq:load-tail")
 	t := q.tail.Load()
-	schedpoint.Point("pbq:enq:load-head")
-	if t-q.head.Load() > q.mask {
-		q.stalls.Add(1)
-		return false // full
+	w := int(t&q.mask) * q.slotWords
+	word := &q.words[w]
+	schedpoint.Point("pbq:enq:load-word")
+	if word.Load() != 0 {
+		q.stalls.Store(q.stalls.Load() + 1) // single writer: no read-modify-write needed
+		return false                        // full: the consumer has not released this slot
 	}
-	slot := int(t&q.mask) * q.slotStride
+	off := (w + 1) * stateBytes
 	schedpoint.Point("pbq:enq:write-slot")
-	copy(q.buf[slot:slot+len(msg)], msg)
-	q.lens[t&q.mask] = int32(len(msg))
+	copy(q.buf[off:off+len(msg)], msg)
+	schedpoint.Point("pbq:enq:publish-pos")
+	q.tail.Store(t + 1) // position first: see Len
 	schedpoint.Point("pbq:enq:publish")
-	q.tail.Store(t + 1) // publish: everything written above happens-before the consumer's load
+	word.Store(uint64(len(msg)) + 1) // publish: the payload written above happens-before the consumer's load
 	return true
 }
 
 // TryDequeue copies the oldest message into dst and returns its length.
 // ok is false when the queue is empty.  dst must be at least as large as the
 // buffered message (message semantics, like MPI_Recv: a too-small buffer is
-// a program error and panics rather than truncating silently).
+// a program error and panics rather than truncating silently; the message
+// stays queued).
 func (q *PBQ) TryDequeue(dst []byte) (n int, ok bool) {
-	schedpoint.Point("pbq:deq:load-head")
 	h := q.head.Load()
-	schedpoint.Point("pbq:deq:load-tail")
-	if h == q.tail.Load() {
+	w := int(h&q.mask) * q.slotWords
+	word := &q.words[w]
+	schedpoint.Point("pbq:deq:load-word")
+	state := word.Load()
+	if state == 0 {
 		return 0, false // empty
 	}
-	idx := h & q.mask
-	schedpoint.Point("pbq:deq:read-slot")
-	n = int(q.lens[idx])
+	n = int(state - 1)
 	if n > len(dst) {
 		panic(fmt.Sprintf("queue: receive buffer of %d bytes too small for %d-byte message", len(dst), n))
 	}
-	slot := int(idx) * q.slotStride
-	copy(dst[:n], q.buf[slot:slot+n])
+	off := (w + 1) * stateBytes
+	schedpoint.Point("pbq:deq:read-slot")
+	copy(dst[:n], q.buf[off:off+n])
+	schedpoint.Point("pbq:deq:release-pos")
+	q.head.Store(h + 1) // position first: see Len
 	schedpoint.Point("pbq:deq:release")
-	q.head.Store(h + 1) // release the slot to the producer
+	word.Store(0) // release the slot to the producer
 	return n, true
 }
 
 // PeekLen returns the length of the oldest buffered message without
-// consuming it.  ok is false when the queue is empty.  Receivers use this to
-// size probe-style operations.
+// consuming it.  ok is false when the queue is empty.  It is one atomic
+// load of the head slot's state word, so receivers use it both to size
+// probe-style operations and as the "is a message ready" probe.
 func (q *PBQ) PeekLen() (n int, ok bool) {
-	schedpoint.Point("pbq:peek:load-head")
-	h := q.head.Load()
-	schedpoint.Point("pbq:peek:load-tail")
-	if h == q.tail.Load() {
+	schedpoint.Point("pbq:peek:load-word")
+	state := q.words[int(q.head.Load()&q.mask)*q.slotWords].Load()
+	if state == 0 {
 		return 0, false
 	}
-	return int(q.lens[h&q.mask]), true
+	return int(state - 1), true
 }
 
 // Envelope is the receiver-posted metadata for a rendezvous (large-message)
@@ -180,27 +224,5 @@ func NewRendezvousChannel(depth int) *RendezvousChannel {
 	return &RendezvousChannel{
 		Envelopes:   NewRing[Envelope](depth),
 		Completions: NewRing[Completion](depth),
-	}
-}
-
-// NewPBQPacked builds a PureBufferQueue whose slots are packed back-to-back
-// with no cacheline padding.  The paper identifies avoiding false sharing as
-// one of the three key drivers of messaging performance; this constructor
-// exists so the claim can be measured (BenchmarkAblationFalseSharing) — do
-// not use it for real channels.
-func NewPBQPacked(minSlots, maxPayload int) *PBQ {
-	if minSlots <= 0 || maxPayload <= 0 {
-		panic(fmt.Sprintf("queue: NewPBQPacked(%d, %d): both arguments must be positive", minSlots, maxPayload))
-	}
-	n := 1
-	for n < minSlots {
-		n <<= 1
-	}
-	return &PBQ{
-		slotStride: maxPayload,
-		maxPayload: maxPayload,
-		mask:       uint64(n - 1),
-		lens:       make([]int32, n),
-		buf:        make([]byte, n*maxPayload),
 	}
 }

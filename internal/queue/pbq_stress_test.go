@@ -6,19 +6,21 @@ import (
 	"testing"
 )
 
-// TestPBQWraparoundBackpressure drives a tiny queue through thousands of
-// head/tail wraparounds with the producer persistently ahead of the consumer,
+// TestPBQWraparoundBackpressure drives a two-slot queue through a hundred
+// thousand laps with the producer persistently ahead of the consumer,
 // so the full-queue backpressure path (TryEnqueue returning false) is hit
 // constantly.  Every payload carries its sequence number plus a
 // sequence-derived fill pattern, so a slot reused before the consumer drained
 // it — the classic wraparound bug — shows up as a corrupt or out-of-order
-// message.  Run under -race this also checks the SPSC publication protocol.
+// message.  Run under -race this also checks the SPSC publication protocol
+// (the payload is ordered by nothing but the slot's state word) and, through
+// checkptr, the byte view over the word array.
 func TestPBQWraparoundBackpressure(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const (
-		slots      = 4
+		slots      = 2
 		maxPayload = 64
-		total      = 200_000 // 50_000x the capacity: many wraparounds
+		total      = 200_000 // 100_000 laps
 	)
 	q := NewPBQ(slots, maxPayload)
 
@@ -34,22 +36,13 @@ func TestPBQWraparoundBackpressure(t *testing.T) {
 			for j := 8; j < n; j++ {
 				buf[j] = fill
 			}
-			for !q.TryEnqueue(buf[:n]) {
-				runtime.Gosched()
-			}
+			enqueueSpin(q, buf[:n])
 		}
 	}()
 
 	dst := make([]byte, maxPayload)
 	for i := 0; i < total; i++ {
-		var n int
-		var ok bool
-		for {
-			if n, ok = q.TryDequeue(dst); ok {
-				break
-			}
-			runtime.Gosched()
-		}
+		n := dequeueSpin(q, dst)
 		wantN := 8 + i%(maxPayload-8)
 		if n != wantN {
 			t.Fatalf("message %d: length %d, want %d", i, n, wantN)
@@ -68,9 +61,9 @@ func TestPBQWraparoundBackpressure(t *testing.T) {
 	if _, ok := q.TryDequeue(dst); ok {
 		t.Fatal("queue not empty after all messages consumed")
 	}
-	// With 50_000x more messages than slots the producer must have seen the
+	// With 100_000x more messages than slots the producer must have seen the
 	// queue full; Stalls is the observability counter for exactly that.
 	if q.Stalls() == 0 {
-		t.Error("Stalls() = 0; expected backpressure on a 4-slot queue")
+		t.Error("Stalls() = 0; expected backpressure on a 2-slot queue")
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/ssw"
 )
 
 func TestRingBasic(t *testing.T) {
@@ -129,9 +132,81 @@ func TestPBQZeroLengthMessage(t *testing.T) {
 	if !q.TryEnqueue(nil) {
 		t.Fatal("enqueue of empty message failed")
 	}
+	if n, ok := q.PeekLen(); !ok || n != 0 {
+		t.Fatalf("PeekLen = %d,%v want 0,true", n, ok)
+	}
 	n, ok := q.TryDequeue(make([]byte, 1))
 	if !ok || n != 0 {
 		t.Fatalf("dequeue = %d,%v want 0,true", n, ok)
+	}
+}
+
+// The two extremes of the state word (len+1 = 1 and MaxPayload+1) survive
+// slot reuse: zero-length and full-size messages alternate through several
+// laps of a 2-slot queue, with the queue full at every step.
+func TestPBQExtremeLengthsAcrossLaps(t *testing.T) {
+	const maxPayload = 100 // not a multiple of 8: the last payload byte is mid-word
+	q := NewPBQ(2, maxPayload)
+	msg := func(i int) []byte {
+		if i%2 == 0 {
+			return nil
+		}
+		return bytes.Repeat([]byte{byte(i)}, maxPayload)
+	}
+	dst := make([]byte, maxPayload)
+	q.TryEnqueue(msg(0))
+	for i := 1; i <= 4*q.Cap(); i++ {
+		if !q.TryEnqueue(msg(i)) {
+			t.Fatalf("enqueue %d failed with a free slot", i)
+		}
+		if q.TryEnqueue(msg(i)) {
+			t.Fatalf("enqueue succeeded on a full queue at message %d", i)
+		}
+		want := msg(i - 1)
+		if n, ok := q.PeekLen(); !ok || n != len(want) {
+			t.Fatalf("message %d: PeekLen = %d,%v want %d,true", i-1, n, ok, len(want))
+		}
+		n, ok := q.TryDequeue(dst)
+		if !ok || !bytes.Equal(dst[:n], want) {
+			t.Fatalf("message %d: got %d bytes (ok=%v), want %d", i-1, n, ok, len(want))
+		}
+	}
+}
+
+// A slot is [state word | payload]: the word is 8-aligned for sync/atomic,
+// slots start a cacheline apart, and a message of up to 56 bytes shares its
+// word's line.  The packed (ablation) constructor only keeps the alignment.
+func TestPBQSlotLayout(t *testing.T) {
+	addr := func(p unsafe.Pointer) int { return int(uintptr(p)) }
+	for _, maxPayload := range []int{1, 8, 56, 57, 64, 1000, 8192} {
+		q := NewPBQ(4, maxPayload)
+		stride := q.slotWords * stateBytes
+		if stride%CachelineBytes != 0 || stride < stateBytes+maxPayload || stride >= stateBytes+maxPayload+CachelineBytes {
+			t.Fatalf("maxPayload %d: stride %d", maxPayload, stride)
+		}
+		if len(q.buf) != q.Cap()*stride || len(q.words)*stateBytes != len(q.buf) {
+			t.Fatalf("maxPayload %d: %d payload bytes, %d words for %d slots of %d", maxPayload, len(q.buf), len(q.words), q.Cap(), stride)
+		}
+		for i := 0; i < q.Cap(); i++ {
+			word := addr(unsafe.Pointer(&q.words[i*q.slotWords]))
+			payload := addr(unsafe.Pointer(&q.buf[(i*q.slotWords+1)*stateBytes]))
+			if word%CachelineBytes != 0 {
+				t.Fatalf("maxPayload %d slot %d: state word at %#x is not on a cacheline boundary", maxPayload, i, word)
+			}
+			if payload != word+stateBytes {
+				t.Fatalf("maxPayload %d slot %d: payload at %#x, word at %#x", maxPayload, i, payload, word)
+			}
+			if last := payload + min(maxPayload, CachelineBytes-stateBytes) - 1; last/CachelineBytes != word/CachelineBytes {
+				t.Fatalf("maxPayload %d slot %d: a small message leaves its word's cacheline", maxPayload, i)
+			}
+		}
+	}
+	q := NewPBQPacked(4, 33)
+	if stride := q.slotWords * stateBytes; stride != 48 {
+		t.Fatalf("packed stride = %d, want 48 (8+33 rounded up to the word size)", stride)
+	}
+	if a := addr(unsafe.Pointer(&q.words[q.slotWords])); a%stateBytes != 0 {
+		t.Fatalf("packed state word at %#x is not 8-aligned", a)
 	}
 }
 
@@ -174,13 +249,21 @@ func TestPBQPanicsOnOversizedMessage(t *testing.T) {
 
 func TestPBQPanicsOnSmallRecvBuffer(t *testing.T) {
 	q := NewPBQ(2, 8)
-	q.TryEnqueue(make([]byte, 8))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("undersized dequeue did not panic")
-		}
+	q.TryEnqueue([]byte("8 bytes!"))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("undersized dequeue did not panic")
+			}
+		}()
+		q.TryDequeue(make([]byte, 4))
 	}()
-	q.TryDequeue(make([]byte, 4))
+	// The panic consumed nothing: a retry with a large enough buffer gets
+	// the message.
+	dst := make([]byte, 8)
+	if n, ok := q.TryDequeue(dst); !ok || string(dst[:n]) != "8 bytes!" {
+		t.Fatalf("retry after the panic got %q (ok=%v)", dst[:n], ok)
+	}
 }
 
 func TestPBQPanicsOnBadArgs(t *testing.T) {
@@ -309,6 +392,31 @@ func TestRingDropsReferencesOnPop(t *testing.T) {
 	}
 }
 
+// enqueueSpin and dequeueSpin block the way the SSW loop does: a bounded
+// budget of probes between yields, so the benchmarks below time the queue
+// and not the Go scheduler (a Gosched after every failed probe did).
+func enqueueSpin(q *PBQ, msg []byte) {
+	for {
+		for i := 0; i < ssw.DefaultSpinBudget; i++ {
+			if q.TryEnqueue(msg) {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+func dequeueSpin(q *PBQ, dst []byte) int {
+	for {
+		for i := 0; i < ssw.DefaultSpinBudget; i++ {
+			if n, ok := q.TryDequeue(dst); ok {
+				return n
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
 func BenchmarkPBQPingPong(b *testing.B) {
 	for _, size := range []int{8, 64, 1024, 8192} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
@@ -319,30 +427,16 @@ func BenchmarkPBQPingPong(b *testing.B) {
 			go func() {
 				dst := make([]byte, size)
 				for i := 0; i < b.N; i++ {
-					for {
-						if _, ok := q1.TryDequeue(dst); ok {
-							break
-						}
-						runtime.Gosched()
-					}
-					for !q2.TryEnqueue(dst) {
-						runtime.Gosched()
-					}
+					dequeueSpin(q1, dst)
+					enqueueSpin(q2, dst)
 				}
 				close(done)
 			}()
 			dst := make([]byte, size)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for !q1.TryEnqueue(msg) {
-					runtime.Gosched()
-				}
-				for {
-					if _, ok := q2.TryDequeue(dst); ok {
-						break
-					}
-					runtime.Gosched()
-				}
+				enqueueSpin(q1, msg)
+				dequeueSpin(q2, dst)
 			}
 			<-done
 			b.SetBytes(int64(size))
@@ -387,20 +481,13 @@ func BenchmarkAblationFalseSharing(b *testing.B) {
 		go func() {
 			dst := make([]byte, 32)
 			for i := 0; i < b.N; i++ {
-				for {
-					if _, ok := q.TryDequeue(dst); ok {
-						break
-					}
-					runtime.Gosched()
-				}
+				dequeueSpin(q, dst)
 			}
 			close(done)
 		}()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for !q.TryEnqueue(msg) {
-				runtime.Gosched()
-			}
+			enqueueSpin(q, msg)
 		}
 		<-done
 	}

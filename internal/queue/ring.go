@@ -7,13 +7,17 @@
 //     receiver's posted buffer metadata) and completion notifications
 //     (byte counts) for large messages (one-copy protocol).
 //
-// All queues synchronize exclusively through sync/atomic index publication.
-// The producer writes a slot and then atomically advances the tail; the
-// consumer atomically loads the tail before reading the slot and advances the
-// head after it is done.  Go's memory model makes each atomic store/load pair
-// a happens-before edge, which is strictly stronger than the C++
-// acquire-release the paper relies on, so the same single-owner slot
-// discipline is sound here.
+// All queues synchronize exclusively through sync/atomic publication.  A
+// Ring publishes through its indices: the producer writes a slot and then
+// atomically advances the tail; the consumer atomically loads the tail
+// before reading the slot and advances the head after it is done.  A PBQ
+// publishes in the slot: each slot carries a state word beside its payload
+// (0 = empty, len+1 = full) that the producer stores after writing the
+// payload and the consumer clears after reading it, so a short message moves
+// one cacheline and neither side reads the other's index.  Go's memory model
+// makes each atomic store/load pair a happens-before edge, which is strictly
+// stronger than the C++ acquire-release the paper relies on, so the same
+// single-owner slot discipline is sound here.
 package queue
 
 import (

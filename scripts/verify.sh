@@ -60,6 +60,9 @@ echo "== zero-allocation gate (eager persistent-channel endpoint hot paths)"
 # (tier-1's TestChannelPingPongAllocs holds the same line with the counter
 # cells atomic, i.e. Config.Metrics set).
 zero_allocs "eager endpoint" ./internal/core 'BenchmarkChannelPingPong$|BenchmarkChannelIsendIrecv$'
+# Same for the small collectives: every SPTD wait is a preallocated
+# per-thread condition (tier-1's TestSPTDCollectiveAllocs holds the line too).
+zero_allocs "SPTD collective" ./internal/core 'BenchmarkPureBarrier$|BenchmarkPureAllreduce8B$'
 
 echo "== cross-node allocation and count gates (link <= 1 alloc/frame, TCP ping-pong <= 2/round trip and ack-free, remote Put+Fence <= 8)"
 # The same machine-independent quantities on the inter-node path: the link
