@@ -14,16 +14,16 @@ race:
 		./internal/statsd ./internal/shmem ./internal/apps/shmem
 
 # The deterministic schedule explorer: model tests for the lock-free
-# protocols (PBQ/ring FIFO refinement, SPTD no-lost-contribution, RMA
-# epochs, work-stealing exactly-once) over PCT seeds plus bounded
-# exhaustive runs; park/unpark under socket-completed waits: no lost
-# wake-up.  Override the seed count with PURE_CHECK_SEEDS=n;
+# protocols (PBQ FIFO refinement, rendezvous-cell handoffs, SPTD
+# no-lost-contribution, RMA epochs, work-stealing exactly-once) over PCT
+# seeds plus bounded exhaustive runs; park/unpark under socket-completed
+# waits: no lost wake-up.  Override the seed count with PURE_CHECK_SEEDS=n;
 # replay one failing schedule with PURE_CHECK_SEED=n.
 check:
 	go test -tags purecheck -count=1 ./internal/check
 
-# Short local fuzz pass over the wire-format decoders (CI runs the same
-# targets with a longer budget).
+# Short local fuzz pass over the wire-format and trace-dump decoders (CI
+# runs the same targets with a longer budget).
 fuzz:
 	go test -count=1 -fuzz FuzzFrameDecode -fuzztime 30s ./internal/rma
 	go test -count=1 -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/codec
@@ -31,6 +31,7 @@ fuzz:
 	go test -count=1 -fuzz FuzzControlDecode -fuzztime 30s ./internal/transport
 	go test -count=1 -fuzz FuzzStatsdParse -fuzztime 30s ./internal/statsd
 	go test -count=1 -fuzz FuzzShmemFrame -fuzztime 30s ./internal/shmem
+	go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 30s ./internal/obs
 
 # The robustness suite under the race detector: watchdog/abort containment
 # plus the lossy-link chaos tests — one runtime per node over loopback TCP

@@ -1,6 +1,6 @@
 //go:build purecheck
 
-// Model tests for the PureBufferQueue and the generic SPSC ring, run under
+// Model tests for the PureBufferQueue and the rendezvous cell, run under
 // the deterministic schedule explorer (`make check`).  Build-tagged: the
 // schedpoint seams in internal/queue only dispatch to the checker under
 // `purecheck`.
@@ -204,49 +204,69 @@ func TestCheckPBQObserverLenRegression(t *testing.T) {
 // the unsigned head-tail difference underflowed).
 var pbqLenRegressionSeeds = []int64{1, 12, 20, 37, 57, 80}
 
-// ringThreads streams k typed values through a Ring[int] with an observer.
-func ringThreads(slots, k, polls int) Threads {
-	r := queue.NewRing[int](slots)
-	capn := r.Cap()
-	var got []int
-	var obsErr error
+// rvzThreads builds one schedule's rendezvous workload: k consecutive
+// handoffs of distinct length and content through one cell, the receiver
+// posting, the sender copying, the receiver taking, with each received
+// payload checked against what was sent.  With unwind set, the receiver
+// posts the k-th receive and returns without taking it (a rank unwinding
+// while POSTED): the sender must still complete its copy, and the cell must
+// be left holding it.
+//
+// The waits are exact, as pbqFIFOThreads' are: each side parks on a count the
+// other side bumps in the same scheduling step as the state store that lets
+// the parked call succeed (posts after Post's publish, sent after TrySend's
+// publish), so a parked thread's retry never fails.
+func rvzThreads(k int, unwind bool) Threads {
+	var c queue.Rendezvous
+	msg := func(i int) []byte {
+		return append([]byte(fmt.Sprintf("r%d", i)), bytes.Repeat([]byte{byte(0xA0 + i)}, 3*i)...)
+	}
+	dst := make([]byte, 32)
+	var got [][]byte
+	posts, sent := 0, 0
 	return Threads{
-		Names: []string{"producer", "consumer", "observer"},
+		Names: []string{"receiver", "sender"},
 		Fns: []func(){
 			func() {
-				for i := 1; i <= k; i++ {
-					for !r.TryPush(i) {
-						WaitLabeled("ring:wait-space", func() bool { return r.Len() < capn })
-					}
-				}
-			},
-			func() {
-				for len(got) < k {
-					v, ok := r.TryPop()
-					if !ok {
-						WaitLabeled("ring:wait-val", func() bool { _, ok := r.Peek(); return ok })
-						continue
-					}
-					got = append(got, v)
-				}
-			},
-			func() {
-				for i := 0; i < polls; i++ {
-					if l := r.Len(); l < 0 || l > capn {
-						obsErr = fmt.Errorf("torn Ring.Len snapshot: %d outside [0,%d]", l, capn)
+				for i := 0; i < k; i++ {
+					c.Post(dst)
+					posts++
+					if unwind && i == k-1 {
 						return
 					}
-					Yield("observer:poll")
+					n, ok := c.TryTake()
+					for !ok {
+						WaitLabeled("rvz:wait-send", func() bool { return sent > i })
+						n, ok = c.TryTake()
+					}
+					got = append(got, append([]byte(nil), dst[:n]...))
+				}
+			},
+			func() {
+				for i := 0; i < k; i++ {
+					for !c.TrySend(msg(i)) {
+						WaitLabeled("rvz:wait-post", func() bool { return posts > i })
+					}
+					sent++
 				}
 			},
 		},
 		Final: func() error {
-			if obsErr != nil {
-				return obsErr
+			taken := k
+			if unwind {
+				taken = k - 1
+				// The unwound receive was filled and is still in the cell.
+				n, ok := c.TryTake()
+				if want := msg(k - 1); !ok || !bytes.Equal(dst[:n], want) {
+					return fmt.Errorf("unwound post: cell holds %q (ok=%v), want %q", dst[:n], ok, want)
+				}
 			}
-			for i, v := range got {
-				if v != i+1 {
-					return fmt.Errorf("ring FIFO violated at %d: got %d", i, v)
+			if len(got) != taken {
+				return fmt.Errorf("took %d of %d handoffs", len(got), taken)
+			}
+			for i, g := range got {
+				if want := msg(i); !bytes.Equal(g, want) {
+					return fmt.Errorf("handoff %d: got %q want %q", i, g, want)
 				}
 			}
 			return nil
@@ -254,13 +274,46 @@ func ringThreads(slots, k, polls int) Threads {
 	}
 }
 
-// TestCheckRingFIFO covers the rendezvous-path SPSC ring the same way.
-func TestCheckRingFIFO(t *testing.T) {
+// TestCheckRendezvousExhaustive explores every schedule of 1, 2 and 3
+// consecutive handoffs through one cell: each must deliver exactly the bytes
+// sent, with no thread left blocked.
+func TestCheckRendezvousExhaustive(t *testing.T) {
+	hook(t)
+	for k := 1; k <= 3; k++ {
+		rep := Exhaust(0, 0, func() Threads { return rvzThreads(k, false) })
+		if rep.Failed {
+			t.Fatalf("%d handoffs (exhaustive): %s", k, rep.Error())
+		}
+		if !rep.Complete {
+			t.Fatalf("%d handoffs: exhaustive exploration hit the schedule budget (%d schedules)", k, rep.Schedules)
+		}
+		t.Logf("%d handoffs: %d schedules, complete", k, rep.Schedules)
+	}
+}
+
+// TestCheckRendezvousPCT runs a longer stream of handoffs under PCT seeds.
+func TestCheckRendezvousPCT(t *testing.T) {
 	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
-		return ringThreads(2, 5, 5)
+		return rvzThreads(6, false)
 	})
 	if rep.Failed {
-		t.Fatalf("Ring FIFO: %s", rep.Error())
+		t.Fatalf("rendezvous handoffs: %s", rep.Error())
+	}
+}
+
+// TestCheckRendezvousReceiverUnwinds: a receiver that posts and returns
+// without taking (after zero or one completed handoffs) never blocks the
+// sender, whose copy lands in the posted buffer and stays published.
+func TestCheckRendezvousReceiverUnwinds(t *testing.T) {
+	hook(t)
+	for k := 1; k <= 2; k++ {
+		rep := Exhaust(0, 0, func() Threads { return rvzThreads(k, true) })
+		if rep.Failed {
+			t.Fatalf("unwind after %d posts (exhaustive): %s", k, rep.Error())
+		}
+		if !rep.Complete {
+			t.Fatalf("unwind after %d posts: exhaustive exploration hit the schedule budget (%d schedules)", k, rep.Schedules)
+		}
 	}
 }

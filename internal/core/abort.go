@@ -32,7 +32,7 @@ const (
 	WaitP2PRecv             // eager receive: waiting for the sender's payload
 	WaitP2PSend             // eager send: waiting for the receiver to drain a PBQ slot
 	WaitRvzRecv             // rendezvous receive: waiting for the sender's handoff
-	WaitRvzSend             // rendezvous send: waiting for the receiver to post an envelope
+	WaitRvzSend             // rendezvous send: waiting for the receiver to post its buffer
 	WaitRemoteRecv          // inter-node receive: waiting for a mailbox arrival
 	WaitCollective          // inside a collective phase (SPTD / PartitionedReducer / leader tree)
 	WaitTask                // Task.Execute straggler wait (stolen chunks still running)
@@ -76,7 +76,7 @@ type WaitRecord struct {
 	Peer int    // global peer rank, -1 when not peer-directed
 	Tag  int    // message tag (p2p kinds)
 	Comm uint64 // communicator id
-	Seq  uint64 // SPTD round / rendezvous ticket
+	Seq  uint64 // SPTD round / RMA get sequence
 	Op   string // collective op name ("barrier", "allreduce", ...), else ""
 	// Since is the wall-clock time the rank blocked (for "blocked for X"
 	// diagnostics).

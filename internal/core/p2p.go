@@ -27,10 +27,9 @@ type chanKey struct {
 // rank and recvPend to the receiver rank, so neither needs a lock.
 type channel struct {
 	pbqOnce  atomic.Pointer[queue.PBQ]
-	rvzOnce  atomic.Pointer[queue.RendezvousChannel]
+	rvzOnce  atomic.Pointer[queue.Rendezvous]
 	sendPend reqList // owned by sender
 	recvPend reqList // owned by receiver
-	recvSeq  uint64  // rendezvous ticket counter, owned by receiver
 }
 
 // reqList is a tiny FIFO of in-flight requests, owned by one rank.  The
@@ -124,13 +123,13 @@ func (ch *channel) pbq(slots, maxPayload int) *queue.PBQ {
 	return ch.pbqOnce.Load()
 }
 
-func (ch *channel) rvz(depth int) *queue.RendezvousChannel {
-	if q := ch.rvzOnce.Load(); q != nil {
-		return q
+func (ch *channel) rvz() *queue.Rendezvous {
+	if c := ch.rvzOnce.Load(); c != nil {
+		return c
 	}
-	q := queue.NewRendezvousChannel(depth)
-	if ch.rvzOnce.CompareAndSwap(nil, q) {
-		return q
+	c := new(queue.Rendezvous)
+	if ch.rvzOnce.CompareAndSwap(nil, c) {
+		return c
 	}
 	return ch.rvzOnce.Load()
 }
@@ -156,11 +155,11 @@ type Request struct {
 	ch     *channel
 	rem    *remoteChannel
 	buf    []byte
-	seq    uint64 // rendezvous ticket (recv side)
+	seq    uint64 // RMA get sequence (wait-registry diagnostics)
 	peer   int32  // global peer rank (for trace events and wait records)
 	tag    int    // message tag (wait-registry diagnostics)
 	comm   uint64 // communicator id (wait-registry diagnostics)
-	posted bool   // rendezvous recv: envelope pushed
+	posted bool   // rendezvous recv: buffer posted in the channel's cell
 	done   bool
 	n      int // bytes transferred (recv side)
 
@@ -336,26 +335,14 @@ func (r *Rank) progressSend(ch *channel) {
 				return // queue full; retry on next progress call
 			}
 		case reqSendRvz:
-			// Single-copy: claim the receiver's posted envelope, copy the
-			// payload straight into the destination buffer, then signal the
-			// byte count on the completion queue (paper §4.1.2).
-			rz := ch.rvz(r.rt.cfg.RendezvousDepth)
-			env, ok := rz.Envelopes.TryPop()
-			if !ok {
+			// Single-copy: fill the receiver's posted buffer straight from
+			// ours and publish the byte count in the same cell (paper §4.1.2).
+			if !ch.rvz().TrySend(req.buf) {
 				return // receiver has not posted yet
-			}
-			if len(req.buf) > len(env.Dest) {
-				panic(fmt.Sprintf("core: %d-byte message overflows %d-byte posted receive buffer",
-					len(req.buf), len(env.Dest)))
-			}
-			n := copy(env.Dest, req.buf)
-			for !rz.Completions.TryPush(queue.Completion{Bytes: n, Seq: env.Seq}) {
-				r.checkPoison() // receiver may have unwound without draining
-				gosched()       // completion ring full: receiver must drain; bounded wait
 			}
 			r.count(&r.stats.RendezvousHandoffs, 1)
 			if r.trace != nil {
-				r.trace.Emit(obs.KRendezvousHandoff, req.peer, int64(n))
+				r.trace.Emit(obs.KRendezvousHandoff, req.peer, int64(len(req.buf)))
 			}
 		}
 		req.done = true
@@ -380,22 +367,18 @@ func (r *Rank) progressRecv(ch *channel) {
 			}
 			req.n = n
 		case reqRecvRvz:
-			rz := ch.rvz(r.rt.cfg.RendezvousDepth)
+			// Only the list head is ever posted, and it stays the head until
+			// taken, so the channel's one cell is all the queue it needs.
+			c := ch.rvz()
 			if !req.posted {
-				ch.recvSeq++
-				req.seq = ch.recvSeq
-				if !rz.Envelopes.TryPush(queue.Envelope{Dest: req.buf, Seq: req.seq}) {
-					ch.recvSeq-- // envelope ring full; repost later
-					return
-				}
+				c.Post(req.buf)
 				req.posted = true
 			}
-			c, ok := rz.Completions.Peek()
-			if !ok || c.Seq != req.seq {
-				return // our transfer has not completed yet (completions are FIFO)
+			n, ok := c.TryTake()
+			if !ok {
+				return
 			}
-			rz.Completions.TryPop()
-			req.n = c.Bytes
+			req.n = n
 		}
 		r.note(req.kind, req.peer, req.n)
 		req.done = true

@@ -41,8 +41,6 @@ const (
 	// DefaultSPTDMax is the small-collective payload bound (paper: SPTD used
 	// for arrays up to 2 KiB, Partitioned Reducer beyond).
 	DefaultSPTDMax = 2 << 10
-	// DefaultRendezvousDepth bounds outstanding posted large receives per channel.
-	DefaultRendezvousDepth = 16
 	// DefaultTaskChunks is the default number of chunks a task splits into
 	// (the paper's PURE_MAX_TASK_CHUNKS Makefile variable).
 	DefaultTaskChunks = 64
@@ -67,8 +65,6 @@ type Config struct {
 	PBQSlots int
 	// SPTDMax is the SPTD/PartitionedReducer collective threshold in bytes.
 	SPTDMax int
-	// RendezvousDepth is the envelope queue depth per channel.
-	RendezvousDepth int
 	// SpinBudget is the SSW-Loop probe count between yields.
 	SpinBudget int
 
@@ -147,7 +143,6 @@ func (c *Config) withDefaults() (Config, error) {
 		{"SmallMsgMax", cfg.SmallMsgMax},
 		{"PBQSlots", cfg.PBQSlots},
 		{"SPTDMax", cfg.SPTDMax},
-		{"RendezvousDepth", cfg.RendezvousDepth},
 		{"SpinBudget", cfg.SpinBudget},
 		{"HelpersPerNode", cfg.HelpersPerNode},
 		{"RanksPerNode", cfg.RanksPerNode},
@@ -195,9 +190,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.SPTDMax == 0 {
 		cfg.SPTDMax = DefaultSPTDMax
-	}
-	if cfg.RendezvousDepth == 0 {
-		cfg.RendezvousDepth = DefaultRendezvousDepth
 	}
 	return cfg, nil
 }

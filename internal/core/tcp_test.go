@@ -656,18 +656,24 @@ func TestModeledWirePingPongAllocs(t *testing.T) {
 }
 
 // TestChannelPingPongAllocs is the gate on the intra-node endpoint paths,
-// blocking and pooled nonblocking: 0 allocations per round trip, with the
-// counter cells plain (no registry) and atomic (one set) alike.
+// blocking and pooled nonblocking, eager (8 B) and rendezvous (64 KiB): 0
+// allocations per round trip, with the counter cells plain (no registry) and
+// atomic (one set) alike.
 func TestChannelPingPongAllocs(t *testing.T) {
 	const warm, runs = 200, 2000
 	for _, tc := range []struct {
 		name                 string
+		size                 int
 		nonblocking, metrics bool
 	}{
-		{"blocking", false, false},
-		{"blocking/metrics", false, true},
-		{"isend-irecv", true, false},
-		{"isend-irecv/metrics", true, true},
+		{"blocking", 8, false, false},
+		{"blocking/metrics", 8, false, true},
+		{"isend-irecv", 8, true, false},
+		{"isend-irecv/metrics", 8, true, true},
+		{"blocking/64KiB", 64 << 10, false, false},
+		{"blocking/metrics/64KiB", 64 << 10, false, true},
+		{"isend-irecv/64KiB", 64 << 10, true, false},
+		{"isend-irecv/metrics/64KiB", 64 << 10, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{NRanks: 2}
@@ -676,7 +682,7 @@ func TestChannelPingPongAllocs(t *testing.T) {
 			}
 			var perRoundTrip float64
 			err := Run(cfg, func(r *Rank) {
-				w, buf := r.World(), make([]byte, 8)
+				w, buf := r.World(), make([]byte, tc.size)
 				send, recv := func(ch *Channel) { ch.Send(buf) }, func(ch *Channel) { ch.Recv(buf) }
 				if tc.nonblocking {
 					send, recv = func(ch *Channel) { w.Wait(ch.Isend(buf)) }, func(ch *Channel) { w.Wait(ch.Irecv(buf)) }

@@ -139,8 +139,8 @@ type PathStats struct {
 	Latency    *Hist `json:"latency"`
 	// QueueWaitNs / TransferNs decompose the rendezvous path using the
 	// sender's handoff timestamps: send post -> handoff start (waiting for
-	// the receiver's envelope) and handoff -> receive completion (the copy
-	// plus completion signalling).  Zero on the other paths, which emit no
+	// the receiver's posted buffer) and handoff -> receive completion (the
+	// copy plus the byte-count signal).  Zero on the other paths, which emit no
 	// intermediate event.
 	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"`
 	TransferNs  int64 `json:"transfer_ns,omitempty"`
@@ -494,7 +494,7 @@ func (a *Analysis) matchMessages(evs []obs.Event, opt Options) {
 		pr.Bytes += e.Arg
 		pr.Latency.observe(lat)
 		// Rendezvous decomposition: the sender's handoff event splits the
-		// latency into envelope queue-wait and copy/transfer time.
+		// latency into posted-buffer wait and copy/transfer time.
 		if p == PathRendezvous {
 			if hq := handoffQ[k]; len(hq) > 0 {
 				h := evs[hq[0]]

@@ -67,7 +67,7 @@ func Merge(dumps []*obs.TraceDump) (*obs.TraceDump, *MergeInfo, error) {
 	byNode := map[int]*obs.TraceDump{}
 	for i, d := range dumps {
 		if d.Meta.Node < 0 {
-			return nil, nil, fmt.Errorf("dump %d records no node identity (v1 trace, or not a multi-process run)", i)
+			return nil, nil, fmt.Errorf("dump %d records no node identity (written without metadata, or not a multi-process run)", i)
 		}
 		if prev, ok := byNode[d.Meta.Node]; ok && prev != d {
 			return nil, nil, fmt.Errorf("two dumps claim node %d", d.Meta.Node)

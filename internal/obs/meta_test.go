@@ -63,8 +63,8 @@ func TestTraceBinMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceBinEventsOnlyReadsAsNoMeta checks the meta-less writer (and so v1
-// consumers' expectations): Node reads back as -1, everything else empty.
+// TestTraceBinEventsOnlyReadsAsNoMeta checks the meta-less writer: Node reads
+// back as -1, everything else empty.
 func TestTraceBinEventsOnlyReadsAsNoMeta(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTraceBinEvents(&buf, []Event{{TS: 5, Rank: 0, Kind: KSendEager, Peer: 1}}, 2, 0); err != nil {

@@ -25,7 +25,7 @@ type WaitState struct {
 	// Tag and Comm are the channel coordinates (p2p kinds).
 	Tag  int    `json:"tag"`
 	Comm uint64 `json:"comm"`
-	// Seq is the SPTD round / rendezvous ticket / link sequence, if any.
+	// Seq is the SPTD round / RMA get sequence / link sequence, if any.
 	Seq uint64 `json:"seq,omitempty"`
 	// Op is the collective op name ("barrier", "allreduce", ...), if any.
 	Op string `json:"op,omitempty"`

@@ -18,8 +18,8 @@ import (
 //	16      8     dropped-event count (ring wraparound losses at dump time)
 //	24      8     event count
 //
-// Version 2 follows the header with a metadata block for cross-node
-// alignment (`puretrace merge`):
+// The header is followed by a metadata block for cross-node alignment
+// (`puretrace merge`):
 //
 //	32      4     recording node id (int32; -1 = unknown/merged)
 //	36      4     job node count (int32; 0 = unknown)
@@ -35,8 +35,7 @@ import (
 //
 // and then the events (33 bytes each: TS int64, Dur int64, Arg int64,
 // Rank int32, Peer int32, Kind uint8), stored merged across ranks in
-// start-time order, exactly as Trace.Events returns them.  Version 1 dumps
-// (no metadata block) remain readable; their meta reads back as unknown.
+// start-time order, exactly as Trace.Events returns them.
 
 // traceBinMagic identifies a trace dump; traceBinVersion is bumped on any
 // incompatible layout change (readers reject versions they do not know).
@@ -50,11 +49,12 @@ const (
 )
 
 // maxTraceBinAlloc caps the slice pre-allocation while reading a dump, so a
-// corrupt header cannot make ReadTraceBin allocate gigabytes up front.
-const maxTraceBinAlloc = 1 << 20
+// corrupt header cannot make ReadTraceBin allocate gigabytes up front; a
+// longer table grows by appending as its records actually arrive.
+const maxTraceBinAlloc = 1 << 16
 
 // TraceMeta is the recording-time context stored alongside the events in a
-// version-2 dump: which node recorded the trace, where each rank lives, and
+// dump: which node recorded the trace, where each rank lives, and
 // the clock/transport records cross-node merging needs.
 type TraceMeta struct {
 	// Node is the recording node's id; -1 when unknown, or when the dump
@@ -174,85 +174,84 @@ func WriteTraceBinMeta(w io.Writer, events []Event, nranks int, dropped int64, m
 	return bw.Flush()
 }
 
-// ReadTraceBin parses a dump written by WriteTraceBin (version 2, or the
-// metadata-free version 1).  It validates the magic, the version, and the
-// per-event rank range, and reports truncation as an error rather than
-// returning a silently short trace.
+// ReadTraceBin parses a dump written by WriteTraceBin.  It validates the
+// magic, the version, the placement table's size and the per-event rank
+// range, and reports truncation as an error rather than returning a silently
+// short trace.  No count read from the header sizes an allocation beyond
+// maxTraceBinAlloc entries: a corrupt count fails on truncation instead.
 func ReadTraceBin(r io.Reader) (*TraceDump, error) {
 	br := bufio.NewReader(r)
-	var hdr [32]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	var hdr [32 + traceBinMetaSize]byte
+	if _, err := io.ReadFull(br, hdr[:32]); err != nil {
 		return nil, fmt.Errorf("obs: trace dump header: %w", err)
 	}
 	if string(hdr[:8]) != traceBinMagic {
 		return nil, fmt.Errorf("obs: not a trace dump (bad magic %q)", hdr[:8])
 	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version != 1 && version != traceBinVersion {
-		return nil, fmt.Errorf("obs: trace dump version %d not supported (want <= %d)", version, traceBinVersion)
+	if version := binary.LittleEndian.Uint32(hdr[8:]); version != traceBinVersion {
+		return nil, fmt.Errorf("obs: trace dump version %d not supported (want %d)", version, traceBinVersion)
 	}
 	nranks := int(int32(binary.LittleEndian.Uint32(hdr[12:])))
 	if nranks <= 0 {
 		return nil, fmt.Errorf("obs: trace dump has invalid rank count %d", nranks)
 	}
+	nevents := binary.LittleEndian.Uint64(hdr[24:])
+	mhdr := hdr[32:]
+	if _, err := io.ReadFull(br, mhdr); err != nil {
+		return nil, fmt.Errorf("obs: trace dump metadata header: %w", err)
+	}
 	d := &TraceDump{
 		NRanks:  nranks,
 		Dropped: int64(binary.LittleEndian.Uint64(hdr[16:])),
-		Meta:    TraceMeta{Node: -1},
+		Meta: TraceMeta{
+			Node:          int(int32(binary.LittleEndian.Uint32(mhdr[0:]))),
+			Nodes:         int(int32(binary.LittleEndian.Uint32(mhdr[4:]))),
+			StartUnixNano: int64(binary.LittleEndian.Uint64(mhdr[8:])),
+		},
 	}
-	nevents := binary.LittleEndian.Uint64(hdr[24:])
-	if version >= 2 {
-		var mhdr [traceBinMetaSize]byte
-		if _, err := io.ReadFull(br, mhdr[:]); err != nil {
-			return nil, fmt.Errorf("obs: trace dump metadata header: %w", err)
-		}
-		d.Meta.Node = int(int32(binary.LittleEndian.Uint32(mhdr[0:])))
-		d.Meta.Nodes = int(int32(binary.LittleEndian.Uint32(mhdr[4:])))
-		d.Meta.StartUnixNano = int64(binary.LittleEndian.Uint64(mhdr[8:]))
-		nplace := binary.LittleEndian.Uint32(mhdr[16:])
-		nclock := binary.LittleEndian.Uint32(mhdr[20:])
-		nlink := binary.LittleEndian.Uint32(mhdr[24:])
-		if nplace != 0 && int(nplace) != nranks {
-			return nil, fmt.Errorf("obs: trace dump placement table has %d entries for %d ranks", nplace, nranks)
-		}
-		if nplace > 0 {
-			d.Meta.NodeOfRank = make([]int32, nplace)
-			var b [4]byte
-			for i := range d.Meta.NodeOfRank {
-				if _, err := io.ReadFull(br, b[:]); err != nil {
-					return nil, fmt.Errorf("obs: trace dump placement table truncated: %w", err)
-				}
-				d.Meta.NodeOfRank[i] = int32(binary.LittleEndian.Uint32(b[:]))
+	nplace := binary.LittleEndian.Uint32(mhdr[16:])
+	nclock := binary.LittleEndian.Uint32(mhdr[20:])
+	nlink := binary.LittleEndian.Uint32(mhdr[24:])
+	if nplace != 0 && int(nplace) != nranks {
+		return nil, fmt.Errorf("obs: trace dump placement table has %d entries for %d ranks", nplace, nranks)
+	}
+	if nplace > 0 {
+		d.Meta.NodeOfRank = make([]int32, 0, min(nplace, maxTraceBinAlloc))
+		var b [4]byte
+		for i := uint32(0); i < nplace; i++ {
+			if _, err := io.ReadFull(br, b[:]); err != nil {
+				return nil, fmt.Errorf("obs: trace dump placement table truncated at %d/%d: %w", i, nplace, err)
 			}
+			d.Meta.NodeOfRank = append(d.Meta.NodeOfRank, int32(binary.LittleEndian.Uint32(b[:])))
 		}
-		d.Meta.Clock = make([]ClockSample, 0, min(uint64(nclock), maxTraceBinAlloc))
-		var crec [traceBinClockSize]byte
-		for i := uint32(0); i < nclock; i++ {
-			if _, err := io.ReadFull(br, crec[:]); err != nil {
-				return nil, fmt.Errorf("obs: trace dump clock samples truncated at %d/%d: %w", i, nclock, err)
-			}
-			d.Meta.Clock = append(d.Meta.Clock, ClockSample{
-				Peer:          int32(binary.LittleEndian.Uint32(crec[0:])),
-				LocalUnixNano: int64(binary.LittleEndian.Uint64(crec[4:])),
-				OffsetNs:      int64(binary.LittleEndian.Uint64(crec[12:])),
-				DelayNs:       int64(binary.LittleEndian.Uint64(crec[20:])),
-			})
+	}
+	d.Meta.Clock = make([]ClockSample, 0, min(nclock, maxTraceBinAlloc))
+	var crec [traceBinClockSize]byte
+	for i := uint32(0); i < nclock; i++ {
+		if _, err := io.ReadFull(br, crec[:]); err != nil {
+			return nil, fmt.Errorf("obs: trace dump clock samples truncated at %d/%d: %w", i, nclock, err)
 		}
-		d.Meta.Links = make([]LinkEvent, 0, min(uint64(nlink), maxTraceBinAlloc))
-		var lrec [traceBinLinkSize]byte
-		for i := uint32(0); i < nlink; i++ {
-			if _, err := io.ReadFull(br, lrec[:]); err != nil {
-				return nil, fmt.Errorf("obs: trace dump link events truncated at %d/%d: %w", i, nlink, err)
-			}
-			d.Meta.Links = append(d.Meta.Links, LinkEvent{
-				TS:    int64(binary.LittleEndian.Uint64(lrec[0:])),
-				Kind:  LinkEventKind(lrec[8]),
-				Node:  int32(binary.LittleEndian.Uint32(lrec[9:])),
-				Peer:  int32(binary.LittleEndian.Uint32(lrec[13:])),
-				Seq:   binary.LittleEndian.Uint64(lrec[17:]),
-				Bytes: int32(binary.LittleEndian.Uint32(lrec[25:])),
-			})
+		d.Meta.Clock = append(d.Meta.Clock, ClockSample{
+			Peer:          int32(binary.LittleEndian.Uint32(crec[0:])),
+			LocalUnixNano: int64(binary.LittleEndian.Uint64(crec[4:])),
+			OffsetNs:      int64(binary.LittleEndian.Uint64(crec[12:])),
+			DelayNs:       int64(binary.LittleEndian.Uint64(crec[20:])),
+		})
+	}
+	d.Meta.Links = make([]LinkEvent, 0, min(nlink, maxTraceBinAlloc))
+	var lrec [traceBinLinkSize]byte
+	for i := uint32(0); i < nlink; i++ {
+		if _, err := io.ReadFull(br, lrec[:]); err != nil {
+			return nil, fmt.Errorf("obs: trace dump link events truncated at %d/%d: %w", i, nlink, err)
 		}
+		d.Meta.Links = append(d.Meta.Links, LinkEvent{
+			TS:    int64(binary.LittleEndian.Uint64(lrec[0:])),
+			Kind:  LinkEventKind(lrec[8]),
+			Node:  int32(binary.LittleEndian.Uint32(lrec[9:])),
+			Peer:  int32(binary.LittleEndian.Uint32(lrec[13:])),
+			Seq:   binary.LittleEndian.Uint64(lrec[17:]),
+			Bytes: int32(binary.LittleEndian.Uint32(lrec[25:])),
+		})
 	}
 	d.Events = make([]Event, 0, min(nevents, maxTraceBinAlloc))
 	var rec [traceBinRecSize]byte

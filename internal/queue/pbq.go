@@ -1,3 +1,16 @@
+// Package queue provides the lock-free single-producer/single-consumer
+// structures at the heart of Pure's intra-node messaging (paper §4.1): the
+// PBQ (PureBufferQueue), a circular queue of cacheline-aligned payload slots
+// for short messages (two-copy, buffered protocol), and the Rendezvous cell,
+// the posted-receive handoff for large messages (one-copy protocol).  Both
+// publish in the slot: a state word beside the data says whose turn it is
+// (PBQ: 0 = empty, len+1 = full; Rendezvous: 0 = free, 1 = posted, n+2 =
+// filled), one side stores it after writing the data and the other loads it
+// before reading, so neither side ever reads the other's position and the
+// flag travels in the same cacheline as what it guards.  Go's memory model
+// makes each atomic store/load pair a happens-before edge, which is strictly
+// stronger than the C++ acquire-release the paper relies on, so the same
+// single-owner slot discipline is sound here.
 package queue
 
 import (
@@ -7,6 +20,15 @@ import (
 
 	"repro/internal/schedpoint"
 )
+
+// CachelineBytes is the coherence granularity the queues pad to.  64 bytes
+// matches the Haswell nodes in the paper and every mainstream x86/arm64 part.
+const CachelineBytes = 64
+
+// pad is inserted between producer-owned and consumer-owned fields, and
+// around shared cells, so they never share a cacheline with their
+// neighbours (the false sharing the paper names as a key messaging cost).
+type pad [CachelineBytes]byte
 
 // PBQ is the PureBufferQueue: the lock-free SPSC circular queue Pure uses
 // for short intra-node messages (paper §4.1.1).  A single contiguous buffer
@@ -191,38 +213,4 @@ func (q *PBQ) PeekLen() (n int, ok bool) {
 		return 0, false
 	}
 	return int(state - 1), true
-}
-
-// Envelope is the receiver-posted metadata for a rendezvous (large-message)
-// transfer (paper §4.1.2): where the payload should land and how many bytes
-// the receiver is prepared to accept.
-type Envelope struct {
-	Dest []byte // receiver's destination buffer (len = capacity in bytes)
-	Seq  uint64 // receiver-assigned sequence, echoed on the completion queue
-}
-
-// Completion is the sender's notification that a rendezvous transfer
-// finished: how many bytes were written into the envelope's buffer.
-type Completion struct {
-	Bytes int
-	Seq   uint64
-}
-
-// RendezvousChannel pairs the two SPSC rings of the large-message protocol.
-// The receiver posts Envelopes; the sender pops an envelope, copies the
-// payload directly into Envelope.Dest (the single copy), and pushes a
-// Completion; the receiver pops the completion to learn the byte count.
-type RendezvousChannel struct {
-	Envelopes   *Ring[Envelope]
-	Completions *Ring[Completion]
-}
-
-// NewRendezvousChannel builds a rendezvous channel with the given depth
-// (how many receives may be posted before the receiver must drain
-// completions).
-func NewRendezvousChannel(depth int) *RendezvousChannel {
-	return &RendezvousChannel{
-		Envelopes:   NewRing[Envelope](depth),
-		Completions: NewRing[Completion](depth),
-	}
 }

@@ -160,9 +160,9 @@ type span struct {
 // so it is plain single-owner state with no synchronization.
 type LocalAlloc struct {
 	brk  int64
-	free []span          // sorted by offset, coalesced, never adjacent to brk
-	live map[int64]span  // off -> extent of live allocations
-	seqs map[int64]int   // off -> allocation seq (for Release -> PublishFree)
+	free []span         // sorted by offset, coalesced, never adjacent to brk
+	live map[int64]span // off -> extent of live allocations
+	seqs map[int64]int  // off -> allocation seq (for Release -> PublishFree)
 }
 
 // Align8 rounds n up to the cell size.

@@ -1,8 +1,8 @@
 #!/bin/sh
-# verify.sh — the repository's full verification gate: build, vet, the
-# complete test suite, the race detector over every concurrent package,
+# verify.sh — the repository's full verification gate: build, vet, gofmt,
+# the complete test suite, the race detector over every concurrent package,
 # a short-budget pass of the deterministic schedule checker and the
-# wire-format fuzzers, and the chaos suite.  CI and `make verify` both
+# wire-format and trace-dump fuzzers, and the chaos suite.  CI and `make verify` both
 # run exactly this script.
 set -eu
 cd "$(dirname "$0")/.."
@@ -30,6 +30,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "verify: FAIL — gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
@@ -41,13 +49,14 @@ go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/r
 echo "== deterministic schedule checker (short budget; full run: make check)"
 PURE_CHECK_SEEDS=64 go test -tags purecheck -count=1 ./internal/check
 
-echo "== fuzz smoke (wire-format decoders, short budget; full run: make fuzz)"
+echo "== fuzz smoke (wire-format and trace-dump decoders, short budget; full run: make fuzz)"
 go test -count=1 -fuzz FuzzFrameDecode -fuzztime 5s ./internal/rma
 go test -count=1 -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/codec
 go test -count=1 -fuzz FuzzFrameDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzControlDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzStatsdParse -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShmemFrame -fuzztime 5s ./internal/shmem
+go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 5s ./internal/obs
 
 echo "== chaos suite (watchdog/abort/lossy links under -race)"
 go test -race -count=1 \
