@@ -30,6 +30,7 @@ fuzz:
 	go test -count=1 -fuzz FuzzFrameDecode -fuzztime 30s ./internal/transport
 	go test -count=1 -fuzz FuzzControlDecode -fuzztime 30s ./internal/transport
 	go test -count=1 -fuzz FuzzStatsdParse -fuzztime 30s ./internal/statsd
+	go test -count=1 -fuzz FuzzShardFrame -fuzztime 30s ./internal/statsd
 	go test -count=1 -fuzz FuzzShmemFrame -fuzztime 30s ./internal/shmem
 	go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 30s ./internal/obs
 
@@ -38,7 +39,7 @@ fuzz:
 # with Transport.Faults (drops, delays, and the duplicates and out-of-order
 # discards go-back-N makes of them) — across several seeds (override with
 # PURE_CHAOS_SEEDS=comma,separated,ints).  Sized to stay CI-friendly on a
-# single CPU.
+# single CPU.  scripts/verify.sh runs this target (and race) as is.
 chaos:
 	go test -race -count=1 \
 		-run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \

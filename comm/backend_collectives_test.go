@@ -110,7 +110,6 @@ func TestBackendCollectivesAcrossNodes(t *testing.T) {
 		NRanks:       nranks,
 		Spec:         pure.CoriNode(2),
 		RanksPerNode: 2,
-		Net:          pure.NetConfig{LatencyNs: 50, BytesPerNs: 10, TimeScale: 10},
 	}
 	body := func(b Backend) []byte {
 		// Dyadic values keep every fold association exact, so the two-level

@@ -1,7 +1,8 @@
-// Multinode: a Pure program spanning several virtual Cori nodes with the
-// Aries-like network model, sparse placement, and helper threads — the
-// configuration of the paper's DT class A experiment (40 ranks on 64-thread
-// nodes, idle threads donated to helper threads that steal task chunks).
+// Multinode: a Pure program spanning several virtual Cori nodes — one
+// runtime per node in this process, joined by the link layer — with sparse
+// placement and helper threads: the configuration of the paper's DT class A
+// experiment (40 ranks on 64-thread nodes, idle threads donated to helper
+// threads that steal task chunks).
 //
 //	go run ./examples/multinode
 package main
@@ -25,7 +26,6 @@ func main() {
 		NRanks:       nranks,
 		Spec:         pure.CoriNode(nodes),
 		RanksPerNode: ranksPerNode,
-		Net:          scaledAries(),
 	}
 
 	run := func(helpers int) (time.Duration, int64) {
@@ -78,7 +78,7 @@ func main() {
 		return time.Since(start), stolen.Load()
 	}
 
-	fmt.Printf("Pure over %d virtual nodes (%d ranks, %d per node, Aries net model)\n",
+	fmt.Printf("Pure over %d in-process nodes (%d ranks, %d per node)\n",
 		nodes, nranks, ranksPerNode)
 	t0, s0 := run(0)
 	fmt.Printf("  without helper threads: %v, %d task chunks stolen\n", t0, s0)
@@ -87,12 +87,4 @@ func main() {
 	fmt.Println("helper threads occupy the idle hardware threads the sparse placement")
 	fmt.Println("leaves behind and steal task chunks (wall-clock gains need real cores;")
 	fmt.Println("this host multiplexes every rank onto one CPU)")
-}
-
-// scaledAries shrinks the Aries latencies so the example runs fast on a
-// laptop while keeping the inter/intra-node cost ratio.
-func scaledAries() pure.NetConfig {
-	n := pure.AriesNet()
-	n.TimeScale = 20
-	return n
 }

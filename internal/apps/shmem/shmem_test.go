@@ -17,7 +17,6 @@ func multiNodeCfg(nodes int) pure.Config {
 		NRanks:       nodes,
 		Spec:         pure.Spec{Nodes: nodes, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
 		RanksPerNode: 1,
-		Net:          pure.NetConfig{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
 		HangTimeout:  30 * time.Second,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/pure"
 )
@@ -15,7 +14,7 @@ import (
 // into the target's exposed memory plus an atomic flag update — no channel
 // slot, no matching, no request objects — which is exactly the shared-memory
 // advantage the paper argues one-sided operations expose.  The cross-node
-// rows ride the same modeled wire for both variants.
+// rows ride the same in-process link for both variants.
 func RMAHalo(quick bool) Table {
 	sizes := []int{64, 1 << 10, 8 << 10, 64 << 10}
 	iters := 2000
@@ -31,7 +30,7 @@ func RMAHalo(quick bool) Table {
 		Columns: []string{"placement", "payload", "isend/irecv-rt", "put+notify-rt", "speedup"},
 		Notes: []string{
 			"per-iteration wall time for a 2-rank bidirectional edge exchange, medians of repeated runs",
-			"intra-node Put is one direct copy into the peer's window; cross-node both variants ride the modeled wire",
+			"intra-node Put is one direct copy into the peer's window; cross-node both variants ride the link layer between two in-process nodes",
 		},
 	}
 	for _, placement := range []string{"same-node", "cross-node"} {
@@ -48,7 +47,6 @@ func RMAHalo(quick bool) Table {
 					NRanks:       2,
 					Spec:         topology.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
 					RanksPerNode: 1,
-					Net:          netsim.Config{LatencyNs: 200, BytesPerNs: 10, TimeScale: 50},
 				}
 			}
 			msgNs := medianOf(reps, func() int64 { return realMsgHalo(cfg(), sz, it) })

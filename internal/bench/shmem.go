@@ -5,14 +5,13 @@ import (
 	"time"
 
 	shmemapp "repro/internal/apps/shmem"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/pure"
 )
 
 // ShmemPGAS is the PGAS-layer experiment: the remote-atomic histogram and
-// the mailbox-frontier BFS on co-resident ranks and across the modeled
-// wire, plus the raw mailbox round trip.  Every data row is exactness-
+// the mailbox-frontier BFS on co-resident ranks and across two in-process
+// nodes' links, plus the raw mailbox round trip.  Every data row is exactness-
 // gated — a lost remote atomic or a reordered mailbox message flips the
 // exact column, so the throughput numbers are only reported for verified
 // runs.
@@ -35,7 +34,7 @@ func ShmemPGAS(quick bool) Table {
 			"histogram: per remote AtomicAdd into strided bins, round-verified vs the serial oracle",
 			"bfs: per vertex settled; frontier exchange over actor mailboxes with marker termination",
 			"mailbox: one 8-byte message each way between two owner rings",
-			"cross-node rows ride the modeled wire (200ns + 0.1ns/B); medians of repeated runs",
+			"cross-node rows ride the link layer between two in-process nodes; medians of repeated runs",
 		},
 	}
 
@@ -44,7 +43,6 @@ func ShmemPGAS(quick bool) Table {
 			NRanks:       2,
 			Spec:         topology.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
 			RanksPerNode: 1,
-			Net:          netsim.Config{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
 		}
 	}
 

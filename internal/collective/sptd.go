@@ -150,7 +150,8 @@ func (s *SPTD) Barrier(tid int, wait WaitFunc) {
 
 // BarrierBridged is Barrier with a cross-node hook: when every local thread
 // has arrived, the leader invokes bridge (e.g. the inter-node barrier over
-// MPI in the paper, netsim here) before releasing the local threads.
+// MPI in the paper, the leaders' link legs here) before releasing the local
+// threads.
 func (s *SPTD) BarrierBridged(tid int, bridge func(), wait WaitFunc) {
 	r := s.nextRound(tid)
 	if tid == 0 {

@@ -387,11 +387,11 @@ func (rt *Runtime) poison(cause, text, diag string, cycle []int) {
 			rt.met.hangs.Inc()
 		}
 	}
-	// With a real transport attached, tell every peer node this runtime is
-	// going down (an abort-flagged Bye) so survivors propagate the failure
-	// immediately instead of waiting out their heartbeat detectors.  On a
-	// separate goroutine: Abort takes link locks and this path may run from
-	// a transport callback already holding them.
+	// On a node with links, tell every peer node this runtime is going down
+	// (an abort-flagged Bye) so survivors propagate the failure immediately
+	// instead of waiting out their heartbeat detectors.  On a separate
+	// goroutine: Abort takes link locks and this path may run from a
+	// transport callback already holding them.
 	if rt.tp != nil && cause != CauseNodeDead {
 		msg := fmt.Sprintf("node %d aborted (%s): %s", rt.tp.Node(), cause, text)
 		go rt.tp.Abort(msg, nil)
@@ -401,7 +401,7 @@ func (rt *Runtime) poison(cause, text, diag string, cycle []int) {
 	wakeCells(rt.cells)
 }
 
-// tpProgress is the Waiter's progress hook under a real transport: apply
+// tpProgress is the Waiter's progress hook on a node with links: apply
 // incoming one-sided operations like rmaProgress, then write what this
 // node's links hold back — staged frames and acks left to woken ranks.
 func (r *Rank) tpProgress() {

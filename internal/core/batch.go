@@ -19,7 +19,7 @@ import (
 // Both ends must agree to speak batches on a given endpoint pair:
 // SendBatch/TrySendBatch on the send side, RecvBatch/TryRecvBatch on the
 // receive side.  A batch frame is just a message, so it rides every
-// existing path — PBQ, modeled network, real transport — unchanged.
+// existing path — PBQ or link — unchanged.
 
 const (
 	batchHeader    = 2 // u16 sub-message count
@@ -229,17 +229,12 @@ func (ep *Channel) RecvReady() bool {
 	return ok
 }
 
-// bindRemote resolves the endpoint's inter-node mailbox on first use: a
-// receive endpoint's on its first receive or probe, a send endpoint's on its
-// first send over the modeled wire (the real transport's sender has none:
-// the mailbox is in the peer's process).
+// bindRemote resolves a receive endpoint's inter-node mailbox on its first
+// receive or probe (a send endpoint has none: the mailbox is on the peer's
+// node).
 func (ep *Channel) bindRemote() *remoteChannel {
 	if ep.rem == nil {
-		key := chanKey{src: ep.peer, dst: ep.r.id, tag: ep.tag, comm: ep.comm}
-		if ep.dir == epSend {
-			key.src, key.dst = key.dst, key.src
-		}
-		ep.rem = ep.r.rt.remote(key)
+		ep.rem = ep.r.rt.remote(chanKey{src: ep.peer, dst: ep.r.id, tag: ep.tag, comm: ep.comm})
 	}
 	return ep.rem
 }
@@ -257,7 +252,7 @@ func (r *Rank) WaitFor(cond func() bool) {
 		return
 	}
 	r.pendRec = WaitRecord{Kind: WaitApp, Peer: -1}
-	// With a real transport the condition may be completed by the link
-	// reader goroutine; that wait must let the netpoller run (see waitReq).
+	// On a node with links the condition may be completed by a link reader
+	// goroutine; that wait must let it run (see waitReq).
 	r.leafWaitVia(r.rt.tp != nil, cond)
 }

@@ -260,14 +260,14 @@ func (c *Comm) collWait(op string, ni, tid int) lazyWait {
 		Kind: WaitCollective, Peer: -1, Comm: c.sh.id, Op: op,
 		Seq: c.sh.nodes[ni].sptd.Round(tid) + 1,
 	}}
-	// On a multi-node comm over the real transport the collective's
-	// critical path runs through the leaders' socket legs, so waiters park:
-	// a spinning non-leader would starve the very netpoller its leader is
-	// blocked on.  The group's members complete each other's waits with
-	// plain stores, so they also unpark each other (lazyWait.peers) — the
-	// leader its non-leaders once the bridged result is published.
-	// Single-node comms keep the pure spin even when a transport is up.
-	if c.r.rt.tp != nil && c.multiNode() {
+	// On a multi-node comm the collective's critical path runs through the
+	// leaders' link legs, so waiters park: a spinning non-leader would
+	// starve the very link reader its leader is blocked on.  The group's
+	// members complete each other's waits with plain stores, so they also
+	// unpark each other (lazyWait.peers) — the leader its non-leaders once
+	// the bridged result is published.  Single-node comms keep the pure spin
+	// even when the node has links.
+	if c.multiNode() {
 		lw.idle, lw.peers = true, c.sh.nodes[ni].cells
 	}
 	return lw

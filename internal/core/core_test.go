@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/collective"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -38,7 +37,6 @@ func runMulti(t *testing.T, nranks, nodes, rpn int, main func(r *Rank)) {
 		NRanks:       nranks,
 		Spec:         topology.Spec{Nodes: nodes, SocketsPerNode: 2, CoresPerSocket: (rpn + 3) / 4 * 2, ThreadsPerCore: 1},
 		RanksPerNode: rpn,
-		Net:          netsim.Config{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
 	}, main)
 	if err != nil {
 		t.Fatal(err)
@@ -656,44 +654,6 @@ func TestSelfSendPanics(t *testing.T) {
 		}()
 		r.World().Send([]byte{1}, 0, 0)
 	})
-}
-
-func TestEncodeDecodeInterNodeTag(t *testing.T) {
-	enc, err := EncodeInterNodeTag(123, 17, 42, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag, src, dst := DecodeInterNodeTag(enc, 6)
-	if tag != 123 || src != 17 || dst != 42 {
-		t.Fatalf("decode = (%d,%d,%d)", tag, src, dst)
-	}
-	if _, err := EncodeInterNodeTag(1, 64, 0, 6); err == nil {
-		t.Error("thread id overflow accepted")
-	}
-	if _, err := EncodeInterNodeTag(1<<20, 0, 0, 6); err == nil {
-		t.Error("tag overflow accepted")
-	}
-	if _, err := EncodeInterNodeTag(1, 0, 0, 0); err == nil {
-		t.Error("zero bits accepted")
-	}
-}
-
-// Property: encode/decode round-trips for every (tag, src, dst) in range.
-func TestInterNodeTagRoundTripProperty(t *testing.T) {
-	f := func(tagU uint16, srcU, dstU uint8) bool {
-		tag := int(tagU)
-		src := int(srcU % 64)
-		dst := int(dstU % 64)
-		enc, err := EncodeInterNodeTag(tag, src, dst, 6)
-		if err != nil {
-			return false
-		}
-		gt, gs, gd := DecodeInterNodeTag(enc, 6)
-		return gt == tag && gs == src && gd == dst
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Integration: the §2 random-work stencil smoke test on the real runtime.

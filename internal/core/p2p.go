@@ -57,13 +57,12 @@ func (l *reqList) pop() {
 	}
 }
 
-// remoteChannel is an inter-node channel.  In the paper this is MPI_Send /
-// MPI_Recv with sender/receiver thread ids encoded in the tag's upper bits;
-// here it is an ordered mailbox whose enqueue pays the modeled network cost
-// and contends on the destination node's "NIC" lock (the
-// MPI_THREAD_MULTIPLE serialization Pure accepts on this path) — or, under a
-// real transport, that the link's Deliver upcall fills.  It is only a
-// mailbox: sequencing, acks and retransmission belong to the transport.
+// remoteChannel is the receiving end of an inter-node channel.  In the paper
+// this is MPI_Send / MPI_Recv with sender/receiver thread ids encoded in the
+// tag's upper bits; here a link frame carries the global source and
+// destination ranks, and the link's Deliver upcall fills this ordered
+// mailbox.  It is only a mailbox: sequencing, acks and retransmission
+// belong to the transport.
 type remoteChannel struct {
 	n    atomic.Int64 // buffered message count (lock-free emptiness probe)
 	mu   chanMutex
@@ -72,8 +71,8 @@ type remoteChannel struct {
 	free [][]byte // payload buffers handed back by the receiver, for the next arrival
 }
 
-// chanMutex is a tiny spinlock; contention on it plays the role of the MPI
-// runtime's internal lock.
+// chanMutex is a tiny spinlock between a mailbox's filler (the link reader)
+// and its receiving rank.
 type chanMutex struct{ state atomic.Int32 }
 
 func (m *chanMutex) lock() {
@@ -101,8 +100,8 @@ func lookupChannel(m *sync.Map, key chanKey) *channel {
 }
 
 // remote resolves key's inter-node mailbox, creating it on demand.  Callers
-// keep what it returns: an endpoint binds its mailbox once (bindRemote), an
-// RMA flow holds its own.
+// keep what it returns: a receive endpoint binds its mailbox once
+// (bindRemote), an RMA inbox holds its own.
 func (rt *Runtime) remote(key chanKey) *remoteChannel {
 	if v, ok := rt.remotes.Load(key); ok {
 		return v.(*remoteChannel)
@@ -184,50 +183,17 @@ func (q *Request) Done() bool { return q.done }
 // Bytes returns the received byte count of a completed receive request.
 func (q *Request) Bytes() int { return q.n }
 
-// EncodeInterNodeTag reproduces the paper's inter-node tag encoding: the
-// sender and receiver thread numbers (within their processes) are packed
-// into the upper bits of the MPI tag (paper §4.1.3; 6 bits each covered the
-// 64 threads per node used in the evaluation).  The mailbox transport does
-// not need this — channels are keyed by global ranks — but the encoding is
-// kept (and tested) as the documented wire format.
-func EncodeInterNodeTag(tag, srcLocal, dstLocal, bits int) (int, error) {
-	if bits <= 0 || bits > 12 {
-		return 0, fmt.Errorf("core: thread-id field of %d bits out of range", bits)
-	}
-	limit := 1 << bits
-	if srcLocal < 0 || srcLocal >= limit || dstLocal < 0 || dstLocal >= limit {
-		return 0, fmt.Errorf("core: thread ids (%d, %d) do not fit in %d bits", srcLocal, dstLocal, bits)
-	}
-	if tag < 0 || tag >= 1<<(31-2*bits-1) {
-		return 0, fmt.Errorf("core: tag %d overflows with 2x%d thread-id bits", tag, bits)
-	}
-	return tag | srcLocal<<(31-2*bits) | dstLocal<<(31-bits), nil
-}
-
-// DecodeInterNodeTag inverts EncodeInterNodeTag.
-func DecodeInterNodeTag(enc, bits int) (tag, srcLocal, dstLocal int) {
-	mask := 1<<bits - 1
-	srcLocal = (enc >> (31 - 2*bits)) & mask
-	dstLocal = (enc >> (31 - bits)) & mask
-	tag = enc & (1<<(31-2*bits) - 1)
-	return
-}
-
 // ---- Point-to-point operations (rank-level; Comm wraps these with rank
 // translation) ----
 
 // startRemoteSend sends req's buffer on the endpoint's inter-node channel.
 // The send completes at post time (MPI buffered-send semantics: the caller
-// may reuse the buffer at once): the modeled wire has copied it into the
-// destination mailbox, the real transport into the link's resend window,
-// where loss, reordering and reconnects are the link protocol's problem.
+// may reuse the buffer at once): the link has copied it into its resend
+// window, where loss, reordering and reconnects are the link protocol's
+// problem.
 func (ep *Channel) startRemoteSend(req *Request) {
 	r := ep.r
-	if r.rt.tp != nil {
-		r.tpSendData(chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}, req.buf)
-	} else {
-		r.remoteSend(ep.bindRemote(), ep.peer, req.buf)
-	}
+	r.tpSendData(chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}, req.buf)
 	req.done, req.n = true, len(req.buf)
 }
 
@@ -265,13 +231,11 @@ func (r *Rank) waitReq(req *Request) int {
 		Kind: waitKindFor(req.kind), Peer: int(req.peer),
 		Tag: req.tag, Comm: req.comm, Seq: req.seq,
 	}
-	// Remote completions on the real transport arrive via the link reader
-	// goroutine, so those waits must let the netpoller run; on the modeled
-	// network the waiting rank drives delivery itself and keeps spinning.
-	idle := r.rt.tp != nil
+	// Remote completions arrive via a link reader goroutine, so those waits
+	// park and let it run.
 	switch req.kind {
 	case reqRemoteRecv:
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitIdle(func() bool {
 			if req.done {
 				return true
 			}
@@ -282,7 +246,7 @@ func (r *Rank) waitReq(req *Request) int {
 		// Origin side of a remote one-sided op: apply incoming frames (two
 		// origins putting at each other must each drain their inbox), then
 		// poll the target's applied watermark.
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitIdle(func() bool {
 			if req.flow.applied.Load() >= req.flowSeq {
 				req.done = true
 				return true
@@ -295,7 +259,7 @@ func (r *Rank) waitReq(req *Request) int {
 		})
 	case reqRmaGet:
 		// The reply frame arrives on our own inbox; rmaProgress fills buf.
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitIdle(func() bool {
 			if req.done {
 				return true
 			}
@@ -386,42 +350,13 @@ func (r *Rank) progressRecv(ch *channel) {
 	}
 }
 
-// remoteSend delivers buf to rank dst's mailbox rc on another node over the
-// modeled wire: pay the wire time, then copy it into the mailbox under the
-// destination node's NIC lock.
-func (r *Rank) remoteSend(rc *remoteChannel, dst int, buf []byte) {
-	r.rt.net.Transfer(len(buf))
-	nic := &r.rt.nodes[r.rt.place.NodeOf(dst)].nic
-	nic.Lock()
-	rc.deposit(buf)
-	nic.Unlock()
-}
-
-// remoteSendOwned is remoteSend for a payload the caller hands over (a
-// freshly encoded RMA frame): no defensive copy.
-func (r *Rank) remoteSendOwned(rc *remoteChannel, dst int, buf []byte) {
-	r.rt.net.Transfer(len(buf))
-	nic := &r.rt.nodes[r.rt.place.NodeOf(dst)].nic
-	nic.Lock()
-	rc.mu.lock()
-	rc.push(buf)
-	rc.mu.unlock()
-	nic.Unlock()
-}
-
 // deposit appends a copy of payload to the mailbox, in a buffer the receiving
 // rank handed back when there is one.
+// The mailbox is a ring of n payloads from head, doubled when full.
 func (rc *remoteChannel) deposit(payload []byte) {
 	rc.mu.lock()
 	cp := rc.takeBuf(len(payload))
 	copy(cp, payload)
-	rc.push(cp)
-	rc.mu.unlock()
-}
-
-// push appends one message to the mailbox ring, doubling it when full.
-// Caller holds rc.mu.
-func (rc *remoteChannel) push(m []byte) {
 	n := int(rc.n.Load())
 	if n == len(rc.msgs) {
 		grown := make([][]byte, max(8, 2*n))
@@ -430,8 +365,9 @@ func (rc *remoteChannel) push(m []byte) {
 		}
 		rc.msgs, rc.head = grown, 0
 	}
-	rc.msgs[(rc.head+n)&(len(rc.msgs)-1)] = m
+	rc.msgs[(rc.head+n)&(len(rc.msgs)-1)] = cp
 	rc.n.Add(1)
+	rc.mu.unlock()
 }
 
 // tryPop dequeues the channel's head message, or reports none buffered.

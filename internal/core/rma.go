@@ -17,32 +17,34 @@ import (
 // bounds-checked copy into the target rank's exposed buffer — the same
 // single-copy discipline as the rendezvous path — ordered by the epoch
 // primitives' atomic flags.  Inter-node operations are encoded as frames
-// and ride the existing mailbox transport on a reserved tag.  The target
-// applies incoming frames from its own goroutine — in every runtime wait
-// via the SSW loop's Progress hook, and inside the RMA wait loops
-// themselves — and advances a per-flow applied watermark that doubles as
-// the origin's completion signal (a shared-memory read in one process, a
-// KindApplied frame across processes; see transport.go).
+// and ride the links into the target node's mailboxes on a reserved tag.
+// The target applies incoming frames from its own goroutine — in every
+// runtime wait via the SSW loop's Progress hook, and inside the RMA wait
+// loops themselves — and advances a per-flow applied watermark, which it
+// ships back to the origin as a KindApplied frame, the origin's completion
+// signal (see transport.go).
 
 // rmaTag is the reserved channel-manager tag space for RMA frames; it sits
 // above collTag, so it can never collide with application tags (checked
 // below collTag) or with internal collective traffic (exactly collTag).
 const rmaTag = collTag + 1
 
-// rmaFlow is one origin->target remote RMA stream: the underlying mailbox
-// channel plus the applied watermark.  sent is origin-owned (single
-// goroutine); applied is advanced by the target as it applies frames in
-// flow order, so an origin's operation is globally complete — applied to
-// target memory, not merely delivered — once applied covers its sequence.
+// rmaFlow is one origin->target remote RMA stream as one end sees it.  sent
+// is origin-owned (single goroutine); applied is advanced by the target as
+// it applies frames in flow order and mirrored on the origin's node from its
+// KindApplied frames, so an origin's operation is globally complete —
+// applied to target memory, not merely delivered — once applied covers its
+// sequence.
 type rmaFlow struct {
-	rc      *remoteChannel
 	sent    uint64        // frames shipped; owned by the origin rank
 	applied atomic.Uint64 // frames applied by the target (completion watermark)
 }
 
-// rmaInbox is one incoming flow a rank drains: the flow plus the frame
-// dispatch coordinates the chanKey carried (communicator and origin).
+// rmaInbox is one incoming flow a rank drains: its mailbox and flow, plus
+// the frame dispatch coordinates the chanKey carried (communicator and
+// origin).
 type rmaInbox struct {
+	rc     *remoteChannel
 	flow   *rmaFlow
 	comm   uint64
 	origin int // global origin rank
@@ -54,7 +56,7 @@ func (r *Rank) rmaFlowFor(key chanKey) *rmaFlow {
 	if f, ok := r.rmaFlowCache[key]; ok {
 		return f
 	}
-	v, _ := r.rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: r.rt.remote(key)})
+	v, _ := r.rt.rmaFlows.LoadOrStore(key, new(rmaFlow))
 	f := v.(*rmaFlow)
 	if r.rmaFlowCache == nil {
 		r.rmaFlowCache = make(map[chanKey]*rmaFlow)
@@ -107,12 +109,12 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 		}
 		if !r.rmaInSet[key] {
 			r.rmaInSet[key] = true
-			r.rmaIn = append(r.rmaIn, &rmaInbox{flow: r.rmaFlowFor(key), comm: c.sh.id, origin: g})
+			r.rmaIn = append(r.rmaIn, &rmaInbox{rc: r.rt.remote(key), flow: r.rmaFlowFor(key), comm: c.sh.id, origin: g})
 		}
 	}
-	if r.rt.tp != nil && c.multiNode() {
-		// Members in other OS processes never Attach into this replica, so
-		// exchange buffer lengths to keep origin-side bounds checks global.
+	if c.multiNode() {
+		// Members on other nodes never Attach into this replica, so exchange
+		// buffer lengths to keep origin-side bounds checks global.
 		var mine [8]byte
 		binary.LittleEndian.PutUint64(mine[:], uint64(len(buf)))
 		all := make([]byte, 8*c.Size())
@@ -132,8 +134,8 @@ func (win *Win) Comm() *Comm { return win.c }
 func (win *Win) Size() int { return win.w.N() }
 
 // Len returns the byte length of target's exposed buffer (valid for every
-// member, including cross-process members whose buffer this replica cannot
-// address).
+// member, including members on other nodes, whose buffer this replica
+// cannot address).
 func (win *Win) Len(target int) int {
 	win.c.checkPeer(target, "window")
 	return win.w.Len(target)
@@ -193,14 +195,10 @@ func (r *Rank) rmaTransmit(commID uint64, dstGlobal int, f *rma.Frame) (*rmaFlow
 	buf := f.Encode()
 	flow.sent++
 	r.count(&r.stats.RmaRemotePackets, 1)
-	if r.rt.tp != nil {
-		// Real transport: the encoded frame rides the link's sequenced
-		// stream into the target process's mailbox; the applied watermark
-		// comes back as KindApplied frames (see tpApplied).
-		r.tpSendData(key, buf)
-		return flow, flow.sent
-	}
-	r.remoteSendOwned(flow.rc, dstGlobal, buf)
+	// The encoded frame rides the link's sequenced stream into the target
+	// node's mailbox; the applied watermark comes back as KindApplied frames
+	// (see tpApplied).
+	r.tpSendData(key, buf)
 	return flow, flow.sent
 }
 
@@ -230,8 +228,8 @@ func (r *Rank) rmaProgress() {
 	for _, in := range r.rmaIn {
 		schedpoint.Point("core:rma:drain-inbox")
 		drained := 0
-		for in.flow.rc.n.Load() > 0 {
-			msg, ok := in.flow.rc.tryPop()
+		for in.rc.n.Load() > 0 {
+			msg, ok := in.rc.tryPop()
 			if !ok {
 				break
 			}
@@ -241,9 +239,9 @@ func (r *Rank) rmaProgress() {
 			drained++
 			r.slot.progress.Add(1) // frame application is forward progress
 		}
-		if drained > 0 && r.rt.tp != nil {
-			// Across processes the origin cannot read our replica's applied
-			// watermark; ship the new total back on the reverse link.
+		if drained > 0 {
+			// The origin's node cannot read our replica's applied watermark;
+			// ship the new total back on the reverse link.
 			r.tpSendApplied(in)
 		}
 	}
@@ -290,12 +288,12 @@ func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 	case rma.FrameNotify:
 		w.Notify(int(f.Target), int(f.Aux))
 	case rma.FramePost:
-		// Cross-process PSCW: the sender (f.Origin) posted exposure round
-		// f.Aux; mirror it into this replica's flags for local Start polls.
+		// Cross-node PSCW: the sender (f.Origin) posted exposure round f.Aux;
+		// mirror it into this replica's flags for local Start polls.
 		w.Post(int(f.Origin), f.Aux)
 	case rma.FrameComplete:
-		// Cross-process PSCW: f.Origin completed access round f.Aux at
-		// f.Target (a rank in this process, polling in Wait).
+		// Cross-node PSCW: f.Origin completed access round f.Aux at f.Target
+		// (a rank on this node, polling in Wait).
 		w.Complete(int(f.Origin), int(f.Target), f.Aux)
 	case rma.FrameShmem:
 		r.shmemApply(in, w, &f)
@@ -420,8 +418,8 @@ func (win *Win) Fence() {
 	t0 := r.traceStart()
 	win.completePending()
 	win.fenceRound++
-	if r.rt.tp != nil && win.c.multiNode() {
-		// Cross-process members never store into this replica's fence flags.
+	if win.c.multiNode() {
+		// Members on other nodes never store into this replica's fence flags.
 		// A barrier (whose leader legs ride the transport) gives the same
 		// guarantee: everyone's outstanding operations were applied (their
 		// completePending ran first) before anyone proceeds.
@@ -462,16 +460,15 @@ func (win *Win) Post(origins []int) {
 	win.postOrigins = append([]int(nil), origins...)
 	win.postRound++
 	win.w.Post(win.c.myRank, win.postRound)
-	if r := win.c.r; r.rt.tp != nil {
-		// Mirror the exposure flag into cross-process origins' replicas;
-		// their Start polls locally and rmaProgress applies the frame.
-		for _, o := range win.postOrigins {
-			if g, same := win.local(o); !same {
-				f := &rma.Frame{Kind: rma.FramePost, WinSeq: win.key.Seq,
-					Origin: uint32(win.c.myRank), Target: uint32(o), Aux: win.postRound}
-				flow, seq := r.rmaTransmit(win.key.Comm, g, f)
-				win.addPend(r.rmaRemoteReq(flow, seq, g, win.key.Comm))
-			}
+	// Mirror the exposure flag into other nodes' origins' replicas; their
+	// Start polls locally and rmaProgress applies the frame.
+	r := win.c.r
+	for _, o := range win.postOrigins {
+		if g, same := win.local(o); !same {
+			f := &rma.Frame{Kind: rma.FramePost, WinSeq: win.key.Seq,
+				Origin: uint32(win.c.myRank), Target: uint32(o), Aux: win.postRound}
+			flow, seq := r.rmaTransmit(win.key.Comm, g, f)
+			win.addPend(r.rmaRemoteReq(flow, seq, g, win.key.Comm))
 		}
 	}
 }
@@ -495,16 +492,10 @@ func (win *Win) Start(targets []int) {
 		if win.w.Posted(t, win.startRound) {
 			continue
 		}
-		g := win.c.sh.members[t]
+		g, same := win.local(t)
 		r.pendRec = WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.startRound, Op: "start"}
-		idle := false
-		if r.rt.tp != nil {
-			if _, same := win.local(t); !same {
-				idle = true // the Post flag arrives as a frame
-			}
-		}
 		t := t
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitVia(!same, func() bool { // a remote Post flag arrives as a frame
 			if win.w.Posted(t, win.startRound) {
 				return true
 			}
@@ -526,18 +517,16 @@ func (win *Win) Complete() {
 	r := win.c.r
 	for _, t := range win.startTargets {
 		win.w.Complete(win.c.myRank, t, win.completeRound)
-		if r.rt.tp != nil {
-			if g, same := win.local(t); !same {
-				// Mirror the completion flag into the cross-process target's
-				// replica.  The frame follows this epoch's operation frames
-				// on the same flow, and completePending already confirmed
-				// they were applied, so the target's Wait release orders
-				// correctly after the data.
-				f := &rma.Frame{Kind: rma.FrameComplete, WinSeq: win.key.Seq,
-					Origin: uint32(win.c.myRank), Target: uint32(t), Aux: win.completeRound}
-				flow, seq := r.rmaTransmit(win.key.Comm, g, f)
-				win.addPend(r.rmaRemoteReq(flow, seq, g, win.key.Comm))
-			}
+		if g, same := win.local(t); !same {
+			// Mirror the completion flag into the other node's target's
+			// replica.  The frame follows this epoch's operation frames on
+			// the same flow, and completePending already confirmed they were
+			// applied, so the target's Wait release orders correctly after
+			// the data.
+			f := &rma.Frame{Kind: rma.FrameComplete, WinSeq: win.key.Seq,
+				Origin: uint32(win.c.myRank), Target: uint32(t), Aux: win.completeRound}
+			flow, seq := r.rmaTransmit(win.key.Comm, g, f)
+			win.addPend(r.rmaRemoteReq(flow, seq, g, win.key.Comm))
 		}
 	}
 	win.startTargets = nil
@@ -556,16 +545,10 @@ func (win *Win) Wait() {
 		if win.w.Completed(o, win.c.myRank, win.waitRound) {
 			continue
 		}
-		g := win.c.sh.members[o]
+		g, same := win.local(o)
 		r.pendRec = WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.waitRound, Op: "wait"}
-		idle := false
-		if r.rt.tp != nil {
-			if _, same := win.local(o); !same {
-				idle = true // the Complete flag arrives as a frame
-			}
-		}
 		o := o
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitVia(!same, func() bool { // a remote Complete flag arrives as a frame
 			if win.w.Completed(o, win.c.myRank, win.waitRound) {
 				return true
 			}
@@ -610,7 +593,7 @@ func (win *Win) NotifyWait(slot, count int) {
 	}
 	lw := lazyWait{r: r, rec: WaitRecord{
 		Kind: WaitRmaNotify, Peer: -1, Tag: rmaTag, Comm: win.key.Comm, Seq: need, Op: "notify-wait",
-	}, idle: r.rt.tp != nil && win.c.multiNode()}
+	}, idle: win.c.multiNode()}
 	lw.wait(func() bool {
 		if win.w.NotifyCount(me, slot) >= need {
 			return true

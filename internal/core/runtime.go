@@ -1,8 +1,8 @@
 // Package core is the Pure runtime system (paper §4): a multithreaded,
 // "distributed" runtime in which application ranks are goroutines (the
 // paper uses kernel threads) that communicate through lock-free shared
-// memory structures within a node and through a modeled network across
-// nodes.
+// memory structures within a node and through the link layer
+// (internal/transport) across nodes.
 //
 // The runtime owns: rank bootstrap and placement; the channel manager that
 // maps message arguments to persistent channel objects; the point-to-point
@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/rma"
 	"repro/internal/sched"
@@ -68,21 +67,15 @@ type Config struct {
 	// SpinBudget is the SSW-Loop probe count between yields.
 	SpinBudget int
 
-	// Net is the cost model of the in-process modeled wire between virtual
-	// nodes (netsim.Loopback() for 1 node): latency, bandwidth and
-	// per-message overhead, nothing else.  The modeled wire never loses or
-	// reorders a message; loss, duplication and recovery exist only on the
-	// real transport below (Transport.Faults injects them).
-	Net netsim.Config
-
-	// Transport, when non-nil, replaces the in-process modeled network with
-	// a real inter-node transport (TCP by default): this OS process runs
-	// only the ranks placed on Transport.Node, one cooperating process per
-	// node in Transport.Addrs, and all cross-node traffic — two-sided sends,
-	// leader-tree collective legs, and RMA frames — travels the transport's
-	// sequenced, acked, heartbeat-monitored links.  Spec.Nodes must equal
-	// len(Transport.Addrs).  Net is unused then.  Transport.Faults injects
-	// link-level drops and delays, which the link protocol recovers.
+	// Transport, when non-nil, makes this OS process one node of a job
+	// over TCP: it runs only the ranks placed on Transport.Node, one
+	// cooperating process per node in Transport.Addrs, and all cross-node
+	// traffic — two-sided sends, leader-tree collective legs, and RMA frames
+	// — travels the transport's sequenced, acked, heartbeat-monitored links.
+	// Spec.Nodes must equal len(Transport.Addrs).  Transport.Faults injects
+	// link-level drops and delays, which the link protocol recovers.  When
+	// nil, a Spec of several nodes runs every node in this process, over the
+	// same links on an in-memory network (see runNodes).
 	Transport *transport.Config
 
 	// HangTimeout arms the watchdog: when every live rank is blocked and no
@@ -194,32 +187,27 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// nodeState is the per-node shared state: the task scheduler (active_tasks
-// array) and the node's "NIC" lock, which models the MPI_THREAD_MULTIPLE
-// serialization Pure pays on its inter-node path (paper §4.1.3).
+// nodeState is the node's shared state: the task scheduler (active_tasks
+// array, one slot per rank on the node, then one per helper thread).
 type nodeState struct {
-	sched      *sched.Scheduler
-	nic        sync.Mutex
-	helperStop chan struct{}
-	helperWG   *sync.WaitGroup
-	nRanks     int // application ranks on this node (helpers get slots after)
+	sched *sched.Scheduler
 }
 
-// Runtime is one Pure program instance.
+// Runtime is one Pure program instance on one node: every rank of a
+// single-node run, or the ranks of one node of a multi-node job.
 type Runtime struct {
 	cfg   Config
 	place *topology.Placement
-	net   *netsim.Network
-	nodes []*nodeState
+	node  *nodeState
 
 	channels sync.Map // chanKey -> *channel   (intra-node)
 	remotes  sync.Map // chanKey -> *remoteChannel (inter-node)
 	comms    sync.Map // splitKey -> *commShared
 
-	// tp is the real inter-node transport when Config.Transport is set (nil
-	// for in-process runs); tpFinished marks that every local rank has
-	// returned, turning late peer-failure upcalls into no-ops (peer shutdown
-	// is not synchronized across nodes).
+	// tp is the node's links to every other node (nil on a single-node
+	// run); tpFinished marks that every local rank has returned, turning
+	// late peer-failure upcalls into no-ops (peer shutdown is not
+	// synchronized across nodes).
 	tp         *transport.Transport
 	tpFinished atomic.Bool
 
@@ -340,26 +328,24 @@ func (rt *Runtime) Placement() *topology.Placement { return rt.place }
 // Config returns the resolved configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// Run bootstraps a Pure program: it builds the placement, the per-node
-// schedulers and helper threads, and the world communicator, then launches
+// Run bootstraps a Pure program: it builds the placement, the node's
+// scheduler and helper threads, and the world communicator, then launches
 // NRanks goroutines each executing main (the application's __original_main
 // in the paper's bootstrap, §4.0.1) and waits for them all to return.
 func Run(cfg Config, main func(r *Rank)) error {
-	return runInternal(cfg, main, nil)
+	_, err := RunWithStats(cfg, main)
+	return err
 }
 
-// runInternal is Run with an optional post-run hook (used by RunWithStats to
-// harvest the ranks' counter cells).
-func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
-	rcfg, err := cfg.withDefaults()
-	if err != nil {
-		return err
-	}
+// runInternal runs the ranks of one node: rcfg is resolved, and be is the
+// links' byte-stream backend (nil for TCP).  It returns the runtime once its
+// ranks have run, or a nil runtime if it failed to start.
+func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtime, error) {
 	place, err := topology.NewPlacement(rcfg.Spec, rcfg.NRanks, rcfg.RanksPerNode, rcfg.Policy, rcfg.Seats)
 	if err != nil {
-		return fmt.Errorf("core: placing ranks: %w", err)
+		return nil, fmt.Errorf("core: placing ranks: %w", err)
 	}
-	rt := &Runtime{cfg: rcfg, place: place, net: netsim.New(rcfg.Net), cells: make([]*ssw.WakeCell, rcfg.NRanks)}
+	rt := &Runtime{cfg: rcfg, place: place, cells: make([]*ssw.WakeCell, rcfg.NRanks)}
 	rt.stats = make([]rankCells, rcfg.NRanks)
 	for i := range rt.cells {
 		rt.cells[i] = ssw.NewWakeCell()
@@ -378,35 +364,31 @@ func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 		col = &collector{stats: rt.stats, rt: rt}
 		defer col.finish() // deferred first, so it runs last: after the transport's Close
 	}
-	rt.nodes = make([]*nodeState, rcfg.Spec.Nodes)
-	for n := range rt.nodes {
-		nRanks := len(place.RanksOnNode(n))
-		if nRanks == 0 {
-			continue
+	myNode := 0
+	if rcfg.Transport != nil {
+		myNode = rcfg.Transport.Node
+	}
+	nRanks := len(place.RanksOnNode(myNode))
+	slots := nRanks + rcfg.HelpersPerNode
+	var socketOf []int
+	if rcfg.StealPolicy == sched.NUMAAwareSteal {
+		socketOf = make([]int, slots)
+		for i, rank := range place.RanksOnNode(myNode) {
+			socketOf[i] = place.SocketOf(rank)
 		}
-		slots := nRanks + rcfg.HelpersPerNode
-		var socketOf []int
-		if rcfg.StealPolicy == sched.NUMAAwareSteal {
-			socketOf = make([]int, slots)
-			for i, rank := range place.RanksOnNode(n) {
-				socketOf[i] = place.SocketOf(rank)
-			}
-		}
-		rt.nodes[n] = &nodeState{
-			sched: sched.New(sched.Config{
-				Slots:       slots,
-				ChunkMode:   rcfg.ChunkMode,
-				Policy:      rcfg.StealPolicy,
-				SocketOf:    socketOf,
-				OwnerSteals: rcfg.OwnerSteals,
-			}),
-			nRanks: nRanks,
-		}
+	}
+	rt.node = new(nodeState)
+	if slots > 0 { // a node the placement left empty runs nothing
+		rt.node.sched = sched.New(sched.Config{
+			Slots:       slots,
+			ChunkMode:   rcfg.ChunkMode,
+			Policy:      rcfg.StealPolicy,
+			SocketOf:    socketOf,
+			OwnerSteals: rcfg.OwnerSteals,
+		})
 	}
 	rt.world = rt.newCommShared(worldCommID, allRanks(rcfg.NRanks))
 
-	// With a real transport, this process runs only its own node's ranks.
-	localRank := func(int) bool { return true }
 	if rcfg.Transport != nil {
 		tcfg := *rcfg.Transport
 		if rcfg.Trace != nil && tcfg.LinkEvents == 0 {
@@ -414,7 +396,7 @@ func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 			// dump carries what `puretrace merge` matches across nodes.
 			tcfg.LinkEvents = 1 << 14
 		}
-		tp, err := transport.New(tcfg, nil, rcfg.NRanks, transport.Handlers{
+		tp, err := transport.New(tcfg, be, rcfg.NRanks, transport.Handlers{
 			Deliver:  rt.tpDeliver,
 			Applied:  rt.tpApplied,
 			PeerDead: rt.tpPeerDead,
@@ -422,51 +404,44 @@ func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 			Writable: rt.tpWritable,
 		})
 		if err != nil {
-			return fmt.Errorf("core: building transport: %w", err)
+			return nil, fmt.Errorf("core: building transport: %w", err)
 		}
 		// Upcalls may run before Start returns — a peer that was up first has
 		// frames waiting for the handshake — and the ones that poison read
 		// rt.tp.
 		rt.tp = tp
 		if err := tp.Start(); err != nil {
-			return err
+			return nil, err
 		}
 		defer func() {
 			rt.tpFinished.Store(true)
+			if rt.abort.flag.Load() {
+				rt.announceAbort()
+			}
 			tp.Close()
 		}()
-		myNode := tp.Node()
-		localRank = func(id int) bool { return place.NodeOf(id) == myNode }
 	}
 
 	// Adaptive SSW spin budget: the paper pins one rank per hardware thread
 	// and spins freely.  When this host cannot do that (goroutine ranks
 	// oversubscribed onto fewer cores), long spins only delay the scheduler
-	// from running the peer.  The budget derives from GOMAXPROCS against
-	// the goroutines this *process* actually hosts: under a real transport
-	// that is only this node's ranks — the old all-nodes maximum would let
-	// a 16-rank peer node throttle a process hosting one rank on idle
-	// cores — and without one it is every rank of every virtual node, all
-	// sharing this scheduler.
+	// from running the peer.  The budget derives from GOMAXPROCS against the
+	// goroutines this node hosts — a 16-rank peer node must not throttle a
+	// process hosting one rank on idle cores.  (runNodes, whose nodes share
+	// one scheduler, derives it from all of them.)
 	if rcfg.SpinBudget == 0 {
-		tpNode := -1
-		if rt.tp != nil {
-			tpNode = rt.tp.Node()
-		}
-		live := liveLocalRanks(place, rcfg.Spec.Nodes, rcfg.HelpersPerNode, tpNode)
-		rt.cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), live)
+		rt.cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), nRanks+rcfg.HelpersPerNode)
 	}
 
 	// Start helper threads (paper: "extra threads that continuously try to
 	// steal work", used when ranks don't cover all hardware threads).
 	if rcfg.HelpersPerNode > 0 {
-		for n, ns := range rt.nodes {
-			if ns == nil || (rt.tp != nil && n != rt.tp.Node()) {
-				continue
-			}
-			ns.helperStop = make(chan struct{})
-			ns.helperWG = ns.sched.Helpers(ns.nRanks, rcfg.HelpersPerNode, ns.helperStop)
-		}
+		stop := make(chan struct{})
+		helpers := rt.node.sched.Helpers(nRanks, rcfg.HelpersPerNode, stop)
+		defer func() {
+			close(stop)
+			helpers.Wait()
+		}()
 	}
 
 	rt.waitSlots = make([]rankWaitSlot, rcfg.NRanks)
@@ -477,7 +452,10 @@ func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 	}
 	if rcfg.MonitorAddr != "" {
 		if err := rt.startMonitor(); err != nil {
-			return fmt.Errorf("core: starting monitor: %w", err)
+			// Peers may be waiting for this node's ranks: tell them it is not
+			// coming (the link teardown above announces the abort).
+			rt.poison(CauseAbort, fmt.Sprintf("node %d: starting monitor: %v", myNode, err), "", nil)
+			return nil, fmt.Errorf("core: starting monitor: %w", err)
 		}
 		defer rt.stopMonitor()
 	}
@@ -485,8 +463,8 @@ func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 	failures := make(chan RankFailure, rcfg.NRanks)
 	ranks := make([]*Rank, rcfg.NRanks)
 	for id := 0; id < rcfg.NRanks; id++ {
-		if !localRank(id) {
-			// Another OS process runs this rank; mark its slot done so the
+		if place.NodeOf(id) != myNode {
+			// Another node runs this rank; mark its slot done so the
 			// watchdog and the failure harvest skip it here.
 			rt.waitSlots[id].done.Store(true)
 			continue
@@ -541,62 +519,37 @@ func runInternal(cfg Config, main func(r *Rank), harvest func(*Runtime)) error {
 	}
 
 	wg.Wait()
-	if rt.tp != nil {
-		// Local ranks are done: late peer-failure upcalls must no longer
-		// poison the run (peer shutdown is unsynchronized).  If the run
-		// aborted, re-announce it synchronously — the poison-time Bye rides a
-		// separate goroutine that may not have run before Close tears the
-		// links down.
-		rt.tpFinished.Store(true)
-		if rt.abort.flag.Load() {
-			rt.abort.mu.Lock()
-			text := fmt.Sprintf("node %d aborted (%s): %s", rt.tp.Node(), rt.abort.cause, rt.abort.text)
-			dead := append([]int(nil), rt.abort.deadNodes...)
-			rt.abort.mu.Unlock()
-			rt.tp.Abort(text, dead)
-		}
-	}
+	// Local ranks are done: late peer-failure upcalls must no longer poison
+	// the run (peer shutdown is unsynchronized).
+	rt.tpFinished.Store(true)
 	close(stopWatch)
 	watchWG.Wait()
-	// Attach recording-time context to the trace before anything dumps it:
-	// node identity, rank placement, and — under a real transport — the
-	// clock-offset samples and link events cross-node merging needs.
-	if rcfg.Trace != nil {
-		nodeOf := make([]int32, rcfg.NRanks)
-		for id := 0; id < rcfg.NRanks; id++ {
-			nodeOf[id] = int32(place.NodeOf(id))
-		}
-		meta := obs.TraceMeta{Node: -1, Nodes: rcfg.Spec.Nodes, NodeOfRank: nodeOf}
-		if rt.tp != nil {
-			meta.Node = rt.tp.Node()
-			meta.Nodes = rt.tp.Nodes()
-			meta.Clock = rt.tp.ClockSamples()
-			meta.Links = rt.tp.LinkEvents()
-		}
-		rcfg.Trace.SetMeta(meta)
-	}
-	if harvest != nil {
-		harvest(rt)
-	}
-
-	if rcfg.HelpersPerNode > 0 {
-		for _, ns := range rt.nodes {
-			if ns == nil || ns.helperStop == nil {
-				continue
-			}
-			close(ns.helperStop)
-			ns.helperWG.Wait()
-		}
-	}
 	close(failures)
 	var fails []RankFailure
 	for f := range failures {
 		fails = append(fails, f)
 	}
 	if len(fails) > 0 || rt.abort.flag.Load() {
-		return rt.buildRunError(fails)
+		return rt, rt.buildRunError(fails)
 	}
-	return nil
+	return rt, nil
+}
+
+// traceMeta is the trace's recording-time context: rank placement and — on
+// a node with links — its identity, clock-offset samples and link events,
+// which cross-node merging needs.
+func (rt *Runtime) traceMeta() obs.TraceMeta {
+	nodeOf := make([]int32, rt.cfg.NRanks)
+	for id := range nodeOf {
+		nodeOf[id] = int32(rt.place.NodeOf(id))
+	}
+	meta := obs.TraceMeta{Node: -1, Nodes: rt.cfg.Spec.Nodes, NodeOfRank: nodeOf}
+	if rt.tp != nil {
+		meta.Node = rt.tp.Node()
+		meta.Clock = rt.tp.ClockSamples()
+		meta.Links = rt.tp.LinkEvents()
+	}
+	return meta
 }
 
 // testNewRankHook, when non-nil, runs at the top of newRank.  Tests use it to
@@ -623,7 +576,7 @@ func (rt *Runtime) newRank(id int) *Rank {
 		// the monitor's /ranks view.
 		liveWaitRecords: rt.cfg.HangTimeout > 0 || rt.cfg.MonitorAddr != "",
 	}
-	r.thief = rt.nodes[node].sched.NewThief(local)
+	r.thief = rt.node.sched.NewThief(local)
 	r.attachObs()
 	// Progress applies incoming one-sided operations at every SSW yield
 	// boundary, so a rank parked in any wait still exposes its windows and

@@ -466,7 +466,7 @@ func (m *Mailbox) Recv(dst []byte) int {
 	}
 	lw := lazyWait{r: r, rec: WaitRecord{
 		Kind: WaitShmem, Peer: -1, Tag: rmaTag, Comm: m.s.win.key.Comm, Seq: uint64(m.head) + 1, Op: "mailbox-recv",
-	}, idle: r.rt.tp != nil && m.s.win.c.multiNode()}
+	}, idle: m.s.win.c.multiNode()}
 	lw.wait(func() bool {
 		if m.ready() {
 			return true
@@ -506,7 +506,7 @@ func (s *Shm) Select(mboxes ...*Mailbox) int {
 	}
 	lw := lazyWait{r: r, rec: WaitRecord{
 		Kind: WaitShmem, Peer: -1, Tag: rmaTag, Comm: s.win.key.Comm, Op: "mailbox-select",
-	}, idle: r.rt.tp != nil && s.win.c.multiNode()}
+	}, idle: s.win.c.multiNode()}
 	lw.wait(func() bool {
 		if scan() {
 			return true

@@ -1,27 +1,6 @@
 package core
 
-import (
-	"repro/internal/ssw"
-	"repro/internal/topology"
-)
-
-// liveLocalRanks counts the spinning goroutines this process hosts: with a
-// real transport (tpNode >= 0), the ranks placed on this process's node
-// plus its helper threads; without one, every rank of every virtual node —
-// they all run in this one Go scheduler and contend for the same
-// GOMAXPROCS — plus each populated node's helpers.
-func liveLocalRanks(place *topology.Placement, nodes, helpersPerNode, tpNode int) int {
-	if tpNode >= 0 {
-		return len(place.RanksOnNode(tpNode)) + helpersPerNode
-	}
-	live := 0
-	for n := 0; n < nodes; n++ {
-		if l := len(place.RanksOnNode(n)); l > 0 {
-			live += l + helpersPerNode
-		}
-	}
-	return live
-}
+import "repro/internal/ssw"
 
 // deriveSpinBudget grades the SSW-Loop spin budget by how oversubscribed
 // the host is:

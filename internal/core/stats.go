@@ -234,14 +234,26 @@ func (r *Rank) settleStats() {
 
 // RunWithStats is Run plus a per-rank counter harvest: stats[i] is rank i's
 // final counters (all zero for a rank another process ran, or one that died
-// before it started).
+// before it started).  A Spec of several nodes and no Transport runs one
+// runtime per node (runNodes).
 func RunWithStats(cfg Config, main func(r *Rank)) ([]RankStats, error) {
-	var stats []RankStats
-	err := runInternal(cfg, main, func(rt *Runtime) {
-		stats = make([]RankStats, len(rt.stats))
-		for i := range rt.stats {
-			stats[i] = rt.stats[i].RankStats
-		}
-	})
+	rcfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if rcfg.Spec.Nodes > 1 && rcfg.Transport == nil {
+		return runNodes(rcfg, main)
+	}
+	rt, err := runInternal(rcfg, nil, main)
+	if rt == nil {
+		return nil, err
+	}
+	if rcfg.Trace != nil {
+		rcfg.Trace.SetMeta(rt.traceMeta())
+	}
+	stats := make([]RankStats, len(rt.stats))
+	for i := range stats {
+		stats[i] = rt.stats[i].RankStats
+	}
 	return stats, err
 }

@@ -45,7 +45,7 @@ func (t *Task) Chunks() int64 { return t.nchunks }
 // it is complete").
 func (t *Task) Execute(extra any) sched.RunStats {
 	r := t.r
-	ns := r.rt.nodes[r.node]
+	ns := r.rt.node
 	t0 := r.traceStart()
 	// The straggler wait inside Run (owner waiting for stolen chunks to
 	// finish) is a blocking point like any other; publish it.  Thieves that

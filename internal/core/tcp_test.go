@@ -621,12 +621,11 @@ func TestTCPPingPongAllocs(t *testing.T) {
 	}
 }
 
-// TestModeledWirePingPongAllocs is the same gate on the in-process modeled
-// wire (Config.Net, two virtual nodes in one runtime): remoteSend copies into
-// a buffer the receiving rank handed back, as the transport's Deliver upcall
-// does, so the steady state allocates nothing — where the parent made one
-// copy per message and never recycled it.
-func TestModeledWirePingPongAllocs(t *testing.T) {
+// TestInProcessNodesPingPongAllocs is the same gate on two in-process nodes
+// (a two-node Spec without a Transport): the link layer over transport.MemNet,
+// whose pipes keep their buffers and whose Deliver copies into a buffer the
+// receiving rank handed back, so the steady state allocates nothing.
+func TestInProcessNodesPingPongAllocs(t *testing.T) {
 	const warm, runs = 200, 2000
 	var perRoundTrip float64
 	runMulti(t, 2, 2, 1, func(r *Rank) {
@@ -651,7 +650,7 @@ func TestModeledWirePingPongAllocs(t *testing.T) {
 		}
 	})
 	if perRoundTrip != 0 {
-		t.Fatalf("modeled-wire ping-pong allocates %.2f times per round trip, want 0", perRoundTrip)
+		t.Fatalf("in-process cross-node ping-pong allocates %.2f times per round trip, want 0", perRoundTrip)
 	}
 }
 

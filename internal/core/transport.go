@@ -3,18 +3,19 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"repro/internal/transport"
 )
 
-// Real inter-node transport glue.  When Config.Transport is set, the runtime
-// runs only the ranks placed on its own node; every cross-node message —
-// two-sided sends, the leader-tree collective traffic on collTag, and RMA
-// frames on rmaTag — is encoded as a transport KindData frame and carried
-// over the peer link's sequenced, acked, retransmitted stream.  Inbound
-// frames land in the same remoteChannel mailboxes the in-process modeled
-// network uses, so the receive paths (progressRemoteRecv, rmaProgress) are
-// unchanged.
+// Inter-node transport glue.  A runtime runs only the ranks placed on its
+// own node; every cross-node message — two-sided sends, the leader-tree
+// collective traffic on collTag, and RMA frames on rmaTag — is encoded as a
+// transport KindData frame and carried over the peer link's sequenced,
+// acked, retransmitted stream (over TCP between processes, over
+// transport.MemNet between the in-process nodes of runNodes).  Inbound
+// frames land in remoteChannel mailboxes, which the receive paths
+// (progressRemoteRecv, rmaProgress) drain.
 //
 // A rank waiting for a frame is parked (ssw.Waiter.WaitIdle), so every upcall
 // that completes such a wait publishes first and then unparks the rank it
@@ -22,19 +23,15 @@ import (
 // ack: it is about to send, or to block again, and either act carries the
 // watermark (transport.Frame.Waiting), so a ping-pong costs no ack frame.
 //
-// The one shared-memory signal that cannot cross processes is the RMA
-// applied watermark: with one address space the target's rmaProgress
-// advances the origin's rmaFlow.applied directly.  Across processes the
-// target instead ships a KindApplied frame carrying its cumulative applied
-// count after each inbox drain, and the origin's replica takes the
-// monotonic max.
+// The RMA applied watermark crosses the same way: the target ships a
+// KindApplied frame carrying its cumulative applied count after each inbox
+// drain, and the origin's replica takes the monotonic max.
 
 // tpDeliver is the transport's Deliver upcall: one KindData frame for a rank
 // on this node.  It runs on the owning link's reader goroutine in link
 // order; the frame's payload is only valid during the call, so the mailbox
-// gets a copy, in a buffer the receiving rank handed back when it can.  The
-// destination rank's progress loops consume the mailbox exactly as they do
-// on the modeled network.
+// gets a copy, in a buffer the receiving rank handed back when it can, for
+// the destination rank's progress loops to consume.
 func (rt *Runtime) tpDeliver(f *transport.Frame) {
 	if !rt.tpAdmit(f) {
 		return
@@ -61,7 +58,7 @@ func (rt *Runtime) tpApplied(f *transport.Frame) {
 	key := chanKey{src: int(f.DstRank), dst: int(f.SrcRank), tag: rmaTag, comm: f.Comm}
 	v, ok := rt.rmaFlows.Load(key)
 	if !ok {
-		v, _ = rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rt.remote(key)})
+		v, _ = rt.rmaFlows.LoadOrStore(key, new(rmaFlow))
 	}
 	flow := v.(*rmaFlow)
 	for {
@@ -143,12 +140,37 @@ func (rt *Runtime) tpPeerBye(node int, abort bool, reason string, dead []int) {
 	rt.poisonNodeDead(node, fmt.Sprintf("node %d aborted: %s", node, reason))
 }
 
+// announceAbort tells every peer, synchronously, that this node aborted: the
+// poison-time Bye rides a separate goroutine that may not have run before
+// Close tears the links down.  A link that has never come up would miss the
+// Bye, so it gets the dial timeout to come up first — nodes started
+// together abort before their peers have dialed in when a rank fails at
+// once.
+func (rt *Runtime) announceAbort() {
+	settled := func() bool {
+		for peer, l := range rt.tp.Stats() {
+			if peer != rt.cfg.Transport.Node && !l.EverUp && !l.Dead && !l.Departed {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(rt.cfg.Transport.DialTimeout); !settled() && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	rt.abort.mu.Lock()
+	text := fmt.Sprintf("node %d aborted (%s): %s", rt.cfg.Transport.Node, rt.abort.cause, rt.abort.text)
+	dead := append([]int(nil), rt.abort.deadNodes...)
+	rt.abort.mu.Unlock()
+	rt.tp.Abort(text, dead)
+}
+
 // tpSendData routes one cross-node payload for key over the transport,
 // blocking (with poison checks) while the link's resend window is full.  On
 // return the link has copied the payload into its resend window, so the
-// caller's buffer is immediately reusable — the same buffered-send
-// post-time completion as the fault-free modeled network.  A dead peer
-// poisons the runtime and unwinds the calling rank.
+// caller's buffer is immediately reusable (buffered-send post-time
+// completion).  A dead peer poisons the runtime and unwinds the calling
+// rank.
 func (r *Rank) tpSendData(key chanKey, payload []byte) {
 	f := transport.Frame{
 		Kind:    transport.KindData,

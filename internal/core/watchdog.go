@@ -90,7 +90,7 @@ func (rt *Runtime) scanRanks() (sig uint64, blocked, running, live int) {
 // stall (lost message, unmatched operation, or a collective some member
 // never entered).
 func (rt *Runtime) diagnoseHang(blocked, live int, stuck time.Duration) (cause, text string, cycle []int) {
-	cycle = rt.findWaitCycle()
+	cycle = findWaitCycle(len(rt.waitSlots), rt.liveWaits())
 	if len(cycle) > 0 {
 		return CauseDeadlock, fmt.Sprintf(
 			"deadlock: no progress for %v, %d/%d ranks blocked, wait-for cycle of %d ranks",
@@ -102,21 +102,30 @@ func (rt *Runtime) diagnoseHang(blocked, live int, stuck time.Duration) (cause, 
 		stuck.Round(time.Millisecond), blocked, live), nil
 }
 
-// findWaitCycle builds the wait-for graph over peer-directed wait records
-// (each blocked rank has at most one outgoing edge, to the peer it waits on)
-// and returns the first cycle found, in wait order, starting from its
-// smallest rank id.  nil when the graph is acyclic.
-func (rt *Runtime) findWaitCycle() []int {
-	n := len(rt.waitSlots)
-	next := make([]int, n) // -1 = no edge
+// liveWaits lists the live ranks with their published wait records.
+func (rt *Runtime) liveWaits() (live []BlockedRank) {
 	for id := range rt.waitSlots {
-		next[id] = -1
-		s := &rt.waitSlots[id]
-		if s.done.Load() {
-			continue
+		if s := &rt.waitSlots[id]; !s.done.Load() {
+			live = append(live, BlockedRank{Rank: id, Wait: s.waiting.Load()})
 		}
-		if w := s.waiting.Load(); w != nil && w.Kind.waitsOnPeer() && w.Peer >= 0 && w.Peer < n {
-			next[id] = w.Peer
+	}
+	return live
+}
+
+// findWaitCycle builds the wait-for graph over n ranks from the ranks'
+// records (each blocked rank has at most one outgoing edge, to the peer a
+// peer-directed wait names) and returns the first cycle found, in wait
+// order, starting from its smallest rank id.  nil when the graph is
+// acyclic.  The watchdog walks its own node's records; the in-process node
+// runner walks every node's (mergeNodeErrors).
+func findWaitCycle(n int, waits []BlockedRank) []int {
+	next := make([]int, n) // -1 = no edge
+	for i := range next {
+		next[i] = -1
+	}
+	for _, b := range waits {
+		if w := b.Wait; w != nil && w.Kind.waitsOnPeer() && w.Peer >= 0 && w.Peer < n {
+			next[b.Rank] = w.Peer
 		}
 	}
 	// Functional-graph cycle walk: color 0 unvisited, 1 on current path,

@@ -1,6 +1,10 @@
 package statsd
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -142,6 +146,107 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzShardFrame throws arbitrary bytes at the shard-frame decoders: the
+// messages an aggregator reads off an ingester's link, which cross a node
+// boundary in every multi-node pipeline.  MsgKind, then the decoder it names,
+// must never panic, and a records message is accepted only whole: exactly
+// 25 bytes per record it counts.  The same bytes also drive a BatchWriter,
+// read as events; its messages must decode back to what was added.
+func FuzzShardFrame(f *testing.F) {
+	w := NewBatchWriter()
+	for i, tags := range []string{"env:prod", "env:dev,host:a"} {
+		name := []byte(fmt.Sprintf("m.%d", i))
+		ts, h := mkTagset(tags), Hash64(name)
+		w.Add(h, name, ts, MetricType(i), float64(i)+0.5, KeyHash(h, ts.Hash, MetricType(i)))
+	}
+	var seeds [][]byte
+	for _, m := range w.Messages(nil) {
+		seeds = append(seeds, append([]byte(nil), m...))
+	}
+	var bins [NBins]uint64
+	w.Commit(&bins)
+	seeds = append(seeds, w.AppendMarker(nil, 3, true))
+	for _, m := range seeds {
+		for _, cut := range []int{len(m), len(m) - 1, len(m) / 2, 1} {
+			f.Add(m[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		if kind, err := MsgKind(msg); err == nil {
+			switch kind {
+			case MsgDict:
+				DecodeDict(msg, map[uint64]string{}, map[uint64]string{})
+			case MsgRecords:
+				if payload, n, err := DecodeRecords(msg); err == nil {
+					if len(payload) != recSize*n || len(msg) != recordsHeader+recSize*n {
+						t.Fatalf("accepted %d records in a %d-byte message", n, len(msg))
+					}
+					for i := 0; i < n; i++ {
+						RecordAt(payload, i)
+					}
+				}
+			case MsgMarker:
+				DecodeMarker(msg)
+			}
+		}
+		shardRoundTrip(t, msg)
+	})
+}
+
+// shardRoundTrip reads b as events of 11 bytes each — name, tagset and type
+// selectors, then the value's bits — adds them to a fresh BatchWriter and
+// checks that its messages decode to exactly those events and definitions,
+// and its marker to their committed count and checksum.
+func shardRoundTrip(t *testing.T, b []byte) {
+	type rec struct {
+		nameH, tagH uint64
+		typ         MetricType
+		bits        uint64
+	}
+	w := NewBatchWriter()
+	var want []rec
+	wantNames, wantTags := map[uint64]string{}, map[uint64]string{}
+	var sum uint64
+	for ; len(b) >= 11; b = b[11:] {
+		name := fmt.Sprintf("m.%d", b[0]%8)
+		ts, h := mkTagset(fmt.Sprintf("t:%d", b[1]%4)), Hash64([]byte(name))
+		typ, v := MetricType(b[2])%nMetricTypes, math.Float64frombits(binary.LittleEndian.Uint64(b[3:]))
+		w.Add(h, []byte(name), ts, typ, v, KeyHash(h, ts.Hash, typ))
+		want = append(want, rec{h, ts.Hash, typ, math.Float64bits(v)})
+		wantNames[h], wantTags[ts.Hash] = name, ts.Raw
+		sum += Contribution(h, ts.Hash, typ, v)
+	}
+	var got []rec
+	names, tags := map[uint64]string{}, map[uint64]string{}
+	for _, m := range w.Messages(nil) {
+		switch kind, _ := MsgKind(m); kind {
+		case MsgDict:
+			if err := DecodeDict(m, names, tags); err != nil {
+				t.Fatalf("dictionary the writer built: %v", err)
+			}
+		case MsgRecords:
+			payload, n, err := DecodeRecords(m)
+			if err != nil {
+				t.Fatalf("records the writer built: %v", err)
+			}
+			for i := 0; i < n; i++ {
+				nameH, tagH, typ, v := RecordAt(payload, i)
+				got = append(got, rec{nameH, tagH, typ, math.Float64bits(v)})
+			}
+		default:
+			t.Fatalf("writer built a message of kind %q", m[0])
+		}
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(names, wantNames) || !reflect.DeepEqual(tags, wantTags) {
+		t.Fatalf("decoded %v with %v / %v, added %v with %v / %v", got, names, tags, want, wantNames, wantTags)
+	}
+	var bins [NBins]uint64
+	w.Commit(&bins)
+	if _, _, events, s, err := DecodeMarker(w.AppendMarker(nil, 1, false)); err != nil || events != uint64(len(want)) || s != sum {
+		t.Fatalf("marker decoded to %d events, sum %x (%v); added %d, sum %x", events, s, err, len(want), sum)
 	}
 }
 

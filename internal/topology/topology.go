@@ -94,7 +94,7 @@ const (
 	// CrossNUMA means same node, different socket.
 	CrossNUMA
 	// CrossNode means the ranks are on different nodes and must use the
-	// network (MPI in the paper, netsim here).
+	// network (MPI in the paper, the internal/transport links here).
 	CrossNode
 )
 

@@ -72,7 +72,6 @@ func TestGatherScatterMultiNode(t *testing.T) {
 		NRanks:       n,
 		Spec:         CoriNode(2),
 		RanksPerNode: 4,
-		Net:          NetConfig{LatencyNs: 100, BytesPerNs: 10, TimeScale: 10},
 	}, func(r *Rank) {
 		c := r.World()
 		in := []byte{byte(r.ID())}

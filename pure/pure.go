@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -104,15 +103,6 @@ type Seat = topology.HWThread
 // CoriNode returns a Cori-like node spec (2 sockets x 16 cores x 2 HT).
 func CoriNode(nodes int) Spec { return topology.CoriSpec(nodes) }
 
-// NetConfig is the cost model of the in-process modeled wire between virtual
-// nodes (latency, bandwidth, per-message overhead); see netsim.Config.  The
-// modeled wire is lossless — fault injection lives on the real transport
-// (TransportFaults).
-type NetConfig = netsim.Config
-
-// AriesNet returns the Cray-Aries-like model used for multi-node runs.
-func AriesNet() NetConfig { return netsim.Aries() }
-
 // TransportConfig configures the real inter-node transport (one OS process
 // per node over TCP); see the transport package and docs/TRANSPORT.md.
 // Set it on Config.Transport, usually via TransportFromEnv under the
@@ -148,17 +138,14 @@ type Config struct {
 	// topology.PlacementFromReorder).
 	Policy Policy
 	Seats  []Seat
-	// Net is the cost model of the modeled wire between virtual nodes
-	// (zero = free loopback).  It only charges time; it never loses a message.
-	Net NetConfig
-	// Transport, when non-nil, replaces the modeled network with a real
-	// inter-node transport: this process runs only the ranks topology
-	// places on Transport.Node, and cross-node traffic travels real
-	// sockets.  Launch one process per node with matching configs —
-	// normally via cmd/purerun, which provides the config through the
-	// environment (TransportFromEnv).  Spec.Nodes must equal
-	// len(Transport.Addrs); Net is unused.  Transport.Faults injects link-level
-	// loss and delay.
+	// Transport, when non-nil, makes this process one node of a job over
+	// TCP: it runs only the ranks topology places on Transport.Node, and
+	// cross-node traffic travels real sockets.  Launch one process per node
+	// with matching configs — normally via cmd/purerun, which provides the
+	// config through the environment (TransportFromEnv).  Spec.Nodes must
+	// equal len(Transport.Addrs).  Transport.Faults injects link-level loss
+	// and delay.  When nil, a Spec of several nodes runs every node in this
+	// process, joined by the same link layer over an in-memory network.
 	Transport *TransportConfig
 	// SmallMsgMax is the eager/rendezvous threshold in bytes (default 8 KiB).
 	SmallMsgMax int
@@ -229,7 +216,6 @@ func coreConfig(cfg Config) core.Config {
 		RanksPerNode:   cfg.RanksPerNode,
 		Policy:         cfg.Policy,
 		Seats:          cfg.Seats,
-		Net:            cfg.Net,
 		Transport:      cfg.Transport,
 		SmallMsgMax:    cfg.SmallMsgMax,
 		PBQSlots:       cfg.PBQSlots,

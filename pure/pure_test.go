@@ -211,7 +211,6 @@ func TestMultiNodeFromPublicAPI(t *testing.T) {
 		NRanks:       8,
 		Spec:         CoriNode(2),
 		RanksPerNode: 4,
-		Net:          NetConfig{LatencyNs: 100, BytesPerNs: 10, TimeScale: 10},
 	}, func(r *Rank) {
 		c := r.World()
 		if got := c.AllreduceFloat64(1, Sum); got != 8 {
@@ -346,7 +345,6 @@ func TestReportCountsRemoteSends(t *testing.T) {
 		NRanks:       2,
 		Spec:         CoriNode(2),
 		RanksPerNode: 1,
-		Net:          NetConfig{LatencyNs: 50, TimeScale: 10},
 	}, func(r *Rank) {
 		c := r.World()
 		if r.ID() == 0 {

@@ -11,7 +11,7 @@ import (
 //
 //   - WinCreate collectively exposes a buffer per rank.  Intra-node Put and
 //     Get are single direct copies into/out of the peer's exposed memory;
-//     inter-node operations ride the modeled network and are applied by the
+//     inter-node operations ride the links as frames and are applied by the
 //     target's runtime.
 //   - Operations become visible only through synchronization: Fence epochs,
 //     Post/Start/Complete/Wait (PSCW) for neighbor-scoped epochs, or

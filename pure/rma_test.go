@@ -18,7 +18,6 @@ func twoNodeCfg() Config {
 		NRanks:       2,
 		Spec:         Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
 		RanksPerNode: 1,
-		Net:          NetConfig{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
 		HangTimeout:  20 * time.Second,
 	}
 }

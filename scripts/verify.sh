@@ -41,10 +41,8 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (concurrent core packages)"
-go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/rma \
-    ./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/transport \
-    ./internal/statsd ./internal/shmem ./internal/apps/shmem
+echo "== make race (concurrent core packages)"
+make --no-print-directory race
 
 echo "== deterministic schedule checker (short budget; full run: make check)"
 PURE_CHECK_SEEDS=64 go test -tags purecheck -count=1 ./internal/check
@@ -55,13 +53,12 @@ go test -count=1 -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/codec
 go test -count=1 -fuzz FuzzFrameDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzControlDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzStatsdParse -fuzztime 5s ./internal/statsd
+go test -count=1 -fuzz FuzzShardFrame -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShmemFrame -fuzztime 5s ./internal/shmem
 go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 5s ./internal/obs
 
-echo "== chaos suite (watchdog/abort/lossy links under -race)"
-go test -race -count=1 \
-    -run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \
-    ./internal/core ./internal/ssw ./pure
+echo "== make chaos (watchdog/abort/lossy links under -race)"
+make --no-print-directory chaos
 
 echo "== zero-allocation gate (eager persistent-channel endpoint hot paths)"
 # The Channel API's whole point is an allocation-free eager fast path: both
