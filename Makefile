@@ -11,7 +11,7 @@ test:
 race:
 	go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/rma \
 		./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/transport \
-		./internal/statsd ./internal/shmem ./internal/apps/shmem
+		./internal/statsd ./internal/shmem ./internal/apps/shmem ./internal/apps/comd
 
 # The deterministic schedule explorer: model tests for the lock-free
 # protocols (PBQ FIFO refinement, rendezvous-cell handoffs, SPTD

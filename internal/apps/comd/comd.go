@@ -25,6 +25,13 @@
 // over cells, so ranks blocked in the halo exchange steal force work — the
 // paper's eamForce task.  Force accumulation is written one-owner-per-cell
 // (no Newton's-third-law halving), so chunks never write shared locations.
+//
+// Atoms never migrate between cells: the tether holds each one near its
+// lattice site, so no cell ever holds more than AtomsPerCell atoms.  The
+// time loop relies on that invariant to allocate nothing — cell slices and
+// the per-axis halo plans' wire buffers (the paper's per-pair channel reuse,
+// §4.1.3) are sized once in newSim, and a packed plane that would overflow
+// its buffer panics rather than grow it.
 package comd
 
 import (
@@ -127,6 +134,30 @@ type sim struct {
 	potPerCell []float64
 
 	task comm.Task
+
+	halo [3]haloPlan // one per axis, x then y then z
+	hot  Hotspot     // this step's hotspot (zero factor without one)
+	// energyIn/energyOut carry the periodic two-float64 energy all-reduce.
+	energyIn, energyOut []byte
+}
+
+// haloPlan is one axis's face exchange, built once and reused every step.
+type haloPlan struct {
+	loRank, hiRank int
+	tag            int // base tag: sizes on tag and tag+1, payloads on tag+2 and tag+3
+	// selfWrap: one rank along this axis, so its own faces are its ghosts
+	// and no message is sent.
+	selfWrap bool
+	// sendLo/sendHi are the planes at 1 and hiAt; ghostLo/ghostHi the ghost
+	// planes at 0 and hiAt+1 that the neighbours' faces fill.
+	sendLo, sendHi, ghostLo, ghostHi []int
+	// loShift/hiShift move ghosts received across the global periodic
+	// boundary into this rank's frame.
+	loShift, hiShift Vec3
+	// Wire buffers, each of capacity len(plane)·(8+24·AtomsPerCell).
+	sendLoBuf, sendHiBuf, recvLoBuf, recvHiBuf []byte
+	// The size cells: out to lo/hi, in from lo/hi.
+	sizeToLo, sizeToHi, sizeFromLo, sizeFromHi [8]byte
 }
 
 type cellData struct {
@@ -172,15 +203,36 @@ func newSim(b comm.Backend, p Params) *sim {
 	}
 	s.cells = make([]cellData, (s.nx+2)*(s.ny+2)*(s.nz+2))
 	s.potPerCell = make([]float64, len(s.cells))
+	nInterior := s.nx * s.ny * s.nz
+	s.interior = make([]int, 0, nInterior)
+	// Every atom slice has capacity AtomsPerCell, carved from one slab:
+	// positions for every cell (ghosts too), and velocities, forces and
+	// sites for the interior ones.
+	apc := p.AtomsPerCell
+	slab := make([]Vec3, (len(s.cells)+3*nInterior)*apc)
+	carve := func() []Vec3 {
+		v := slab[:0:apc]
+		slab = slab[apc:]
+		return v
+	}
+	for ci := range s.cells {
+		s.cells[ci].pos = carve()
+	}
 	for iz := 1; iz <= s.nz; iz++ {
 		for iy := 1; iy <= s.ny; iy++ {
 			for ix := 1; ix <= s.nx; ix++ {
 				ci := s.cellIndex(ix, iy, iz)
+				c := &s.cells[ci]
+				c.vel, c.frc, c.site = carve(), carve(), carve()
 				s.interior = append(s.interior, ci)
 				s.initCell(ci, ix, iy, iz)
 			}
 		}
 	}
+	for axis := range s.halo {
+		s.halo[axis] = s.newHaloPlan(axis)
+	}
+	s.energyIn, s.energyOut = make([]byte, 16), make([]byte, 16)
 	if p.UseTask {
 		chunks := p.TaskChunks
 		if chunks <= 0 {
@@ -240,9 +292,8 @@ func (s *sim) initCell(ci, ix, iy, iz int) {
 
 // run advances the simulation and returns the invariants.
 func (s *sim) run() (Result, error) {
-	zeroHot := &Hotspot{}
 	s.haloExchange()
-	s.computeForces(zeroHot)
+	s.computeForces(&s.hot) // still zero: the hotspot starts moving at step 0
 	for step := 0; step < s.p.Steps; step++ {
 		hs := s.hotspotAt(step)
 		s.kick(0.5 * s.p.Dt)
@@ -252,8 +303,9 @@ func (s *sim) run() (Result, error) {
 		s.kick(0.5 * s.p.Dt)
 		if (step+1)%s.p.PrintRate == 0 {
 			// CoMD prints the global energies: two-element all-reduce.
-			out := make([]float64, 2)
-			comm.AllreduceFloat64s(s.b, []float64{s.kinetic(), s.potential}, out, comm.Sum)
+			binary.LittleEndian.PutUint64(s.energyIn, math.Float64bits(s.kinetic()))
+			binary.LittleEndian.PutUint64(s.energyIn[8:], math.Float64bits(s.potential))
+			s.b.Allreduce(s.energyIn, s.energyOut, comm.Sum, comm.Float64)
 		}
 	}
 	ke := comm.AllreduceFloat64(s.b, s.kinetic(), comm.Sum)
@@ -269,11 +321,14 @@ func (s *sim) run() (Result, error) {
 	return Result{Atoms: atoms, Kinetic: ke, Potential: pe, Checksum: checksum, Steps: s.p.Steps}, nil
 }
 
+// hotspotAt places the sim's hotspot where it is at step and returns it
+// (the zero hotspot when the run has none).
 func (s *sim) hotspotAt(step int) *Hotspot {
+	h := &s.hot
 	if s.p.Hotspot == nil {
-		return &Hotspot{}
+		return h
 	}
-	h := *s.p.Hotspot
+	*h = *s.p.Hotspot
 	// Move the hotspot with periodic wraparound over the global domain.
 	gx := float64(s.p.Grid[0]*s.nx) * cellSize
 	gy := float64(s.p.Grid[1]*s.ny) * cellSize
@@ -283,7 +338,7 @@ func (s *sim) hotspotAt(step int) *Hotspot {
 		math.Mod(h.Center.Y+h.Velocity.Y*float64(step)+10*gy, gy),
 		math.Mod(h.Center.Z+h.Velocity.Z*float64(step)+10*gz, gz),
 	}
-	return &h
+	return h
 }
 
 func (s *sim) localAtoms() int64 {
@@ -409,10 +464,9 @@ func (s *sim) neighborRank(dx, dy, dz int) int {
 // three-phase face exchange (x, then y, then z), which transitively fills
 // edge and corner ghosts.
 func (s *sim) haloExchange() {
-	// Phase X: send planes ix=1 and ix=nx (interior only), recv into ix=0 / nx+1.
-	s.exchangeAxis(0)
-	s.exchangeAxis(1)
-	s.exchangeAxis(2)
+	for axis := range s.halo {
+		s.exchangeAxis(&s.halo[axis])
+	}
 }
 
 // plane returns the cell indices of the plane at the given coordinate along
@@ -443,52 +497,68 @@ func (s *sim) plane(axis, at int) []int {
 	return out
 }
 
-// exchangeAxis swaps both faces along one axis with the +/- neighbours.
+// newHaloPlan builds the exchange along one axis with the -/+ neighbours.
 // Tags: 100+axis*4 .. so each direction has a distinct stream.
-func (s *sim) exchangeAxis(axis int) {
-	hiAt := []int{s.nx, s.ny, s.nz}[axis]
+func (s *sim) newHaloPlan(axis int) haloPlan {
+	hiAt := [3]int{s.nx, s.ny, s.nz}[axis]
 	var loDir, hiDir [3]int
 	loDir[axis] = -1
 	hiDir[axis] = 1
-	loRank := s.neighborRank(loDir[0], loDir[1], loDir[2])
-	hiRank := s.neighborRank(hiDir[0], hiDir[1], hiDir[2])
-	baseTag := 100 + axis*4
-
-	sendLo := s.packPlane(s.plane(axis, 1))
-	sendHi := s.packPlane(s.plane(axis, hiAt))
+	h := haloPlan{
+		loRank:  s.neighborRank(loDir[0], loDir[1], loDir[2]),
+		hiRank:  s.neighborRank(hiDir[0], hiDir[1], hiDir[2]),
+		tag:     100 + axis*4,
+		sendLo:  s.plane(axis, 1),
+		sendHi:  s.plane(axis, hiAt),
+		ghostLo: s.plane(axis, 0),
+		ghostHi: s.plane(axis, hiAt+1),
+	}
+	h.selfWrap = h.loRank == s.b.Rank() && h.hiRank == s.b.Rank()
 
 	// Ghosts received across the global periodic boundary must be shifted by
 	// the domain extent so distances are computed in our local frame.
-	extent := [3]float64{
-		float64(s.p.Grid[0]*s.nx) * cellSize,
-		float64(s.p.Grid[1]*s.ny) * cellSize,
-		float64(s.p.Grid[2]*s.nz) * cellSize,
-	}[axis]
-	var loShift, hiShift Vec3
+	extent := float64(s.p.Grid[axis]*hiAt) * cellSize
 	if s.coords[axis] == 0 {
-		loShift = axisVec(axis, -extent) // low neighbour wraps from the high end
+		h.loShift = axisVec(axis, -extent) // low neighbour wraps from the high end
 	}
 	if s.coords[axis] == s.p.Grid[axis]-1 {
-		hiShift = axisVec(axis, +extent)
+		h.hiShift = axisVec(axis, +extent)
 	}
 
-	if loRank == s.b.Rank() && hiRank == s.b.Rank() {
-		// Single rank along this axis: periodic self-wrap, no messages.
-		s.unpackPlane(s.plane(axis, hiAt+1), sendLo, axisVec(axis, +extent))
-		s.unpackPlane(s.plane(axis, 0), sendHi, axisVec(axis, -extent))
-		return
+	// Every rank's planes have the same cell count, and no cell holds more
+	// than AtomsPerCell atoms, so one capacity fits every face either way.
+	capacity := len(h.sendLo) * (8 + 24*s.p.AtomsPerCell)
+	h.sendLoBuf, h.sendHiBuf = make([]byte, capacity), make([]byte, capacity)
+	if !h.selfWrap {
+		h.recvLoBuf, h.recvHiBuf = make([]byte, capacity), make([]byte, capacity)
 	}
-	// Exchange sizes first (the payload sizes vary with atom counts), then
-	// payloads.  Each direction is one Sendrecv shift: everybody sends
-	// toward the low neighbour while receiving from the high one, then the
-	// reverse — uniform cyclic shifts cannot deadlock.
-	recvLoLen, recvHiLen := s.exchangeSizes(len(sendLo), len(sendHi), loRank, hiRank, baseTag)
-	recvLo := make([]byte, recvLoLen)
-	recvHi := make([]byte, recvHiLen)
-	s.b.Sendrecv(sendLo, loRank, baseTag+3, recvHi, hiRank, baseTag+3) // our low face is their high ghost
-	s.b.Sendrecv(sendHi, hiRank, baseTag+2, recvLo, loRank, baseTag+2)
-	s.unpackPlane(s.plane(axis, 0), recvLo, loShift)
-	s.unpackPlane(s.plane(axis, hiAt+1), recvHi, hiShift)
+	return h
+}
+
+// exchangeAxis swaps both faces along one axis with the -/+ neighbours.
+func (s *sim) exchangeAxis(h *haloPlan) {
+	sendLo := s.packPlane(h.sendLo, h.sendLoBuf)
+	sendHi := s.packPlane(h.sendHi, h.sendHiBuf)
+	// Single rank along this axis: periodic self-wrap, no messages.
+	recvLo, recvHi := sendHi, sendLo
+	if !h.selfWrap {
+		// Exchange sizes first (the payload sizes vary with atom counts),
+		// then payloads.  Each direction is one Sendrecv shift: everybody
+		// sends toward the low neighbour while receiving from the high one,
+		// then the reverse — uniform cyclic shifts cannot deadlock.
+		// Low-bound sends pair with high-bound receives on the same tag, and
+		// vice versa.
+		binary.LittleEndian.PutUint64(h.sizeToLo[:], uint64(len(sendLo)))
+		binary.LittleEndian.PutUint64(h.sizeToHi[:], uint64(len(sendHi)))
+		s.b.Sendrecv(h.sizeToLo[:], h.loRank, h.tag+1, h.sizeFromHi[:], h.hiRank, h.tag+1)
+		s.b.Sendrecv(h.sizeToHi[:], h.hiRank, h.tag, h.sizeFromLo[:], h.loRank, h.tag)
+		recvLo = sized(h.recvLoBuf, int(binary.LittleEndian.Uint64(h.sizeFromLo[:])))
+		recvHi = sized(h.recvHiBuf, int(binary.LittleEndian.Uint64(h.sizeFromHi[:])))
+		s.b.Sendrecv(sendLo, h.loRank, h.tag+3, recvHi, h.hiRank, h.tag+3) // our low face is their high ghost
+		s.b.Sendrecv(sendHi, h.hiRank, h.tag+2, recvLo, h.loRank, h.tag+2)
+	}
+	s.unpackPlane(h.ghostLo, recvLo, h.loShift)
+	s.unpackPlane(h.ghostHi, recvHi, h.hiShift)
 }
 
 // axisVec returns a vector with v in the given axis component.
@@ -503,26 +573,24 @@ func axisVec(axis int, v float64) Vec3 {
 	}
 }
 
-func (s *sim) exchangeSizes(loLen, hiLen, loRank, hiRank, baseTag int) (int, int) {
-	var lo8, hi8 [8]byte
-	binary.LittleEndian.PutUint64(lo8[:], uint64(loLen))
-	binary.LittleEndian.PutUint64(hi8[:], uint64(hiLen))
-	inLo := make([]byte, 8)
-	inHi := make([]byte, 8)
-	// Two shift Sendrecvs (see exchangeAxis): low-bound sends pair with
-	// high-bound receives on the same tag, and vice versa.
-	s.b.Sendrecv(lo8[:], loRank, baseTag+1, inHi, hiRank, baseTag+1)
-	s.b.Sendrecv(hi8[:], hiRank, baseTag, inLo, loRank, baseTag)
-	return int(binary.LittleEndian.Uint64(inLo)), int(binary.LittleEndian.Uint64(inHi))
+// sized returns buf cut to n bytes.  A plane never outgrows its buffer
+// while atoms stay in their cells; one that does is a broken invariant, not
+// a reason to allocate.
+func sized(buf []byte, n int) []byte {
+	if n < 0 || n > cap(buf) {
+		panic(fmt.Sprintf("comd: a %d-byte halo plane exceeds its %d-byte buffer (a cell holds more than AtomsPerCell atoms)", n, cap(buf)))
+	}
+	return buf[:n]
 }
 
-// packPlane serializes the plane's cells: per cell a count, then positions.
-func (s *sim) packPlane(cells []int) []byte {
+// packPlane serializes the plane's cells into buf — per cell a count, then
+// positions — and returns the packed prefix.
+func (s *sim) packPlane(cells []int, buf []byte) []byte {
 	n := 0
 	for _, ci := range cells {
 		n += 8 + 24*len(s.cells[ci].pos)
 	}
-	buf := make([]byte, n)
+	buf = sized(buf, n)
 	off := 0
 	for _, ci := range cells {
 		c := &s.cells[ci]

@@ -339,7 +339,7 @@ func (r *Rank) settleUnwoundWait(lw *lazyWait) {
 
 // Abort causes.
 const (
-	CausePanic    = "panic"     // a rank panicked
+	CausePanic    = "panic"     // a rank panicked or called runtime.Goexit
 	CauseAbort    = "abort"     // a rank called Rank.Abort
 	CauseDeadlock = "deadlock"  // watchdog found a wait-for cycle
 	CauseStall    = "stall"     // watchdog found global no-progress without a cycle

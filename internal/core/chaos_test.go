@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,6 +253,67 @@ func TestRankAbort(t *testing.T) {
 		!strings.Contains(re.Failures[0].Reason, "fatal input") {
 		t.Fatalf("failures = %+v", re.Failures)
 	}
+}
+
+// TestRankGoexitPoisonsRun: a rank body that ends in runtime.Goexit has
+// neither returned nor panicked.  It is a failure that releases its peers
+// without a watchdog.  On the first rank, which runs on Run's caller, the
+// Goexit unwinds the caller too, but only after the node's other ranks.
+func TestRankGoexitPoisonsRun(t *testing.T) {
+	t.Run("rank1", func(t *testing.T) {
+		errc := make(chan error, 1)
+		go func() {
+			errc <- Run(Config{NRanks: 2}, func(r *Rank) {
+				if r.ID() == 1 {
+					runtime.Goexit()
+				}
+				r.World().Recv(make([]byte, 8), 1, 0) // would hang; the Goexit must release it
+			})
+		}()
+		select {
+		case err := <-errc:
+			re := asRunError(t, err)
+			if len(re.Failures) != 1 || re.Failures[0].Rank != 1 || re.Failures[0].Reason != "runtime.Goexit" {
+				t.Fatalf("failures = %+v, want rank 1's runtime.Goexit", re.Failures)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("Run did not return within 1 s of rank 1's Goexit")
+		}
+	})
+	t.Run("rank0", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		var peerUnwound, returned, peerDoneAtExit atomic.Bool
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			defer func() { peerDoneAtExit.Store(peerUnwound.Load()) }()
+			Run(Config{NRanks: 2}, func(r *Rank) {
+				if r.ID() == 0 {
+					runtime.Goexit()
+				}
+				defer peerUnwound.Store(true)
+				r.World().Recv(make([]byte, 8), 0, 0)
+			})
+			returned.Store(true)
+		}()
+		select {
+		case <-exited:
+		case <-time.After(time.Second):
+			t.Fatal("the caller of Run did not exit within 1 s of rank 0's Goexit")
+		}
+		if returned.Load() {
+			t.Fatal("Run returned to a caller whose rank called runtime.Goexit")
+		}
+		if !peerDoneAtExit.Load() {
+			t.Fatal("the caller exited before rank 1 unwound")
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines: %d before, %d after", baseline, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 func TestPanicUnblocksPBQBackpressure(t *testing.T) {

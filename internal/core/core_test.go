@@ -97,6 +97,33 @@ func TestRankIdentity(t *testing.T) {
 	}
 }
 
+// TestRunStartsOneGoroutinePerExtraRank: the first rank runs on Run's
+// caller, so a node of n ranks (no watchdog, helpers or links) adds n-1
+// goroutines.  Goroutines other tests left behind may exit mid-run and skew
+// one count, so a mismatch gets two more tries.
+func TestRunStartsOneGoroutinePerExtraRank(t *testing.T) {
+	const n = 4
+	var extra [n]atomic.Int64
+	for try := 0; try < 3; try++ {
+		baseline := runtime.NumGoroutine()
+		run(t, n, func(r *Rank) {
+			r.World().Barrier() // every rank is running
+			extra[r.ID()].Store(int64(runtime.NumGoroutine() - baseline))
+			r.World().Barrier() // and stays so until every rank has counted
+		})
+		ok := true
+		for id := range extra {
+			ok = ok && extra[id].Load() == n-1
+		}
+		if ok {
+			return
+		}
+	}
+	for id := range extra {
+		t.Errorf("rank %d counted %d goroutines above the baseline, want %d", id, extra[id].Load(), n-1)
+	}
+}
+
 func TestSendRecvEagerIntraNode(t *testing.T) {
 	run(t, 2, func(r *Rank) {
 		c := r.World()

@@ -329,9 +329,12 @@ func (rt *Runtime) Placement() *topology.Placement { return rt.place }
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Run bootstraps a Pure program: it builds the placement, the node's
-// scheduler and helper threads, and the world communicator, then launches
-// NRanks goroutines each executing main (the application's __original_main
-// in the paper's bootstrap, §4.0.1) and waits for them all to return.
+// scheduler and helper threads, and the world communicator, then runs main
+// once per rank (the application's __original_main in the paper's
+// bootstrap, §4.0.1) and waits for them all to return.  The node's first
+// rank runs on the calling goroutine and every other rank on a goroutine of
+// its own; a rank that ends in runtime.Goexit fails the run, and on the
+// calling goroutine the Goexit then ends the caller too.
 func Run(cfg Config, main func(r *Rank)) error {
 	_, err := RunWithStats(cfg, main)
 	return err
@@ -462,6 +465,67 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 	var wg sync.WaitGroup
 	failures := make(chan RankFailure, rcfg.NRanks)
 	ranks := make([]*Rank, rcfg.NRanks)
+	// The watchdog is the only non-rank goroutine the runtime starts; it
+	// scans the wait registry for global no-progress and enforces Deadline.
+	var watchWG sync.WaitGroup
+	stopWatch := make(chan struct{})
+	// settle waits for the goroutine ranks and stops the watchdog.
+	settle := func() {
+		wg.Wait()
+		// Local ranks are done: late peer-failure upcalls must no longer
+		// poison the run (peer shutdown is unsynchronized).
+		rt.tpFinished.Store(true)
+		close(stopWatch)
+		watchWG.Wait()
+	}
+	local := place.RanksOnNode(myNode)
+	rank := func(id int) {
+		returned := false
+		defer func() {
+			if r := ranks[id]; r != nil {
+				r.settleStats()
+			}
+			rt.waitSlots[id].done.Store(true)
+			p := recover()
+			if p == nil {
+				if returned {
+					return
+				}
+				// Neither a return nor a panic: runtime.Goexit, which would
+				// leave the rank's peers waiting for it forever.
+				rt.poison(CausePanic, fmt.Sprintf("rank %d called runtime.Goexit", id), "", nil)
+				failures <- RankFailure{Rank: id, Reason: "runtime.Goexit"}
+				if id == local[0] {
+					// The Goexit goes on to unwind Run's caller: the node's
+					// other ranks unwind first.
+					settle()
+				}
+				return
+			}
+			switch v := p.(type) {
+			case ssw.AbortPanic:
+				// Unwound by runtime poisoning: a survivor, not a new
+				// failure.  Its wait record stays published for the
+				// RunError's blocked-rank listing; a leaf wait that unwound
+				// before publishing settles its pending record here (there
+				// is no lazyWait handler below a leaf).
+				rt.waitSlots[id].unwound.Store(true)
+				if r := ranks[id]; r != nil {
+					r.settleUnwoundWait(nil)
+				}
+				ranks[id].emitAbortEvent()
+			case rankAbortPanic:
+				failures <- RankFailure{Rank: id, Reason: fmt.Sprintf("Abort: %v", v.err)}
+			default:
+				rt.poison(CausePanic, fmt.Sprintf("rank %d panicked: %v", id, p), "", nil)
+				failures <- RankFailure{Rank: id, Reason: fmt.Sprintf("panic: %v", p)}
+			}
+		}()
+		r := rt.newRank(id)
+		ranks[id] = r
+		main(r)
+		returned = true
+	}
 	for id := 0; id < rcfg.NRanks; id++ {
 		if place.NodeOf(id) != myNode {
 			// Another node runs this rank; mark its slot done so the
@@ -469,47 +533,15 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 			rt.waitSlots[id].done.Store(true)
 			continue
 		}
+		if id == local[0] {
+			continue // runs on this goroutine, below
+		}
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			defer func() {
-				if r := ranks[id]; r != nil {
-					r.settleStats()
-				}
-				rt.waitSlots[id].done.Store(true)
-				p := recover()
-				if p == nil {
-					return
-				}
-				switch v := p.(type) {
-				case ssw.AbortPanic:
-					// Unwound by runtime poisoning: a survivor, not a new
-					// failure.  Its wait record stays published for the
-					// RunError's blocked-rank listing; a leaf wait that
-					// unwound before publishing settles its pending record
-					// here (there is no lazyWait handler below a leaf).
-					rt.waitSlots[id].unwound.Store(true)
-					if r := ranks[id]; r != nil {
-						r.settleUnwoundWait(nil)
-					}
-					ranks[id].emitAbortEvent()
-				case rankAbortPanic:
-					failures <- RankFailure{Rank: id, Reason: fmt.Sprintf("Abort: %v", v.err)}
-				default:
-					rt.poison(CausePanic, fmt.Sprintf("rank %d panicked: %v", id, p), "", nil)
-					failures <- RankFailure{Rank: id, Reason: fmt.Sprintf("panic: %v", p)}
-				}
-			}()
-			r := rt.newRank(id)
-			ranks[id] = r
-			main(r)
+			rank(id)
 		}(id)
 	}
-
-	// The watchdog is the only non-rank goroutine the runtime starts; it
-	// scans the wait registry for global no-progress and enforces Deadline.
-	var watchWG sync.WaitGroup
-	stopWatch := make(chan struct{})
 	if rcfg.HangTimeout > 0 || rcfg.Deadline > 0 {
 		watchWG.Add(1)
 		go func() {
@@ -517,13 +549,11 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 			rt.watchdog(stopWatch)
 		}()
 	}
-
-	wg.Wait()
-	// Local ranks are done: late peer-failure upcalls must no longer poison
-	// the run (peer shutdown is unsynchronized).
-	rt.tpFinished.Store(true)
-	close(stopWatch)
-	watchWG.Wait()
+	// The first local rank runs on this goroutine: no fresh stack to grow.
+	if len(local) > 0 {
+		rank(local[0])
+	}
+	settle()
 	close(failures)
 	var fails []RankFailure
 	for f := range failures {

@@ -191,9 +191,10 @@ type Config struct {
 	Deadline time.Duration
 }
 
-// Run launches a Pure program: main runs once per rank, concurrently.
-// It returns after every rank's main has returned, or an error if the
-// configuration is invalid or a rank panicked.
+// Run launches a Pure program: main runs once per rank, concurrently.  The
+// node's first rank runs on the calling goroutine.  Run returns after every
+// rank's main has returned, or an error if the configuration is invalid or
+// a rank panicked or called runtime.Goexit.
 //
 // Error contract: everything checkable before the ranks start — NRanks,
 // negative tuning knobs, Seats/Policy consistency, a Trace sized for a
