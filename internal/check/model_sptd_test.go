@@ -54,7 +54,8 @@ func sptdAllreduceThreads(n, rounds int) Threads {
 // TestCheckSPTDAllreduceNoLostContribution: the sequence-numbered dropbox
 // protocol must deliver every thread's contribution to every thread's
 // result in every explored schedule, across multiple reuse rounds (the
-// round r-1 ack gate protects the shared result buffer).
+// leader writes the shared result only after every box of the new round,
+// which each thread fills only once it is done with the last result).
 func TestCheckSPTDAllreduceNoLostContribution(t *testing.T) {
 	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {
@@ -62,6 +63,99 @@ func TestCheckSPTDAllreduceNoLostContribution(t *testing.T) {
 	})
 	if rep.Failed {
 		t.Fatalf("SPTD allreduce: %s", rep.Error())
+	}
+	t.Logf("PCT: %d seeds, %d total steps", rep.Seeds, rep.TotalSteps)
+}
+
+// TestCheckSPTDAllreduceExhaustive explores every schedule of a 2-thread,
+// 3-round all-reduce: the leader overwrites the result only after the other
+// thread's box for the new round, so a thread still copying round r-1's
+// result out can never see round r's bytes.
+func TestCheckSPTDAllreduceExhaustive(t *testing.T) {
+	hook(t)
+	rep := Exhaust(0, 0, func() Threads { return sptdAllreduceThreads(2, 3) })
+	if rep.Failed {
+		t.Fatalf("SPTD allreduce (exhaustive): %s", rep.Error())
+	}
+	if !rep.Complete {
+		t.Fatalf("exhaustive exploration hit the schedule budget (%d schedules)", rep.Schedules)
+	}
+	t.Logf("exhaustive: %d schedules, complete", rep.Schedules)
+}
+
+// TestCheckSPTDMixedKinds runs every op kind back to back on one structure,
+// twice over: Allreduce, Reduce to root 2, Broadcast from root 1, Allreduce,
+// Barrier.  The result is guarded by a different proof depending on who
+// writes it next: the leader's next fold waits for every box of the new
+// round, a Broadcast's root for every thread's ack of the last one.  Every
+// thread checks every value it receives, and the barrier its separation.
+func TestCheckSPTDMixedKinds(t *testing.T) {
+	hook(t)
+	const n = 3
+	mk := func() Threads {
+		s := collective.NewSPTD(n, 64)
+		arrived := make([]int, n)
+		errs := make([]error, n)
+		fns := make([]func(), n)
+		for tid := 0; tid < n; tid++ {
+			tid := tid
+			fns[tid] = func() {
+				got := make([]int64, 1)
+				out := make([]byte, 8)
+				// sum is the all-reduce of round k's contributions 100k+t.
+				sum := func(k int) int64 { return int64(n*100*k + n*(n-1)/2) }
+				check := func(k int, want int64) bool {
+					if codec.GetInt64s(got, out); got[0] != want {
+						errs[tid] = fmt.Errorf("thread %d round %d: got %d want %d", tid, k, got[0], want)
+						return false
+					}
+					return true
+				}
+				for k := 1; k <= 10; k++ {
+					in := codec.Int64Bytes([]int64{int64(100*k + tid)})
+					switch (k - 1) % 5 {
+					case 0, 3:
+						s.Allreduce(tid, in, out, collective.OpSum, collective.Int64, nil, Wait)
+						if !check(k, sum(k)) {
+							return
+						}
+					case 1:
+						s.Reduce(tid, 2, in, out, collective.OpSum, collective.Int64, nil, Wait)
+						if tid == 2 && !check(k, sum(k)) {
+							return
+						}
+					case 2:
+						copy(out, in)
+						s.Broadcast(tid, 1, out, nil, Wait)
+						if !check(k, int64(100*k+1)) {
+							return
+						}
+					case 4:
+						arrived[tid] = k
+						Yield("barrier:arrived")
+						s.Barrier(tid, Wait)
+						for u := 0; u < n; u++ {
+							if arrived[u] < k {
+								errs[tid] = fmt.Errorf("thread %d left barrier round %d before thread %d arrived", tid, k, u)
+								return
+							}
+						}
+					}
+				}
+			}
+		}
+		return Threads{Fns: fns, Final: func() error {
+			for _, e := range errs {
+				if e != nil {
+					return e
+				}
+			}
+			return nil
+		}}
+	}
+	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, mk)
+	if rep.Failed {
+		t.Fatalf("SPTD mixed kinds: %s", rep.Error())
 	}
 	t.Logf("PCT: %d seeds, %d total steps", rep.Seeds, rep.TotalSteps)
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -515,71 +516,76 @@ func TestNewCounterBarrierPanics(t *testing.T) {
 	NewCounterBarrier(0)
 }
 
-// Ablation benches: SPTD pairwise barrier vs shared counter barrier.
-func BenchmarkAblationSPTDvsCounter(b *testing.B) {
-	const n = 4
-	b.Run("sptd", func(b *testing.B) {
-		s := NewSPTD(n, 8)
-		benchBarrier(b, n, func(tid int) { s.Barrier(tid, spinWait) })
-	})
-	b.Run("counter", func(b *testing.B) {
-		c := NewCounterBarrier(n)
-		benchBarrier(b, n, func(tid int) { c.Wait(tid, spinWait) })
-	})
-}
+// benchThreads are the thread counts of the collective microbenchmarks.  The
+// 2-thread rows fit a 2-vCPU host, so they time the protocol; the 4-thread
+// rows oversubscribe such a host and mostly time the waiters' yields.
+var benchThreads = []int{2, 4}
 
-func benchBarrier(b *testing.B, n int, barrier func(tid int)) {
+// benchCollective runs body b.N times on each of n goroutines, each with its
+// own persistent waiter, as ranks do.  The waiter has no stealer, so the
+// default spin budget runs out in less than one cacheline hand-off and every
+// wait would yield.  When every goroutine has a P the budget is raised to the
+// pure spin of the benchmark's raw collective rungs; an oversubscribed row
+// keeps the default, or a spinner would hold the P its peer needs.
+func benchCollective(b *testing.B, n int, body func(tid int, wait WaitFunc)) {
+	budget := 0
+	if n <= runtime.GOMAXPROCS(0) {
+		budget = 1 << 16
+	}
 	var wg sync.WaitGroup
 	b.ResetTimer()
 	for tid := 0; tid < n; tid++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
+			wait := (&ssw.Waiter{SpinBudget: budget}).Wait
 			for i := 0; i < b.N; i++ {
-				barrier(tid)
+				body(tid, wait)
 			}
 		}(tid)
 	}
 	wg.Wait()
+}
+
+// Ablation benches: SPTD pairwise barrier vs shared counter barrier.
+func BenchmarkAblationSPTDvsCounter(b *testing.B) {
+	for _, n := range benchThreads {
+		b.Run(fmt.Sprintf("sptd/%dthreads", n), func(b *testing.B) {
+			s := NewSPTD(n, 8)
+			benchCollective(b, n, s.Barrier)
+		})
+		b.Run(fmt.Sprintf("counter/%dthreads", n), func(b *testing.B) {
+			benchCollective(b, n, NewCounterBarrier(n).Wait)
+		})
+	}
 }
 
 func BenchmarkSPTDAllreduce8B(b *testing.B) {
-	const n = 4
-	s := NewSPTD(n, 8)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for tid := 0; tid < n; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			in := f64bytes(float64(tid))
-			out := make([]byte, 8)
-			for i := 0; i < b.N; i++ {
-				s.Allreduce(tid, in, out, OpSum, Float64, nil, spinWait)
+	for _, n := range benchThreads {
+		b.Run(fmt.Sprintf("%dthreads", n), func(b *testing.B) {
+			s := NewSPTD(n, 8)
+			ins, outs := make([][]byte, n), make([][]byte, n)
+			for tid := range ins {
+				ins[tid], outs[tid] = f64bytes(float64(tid)), make([]byte, 8)
 			}
-		}(tid)
+			benchCollective(b, n, func(tid int, wait WaitFunc) {
+				s.Allreduce(tid, ins[tid], outs[tid], OpSum, Float64, nil, wait)
+			})
+		})
 	}
-	wg.Wait()
 }
 
 func BenchmarkPartitionedAllreduce64KB(b *testing.B) {
 	const n = 4
 	p := NewPartitionedReducer(n, 64<<10)
-	var wg sync.WaitGroup
-	b.SetBytes(64 << 10)
-	b.ResetTimer()
-	for tid := 0; tid < n; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			in := make([]byte, 64<<10)
-			out := make([]byte, 64<<10)
-			for i := 0; i < b.N; i++ {
-				p.Allreduce(tid, in, out, OpSum, Float64, nil, spinWait)
-			}
-		}(tid)
+	ins, outs := make([][]byte, n), make([][]byte, n)
+	for tid := range ins {
+		ins[tid], outs[tid] = make([]byte, 64<<10), make([]byte, 64<<10)
 	}
-	wg.Wait()
+	b.SetBytes(64 << 10)
+	benchCollective(b, n, func(tid int, wait WaitFunc) {
+		p.Allreduce(tid, ins[tid], outs[tid], OpSum, Float64, nil, wait)
+	})
 }
 
 func TestCASBarrier(t *testing.T) {
@@ -612,13 +618,13 @@ func TestNewCASBarrierPanics(t *testing.T) {
 // Ablation: static leader (SPTD) vs CAS first-thread-in election (the paper
 // kept static election after measuring both).
 func BenchmarkAblationLeaderElection(b *testing.B) {
-	const n = 4
-	b.Run("static-sptd", func(b *testing.B) {
-		s := NewSPTD(n, 8)
-		benchBarrier(b, n, func(tid int) { s.Barrier(tid, spinWait) })
-	})
-	b.Run("cas-first-in", func(b *testing.B) {
-		c := NewCASBarrier(n)
-		benchBarrier(b, n, func(tid int) { c.Wait(tid, spinWait) })
-	})
+	for _, n := range benchThreads {
+		b.Run(fmt.Sprintf("static-sptd/%dthreads", n), func(b *testing.B) {
+			s := NewSPTD(n, 8)
+			benchCollective(b, n, s.Barrier)
+		})
+		b.Run(fmt.Sprintf("cas-first-in/%dthreads", n), func(b *testing.B) {
+			benchCollective(b, n, NewCASBarrier(n).Wait)
+		})
+	}
 }

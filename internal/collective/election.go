@@ -1,6 +1,10 @@
 package collective
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/layout"
+)
 
 // The paper §4.2: "We use a simple static leader election process, which
 // outperformed a compare-and-swap based 'first thread in' process."  This
@@ -14,12 +18,13 @@ type CASBarrier struct {
 	n int
 	// leader is the round's winner + 1 (0 = unclaimed), CAS-contended by
 	// every arriving thread — the cost the paper measured and avoided.
-	leader  atomic.Int64
-	arrived atomic.Int64
-	_       pad
-	release atomic.Uint64
-	_       pad
-	rounds  []paddedCounter
+	leader     atomic.Int64
+	arrived    atomic.Int64
+	_          layout.Pad
+	release    atomic.Uint64
+	_          layout.Pad
+	members    []member
+	allArrived func() bool
 }
 
 // NewCASBarrier builds a first-thread-in barrier for n threads.
@@ -27,22 +32,25 @@ func NewCASBarrier(n int) *CASBarrier {
 	if n <= 0 {
 		panic("collective: NewCASBarrier needs positive n")
 	}
-	return &CASBarrier{n: n, rounds: make([]paddedCounter, n)}
+	b := &CASBarrier{n: n, members: newMembers(n)}
+	b.allArrived = func() bool { return b.arrived.Load() == int64(b.n) }
+	return b
 }
 
 // Wait blocks tid until all n threads have arrived.
 func (b *CASBarrier) Wait(tid int, wait WaitFunc) {
-	r := b.rounds[tid].v.Add(1)
+	m := &b.members[tid]
+	r := m.round.Add(1)
 	iAmLeader := b.leader.CompareAndSwap(0, int64(tid)+1)
 	arrivedNow := b.arrived.Add(1)
 	if iAmLeader {
 		// Leader: wait for everyone, reset, release.
-		wait(func() bool { return b.arrived.Load() == int64(b.n) })
+		wait(b.allArrived)
 		b.arrived.Store(0)
 		b.leader.Store(0)
 		b.release.Store(r)
 		return
 	}
 	_ = arrivedNow
-	wait(func() bool { return b.release.Load() >= r })
+	m.waitAtLeast(&b.release, r, wait)
 }

@@ -3,6 +3,8 @@ package collective
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/layout"
 )
 
 // PartitionedReducer implements the paper's large-data all-reduce (§4.2.2,
@@ -20,23 +22,26 @@ type PartitionedReducer struct {
 	nthreads int
 	maxBytes int
 
-	arrive []prSlot
-	shared []byte // shared output buffer, leader-owned allocation
+	arrive  []prSlot
+	shared  []byte // shared output buffer, leader-owned allocation
+	members []member
 
+	_        layout.Pad
 	finalSeq atomic.Uint64
-	_        pad
-	rounds   []paddedCounter
+	_        layout.Pad
 }
 
-// prSlot is one thread's arrival/done/ack record, padded against false sharing.
+// prSlot is one thread's arrival/done/ack record, padded against false
+// sharing.  input is a plain field: its owner writes it before storing seq,
+// and the others read it only after loading that seq.
 type prSlot struct {
-	input atomic.Pointer[[]byte] // published input buffer for this round
-	seq   atomic.Uint64          // arrival sequence
-	_     pad
+	input []byte        // published input buffer for this round
+	seq   atomic.Uint64 // arrival sequence
+	_     layout.Pad
 	done  atomic.Uint64 // fold-work-complete sequence
-	_     pad
+	_     layout.Pad
 	ack   atomic.Uint64 // copy-out-complete sequence
-	_     pad
+	_     layout.Pad
 }
 
 // NewPartitionedReducer builds the structure for nthreads threads reducing
@@ -50,7 +55,7 @@ func NewPartitionedReducer(nthreads, maxBytes int) *PartitionedReducer {
 		maxBytes: maxBytes,
 		arrive:   make([]prSlot, nthreads),
 		shared:   make([]byte, maxBytes),
-		rounds:   make([]paddedCounter, nthreads),
+		members:  newMembers(nthreads),
 	}
 }
 
@@ -93,78 +98,99 @@ func (p *PartitionedReducer) Allreduce(tid int, in, out []byte, op Op, dt DType,
 	if len(out) < len(in) {
 		panic(fmt.Sprintf("collective: output buffer %d smaller than input %d", len(out), len(in)))
 	}
-	r := p.nextRound(tid)
+	m := &p.members[tid]
+	r := m.round.Add(1)
 	me := &p.arrive[tid]
 
 	// Before publishing our input for round r we must know the shared buffer
 	// is no longer being read from round r-1 by anyone (everyone acked).
 	// Threads only write disjoint chunks, but a slow thread could still be
 	// copying out round r-1's bytes from our chunk.
-	for t := 0; t < p.nthreads; t++ {
-		s := &p.arrive[t]
-		wait(func() bool { return s.ack.Load() >= r-1 })
+	for t := range p.arrive {
+		m.waitAtLeast(&p.arrive[t].ack, r-1, wait)
 	}
 
 	// Arrival: publish a pointer to our input, bump our sequence (paper:
 	// "instead of copying in their data, they just set a pointer to their
 	// buffer before incrementing their sequence number").
-	inCopy := in
-	me.input.Store(&inCopy)
+	me.input = in
 	me.seq.Store(r)
 
 	// Fold phase: wait for all arrivals, then reduce our chunk across all
 	// threads' inputs into the shared output.
-	for t := 0; t < p.nthreads; t++ {
-		s := &p.arrive[t]
-		wait(func() bool { return s.seq.Load() >= r })
+	for t := range p.arrive {
+		m.waitAtLeast(&p.arrive[t].seq, r, wait)
 	}
 	lo, hi := p.ChunkRange(tid, len(in))
 	if lo < hi {
-		first := *p.arrive[0].input.Load()
-		copy(p.shared[lo:hi], first[lo:hi])
+		copy(p.shared[lo:hi], p.arrive[0].input[lo:hi])
 		for t := 1; t < p.nthreads; t++ {
-			src := *p.arrive[t].input.Load()
-			Accumulate(p.shared[lo:hi], src[lo:hi], op, dt)
+			Accumulate(p.shared[lo:hi], p.arrive[t].input[lo:hi], op, dt)
 		}
 	}
 	me.done.Store(r)
 
 	if tid == 0 {
 		// Leader: wait for all folds, bridge across nodes, publish.
-		for t := 0; t < p.nthreads; t++ {
-			s := &p.arrive[t]
-			wait(func() bool { return s.done.Load() >= r })
+		for t := range p.arrive {
+			m.waitAtLeast(&p.arrive[t].done, r, wait)
 		}
 		if bridge != nil {
 			bridge(p.shared[:len(in)])
 		}
 		p.finalSeq.Store(r)
 	} else {
-		wait(func() bool { return p.finalSeq.Load() >= r })
+		m.waitAtLeast(&p.finalSeq, r, wait)
 	}
 	copy(out[:len(in)], p.shared[:len(in)])
 	me.ack.Store(r)
 }
 
-func (p *PartitionedReducer) nextRound(tid int) uint64 {
-	return p.rounds[tid].v.Add(1)
+// Round returns how many Allreduce rounds thread tid has entered on this
+// structure (exact for tid itself, an atomic snapshot for other readers).
+func (p *PartitionedReducer) Round(tid int) uint64 { return p.members[tid].round.Load() }
+
+// member is one thread's private state in the structures of this file: its
+// round counter and its reusable wait condition "*a >= v".  Every wait here
+// has that shape, and a closure built at the wait site would be
+// heap-allocated per call (WaitFunc is an unknown function, so its argument
+// escapes); cond is bound once, in newMembers, and a wait only sets a and v.
+// Only the owner writes a member; the round is atomic because observers may
+// read it.
+type member struct {
+	round atomic.Uint64
+	a     *atomic.Uint64
+	v     uint64
+	cond  func() bool
+	_     [layout.CachelineBytes - 32]byte
 }
 
-// Round returns how many Allreduce rounds thread tid has completed on this
-// structure (exact for tid itself, an atomic snapshot for other readers).
-func (p *PartitionedReducer) Round(tid int) uint64 { return p.rounds[tid].v.Load() }
+func newMembers(n int) []member {
+	ms := make([]member, n)
+	for i := range ms {
+		m := &ms[i]
+		m.cond = func() bool { return m.a.Load() >= m.v }
+	}
+	return ms
+}
+
+// waitAtLeast blocks the member's thread until *a has reached v.
+func (m *member) waitAtLeast(a *atomic.Uint64, v uint64, wait WaitFunc) {
+	m.a, m.v = a, v
+	wait(m.cond)
+}
 
 // CounterBarrier is the shared-atomic-counter barrier the paper tried first
 // and abandoned ("the pairwise synchronization offered by [SPTD] vastly
 // outperformed a shared atomic counter approach").  It is retained for the
 // ablation benchmarks: a sense-reversing central counter.
 type CounterBarrier struct {
-	n      int
-	count  atomic.Int64
-	_      pad
-	sense  atomic.Uint64
-	_      pad
-	rounds []paddedCounter
+	n       int
+	count   atomic.Int64
+	_       layout.Pad
+	sense   atomic.Uint64
+	_       layout.Pad
+	members []member
 }
 
 // NewCounterBarrier builds a central-counter barrier for n threads.
@@ -172,16 +198,17 @@ func NewCounterBarrier(n int) *CounterBarrier {
 	if n <= 0 {
 		panic(fmt.Sprintf("collective: NewCounterBarrier(%d): n must be positive", n))
 	}
-	return &CounterBarrier{n: n, rounds: make([]paddedCounter, n)}
+	return &CounterBarrier{n: n, members: newMembers(n)}
 }
 
 // Wait blocks tid until all n threads have arrived.
 func (b *CounterBarrier) Wait(tid int, wait WaitFunc) {
-	r := b.rounds[tid].v.Add(1)
+	m := &b.members[tid]
+	r := m.round.Add(1)
 	if b.count.Add(1) == int64(b.n) {
 		b.count.Store(0)
 		b.sense.Store(r) // release everyone
 	} else {
-		wait(func() bool { return b.sense.Load() >= r })
+		m.waitAtLeast(&b.sense, r, wait)
 	}
 }

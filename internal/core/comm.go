@@ -333,9 +333,6 @@ func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.
 	if ni == rootNi {
 		localRoot = sh.localIdxOf[root]
 	}
-	if out == nil {
-		out = make([]byte, len(in))
-	}
 	var bridge func([]byte)
 	if c.multiNode() {
 		bridge = func(acc []byte) { c.leaderReduce(ni, rootNi, acc, op, dt) }
@@ -350,7 +347,11 @@ func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.
 		c.r.finishColl(obs.KReduce, t0, int64(sh.nodes[ni].sptd.Round(tid)))
 		return
 	}
-	// Large payloads: partitioned all-reduce locally, leader forwards.
+	// Large payloads: partitioned all-reduce locally, leader forwards.  It
+	// delivers to every member, so a member without a buffer needs one.
+	if out == nil {
+		out = make([]byte, len(in))
+	}
 	sh.nodes[ni].pr(len(in)).Allreduce(tid, in, out, op, dt, bridge, lw.wait)
 	lw.finish()
 	c.r.finishColl(obs.KReduce, t0, 0)

@@ -714,11 +714,13 @@ func TestChannelPingPongAllocs(t *testing.T) {
 	}
 }
 
-// TestSPTDCollectiveAllocs is the same gate on the small-collective path:
-// every SPTD wait is a preallocated per-thread condition, so a Barrier, an
-// Allreduce up to the SPTD threshold, a Reduce and a Bcast allocate nothing
-// on any rank (AllocsPerRun counts the whole process).  With a closure per
-// wait an 8 B Allreduce on 4 ranks cost 10.
+// TestSPTDCollectiveAllocs is the same gate on the collective paths: every
+// SPTD and partitioned-reducer wait is a preallocated per-thread condition,
+// so a Barrier, an Allreduce on either side of the SPTD threshold, a Reduce
+// (with or without an out buffer on the non-roots) and a Bcast allocate
+// nothing on any rank (AllocsPerRun counts the whole process).  With a
+// closure per wait an 8 B Allreduce on 4 ranks cost 10, and a 64 KiB one on
+// 2 ranks 13.
 func TestSPTDCollectiveAllocs(t *testing.T) {
 	const warm, runs = 100, 1000
 	for _, nranks := range []int{2, 4} {
@@ -730,7 +732,9 @@ func TestSPTDCollectiveAllocs(t *testing.T) {
 			{"barrier", 0, func(w *Comm, _, _ []byte) { w.Barrier() }},
 			{"allreduce-8B", 8, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
 			{"allreduce-2KiB", DefaultSPTDMax, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
+			{"allreduce-64KiB", 64 << 10, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
 			{"reduce", 8, func(w *Comm, in, out []byte) { w.Reduce(in, out, 1, collective.OpSum, collective.Float64) }},
+			{"reduce-nil-out", 8, func(w *Comm, in, _ []byte) { w.Reduce(in, nil, 1, collective.OpSum, collective.Float64) }},
 			{"bcast", 8, func(w *Comm, in, _ []byte) { w.Bcast(in, 1) }},
 		} {
 			t.Run(fmt.Sprintf("%s/%dranks", tc.name, nranks), func(t *testing.T) {

@@ -16,19 +16,10 @@ package queue
 import (
 	"fmt"
 	"sync/atomic"
-	"unsafe"
 
+	"repro/internal/layout"
 	"repro/internal/schedpoint"
 )
-
-// CachelineBytes is the coherence granularity the queues pad to.  64 bytes
-// matches the Haswell nodes in the paper and every mainstream x86/arm64 part.
-const CachelineBytes = 64
-
-// pad is inserted between producer-owned and consumer-owned fields, and
-// around shared cells, so they never share a cacheline with their
-// neighbours (the false sharing the paper names as a key messaging cost).
-type pad [CachelineBytes]byte
 
 // PBQ is the PureBufferQueue: the lock-free SPSC circular queue Pure uses
 // for short intra-node messages (paper §4.1.1).  A single contiguous buffer
@@ -58,12 +49,12 @@ type PBQ struct {
 	words []atomic.Uint64
 	buf   []byte
 
-	_      pad
+	_      layout.Pad
 	head   atomic.Uint64 // consumer's position; nobody else writes it
-	_      pad
+	_      layout.Pad
 	tail   atomic.Uint64 // producer's position; nobody else writes it
 	stalls atomic.Int64  // failed (queue-full) enqueue probes; producer-written
-	_      pad
+	_      layout.Pad
 }
 
 // stateBytes is the size of the per-slot state word in front of the payload.
@@ -74,7 +65,7 @@ const stateBytes = 8
 // is a handful of slots of up to 8 KiB; the slot count was "not a material
 // performance driver" (we ablate this in the benchmarks).
 func NewPBQ(minSlots, maxPayload int) *PBQ {
-	return newPBQ("NewPBQ", minSlots, maxPayload, CachelineBytes)
+	return newPBQ("NewPBQ", minSlots, maxPayload, layout.CachelineBytes)
 }
 
 // NewPBQPacked builds a PureBufferQueue whose slots are packed back-to-back
@@ -97,19 +88,13 @@ func newPBQ(name string, minSlots, maxPayload, strideAlign int) *PBQ {
 	}
 	stride := (stateBytes + maxPayload + strideAlign - 1) / strideAlign * strideAlign
 	slotWords := stride / stateBytes
-	// A []atomic.Uint64 is 8-aligned by construction; one spare cacheline
-	// lets the first slot start on a cacheline boundary wherever the
-	// allocator put the array (heap objects do not move).
-	const lineWords = CachelineBytes / stateBytes
-	words := make([]atomic.Uint64, n*slotWords+lineWords-1)
-	skip := int(-uintptr(unsafe.Pointer(&words[0])) % CachelineBytes / stateBytes)
-	words = words[skip : skip+n*slotWords : skip+n*slotWords]
+	words, buf := layout.AlignedWords(n * slotWords)
 	return &PBQ{
 		slotWords:  slotWords,
 		maxPayload: maxPayload,
 		mask:       uint64(n - 1),
 		words:      words,
-		buf:        unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n*stride),
+		buf:        buf,
 	}
 }
 

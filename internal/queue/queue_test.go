@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/layout"
 	"repro/internal/ssw"
 )
 
@@ -91,7 +92,7 @@ func TestPBQSlotLayout(t *testing.T) {
 	for _, maxPayload := range []int{1, 8, 56, 57, 64, 1000, 8192} {
 		q := NewPBQ(4, maxPayload)
 		stride := q.slotWords * stateBytes
-		if stride%CachelineBytes != 0 || stride < stateBytes+maxPayload || stride >= stateBytes+maxPayload+CachelineBytes {
+		if stride%layout.CachelineBytes != 0 || stride < stateBytes+maxPayload || stride >= stateBytes+maxPayload+layout.CachelineBytes {
 			t.Fatalf("maxPayload %d: stride %d", maxPayload, stride)
 		}
 		if len(q.buf) != q.Cap()*stride || len(q.words)*stateBytes != len(q.buf) {
@@ -100,13 +101,13 @@ func TestPBQSlotLayout(t *testing.T) {
 		for i := 0; i < q.Cap(); i++ {
 			word := addr(unsafe.Pointer(&q.words[i*q.slotWords]))
 			payload := addr(unsafe.Pointer(&q.buf[(i*q.slotWords+1)*stateBytes]))
-			if word%CachelineBytes != 0 {
+			if word%layout.CachelineBytes != 0 {
 				t.Fatalf("maxPayload %d slot %d: state word at %#x is not on a cacheline boundary", maxPayload, i, word)
 			}
 			if payload != word+stateBytes {
 				t.Fatalf("maxPayload %d slot %d: payload at %#x, word at %#x", maxPayload, i, payload, word)
 			}
-			if last := payload + min(maxPayload, CachelineBytes-stateBytes) - 1; last/CachelineBytes != word/CachelineBytes {
+			if last := payload + min(maxPayload, layout.CachelineBytes-stateBytes) - 1; last/layout.CachelineBytes != word/layout.CachelineBytes {
 				t.Fatalf("maxPayload %d slot %d: a small message leaves its word's cacheline", maxPayload, i)
 			}
 		}

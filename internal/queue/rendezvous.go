@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/layout"
 	"repro/internal/schedpoint"
 )
 
@@ -23,10 +24,10 @@ import (
 // cell.  Exactly one goroutine may receive (Post, TryTake) and one may send
 // (TrySend).
 type Rendezvous struct {
-	_     pad
+	_     layout.Pad
 	state atomic.Uint64
 	dest  []byte // written by Post while free, read by TrySend while posted
-	_     pad
+	_     layout.Pad
 }
 
 // Post offers dst as the destination of the next handoff.  It panics if a

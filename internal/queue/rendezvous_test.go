@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/layout"
 	"repro/internal/ssw"
 )
 
@@ -94,11 +95,11 @@ func TestRendezvousLayout(t *testing.T) {
 		base := uintptr(unsafe.Pointer(c))
 		state := uintptr(unsafe.Pointer(&c.state))
 		destEnd := uintptr(unsafe.Pointer(&c.dest)) + unsafe.Sizeof(c.dest)
-		line := state &^ (CachelineBytes - 1)
-		if (destEnd-1)&^(CachelineBytes-1) != line {
+		line := state &^ (layout.CachelineBytes - 1)
+		if (destEnd-1)&^(layout.CachelineBytes-1) != line {
 			t.Fatalf("cell %d at %#x: state word at %#x and buffer header ending at %#x span two cachelines", i, base, state, destEnd)
 		}
-		if line < base || line+CachelineBytes > base+unsafe.Sizeof(*c) {
+		if line < base || line+layout.CachelineBytes > base+unsafe.Sizeof(*c) {
 			t.Fatalf("cell %d at %#x (%d bytes): the state word's line %#x reaches outside the cell", i, base, unsafe.Sizeof(*c), line)
 		}
 	}
