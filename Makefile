@@ -35,22 +35,23 @@ fuzz:
 	go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 30s ./internal/obs
 
 # The robustness suite under the race detector: watchdog/abort containment
-# plus the lossy-link chaos tests — one runtime per node over loopback TCP
-# with Transport.Faults (drops, delays, and the duplicates and out-of-order
-# discards go-back-N makes of them) — across several seeds (override with
-# PURE_CHAOS_SEEDS=comma,separated,ints).  Sized to stay CI-friendly on a
-# single CPU.  scripts/verify.sh runs this target (and race) as is.
+# plus the lossy-link chaos tests — one runtime per in-process node, joined
+# by the link layer, with Transport.Faults (drops, delays, and the
+# duplicates and out-of-order discards go-back-N makes of them) — across
+# several seeds (override with PURE_CHAOS_SEEDS=comma,separated,ints).
+# Sized to stay CI-friendly on a single CPU.  scripts/verify.sh runs this
+# target (and race) as is.
 chaos:
 	go test -race -count=1 \
 		-run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \
 		./internal/core ./internal/ssw ./pure ./internal/apps/shmem
 
-# Chaos against the real TCP transport: full runtimes over real sockets
-# in one process (lossy links, kill-link reconnect, partition-to-death)
-# and the transport unit suite (the link's two-lock writer included) under
-# the race detector, then real OS processes (SIGKILL a node mid-Allreduce,
-# 15%-lossy two-process run) and the purerun launcher tests.  See
-# docs/TRANSPORT.md.
+# Chaos against the transport: the TestChaosTCP* runtimes (kill-link
+# reconnect and partition-to-death over real sockets in one process, the
+# link protocol's lossy and latency suites on in-process nodes) and the
+# transport unit suite (the link's two-lock writer included) under the race
+# detector, then real OS processes (SIGKILL a node mid-Allreduce, 15%-lossy
+# two-process run) and the purerun launcher tests.  See docs/TRANSPORT.md.
 chaos-net:
 	go test -race -count=1 -run 'TestChaosTCP' ./internal/core
 	go test -race -count=1 ./internal/transport
@@ -93,9 +94,8 @@ statsd:
 	go run ./cmd/purebench -quick -exp statsd
 
 # The PGAS layer (docs/SHMEM.md): symmetric-heap/mailbox unit tests and
-# the exactness-proof apps (the lossy-link chaos runs, one runtime per
-# node over loopback TCP, under -race), then the exactness-gated benchmark
-# table.
+# the exactness-proof apps (the lossy-link chaos runs on in-process nodes,
+# under -race), then the exactness-gated benchmark table.
 shmem:
 	go test -count=1 ./internal/shmem ./internal/apps/shmem ./pure
 	go test -race -count=1 ./internal/shmem ./internal/apps/shmem

@@ -5,13 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/puretest"
+	"repro/internal/transport"
 	"repro/pure"
 )
 
-// multiNodeCfg places one rank per node so every remote operation crosses
-// the network: the modeled wire under pure.Run, real links under
-// puretest.RunNodes.
+// multiNodeCfg places one rank per in-process node so every remote operation
+// crosses a link.
 func multiNodeCfg(nodes int) pure.Config {
 	return pure.Config{
 		NRanks:       nodes,
@@ -19,6 +18,39 @@ func multiNodeCfg(nodes int) pure.Config {
 		RanksPerNode: 1,
 		HangTimeout:  30 * time.Second,
 	}
+}
+
+// lossyCfg is multiNodeCfg(2) over links with the fault plan faults.  The
+// links retransmit after milliseconds and never give up, so the loss costs a
+// test little time and never a link.
+func lossyCfg(faults pure.TransportFaults) pure.Config {
+	cfg := multiNodeCfg(2)
+	cfg.Metrics = pure.NewMetrics()
+	cfg.Transport = &pure.TransportConfig{Faults: faults, RetryBackoff: 2 * time.Millisecond, RetryBudget: 1000}
+	return cfg
+}
+
+// checkRecovered fails the test unless the links of a lossyCfg run injected
+// drops and retransmitted.
+func checkRecovered(t *testing.T, m *pure.Metrics) {
+	t.Helper()
+	c := map[string]int64{}
+	for _, s := range m.Snapshot().Counters {
+		c[s.Name] = s.Value
+	}
+	if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
+		t.Fatalf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
+			c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
+	}
+}
+
+// chaosFaults is transport.ChaosFaults at 15% drops: the seed-swept plans.
+func chaosFaults(t *testing.T) []pure.TransportFaults {
+	plans, err := transport.ChaosFaults(0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plans
 }
 
 // histMain is the rank body of a histogram run; rank 0 leaves its result in
@@ -67,8 +99,8 @@ func TestHistogramSingleNode(t *testing.T) {
 	}
 }
 
-// TestHistogramCrossNode: every increment to a peer bin crosses the
-// modeled wire as a FrameShmem atomic add; exactness must survive.
+// TestHistogramCrossNode: every increment to a peer bin crosses a link as a
+// FrameShmem atomic add; exactness must survive.
 func TestHistogramCrossNode(t *testing.T) {
 	res := runHist(t, multiNodeCfg(2), HistConfig{Bins: 64, Items: 200, Rounds: 2, Seed: 11})
 	if !res.Exact {
@@ -76,23 +108,19 @@ func TestHistogramCrossNode(t *testing.T) {
 	}
 }
 
-// TestChaosHistogramLossy: two one-rank nodes over 15%-lossy loopback links
-// (one pure.Run per node, puretest.RunNodes), and the histogram must still
-// be bit-exact — the link layer recovers every dropped atomic-add frame and
-// discards every duplicate.
+// TestChaosHistogramLossy: two one-rank nodes over 15%-lossy links, and the
+// histogram must still be bit-exact — the link layer recovers every dropped
+// atomic-add frame and discards every duplicate.
 func TestChaosHistogramLossy(t *testing.T) {
-	for _, seed := range puretest.ChaosSeeds(t) {
+	for _, faults := range chaosFaults(t) {
+		seed := faults.Seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var res HistResult
-			c := puretest.RunNodes(t, multiNodeCfg(2), puretest.Lossy(seed, 0.15),
-				histMain(HistConfig{Bins: 32, Items: 60, Rounds: 2, Seed: uint64(seed)}, &res))
+			cfg := lossyCfg(faults)
+			res := runHist(t, cfg, HistConfig{Bins: 32, Items: 60, Rounds: 2, Seed: seed})
 			if !res.Exact {
 				t.Fatal("lossy-link histogram diverged from the serial reference")
 			}
-			if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
-				t.Fatalf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
-					c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
-			}
+			checkRecovered(t, cfg.Metrics)
 		})
 	}
 }
@@ -156,22 +184,19 @@ func TestBFSCrossNode(t *testing.T) {
 }
 
 // TestChaosBFSLossy runs the mailbox frontier exchange over 15%-lossy
-// loopback links: per-sender FIFO and exactly-once delivery must survive
+// links: per-sender FIFO and exactly-once delivery must survive
 // retransmission, or distances diverge.  (A small graph: every claim is a
 // remote round trip, and every dropped one waits out a retransmit timer.)
 func TestChaosBFSLossy(t *testing.T) {
-	for _, seed := range puretest.ChaosSeeds(t) {
+	for _, faults := range chaosFaults(t) {
+		seed := faults.Seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var res BFSResult
-			c := puretest.RunNodes(t, multiNodeCfg(2), puretest.Lossy(seed, 0.15),
-				bfsMain(BFSConfig{Vertices: 24, Degree: 2, MailboxCap: 4, Seed: uint64(seed) + 1}, &res))
+			cfg := lossyCfg(faults)
+			res := runBFS(t, cfg, BFSConfig{Vertices: 24, Degree: 2, MailboxCap: 4, Seed: seed + 1})
 			if !res.Exact {
 				t.Fatal("lossy-link BFS diverged from the serial reference")
 			}
-			if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
-				t.Fatalf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
-					c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
-			}
+			checkRecovered(t, cfg.Metrics)
 		})
 	}
 }

@@ -2,8 +2,8 @@ package statsd
 
 import (
 	"testing"
+	"time"
 
-	"repro/internal/puretest"
 	proto "repro/internal/statsd"
 	"repro/pure"
 )
@@ -84,19 +84,31 @@ func TestPipelineExactDropPolicy(t *testing.T) {
 }
 
 func TestPipelineExactUnderLoss(t *testing.T) {
-	// Two nodes (ingesters on node 0, aggregators on node 1 under SMP
-	// placement), one pure.Run each, joined by loopback links that drop 15%
-	// of first transmissions.  The link layer retransmits; the pipeline
-	// totals must stay exact.
+	// Two in-process nodes (ingesters on node 0, aggregators on node 1
+	// under SMP placement), joined by links that drop 15% of first
+	// transmissions.  The link layer retransmits; the pipeline totals must
+	// stay exact.
 	const events = 8000
 	var res Result
-	c := puretest.RunNodes(t,
-		pure.Config{
-			NRanks: 4,
-			Spec:   pure.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
+	met := pure.NewMetrics()
+	err := pure.Run(pure.Config{
+		NRanks:      4,
+		Spec:        pure.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
+		HangTimeout: 30 * time.Second,
+		Metrics:     met,
+		Transport: &pure.TransportConfig{
+			Faults:       pure.TransportFaults{Seed: 7, DropProb: 0.15},
+			RetryBackoff: 2 * time.Millisecond,
+			RetryBudget:  1000,
 		},
-		pure.TransportFaults{Seed: 7, DropProb: 0.15},
-		pipelineMain(Config{Ingesters: 2, Aggregators: 2, Events: events, Rounds: 2}, &res))
+	}, pipelineMain(Config{Ingesters: 2, Aggregators: 2, Events: events, Rounds: 2}, &res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := map[string]int64{}
+	for _, s := range met.Snapshot().Counters {
+		c[s.Name] = s.Value
+	}
 	checkExact(t, res, events)
 	if res.Applied != events {
 		t.Errorf("lossy links lost events: applied %d of %d", res.Applied, events)

@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,29 +15,9 @@ import (
 )
 
 // This file is the robustness suite: watchdog hang diagnosis, panic
-// containment and cooperative abort, and runs over lossy links (real
-// runtimes over loopback TCP with transport.Faults; see tcp_test.go).  The
-// TestChaos* subset is what `make chaos` runs under -race across several
-// seeds.
-
-// chaosSeeds returns the fault-injection seeds to sweep: {1, 2, 3} by
-// default, overridable with PURE_CHAOS_SEEDS=comma,separated,ints.
-func chaosSeeds(t *testing.T) []int64 {
-	t.Helper()
-	env := os.Getenv("PURE_CHAOS_SEEDS")
-	if env == "" {
-		return []int64{1, 2, 3}
-	}
-	var seeds []int64
-	for _, f := range strings.Split(env, ",") {
-		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("bad PURE_CHAOS_SEEDS entry %q: %v", f, err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
+// containment and cooperative abort, and runs over lossy links (in-process
+// nodes with transport.Faults; see nodes_test.go).  The TestChaos* subset is
+// what `make chaos` runs under -race across several seeds.
 
 func asRunError(t *testing.T, err error) *RunError {
 	t.Helper()
@@ -411,25 +389,25 @@ func TestAbortEmitsTraceEvent(t *testing.T) {
 	}
 }
 
-// ---- Lossy links (the `make chaos` subset; more in tcp_test.go) ----
+// ---- Lossy links (the `make chaos` subset; more in nodes_test.go) ----
 
 // TestChaosLossyAllreduce runs cross-node allreduces — leader-tree traffic of
 // two ranks per node sharing one link — over links that drop first
 // transmissions and delay arrivals, and checks the results are exact and the
 // recovery visible in the harvested link counters.
 func TestChaosLossyAllreduce(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
+	plans, err := transport.ChaosFaults(0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, faults := range plans {
+		seed := faults.Seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
 			const rounds = 40
-			errs := tcpWorld(t, 2, 2, func(n int, cfg *Config) {
-				cfg.Metrics = mets[n]
-				cfg.Transport.Faults = transport.Faults{
-					Seed: uint64(seed), DropProb: 0.15, DelayProb: 0.10, DelayMax: time.Millisecond,
-				}
-				cfg.Transport.RetryBackoff = 2 * time.Millisecond
-				cfg.Transport.RetryBudget = 1000
-			}, func(r *Rank) {
+			cfg := nodesConfig(2, 2)
+			cfg.Metrics = obs.NewMetrics()
+			cfg.Transport = &transport.Config{Faults: faults, RetryBackoff: 2 * time.Millisecond, RetryBudget: 1000}
+			err := Run(cfg, func(r *Rank) {
 				w := r.World()
 				out := make([]byte, 8)
 				for i := 0; i < rounds; i++ {
@@ -441,11 +419,13 @@ func TestChaosLossyAllreduce(t *testing.T) {
 					}
 				}
 			})
-			tcpAllOK(t, errs)
-			if tcpCounter(mets, "pure_tp_drops_injected_total") == 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sumCounter("pure_tp_drops_injected_total", cfg.Metrics) == 0 {
 				t.Fatalf("seed %d: fault plan injected no drops; the test exercised nothing", seed)
 			}
-			if tcpCounter(mets, "pure_tp_retransmits_total") == 0 {
+			if sumCounter("pure_tp_retransmits_total", cfg.Metrics) == 0 {
 				t.Fatalf("seed %d: drops were injected but nothing was retransmitted", seed)
 			}
 		})
@@ -458,18 +438,15 @@ func TestChaosLossyAllreduce(t *testing.T) {
 // payload must still arrive exactly once, in order, with the discards
 // counted.
 func TestChaosDupsDiscarded(t *testing.T) {
-	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
 	const rounds = 50
-	errs := tcpWorld(t, 2, 1, func(n int, cfg *Config) {
-		cfg.Metrics = mets[n]
-		cfg.Transport.Faults = transport.Faults{Seed: 7, DelayProb: 0.5, DelayMax: 10 * time.Millisecond}
-		cfg.Transport.RetryBackoff = time.Millisecond
-		cfg.Transport.RetryBudget = 1000
-		// A duplicate still unread when the first node to finish closes its
-		// socket turns the close into a reset, which can take the Bye with it;
-		// the other node then waits out its drain for an ack of its last frame.
-		cfg.Transport.DrainTimeout = 100 * time.Millisecond
-	}, func(r *Rank) {
+	cfg := nodesConfig(2, 1)
+	cfg.Metrics = obs.NewMetrics()
+	cfg.Transport = &transport.Config{
+		Faults:       transport.Faults{Seed: 7, DelayProb: 0.5, DelayMax: 10 * time.Millisecond},
+		RetryBackoff: time.Millisecond,
+		RetryBudget:  1000,
+	}
+	err := Run(cfg, func(r *Rank) {
 		w := r.World()
 		buf := make([]byte, 16)
 		for i := 0; i < rounds; i++ {
@@ -486,11 +463,13 @@ func TestChaosDupsDiscarded(t *testing.T) {
 			}
 		}
 	})
-	tcpAllOK(t, errs)
-	if tcpCounter(mets, "pure_tp_retransmits_total") == 0 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumCounter("pure_tp_retransmits_total", cfg.Metrics) == 0 {
 		t.Fatal("no frame was resent; the test exercised nothing")
 	}
-	if tcpCounter(mets, "pure_tp_dups_dropped_total") == 0 {
+	if sumCounter("pure_tp_dups_dropped_total", cfg.Metrics) == 0 {
 		t.Fatal("frames were resent but no duplicate was discarded at the receiver")
 	}
 }

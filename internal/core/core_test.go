@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/collective"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 func init() {
@@ -59,13 +62,68 @@ func bToF64(b []byte) []float64 {
 	return out
 }
 
+// TestRunRejectsBadConfig: a bad configuration is an error before any rank
+// starts.  A Transport without Addrs means in-process nodes with these link
+// settings, so it needs several nodes and Node 0, and its settings are
+// validated as a TCP node's are; a valid one runs over the in-memory network.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if err := Run(Config{NRanks: 0}, func(*Rank) {}); err == nil {
-		t.Fatal("want error for zero ranks")
+	twoNodes := nodesConfig(2, 1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string // in the error; "" for a valid config
+	}{
+		{"zero ranks", Config{NRanks: 0}, "NRanks"},
+		{"ranks exceeding hardware", Config{NRanks: 4, Spec: topology.Spec{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1}}, "placing ranks"},
+		{"transport without addrs on one node", Config{NRanks: 2, Transport: &transport.Config{}}, "Transport"},
+		{"transport without addrs for node 1", withLinks(twoNodes, transport.Config{Node: 1}), "Transport"},
+		{"transport without addrs dropping 150%", withLinks(twoNodes, transport.Config{Faults: transport.Faults{DropProb: 1.5}}), "Transport"},
+		{"transport without addrs, lossy", withLinks(twoNodes, transport.Config{Faults: transport.Faults{Seed: 1, DropProb: 0.5}, RetryBackoff: time.Millisecond}), ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var rts [2]*Runtime
+			err := Run(c.cfg, func(r *Rank) {
+				if c.want != "" {
+					t.Error("a rank started")
+				}
+				rts[r.ID()] = r.Runtime()
+				w, buf := r.World(), make([]byte, 8)
+				for i := 0; i < 20; i++ {
+					if r.ID() == 0 {
+						w.Send(buf, 1, 1)
+						w.Recv(buf, 1, 2)
+					} else {
+						w.Recv(buf, 0, 1)
+						w.Send(buf, 0, 2)
+					}
+				}
+			})
+			if c.want != "" {
+				t.Log(err)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("error %v, want one naming %s", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n, rt := range rts {
+				if addr := rt.tp.Addr(); addr != fmt.Sprintf("node:%d", n) {
+					t.Errorf("node %d listened on %q, not on the in-memory network", n, addr)
+				}
+				if drops := rt.tp.Stats()[1-n].DropsInjected; drops == 0 {
+					t.Errorf("node %d injected no drops: the fault plan was not applied", n)
+				}
+			}
+		})
 	}
-	if err := Run(Config{NRanks: 4, Spec: topology.Spec{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1}}, func(*Rank) {}); err == nil {
-		t.Fatal("want error for ranks exceeding hardware")
-	}
+}
+
+// withLinks is cfg with the links' settings links.
+func withLinks(cfg Config, links transport.Config) Config {
+	cfg.Transport = &links
+	return cfg
 }
 
 func TestRunPropagatesPanics(t *testing.T) {

@@ -19,17 +19,15 @@ import (
 // one goes missing.  New series are allowed — to make one part of the
 // contract, add its line to the file.
 
-// metricsNamesRun is one 2-node, 2-ranks-per-node run over loopback TCP that
+// metricsNamesRun is one run of 2 in-process nodes, 2 ranks each, that
 // touches every instrumented family — p2p on all three paths, collectives,
 // RMA, shmem, a task with a blocked neighbour to steal from it — while rank 0
-// scrapes its node's live /metrics.  It returns every series name the nodes'
-// registries export once the runs have returned.
+// scrapes node 0's live /metrics.  It returns every series name the job's
+// registry exports once the run has returned.
 func metricsNamesRun(t *testing.T) map[string]bool {
-	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
-	errs := tcpWorld(t, 2, 2, func(node int, cfg *Config) {
-		cfg.Metrics = mets[node]
-		cfg.MonitorAddr = "127.0.0.1:0"
-	}, func(r *Rank) {
+	cfg := nodesConfig(2, 2)
+	cfg.Metrics, cfg.MonitorAddr = obs.NewMetrics(), "127.0.0.1:0"
+	err := Run(cfg, func(r *Rank) {
 		w := r.World()
 		small, large := make([]byte, 64), make([]byte, 16<<10)
 		switch r.ID() {
@@ -86,19 +84,19 @@ func metricsNamesRun(t *testing.T) map[string]bool {
 		}
 		w.Barrier()
 	})
-	tcpAllOK(t, errs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	names := map[string]bool{}
-	for _, m := range mets {
-		snap := m.Snapshot()
-		for _, c := range snap.Counters {
-			names["counter "+c.Name] = true
-		}
-		for _, g := range snap.Gauges {
-			names["gauge "+g.Name] = true
-		}
-		for _, h := range snap.Histograms {
-			names["histogram "+h.Name] = true
-		}
+	snap := cfg.Metrics.Snapshot()
+	for _, c := range snap.Counters {
+		names["counter "+c.Name] = true
+	}
+	for _, g := range snap.Gauges {
+		names["gauge "+g.Name] = true
+	}
+	for _, h := range snap.Histograms {
+		names["histogram "+h.Name] = true
 	}
 	return names
 }

@@ -13,9 +13,10 @@ import (
 	"repro/internal/transport"
 )
 
-// In-process nodes: a Spec of several nodes without Config.Transport runs
-// one runtime per node in goroutines of this process, joined by the links a
-// multi-process job uses, over transport.MemNet.  Every cross-node message,
+// In-process nodes: a Spec of several nodes without Config.Transport, or
+// with a Transport that lists no Addrs, runs one runtime per node in
+// goroutines of this process, joined by the links a multi-process job uses,
+// over transport.MemNet.  Every cross-node message,
 // collective leg and RMA frame takes the path it takes between processes,
 // and each node's watchdog sees only its own ranks.
 
@@ -30,20 +31,40 @@ const (
 	inProcessDialBackoff   = 50 * time.Microsecond
 )
 
+// inProcessLinks is the links' configuration for in-process nodes: the
+// caller's cfg.Transport when there is one (fault plan, retry and drain
+// settings), with the in-process constants filled where a field is zero and
+// one in-memory address per node.
+func inProcessLinks(cfg *Config) transport.Config {
+	var t transport.Config
+	if cfg.Transport != nil {
+		t = *cfg.Transport
+	}
+	if t.PeerDeadAfter == 0 {
+		t.PeerDeadAfter = inProcessPeerDeadAfter
+		if h := cfg.HangTimeout / 2; h > 0 {
+			t.PeerDeadAfter = min(t.PeerDeadAfter, h)
+		}
+	}
+	if t.HeartbeatEvery == 0 {
+		t.HeartbeatEvery = t.PeerDeadAfter / 16
+	}
+	if t.DialBackoff == 0 {
+		t.DialBackoff = inProcessDialBackoff
+	}
+	t.Addrs = make([]string, cfg.Spec.Nodes)
+	for n := range t.Addrs {
+		t.Addrs[n] = fmt.Sprintf("node:%d", n)
+	}
+	return t.WithDefaults()
+}
+
 // runNodes runs the resolved cfg as one runtime per node and merges what
 // they return: every rank's counters from the node it ran on, one trace
 // meta, and one error (mergeNodeErrors).
 func runNodes(cfg Config, main func(r *Rank)) ([]RankStats, error) {
 	nodes := cfg.Spec.Nodes
-	tcfg := transport.Config{Addrs: make([]string, nodes), PeerDeadAfter: inProcessPeerDeadAfter, DialBackoff: inProcessDialBackoff}
-	if h := cfg.HangTimeout / 2; h > 0 {
-		tcfg.PeerDeadAfter = min(tcfg.PeerDeadAfter, h)
-	}
-	tcfg.HeartbeatEvery = tcfg.PeerDeadAfter / 16
-	for n := range tcfg.Addrs {
-		tcfg.Addrs[n] = fmt.Sprintf("node:%d", n)
-	}
-	tcfg = tcfg.WithDefaults()
+	tcfg := inProcessLinks(&cfg)
 	if cfg.SpinBudget == 0 {
 		// Every node's ranks and helpers share this process's scheduler.
 		cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), cfg.NRanks+nodes*cfg.HelpersPerNode)

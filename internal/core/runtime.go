@@ -67,15 +67,18 @@ type Config struct {
 	// SpinBudget is the SSW-Loop probe count between yields.
 	SpinBudget int
 
-	// Transport, when non-nil, makes this OS process one node of a job
-	// over TCP: it runs only the ranks placed on Transport.Node, one
+	// Transport, when it lists Addrs, makes this OS process one node of a
+	// job over TCP: it runs only the ranks placed on Transport.Node, one
 	// cooperating process per node in Transport.Addrs, and all cross-node
 	// traffic — two-sided sends, leader-tree collective legs, and RMA frames
 	// — travels the transport's sequenced, acked, heartbeat-monitored links.
 	// Spec.Nodes must equal len(Transport.Addrs).  Transport.Faults injects
 	// link-level drops and delays, which the link protocol recovers.  When
 	// nil, a Spec of several nodes runs every node in this process, over the
-	// same links on an in-memory network (see runNodes).
+	// same links on an in-memory network (see runNodes).  A Transport without
+	// Addrs means the same in-process run with these link settings — fault
+	// plan, retry, heartbeat and drain — on every node; it needs a Spec of
+	// several nodes and Node 0.
 	Transport *transport.Config
 
 	// HangTimeout arms the watchdog: when every live rank is blocked and no
@@ -166,6 +169,15 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.Transport != nil {
 		t := cfg.Transport.WithDefaults()
+		switch {
+		case len(t.Addrs) > 0:
+			cfg.Transport = &t
+		case cfg.Spec.Nodes < 2 || t.Node != 0:
+			return cfg, fmt.Errorf("core: Transport without Addrs runs every node in this process: it needs Spec.Nodes > 1 and Node 0, got %d nodes and Node %d",
+				cfg.Spec.Nodes, t.Node)
+		default:
+			t = inProcessLinks(&cfg) // validated here; runNodes resolves it again
+		}
 		if err := t.Validate(cfg.HangTimeout); err != nil {
 			return cfg, fmt.Errorf("core: Transport: %w", err)
 		}
@@ -173,7 +185,6 @@ func (c *Config) withDefaults() (Config, error) {
 			return cfg, fmt.Errorf("core: Transport lists %d node addresses but Spec.Nodes is %d — one cooperating process per node",
 				len(t.Addrs), cfg.Spec.Nodes)
 		}
-		cfg.Transport = &t
 	}
 	if cfg.SmallMsgMax == 0 {
 		cfg.SmallMsgMax = DefaultSmallMsgMax

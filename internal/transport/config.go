@@ -46,8 +46,25 @@ type Faults struct {
 	DelayMax  time.Duration // upper bound of the injected (uniform) delay
 }
 
-// Active reports whether any fault injection is configured.
-func (f Faults) Active() bool { return f.DropProb > 0 || f.DelayProb > 0 }
+// ChaosFaults returns the fault plans a lossy test suite sweeps, one per
+// seed of PURE_CHAOS_SEEDS (comma-separated integers; 1,2,3 when unset):
+// dropProb of first transmissions dropped, and a tenth of arrivals delayed
+// by up to a millisecond so that acks come late as well.
+func ChaosFaults(dropProb float64) ([]Faults, error) {
+	seeds := "1,2,3"
+	if env := os.Getenv("PURE_CHAOS_SEEDS"); env != "" {
+		seeds = env
+	}
+	var plans []Faults
+	for _, f := range strings.Split(seeds, ",") {
+		seed, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("transport: bad PURE_CHAOS_SEEDS entry %q: %v", f, err)
+		}
+		plans = append(plans, Faults{Seed: seed, DropProb: dropProb, DelayProb: 0.10, DelayMax: time.Millisecond})
+	}
+	return plans, nil
+}
 
 // Config configures one node's transport endpoint.
 type Config struct {

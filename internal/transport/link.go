@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +54,7 @@ type link struct {
 
 	mu       sync.Mutex
 	conn     Conn
+	unread   Conn   // a connection a write failed on, left open to its reader (writeFailedLocked)
 	gen      uint64 // connection generation; readers of older generations are stale
 	dialing  bool   // a dialLoop goroutine is active
 	nextSeq  uint64
@@ -252,16 +255,16 @@ func (l *link) flush(kind Kind, payload []byte) {
 	l.staged.Store(false)
 	l.mu.Unlock()
 
-	switch {
-	case len(buf) == 0:
-	case l.write(conn, buf, frames):
-		l.ackSent.Store(ack) // frames are staged in order, so this only grows
-	default:
-		l.mu.Lock()
-		if l.gen == gen {
-			l.teardownConnLocked()
+	if len(buf) > 0 {
+		if err := l.write(conn, buf, frames); err == nil {
+			l.ackSent.Store(ack) // frames are staged in order, so this only grows
+		} else {
+			l.mu.Lock()
+			if l.gen == gen {
+				l.writeFailedLocked(err)
+			}
+			l.mu.Unlock()
 		}
-		l.mu.Unlock()
 	}
 	if cap(buf) > bufKeep {
 		buf = nil
@@ -272,17 +275,17 @@ func (l *link) flush(kind Kind, payload []byte) {
 
 // write makes one socket write of frames encoded frames and accounts for it.
 // Caller holds wmu.
-func (l *link) write(conn Conn, buf []byte, frames int) bool {
+func (l *link) write(conn Conn, buf []byte, frames int) error {
 	if d := l.t.cfg.PeerDeadAfter; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
 	}
 	if _, err := conn.Write(buf); err != nil {
-		return false
+		return err
 	}
 	l.stats.framesSent.Add(int64(frames))
 	l.stats.bytesSent.Add(int64(len(buf)))
 	l.stats.writes.Add(1)
-	return true
+	return nil
 }
 
 // replayLocked rewrites the whole resend window — written and staged frames
@@ -292,9 +295,11 @@ func (l *link) write(conn Conn, buf []byte, frames int) bool {
 func (l *link) replayLocked() int {
 	l.discardStagedLocked()
 	n := int(l.nextSeq - l.ackedOut)
-	if n > 0 && !l.write(l.conn, l.win[l.winHead:], n) {
-		l.teardownConnLocked()
-		return -1
+	if n > 0 {
+		if err := l.write(l.conn, l.win[l.winHead:], n); err != nil {
+			l.writeFailedLocked(err)
+			return -1
+		}
 	}
 	return n
 }
@@ -306,10 +311,39 @@ func (l *link) discardStagedLocked() {
 	l.staged.Store(false)
 }
 
-// teardownConnLocked drops the current connection (write error, read error,
-// or chaos KillLink) and arms the dialer's reconnect loop.  Caller holds mu.
+// teardownConnLocked drops the current connection (read error, or chaos
+// KillLink) and arms the dialer's reconnect loop.  Caller holds mu.
 func (l *link) teardownConnLocked() {
 	l.closeConnLocked()
+	l.redialLocked()
+}
+
+// writeFailedLocked drops the connection a write failed on with err, but
+// leaves it open to its reader: a peer that closed while we wrote may have
+// sent its last frames first — the ack of ours, its Bye — and closing here
+// would discard them unread, leaving our drain to wait out DrainTimeout for
+// an ack that came.  The reader closes the connection at the end of its
+// stream, or closeConnLocked does if the link is done first.  A write that
+// timed out closes at once: the peer stopped reading, and the close is how it
+// learns to reconnect.  Caller holds mu.
+func (l *link) writeFailedLocked(err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		l.teardownConnLocked()
+		return
+	}
+	if l.conn != nil {
+		if l.unread != nil {
+			l.unread.Close()
+		}
+		l.unread, l.conn = l.conn, nil
+		l.gen++
+		l.discardStagedLocked()
+	}
+	l.redialLocked()
+}
+
+// redialLocked arms the dialer's reconnect loop.  Caller holds mu.
+func (l *link) redialLocked() {
 	if l.dialer && !l.dialing && !l.dead.Load() && !l.departed.Load() && !l.t.closed.Load() {
 		l.dialing = true
 		l.t.wg.Add(1)
@@ -318,8 +352,13 @@ func (l *link) teardownConnLocked() {
 }
 
 // closeConnLocked closes the current connection, if any, and retires its
-// generation and whatever was staged for it.  Caller holds mu.
+// generation and whatever was staged for it; and it closes a connection left
+// to its reader.  Caller holds mu.
 func (l *link) closeConnLocked() {
+	if l.unread != nil {
+		l.unread.Close()
+		l.unread = nil
+	}
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
@@ -360,6 +399,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 	l.handleAckLocked(peerDelivered)
 	n := l.replayLocked()
 	if n < 0 {
+		l.closeConnLocked() // no reader was started for it
 		l.mu.Unlock()
 		return false
 	}
@@ -407,7 +447,8 @@ func (l *link) handleAckLocked(a uint64) {
 
 // readLoop consumes frames from one connection until it breaks or is
 // replaced.  Only the loop whose generation is still current tears the
-// connection down; a stale loop exits silently.
+// connection down; a stale loop exits silently, closing its connection if a
+// failed write left it open for this loop to read to the end.
 func (l *link) readLoop(c Conn, gen uint64) {
 	defer l.t.wg.Done()
 	br := bufio.NewReaderSize(c, 64<<10)
@@ -423,6 +464,9 @@ func (l *link) readLoop(c Conn, gen uint64) {
 			l.mu.Lock()
 			if l.gen == gen {
 				l.teardownConnLocked()
+			} else if l.unread == c {
+				c.Close()
+				l.unread = nil
 			}
 			l.mu.Unlock()
 			return

@@ -376,6 +376,42 @@ func TestLinkGracefulBye(t *testing.T) {
 	}
 }
 
+// TestLinkByeSurvivesFailedWrite: a peer that closed while we still wrote
+// may have sent its last frames first — the ack of our last frame and its
+// Bye — and our failed write must not throw them away unread.  Node 1's
+// reader is held (the backend goes deaf) with node 0's frame X in hand; node
+// 1 sends A, which node 0 acks, and node 0 closes.  Node 1's retransmission
+// of A then fails against the closed connection.  When the reader hears again
+// it must still find the ack and the Bye, so node 1's Close has nothing left
+// to drain.  Closing the connection on the failed write lost both, and node 1
+// waited out DrainTimeout for an ack it had been sent.
+func TestLinkByeSurvivesFailedWrite(t *testing.T) {
+	tp, col, be, _ := memPair(t, func(node int, c *Config) {
+		c.RetryBackoff = 5 * time.Millisecond
+		c.DrainTimeout = [2]time.Duration{10 * time.Millisecond, time.Second}[node]
+	})
+	be[1].setDeaf(true)
+	sendN(t, tp[0], 1, 1)             // X: node 1's reader takes it and is held
+	time.Sleep(20 * time.Millisecond) // so that what follows arrives behind it
+	sendN(t, tp[1], 0, 1)             // A
+	waitFor(t, 5*time.Second, "A acked by node 0", func() bool { return tp[0].Stats()[1].AcksSent > 0 })
+	tp[0].Close() // X is unacked: its drain times out, then Bye and close
+	l := tp[1].links[0]
+	waitFor(t, 5*time.Second, "node 1's write to fail", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.conn == nil
+	})
+	be[1].setDeaf(false)
+	tp[1].Close()
+	if st := tp[1].Stats()[0]; st.Unacked != 0 {
+		t.Errorf("node 1 closed with %d frames unacked: the ack node 0 wrote before closing was discarded", st.Unacked)
+	}
+	if _, _, ok := col[1].byeFrom(0); !ok {
+		t.Error("node 1 never read node 0's Bye")
+	}
+}
+
 func TestLinkAbortBye(t *testing.T) {
 	tp, col := startPair(t, nil)
 	sendN(t, tp[0], 1, 1)

@@ -5,24 +5,41 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/puretest"
+	"repro/internal/transport"
 	"repro/pure"
 )
 
-// The lossy suites run on the path that ships: one pure.Run per node over
-// loopback TCP (puretest.RunNodes), with the transport's own fault plan
-// dropping first transmissions and delaying arrivals.  The link's go-back-N
-// recovery must keep every result exact.
+// The lossy suites run two in-process nodes, joined by the link layer that
+// joins processes: a TransportConfig without Addrs carries the links' fault
+// plan, which drops first transmissions and delays arrivals.  The link's
+// go-back-N recovery must keep every result exact.
 
-// twoNodes places one rank on each of two nodes, so every operation between
-// the ranks crosses a link.
-func twoNodes() pure.Config {
+// lossyNodes places one rank on each of two in-process nodes, so every
+// operation between the ranks crosses a link, and gives the links the fault
+// plan f.  The links retransmit after milliseconds and never give up, so
+// injected loss costs a test little time and never a link.
+func lossyNodes(f pure.TransportFaults) pure.Config {
 	return pure.Config{
 		NRanks:       2,
 		Spec:         pure.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
 		RanksPerNode: 1,
 		HangTimeout:  20 * time.Second,
+		Metrics:      pure.NewMetrics(),
+		Transport:    &pure.TransportConfig{Faults: f, RetryBackoff: 2 * time.Millisecond, RetryBudget: 1000},
 	}
+}
+
+// runLossy runs main under cfg and returns the job's counters.
+func runLossy(t *testing.T, cfg pure.Config, main func(r *pure.Rank)) map[string]int64 {
+	t.Helper()
+	if err := pure.Run(cfg, main); err != nil {
+		t.Fatal(err)
+	}
+	c := map[string]int64{}
+	for _, s := range cfg.Metrics.Snapshot().Counters {
+		c[s.Name] = s.Value
+	}
+	return c
 }
 
 // checkRecovered asserts the run was lossy and that the loss was recovered by
@@ -37,11 +54,20 @@ func checkRecovered(t *testing.T, c map[string]int64) {
 	}
 }
 
+// chaosFaults is transport.ChaosFaults(dropProb): the seed-swept plans.
+func chaosFaults(t *testing.T, dropProb float64) []pure.TransportFaults {
+	plans, err := transport.ChaosFaults(dropProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plans
+}
+
 // TestFaultInjectionFromPublicAPI: a cross-node stream over 10%-lossy links,
 // configured through nothing but the public TransportConfig.Faults, still
 // delivers every message exactly once and in order.
 func TestFaultInjectionFromPublicAPI(t *testing.T) {
-	c := puretest.RunNodes(t, twoNodes(), pure.TransportFaults{Seed: 11, DropProb: 0.10}, func(r *pure.Rank) {
+	c := runLossy(t, lossyNodes(pure.TransportFaults{Seed: 11, DropProb: 0.10}), func(r *pure.Rank) {
 		w := r.World()
 		w.Barrier() // the link is up: what follows is transmitted (and dropped), not replayed on connect
 		buf := make([]byte, 16)
@@ -69,9 +95,9 @@ func TestFaultInjectionFromPublicAPI(t *testing.T) {
 // (exact final sums), and recovery must be visible in the link counters.
 func TestChaosRMARemotePutLossy(t *testing.T) {
 	const rounds = 30
-	for _, seed := range puretest.ChaosSeeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c := puretest.RunNodes(t, twoNodes(), puretest.Lossy(seed, 0.20), func(r *pure.Rank) {
+	for _, faults := range chaosFaults(t, 0.20) {
+		t.Run(fmt.Sprintf("seed=%d", faults.Seed), func(t *testing.T) {
+			c := runLossy(t, lossyNodes(faults), func(r *pure.Rank) {
 				w := r.World().WinCreate(make([]byte, 16))
 				w.Fence()
 				if r.ID() == 0 {
@@ -123,9 +149,9 @@ func TestChaosRMARemotePutLossy(t *testing.T) {
 // store), across several seeds.
 func TestChaosShmemRemoteLossy(t *testing.T) {
 	const rounds = 40
-	for _, seed := range puretest.ChaosSeeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c := puretest.RunNodes(t, twoNodes(), puretest.Lossy(seed, 0.20), func(r *pure.Rank) {
+	for _, faults := range chaosFaults(t, 0.20) {
+		t.Run(fmt.Sprintf("seed=%d", faults.Seed), func(t *testing.T) {
+			c := runLossy(t, lossyNodes(faults), func(r *pure.Rank) {
 				s := r.World().ShmemCreate(4096, 0)
 				cell := s.Malloc(8)
 				last := s.Malloc(8)

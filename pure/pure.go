@@ -104,9 +104,9 @@ type Seat = topology.HWThread
 func CoriNode(nodes int) Spec { return topology.CoriSpec(nodes) }
 
 // TransportConfig configures the real inter-node transport (one OS process
-// per node over TCP); see the transport package and docs/TRANSPORT.md.
-// Set it on Config.Transport, usually via TransportFromEnv under the
-// purerun launcher.
+// per node over TCP, or, without Addrs, the links between in-process nodes);
+// see the transport package and docs/TRANSPORT.md.  Set it on
+// Config.Transport, usually via TransportFromEnv under the purerun launcher.
 type TransportConfig = transport.Config
 
 // TransportFaults is the runtime's one fault injector (set it on
@@ -138,14 +138,17 @@ type Config struct {
 	// topology.PlacementFromReorder).
 	Policy Policy
 	Seats  []Seat
-	// Transport, when non-nil, makes this process one node of a job over
-	// TCP: it runs only the ranks topology places on Transport.Node, and
-	// cross-node traffic travels real sockets.  Launch one process per node
-	// with matching configs — normally via cmd/purerun, which provides the
-	// config through the environment (TransportFromEnv).  Spec.Nodes must
-	// equal len(Transport.Addrs).  Transport.Faults injects link-level loss
-	// and delay.  When nil, a Spec of several nodes runs every node in this
-	// process, joined by the same link layer over an in-memory network.
+	// Transport, when it lists Addrs, makes this process one node of a job
+	// over TCP: it runs only the ranks topology places on Transport.Node,
+	// and cross-node traffic travels real sockets.  Launch one process per
+	// node with matching configs — normally via cmd/purerun, which provides
+	// the config through the environment (TransportFromEnv).  Spec.Nodes
+	// must equal len(Transport.Addrs).  Transport.Faults injects link-level
+	// loss and delay.  When nil, a Spec of several nodes runs every node in
+	// this process, joined by the same link layer over an in-memory network;
+	// a Transport without Addrs does the same with its link settings (fault
+	// plan, retry, heartbeat, drain) on every node, and needs a Spec of
+	// several nodes and Node 0.
 	Transport *TransportConfig
 	// SmallMsgMax is the eager/rendezvous threshold in bytes (default 8 KiB).
 	SmallMsgMax int
