@@ -100,9 +100,6 @@ const ackWord = int(unsafe.Offsetof(thread{}.ack) / 8)
 // result is the result's dropbox; its sequence word is words[result].
 const result = 0
 
-// NThreads returns the number of participating threads.
-func (s *SPTD) NThreads() int { return s.nthreads }
-
 // Round returns how many collective rounds thread tid has entered on this
 // structure.  Each thread owns its counter, so the value is exact when read
 // by tid itself and an atomic snapshot otherwise; the observability layer

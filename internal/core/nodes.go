@@ -16,9 +16,9 @@ import (
 // In-process nodes: a Spec of several nodes without Config.Transport, or
 // with a Transport that lists no Addrs, runs one runtime per node in
 // goroutines of this process, joined by the links a multi-process job uses,
-// over transport.MemNet.  Every cross-node message,
-// collective leg and RMA frame takes the path it takes between processes,
-// and each node's watchdog sees only its own ranks.
+// over transport.MemNet.  Every cross-node message, collective leg and RMA
+// frame takes the path it takes between processes, and each node's watchdog
+// sees only its own ranks.
 
 // The in-process links' constants.  PeerDeadAfter is how long a link stays
 // silent before its peer is declared dead: far above a descheduled heartbeat
@@ -31,15 +31,12 @@ const (
 	inProcessDialBackoff   = 50 * time.Microsecond
 )
 
-// inProcessLinks is the links' configuration for in-process nodes: the
-// caller's cfg.Transport when there is one (fault plan, retry and drain
-// settings), with the in-process constants filled where a field is zero and
-// one in-memory address per node.
+// inProcessLinks is the links' configuration for in-process nodes, resolved
+// once by withDefaults: the caller's cfg.Transport (fault plan, retry and
+// drain settings) with the in-process constants filled where a field is zero
+// and one in-memory address per node.
 func inProcessLinks(cfg *Config) transport.Config {
-	var t transport.Config
-	if cfg.Transport != nil {
-		t = *cfg.Transport
-	}
+	t := *cfg.Transport
 	if t.PeerDeadAfter == 0 {
 		t.PeerDeadAfter = inProcessPeerDeadAfter
 		if h := cfg.HangTimeout / 2; h > 0 {
@@ -63,33 +60,7 @@ func inProcessLinks(cfg *Config) transport.Config {
 // they return: every rank's counters from the node it ran on, one trace
 // meta, and one error (mergeNodeErrors).
 func runNodes(cfg Config, main func(r *Rank)) ([]RankStats, error) {
-	nodes := cfg.Spec.Nodes
-	tcfg := inProcessLinks(&cfg)
-	if cfg.SpinBudget == 0 {
-		// Every node's ranks and helpers share this process's scheduler.
-		cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), cfg.NRanks+nodes*cfg.HelpersPerNode)
-	}
-	if cfg.Metrics == nil && cfg.MonitorAddr != "" {
-		// One registry for every node, so node 0's /metrics covers them all.
-		cfg.Metrics = obs.NewMetrics()
-	}
-	mem := transport.NewMemNet()
-	rts := make([]*Runtime, nodes)
-	errs := make([]error, nodes)
-	var wg sync.WaitGroup
-	for n := range rts {
-		ncfg, t := cfg, tcfg
-		t.Node, ncfg.Transport = n, &t
-		if n > 0 {
-			ncfg.MonitorAddr = "" // node 0 serves the monitor
-		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			rts[n], errs[n] = runInternal(ncfg, mem.Backend(), main)
-		}(n)
-	}
-	wg.Wait()
+	rts, errs := runEachNode(cfg, main)
 	err := mergeNodeErrors(errs, cfg.NRanks)
 	if slices.Contains(rts, nil) {
 		return nil, err // a node failed to start
@@ -109,6 +80,38 @@ func runNodes(cfg Config, main func(r *Rank)) ([]RankStats, error) {
 		cfg.Trace.SetMeta(meta)
 	}
 	return stats, err
+}
+
+// runEachNode runs each node of the resolved cfg on a goroutine over one
+// MemNet and returns each node's runtime (nil if it failed to start) and error.
+func runEachNode(cfg Config, main func(r *Rank)) ([]*Runtime, []error) {
+	nodes := cfg.Spec.Nodes
+	if cfg.SpinBudget == 0 {
+		// Every node's ranks and helpers share this process's scheduler.
+		cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), cfg.NRanks+nodes*cfg.HelpersPerNode)
+	}
+	if cfg.Metrics == nil && cfg.MonitorAddr != "" {
+		// One registry for every node, so node 0's /metrics covers them all.
+		cfg.Metrics = obs.NewMetrics()
+	}
+	mem := transport.NewMemNet()
+	rts := make([]*Runtime, nodes)
+	errs := make([]error, nodes)
+	var wg sync.WaitGroup
+	for n := range rts {
+		ncfg, t := cfg, *cfg.Transport
+		t.Node, ncfg.Transport = n, &t
+		if n > 0 {
+			ncfg.MonitorAddr = "" // node 0 serves the monitor
+		}
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			rts[n], errs[n] = runInternal(ncfg, mem.Backend(), main)
+		}(n)
+	}
+	wg.Wait()
+	return rts, errs
 }
 
 // mergeNodeErrors folds the nodes' errors into the run's.  A node that failed

@@ -488,7 +488,13 @@ func TestPoisonUnparksCrossNodeRecv(t *testing.T) {
 	lo, hi := ssw.ParkMin, ssw.ParkMax
 	ssw.ParkMin, ssw.ParkMax = 24*time.Hour, 24*time.Hour
 	defer func() { ssw.ParkMin, ssw.ParkMax = lo, hi }()
-	stats, err := RunWithStats(nodesConfig(2, 2), func(r *Rank) {
+	cfg := nodesConfig(2, 2)
+	rcfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each node's own error and counters, not the job's merged ones.
+	rts, errs := runEachNode(rcfg, func(r *Rank) {
 		w := r.World()
 		w.Barrier() // links up: the abort will reach node 1
 		if r.ID() == 1 {
@@ -498,13 +504,17 @@ func TestPoisonUnparksCrossNodeRecv(t *testing.T) {
 		buf := make([]byte, 8)
 		w.Recv(buf, (r.ID()+2)%4, 3) // from the other node; nobody ever sends
 	})
-	// Node 1 heard of the abort as node 0's death; the job's one error is
-	// node 0's own cause.
-	if re := asRunError(t, err); re.Cause != CauseAbort {
-		t.Errorf("cause %q, want %q", re.Cause, CauseAbort)
+	for node, err := range errs {
+		re, ok := err.(*RunError)
+		if !ok {
+			t.Fatalf("node %d returned %v, want a *RunError", node, err)
+		}
+		if want := [2]string{CauseAbort, CauseNodeDead}[node]; re.Cause != want {
+			t.Errorf("node %d: cause %q, want %q", node, re.Cause, want)
+		}
 	}
 	for _, rank := range []int{0, 2, 3} {
-		st := stats[rank]
+		st := rts[rank/2].stats[rank].RankStats // block placement: node rank/2 ran it
 		t.Logf("rank %d: %d parks, %d woken, %d timed out", rank, st.Parks, st.ParkWakes, st.ParkTimeouts)
 		if st.ParkTimeouts != 0 {
 			t.Errorf("rank %d: %d park timeouts with a timer that never fires", rank, st.ParkTimeouts)

@@ -120,6 +120,8 @@ type Config struct {
 	// records, so its steady-state cost is an idle listener plus the lazy
 	// wait-record publication (<5% on the ping-pong benchmark).
 	MonitorAddr string
+
+	inProcess bool // set by withDefaults: runNodes runs every node here, over Transport
 }
 
 // withDefaults validates the configuration and fills zero values with the
@@ -167,16 +169,18 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.Spec == (topology.Spec{}) {
 		cfg.Spec = topology.Spec{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: cfg.NRanks, ThreadsPerCore: 1}
 	}
+	if cfg.Transport == nil && cfg.Spec.Nodes > 1 {
+		cfg.Transport = new(transport.Config) // in-process nodes, default links
+	}
 	if cfg.Transport != nil {
 		t := cfg.Transport.WithDefaults()
 		switch {
 		case len(t.Addrs) > 0:
-			cfg.Transport = &t
 		case cfg.Spec.Nodes < 2 || t.Node != 0:
-			return cfg, fmt.Errorf("core: Transport without Addrs runs every node in this process: it needs Spec.Nodes > 1 and Node 0, got %d nodes and Node %d",
+			return cfg, fmt.Errorf("core: Transport without Addrs runs every node in this process: it needs Spec.Nodes > 1 and Node 0, got %d nodes and Node %d (every process of a multi-process job lists Addrs)",
 				cfg.Spec.Nodes, t.Node)
 		default:
-			t = inProcessLinks(&cfg) // validated here; runNodes resolves it again
+			t, cfg.inProcess = inProcessLinks(&cfg), true
 		}
 		if err := t.Validate(cfg.HangTimeout); err != nil {
 			return cfg, fmt.Errorf("core: Transport: %w", err)
@@ -185,6 +189,7 @@ func (c *Config) withDefaults() (Config, error) {
 			return cfg, fmt.Errorf("core: Transport lists %d node addresses but Spec.Nodes is %d — one cooperating process per node",
 				len(t.Addrs), cfg.Spec.Nodes)
 		}
+		cfg.Transport = &t
 	}
 	if cfg.SmallMsgMax == 0 {
 		cfg.SmallMsgMax = DefaultSmallMsgMax

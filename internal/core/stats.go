@@ -241,7 +241,7 @@ func RunWithStats(cfg Config, main func(r *Rank)) ([]RankStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rcfg.Spec.Nodes > 1 && (rcfg.Transport == nil || len(rcfg.Transport.Addrs) == 0) {
+	if rcfg.inProcess {
 		return runNodes(rcfg, main)
 	}
 	rt, err := runInternal(rcfg, nil, main)

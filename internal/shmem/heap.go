@@ -76,9 +76,6 @@ func NewHeap(size int64, maxAllocs int) *Heap {
 // Size returns the symmetric region size in bytes.
 func (h *Heap) Size() int64 { return h.size }
 
-// MaxAllocs returns the allocation-table capacity.
-func (h *Heap) MaxAllocs() int { return len(h.slots) }
-
 // Publish records allocation seq (0-based Malloc call index) at the locally
 // computed extent and returns the canonical offset: the first publisher's.
 // Racing publishers converge — the CAS admits exactly one value per slot —
@@ -235,15 +232,6 @@ func (a *LocalAlloc) Release(off int64) (int, int64, error) {
 		a.free = a.free[:n-1]
 	}
 	return seq, s.size, nil
-}
-
-// LiveBytes reports the total bytes in live allocations (diagnostics).
-func (a *LocalAlloc) LiveBytes() int64 {
-	var n int64
-	for _, s := range a.live {
-		n += s.size
-	}
-	return n
 }
 
 // ---- Registry ----

@@ -49,7 +49,8 @@ type Faults struct {
 // ChaosFaults returns the fault plans a lossy test suite sweeps, one per
 // seed of PURE_CHAOS_SEEDS (comma-separated integers; 1,2,3 when unset):
 // dropProb of first transmissions dropped, and a tenth of arrivals delayed
-// by up to a millisecond so that acks come late as well.
+// by up to a millisecond so that acks come late as well.  It serves the lossy
+// test suites; a production fault plan sets Faults directly.
 func ChaosFaults(dropProb float64) ([]Faults, error) {
 	seeds := "1,2,3"
 	if env := os.Getenv("PURE_CHAOS_SEEDS"); env != "" {

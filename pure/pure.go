@@ -148,7 +148,8 @@ type Config struct {
 	// this process, joined by the same link layer over an in-memory network;
 	// a Transport without Addrs does the same with its link settings (fault
 	// plan, retry, heartbeat, drain) on every node, and needs a Spec of
-	// several nodes and Node 0.
+	// several nodes and Node 0.  So every process of a multi-process job
+	// must list Addrs: node 0 without them would run the whole job alone.
 	Transport *TransportConfig
 	// SmallMsgMax is the eager/rendezvous threshold in bytes (default 8 KiB).
 	SmallMsgMax int
