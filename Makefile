@@ -9,9 +9,10 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/rma \
-		./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/transport \
-		./internal/statsd ./internal/shmem ./internal/apps/shmem ./internal/apps/comd
+	go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/obs/cluster \
+		./internal/rma ./internal/sched ./internal/ssw ./internal/core ./internal/transport \
+		./internal/statsd ./internal/shmem ./internal/apps/shmem ./internal/apps/comd \
+		./mpibase ./pure ./comm ./cmd/purerun
 
 # The deterministic schedule explorer: model tests for the lock-free
 # protocols (PBQ FIFO refinement, rendezvous-cell handoffs, SPTD
@@ -22,8 +23,8 @@ race:
 check:
 	go test -tags purecheck -count=1 ./internal/check
 
-# Short local fuzz pass over the wire-format and trace-dump decoders (CI
-# runs the same targets with a longer budget).
+# Short local fuzz pass over the wire-format, trace-dump and cluster-scrape
+# decoders (CI runs the same targets with a longer budget).
 fuzz:
 	go test -count=1 -fuzz FuzzFrameDecode -fuzztime 30s ./internal/rma
 	go test -count=1 -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/codec
@@ -33,6 +34,7 @@ fuzz:
 	go test -count=1 -fuzz FuzzShardFrame -fuzztime 30s ./internal/statsd
 	go test -count=1 -fuzz FuzzShmemFrame -fuzztime 30s ./internal/shmem
 	go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 30s ./internal/obs
+	go test -count=1 -fuzz FuzzMergeExposition -fuzztime 30s ./internal/obs/cluster
 
 # The robustness suite under the race detector: watchdog/abort containment
 # plus the lossy-link chaos tests — one runtime per in-process node, joined

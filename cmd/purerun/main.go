@@ -139,6 +139,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cmds := make([]*exec.Cmd, nodes)
 	var outWG sync.WaitGroup
 	var outMu sync.Mutex // interleave whole lines, not bytes
+	// report writes one stderr line; the kill and timeout goroutines report
+	// while run does.
+	report := func(format string, args ...any) {
+		outMu.Lock()
+		defer outMu.Unlock()
+		fmt.Fprintf(stderr, format, args...)
+	}
 	for i := range cmds {
 		cmd := exec.Command(workerArgv[0], workerArgv[1:]...)
 		cmd.Env = append(os.Environ(),
@@ -181,13 +188,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if killNode >= 0 {
 		go func() {
 			time.Sleep(killDelay)
-			fmt.Fprintf(stderr, "purerun: chaos: SIGKILL node %d after %v\n", killNode, killDelay)
+			report("purerun: chaos: SIGKILL node %d after %v\n", killNode, killDelay)
 			cmds[killNode].Process.Kill()
 		}()
 	}
 	if *timeout > 0 {
 		t := time.AfterFunc(*timeout, func() {
-			fmt.Fprintf(stderr, "purerun: timeout %v expired, killing the job\n", *timeout)
+			report("purerun: timeout %v expired, killing the job\n", *timeout)
 			for _, c := range cmds {
 				c.Process.Kill()
 			}
@@ -205,14 +212,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		st := cmd.ProcessState.ExitCode() // -1 for signal death
 		switch {
 		case err == nil:
-			fmt.Fprintf(stderr, "purerun: node %d exited ok\n", i)
+			report("purerun: node %d exited ok\n", i)
 		case st >= 0:
-			fmt.Fprintf(stderr, "purerun: node %d exited with code %d\n", i, st)
+			report("purerun: node %d exited with code %d\n", i, st)
 			if code == 0 {
 				code = st
 			}
 		default:
-			fmt.Fprintf(stderr, "purerun: node %d died: %v\n", i, err)
+			report("purerun: node %d died: %v\n", i, err)
 			if code == 0 {
 				code = 1
 			}

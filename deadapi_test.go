@@ -1,0 +1,305 @@
+package repro
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// deadAPIAllowlist names the exported identifiers under internal/ that no
+// non-test code references, each with the reason it stays.  Keys are
+// "<dir under internal/>.<Name>" for package-level identifiers and
+// "<dir under internal/>.<Type>.<Method>" for methods.  The list can only
+// shrink: an entry that is referenced again, or no longer exists, fails
+// TestNoDeadExportedAPI as well.
+var deadAPIAllowlist = map[string]string{
+	"apps/dt.Run":                        "NAS DT (paper Fig. 4) on the real runtimes; its tests check both backends and the DES skeleton's graph",
+	"check.DefaultPCTDepth":              "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.Exhaust":                      "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.ReplayChoices":                "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.RunPCT":                       "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.SeedsFromEnv":                 "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.Wait":                         "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.WaitLabeled":                  "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"check.Yield":                        "checker API: the model tests in internal/check drive other packages' protocols with it",
+	"cluster.eventHeap.Less":             "implements container/heap.Interface",
+	"collective.NewCASBarrier":           "reference barrier the collective tests and the SPTD model compare against",
+	"collective.NewCounterBarrier":       "ablation barrier the collective tests compare against",
+	"core.ModelChannelTable":             "purecheck-only seam the endpoint model in internal/check drives",
+	"core.ModelChannelTable.Endpoint":    "purecheck-only seam the endpoint model in internal/check drives",
+	"queue.NewPBQPacked":                 "ablation: the packed-slot PBQ the queue tests compare against",
+	"queue.PBQ.MaxPayload":               "payload bound the PBQ model in internal/check asserts against",
+	"schedpoint.Set":                     "installs the checker's hooks; only the purecheck model tests call it",
+	"shmem.Heap.Extent":                  "the shmem model in internal/check reads allocator extents with it",
+	"shmem.Poll":                         "consumer step sequence the shmem model in internal/check drives (Mailbox runs the same steps)",
+	"shmem.Send":                         "producer step sequence the shmem model in internal/check drives (Mailbox runs the same steps)",
+	"ssw.SpinWait":                       "plain WaitFunc the collective and sched tests run their protocols with",
+	"topology.ParseReorderFile":          "paper input: CrayPAT rank-reorder files (PAPER.md)",
+	"topology.PlacementFromReorder":      "paper input: CrayPAT rank-reorder files (PAPER.md)",
+	"transport.ChaosFaults":              "fault plan the core, pure and shmem-app chaos suites share",
+	"transport.Transport.KillLink":       "link-kill switch the core and transport chaos tests use",
+	"transport.Transport.SetPartitioned": "partition switch the core and transport chaos tests use",
+
+	// Each of these is the whole subject of one test: delete the two together.
+	"core.Task.UnalignedIdxRange":       "test-only: TestTaskUnalignedIdxRange (and sched.UnalignedIdxRange's TestUnalignedIdxRange)",
+	"obs.Metrics.CounterL":              "test-only: TestCounterLHandleStability; live labeled series come from collectors",
+	"obs.Metrics.GaugeL":                "test-only: TestCounterLHandleStability; live labeled series come from collectors",
+	"obs.Snapshot.WriteJSON":            "test-only: TestSnapshotJSON and TestSnapshotJSONEmptyRegistry",
+	"ssw.Waiter.Func":                   "test-only: TestFuncAdapter",
+	"topology.HWThread.GlobalCore":      "test-only: TestGlobalCore",
+	"transport.ClockEstimator.DriftPPB": "test-only: TestClockEstimatorDrift",
+}
+
+// apiDecl is one exported identifier declared under internal/.
+type apiDecl struct {
+	key  string    // allowlist key
+	pos  token.Pos // the declaring identifier
+	own  []ast.Node
+	recv string // receiver type name; empty for package-level identifiers
+	name string
+	dir  string
+}
+
+// apiFile is one parsed non-test source file.
+type apiFile struct {
+	dir  string
+	file *ast.File
+}
+
+// TestNoDeadExportedAPI fails on an exported func, type, var, const or
+// method declared under internal/ that no non-test Go file in the
+// repository (benchmark/, cmd/, examples/ and purecheck-tagged files
+// included) references outside its own declaration, unless
+// deadAPIAllowlist says why it stays.  References are resolved by syntax
+// alone: a package-level identifier counts as used when its package names
+// it or another file selects it through an import of that package; a
+// method counts as used when any selector anywhere has its name.
+func TestNoDeadExportedAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	files, pkgNames := parseRepo(t, fset)
+	decls := exportedInternalDecls(files)
+	used := referencedDecls(files, pkgNames, decls)
+
+	var dead []string
+	found := make(map[string]bool, len(decls))
+	for _, d := range decls {
+		found[d.key] = true
+		if used[d.key] {
+			continue
+		}
+		if _, ok := deadAPIAllowlist[d.key]; !ok {
+			dead = append(dead, fmt.Sprintf("%s: %s", fset.Position(d.pos), d.key))
+		}
+	}
+	var stale []string
+	for key := range deadAPIAllowlist {
+		if !found[key] {
+			stale = append(stale, key+" (no longer declared)")
+		} else if used[key] {
+			stale = append(stale, key+" (now referenced)")
+		}
+	}
+	sort.Strings(dead)
+	sort.Strings(stale)
+	for _, s := range dead {
+		t.Errorf("unreferenced exported identifier %s: delete it, or allowlist it with a reason", s)
+	}
+	for _, s := range stale {
+		t.Errorf("stale deadAPIAllowlist entry %s: remove it", s)
+	}
+}
+
+// parseRepo parses every non-test .go file under the repository root,
+// skipping testdata and dot directories, and returns them with each
+// directory's package name.
+func parseRepo(t *testing.T, fset *token.FileSet) ([]apiFile, map[string]string) {
+	t.Helper()
+	var files []apiFile
+	pkgNames := make(map[string]string)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		files = append(files, apiFile{dir: dir, file: f})
+		pkgNames[dir] = f.Name.Name
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, pkgNames
+}
+
+// exportedInternalDecls lists the exported identifiers declared under
+// internal/.  A type's own declaration includes its methods, so a type
+// named only by its methods' receivers is still unreferenced.
+func exportedInternalDecls(files []apiFile) []*apiDecl {
+	var decls []*apiDecl
+	types := make(map[string]*apiDecl) // dir + "." + type name, exported or not
+	type method struct {
+		dir string
+		fn  *ast.FuncDecl
+	}
+	var methods []method
+	for _, af := range files {
+		short, ok := strings.CutPrefix(af.dir, "internal/")
+		if !ok {
+			continue
+		}
+		add := func(recv string, id *ast.Ident, own ast.Node) *apiDecl {
+			key := short + "." + id.Name
+			if recv != "" {
+				key = short + "." + recv + "." + id.Name
+			}
+			d := &apiDecl{key: key, pos: id.Pos(), own: []ast.Node{own}, recv: recv, name: id.Name, dir: af.dir}
+			if id.IsExported() {
+				decls = append(decls, d)
+			}
+			return d
+		}
+		for _, decl := range af.file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv != nil {
+					methods = append(methods, method{af.dir, decl})
+					add(recvTypeName(decl.Recv.List[0].Type), decl.Name, decl)
+				} else {
+					add("", decl.Name, decl)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						types[af.dir+"."+spec.Name.Name] = add("", spec.Name, spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add("", id, id)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, m := range methods {
+		if d := types[m.dir+"."+recvTypeName(m.fn.Recv.List[0].Type)]; d != nil {
+			d.own = append(d.own, m.fn)
+		}
+	}
+	return decls
+}
+
+// recvTypeName strips pointers and type parameters from a receiver type.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// referencedDecls reports which decls some non-test file references
+// outside their own declarations.
+func referencedDecls(files []apiFile, pkgNames map[string]string, decls []*apiDecl) map[string]bool {
+	byName := make(map[string][]*apiDecl) // package-level, by dir + "." + name
+	byMethod := make(map[string][]*apiDecl)
+	for _, d := range decls {
+		if d.recv != "" {
+			byMethod[d.name] = append(byMethod[d.name], d)
+		} else {
+			byName[d.dir+"."+d.name] = append(byName[d.dir+"."+d.name], d)
+		}
+	}
+	used := make(map[string]bool)
+	mark := func(ds []*apiDecl, at token.Pos) {
+		for _, d := range ds {
+			if !used[d.key] && !within(d.own, at) {
+				used[d.key] = true
+			}
+		}
+	}
+	for _, af := range files {
+		imports := make(map[string]string) // local name -> dir
+		for _, imp := range af.file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(path, "repro/")
+			if !ok {
+				continue
+			}
+			local := pkgNames[dir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = dir
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// A receiver names its type without using it.
+				if n.Recv != nil {
+					ast.Inspect(n.Type, visit)
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					return false
+				}
+			case *ast.SelectorExpr:
+				mark(byMethod[n.Sel.Name], n.Sel.Pos())
+				if x, ok := n.X.(*ast.Ident); ok {
+					if pkgDir, ok := imports[x.Name]; ok {
+						mark(byName[pkgDir+"."+n.Sel.Name], n.Sel.Pos())
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				mark(byName[af.dir+"."+n.Name], n.Pos())
+			}
+			return true
+		}
+		ast.Inspect(af.file, visit)
+	}
+	return used
+}
+
+// within reports whether pos lies inside one of nodes.
+func within(nodes []ast.Node, pos token.Pos) bool {
+	for _, n := range nodes {
+		if n.Pos() <= pos && pos < n.End() {
+			return true
+		}
+	}
+	return false
+}

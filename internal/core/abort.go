@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/ssw"
 )
@@ -121,7 +122,7 @@ type rankWaitSlot struct {
 	// unwound is set when the rank was forcibly unwound by runtime poisoning
 	// rather than returning or failing on its own.
 	unwound atomic.Bool
-	_       [64]byte
+	_       layout.Pad
 }
 
 // beginWait publishes rec as the rank's blocking state and returns the

@@ -164,9 +164,6 @@ func (c *Comm) Rank() int { return c.myRank }
 // Size returns the communicator's member count.
 func (c *Comm) Size() int { return len(c.sh.members) }
 
-// GlobalRank translates a comm rank to the global (world) rank.
-func (c *Comm) GlobalRank(commRank int) int { return c.sh.members[commRank] }
-
 func (c *Comm) checkPeer(peer int, what string) {
 	if peer < 0 || peer >= len(c.sh.members) {
 		panic(fmt.Sprintf("core: %s rank %d out of range [0,%d)", what, peer, len(c.sh.members)))

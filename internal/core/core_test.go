@@ -86,7 +86,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 				if c.want != "" {
 					t.Error("a rank started")
 				}
-				rts[r.ID()] = r.Runtime()
+				rts[r.ID()] = r.rt
 				w, buf := r.World(), make([]byte, 8)
 				for i := 0; i < 20; i++ {
 					if r.ID() == 0 {
@@ -1161,8 +1161,8 @@ func TestSplitReversedAcrossNodesSortsNodeList(t *testing.T) {
 		if want := 3 - r.ID(); sub.Rank() != want {
 			t.Errorf("rank %d: sub rank %d, want %d", r.ID(), sub.Rank(), want)
 		}
-		if got := sub.GlobalRank(sub.Rank()); got != r.ID() {
-			t.Errorf("GlobalRank round trip: %d != %d", got, r.ID())
+		if got := sub.sh.members[sub.Rank()]; got != r.ID() {
+			t.Errorf("member round trip: %d != %d", got, r.ID())
 		}
 		out := make([]byte, 8)
 		sub.Allreduce(f64b(1), out, collective.OpSum, collective.Float64)
@@ -1198,7 +1198,7 @@ func TestRequestAccessorsAndRankIntrospection(t *testing.T) {
 				t.Errorf("recv req: done=%v bytes=%d", req.Done(), req.Bytes())
 			}
 		}
-		rt := r.Runtime()
+		rt := r.rt
 		if rt.Config().NRanks != 2 || rt.Placement().NRank != 2 {
 			t.Error("runtime introspection wrong")
 		}

@@ -204,7 +204,7 @@ func TestMonitorRankStatesLifecycle(t *testing.T) {
 		if r.ID() != 0 {
 			return // finishes immediately -> "done"
 		}
-		srv := httptest.NewServer(obs.NewMonitor(nil, r.Runtime().RankStates).Handler())
+		srv := httptest.NewServer(obs.NewMonitor(nil, r.rt.RankStates).Handler())
 		defer srv.Close()
 		deadline := time.Now().Add(20 * time.Second)
 		for {

@@ -405,7 +405,7 @@ func TestTCPFullWindowSendsOnce(t *testing.T) {
 				w.Send(buf, 1, 4)
 			}
 			w.Recv(buf, 1, 5) // the receiver has checked them all
-			busy = r.Runtime().LinkStates()[0].SendBusy
+			busy = r.rt.LinkStates()[0].SendBusy
 			return
 		}
 		for i := uint64(0); i < msgs; i++ {

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/rma"
 	"repro/internal/sched"
@@ -320,7 +321,7 @@ type Rank struct {
 	// Ranks are allocated back to back; the pad keeps one rank's wait record
 	// (rewritten at every blocking wait) off the cacheline the next rank's
 	// handle starts on.
-	_ [64]byte
+	_ layout.Pad
 }
 
 // ID returns the rank's global id in [0, NRanks).
@@ -334,9 +335,6 @@ func (r *Rank) Node() int { return r.node }
 
 // World returns the world communicator handle for this rank.
 func (r *Rank) World() *Comm { return r.world }
-
-// Runtime returns the owning runtime (for tooling/diagnostics).
-func (r *Rank) Runtime() *Runtime { return r.rt }
 
 // Placement exposes the rank-to-hardware mapping.
 func (rt *Runtime) Placement() *topology.Placement { return rt.place }

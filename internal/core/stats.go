@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/layout"
 	"repro/internal/obs"
 )
 
@@ -167,7 +168,7 @@ func (s *RankStats) Messages() int64 {
 // ranks' hot cells off one cacheline.
 type rankCells struct {
 	RankStats
-	_ [64]byte
+	_ layout.Pad
 }
 
 // count adds n to one of the rank's own cells.  Without a metrics registry

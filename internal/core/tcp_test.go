@@ -129,7 +129,7 @@ func TestChaosTCPDrainIsCounted(t *testing.T) {
 		}
 	}, func(r *Rank) {
 		w, buf := r.World(), make([]byte, 8)
-		rts[r.ID()] = r.Runtime()
+		rts[r.ID()] = r.rt
 		if r.ID() == 0 {
 			w.Recv(buf, 1, 1) // the link is up
 			w.Send(buf, 1, 2) // dropped; nothing but the drain is left to resend it
@@ -588,7 +588,7 @@ func ackFreeRun(t *testing.T, rounds int) (links [2]obs.LinkState) {
 		buf := make([]byte, 8)
 		me := r.ID()
 		w.Barrier() // link up, handshake traffic behind us
-		before := r.Runtime().LinkStates()[0]
+		before := r.rt.LinkStates()[0]
 		if me == 0 {
 			ping, pong := w.SendChannel(1, 5), w.RecvChannel(1, 6)
 			for i := 0; i < rounds; i++ {
@@ -602,7 +602,7 @@ func ackFreeRun(t *testing.T, rounds int) (links [2]obs.LinkState) {
 				pong.Send(buf)
 			}
 		}
-		after := r.Runtime().LinkStates()[0]
+		after := r.rt.LinkStates()[0]
 		after.FramesSent -= before.FramesSent
 		after.Writes -= before.Writes
 		after.AcksSent -= before.AcksSent
@@ -631,7 +631,7 @@ func TestChaosTCPStreamCombines(t *testing.T) {
 				data.Send(buf)
 			}
 			w.Recv(buf, 1, 4) // everything arrived and was checked
-			links = r.Runtime().LinkStates()
+			links = r.rt.LinkStates()
 			return
 		}
 		data := w.RecvChannel(0, 3)

@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -95,19 +96,16 @@ func (ag *Aggregator) get(n Node, path string) ([]byte, error) {
 }
 
 // serveMetrics scrapes every node concurrently and writes the merged
-// exposition: comment lines deduplicated by metric family, every sample line
-// tagged with the source node's label.
+// exposition: pure_cluster_node_up per node, then mergeExposition of the
+// scrapes.
 func (ag *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	type scrape struct {
-		body []byte
-		err  error
-	}
 	results := make([]scrape, len(ag.nodes))
 	var wg sync.WaitGroup
 	for i, n := range ag.nodes {
 		wg.Add(1)
 		go func(i int, n Node) {
 			defer wg.Done()
+			results[i].node = n.Node
 			results[i].body, results[i].err = ag.get(n, "/metrics")
 		}(i, n)
 	}
@@ -116,19 +114,36 @@ func (ag *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# TYPE pure_cluster_node_up gauge")
-	for i, n := range ag.nodes {
+	for _, r := range results {
 		up := 1
-		if results[i].err != nil {
+		if r.err != nil {
 			up = 0
 		}
-		fmt.Fprintf(bw, "pure_cluster_node_up{node=%q} %d\n", strconv.Itoa(n.Node), up)
+		fmt.Fprintf(bw, "pure_cluster_node_up{node=%q} %d\n", strconv.Itoa(r.node), up)
 	}
-	commented := map[string]bool{} // family comment lines already emitted
-	for i, n := range ag.nodes {
-		if results[i].err != nil {
+	mergeExposition(bw, results)
+	bw.Flush()
+}
+
+// scrape is one node's /metrics response.
+type scrape struct {
+	node int
+	body []byte
+	err  error
+}
+
+// mergeExposition writes the union of the scraped expositions to w, in
+// order: every comment line ("# TYPE <name> <kind>", "# HELP <name> ...")
+// once across all nodes, since the union shares each family, and every
+// sample line tagged by tagNode.  Empty lines and failed scrapes
+// contribute nothing.
+func mergeExposition(w io.Writer, scrapes []scrape) {
+	commented := map[string]bool{}
+	for _, s := range scrapes {
+		if s.err != nil {
 			continue
 		}
-		sc := bufio.NewScanner(strings.NewReader(string(results[i].body)))
+		sc := bufio.NewScanner(bytes.NewReader(s.body))
 		sc.Buffer(make([]byte, 64<<10), 1<<20)
 		for sc.Scan() {
 			line := sc.Text()
@@ -136,18 +151,15 @@ func (ag *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 				continue
 			}
 			if strings.HasPrefix(line, "#") {
-				// "# TYPE <name> <kind>" / "# HELP <name> ...": emit once
-				// across all nodes — the union shares each family.
 				if !commented[line] {
 					commented[line] = true
-					fmt.Fprintln(bw, line)
+					fmt.Fprintln(w, line)
 				}
 				continue
 			}
-			fmt.Fprintln(bw, tagNode(line, n.Node))
+			fmt.Fprintln(w, tagNode(line, s.node))
 		}
 	}
-	bw.Flush()
 }
 
 // tagNode injects a node="<id>" label into one exposition sample line.  The

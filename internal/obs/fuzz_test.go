@@ -31,7 +31,7 @@ func FuzzReadTraceBin(f *testing.F) {
 	if err := WriteTraceBinMeta(&full, events, 4, 3, &meta); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteTraceBinEvents(&bare, nil, 1, 0); err != nil {
+	if err := WriteTraceBinMeta(&bare, nil, 1, 0, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full.Bytes())

@@ -67,7 +67,7 @@ func TestTraceBinMetaRoundTrip(t *testing.T) {
 // back as -1, everything else empty.
 func TestTraceBinEventsOnlyReadsAsNoMeta(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTraceBinEvents(&buf, []Event{{TS: 5, Rank: 0, Kind: KSendEager, Peer: 1}}, 2, 0); err != nil {
+	if err := WriteTraceBinMeta(&buf, []Event{{TS: 5, Rank: 0, Kind: KSendEager, Peer: 1}}, 2, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	d, err := ReadTraceBin(&buf)

@@ -5,13 +5,15 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/layout"
 )
 
 // Counter is a monotonically increasing metric.  All methods are safe for
 // concurrent use.
 type Counter struct {
 	v atomic.Int64
-	_ [56]byte // keep adjacent registry entries off one cacheline
+	_ [layout.CachelineBytes - 8]byte // keep adjacent registry entries off one cacheline
 }
 
 // Add increments the counter by n (n must be non-negative).
@@ -26,7 +28,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a metric that can go up and down (e.g. a sampled queue depth).
 type Gauge struct {
 	v atomic.Int64
-	_ [56]byte
+	_ [layout.CachelineBytes - 8]byte
 }
 
 // Set stores v.

@@ -22,6 +22,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/layout"
 )
 
 // Kind identifies what an Event records.
@@ -268,13 +270,13 @@ func (t *Trace) Events() []Event {
 // rank i's cursor sit on the same line as rank i+1's leading fields when the
 // backing array is not cacheline-aligned.
 type RankTrace struct {
-	_     [64]byte
+	_     layout.Pad
 	rank  int32
 	start time.Time
 	buf   []Event
 	mask  uint64 // len(buf)-1; capacity is always a power of two
 	n     uint64 // total events ever recorded (write cursor)
-	_     [64]byte
+	_     layout.Pad
 }
 
 // Now returns the trace-relative timestamp in nanoseconds (use as the start

@@ -91,12 +91,6 @@ func WriteTraceBin(w io.Writer, t *Trace) error {
 	return WriteTraceBinMeta(w, t.Events(), t.NRanks(), t.Dropped(), &meta)
 }
 
-// WriteTraceBinEvents dumps an already-merged event slice (used when the
-// events were transformed or filtered before dumping) with no metadata.
-func WriteTraceBinEvents(w io.Writer, events []Event, nranks int, dropped int64) error {
-	return WriteTraceBinMeta(w, events, nranks, dropped, nil)
-}
-
 // WriteTraceBinMeta dumps an event slice with explicit metadata (nil meta
 // writes an unknown-node dump).
 func WriteTraceBinMeta(w io.Writer, events []Event, nranks int, dropped int64, meta *TraceMeta) error {

@@ -93,7 +93,7 @@ func TestTraceBinNegativeFieldsSurvive(t *testing.T) {
 	// Peer -1 and negative Arg must round-trip through the unsigned encoding.
 	events := []Event{{TS: 1, Dur: 2, Arg: -7, Rank: 0, Peer: -1, Kind: KBarrier}}
 	var buf bytes.Buffer
-	if err := WriteTraceBinEvents(&buf, events, 1, 0); err != nil {
+	if err := WriteTraceBinMeta(&buf, events, 1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	d, err := ReadTraceBin(&buf)
@@ -117,27 +117,27 @@ func TestReadTraceBinRejectsGarbage(t *testing.T) {
 		}, "magic"},
 		{"bad version", func() []byte {
 			var buf bytes.Buffer
-			WriteTraceBinEvents(&buf, nil, 1, 0)
+			WriteTraceBinMeta(&buf, nil, 1, 0, nil)
 			b := buf.Bytes()
 			b[8] = 99
 			return b
 		}, "version"},
 		{"zero ranks", func() []byte {
 			var buf bytes.Buffer
-			WriteTraceBinEvents(&buf, nil, 1, 0)
+			WriteTraceBinMeta(&buf, nil, 1, 0, nil)
 			b := buf.Bytes()
 			b[12], b[13], b[14], b[15] = 0, 0, 0, 0
 			return b
 		}, "rank count"},
 		{"truncated events", func() []byte {
 			var buf bytes.Buffer
-			WriteTraceBinEvents(&buf, []Event{{Rank: 0, Kind: KSendEager}}, 1, 0)
+			WriteTraceBinMeta(&buf, []Event{{Rank: 0, Kind: KSendEager}}, 1, 0, nil)
 			b := buf.Bytes()
 			return b[:len(b)-5]
 		}, "truncated"},
 		{"rank out of range", func() []byte {
 			var buf bytes.Buffer
-			WriteTraceBinEvents(&buf, []Event{{Rank: 5, Kind: KSendEager}}, 2, 0)
+			WriteTraceBinMeta(&buf, []Event{{Rank: 5, Kind: KSendEager}}, 2, 0, nil)
 			return buf.Bytes()
 		}, "outside"},
 	}
@@ -153,7 +153,7 @@ func TestReadTraceBinHugeHeaderDoesNotPreallocate(t *testing.T) {
 	// A header claiming 2^60 events must fail with a truncation error, not
 	// attempt a 2^60-slot allocation.
 	var buf bytes.Buffer
-	WriteTraceBinEvents(&buf, nil, 1, 0)
+	WriteTraceBinMeta(&buf, nil, 1, 0, nil)
 	b := buf.Bytes()
 	b[24], b[31] = 0xff, 0x0f // nevents = huge
 	_, err := ReadTraceBin(bytes.NewReader(b))
@@ -164,7 +164,7 @@ func TestReadTraceBinHugeHeaderDoesNotPreallocate(t *testing.T) {
 
 func TestWriteTraceBinRejectsBadRankCount(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTraceBinEvents(&buf, nil, 0, 0); err == nil {
+	if err := WriteTraceBinMeta(&buf, nil, 0, 0, nil); err == nil {
 		t.Fatal("rank count 0 accepted")
 	}
 }

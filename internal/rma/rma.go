@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collective"
+	"repro/internal/layout"
 	"repro/internal/schedpoint"
 )
 
@@ -28,7 +29,7 @@ import (
 // SPTD flags use: one writer, many polling readers, no false sharing).
 type padUint64 struct {
 	v atomic.Uint64
-	_ [56]byte
+	_ [layout.CachelineBytes - 8]byte
 }
 
 // spinlock is a tiny CAS lock used to serialize target-side Accumulate
@@ -186,18 +187,6 @@ func (w *Window) FenceReached(round uint64) bool {
 		}
 	}
 	return true
-}
-
-// FenceLaggards returns the member ranks that have not reached round
-// (watchdog diagnostics).
-func (w *Window) FenceLaggards(round uint64) []int {
-	var lag []int
-	for i := range w.fence {
-		if w.fence[i].v.Load() < round {
-			lag = append(lag, i)
-		}
-	}
-	return lag
 }
 
 // ---- PSCW (post/start/complete/wait) ----

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/layout"
 	"repro/internal/schedpoint"
 )
 
@@ -81,11 +82,11 @@ type exec struct {
 	mode    ChunkMode
 	nslots  int64
 
-	_    [64]byte
+	_    layout.Pad
 	curr atomic.Int64 // next chunk to allocate
-	_    [64]byte
+	_    layout.Pad
 	done atomic.Int64 // chunks completed by thieves (owner counts locally)
-	_    [64]byte
+	_    layout.Pad
 }
 
 // grab allocates the next chunk range.  ok is false when all chunks have

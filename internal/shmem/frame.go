@@ -61,11 +61,6 @@ type Op struct {
 	Data []byte
 }
 
-// WantsReply reports whether o's kind sends a value back to the origin.
-func (o *Op) WantsReply() bool {
-	return o.Kind == OpGet || o.Kind == OpFetchAdd || o.Kind == OpCAS
-}
-
 // Encode appends o's wire form to dst and returns the extended slice.
 func (o *Op) Encode(dst []byte) []byte {
 	dst = append(dst, o.Kind)
@@ -75,9 +70,6 @@ func (o *Op) Encode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, o.Req)
 	return append(dst, o.Data...)
 }
-
-// EncodedLen returns the exact size Encode will produce for o.
-func (o *Op) EncodedLen() int { return OpHeaderLen + len(o.Data) }
 
 // DecodeOp parses an Op from b.  Data aliases b (no copy) — callers that
 // outlive b must copy.  Validation here is what the fuzzer leans on: a

@@ -96,10 +96,3 @@ func bucketOf(v float64) int {
 	}
 	return b
 }
-
-// Each visits every live series (flush reporting; not on the hot path).
-func (a *Agg) Each(fn func(key uint64, s *Series)) {
-	for k, s := range a.m {
-		fn(k, s)
-	}
-}

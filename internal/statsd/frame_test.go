@@ -266,7 +266,7 @@ func TestAggApply(t *testing.T) {
 		t.Fatalf("keys=%d count=%d", a.Keys, a.Count)
 	}
 	seen := 0
-	a.Each(func(k uint64, s *Series) {
+	for k, s := range a.m {
 		seen++
 		switch k {
 		case key:
@@ -282,7 +282,7 @@ func TestAggApply(t *testing.T) {
 				t.Fatalf("timer series %+v", s)
 			}
 		}
-	})
+	}
 	if seen != 3 {
 		t.Fatalf("visited %d series", seen)
 	}

@@ -35,9 +35,6 @@ func (s Spec) HWThreadsPerNode() int {
 	return s.SocketsPerNode * s.CoresPerSocket * s.ThreadsPerCore
 }
 
-// TotalHWThreads returns the number of hardware threads in the whole job.
-func (s Spec) TotalHWThreads() int { return s.Nodes * s.HWThreadsPerNode() }
-
 // Validate reports whether the spec is well formed.
 func (s Spec) Validate() error {
 	if s.Nodes <= 0 || s.SocketsPerNode <= 0 || s.CoresPerSocket <= 0 || s.ThreadsPerCore <= 0 {
@@ -59,7 +56,7 @@ func (h HWThread) GlobalCore(s Spec) int {
 	return (h.Node*s.SocketsPerNode+h.Socket)*s.CoresPerSocket + h.Core
 }
 
-// Index returns the cluster-unique hardware-thread id in [0, TotalHWThreads).
+// Index returns the cluster-unique hardware-thread id in [0, Nodes*HWThreadsPerNode).
 // Threads are numbered node-major, then socket, core, and hyperthread, which
 // matches the "compact" numbering used by CrayPAT.
 func (h HWThread) Index(s Spec) int {
@@ -285,10 +282,4 @@ func (p *Placement) LocalIndex(r int) int {
 // implementations use node leaders to bridge across nodes.
 func (p *Placement) NodeLeader(r int) int {
 	return p.ranksOfNode[p.seat[r].Node][0]
-}
-
-// IdleThreadsOnNode returns how many hardware threads on node n host no rank.
-// The Pure runtime may start helper threads on those.
-func (p *Placement) IdleThreadsOnNode(n int) int {
-	return p.Spec.HWThreadsPerNode() - len(p.ranksOfNode[n])
 }

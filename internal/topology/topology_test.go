@@ -11,8 +11,8 @@ func TestCoriSpec(t *testing.T) {
 	if got := s.HWThreadsPerNode(); got != 64 {
 		t.Fatalf("HWThreadsPerNode = %d, want 64", got)
 	}
-	if got := s.TotalHWThreads(); got != 256 {
-		t.Fatalf("TotalHWThreads = %d, want 256", got)
+	if got := s.Nodes * s.HWThreadsPerNode(); got != 256 {
+		t.Fatalf("hardware threads = %d, want 256", got)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -35,7 +35,7 @@ func TestSpecValidateRejectsZeroFields(t *testing.T) {
 
 func TestHWThreadIndexRoundTrip(t *testing.T) {
 	s := CoriSpec(3)
-	for i := 0; i < s.TotalHWThreads(); i++ {
+	for i := 0; i < s.Nodes*s.HWThreadsPerNode(); i++ {
 		h := HWThreadAt(s, i)
 		if got := h.Index(s); got != i {
 			t.Fatalf("round trip failed: %d -> %+v -> %d", i, h, got)
@@ -51,7 +51,7 @@ func TestHWThreadIndexRoundTripProperty(t *testing.T) {
 			CoresPerSocket: int(cores%16) + 1,
 			ThreadsPerCore: int(threads%2) + 1,
 		}
-		i := int(pick) % s.TotalHWThreads()
+		i := int(pick) % (s.Nodes * s.HWThreadsPerNode())
 		return HWThreadAt(s, i).Index(s) == i
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -144,8 +144,8 @@ func TestSparsePlacementLeavesIdleThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.IdleThreadsOnNode(0); got != 24 {
-		t.Fatalf("IdleThreadsOnNode(0) = %d, want 24", got)
+	if got := s.HWThreadsPerNode() - len(p.RanksOnNode(0)); got != 24 {
+		t.Fatalf("idle threads on node 0 = %d, want 24", got)
 	}
 	if got := p.NodeOf(40); got != 1 {
 		t.Fatalf("rank 40 on node %d, want 1", got)

@@ -40,8 +40,6 @@ type Conn interface {
 	// SetWriteDeadline bounds blocking writes, so a peer that stops draining
 	// its socket cannot wedge the sender behind a full kernel buffer.
 	SetWriteDeadline(t time.Time) error
-	// RemoteAddr names the peer endpoint for diagnostics.
-	RemoteAddr() string
 }
 
 // TCP returns the TCP backend.
@@ -87,12 +85,8 @@ func wrapTCP(c net.Conn) Conn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return tcpConn{c}
+	return c
 }
-
-type tcpConn struct{ net.Conn }
-
-func (c tcpConn) RemoteAddr() string { return c.Conn.RemoteAddr().String() }
 
 // ReserveLoopback picks n distinct free loopback addresses for the listeners
 // a launcher or a test is about to start (transport nodes, worker monitors),

@@ -157,24 +157,6 @@ func (f *Frame) Encode() []byte {
 	return AppendFrame(make([]byte, 0, HeaderLen+len(f.Payload)), f)
 }
 
-// DecodeFrame parses one frame from the front of b, returning the frame and
-// the number of bytes consumed.  The payload aliases b.  A short buffer,
-// bad magic/version, unknown kind, or oversized length is an error.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	if len(b) < HeaderLen {
-		return Frame{}, 0, fmt.Errorf("transport: %d-byte buffer shorter than the %d-byte header", len(b), HeaderLen)
-	}
-	f, n, err := decodeHeader(b)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	if len(b) < HeaderLen+n {
-		return Frame{}, 0, fmt.Errorf("transport: frame payload truncated: header says %d bytes, %d available", n, len(b)-HeaderLen)
-	}
-	f.Payload = b[HeaderLen : HeaderLen+n]
-	return f, HeaderLen + n, nil
-}
-
 // decodeHeader validates and parses the fixed header, returning the frame
 // (payload unset) and the payload length.
 func decodeHeader(h []byte) (Frame, int, error) {

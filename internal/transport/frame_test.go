@@ -2,9 +2,30 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// decodeFrame parses one frame from the front of a whole buffer b, returning the frame and
+// the number of bytes consumed.  The payload aliases b.  A short buffer,
+// bad magic/version, unknown kind, or oversized length is an error.  The
+// link reads a header, then its payload, off the stream; this is the same
+// two steps over bytes already in hand, for the tests and the fuzzer.
+func decodeFrame(b []byte) (Frame, int, error) {
+	if len(b) < HeaderLen {
+		return Frame{}, 0, fmt.Errorf("transport: %d-byte buffer shorter than the %d-byte header", len(b), HeaderLen)
+	}
+	f, n, err := decodeHeader(b)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	if len(b) < HeaderLen+n {
+		return Frame{}, 0, fmt.Errorf("transport: frame payload truncated: header says %d bytes, %d available", n, len(b)-HeaderLen)
+	}
+	f.Payload = b[HeaderLen : HeaderLen+n]
+	return f, HeaderLen + n, nil
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
@@ -22,7 +43,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	rest := buf
 	for i := range frames {
-		got, n, err := DecodeFrame(rest)
+		got, n, err := decodeFrame(rest)
 		if err != nil {
 			t.Fatalf("frame %d: decode: %v", i, err)
 		}
@@ -80,7 +101,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 			b = b[:HeaderLen-1]
 		}
 		tc.mut(b)
-		if _, _, err := DecodeFrame(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := decodeFrame(b); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}

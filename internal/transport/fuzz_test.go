@@ -28,7 +28,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(seeds[2].Encode()[:HeaderLen-1])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, n, err := DecodeFrame(b)
+		fr, n, err := decodeFrame(b)
 		if err != nil {
 			return
 		}

@@ -48,8 +48,8 @@ func (b memNode) Dial(addr string, timeout time.Duration) (Conn, error) {
 	}
 	ab, ba := newMemPipe(), newMemPipe()
 	select {
-	case ln.conns <- &memConn{in: ab, out: ba, peer: "dialer"}:
-		return &memConn{in: ba, out: ab, peer: addr}, nil
+	case ln.conns <- &memConn{in: ab, out: ba}:
+		return &memConn{in: ba, out: ab}, nil
 	case <-ln.done:
 		return nil, fmt.Errorf("mem: connection refused: %s", addr)
 	case <-time.After(timeout):
@@ -114,7 +114,6 @@ func (p *memPipe) update(f func()) {
 
 type memConn struct {
 	in, out *memPipe
-	peer    string
 }
 
 func (c *memConn) Read(b []byte) (int, error) {
@@ -177,4 +176,3 @@ func (c *memConn) SetReadDeadline(t time.Time) error {
 }
 
 func (c *memConn) SetWriteDeadline(time.Time) error { return nil } // writes never block
-func (c *memConn) RemoteAddr() string               { return c.peer }

@@ -21,6 +21,10 @@
 // point-to-point layer — i.e., no intra-node shared-memory fast path, which
 // is precisely the gap Pure's SPTD/Partitioned-Reducer collectives exploit.
 //
+// mpibase models one node: every rank shares the one address space.  The
+// paper's cross-node MPI comparison is the discrete-event simulation in
+// internal/desmodels.
+//
 // Matching follows the MPI non-overtaking rule per (source, tag,
 // communicator); wildcards are not supported (the apps in this repository
 // do not use them).
@@ -33,9 +37,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collective"
-	"repro/internal/netsim"
 	"repro/internal/ssw"
-	"repro/internal/topology"
 )
 
 // DefaultEagerMax is the eager/rendezvous threshold (Cray MPICH's default
@@ -70,26 +72,15 @@ const (
 
 // Config configures a run.
 type Config struct {
-	// NRanks is the number of MPI processes.
+	// NRanks is the number of MPI processes, all on one node.
 	NRanks int
-	// Spec / RanksPerNode / Policy place ranks on the virtual cluster
-	// (cross-node messages pay the Net cost model).
-	Spec         topology.Spec
-	RanksPerNode int
-	Policy       topology.Policy
 	// EagerMax is the protocol threshold in bytes (default 8 KiB).
 	EagerMax int
-	// Net is the inter-node cost model.
-	Net netsim.Config
-	// SpinBudget tunes the progress-wait loops.
-	SpinBudget int
 }
 
 // Runtime is one mpibase program instance.
 type Runtime struct {
 	cfg   Config
-	place *topology.Placement
-	net   *netsim.Network
 	boxes []*mailbox
 	comms sync.Map // splitKey -> *commShared
 	ids   atomic.Uint64
@@ -109,22 +100,16 @@ func Run(cfg Config, main func(p *Proc)) error {
 	if cfg.NRanks <= 0 {
 		return fmt.Errorf("mpibase: NRanks must be positive, got %d", cfg.NRanks)
 	}
-	if cfg.Spec == (topology.Spec{}) {
-		cfg.Spec = topology.Spec{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: cfg.NRanks, ThreadsPerCore: 1}
-	}
 	if cfg.EagerMax <= 0 {
 		cfg.EagerMax = DefaultEagerMax
 	}
-	place, err := topology.NewPlacement(cfg.Spec, cfg.NRanks, cfg.RanksPerNode, cfg.Policy, nil)
-	if err != nil {
-		return fmt.Errorf("mpibase: placing ranks: %w", err)
-	}
 	// Adaptive progress-spin budget, mirroring the Pure runtime's policy:
 	// spinning helps only when every rank has its own core.
-	if cfg.SpinBudget == 0 && runtime.GOMAXPROCS(0) < cfg.NRanks {
-		cfg.SpinBudget = 2
+	spinBudget := 0
+	if runtime.GOMAXPROCS(0) < cfg.NRanks {
+		spinBudget = 2
 	}
-	rt := &Runtime{cfg: cfg, place: place, net: netsim.New(cfg.Net)}
+	rt := &Runtime{cfg: cfg}
 	rt.boxes = make([]*mailbox, cfg.NRanks)
 	for i := range rt.boxes {
 		rt.boxes[i] = &mailbox{}
@@ -146,7 +131,7 @@ func Run(cfg Config, main func(p *Proc)) error {
 					panics <- fmt.Sprintf("rank %d: %v", id, p)
 				}
 			}()
-			p := &Proc{id: id, rt: rt, wait: ssw.Waiter{SpinBudget: cfg.SpinBudget}}
+			p := &Proc{id: id, rt: rt, wait: ssw.Waiter{SpinBudget: spinBudget}}
 			p.world = &Comm{p: p, sh: rt.world, myRank: id}
 			main(p)
 		}(id)
@@ -164,9 +149,6 @@ func (p *Proc) ID() int { return p.id }
 
 // NRanks returns the world size.
 func (p *Proc) NRanks() int { return p.rt.cfg.NRanks }
-
-// Node returns the virtual node hosting this rank.
-func (p *Proc) Node() int { return p.rt.place.NodeOf(p.id) }
 
 // World returns the world communicator.
 func (p *Proc) World() *Comm { return p.world }
@@ -236,9 +218,6 @@ func (r *Request) Bytes() int { return r.n }
 func (p *Proc) isend(commID uint64, buf []byte, dstGlobal, tag int) *Request {
 	if dstGlobal == p.id {
 		panic("mpibase: self-send is not supported")
-	}
-	if !p.rt.place.SameNode(p.id, dstGlobal) {
-		p.rt.net.Transfer(len(buf))
 	}
 	box := p.rt.boxes[dstGlobal]
 	if len(buf) <= p.rt.cfg.EagerMax {

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	"repro/internal/netsim"
-	"repro/internal/topology"
 )
 
 func init() {
@@ -232,29 +230,6 @@ func TestCommSplit(t *testing.T) {
 	})
 }
 
-func TestCrossNodePlacementCost(t *testing.T) {
-	err := Run(Config{
-		NRanks:       4,
-		Spec:         topology.CoriSpec(2),
-		RanksPerNode: 2,
-		Net:          netsim.Config{LatencyNs: 100, BytesPerNs: 1, TimeScale: 10},
-	}, func(p *Proc) {
-		c := p.World()
-		if p.ID() == 0 {
-			c.Send([]byte("x-node"), 3, 0) // rank 3 is on node 1
-		} else if p.ID() == 3 {
-			buf := make([]byte, 8)
-			n := c.Recv(buf, 0, 0)
-			if string(buf[:n]) != "x-node" {
-				t.Errorf("got %q", buf[:n])
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTypedSendRecv(t *testing.T) {
 	run(t, 2, func(p *Proc) {
 		c := p.World()
@@ -379,38 +354,4 @@ func TestSendrecvRing(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestMultiNodeCollectives(t *testing.T) {
-	err := Run(Config{
-		NRanks:       8,
-		Spec:         topology.CoriSpec(2),
-		RanksPerNode: 4,
-		Net:          netsim.Config{LatencyNs: 50, BytesPerNs: 10, TimeScale: 10},
-	}, func(p *Proc) {
-		c := p.World()
-		if got := c.AllreduceFloat64(float64(p.ID()), Sum); got != 28 {
-			t.Errorf("allreduce = %v, want 28", got)
-		}
-		c.Barrier()
-		buf := make([]byte, 4)
-		if p.ID() == 5 { // root on node 1
-			buf = []byte{1, 2, 3, 4}
-		}
-		c.Bcast(buf, 5)
-		if buf[3] != 4 {
-			t.Errorf("bcast payload wrong: % x", buf)
-		}
-		sub := c.Split(p.Node(), p.ID()) // per-node communicators
-		want := 6.0                      // 0+1+2+3
-		if p.Node() == 1 {
-			want = 22.0 // 4+5+6+7
-		}
-		if got := sub.AllreduceFloat64(float64(p.ID()), Sum); got != want {
-			t.Errorf("node comm allreduce = %v, want %v", got, want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

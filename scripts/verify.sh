@@ -41,13 +41,13 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== make race (concurrent core packages)"
+echo "== make race (concurrent packages, the MPI baseline, the pure/comm APIs and the launcher)"
 make --no-print-directory race
 
 echo "== deterministic schedule checker (short budget; full run: make check)"
 PURE_CHECK_SEEDS=64 go test -tags purecheck -count=1 ./internal/check
 
-echo "== fuzz smoke (wire-format and trace-dump decoders, short budget; full run: make fuzz)"
+echo "== fuzz smoke (wire-format, trace-dump and cluster-scrape decoders, short budget; full run: make fuzz)"
 go test -count=1 -fuzz FuzzFrameDecode -fuzztime 5s ./internal/rma
 go test -count=1 -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/codec
 go test -count=1 -fuzz FuzzFrameDecode -fuzztime 5s ./internal/transport
@@ -56,6 +56,7 @@ go test -count=1 -fuzz FuzzStatsdParse -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShardFrame -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShmemFrame -fuzztime 5s ./internal/shmem
 go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 5s ./internal/obs
+go test -count=1 -fuzz FuzzMergeExposition -fuzztime 5s ./internal/obs/cluster
 
 echo "== make chaos (watchdog/abort/lossy links under -race)"
 make --no-print-directory chaos
