@@ -16,6 +16,8 @@ package comm
 import (
 	"repro/internal/codec"
 	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/mpibase"
 	"repro/pure"
 )
@@ -329,7 +331,7 @@ func (b *mpiBackend) Split(color, key int) Backend {
 }
 func (b *mpiBackend) NewTask(nchunks int, body func(start, end int64, extra any)) Task {
 	if nchunks <= 0 {
-		nchunks = 64 // match pure's DefaultTaskChunks
+		nchunks = core.DefaultTaskChunks
 	}
 	return &serialTask{nchunks: int64(nchunks), body: body}
 }
@@ -344,39 +346,5 @@ type serialTask struct {
 
 func (t *serialTask) Execute(extra any) { t.body(0, t.nchunks, extra) }
 func (t *serialTask) AlignedIdxRange(n int64, elemSize int, s, e int64) (int64, int64) {
-	return alignedIdxRange(n, elemSize, s, e, t.nchunks)
-}
-
-// alignedIdxRange mirrors sched.AlignedIdxRange (kept local to avoid the
-// public package depending on the internal scheduler).
-func alignedIdxRange(n int64, elemSize int, startChunk, endChunk, totalChunks int64) (lo, hi int64) {
-	if totalChunks <= 0 || n <= 0 || startChunk >= totalChunks {
-		return 0, 0
-	}
-	perLine := int64(64 / elemSize)
-	if perLine < 1 {
-		perLine = 1
-	}
-	lines := (n + perLine - 1) / perLine
-	per := lines / totalChunks
-	extra := lines % totalChunks
-	lineAt := func(chunk int64) int64 {
-		if chunk > totalChunks {
-			chunk = totalChunks
-		}
-		m := chunk
-		if extra < m {
-			m = extra
-		}
-		return chunk*per + m
-	}
-	lo = lineAt(startChunk) * perLine
-	hi = lineAt(endChunk) * perLine
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+	return sched.AlignedIdxRange(n, elemSize, s, e, t.nchunks)
 }

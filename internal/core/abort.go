@@ -446,9 +446,10 @@ func (r *Rank) checkPoison() {
 	}
 }
 
-// Abort poisons the runtime on behalf of the calling rank and unwinds it.
-// Every other rank blocked in the runtime unwinds too, and Run returns a
-// *RunError listing this rank as failed.  Abort does not return.
+// Abort poisons the runtime on behalf of the calling rank and unwinds it
+// (the analogue of MPI_Abort).  Every other rank blocked in the runtime
+// unwinds too, and Run returns a *RunError naming this rank as failed and
+// err as the cause.  Abort does not return.
 func (r *Rank) Abort(err error) {
 	if err == nil {
 		err = errors.New("aborted")

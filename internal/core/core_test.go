@@ -1205,20 +1205,6 @@ func TestRequestAccessorsAndRankIntrospection(t *testing.T) {
 	})
 }
 
-func TestTaskUnalignedIdxRange(t *testing.T) {
-	run(t, 1, func(r *Rank) {
-		task := r.NewTask(4, func(_, _ int64, _ any) {})
-		lo, hi := task.UnalignedIdxRange(100, 0, 4)
-		if lo != 0 || hi != 100 {
-			t.Errorf("unaligned full range = [%d,%d)", lo, hi)
-		}
-		lo, hi = task.UnalignedIdxRange(100, 1, 2)
-		if lo != 25 || hi != 50 {
-			t.Errorf("unaligned chunk = [%d,%d)", lo, hi)
-		}
-	})
-}
-
 func TestRunWithStatsDirect(t *testing.T) {
 	stats, err := RunWithStats(Config{NRanks: 2}, func(r *Rank) {
 		c := r.World()

@@ -385,12 +385,14 @@ type PersistentOp struct {
 	req *Request
 }
 
-// SendInit creates a persistent send of buf to dst with tag.
+// SendInit creates a persistent send of buf to dst with tag (MPI_Send_init);
+// post it with Start or Startall, complete it with its Wait.
 func (c *Comm) SendInit(buf []byte, dst, tag int) *PersistentOp {
 	return &PersistentOp{ep: c.SendChannel(dst, tag), buf: buf}
 }
 
-// RecvInit creates a persistent receive into buf from src with tag.
+// RecvInit creates a persistent receive into buf from src with tag
+// (MPI_Recv_init).
 func (c *Comm) RecvInit(buf []byte, src, tag int) *PersistentOp {
 	return &PersistentOp{ep: c.RecvChannel(src, tag), buf: buf}
 }

@@ -65,6 +65,8 @@ func (rt *Runtime) MonitorAddr() string {
 }
 
 // MonitorAddr returns the run's live-monitor address ("" when disabled).
+// With Config.MonitorAddr ":0" this is how a program learns which port the
+// monitor picked.
 func (r *Rank) MonitorAddr() string { return r.rt.MonitorAddr() }
 
 // RankStates renders the wait registry as the monitor's /ranks view.  It is

@@ -130,6 +130,9 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 // Comm returns the communicator the window was created over.
 func (win *Win) Comm() *Comm { return win.c }
 
+// Rank returns the caller's rank within the window's communicator.
+func (win *Win) Rank() int { return win.c.Rank() }
+
 // Size returns the window's member count.
 func (win *Win) Size() int { return win.w.N() }
 

@@ -10,7 +10,8 @@
 // (SPTD and Partitioned Reducer) bridged across nodes; communicators; and
 // the Pure Task scheduler with SSW-Loop work stealing.
 //
-// The public package pure wraps this with the application-facing API.
+// The public package pure names these types for applications: pure.Comm
+// is this package's Comm, and so on.
 package core
 
 import (
@@ -46,7 +47,9 @@ const (
 	DefaultTaskChunks = 64
 )
 
-// Config configures a Pure program launch.
+// Config configures a Pure program launch.  The zero value plus NRanks runs
+// all ranks on one virtual node with default thresholds; zero in any tuning
+// knob selects its default.
 type Config struct {
 	// NRanks is the number of application ranks (fixed for the program).
 	NRanks int
@@ -55,17 +58,24 @@ type Config struct {
 	Spec topology.Spec
 	// RanksPerNode caps ranks per node (0 = node capacity).
 	RanksPerNode int
-	// Policy/Seats select the rank-to-hardware mapping (topology package).
+	// Policy selects the rank-to-hardware mapping (SMP block placement by
+	// default); Seats supplies an explicit per-rank mapping for
+	// Policy == topology.Custom (e.g. built from a CrayPAT reorder file via
+	// topology.PlacementFromReorder).
 	Policy topology.Policy
 	Seats  []topology.HWThread
 
-	// SmallMsgMax is the eager/rendezvous protocol threshold in bytes.
+	// SmallMsgMax is the eager/rendezvous protocol threshold in bytes
+	// (default DefaultSmallMsgMax, 8 KiB).
 	SmallMsgMax int
-	// PBQSlots is the eager queue depth per channel.
+	// PBQSlots is the eager queue depth per channel (default 16).
 	PBQSlots int
-	// SPTDMax is the SPTD/PartitionedReducer collective threshold in bytes.
+	// SPTDMax is the SPTD/PartitionedReducer collective threshold in bytes
+	// (default 2 KiB).
 	SPTDMax int
-	// SpinBudget is the SSW-Loop probe count between yields.
+	// SpinBudget is the SSW-Loop probe count between yields.  The default
+	// is 64 when every rank and helper has a processor, and shrinks as the
+	// node is oversubscribed.
 	SpinBudget int
 
 	// Transport, when it lists Addrs, makes this OS process one node of a
@@ -73,23 +83,30 @@ type Config struct {
 	// cooperating process per node in Transport.Addrs, and all cross-node
 	// traffic — two-sided sends, leader-tree collective legs, and RMA frames
 	// — travels the transport's sequenced, acked, heartbeat-monitored links.
-	// Spec.Nodes must equal len(Transport.Addrs).  Transport.Faults injects
-	// link-level drops and delays, which the link protocol recovers.  When
-	// nil, a Spec of several nodes runs every node in this process, over the
-	// same links on an in-memory network (see runNodes).  A Transport without
-	// Addrs means the same in-process run with these link settings — fault
-	// plan, retry, heartbeat and drain — on every node; it needs a Spec of
-	// several nodes and Node 0.
+	// Launch one process per node with matching configs, normally via
+	// cmd/purerun, which passes the config through the environment
+	// (transport.FromEnv).  Spec.Nodes must equal len(Transport.Addrs).
+	// Transport.Faults injects link-level drops and delays, which the link
+	// protocol recovers.  When nil, a Spec of several nodes runs every node
+	// in this process, over the same links on an in-memory network (see
+	// runNodes).  A Transport without Addrs means the same in-process run
+	// with these link settings — fault plan, retry, heartbeat and drain — on
+	// every node; it needs a Spec of several nodes and Node 0.  So every
+	// process of a multi-process job must list Addrs: node 0 without them
+	// would run the whole job alone.
 	Transport *transport.Config
 
 	// HangTimeout arms the watchdog: when every live rank is blocked and no
 	// rank makes progress for this long, the runtime diagnoses the hang
 	// (wait-for cycle vs. lost-message stall), aborts, and Run returns a
-	// *RunError naming the blocked ranks.  Zero disables the watchdog.
+	// *RunError naming each blocked rank, what it was waiting on, and — for
+	// true deadlocks — the rank-to-rank wait-for cycle.  Zero disables the
+	// watchdog.  See docs/ROBUSTNESS.md for choosing a value.
 	HangTimeout time.Duration
 	// Deadline aborts the run after this much wall-clock time regardless of
 	// progress.  Zero means no deadline.  Abort is cooperative: a rank that
-	// never re-enters the runtime (a pure compute loop) cannot be unwound.
+	// never re-enters the runtime (a pure compute loop) cannot be unwound
+	// and is reported as running.
 	Deadline time.Duration
 
 	// HelpersPerNode starts that many pure helper threads on each node
@@ -103,23 +120,26 @@ type Config struct {
 	// Trace, when non-nil, receives runtime events (p2p posts per protocol
 	// path, PBQ stalls, rendezvous handoffs, collective spans with SPTD round
 	// numbers, steal latencies, task executions).  It must be sized for
-	// NRanks ranks (obs.NewTrace).  When nil, every instrumentation site
-	// costs a single pointer nil check.
+	// NRanks ranks (obs.NewTrace(NRanks, 0)).  When nil, every
+	// instrumentation site costs a single pointer nil check.  See
+	// docs/OBSERVABILITY.md.
 	Trace *obs.Trace
-	// Metrics, when non-nil, is the registry the run reports through: a
-	// snapshot taken at any time — mid-run, or after Run has returned — reads
-	// the ranks' counters, the link counters and the runtime's few registry
-	// objects as they stand (see collector).  Setting it is also what
-	// makes the ranks' counter updates atomic.
+	// Metrics, when non-nil, is the registry the run reports through
+	// (obs.NewMetrics): a snapshot taken at any time — mid-run, or after Run
+	// has returned — reads the ranks' counters, the link counters and the
+	// runtime's few registry objects as they stand (see collector).  Setting
+	// it is also what makes the ranks' counter updates atomic.
 	Metrics *obs.Metrics
 	// MonitorAddr, when non-empty, serves the live runtime monitor on that
 	// TCP address for the duration of the run: a Prometheus scrape of
-	// Config.Metrics at /metrics, every rank's current wait state at /ranks,
-	// and net/http/pprof.  ":0" picks a free port; Runtime.MonitorAddr
-	// returns the bound address.  The monitor itself does not enable
-	// metrics or tracing — it serves whatever the configuration already
-	// records, so its steady-state cost is an idle listener plus the lazy
-	// wait-record publication (<5% on the ping-pong benchmark).
+	// Config.Metrics at /metrics, every rank's current wait state (what it
+	// waits on, and for how long) at /ranks, and the standard Go profiles at
+	// /debug/pprof.  ":0" picks a free port; Rank.MonitorAddr returns the
+	// bound address.  The monitor itself does not enable metrics or tracing
+	// — it serves whatever the configuration already records, so its
+	// steady-state cost is an idle listener plus the lazy wait-record
+	// publication (<5% on the ping-pong benchmark).  See
+	// docs/OBSERVABILITY.md.
 	MonitorAddr string
 
 	inProcess bool // set by withDefaults: runNodes runs every node here, over Transport
@@ -636,7 +656,8 @@ func (rt *Runtime) newRank(id int) *Rank {
 	return r
 }
 
-// Metrics returns the run's metrics registry, or nil when metrics are off.
+// Metrics returns the run's metrics registry (Config.Metrics), or nil when
+// metrics are off.  Ranks may snapshot or extend it mid-run.
 func (r *Rank) Metrics() *obs.Metrics { return r.rt.cfg.Metrics }
 
 func allRanks(n int) []int {
@@ -647,7 +668,8 @@ func allRanks(n int) []int {
 	return m
 }
 
-// StealStats reports a rank's lifetime stealing counters (diagnostics).
+// StealStats reports the rank's lifetime stealing counters: steal attempts
+// and chunks stolen.
 func (r *Rank) StealStats() (attempts, stolen int64) {
 	return r.thief.Attempts, r.thief.Stolen
 }

@@ -69,11 +69,14 @@ func (s *Shm) Comm() *Comm { return s.win.c }
 // Win returns the backing window (for Notify/NotifyWait interop).
 func (s *Shm) Win() *Win { return s.win }
 
-// Local returns the calling rank's own symmetric region.
-func (s *Shm) Local() []byte { return s.buf }
+// Rank returns the caller's rank within the heap's communicator.
+func (s *Shm) Rank() int { return s.win.c.Rank() }
 
-// Size returns the symmetric region size in bytes.
-func (s *Shm) Size() int64 { return s.h.Size() }
+// Size returns the heap's member count.
+func (s *Shm) Size() int { return s.win.c.Size() }
+
+// HeapBytes returns the symmetric region size in bytes.
+func (s *Shm) HeapBytes() int64 { return s.h.Size() }
 
 // Malloc returns the offset of a fresh n-byte symmetric allocation
 // (rounded up to whole cells).  Symmetric discipline: every member calls
@@ -319,10 +322,10 @@ type Mailbox struct {
 }
 
 // NewMailbox collectively creates a mailbox owned by comm rank owner, with
-// capacity cap messages of at most slotBytes bytes (a positive multiple of
-// 8).  Every member calls it in the same order (it allocates from the
-// symmetric heap); the returned handle is a sender handle everywhere and
-// the consumer handle on the owner.
+// capacity cap messages (at least 2) of at most slotBytes bytes (a positive
+// multiple of 8).  Every member calls it in the same order (it allocates
+// from the symmetric heap); the returned handle is a sender handle
+// everywhere and the consumer handle on the owner.
 func (s *Shm) NewMailbox(owner, cap, slotBytes int) *Mailbox {
 	c := s.win.c
 	c.checkPeer(owner, "mailbox owner")
@@ -347,15 +350,6 @@ func (m *Mailbox) Owner() int { return m.owner }
 
 // Cap returns the ring capacity in messages.
 func (m *Mailbox) Cap() int { return m.ring.Cap }
-
-// SlotBytes returns the per-message payload capacity.
-func (m *Mailbox) SlotBytes() int { return m.ring.Slot }
-
-// Notifications returns the mailbox's cumulative notify-counter value
-// (the wake hint; it can trail the stamps, which are authoritative).
-func (m *Mailbox) Notifications() uint64 {
-	return m.s.win.w.NotifyCount(m.owner, m.slot)
-}
 
 // TrySend attempts to deliver msg without blocking; false means the ring
 // was full.  Intra-node senders run the model-checked ring steps directly
@@ -431,9 +425,9 @@ func (m *Mailbox) ready() bool {
 	return shmem.PollStamp(m.s.buf, m.ring, m.head)
 }
 
-// Poll attempts to consume one message into dst (which must hold SlotBytes
-// bytes) without blocking, returning its length and true, or (0, false)
-// when the mailbox is empty.  Owner only.
+// Poll attempts to consume one message into dst (which must hold the
+// mailbox's slotBytes) without blocking, returning its length and true, or
+// (0, false) when the mailbox is empty.  Owner only.
 func (m *Mailbox) Poll(dst []byte) (int, bool) {
 	m.checkOwner("Poll")
 	r := m.s.win.c.r

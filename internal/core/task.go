@@ -25,7 +25,10 @@ type Task struct {
 
 // NewTask defines a task split into nchunks chunks.  nchunks defaults to
 // DefaultTaskChunks when zero and is capped by the runtime's configured
-// maximum (PURE_MAX_TASK_CHUNKS in the paper's build system).
+// maximum (PURE_MAX_TASK_CHUNKS in the paper's build system).  body receives
+// a half-open chunk range [start, end), which it must process exactly once
+// per execution, plus the per-execute argument; it must be thread-safe
+// across disjoint ranges.
 func (r *Rank) NewTask(nchunks int, body sched.Body) *Task {
 	if nchunks <= 0 {
 		nchunks = DefaultTaskChunks
@@ -68,9 +71,4 @@ func (t *Task) Execute(extra any) sched.RunStats {
 // pure_aligned_idx_range helper).
 func (t *Task) AlignedIdxRange(n int64, elemSize int, startChunk, endChunk int64) (lo, hi int64) {
 	return sched.AlignedIdxRange(n, elemSize, startChunk, endChunk, t.nchunks)
-}
-
-// UnalignedIdxRange is the unaligned variant.
-func (t *Task) UnalignedIdxRange(n int64, startChunk, endChunk int64) (lo, hi int64) {
-	return sched.UnalignedIdxRange(n, startChunk, endChunk, t.nchunks)
 }

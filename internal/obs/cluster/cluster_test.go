@@ -17,11 +17,13 @@ import (
 func fakeNode(node int, peers []int) *obs.Monitor {
 	reg := obs.NewMetrics()
 	reg.Counter("pure_sends_eager_total").Add(int64(10 * (node + 1)))
-	for _, p := range peers {
-		l := obs.Label{Key: "peer", Value: itoa(p)}
-		reg.CounterL("pure_link_frames_sent_total", l).Add(int64(100*node + p))
-		reg.GaugeL("pure_link_up", l).Set(1)
-	}
+	reg.Collect(func(s *obs.Sink) {
+		for _, p := range peers {
+			l := obs.Label{Key: "peer", Value: itoa(p)}
+			s.Counter(obs.SeriesName("pure_link_frames_sent_total", l), int64(100*node+p))
+			s.Gauge(obs.SeriesName("pure_link_up", l), 1)
+		}
+	})
 	mon := obs.NewMonitor(reg, func() []obs.RankState {
 		return []obs.RankState{{Rank: 2 * node, State: "running"}, {Rank: 2*node + 1, State: "done"}}
 	})

@@ -10,13 +10,6 @@ import (
 	"strings"
 )
 
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4): one TYPE comment per family, histogram buckets
 // cumulative with an explicit +Inf bucket plus _sum and _count series.

@@ -81,13 +81,3 @@ func TestMetricNameValidity(t *testing.T) {
 		}()
 	}
 }
-
-func TestSnapshotJSONEmptyRegistry(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewMetrics().Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "{") {
-		t.Fatalf("empty registry JSON = %q", buf.String())
-	}
-}

@@ -164,31 +164,3 @@ func splitSeries(series string) (family string, labels []Label, ok bool) {
 	}
 	return family, labels, true
 }
-
-// CounterL returns the counter for base with the given labels, creating it
-// if needed.  The handle is stable; resolve it once outside hot paths.
-func (m *Metrics) CounterL(base string, labels ...Label) *Counter {
-	series := SeriesName(base, labels...)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.counters[series]
-	if !ok {
-		c = &Counter{}
-		m.counters[series] = c
-	}
-	return c
-}
-
-// GaugeL returns the gauge for base with the given labels, creating it if
-// needed.
-func (m *Metrics) GaugeL(base string, labels ...Label) *Gauge {
-	series := SeriesName(base, labels...)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g, ok := m.gauges[series]
-	if !ok {
-		g = &Gauge{}
-		m.gauges[series] = g
-	}
-	return g
-}

@@ -73,11 +73,13 @@ func TestSplitSeriesRoundTrip(t *testing.T) {
 // ParsePrometheus, checking values, family typing, and TYPE dedup.
 func TestLabeledMetricsExportRoundTrip(t *testing.T) {
 	m := NewMetrics()
-	m.CounterL("pure_link_frames_sent_total", Label{"peer", "0"}).Add(7)
-	m.CounterL("pure_link_frames_sent_total", Label{"peer", "1"}).Add(11)
 	m.Counter("pure_plain_total").Add(3)
-	m.GaugeL("pure_link_up", Label{"peer", "0"}).Set(1)
-	m.GaugeL("weird", Label{"k", `a "quoted\" value` + "\nline2"}).Set(-5)
+	m.Collect(func(s *Sink) {
+		s.Counter(SeriesName("pure_link_frames_sent_total", Label{"peer", "0"}), 7)
+		s.Counter(SeriesName("pure_link_frames_sent_total", Label{"peer", "1"}), 11)
+		s.Gauge(SeriesName("pure_link_up", Label{"peer", "0"}), 1)
+		s.Gauge(SeriesName("weird", Label{"k", `a "quoted\" value` + "\nline2"}), -5)
+	})
 
 	var sb strings.Builder
 	if err := m.Snapshot().WritePrometheus(&sb); err != nil {
@@ -110,24 +112,6 @@ func TestLabeledMetricsExportRoundTrip(t *testing.T) {
 	wantWeird := SeriesName("weird", Label{"k", `a "quoted\" value` + "\nline2"})
 	if gauges[wantWeird] != -5 {
 		t.Fatalf("gauge with escaped value did not round-trip: %v", gauges)
-	}
-}
-
-// TestCounterLHandleStability checks that the same (base, labels) always
-// resolves to the same underlying counter, independent of label order.
-func TestCounterLHandleStability(t *testing.T) {
-	m := NewMetrics()
-	a := m.CounterL("x_total", Label{"a", "1"}, Label{"b", "2"})
-	b := m.CounterL("x_total", Label{"b", "2"}, Label{"a", "1"})
-	if a != b {
-		t.Fatal("label order produced distinct counter handles")
-	}
-	a.Add(5)
-	if b.Value() != 5 {
-		t.Fatal("handles disagree on value")
-	}
-	if g1, g2 := m.GaugeL("y", Label{"k", "v"}), m.GaugeL("y", Label{"k", "v"}); g1 != g2 {
-		t.Fatal("GaugeL returned distinct handles for the same series")
 	}
 }
 

@@ -149,22 +149,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSON(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("x_total").Add(5)
-	var buf bytes.Buffer
-	if err := m.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var round Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatal(err)
-	}
-	if len(round.Counters) != 1 || round.Counters[0].Value != 5 {
-		t.Fatalf("JSON round trip mangled: %+v", round)
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTrace(2, 16)
 	tr.Rank(0).Emit(KSendEager, 1, 64)

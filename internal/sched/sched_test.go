@@ -341,26 +341,6 @@ func TestAlignedIdxRangeDegenerate(t *testing.T) {
 	}
 }
 
-func TestUnalignedIdxRange(t *testing.T) {
-	prev := int64(0)
-	for c := int64(0); c < 7; c++ {
-		lo, hi := UnalignedIdxRange(100, c, c+1, 7)
-		if lo != prev {
-			t.Fatalf("chunk %d: lo=%d want %d", c, lo, prev)
-		}
-		prev = hi
-	}
-	if prev != 100 {
-		t.Fatalf("covered %d, want 100", prev)
-	}
-	if lo, hi := UnalignedIdxRange(100, 9, 12, 7); lo != 0 || hi != 0 {
-		t.Fatalf("degenerate: [%d,%d)", lo, hi)
-	}
-	if lo, hi := UnalignedIdxRange(100, 5, 12, 7); lo != 100*5/7 || hi != 100 {
-		t.Fatalf("clamped: [%d,%d)", lo, hi)
-	}
-}
-
 // Ablation: steal policies under a long imbalanced task.
 func BenchmarkAblationStealPolicies(b *testing.B) {
 	for _, cfg := range []struct {

@@ -39,17 +39,3 @@ func AlignedIdxRange(n int64, elemSize int, startChunk, endChunk, totalChunks in
 	}
 	return lo, hi
 }
-
-// UnalignedIdxRange is the plain even split without cacheline alignment
-// (the paper also ships an unaligned variant).
-func UnalignedIdxRange(n int64, startChunk, endChunk, totalChunks int64) (lo, hi int64) {
-	if totalChunks <= 0 || n <= 0 || startChunk >= totalChunks {
-		return 0, 0
-	}
-	if endChunk > totalChunks {
-		endChunk = totalChunks
-	}
-	lo = startChunk * n / totalChunks
-	hi = endChunk * n / totalChunks
-	return lo, hi
-}

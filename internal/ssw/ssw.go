@@ -313,10 +313,6 @@ func (c *WakeCell) blockTimed(timeout time.Duration) bool {
 	}
 }
 
-// Func returns the waiter as a plain wait function, the shape the collective
-// structures accept.
-func (w *Waiter) Func() func(cond func() bool) { return w.Wait }
-
 // SpinWait is a stealer-less wait used by code that has no task scheduler in
 // scope (the MPI baseline, unit tests).
 func SpinWait(cond func() bool) {

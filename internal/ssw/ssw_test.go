@@ -72,16 +72,6 @@ func TestWaitDrainsAllStealsBeforeParking(t *testing.T) {
 	}
 }
 
-func TestFuncAdapter(t *testing.T) {
-	w := &Waiter{}
-	f := w.Func()
-	n := 0
-	f(func() bool { n++; return n >= 3 })
-	if n != 3 {
-		t.Fatalf("adapter evaluated %d times, want 3", n)
-	}
-}
-
 func TestSpinBudgetDefault(t *testing.T) {
 	// A zero budget must fall back to the default and still terminate.
 	w := &Waiter{SpinBudget: 0}

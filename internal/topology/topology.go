@@ -51,11 +51,6 @@ type HWThread struct {
 	Thread int // hyperthread within the core
 }
 
-// GlobalCore returns a cluster-unique physical core id.
-func (h HWThread) GlobalCore(s Spec) int {
-	return (h.Node*s.SocketsPerNode+h.Socket)*s.CoresPerSocket + h.Core
-}
-
 // Index returns the cluster-unique hardware-thread id in [0, Nodes*HWThreadsPerNode).
 // Threads are numbered node-major, then socket, core, and hyperthread, which
 // matches the "compact" numbering used by CrayPAT.

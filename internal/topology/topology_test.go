@@ -289,12 +289,3 @@ func TestPlacementFromReorder(t *testing.T) {
 		t.Error("want error for overflow")
 	}
 }
-
-func TestGlobalCore(t *testing.T) {
-	s := CoriSpec(2)
-	h := HWThread{Node: 1, Socket: 1, Core: 3, Thread: 1}
-	// (1*2+1)*16+3 = 51
-	if got := h.GlobalCore(s); got != 51 {
-		t.Fatalf("GlobalCore = %d, want 51", got)
-	}
-}

@@ -14,21 +14,19 @@ package transport
 // peer's holding time removed.  The estimator keeps a sliding window of
 // samples and reports the offset of the minimum-delay sample (the standard
 // NTP filter: queueing only ever adds delay, so the fastest exchange is the
-// least distorted), plus a least-squares drift rate over the window's
-// low-delay samples.
+// least distorted).
 
 // clockWindow is the sliding sample window.  At the default 25ms heartbeat
 // cadence it spans ~1.6s — long enough to catch a quiet network moment,
-// short enough to track drift.
+// short enough to follow a drifting peer clock.
 const clockWindow = 64
 
 type clockObs struct {
-	at     int64 // local clock (t3)
 	offset int64
 	delay  int64
 }
 
-// ClockEstimator derives clock offset and drift for one peer from heartbeat
+// ClockEstimator derives the clock offset of one peer from heartbeat
 // echo samples.  Methods are not safe for concurrent use; the link guards
 // its estimator with clockMu.
 type ClockEstimator struct {
@@ -59,7 +57,6 @@ func (ce *ClockEstimator) AddSample(t0, t1, t2, t3 int64) bool {
 	ce.lastT0 = t0
 	ce.total++
 	obs := clockObs{
-		at:     t3,
 		offset: ((t1 - t0) + (t2 - t3)) / 2,
 		delay:  delay,
 	}
@@ -100,51 +97,4 @@ func (ce *ClockEstimator) Offset() (int64, bool) {
 func (ce *ClockEstimator) Delay() (int64, bool) {
 	b, ok := ce.best()
 	return b.delay, ok
-}
-
-// DriftPPB estimates the relative clock drift rate in parts per billion
-// (positive: the peer clock runs fast relative to ours) by a least-squares
-// fit of offset against local time over the window's low-delay samples.
-// ok is false until the window holds at least four such samples spanning
-// at least 100ms.
-func (ce *ClockEstimator) DriftPPB() (int64, bool) {
-	b, ok := ce.best()
-	if !ok {
-		return 0, false
-	}
-	// Only fit samples whose delay is close to the window minimum: the
-	// high-delay ones carry the queueing noise the min filter exists to
-	// reject, and they would dominate the regression.
-	limit := 2 * b.delay
-	var pts []clockObs
-	for _, o := range ce.win {
-		if o.delay <= limit {
-			pts = append(pts, o)
-		}
-	}
-	if len(pts) < 4 {
-		return 0, false
-	}
-	span := pts[len(pts)-1].at - pts[0].at
-	if span < 100e6 {
-		return 0, false
-	}
-	// Least squares on (at, offset), centered for numeric headroom.
-	t0 := pts[0].at
-	var sumT, sumO, sumTT, sumTO float64
-	for _, o := range pts {
-		t := float64(o.at - t0)
-		v := float64(o.offset)
-		sumT += t
-		sumO += v
-		sumTT += t * t
-		sumTO += t * v
-	}
-	n := float64(len(pts))
-	den := n*sumTT - sumT*sumT
-	if den == 0 {
-		return 0, false
-	}
-	slope := (n*sumTO - sumT*sumO) / den // ns of offset per ns of local time
-	return int64(slope * 1e9), true
 }

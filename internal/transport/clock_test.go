@@ -66,27 +66,6 @@ func TestClockEstimatorAsymmetricDelays(t *testing.T) {
 	}
 }
 
-func TestClockEstimatorDrift(t *testing.T) {
-	// The peer's clock gains 50µs per second: 50_000 ppb.
-	var c ClockEstimator
-	const ppb = 50_000
-	base := int64(1_000_000)
-	for i := int64(0); i < 20; i++ {
-		t0 := base + i*50_000_000 // one sample every 50ms, spanning ~1s
-		off := t0 * ppb / 1_000_000_000
-		if !sym(&c, t0, off, 30_000, 5_000) {
-			t.Fatalf("sample %d rejected", i)
-		}
-	}
-	got, ok := c.DriftPPB()
-	if !ok {
-		t.Fatal("DriftPPB() not ready after 20 samples over 1s")
-	}
-	if got < ppb-ppb/10 || got > ppb+ppb/10 {
-		t.Fatalf("DriftPPB() = %d, want %d ±10%%", got, ppb)
-	}
-}
-
 func TestClockEstimatorRejectsBadSamples(t *testing.T) {
 	var c ClockEstimator
 	if c.AddSample(0, 50, 60, 100) {

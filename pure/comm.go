@@ -7,34 +7,10 @@ import (
 
 // Comm is a communicator handle: a group of ranks that can exchange
 // point-to-point messages and execute collectives.  Semantics match MPI
-// (see the package documentation for the messaging rules).
-type Comm struct {
-	c *Comm_
-}
-
-// Comm_ aliases the runtime communicator to keep the facade thin.
-type Comm_ = core.Comm
-
-// Rank returns the caller's rank within the communicator.
-func (c *Comm) Rank() int { return c.c.Rank() }
-
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return c.c.Size() }
-
-// Send sends buf to dst with tag, blocking until buf is reusable.
-func (c *Comm) Send(buf []byte, dst, tag int) { c.c.Send(buf, dst, tag) }
-
-// Recv receives into buf from src with tag; returns the byte count.
-func (c *Comm) Recv(buf []byte, src, tag int) int { return c.c.Recv(buf, src, tag) }
-
-// Isend starts a nonblocking send of buf to dst.
-func (c *Comm) Isend(buf []byte, dst, tag int) *Request { return c.c.Isend(buf, dst, tag) }
-
-// Irecv starts a nonblocking receive into buf from src.
-func (c *Comm) Irecv(buf []byte, src, tag int) *Request { return c.c.Irecv(buf, src, tag) }
-
-// Wait blocks until req completes; returns the byte count for receives.
-func (c *Comm) Wait(req *Request) int { return c.c.Wait(req) }
+// (see the package documentation for the messaging rules); the methods,
+// including the typed helpers (SendFloat64s, AllreduceInt64, ...), are
+// documented on repro/internal/core's Comm.
+type Comm = core.Comm
 
 // Channel is a persistent point-to-point endpoint: the (peer, tag, comm)
 // resolution, trace/metric handles, and request pool are bound once, so its
@@ -55,25 +31,6 @@ type Channel = core.Channel
 // persistent requests, MPI_Send_init / MPI_Recv_init).
 type PersistentOp = core.PersistentOp
 
-// SendChannel returns the cached persistent send endpoint for (dst, tag);
-// repeated calls with the same arguments return the identical endpoint.
-func (c *Comm) SendChannel(dst, tag int) *Channel { return c.c.SendChannel(dst, tag) }
-
-// RecvChannel returns the cached persistent receive endpoint for (src, tag).
-func (c *Comm) RecvChannel(src, tag int) *Channel { return c.c.RecvChannel(src, tag) }
-
-// SendInit creates a persistent send of buf to dst with tag (MPI_Send_init);
-// post it with Start or Startall, complete it with its Wait.
-func (c *Comm) SendInit(buf []byte, dst, tag int) *PersistentOp {
-	return c.c.SendInit(buf, dst, tag)
-}
-
-// RecvInit creates a persistent receive into buf from src with tag
-// (MPI_Recv_init).
-func (c *Comm) RecvInit(buf []byte, src, tag int) *PersistentOp {
-	return c.c.RecvInit(buf, src, tag)
-}
-
 // Startall posts every persistent operation (MPI_Startall), receives first.
 func Startall(ops ...*PersistentOp) { core.Startall(ops...) }
 
@@ -81,39 +38,9 @@ func Startall(ops ...*PersistentOp) { core.Startall(ops...) }
 // persistent requests).
 func WaitallOps(ops ...*PersistentOp) { core.WaitallOps(ops...) }
 
-// Waitall completes all requests.
-func (c *Comm) Waitall(reqs ...*Request) { c.c.Waitall(reqs...) }
-
-// Barrier blocks until every rank in the communicator has entered it.
-func (c *Comm) Barrier() { c.c.Barrier() }
-
-// Allreduce element-wise reduces in into out across all ranks (both are raw
-// byte payloads of dt elements).
-func (c *Comm) Allreduce(in, out []byte, op Op, dt DType) { c.c.Allreduce(in, out, op, dt) }
-
-// Reduce reduces in to root's out (out may be nil elsewhere).
-func (c *Comm) Reduce(in, out []byte, root int, op Op, dt DType) { c.c.Reduce(in, out, root, op, dt) }
-
-// Bcast distributes root's buf to every rank.
-func (c *Comm) Bcast(buf []byte, root int) { c.c.Bcast(buf, root) }
-
-// Split partitions the communicator by color, ordering new ranks by (key,
-// old rank); color < 0 opts out and returns nil.  Collective.
-func (c *Comm) Split(color, key int) *Comm {
-	sub := c.c.Split(color, key)
-	if sub == nil {
-		return nil
-	}
-	return &Comm{c: sub}
-}
-
-// ---- Typed convenience wrappers ----
-//
-// The transport layer moves raw bytes; these helpers marshal Go numeric
+// Payload codecs: the runtime moves raw bytes, and these marshal Go numeric
 // slices through little-endian payloads, the fixed on-wire layout
-// implemented once in internal/codec and re-exported here.  They allocate a
-// scratch payload per call; performance-critical inner loops should marshal
-// once and reuse byte buffers via the raw calls.
+// implemented once in internal/codec.
 
 // Float64Bytes encodes vals into a fresh payload.
 func Float64Bytes(vals []float64) []byte { return codec.Float64Bytes(vals) }
@@ -132,89 +59,3 @@ func PutInt64s(b []byte, vals []int64) { codec.PutInt64s(b, vals) }
 
 // GetInt64s decodes len(vals) int64s from b.
 func GetInt64s(vals []int64, b []byte) { codec.GetInt64s(vals, b) }
-
-// SendFloat64s sends vals to dst with tag.
-func (c *Comm) SendFloat64s(vals []float64, dst, tag int) {
-	c.Send(Float64Bytes(vals), dst, tag)
-}
-
-// RecvFloat64s receives exactly len(vals) float64s from src with tag.
-func (c *Comm) RecvFloat64s(vals []float64, src, tag int) {
-	b := make([]byte, 8*len(vals))
-	n := c.Recv(b, src, tag)
-	GetFloat64s(vals[:n/8], b[:n])
-}
-
-// AllreduceFloat64s element-wise reduces in into out across all ranks.
-func (c *Comm) AllreduceFloat64s(in, out []float64, op Op) {
-	ib := Float64Bytes(in)
-	ob := make([]byte, len(ib))
-	c.Allreduce(ib, ob, op, Float64)
-	GetFloat64s(out, ob)
-}
-
-// AllreduceFloat64 reduces a single float64 across all ranks.
-func (c *Comm) AllreduceFloat64(v float64, op Op) float64 {
-	out := make([]float64, 1)
-	c.AllreduceFloat64s([]float64{v}, out, op)
-	return out[0]
-}
-
-// AllreduceInt64 reduces a single int64 across all ranks.
-func (c *Comm) AllreduceInt64(v int64, op Op) int64 {
-	ib := Int64Bytes([]int64{v})
-	ob := make([]byte, 8)
-	c.Allreduce(ib, ob, op, Int64)
-	out := make([]int64, 1)
-	GetInt64s(out, ob)
-	return out[0]
-}
-
-// ReduceFloat64s reduces in to root's out (out may be nil elsewhere).
-func (c *Comm) ReduceFloat64s(in, out []float64, root int, op Op) {
-	ib := Float64Bytes(in)
-	var ob []byte
-	if out != nil {
-		ob = make([]byte, len(ib))
-	}
-	c.Reduce(ib, ob, root, op, Float64)
-	if out != nil && c.Rank() == root {
-		GetFloat64s(out, ob)
-	}
-}
-
-// BcastFloat64s broadcasts root's vals to every rank's vals.
-func (c *Comm) BcastFloat64s(vals []float64, root int) {
-	b := make([]byte, 8*len(vals))
-	if c.Rank() == root {
-		PutFloat64s(b, vals)
-	}
-	c.Bcast(b, root)
-	GetFloat64s(vals, b)
-}
-
-// BcastInt64 broadcasts a single int64 from root.
-func (c *Comm) BcastInt64(v int64, root int) int64 {
-	b := Int64Bytes([]int64{v})
-	c.Bcast(b, root)
-	out := make([]int64, 1)
-	GetInt64s(out, b)
-	return out[0]
-}
-
-// Gather collects every rank's equal-sized in into root's out (which must
-// hold Size()*len(in) bytes; non-roots may pass nil).
-func (c *Comm) Gather(in, out []byte, root int) { c.c.Gather(in, out, root) }
-
-// Allgather collects every rank's in into every rank's out
-// (Size()*len(in) bytes).
-func (c *Comm) Allgather(in, out []byte) { c.c.Allgather(in, out) }
-
-// Scatter distributes len(out)-byte slices of root's in to every rank's out.
-func (c *Comm) Scatter(in, out []byte, root int) { c.c.Scatter(in, out, root) }
-
-// Sendrecv pairs a send and a receive without deadlock risk (the analogue
-// of MPI_Sendrecv); returns the received byte count.
-func (c *Comm) Sendrecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) int {
-	return c.c.Sendrecv(sendBuf, dst, sendTag, recvBuf, src, recvTag)
-}

@@ -26,7 +26,7 @@ type EventKind = obs.Kind
 type Metrics = obs.Metrics
 
 // MetricsSnapshot is a point-in-time copy of a Metrics registry; it exports
-// to JSON (WriteJSON) and the Prometheus text format (WritePrometheus).
+// to the Prometheus text format (WritePrometheus).
 type MetricsSnapshot = obs.Snapshot
 
 // NewTrace builds a tracer for nranks ranks with perRankEvents ring slots per

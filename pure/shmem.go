@@ -1,15 +1,14 @@
 package pure
 
-import (
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
-// The PGAS layer (shmem): an OpenSHMEM-style symmetric heap over RMA
-// windows, with addressed operations by (rank, offset) and actor-style
-// mailboxes on top.  See docs/SHMEM.md for the full semantics; the short
-// version:
+// Shmem is one rank's handle on a symmetric heap (the PE-local view of the
+// PGAS layer): an OpenSHMEM-style symmetric heap over RMA windows, with
+// addressed operations by (rank, offset) and actor-style mailboxes on top.
+// Its methods are documented on repro/internal/core's Shm, and docs/SHMEM.md
+// has the full semantics.  The short version:
 //
-//   - ShmemCreate collectively carves an identically sized, 8-aligned
+//   - Comm.ShmemCreate collectively carves an identically sized, 8-aligned
 //     region per rank; Malloc/Free run a deterministic symmetric allocator,
 //     so the k-th Malloc returns the same offset on every rank and one
 //     offset names the "same" object everywhere.
@@ -25,135 +24,9 @@ import (
 //   - Mailboxes are bounded MPSC rings in the owner's region: any rank
 //     Sends, the owner Polls/Recvs, and Select waits on several mailboxes
 //     at once, parked in the work-stealing SSW loop.
+type Shmem = core.Shm
 
-// Shmem is one rank's handle on a symmetric heap (the PE-local view).
-type Shmem struct {
-	s *core.Shm
-}
-
-// ShmemCreate collectively creates a symmetric heap of size bytes over the
-// communicator.  Every member must call it in the same order with the same
-// size; maxAllocs bounds lifetime Malloc calls (0 = a generous default).
-func (c *Comm) ShmemCreate(size int64, maxAllocs int) *Shmem {
-	return &Shmem{s: c.c.ShmemCreate(size, maxAllocs)}
-}
-
-// Rank returns the caller's rank within the heap's communicator.
-func (s *Shmem) Rank() int { return s.s.Comm().Rank() }
-
-// Size returns the heap's member count.
-func (s *Shmem) Size() int { return s.s.Comm().Size() }
-
-// HeapBytes returns the symmetric region size in bytes.
-func (s *Shmem) HeapBytes() int64 { return s.s.Size() }
-
-// Local returns the calling rank's own symmetric region (reads of cells
-// other ranks update concurrently must use AtomicLoad).
-func (s *Shmem) Local() []byte { return s.s.Local() }
-
-// Malloc returns the offset of a fresh n-byte symmetric allocation.
-// Symmetric discipline: every member calls Malloc/Free in the same order
-// and therefore computes the same offset (validated by a shared publish
-// table; divergence panics).  No implied barrier.
-func (s *Shmem) Malloc(n int64) int64 { return s.s.Malloc(n) }
-
-// Free releases the symmetric allocation at off (same ordering obligation
-// as Malloc).
-func (s *Shmem) Free(off int64) { s.s.Free(off) }
-
-// Put copies data into target's region at off (fire-and-forget inter-node;
-// complete with Quiet/Barrier).
-func (s *Shmem) Put(target int, off int64, data []byte) { s.s.Put(target, off, data) }
-
-// Get copies len(dest) bytes from target's region at off, blocking until
-// dest is filled.
-func (s *Shmem) Get(target int, off int64, dest []byte) { s.s.Get(target, off, dest) }
-
-// AtomicAdd folds delta into the 8-byte cell at (target, off); updates
-// from any rank are never lost.
-func (s *Shmem) AtomicAdd(target int, off, delta int64) { s.s.AtomicAdd(target, off, delta) }
-
-// AtomicFetchAdd folds delta into the cell at (target, off) and returns
-// the value it held immediately before.
-func (s *Shmem) AtomicFetchAdd(target int, off, delta int64) int64 {
-	return s.s.AtomicFetchAdd(target, off, delta)
-}
-
-// AtomicCAS compares-and-swaps the cell at (target, off), returning the
-// value it held immediately before (the swap happened iff that equals old).
-func (s *Shmem) AtomicCAS(target int, off, old, new int64) int64 {
-	return s.s.AtomicCAS(target, off, old, new)
-}
-
-// AtomicStore publishes v into the cell at (target, off).
-func (s *Shmem) AtomicStore(target int, off, v int64) { s.s.AtomicStore(target, off, v) }
-
-// AtomicLoad returns the cell at (target, off), serialized against every
-// other cell operation.
-func (s *Shmem) AtomicLoad(target int, off int64) int64 { return s.s.AtomicLoad(target, off) }
-
-// Quiet blocks until every outstanding operation this rank issued has been
-// applied at its target.
-func (s *Shmem) Quiet() { s.s.Quiet() }
-
-// Fence orders this rank's operations toward each target (structural in
-// this runtime; see docs/SHMEM.md).
-func (s *Shmem) Fence() { s.s.Fence() }
-
-// Barrier is Quiet plus a communicator barrier: on return, every member's
-// prior operations are applied everywhere.
-func (s *Shmem) Barrier() { s.s.Barrier() }
-
-// FreeHeap collectively releases the heap.
-func (s *Shmem) FreeHeap() { s.s.FreeHeap() }
-
-// Mailbox is an actor-style bounded queue owned by one rank: any member
-// Sends, only the owner Polls/Recvs.  Per-sender FIFO.
-type Mailbox struct {
-	m *core.Mailbox
-}
-
-// NewMailbox collectively creates a mailbox owned by comm rank owner with
-// capacity cap messages (at least 2) of at most slotBytes bytes (a
-// positive multiple of 8).  Allocates from the symmetric heap, so the same
-// call-ordering obligation as Malloc applies.
-func (s *Shmem) NewMailbox(owner, cap, slotBytes int) *Mailbox {
-	return &Mailbox{m: s.s.NewMailbox(owner, cap, slotBytes)}
-}
-
-// Owner returns the consuming rank.
-func (m *Mailbox) Owner() int { return m.m.Owner() }
-
-// Cap returns the ring capacity in messages.
-func (m *Mailbox) Cap() int { return m.m.Cap() }
-
-// SlotBytes returns the per-message payload capacity.
-func (m *Mailbox) SlotBytes() int { return m.m.SlotBytes() }
-
-// Notifications returns the mailbox's cumulative notify-counter value (a
-// wake hint that can trail the ring stamps, which are authoritative).
-func (m *Mailbox) Notifications() uint64 { return m.m.Notifications() }
-
-// TrySend attempts to deliver msg without blocking; false means full.
-func (m *Mailbox) TrySend(msg []byte) bool { return m.m.TrySend(msg) }
-
-// Send delivers msg, blocking while the ring is full.
-func (m *Mailbox) Send(msg []byte) { m.m.Send(msg) }
-
-// Poll attempts to consume one message into dst (at least SlotBytes long)
-// without blocking.  Owner only.
-func (m *Mailbox) Poll(dst []byte) (int, bool) { return m.m.Poll(dst) }
-
-// Recv consumes one message into dst, blocking until one arrives.  Owner
-// only; the wait steals work like every runtime wait.
-func (m *Mailbox) Recv(dst []byte) int { return m.m.Recv(dst) }
-
-// Select blocks until one of the caller-owned mailboxes has a message and
-// returns its index (lowest ready index wins); it does not consume.
-func (s *Shmem) Select(mboxes ...*Mailbox) int {
-	inner := make([]*core.Mailbox, len(mboxes))
-	for i, m := range mboxes {
-		inner[i] = m.m
-	}
-	return s.s.Select(inner...)
-}
+// Mailbox is an actor-style bounded queue owned by one rank, created
+// collectively by Shmem.NewMailbox: any member Sends, only the owner
+// Polls/Recvs.  Per-sender FIFO.
+type Mailbox = core.Mailbox
