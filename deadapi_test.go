@@ -38,6 +38,8 @@ var deadAPIAllowlist = map[string]string{
 	"core.ModelChannelTable.Endpoint":    "purecheck-only seam the endpoint model in internal/check drives",
 	"queue.NewPBQPacked":                 "ablation: the packed-slot PBQ the queue tests compare against",
 	"queue.PBQ.MaxPayload":               "payload bound the PBQ model in internal/check asserts against",
+	"sched.RandomSteal":                  "ablation 4 (DESIGN.md): the paper's victim policy, the baseline the sched ablation and model compare against",
+	"sched.SingleChunk":                  "ablation 4 (DESIGN.md): the paper's allocation mode, the baseline the sched ablation compares against",
 	"schedpoint.Set":                     "installs the checker's hooks; only the purecheck model tests call it",
 	"shmem.Heap.Extent":                  "the shmem model in internal/check reads allocator extents with it",
 	"shmem.Poll":                         "consumer step sequence the shmem model in internal/check drives (Mailbox runs the same steps)",
@@ -62,6 +64,8 @@ var deadAPIAllowlist = map[string]string{
 	"core.Shm.HeapBytes":       "public API: docs/API.md lists it beside Shmem.Rank and Size",
 	"core.Shm.Select":          "public API: docs/SHMEM.md documents the selector wait",
 	"core.Task.Chunks":         "public API: docs/API.md maps PURE_MAX_TASK_CHUNKS onto it",
+	"core.Win.Rget":            "public API: docs/API.md maps MPI_Rget onto it",
+	"core.Win.Rput":            "public API: docs/API.md maps MPI_Rput onto it",
 }
 
 // apiDecl is one exported identifier declared under internal/.
@@ -263,19 +267,7 @@ func referencedDecls(files []apiFile, pkgNames map[string]string, decls []*apiDe
 		}
 	}
 	for _, af := range files {
-		imports := make(map[string]string) // local name -> dir
-		for _, imp := range af.file.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(path, "repro/")
-			if !ok {
-				continue
-			}
-			local := pkgNames[dir]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = dir
-		}
+		imports := repoImports(af.file, pkgNames)
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -316,4 +308,212 @@ func within(nodes []ast.Node, pos token.Pos) bool {
 		}
 	}
 	return false
+}
+
+// unsetConfigAllowlist names the exported option fields that no non-test
+// code outside their package writes, each with the reason it stays.  Keys
+// are "<package>.<Type>.<Field>".  Like deadAPIAllowlist it can only
+// shrink: an entry whose field is written, or no longer declared, fails
+// TestEveryConfigFieldIsSet.
+var unsetConfigAllowlist = map[string]string{
+	"core.Config.Deadline": "deployment setting: docs/ROBUSTNESS.md documents the wall-clock abort",
+	"core.Config.Policy":   "paper pillar: rank placement (PAPER.md); pure's custom-placement tests set it",
+	"core.Config.Seats":    "paper pillar: custom placement from CrayPAT reorder files (PAPER.md)",
+
+	"mpibase.Config.EagerMax": "cmd/mpi2pure maps it onto Config.SmallMsgMax when it translates a program",
+
+	"sched.Config.ChunkMode": "ablation 4 (DESIGN.md): BenchmarkAblationStealPolicies and the sched model run guided self-scheduling",
+	"sched.Config.Policy":    "ablation 4 (DESIGN.md): BenchmarkAblationStealPolicies and the sched model run the NUMA and sticky policies",
+	"sched.Config.SocketOf":  "ablation 4 (DESIGN.md): the NUMA-aware policy's socket table",
+
+	"shmemapp.BFSConfig.MailboxCap": "the full-ring tests shrink the mailboxes to drive the drain-and-retry path",
+	"shmemapp.HistConfig.OnRound":   "the live-chaos worker prints its per-round proof lines through it",
+
+	"statsd.GenConfig.Keys": "key-space size: the generator and frame tests in internal/statsd shrink it",
+
+	"transport.Config.DialBackoffMax":  "link timing the chaos suites shorten",
+	"transport.Config.DialTimeout":     "link timing the chaos suites shorten",
+	"transport.Config.DrainTimeout":    "link timing the chaos suites shorten",
+	"transport.Config.Faults":          "the link fault plan the chaos suites inject",
+	"transport.Config.MaxUnacked":      "resend-window depth the full-window tests shrink",
+	"transport.Config.RetryBackoff":    "link timing the chaos suites shorten",
+	"transport.Config.RetryBackoffMax": "link timing the chaos suites shorten",
+	"transport.Config.RetryBudget":     "link timing the chaos suites shorten",
+}
+
+// configField is one exported field of an option struct.
+type configField struct {
+	key  string // allowlist key
+	pos  token.Pos
+	dir  string
+	typ  string // struct type name
+	name string
+}
+
+// TestEveryConfigFieldIsSet fails on an exported field of a non-test struct
+// type named Config or ...Config outside benchmark/ (the options ROADMAP.md
+// counts) that no non-test file outside the field's package writes, unless
+// unsetConfigAllowlist says why it stays.  Files in cmd/, examples/ and
+// benchmark/ count as writers.  A write is a key in a composite literal
+// that names the type (aliases such as pure.Config resolve to the type they
+// name) or an assignment to a selector with the field's name.  A literal
+// whose type is elided inside a slice or map literal is not seen: a field
+// written only that way is reported as unset.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	fset := token.NewFileSet()
+	files, pkgNames := parseRepo(t, fset)
+	fields, aliases := configFields(files, pkgNames)
+	keyed, assigned := configWrites(files, pkgNames, aliases)
+	t.Logf("%d exported option fields", len(fields))
+
+	var bad []string
+	found := make(map[string]bool, len(fields))
+	for _, f := range fields {
+		found[f.key] = true
+		if outside(keyed[f.dir+"."+f.typ+"."+f.name], f.dir) || outside(assigned[f.name], f.dir) {
+			if _, ok := unsetConfigAllowlist[f.key]; ok {
+				bad = append(bad, fmt.Sprintf("stale unsetConfigAllowlist entry %s (now written): remove it", f.key))
+			}
+		} else if _, ok := unsetConfigAllowlist[f.key]; !ok {
+			bad = append(bad, fmt.Sprintf("%s: option field %s is set by nothing outside its package: delete it, or allowlist it with a reason", fset.Position(f.pos), f.key))
+		}
+	}
+	for key := range unsetConfigAllowlist {
+		if !found[key] {
+			bad = append(bad, fmt.Sprintf("stale unsetConfigAllowlist entry %s (no longer declared): remove it", key))
+		}
+	}
+	sort.Strings(bad)
+	for _, s := range bad {
+		t.Error(s)
+	}
+}
+
+// outside reports whether dirs holds a directory other than dir.
+func outside(dirs map[string]bool, dir string) bool {
+	for d := range dirs {
+		if d != dir {
+			return true
+		}
+	}
+	return false
+}
+
+// configFields lists the exported fields of the option structs, and returns
+// every package-level type alias ("<dir>.<Name>" to the type it names).
+func configFields(files []apiFile, pkgNames map[string]string) ([]configField, map[string]string) {
+	var fields []configField
+	aliases := make(map[string]string)
+	for _, af := range files {
+		imports := repoImports(af.file, pkgNames)
+		for _, decl := range af.file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if ts.Assign.IsValid() {
+					if to := typeKey(af.dir, imports, ts.Type); to != "" {
+						aliases[af.dir+"."+ts.Name.Name] = to
+					}
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !strings.HasSuffix(ts.Name.Name, "Config") ||
+					af.dir == "benchmark" || strings.HasPrefix(af.dir, "benchmark/") {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							key := pkgNames[af.dir] + "." + ts.Name.Name + "." + id.Name
+							fields = append(fields, configField{key, id.Pos(), af.dir, ts.Name.Name, id.Name})
+						}
+					}
+				}
+			}
+		}
+	}
+	return fields, aliases
+}
+
+// configWrites collects the writes to struct fields in every file: keyed
+// maps "<dir>.<Type>.<Field>" of each composite-literal key to the
+// directories writing it, and assigned maps each field name assigned
+// through a selector to the same.
+func configWrites(files []apiFile, pkgNames, aliases map[string]string) (keyed, assigned map[string]map[string]bool) {
+	keyed = make(map[string]map[string]bool)
+	assigned = make(map[string]map[string]bool)
+	note := func(m map[string]map[string]bool, key, dir string) {
+		if m[key] == nil {
+			m[key] = make(map[string]bool)
+		}
+		m[key][dir] = true
+	}
+	for _, af := range files {
+		imports := repoImports(af.file, pkgNames)
+		ast.Inspect(af.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				key := typeKey(af.dir, imports, n.Type)
+				for aliases[key] != "" {
+					key = aliases[key]
+				}
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok && key != "" {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							note(keyed, key+"."+id.Name, af.dir)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						note(assigned, sel.Sel.Name, af.dir)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return keyed, assigned
+}
+
+// repoImports maps the local names of a file's imports of this module's
+// packages to their directories.
+func repoImports(f *ast.File, pkgNames map[string]string) map[string]string {
+	imports := make(map[string]string)
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		dir, ok := strings.CutPrefix(path, "repro/")
+		if !ok {
+			continue
+		}
+		local := pkgNames[dir]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		imports[local] = dir
+	}
+	return imports
+}
+
+// typeKey names the type a type expression in dir denotes as
+// "<dir>.<Name>", or "" when it is not a named type of this module.
+func typeKey(dir string, imports map[string]string, e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return typeKey(dir, imports, x.X)
+	case *ast.Ident:
+		return dir + "." + x.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+			return imports[pkg.Name] + "." + x.Sel.Name
+		}
+	}
+	return ""
 }

@@ -85,6 +85,6 @@ func main() {
 	t1, s1 := run(4)
 	fmt.Printf("  with 4 helpers/node:    %v, %d task chunks stolen\n", t1, s1)
 	fmt.Println("helper threads occupy the idle hardware threads the sparse placement")
-	fmt.Println("leaves behind and steal task chunks (wall-clock gains need real cores;")
-	fmt.Println("this host multiplexes every rank onto one CPU)")
+	fmt.Println("leaves behind and steal task chunks (wall-clock gains need a free core")
+	fmt.Println("per helper; with fewer cores than ranks the helpers compete with them)")
 }

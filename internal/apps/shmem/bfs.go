@@ -41,8 +41,6 @@ type BFSConfig struct {
 	// Degree is the per-vertex skip-edge count on top of the ring edges
 	// (default 3).
 	Degree int
-	// Source is the BFS root (default 0).
-	Source int
 	// MailboxCap is the per-owner ring capacity in messages (default 64;
 	// small values exercise the full-ring drain path).
 	MailboxCap int
@@ -83,16 +81,16 @@ func bfsNeighbors(cfg BFSConfig, v int, dst []int) []int {
 	return dst
 }
 
-// BFSReference runs the serial oracle and returns every vertex's distance
-// (-1 for unreachable).
+// BFSReference runs the serial oracle from the root, vertex 0, and returns
+// every vertex's distance (-1 for unreachable).
 func BFSReference(cfg BFSConfig) []int64 {
 	cfg.defaults()
 	dist := make([]int64, cfg.Vertices)
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[cfg.Source] = 0
-	frontier := []int{cfg.Source}
+	dist[0] = 0
+	frontier := []int{0}
 	var scratch []int
 	for d := int64(1); len(frontier) > 0; d++ {
 		var next []int
@@ -116,10 +114,6 @@ func RunBFS(r *pure.Rank, cfg BFSConfig) (BFSResult, error) {
 	cfg.defaults()
 	c := r.World()
 	n, me := c.Size(), c.Rank()
-	if cfg.Source < 0 || cfg.Source >= cfg.Vertices {
-		return BFSResult{}, fmt.Errorf("shmemapp: BFS source %d outside [0,%d)", cfg.Source, cfg.Vertices)
-	}
-
 	// The symmetric heap only carries the mailboxes; the distance arrays
 	// are rank-private.
 	s := c.ShmemCreate(int64(n)*(8+int64(cfg.MailboxCap)*24)+256, n+8)
@@ -175,9 +169,9 @@ func RunBFS(r *pure.Rank, cfg BFSConfig) (BFSResult, error) {
 		}
 	}
 
-	if cfg.Source%n == me {
-		dist[cfg.Source/n] = 0
-		frontier = append(frontier, cfg.Source/n)
+	if me == 0 { // the root, vertex 0
+		dist[0] = 0
+		frontier = append(frontier, 0)
 	}
 	s.Barrier()
 

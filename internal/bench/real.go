@@ -64,7 +64,7 @@ func RealHostPingPong(quick bool) Table {
 		Title:   "Real-runtime intra-node ping-pong on this host (validates Fig. 6's protocol gap)",
 		Columns: []string{"payload", "mpibase-rt", "pure-rt", "speedup"},
 		Notes: []string{
-			"medians of repeated runs; on this single-core host neither runtime can exploit parallel spin-waiting, so near-parity is expected — the protocol gap appears with real cores and in the DES placement curves",
+			"medians of repeated runs; the paper's protocol gap needs a core per spinning rank — with fewer cores than ranks both runtimes yield to the Go scheduler and the gap narrows; the DES placement curves show the full gap",
 		},
 	}
 	for _, sz := range sizes {

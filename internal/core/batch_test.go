@@ -294,7 +294,7 @@ func TestSpinBudgetDerivedFromLiveRanks(t *testing.T) {
 	got := 0
 	if err := Run(Config{NRanks: 4}, func(r *Rank) {
 		if r.ID() == 0 {
-			got = r.rt.cfg.SpinBudget
+			got = r.rt.cfg.spinBudget
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestSpinBudgetDerivedFromLiveRanks(t *testing.T) {
 	setProcs(t, 4)
 	if err := Run(Config{NRanks: 2}, func(r *Rank) {
 		if r.ID() == 0 {
-			got = r.rt.cfg.SpinBudget
+			got = r.rt.cfg.spinBudget
 		}
 	}); err != nil {
 		t.Fatal(err)

@@ -197,6 +197,44 @@ func TestPanicMidCollectiveUnblocksPeers(t *testing.T) {
 	}
 }
 
+// TestStolenChunkPanicUnwindsWaitingOwner: a chunk that panics on a thief
+// fails the thief's rank, and the owner, left waiting for that chunk in
+// Execute's straggler wait, unwinds with a task wait record.  On one
+// processor the owner takes chunk 0 before anyone can steal, and chunk 0
+// runs until chunk 1 has started elsewhere, so chunk 1 is always stolen.
+func TestStolenChunkPanicUnwindsWaitingOwner(t *testing.T) {
+	setProcs(t, 1)
+	var stolenStarted atomic.Bool
+	err := Run(Config{NRanks: 2}, func(r *Rank) {
+		if r.ID() == 1 {
+			r.World().Recv(make([]byte, 8), 0, 0) // steals while it waits; never satisfied
+			return
+		}
+		r.NewTask(2, func(start, end int64, _ any) {
+			if start == 1 {
+				stolenStarted.Store(true)
+				panic("stolen chunk exploded")
+			}
+			for !stolenStarted.Load() {
+				runtime.Gosched()
+			}
+		}).Execute(nil)
+	})
+	re := asRunError(t, err)
+	if re.Cause != CausePanic {
+		t.Fatalf("cause = %q, want %q (err: %v)", re.Cause, CausePanic, err)
+	}
+	if len(re.Failures) != 1 || re.Failures[0].Rank != 1 || !strings.Contains(re.Failures[0].Reason, "stolen chunk exploded") {
+		t.Fatalf("failures = %+v, want the thief, rank 1", re.Failures)
+	}
+	if len(re.Blocked) != 1 || re.Blocked[0].Rank != 0 {
+		t.Fatalf("blocked = %+v, want the owner, rank 0", re.Blocked)
+	}
+	if w := re.Blocked[0].Wait; w == nil || w.Kind != WaitTask {
+		t.Fatalf("owner wait = %s, want a task wait", w.describe())
+	}
+}
+
 func TestAllPanickedRanksReported(t *testing.T) {
 	// Every rank fails: the error must list them all, not just the first
 	// drained from the channel.

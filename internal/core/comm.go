@@ -127,7 +127,7 @@ func (rt *Runtime) newCommShared(id uint64, members []int) *commShared {
 			cells[j] = rt.cells[members[cr]]
 		}
 		sh.nodes[i] = &commNode{
-			sptd:  collective.NewSPTD(len(g), rt.cfg.SPTDMax),
+			sptd:  collective.NewSPTD(len(g), SPTDMax),
 			n:     len(g),
 			cells: cells,
 		}
@@ -306,7 +306,7 @@ func (c *Comm) Allreduce(in, out []byte, op collective.Op, dt collective.DType) 
 	node := sh.nodes[ni]
 	t0 := c.r.traceStart()
 	lw := c.collWait("allreduce", ni, tid)
-	if len(in) <= c.r.rt.cfg.SPTDMax {
+	if len(in) <= SPTDMax {
 		node.sptd.Allreduce(tid, in, out, op, dt, bridge, lw.wait)
 		lw.finish()
 		c.r.finishColl(obs.KAllreduce, t0, int64(node.sptd.Round(tid)))
@@ -336,7 +336,7 @@ func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.
 	}
 	t0 := c.r.traceStart()
 	lw := c.collWait("reduce", ni, tid)
-	if len(in) <= c.r.rt.cfg.SPTDMax {
+	if len(in) <= SPTDMax {
 		// On non-root nodes the local leader receives the node reduction and
 		// forwards it to the cross-node tree inside bridge.
 		sh.nodes[ni].sptd.Reduce(tid, localRoot, in, out, op, dt, bridge, lw.wait)
@@ -364,7 +364,7 @@ func (c *Comm) Bcast(buf []byte, root int) {
 	rootNi := sh.nodeIdxOfRank[root]
 	t0 := c.r.traceStart()
 
-	if len(buf) <= c.r.rt.cfg.SPTDMax {
+	if len(buf) <= SPTDMax {
 		rootGlobal := sh.members[root]
 		lw := c.collWait("bcast", ni, tid)
 		if ni == rootNi {

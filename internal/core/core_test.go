@@ -18,8 +18,8 @@ import (
 )
 
 func init() {
-	// The concurrency in these tests needs more than the host's single core
-	// to actually interleave.
+	// The concurrency in these tests needs several processors to interleave,
+	// whatever the host's core count.
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}

@@ -86,9 +86,9 @@ func runNodes(cfg Config, main func(r *Rank)) ([]RankStats, error) {
 // MemNet and returns each node's runtime (nil if it failed to start) and error.
 func runEachNode(cfg Config, main func(r *Rank)) ([]*Runtime, []error) {
 	nodes := cfg.Spec.Nodes
-	if cfg.SpinBudget == 0 {
+	if cfg.spinBudget == 0 {
 		// Every node's ranks and helpers share this process's scheduler.
-		cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), cfg.NRanks+nodes*cfg.HelpersPerNode)
+		cfg.spinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), cfg.NRanks+nodes*cfg.HelpersPerNode)
 	}
 	if cfg.Metrics == nil && cfg.MonitorAddr != "" {
 		// One registry for every node, so node 0's /metrics covers them all.

@@ -385,7 +385,7 @@ func TestChaosTCPSharedLinkRoundTrips(t *testing.T) {
 // boundaries and parks.
 func smallWindow() Config {
 	cfg := nodesConfig(2, 1)
-	cfg.Transport, cfg.SpinBudget = &transport.Config{MaxUnacked: 2}, 1
+	cfg.Transport, cfg.spinBudget = &transport.Config{MaxUnacked: 2}, 1
 	return cfg
 }
 

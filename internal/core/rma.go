@@ -309,15 +309,15 @@ func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 
 // Put copies data into target's window at byte offset off.  Intra-node it
 // is a single direct copy into the exposed buffer (the one unavoidable
-// payload copy); inter-node the operation is shipped as a frame and
-// completes — applied to target memory — at the next closing
+// payload copy) and allocates nothing; inter-node the operation is shipped
+// as a frame and completes — applied to target memory — at the next closing
 // synchronization (Fence, Complete, or a Wait on the request from Rput).
 // The transfer only becomes readable by the target after a synchronization
 // (fence/PSCW/notify) orders it; concurrent unordered access to the same
 // window bytes is an application data race, exactly as in MPI.
 func (win *Win) Put(data []byte, target, off int) {
-	if req := win.Rput(data, target, off); !req.done {
-		win.addPend(req)
+	if g, done := win.startPut(data, target, off); !done {
+		win.addPend(win.putRemote(g, target, off, data))
 	}
 }
 
@@ -326,6 +326,17 @@ func (win *Win) Put(data []byte, target, off int) {
 // the data has been applied to the target's window (stronger than MPI's
 // local completion), so the origin may reuse data immediately after.
 func (win *Win) Rput(data []byte, target, off int) *Request {
+	g, done := win.startPut(data, target, off)
+	if done {
+		return &Request{kind: reqRmaRemote, peer: int32(g), tag: rmaTag, comm: win.key.Comm, done: true}
+	}
+	return win.putRemote(g, target, off, data)
+}
+
+// startPut checks and counts a Put, and performs it when target shares
+// this rank's node.  It returns target's global rank and whether the Put
+// is done.
+func (win *Win) startPut(data []byte, target, off int) (int, bool) {
 	c := win.c
 	r := c.r
 	c.checkPeer(target, "Put target")
@@ -339,24 +350,43 @@ func (win *Win) Rput(data []byte, target, off int) *Request {
 	if sameNode {
 		win.w.CopyIn(target, off, data)
 		r.count(&r.stats.RmaPutCopies, 1)
-		return &Request{kind: reqRmaRemote, peer: int32(g), tag: rmaTag, comm: win.key.Comm, done: true}
 	}
-	f := &rma.Frame{Kind: rma.FramePut, WinSeq: win.key.Seq, Origin: uint32(c.myRank), Target: uint32(target), Off: uint64(off), Payload: data}
+	return g, sameNode
+}
+
+// putRemote ships a put of data to comm rank target (global rank g, on
+// another node) and returns the request the target's applied watermark
+// completes.  Window and shmem puts both travel this way.
+func (win *Win) putRemote(g, target, off int, data []byte) *Request {
+	r := win.c.r
+	f := &rma.Frame{Kind: rma.FramePut, WinSeq: win.key.Seq, Origin: uint32(win.c.myRank), Target: uint32(target), Off: uint64(off), Payload: data}
 	flow, seq := r.rmaTransmit(win.key.Comm, g, f)
 	return r.rmaRemoteReq(flow, seq, g, win.key.Comm)
 }
 
 // Get copies len(dest) bytes out of target's window at off into dest,
-// blocking until dest is filled.
+// blocking until dest is filled.  Intra-node it is one direct copy and
+// allocates nothing.
 func (win *Win) Get(dest []byte, target, off int) {
-	if req := win.Rget(dest, target, off); !req.done {
-		win.c.r.waitReq(req)
+	if g, done := win.startGet(dest, target, off); !done {
+		win.c.r.waitReq(win.getRemote(g, target, off, dest))
 	}
 }
 
 // Rget is the request-returning Get; dest is filled when the request
 // completes.
 func (win *Win) Rget(dest []byte, target, off int) *Request {
+	g, done := win.startGet(dest, target, off)
+	if done {
+		return &Request{kind: reqRmaGet, peer: int32(g), tag: rmaTag, comm: win.key.Comm, done: true, n: len(dest)}
+	}
+	return win.getRemote(g, target, off, dest)
+}
+
+// startGet checks and counts a Get, and performs it when target shares
+// this rank's node.  It returns target's global rank and whether the Get
+// is done.
+func (win *Win) startGet(dest []byte, target, off int) (int, bool) {
 	c := win.c
 	r := c.r
 	c.checkPeer(target, "Get target")
@@ -369,16 +399,30 @@ func (win *Win) Rget(dest []byte, target, off int) *Request {
 	g, sameNode := win.local(target)
 	if sameNode {
 		win.w.CopyOut(target, off, dest)
-		return &Request{kind: reqRmaGet, peer: int32(g), tag: rmaTag, comm: win.key.Comm, done: true, n: len(dest)}
 	}
+	return g, sameNode
+}
+
+// getRemote asks comm rank target (global rank g, on another node) for
+// len(dest) bytes at off and returns the request the reply completes.
+// Window and shmem gets both travel this way.
+func (win *Win) getRemote(g, target, off int, dest []byte) *Request {
+	r := win.c.r
+	req := r.rmaReplyReq(dest, g, win.key.Comm)
+	f := &rma.Frame{Kind: rma.FrameGetReq, WinSeq: win.key.Seq, Origin: uint32(win.c.myRank), Target: uint32(target), Off: uint64(off), Aux: req.seq, N: uint64(len(dest))}
+	r.rmaTransmit(win.key.Comm, g, f)
+	return req
+}
+
+// rmaReplyReq registers a request that the FrameGetRep carrying its id
+// completes by filling dest.
+func (r *Rank) rmaReplyReq(dest []byte, g int, commID uint64) *Request {
 	if r.rmaGets == nil {
 		r.rmaGets = make(map[uint64]*Request)
 	}
 	r.rmaGetSeq++
-	req := &Request{kind: reqRmaGet, buf: dest, peer: int32(g), tag: rmaTag, comm: win.key.Comm, seq: r.rmaGetSeq}
+	req := &Request{kind: reqRmaGet, buf: dest, peer: int32(g), tag: rmaTag, comm: commID, seq: r.rmaGetSeq}
 	r.rmaGets[r.rmaGetSeq] = req
-	f := &rma.Frame{Kind: rma.FrameGetReq, WinSeq: win.key.Seq, Origin: uint32(c.myRank), Target: uint32(target), Off: uint64(off), Aux: r.rmaGetSeq, N: uint64(len(dest))}
-	r.rmaTransmit(win.key.Comm, g, f)
 	return req
 }
 

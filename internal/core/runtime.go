@@ -39,9 +39,9 @@ const (
 	// DefaultPBQSlots is the PureBufferQueue depth (paper: "the configurable
 	// number of slots within the PBQ was not a material performance driver").
 	DefaultPBQSlots = 16
-	// DefaultSPTDMax is the small-collective payload bound (paper: SPTD used
-	// for arrays up to 2 KiB, Partitioned Reducer beyond).
-	DefaultSPTDMax = 2 << 10
+	// SPTDMax is the small-collective payload bound in bytes (paper: SPTD
+	// used for arrays up to 2 KiB, Partitioned Reducer beyond).
+	SPTDMax = 2 << 10
 	// DefaultTaskChunks is the default number of chunks a task splits into
 	// (the paper's PURE_MAX_TASK_CHUNKS Makefile variable).
 	DefaultTaskChunks = 64
@@ -70,13 +70,6 @@ type Config struct {
 	SmallMsgMax int
 	// PBQSlots is the eager queue depth per channel (default 16).
 	PBQSlots int
-	// SPTDMax is the SPTD/PartitionedReducer collective threshold in bytes
-	// (default 2 KiB).
-	SPTDMax int
-	// SpinBudget is the SSW-Loop probe count between yields.  The default
-	// is 64 when every rank and helper has a processor, and shrinks as the
-	// node is oversubscribed.
-	SpinBudget int
 
 	// Transport, when it lists Addrs, makes this OS process one node of a
 	// job over TCP: it runs only the ranks placed on Transport.Node, one
@@ -112,10 +105,6 @@ type Config struct {
 	// HelpersPerNode starts that many pure helper threads on each node
 	// (threads that only steal; paper §5.1, DT class A).
 	HelpersPerNode int
-	// ChunkMode / StealPolicy / OwnerSteals configure the task scheduler.
-	ChunkMode   sched.ChunkMode
-	StealPolicy sched.StealPolicy
-	OwnerSteals bool
 
 	// Trace, when non-nil, receives runtime events (p2p posts per protocol
 	// path, PBQ stalls, rendezvous handoffs, collective spans with SPTD round
@@ -143,6 +132,9 @@ type Config struct {
 	MonitorAddr string
 
 	inProcess bool // set by withDefaults: runNodes runs every node here, over Transport
+	// spinBudget is the SSW-Loop probe count between yields; zero derives
+	// it from how oversubscribed the process is (deriveSpinBudget).
+	spinBudget int
 }
 
 // withDefaults validates the configuration and fills zero values with the
@@ -161,8 +153,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}{
 		{"SmallMsgMax", cfg.SmallMsgMax},
 		{"PBQSlots", cfg.PBQSlots},
-		{"SPTDMax", cfg.SPTDMax},
-		{"SpinBudget", cfg.SpinBudget},
 		{"HelpersPerNode", cfg.HelpersPerNode},
 		{"RanksPerNode", cfg.RanksPerNode},
 	} {
@@ -217,9 +207,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.PBQSlots == 0 {
 		cfg.PBQSlots = DefaultPBQSlots
-	}
-	if cfg.SPTDMax == 0 {
-		cfg.SPTDMax = DefaultSPTDMax
 	}
 	return cfg, nil
 }
@@ -407,22 +394,9 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 	}
 	nRanks := len(place.RanksOnNode(myNode))
 	slots := nRanks + rcfg.HelpersPerNode
-	var socketOf []int
-	if rcfg.StealPolicy == sched.NUMAAwareSteal {
-		socketOf = make([]int, slots)
-		for i, rank := range place.RanksOnNode(myNode) {
-			socketOf[i] = place.SocketOf(rank)
-		}
-	}
 	rt.node = new(nodeState)
 	if slots > 0 { // a node the placement left empty runs nothing
-		rt.node.sched = sched.New(sched.Config{
-			Slots:       slots,
-			ChunkMode:   rcfg.ChunkMode,
-			Policy:      rcfg.StealPolicy,
-			SocketOf:    socketOf,
-			OwnerSteals: rcfg.OwnerSteals,
-		})
+		rt.node.sched = sched.New(sched.Config{Slots: slots})
 	}
 	rt.world = rt.newCommShared(worldCommID, allRanks(rcfg.NRanks))
 
@@ -466,8 +440,8 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 	// goroutines this node hosts — a 16-rank peer node must not throttle a
 	// process hosting one rank on idle cores.  (runNodes, whose nodes share
 	// one scheduler, derives it from all of them.)
-	if rcfg.SpinBudget == 0 {
-		rt.cfg.SpinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), nRanks+rcfg.HelpersPerNode)
+	if rcfg.spinBudget == 0 {
+		rt.cfg.spinBudget = deriveSpinBudget(runtime.GOMAXPROCS(0), nRanks+rcfg.HelpersPerNode)
 	}
 
 	// Start helper threads (paper: "extra threads that continuously try to
@@ -646,7 +620,7 @@ func (rt *Runtime) newRank(id int) *Rank {
 	// boundary, so a rank parked in any wait still exposes its windows and
 	// unblocks remote origins.
 	r.wait = ssw.Waiter{
-		Steal: r.thief, SpinBudget: rt.cfg.SpinBudget, Poison: rt.abortErr, Progress: r.rmaProgress,
+		Steal: r.thief, SpinBudget: rt.cfg.spinBudget, Poison: rt.abortErr, Progress: r.rmaProgress,
 		Cell: rt.cells[id],
 	}
 	if rt.tp != nil {

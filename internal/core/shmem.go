@@ -118,17 +118,12 @@ func (s *Shm) shipPend(g, target int, op *shmem.Op) {
 	s.win.addPend(r.rmaRemoteReq(flow, seq, g, s.win.key.Comm))
 }
 
-// shipFetch ships a fetching op (get/fetch-add/cas) and returns the
+// shipFetch ships a fetching atomic (fetch-add/cas) and returns the
 // request its reply completes; dest receives the reply payload.
 func (s *Shm) shipFetch(g, target int, op *shmem.Op, dest []byte) *Request {
 	r := s.win.c.r
-	if r.rmaGets == nil {
-		r.rmaGets = make(map[uint64]*Request)
-	}
-	r.rmaGetSeq++
-	op.Req = r.rmaGetSeq
-	req := &Request{kind: reqRmaGet, buf: dest, peer: int32(g), tag: rmaTag, comm: s.win.key.Comm, seq: r.rmaGetSeq}
-	r.rmaGets[r.rmaGetSeq] = req
+	req := r.rmaReplyReq(dest, g, s.win.key.Comm)
+	op.Req = req.seq
 	f := &rma.Frame{Kind: rma.FrameShmem, WinSeq: s.win.key.Seq,
 		Origin: uint32(s.win.c.myRank), Target: uint32(target), Payload: op.Encode(nil)}
 	r.rmaTransmit(s.win.key.Comm, g, f)
@@ -136,10 +131,10 @@ func (s *Shm) shipFetch(g, target int, op *shmem.Op, dest []byte) *Request {
 }
 
 // Put copies data into target's symmetric region at off.  Intra-node it is
-// one direct copy (zero allocations); inter-node it is fire-and-forget,
-// applied to target memory by the next Quiet/Barrier.  Like rma Put,
-// unordered concurrent access to the same bytes is an application race —
-// use the atomic cells for concurrently updated words.
+// one direct copy (zero allocations); inter-node it is fire-and-forget, sent
+// as a window Put and applied to target memory by the next Quiet/Barrier.
+// Like rma Put, unordered concurrent access to the same bytes is an
+// application race — use the atomic cells for concurrently updated words.
 func (s *Shm) Put(target int, off int64, data []byte) {
 	c := s.win.c
 	r := c.r
@@ -151,12 +146,13 @@ func (s *Shm) Put(target int, off int64, data []byte) {
 		s.win.w.CopyIn(target, int(off), data)
 		return
 	}
-	s.shipPend(g, target, &shmem.Op{Kind: shmem.OpPut, Off: off, Data: data})
+	s.win.addPend(s.win.putRemote(g, target, int(off), data))
 }
 
 // Get copies len(dest) bytes from target's symmetric region at off,
-// blocking until dest is filled.  Not atomic with respect to concurrent
-// cell updates — use AtomicLoad for single hot cells.
+// blocking until dest is filled; inter-node it is sent as a window Get.  Not
+// atomic with respect to concurrent cell updates — use AtomicLoad for single
+// hot cells.
 func (s *Shm) Get(target int, off int64, dest []byte) {
 	c := s.win.c
 	r := c.r
@@ -168,8 +164,7 @@ func (s *Shm) Get(target int, off int64, dest []byte) {
 		s.win.w.CopyOut(target, int(off), dest)
 		return
 	}
-	req := s.shipFetch(g, target, &shmem.Op{Kind: shmem.OpGet, Off: off, Val: int64(len(dest))}, dest)
-	r.waitReq(req)
+	r.waitReq(s.win.getRemote(g, target, int(off), dest))
 }
 
 // AtomicAdd folds delta into the cell at (target, off).  Intra-node it is
@@ -280,25 +275,16 @@ func (s *Shm) FreeHeap() {
 	s.win.c.r.rt.shmReg.Free(shmem.Key(s.win.key))
 }
 
-// shmemApply executes one arrived shmem op against this replica (called
-// from rmaApply on the target rank's own goroutine).  Atomic kinds go
-// through the same hardware atomics as the intra-node fast path; fetching
-// kinds reply on the existing get-reply path with the op's request id.
+// shmemApply executes one arrived shmem atomic against this replica (called
+// from rmaApply on the target rank's own goroutine).  It goes through the
+// same hardware atomics as the intra-node fast path; fetching kinds reply
+// on the get-reply path with the op's request id.
 func (r *Rank) shmemApply(in *rmaInbox, w *rma.Window, f *rma.Frame) {
 	op, err := shmem.DecodeOp(f.Payload)
 	if err != nil {
 		panic(fmt.Sprintf("core: rank %d: corrupt shmem op from rank %d: %v", r.id, in.origin, err))
 	}
-	target := int(f.Target)
-	if op.Kind == shmem.OpGet {
-		w.Check(target, int(op.Off), int(op.Val), "shmem Get")
-		data := make([]byte, op.Val)
-		w.CopyOut(target, int(op.Off), data)
-		rep := &rma.Frame{Kind: rma.FrameGetRep, WinSeq: f.WinSeq, Origin: f.Target, Target: f.Origin, Aux: op.Req, Payload: data}
-		r.rmaTransmit(in.comm, in.origin, rep)
-		return
-	}
-	old, wantRep := op.Apply(w.Buffer(target))
+	old, wantRep := op.Apply(w.Buffer(int(f.Target)))
 	if wantRep {
 		rep := &rma.Frame{Kind: rma.FrameGetRep, WinSeq: f.WinSeq, Origin: f.Target, Target: f.Origin, Aux: op.Req, Payload: binary.LittleEndian.AppendUint64(nil, uint64(old))}
 		r.rmaTransmit(in.comm, in.origin, rep)

@@ -59,8 +59,9 @@ type RankStats struct {
 	RmaBytesPut    int64 // bytes moved by Put and Accumulate posts
 	RmaBytesGot    int64 // bytes asked for by Get posts
 	// RmaPutCopies counts payload copies into window memory made by this
-	// rank — as the origin of an intra-node Put, or as the target applying a
-	// remote one; an intra-node Put is exactly one copy.
+	// rank — as the origin of an intra-node window Put, or as the target
+	// applying a remote window or shmem Put; an intra-node Put is exactly
+	// one copy.
 	RmaPutCopies int64
 	// RmaRemotePackets counts RMA frames this rank shipped to other nodes.
 	RmaRemotePackets int64

@@ -467,7 +467,7 @@ func TestSPTDCollectiveAllocs(t *testing.T) {
 		}{
 			{"barrier", 0, func(w *Comm, _, _ []byte) { w.Barrier() }},
 			{"allreduce-8B", 8, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
-			{"allreduce-2KiB", DefaultSPTDMax, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
+			{"allreduce-2KiB", SPTDMax, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
 			{"allreduce-64KiB", 64 << 10, func(w *Comm, in, out []byte) { w.Allreduce(in, out, collective.OpSum, collective.Float64) }},
 			{"reduce", 8, func(w *Comm, in, out []byte) { w.Reduce(in, out, 1, collective.OpSum, collective.Float64) }},
 			{"reduce-nil-out", 8, func(w *Comm, in, _ []byte) { w.Reduce(in, nil, 1, collective.OpSum, collective.Float64) }},

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/layout"
 	"repro/internal/schedpoint"
@@ -65,10 +66,6 @@ type Config struct {
 	Policy StealPolicy
 	// SocketOf maps slot -> NUMA domain for NUMAAwareSteal; nil means one domain.
 	SocketOf []int
-	// OwnerSteals lets a rank that finished allocating its own task's chunks
-	// steal from other tasks while waiting for stragglers.  The paper's
-	// owner simply waits; this is an extension (off by default).
-	OwnerSteals bool
 }
 
 // exec is the state of one task execution.  A fresh exec is allocated per
@@ -121,10 +118,19 @@ type Scheduler struct {
 	active []atomic.Pointer[exec] // the paper's active_tasks array
 	// sameSocket[s] lists the slots on slot s's socket (for NUMA-aware steals).
 	sameSocket [][]int
-	// ownerThieves are lazily created per-slot thieves for OwnerSteals waits
-	// (each slot's owner goroutine is the only user of its entry).
-	ownerThieves []*Thief
+	// Every steal probe on the node reads cfg and active.  The pad fills the
+	// struct out to two whole cachelines, the allocator's line-aligned
+	// 128-byte class; in the 96-byte class it straddles lines with its heap
+	// neighbours, and the heap layout that follows moved coll-intra's 8 B
+	// Allreduce p50 by +23 % (ROADMAP item 16).
+	_ [32]byte
 }
+
+// A Scheduler is exactly two cachelines.
+var (
+	_ [2*layout.CachelineBytes - unsafe.Sizeof(Scheduler{})]byte
+	_ [unsafe.Sizeof(Scheduler{}) - 2*layout.CachelineBytes]byte
+)
 
 // New builds a scheduler for cfg.Slots co-resident ranks.
 func New(cfg Config) *Scheduler {
@@ -134,11 +140,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.SocketOf != nil && len(cfg.SocketOf) != cfg.Slots {
 		panic(fmt.Sprintf("sched: SocketOf has %d entries for %d slots", len(cfg.SocketOf), cfg.Slots))
 	}
-	s := &Scheduler{
-		cfg:          cfg,
-		active:       make([]atomic.Pointer[exec], cfg.Slots),
-		ownerThieves: make([]*Thief, cfg.Slots),
-	}
+	s := &Scheduler{cfg: cfg, active: make([]atomic.Pointer[exec], cfg.Slots)}
 	if cfg.Policy == NUMAAwareSteal {
 		socketOf := cfg.SocketOf
 		if socketOf == nil {
@@ -189,30 +191,10 @@ func (s *Scheduler) Run(slot int, nchunks int64, body Body, extra any, wait func
 		localDone += end - start
 	}
 	// All chunks allocated; wait for thieves to finish executing theirs.
-	// The paper's owner simply waits; with OwnerSteals the owner spends the
-	// straggler wait stealing from *other* ranks' open tasks (an extension —
-	// off by default to match the paper).
-	if s.cfg.OwnerSteals {
-		th := s.ownerThief(slot)
-		for e.done.Load()+localDone != nchunks {
-			if !th.TrySteal() {
-				gosched()
-			}
-		}
-	} else {
-		wait(func() bool { return e.done.Load()+localDone == nchunks })
-	}
+	wait(func() bool { return e.done.Load()+localDone == nchunks })
 	schedpoint.Point("sched:run:close")
 	s.active[slot].Store(nil) // close
 	return RunStats{OwnerChunks: localDone, StolenChunks: nchunks - localDone}
-}
-
-// ownerThief returns a cached per-slot thief used for OwnerSteals waits.
-func (s *Scheduler) ownerThief(slot int) *Thief {
-	if s.ownerThieves[slot] == nil {
-		s.ownerThieves[slot] = s.NewThief(slot)
-	}
-	return s.ownerThieves[slot]
 }
 
 // stealGrab attempts to allocate one chunk range from the exec in the victim

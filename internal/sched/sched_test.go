@@ -393,52 +393,3 @@ func BenchmarkAblationStealPolicies(b *testing.B) {
 		})
 	}
 }
-
-func TestOwnerStealsFromOtherTasksWhileWaiting(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	// Slot 0's owner finishes allocating its own chunks, then — while its
-	// thieves lag — steals from slot 1's concurrently open task.
-	s := New(Config{Slots: 3, OwnerSteals: true})
-	var otherRan atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Slot 2 is a slow thief keeping slot 0's task alive past allocation.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := s.NewThief(2)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if !th.TrySteal() {
-				runtime.Gosched()
-			} else {
-				for i := 0; i < 3000; i++ {
-					_ = i * i
-				}
-			}
-		}
-	}()
-	// Slot 1 runs a long task concurrently (owner never finishes alone).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.Run(1, 400, func(start, end int64, _ any) {
-			for c := start; c < end; c++ {
-				otherRan.Add(1)
-				runtime.Gosched()
-			}
-		}, nil, spinWait)
-	}()
-	s.Run(0, 50, func(start, end int64, _ any) {
-		runtime.Gosched()
-	}, nil, spinWait)
-	close(stop)
-	wg.Wait()
-	if otherRan.Load() != 400 {
-		t.Fatalf("slot 1 task ran %d chunks, want 400", otherRan.Load())
-	}
-}

@@ -6,13 +6,13 @@
 // for stealing on its node, so idle cycles are soaked up by useful work.
 //
 // The paper pins one rank per hardware thread and spins unconditionally.
-// This port runs ranks as goroutines, frequently oversubscribed onto far
-// fewer cores (the development host has a single core), so unbounded
-// spinning would starve the very goroutine being waited on.  Waiter.Wait
-// therefore spins for a bounded budget and then yields to the Go scheduler
-// (runtime.Gosched), keeping the lock-free fast paths byte-identical while
-// preserving liveness.  The budget is configurable; with enough real cores a
-// large budget recovers the paper's pure-spin behaviour.
+// This port runs ranks as goroutines, often oversubscribed onto fewer cores
+// than ranks, so unbounded spinning would starve the very goroutine being
+// waited on.  Waiter.Wait therefore spins for a bounded budget and then
+// yields to the Go scheduler (runtime.Gosched), keeping the lock-free fast
+// paths byte-identical while preserving liveness.  The runtime picks the
+// budget from how many ranks share the processors: DefaultSpinBudget when
+// each has one, less as they are oversubscribed.
 //
 // Conditions completed by a socket rather than by another rank's store go
 // through Waiter.WaitIdle, which is event-driven: after one yield round the

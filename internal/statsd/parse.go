@@ -272,8 +272,8 @@ func Contribution(nameH, tagH uint64, typ MetricType, value float64) uint64 {
 // NBins is the flush-vector checksum bin count.  A key's bin is keyed off
 // KeyHash so every (metric, tagset, type) series lands in a stable bin;
 // 256 bins × 8 bytes on each of the verify and snapshot halves pushes the
-// flush vector past Config.SPTDMax, routing the rollup through the SPTD
-// partitioned reducer — the intended path for production-sized snapshots.
+// flush vector past the runtime's 2 KiB SPTD bound, routing the rollup
+// through the partitioned reducer — the intended path for production-sized snapshots.
 const NBins = 256
 
 // Bin maps an aggregation key to its flush-vector bin.

@@ -235,9 +235,6 @@ func (p *Placement) Seat(r int) HWThread { return p.seat[r] }
 // NodeOf returns the node index hosting rank r.
 func (p *Placement) NodeOf(r int) int { return p.seat[r].Node }
 
-// SocketOf returns the NUMA domain (within its node) hosting rank r.
-func (p *Placement) SocketOf(r int) int { return p.seat[r].Socket }
-
 // RanksOnNode returns the ranks placed on node n, ascending.  The returned
 // slice is shared; callers must not modify it.
 func (p *Placement) RanksOnNode(n int) []int { return p.ranksOfNode[n] }

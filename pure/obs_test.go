@@ -264,7 +264,6 @@ func TestInvalidConfigErrors(t *testing.T) {
 		{"zero ranks", Config{}, "NRanks"},
 		{"negative small-msg max", Config{NRanks: 2, SmallMsgMax: -1}, "SmallMsgMax"},
 		{"negative pbq slots", Config{NRanks: 2, PBQSlots: -4}, "PBQSlots"},
-		{"negative spin budget", Config{NRanks: 2, SpinBudget: -1}, "SpinBudget"},
 		{"seats without custom policy", Config{NRanks: 2, Seats: []Seat{{}, {}}}, "Custom"},
 		{"trace size mismatch", Config{NRanks: 2, Trace: NewTrace(3, 0)}, "Trace"},
 	}

@@ -68,25 +68,6 @@ const (
 	Uint8   = collective.Uint8
 )
 
-// ChunkMode selects task chunk allocation granularity.
-type ChunkMode = sched.ChunkMode
-
-// Chunk allocation modes.
-const (
-	SingleChunk          = sched.SingleChunk
-	GuidedSelfScheduling = sched.GuidedSelfScheduling
-)
-
-// StealPolicy selects how blocked ranks pick steal victims.
-type StealPolicy = sched.StealPolicy
-
-// Steal policies.
-const (
-	RandomSteal    = sched.RandomSteal
-	NUMAAwareSteal = sched.NUMAAwareSteal
-	StickySteal    = sched.StickySteal
-)
-
 // Spec describes the virtual cluster to run on; see topology.Spec.
 type Spec = topology.Spec
 

@@ -223,10 +223,10 @@ esac
 echo "== shmem model tests under -race (short budget; full run: make check)"
 PURE_CHECK_SEEDS=16 go test -race -tags purecheck -count=1 -run 'TestCheckShmem|TestCheckRMARegistry' ./internal/check
 
-echo "== shmem zero-allocation gate (intra-node Put/AtomicAdd hot paths)"
-# The PGAS claim rests on intra-node addressed ops being direct copies
-# and hardware atomics — allocation-free.
-zero_allocs "shmem intra-node" ./internal/core 'BenchmarkShmemPut$|BenchmarkShmemAtomicAdd$'
+echo "== one-sided zero-allocation gate (intra-node shmem Put/AtomicAdd, window Put)"
+# The PGAS and RMA claims rest on intra-node addressed ops being direct
+# copies and hardware atomics — allocation-free, with no request object.
+zero_allocs "one-sided intra-node" ./internal/core 'BenchmarkShmemPut$|BenchmarkShmemAtomicAdd$|BenchmarkRMAPut$'
 
 echo "== purebench RMA smoke (one-sided vs two-sided halo, quick scale)"
 go run ./cmd/purebench -quick -exp rma
