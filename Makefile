@@ -32,7 +32,6 @@ fuzz:
 	go test -count=1 -fuzz FuzzControlDecode -fuzztime 30s ./internal/transport
 	go test -count=1 -fuzz FuzzStatsdParse -fuzztime 30s ./internal/statsd
 	go test -count=1 -fuzz FuzzShardFrame -fuzztime 30s ./internal/statsd
-	go test -count=1 -fuzz FuzzShmemFrame -fuzztime 30s ./internal/shmem
 	go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 30s ./internal/obs
 	go test -count=1 -fuzz FuzzMergeExposition -fuzztime 30s ./internal/obs/cluster
 
@@ -67,7 +66,7 @@ verify:
 bench:
 	go test -run XXX -bench . -benchtime=1s ./internal/core
 
-# Headline microbenchmarks as JSON (BENCH_pr9.json) for cross-commit
+# Headline microbenchmarks as JSON (BENCH_pr10.json) for cross-commit
 # comparison.
 bench-json:
 	sh scripts/bench_json.sh

@@ -42,8 +42,6 @@ var deadAPIAllowlist = map[string]string{
 	"sched.SingleChunk":                  "ablation 4 (DESIGN.md): the paper's allocation mode, the baseline the sched ablation compares against",
 	"schedpoint.Set":                     "installs the checker's hooks; only the purecheck model tests call it",
 	"shmem.Heap.Extent":                  "the shmem model in internal/check reads allocator extents with it",
-	"shmem.Poll":                         "consumer step sequence the shmem model in internal/check drives (Mailbox runs the same steps)",
-	"shmem.Send":                         "producer step sequence the shmem model in internal/check drives (Mailbox runs the same steps)",
 	"ssw.SpinWait":                       "plain WaitFunc the collective and sched tests run their protocols with",
 	"topology.ParseReorderFile":          "paper input: CrayPAT rank-reorder files (PAPER.md)",
 	"topology.PlacementFromReorder":      "paper input: CrayPAT rank-reorder files (PAPER.md)",

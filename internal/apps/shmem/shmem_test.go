@@ -99,8 +99,8 @@ func TestHistogramSingleNode(t *testing.T) {
 	}
 }
 
-// TestHistogramCrossNode: every increment to a peer bin crosses a link as a
-// FrameShmem atomic add; exactness must survive.
+// TestHistogramCrossNode: every increment to a peer bin crosses a link as
+// one atomic-add RMA frame; exactness must survive.
 func TestHistogramCrossNode(t *testing.T) {
 	res := runHist(t, multiNodeCfg(2), HistConfig{Bins: 64, Items: 200, Rounds: 2, Seed: 11})
 	if !res.Exact {
@@ -171,8 +171,9 @@ func TestBFSSmallMailbox(t *testing.T) {
 	}
 }
 
-// TestBFSCrossNode sends the frontier through remote mailboxes (claim =
-// remote CAS, fill/publish = remote put/store on one FIFO flow).
+// TestBFSCrossNode sends the frontier through remote mailboxes: each
+// message is one delivery frame, and the owner runs the ring's producer
+// steps on its own region and replies "delivered" or "full".
 func TestBFSCrossNode(t *testing.T) {
 	res := runBFS(t, multiNodeCfg(2), BFSConfig{Vertices: 96, Degree: 2, MailboxCap: 8, Seed: 13})
 	if !res.Exact {
@@ -185,14 +186,15 @@ func TestBFSCrossNode(t *testing.T) {
 
 // TestChaosBFSLossy runs the mailbox frontier exchange over 15%-lossy
 // links: per-sender FIFO and exactly-once delivery must survive
-// retransmission, or distances diverge.  (A small graph: every claim is a
-// remote round trip, and every dropped one waits out a retransmit timer.)
+// retransmission, or distances diverge.  Every remote send is one round
+// trip (a delivery frame and the owner's reply), and every dropped frame
+// waits out a retransmit timer.
 func TestChaosBFSLossy(t *testing.T) {
 	for _, faults := range chaosFaults(t) {
 		seed := faults.Seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := lossyCfg(faults)
-			res := runBFS(t, cfg, BFSConfig{Vertices: 24, Degree: 2, MailboxCap: 4, Seed: seed + 1})
+			res := runBFS(t, cfg, BFSConfig{Vertices: 48, Degree: 2, MailboxCap: 4, Seed: seed + 1})
 			if !res.Exact {
 				t.Fatal("lossy-link BFS diverged from the serial reference")
 			}

@@ -48,6 +48,9 @@ type rmaInbox struct {
 	flow   *rmaFlow
 	comm   uint64
 	origin int // global origin rank
+	// from and to are the flow's origin and target as comm ranks: the
+	// Origin and Target every frame on it must name.
+	from, to uint32
 }
 
 // rmaFlowFor resolves (or creates) the flow for key, with a rank-local
@@ -99,7 +102,7 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 	// Subscribe to RMA frames from every member on another node: the
 	// origin-role kinds (put/acc/get-req/notify) and get replies all arrive
 	// on the same per-origin flow.
-	for _, g := range c.sh.members {
+	for cr, g := range c.sh.members {
 		if g == r.id || r.rt.place.SameNode(r.id, g) {
 			continue
 		}
@@ -109,7 +112,8 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 		}
 		if !r.rmaInSet[key] {
 			r.rmaInSet[key] = true
-			r.rmaIn = append(r.rmaIn, &rmaInbox{rc: r.rt.remote(key), flow: r.rmaFlowFor(key), comm: c.sh.id, origin: g})
+			r.rmaIn = append(r.rmaIn, &rmaInbox{rc: r.rt.remote(key), flow: r.rmaFlowFor(key), comm: c.sh.id, origin: g,
+				from: uint32(cr), to: uint32(c.myRank)})
 		}
 	}
 	if c.multiNode() {
@@ -250,11 +254,18 @@ func (r *Rank) rmaProgress() {
 	}
 }
 
-// rmaApply decodes and applies one arrived frame targeting this rank.
+// rmaApply decodes and applies one arrived frame targeting this rank.  A
+// field from the wire is checked against the flow and the window before it
+// sizes an allocation or indexes a flag, so a corrupt frame fails the rank
+// with a descriptive panic.
 func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 	f, err := rma.DecodeFrame(buf)
 	if err != nil {
 		panic(fmt.Sprintf("core: rank %d: corrupt RMA frame from rank %d: %v", r.id, in.origin, err))
+	}
+	if f.Origin != in.from || f.Target != in.to {
+		panic(fmt.Sprintf("core: rank %d: RMA %v frame names origin %d and target %d on the flow from comm rank %d to %d",
+			r.id, f.Kind, f.Origin, f.Target, in.from, in.to))
 	}
 	if f.Kind == rma.FrameGetRep {
 		req := r.rmaGets[f.Aux]
@@ -284,6 +295,7 @@ func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 			}
 		})
 	case rma.FrameGetReq:
+		w.Check(int(f.Target), int(f.Off), int(f.N), "remote Get")
 		data := make([]byte, f.N)
 		w.CopyOut(int(f.Target), int(f.Off), data)
 		rep := &rma.Frame{Kind: rma.FrameGetRep, WinSeq: f.WinSeq, Origin: f.Target, Target: f.Origin, Aux: f.Aux, Payload: data}
@@ -298,7 +310,7 @@ func (r *Rank) rmaApply(in *rmaInbox, buf []byte) {
 		// Cross-node PSCW: f.Origin completed access round f.Aux at f.Target
 		// (a rank on this node, polling in Wait).
 		w.Complete(int(f.Origin), int(f.Target), f.Aux)
-	case rma.FrameShmem:
+	case rma.FrameAtomicAdd, rma.FrameAtomicStore, rma.FrameFetchAdd, rma.FrameCAS, rma.FrameDeliver:
 		r.shmemApply(in, w, &f)
 	default:
 		panic(fmt.Sprintf("core: rank %d: unexpected RMA frame kind %v", r.id, f.Kind))

@@ -6,7 +6,7 @@
 // The package is deliberately transport-free.  Everything here operates on
 // shared memory within one address space; internal/core supplies the
 // glue that carries window operations between nodes (frames over the
-// modeled network) and the SSW wait loops that the epoch primitives block
+// inter-node links) and the SSW wait loops that the epoch primitives block
 // in.  The synchronization flags follow the SPTD discipline from
 // internal/collective: per-rank sequence-numbered atomics that each rank
 // advances monotonically, so a waiter only ever polls for "flag >= my
@@ -126,7 +126,7 @@ func (w *Window) checkRange(target, off, n int, what string) {
 	if target < 0 || target >= w.n {
 		panic(fmt.Sprintf("rma: %s target rank %d out of range [0,%d)", what, target, w.n))
 	}
-	if off < 0 || n < 0 || int64(off)+int64(n) > w.lens[target].Load() {
+	if off < 0 || n < 0 || int64(n) > w.lens[target].Load()-int64(off) { // no off+n: it can wrap
 		panic(fmt.Sprintf("rma: %s of %d bytes at offset %d overflows rank %d's %d-byte window",
 			what, n, off, target, w.lens[target].Load()))
 	}

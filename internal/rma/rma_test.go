@@ -2,11 +2,13 @@ package rma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/collective"
+	"repro/internal/shmem"
 )
 
 func spin(cond func() bool) {
@@ -152,6 +154,22 @@ func TestRegistryConverges(t *testing.T) {
 	}
 }
 
+// frameRoundTrip encodes f, decodes it and checks every field survives.
+func frameRoundTrip(t *testing.T, f Frame) {
+	t.Helper()
+	got, err := DecodeFrame(f.Encode())
+	if err != nil {
+		t.Fatalf("%v: decode: %v", f.Kind, err)
+	}
+	if got.Kind != f.Kind || got.WinSeq != f.WinSeq || got.Origin != f.Origin ||
+		got.Target != f.Target || got.Off != f.Off || got.Aux != f.Aux || got.N != f.N {
+		t.Fatalf("%v: header mismatch: %+v vs %+v", f.Kind, got, f)
+	}
+	if !bytes.Equal(got.Payload, f.Payload) {
+		t.Fatalf("%v: payload mismatch", f.Kind)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range []Frame{
 		{Kind: FramePut, WinSeq: 3, Origin: 1, Target: 2, Off: 64, Payload: []byte("hello")},
@@ -161,17 +179,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: FrameGetRep, Origin: 0, Target: 4, Aux: 42, Payload: bytes.Repeat([]byte{0xAB}, 256)},
 		{Kind: FrameNotify, WinSeq: 9, Origin: 2, Target: 3, Aux: 5},
 	} {
-		got, err := DecodeFrame(f.Encode())
-		if err != nil {
-			t.Fatalf("%v: decode: %v", f.Kind, err)
-		}
-		if got.Kind != f.Kind || got.WinSeq != f.WinSeq || got.Origin != f.Origin ||
-			got.Target != f.Target || got.Off != f.Off || got.Aux != f.Aux || got.N != f.N {
-			t.Fatalf("%v: header mismatch: %+v vs %+v", f.Kind, got, f)
-		}
-		if !bytes.Equal(got.Payload, f.Payload) {
-			t.Fatalf("%v: payload mismatch", f.Kind)
-		}
+		frameRoundTrip(t, f)
 	}
 	if _, err := DecodeFrame([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short frame decoded")
@@ -182,5 +190,73 @@ func TestFrameRoundTrip(t *testing.T) {
 	op, dt := UnpackAcc(PackAcc(collective.OpProd, collective.Int32))
 	if op != collective.OpProd || dt != collective.Int32 {
 		t.Fatalf("PackAcc round trip = (%v, %v)", op, dt)
+	}
+	if c, s := UnpackRing(PackRing(1<<32-1, 1<<32-8)); c != 1<<32-1 || s != 1<<32-8 {
+		t.Fatalf("PackRing round trip = (%d, %d)", c, s)
+	}
+}
+
+// TestAtomicFrameRoundTrip covers one frame of each symmetric-heap kind:
+// the four remote atomics and the mailbox delivery.
+func TestAtomicFrameRoundTrip(t *testing.T) {
+	for _, f := range []Frame{
+		{Kind: FrameAtomicAdd, WinSeq: 4, Origin: 1, Target: 0, Off: 16, N: uint64(1<<64 - 3)},
+		{Kind: FrameFetchAdd, WinSeq: 4, Origin: 0, Target: 1, Off: 24, Aux: 9, N: 1},
+		{Kind: FrameCAS, WinSeq: 4, Origin: 0, Target: 1, Off: 32, Aux: 11, N: 5,
+			Payload: binary.LittleEndian.AppendUint64(nil, 4)},
+		{Kind: FrameAtomicStore, WinSeq: 4, Origin: 1, Target: 0, Off: 40, N: 1 << 40},
+		{Kind: FrameDeliver, WinSeq: 4, Origin: 1, Target: 0, Off: 40, Aux: 12, N: PackRing(4, 16), Payload: []byte("hello")},
+	} {
+		frameRoundTrip(t, f)
+	}
+}
+
+// TestAtomicFrameRoundTripEdges covers the extremes the atomic frames
+// must carry exactly: a cell at the top of the largest legal symmetric
+// heap, extreme operands and the largest request id.
+func TestAtomicFrameRoundTripEdges(t *testing.T) {
+	maxOff := uint64(shmem.MaxHeapBytes - shmem.CellBytes)
+	for _, f := range []Frame{
+		{Kind: FrameAtomicAdd, Off: maxOff, N: 1},
+		{Kind: FrameCAS, Off: maxOff, N: 1<<63 - 1, Payload: bytes.Repeat([]byte{0xFF}, 8)},
+		{Kind: FrameAtomicStore, Off: maxOff, N: 1 << 63},
+		{Kind: FrameFetchAdd, Off: maxOff, Aux: 1<<64 - 1},
+	} {
+		frameRoundTrip(t, f)
+	}
+}
+
+// frameReject is one input DecodeFrame must refuse.
+type frameReject struct {
+	name string
+	wire []byte
+}
+
+// frameRejects lists the structurally broken frames: truncation, an
+// unknown kind, an offset past 2^63 (negative as an int64), and a payload
+// of the wrong length for a fixed-size kind.
+func frameRejects() []frameReject {
+	enc := func(f Frame) []byte { return f.Encode() }
+	return []frameReject{
+		{"empty", []byte{}},
+		{"short", bytes.Repeat([]byte{byte(FrameAtomicAdd)}, headerLen-1)},
+		{"zero kind", make([]byte, headerLen)},
+		{"unknown kind", append([]byte{0xFF}, make([]byte, headerLen-1)...)},
+		{"kind past deliver", append([]byte{byte(FrameDeliver) + 1}, make([]byte, headerLen-1)...)},
+		{"negative offset", enc(Frame{Kind: FrameAtomicAdd, Off: uint64(1<<64 - 8)})},
+		{"payload on add", enc(Frame{Kind: FrameAtomicAdd, Payload: []byte{'x'}})},
+		{"payload on fetch-add", enc(Frame{Kind: FrameFetchAdd, Payload: make([]byte, 8)})},
+		{"cas without a compare value", enc(Frame{Kind: FrameCAS, Off: 8})},
+		{"cas with a short compare value", enc(Frame{Kind: FrameCAS, Off: 8, Payload: make([]byte, 4)})},
+		{"payload on get-req", enc(Frame{Kind: FrameGetReq, N: 8, Payload: []byte{1}})},
+		{"delivery larger than its slot", enc(Frame{Kind: FrameDeliver, N: PackRing(4, 8), Payload: make([]byte, 9)})},
+	}
+}
+
+func TestDecodeFrameRejects(t *testing.T) {
+	for _, r := range frameRejects() {
+		if f, err := DecodeFrame(r.wire); err == nil {
+			t.Errorf("%s: DecodeFrame accepted %x as %+v", r.name, r.wire, f)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package shmem holds the runtime-free pieces of Pure's PGAS layer: the
-// symmetric-heap allocator, the word-atomic cell operations that remote
-// atomics resolve to, the mailbox ring protocol, and the wire codec for
-// shmem operations that cross OS processes.
+// symmetric-heap allocator, the word-atomic cell operations that local and
+// remote atomics resolve to, and the mailbox ring protocol.
 //
 // Like internal/rma (the substrate this package builds on), everything here
 // operates on shared memory within one address space and is deliberately
-// transport-free: internal/core supplies the glue that ships operations
-// between nodes as frames and applies them on the target's goroutine.  The
+// transport-free: internal/core ships each remote operation between nodes
+// as one RMA frame (internal/rma's frame kinds) and applies it on the
+// target's goroutine with these same functions.  The
 // division keeps the lock-free protocols model-checkable in isolation — the
 // internal/check model tests drive these functions directly through the
 // schedpoint seams, with no runtime underneath.

@@ -1,6 +1,10 @@
 package shmem
 
-import "repro/internal/schedpoint"
+import (
+	"fmt"
+
+	"repro/internal/schedpoint"
+)
 
 // The mailbox ring protocol.
 //
@@ -22,10 +26,10 @@ import "repro/internal/schedpoint"
 // recycled that slot yet.
 //
 // Everything below is a *step* of that protocol, phrased over a byte
-// region plus a Ring layout.  Local mailboxes run the steps directly on
-// the shared window; the core layer runs the same steps against a remote
-// region by mapping each one onto an addressed operation (claim -> remote
-// CAS, publish -> remote store, ...), and the model tests in
+// region plus a Ring layout.  Send and Poll run the producer and consumer
+// step sequences; they are the only entry points the core layer calls,
+// always on the owner node's memory (a remote sender's message is
+// delivered to the owner, which runs Send itself), and the model tests in
 // internal/check interleave the steps through the schedpoint seams.
 
 // Ring describes a mailbox ring's layout inside a symmetric region: a
@@ -38,14 +42,23 @@ type Ring struct {
 	Slot int   // payload bytes per slot (8-byte multiple, >= 8)
 }
 
-// RingBytes returns the footprint of a ring with cap slots of slot payload
-// bytes; Layout panics if slot is not a positive multiple of 8.
-func RingBytes(cap, slot int) int64 {
-	return CellBytes + int64(cap)*(2*CellBytes+int64(slot))
+// Check reports whether r is a usable ring inside a size-byte region:
+// cap >= 2 (see InitRing), an 8-byte-multiple slot of at least one cell,
+// and an 8-aligned base with the whole ring in range.  The footprint is
+// compared without computing it, so a geometry off the wire cannot
+// overflow.
+func (r Ring) Check(size int64) error {
+	if r.Cap < 2 || r.Slot < CellBytes || r.Slot%CellBytes != 0 {
+		return fmt.Errorf("shmem: mailbox ring needs cap >= 2 and an 8-byte-multiple slot size, got cap %d slot %d", r.Cap, r.Slot)
+	}
+	if r.Base < 0 || r.Base%CellBytes != 0 || int64(r.Cap) > (size-r.Base-CellBytes)/(2*CellBytes+int64(r.Slot)) {
+		return fmt.Errorf("shmem: mailbox ring of %d %d-byte slots at offset %d does not fit the %d-byte region", r.Cap, r.Slot, r.Base, size)
+	}
+	return nil
 }
 
 // Bytes returns r's total footprint.
-func (r Ring) Bytes() int64 { return RingBytes(r.Cap, r.Slot) }
+func (r Ring) Bytes() int64 { return CellBytes + int64(r.Cap)*(2*CellBytes+int64(r.Slot)) }
 
 // TailOff returns the offset of the shared ticket counter.
 func (r Ring) TailOff() int64 { return r.Base }
@@ -76,8 +89,8 @@ func (r Ring) SlotOf(t int64) int { return int(t % int64(r.Cap)) }
 // one and would overwrite the pending message (the internal/check
 // exhaustive mailbox test finds the resulting deadlock immediately).
 func InitRing(buf []byte, r Ring) {
-	if r.Cap < 2 || r.Slot < CellBytes || r.Slot%CellBytes != 0 {
-		panic("shmem: mailbox ring needs cap >= 2 and an 8-byte-multiple slot size")
+	if err := r.Check(int64(len(buf))); err != nil {
+		panic(err.Error())
 	}
 	AtomicStore(buf, int(r.TailOff()), 0)
 	for i := 0; i < r.Cap; i++ {
@@ -153,10 +166,11 @@ func Consume(buf []byte, r Ring, h int64, dst []byte) int {
 	return int(n)
 }
 
-// Send runs the full producer step sequence against a local region:
-// claim, fill, publish.  False means the ring was full.  (The core layer's
-// Mailbox.Send runs the same three steps, substituting addressed remote
-// operations when the owner is on another node.)
+// Send runs the full producer step sequence against the owner's region:
+// claim, fill, publish.  False means the ring was full.  The core layer's
+// Mailbox.TrySend calls it for every message: on the owner's buffer when
+// the sender shares the owner's node, and on the owner's goroutine when a
+// remote sender's message arrives as one delivery frame.
 func Send(buf []byte, r Ring, msg []byte) bool {
 	t, ok := SendClaim(buf, r)
 	if !ok {

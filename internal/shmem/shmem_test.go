@@ -310,26 +310,3 @@ func TestRingConcurrentSenders(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestOpApply(t *testing.T) {
-	buf := AlignedBytes(64)
-	(&Op{Kind: OpStore, Off: 16, Val: 40}).Apply(buf)
-	(&Op{Kind: OpAdd, Off: 16, Val: 2}).Apply(buf)
-	if old, rep := (&Op{Kind: OpFetchAdd, Off: 16, Val: 1}).Apply(buf); !rep || old != 42 {
-		t.Fatalf("fetch-add = (%d,%v), want (42,true)", old, rep)
-	}
-	if old, rep := (&Op{Kind: OpCAS, Off: 16, Cmp: 43, Val: 0}).Apply(buf); !rep || old != 43 {
-		t.Fatalf("cas = (%d,%v), want (43,true)", old, rep)
-	}
-	if got := AtomicLoad(buf, 16); got != 0 {
-		t.Fatalf("cell = %d after cas, want 0", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Apply on a zero Op did not panic")
-			}
-		}()
-		(&Op{}).Apply(buf)
-	}()
-}

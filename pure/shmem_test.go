@@ -174,8 +174,8 @@ func TestShmemCASLock(t *testing.T) {
 	}
 }
 
-// TestShmemRemoteOps runs every addressed operation across the modeled
-// network (one rank per node) and checks values end to end.
+// TestShmemRemoteOps runs every addressed operation across the
+// inter-node links (one rank per node) and checks values end to end.
 func TestShmemRemoteOps(t *testing.T) {
 	cfg := twoNodeCfg()
 	cfg.Metrics = NewMetrics()
@@ -234,6 +234,71 @@ func TestShmemRemoteOps(t *testing.T) {
 	}
 }
 
+// TestShmemRemoteFrameCounts pins what each remote PGAS operation costs on
+// the wire, as RMA frames per rank on two one-rank nodes: a mailbox send is
+// one delivery frame plus the owner's one reply, an AtomicAdd is one frame
+// with no reply, and a FetchAdd is one frame plus one reply.
+func TestShmemRemoteFrameCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		body           func(r *Rank, s *Shmem)
+		origin, target int64
+	}{
+		{"mailbox-send", func(r *Rank, s *Shmem) {
+			const sends = 20
+			mb := s.NewMailbox(1, sends, 16)
+			if s.Rank() == 0 {
+				for i := 0; i < sends; i++ {
+					mb.Send([]byte(fmt.Sprintf("m%d", i)))
+				}
+				return
+			}
+			dst := make([]byte, 16)
+			for i := 0; i < sends; i++ {
+				if m := dst[:mb.Recv(dst)]; string(m) != fmt.Sprintf("m%d", i) {
+					r.Abort(fmt.Errorf("message %d arrived as %q", i, m))
+				}
+			}
+		}, 20, 20},
+		{"atomic-add", func(r *Rank, s *Shmem) {
+			cell := s.Malloc(8)
+			if s.Rank() == 0 {
+				for i := 0; i < 64; i++ {
+					s.AtomicAdd(1, cell, 1)
+				}
+				s.Quiet()
+			}
+			s.Barrier()
+			if s.Rank() == 1 && s.AtomicLoad(1, cell) != 64 {
+				r.Abort(fmt.Errorf("cell = %d after 64 remote adds", s.AtomicLoad(1, cell)))
+			}
+		}, 64, 0},
+		{"fetch-add", func(r *Rank, s *Shmem) {
+			cell := s.Malloc(8)
+			if s.Rank() == 0 {
+				if old := s.AtomicFetchAdd(1, cell, 5); old != 0 {
+					r.Abort(fmt.Errorf("remote fetch-add old = %d, want 0", old))
+				}
+			}
+		}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunWithReport(twoNodeCfg(), func(r *Rank) {
+				s := r.World().ShmemCreate(4096, 0)
+				tc.body(r, s)
+				s.Barrier()
+				s.FreeHeap()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := [2]int64{rep.PerRank[0].RmaRemotePackets, rep.PerRank[1].RmaRemotePackets}; got != [2]int64{tc.origin, tc.target} {
+				t.Fatalf("RMA frames (origin, target) = %v, want (%d, %d)", got, tc.origin, tc.target)
+			}
+		})
+	}
+}
+
 // TestShmemMailbox drives the actor layer intra-node: every rank sends a
 // numbered stream to rank 0's mailbox, and the owner checks zero loss and
 // per-sender FIFO.
@@ -271,9 +336,10 @@ func TestShmemMailbox(t *testing.T) {
 	}
 }
 
-// TestShmemMailboxRemote runs a mailbox whose senders are on another node:
-// the ring steps become addressed remote operations, and per-sender FIFO
-// must survive the modeled network.
+// TestShmemMailboxRemote runs a mailbox whose sender is on another node:
+// each message crosses the link in one delivery frame, the owner runs the
+// ring's producer steps on its own region and replies, and per-sender FIFO
+// must hold through a capacity-4 ring (a "full" reply makes Send retry).
 func TestShmemMailboxRemote(t *testing.T) {
 	const per = 50
 	err := Run(twoNodeCfg(), func(r *Rank) {

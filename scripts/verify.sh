@@ -54,7 +54,6 @@ go test -count=1 -fuzz FuzzFrameDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzControlDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzStatsdParse -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShardFrame -fuzztime 5s ./internal/statsd
-go test -count=1 -fuzz FuzzShmemFrame -fuzztime 5s ./internal/shmem
 go test -count=1 -fuzz FuzzReadTraceBin -fuzztime 5s ./internal/obs
 go test -count=1 -fuzz FuzzMergeExposition -fuzztime 5s ./internal/obs/cluster
 
