@@ -654,3 +654,45 @@ func TestChaosTCPStreamCombines(t *testing.T) {
 		t.Errorf("/links view disagrees with the series (%d writes): %+v", writes, links)
 	}
 }
+
+// BenchmarkTCPStream64B is xnode-tcp's stream phase: 64 B one-way sends
+// through persistent channels under a 512-message credit window, the
+// receiver answering every 256th message with an 8 B credit.  On this rung
+// the receiving node's link reader, not the sender, sets the pace.
+func BenchmarkTCPStream64B(b *testing.B) {
+	const window, every = 512, 256
+	n := b.N
+	errs := tcpWorld(b, 2, 1, nil, func(r *Rank) {
+		w := r.World()
+		msg, credit := make([]byte, 64), make([]byte, 8)
+		if r.ID() == 0 {
+			data, credits := w.SendChannel(1, 3), w.RecvChannel(1, 4)
+			left, owed := window, n/every
+			for i := 0; i < n; i++ {
+				if left == 0 {
+					credits.Recv(credit)
+					owed--
+					left += every
+				}
+				data.Send(msg)
+				left--
+			}
+			for ; owed > 0; owed-- {
+				credits.Recv(credit)
+			}
+			return
+		}
+		data, credits := w.RecvChannel(0, 3), w.SendChannel(0, 4)
+		for i := 1; i <= n; i++ {
+			data.Recv(msg)
+			if i%every == 0 {
+				credits.Send(credit)
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -79,9 +79,8 @@ func checkWrites(t *testing.T, tp *Transport, peer int, be *memBackend, base lin
 // closes both.
 func startEchoPair(t *testing.T, be [2]Backend, base Config) (tp [2]*Transport, pong chan struct{}) {
 	t.Helper()
-	addrs := reserveAddrs(t, 2)
 	pong = make(chan struct{}, 1)
-	handlers := [2]Handlers{
+	tp = startHandlerPair(t, be, base, [2]Handlers{
 		{Deliver: func(*Frame) { pong <- struct{}{} }},
 		{Deliver: func(f *Frame) {
 			reply := Frame{Kind: KindData, Payload: f.Payload}
@@ -89,20 +88,28 @@ func startEchoPair(t *testing.T, be [2]Backend, base Config) (tp [2]*Transport, 
 				t.Errorf("reply: %v", err)
 			}
 		}},
-	}
+	})
+	return tp, pong
+}
+
+// startHandlerPair starts a two-node mesh (nil backends = TCP) whose nodes
+// run the given handlers.  Cleanup closes both.
+func startHandlerPair(tb testing.TB, be [2]Backend, base Config, h [2]Handlers) (tp [2]*Transport) {
+	tb.Helper()
+	addrs := reserveAddrs(tb, 2)
 	for node := range tp {
 		cfg := base
 		cfg.Node, cfg.Addrs, cfg.Job = node, addrs, 42
 		var err error
-		if tp[node], err = New(cfg, be[node], 2, handlers[node]); err != nil {
-			t.Fatal(err)
+		if tp[node], err = New(cfg, be[node], 2, h[node]); err != nil {
+			tb.Fatal(err)
 		}
 		if err := tp[node].Start(); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		t.Cleanup(func() { tp[node].Close() })
+		tb.Cleanup(func() { tp[node].Close() })
 	}
-	return tp, pong
+	return tp
 }
 
 // A lone frame on an idle link is written at once, by itself: on a strict
@@ -285,5 +292,58 @@ func TestLinkFrameAllocs(t *testing.T) {
 	t.Logf("%.3f allocs/frame (GOMAXPROCS %d)", perFrame, runtime.GOMAXPROCS(0))
 	if perFrame > 1 {
 		t.Fatalf("link frame path allocates %.2f times per frame, want <= 1", perFrame)
+	}
+}
+
+// BenchmarkLinkStream64B is xnode-tcp's stream phase on the link alone, over
+// MemNet: node 0 sends 64 B data frames one way under a 512-frame credit
+// window, and node 1 answers every 256th frame (and the last) with a credit
+// frame from inside Deliver.  No kernel sits underneath, so it times the link
+// code's own per-frame work: encode, stage, write, decode, deliver, ack.
+func BenchmarkLinkStream64B(b *testing.B) {
+	const window, every = 512, 256
+	n := b.N
+	credits := make(chan struct{}, n/every+1) // a slot per credit frame: Deliver never blocks
+	got := 0                                  // node 1's reader only
+	var tp [2]*Transport
+	net := NewMemNet()
+	tp = startHandlerPair(b, [2]Backend{net.Backend(), net.Backend()}, Config{}, [2]Handlers{
+		{Deliver: func(*Frame) { credits <- struct{}{} }},
+		{Deliver: func(*Frame) {
+			if got++; got%every == 0 || got == n {
+				if err := tp[1].Send(0, &Frame{Kind: KindData}); err != nil {
+					b.Errorf("credit: %v", err)
+				}
+			}
+		}},
+	})
+	for !tp[0].Stats()[1].Up || !tp[1].Stats()[0].Up {
+		time.Sleep(time.Millisecond)
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	credit, owed := window, (n+every-1)/every
+	for i := 0; i < n; i++ {
+		if credit == 0 {
+			<-credits
+			owed--
+			credit += every
+		}
+		f := Frame{Kind: KindData, Payload: payload}
+		for {
+			err := tp[0].Send(1, &f)
+			if err == nil {
+				break
+			}
+			if err != ErrBusy {
+				b.Fatalf("send %d: %v", i, err)
+			}
+			runtime.Gosched()
+		}
+		credit--
+	}
+	for ; owed > 0; owed-- {
+		<-credits // every frame delivered
 	}
 }

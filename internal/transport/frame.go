@@ -24,6 +24,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -186,30 +187,81 @@ func decodeHeader(h []byte) (Frame, int, error) {
 	}, int(n), nil
 }
 
-// frameReader reads frames off one connection, reusing its header and
-// payload buffers across calls (the payload of a returned frame is only
-// valid until the next Read).
+// frameReader reads frames off one connection through a buffered reader.  A
+// frame that fits the read buffer is decoded in place: its payload aliases
+// the buffer, and its bytes are consumed only by the next Read, so the
+// payload of a returned frame is valid until then and no longer.  A frame
+// larger than the buffer is copied into a payload buffer the reader keeps
+// across calls.
 type frameReader struct {
-	r       io.Reader
+	br      *bufio.Reader
+	pending int // bytes of the last returned frame, still in br
 	hdr     [HeaderLen]byte
 	payload []byte
 }
 
-// Read blocks for the next complete frame.
+// readBufSize is a connection's read buffer: one socket read takes up to
+// this many bytes of frames, and a frame up to this size is never copied.
+const readBufSize = 64 << 10
+
+// newFrameReader reads frames from r through a size-byte read buffer
+// (bufio's minimum for a size below it).
+func newFrameReader(r io.Reader, size int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, size)}
+}
+
+// buffered is how many bytes past the last returned frame can be read
+// without blocking.
+func (fr *frameReader) buffered() int { return fr.br.Buffered() - fr.pending }
+
+// Read blocks for the next complete frame.  A stream that ends between
+// frames reads io.EOF; one that ends inside a frame is an error too.
 func (fr *frameReader) Read() (Frame, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return Frame{}, err
+	br := fr.br
+	br.Discard(fr.pending) // cannot fail: the bytes are buffered
+	fr.pending = 0
+	var h []byte
+	var err error
+	if br.Size() >= HeaderLen {
+		if h, err = br.Peek(HeaderLen); err == io.EOF && len(h) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		h = fr.hdr[:] // a buffer smaller than a header (the handshake's)
+		_, err = io.ReadFull(br, h)
 	}
-	f, n, err := decodeHeader(fr.hdr[:])
 	if err != nil {
 		return Frame{}, err
+	}
+	f, n, err := decodeHeader(h)
+	if err != nil {
+		return Frame{}, err
+	}
+	if size := HeaderLen + n; size <= br.Size() {
+		b, err := br.Peek(size)
+		if err != nil {
+			return Frame{}, payloadErr(n, f.Kind, err)
+		}
+		f.Payload = b[HeaderLen:size:size]
+		fr.pending = size
+		return f, nil
+	}
+	if br.Size() >= HeaderLen {
+		br.Discard(HeaderLen)
 	}
 	if cap(fr.payload) < n {
 		fr.payload = make([]byte, n)
 	}
 	f.Payload = fr.payload[:n]
-	if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
-		return Frame{}, fmt.Errorf("transport: reading %d-byte %s payload: %w", n, f.Kind, err)
+	if _, err := io.ReadFull(br, f.Payload); err != nil {
+		return Frame{}, payloadErr(n, f.Kind, err)
 	}
 	return f, nil
+}
+
+func payloadErr(n int, k Kind, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("transport: reading %d-byte %s payload: %w", n, k, err)
 }

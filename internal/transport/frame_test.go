@@ -67,7 +67,7 @@ func TestFrameReaderStream(t *testing.T) {
 		f := Frame{Kind: KindData, Seq: uint64(i + 1), SrcRank: int32(i), Payload: bytes.Repeat([]byte{byte(i)}, i)}
 		buf.Write(f.Encode())
 	}
-	fr := frameReader{r: &buf}
+	fr := newFrameReader(&buf, readBufSize)
 	for i := 0; i < n; i++ {
 		f, err := fr.Read()
 		if err != nil {

@@ -1,14 +1,21 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzFrameDecode hammers the transport frame decoder with arbitrary bytes:
 // it must either reject the input or produce a frame that re-encodes to the
 // bytes it consumed.  Every inbound connection feeds this decoder before
-// any validation, so it must never panic or over-read.
+// any validation, so it must never panic or over-read.  The same bytes also
+// go through the link's streaming reader twice (streamMatchesDecode): over a
+// minimum-size read buffer, where every frame is larger than the buffer and
+// is copied out, and over a full-size one fed a byte per read, where frames
+// are decoded in place across many refills.
 func FuzzFrameDecode(f *testing.F) {
 	hello := Hello{Job: 42, Node: 1, Nodes: 4, NRanks: 32, Delivered: 7}
 	seeds := []Frame{
@@ -26,8 +33,17 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x46, 0x50}, HeaderLen))
 	f.Add(seeds[2].Encode()[:HeaderLen-1])
+	// Frames ending one byte before, exactly at and one byte past the read
+	// buffer's end, each followed by a frame that starts there.
+	for _, d := range []int{-1, 0, 1} {
+		big := Frame{Kind: KindData, Seq: 1, Payload: bytes.Repeat([]byte{0xa5}, readBufSize-HeaderLen+d)}
+		f.Add(AppendFrame(big.Encode(), &seeds[2]))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		streamMatchesDecode(t, "minimum buffer", b, bufio.NewReaderSize(bytes.NewReader(b), 0))
+		streamMatchesDecode(t, "byte reads", b, bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(b)), readBufSize))
+
 		fr, n, err := decodeFrame(b)
 		if err != nil {
 			return
@@ -80,4 +96,50 @@ func FuzzControlDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// streamMatchesDecode reads b through a frameReader over br and checks it
+// against decodeFrame applied frame after frame: the same frames, so the same
+// bytes consumed, then an error exactly where decodeFrame finds one — io.EOF
+// only where b ends between frames, and decodeHeader's own error for a bad
+// header.  A frame declaring more than maxFuzzPayload bytes ends the
+// comparison: the reader allocates a frame's payload before reading it, and
+// decodeFrame's verdict on it is checked by the caller.
+func streamMatchesDecode(t *testing.T, name string, b []byte, br *bufio.Reader) {
+	const maxFuzzPayload = 1 << 20
+	fr := frameReader{br: br}
+	for rest := b; ; {
+		if len(rest) >= HeaderLen {
+			if _, n, err := decodeHeader(rest); err == nil && n > maxFuzzPayload {
+				return
+			}
+		}
+		want, n, werr := decodeFrame(rest)
+		got, err := fr.Read()
+		if werr != nil {
+			switch {
+			case err == nil:
+				t.Fatalf("%s: read a %s frame where decodeFrame fails: %v", name, got.Kind, werr)
+			case len(rest) == 0 && err != io.EOF:
+				t.Fatalf("%s: input ends between frames, read %v, want io.EOF", name, err)
+			case len(rest) > 0 && err == io.EOF:
+				t.Fatalf("%s: %d trailing bytes read as a clean end", name, len(rest))
+			}
+			if len(rest) >= HeaderLen {
+				if _, _, herr := decodeHeader(rest); herr != nil && herr.Error() != err.Error() {
+					t.Fatalf("%s: bad header read as %q, decodeHeader says %q", name, err, herr)
+				}
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: decodeFrame takes a %d-byte frame, the reader fails: %v", name, n, err)
+		}
+		if got.Kind != want.Kind || got.SrcNode != want.SrcNode || got.Seq != want.Seq || got.Ack != want.Ack ||
+			got.SrcRank != want.SrcRank || got.DstRank != want.DstRank || got.Tag != want.Tag ||
+			got.Comm != want.Comm || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("%s: frame mismatch at offset %d:\n got %+v\nwant %+v", name, len(b)-len(rest), got, want)
+		}
+		rest = rest[n:]
+	}
 }

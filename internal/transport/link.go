@@ -58,20 +58,23 @@ type link struct {
 	gen      uint64 // connection generation; readers of older generations are stale
 	dialing  bool   // a dialLoop goroutine is active
 	nextSeq  uint64
-	ackedOut uint64    // highest seq the peer has acked
-	win      []byte    // resend window: encoded frames ackedOut+1..nextSeq, live from winHead
-	winHead  int       // offset of frame ackedOut+1 in win
-	wbuf     []byte    // encoded frames staged for the next write
-	wframes  int       // frames in wbuf
-	wack     uint64    // Ack field of the newest frame in wbuf
-	attempts int       // retransmit rounds since the last ack progress
-	retryAt  time.Time // when the next retransmit round is due
-	rng      uint64    // send-side fault-injection stream
+	ackedOut uint64 // highest seq the peer has acked
+	win      []byte // resend window: encoded frames ackedOut+1..nextSeq, live from winHead
+	winHead  int    // offset of frame ackedOut+1 in win
+	wbuf     []byte // encoded frames staged for the next write
+	wframes  int    // frames in wbuf
+	wack     uint64 // Ack field of the newest frame in wbuf
+	attempts int    // retransmit rounds since the last ack progress
+	retryArm uint64 // tick count when the retransmit timer was re-armed; 0 once a tick set retryAt
+	retryAt  int64  // link-clock stamp past which the next retransmit round is due
+	rng      uint64 // send-side fault-injection stream
 	hbNonce  uint64
 	lastHB   time.Time
 
-	wmu   sync.Mutex // write order: held across the buffer swap and the socket write
-	spare []byte     // the staging buffer's double (guarded by wmu)
+	wmu    sync.Mutex // write order: held across the buffer swap and the socket write
+	spare  []byte     // the staging buffer's double (guarded by wmu)
+	wconn  Conn       // the connection whose write deadline was set last (guarded by wmu)
+	wstamp int64      // the link-clock stamp it was set from (guarded by wmu)
 
 	ackedOutA atomic.Uint64 // mirror of ackedOut: the reader locks mu only for acks that advance it
 	ackSent   atomic.Uint64 // highest delivered watermark written to the peer, piggybacked or explicit
@@ -85,7 +88,8 @@ type link struct {
 	delivered uint64 // highest in-order seq handed to the handlers
 
 	deliveredA  atomic.Uint64 // mirror of delivered for lock-free reads (handshake, acks)
-	lastRecv    atomic.Int64  // unix nanos of the last frame heard from the peer
+	heard       atomic.Bool   // a frame arrived since the last tick took the flag
+	lastRecv    atomic.Int64  // link-clock stamp no earlier than the last frame heard from the peer
 	everUp      atomic.Bool
 	departed    atomic.Bool // peer sent Bye: stop talking to it, it is not a failure
 	dead        atomic.Bool
@@ -198,7 +202,7 @@ func (l *link) send(f *Frame) error {
 	}
 	if idle {
 		l.attempts = 0
-		l.retryAt = time.Now().Add(l.t.cfg.RetryBackoff)
+		l.retryArm = l.t.ticks.Load()
 	}
 	at := len(l.win)
 	l.win = AppendFrame(l.win, f)
@@ -274,10 +278,14 @@ func (l *link) flush(kind Kind, payload []byte) {
 }
 
 // write makes one socket write of frames encoded frames and accounts for it.
-// Caller holds wmu.
+// The write deadline is refreshed at most once per tick, from the tick's
+// stamp: PeerDeadAfter plus two periods past it, one for the stamp's age
+// (under a period while the tick loop keeps its schedule) and one for a tick
+// that runs late.  Caller holds wmu.
 func (l *link) write(conn Conn, buf []byte, frames int) error {
-	if d := l.t.cfg.PeerDeadAfter; d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
+	if now := l.t.now.Load(); conn != l.wconn || now != l.wstamp {
+		l.wconn, l.wstamp = conn, now
+		conn.SetWriteDeadline(l.t.epoch.Add(time.Duration(now) + l.t.cfg.PeerDeadAfter + 2*l.t.period))
 	}
 	if _, err := conn.Write(buf); err != nil {
 		return err
@@ -372,7 +380,7 @@ func (l *link) closeConnLocked() {
 // sequenced frame past it is replayed in order before new traffic flows.
 // It reports whether the connection was accepted (a dead/departed/closed
 // link refuses) and starts the connection's reader.
-func (l *link) installConn(c Conn, peerDelivered uint64) bool {
+func (l *link) installConn(c Conn, hs *bufio.Reader, peerDelivered uint64) bool {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
@@ -392,7 +400,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 	// Order matters against the (lockless) tick: lastRecv must be current
 	// before everUp flips, or a tick in the window reads everUp with a
 	// zero/stale lastRecv and declares instant heartbeat death.
-	l.lastRecv.Store(time.Now().UnixNano())
+	l.heardBy(l.t.clockNow())
 	if l.everUp.Swap(true) {
 		l.stats.reconnects.Add(1)
 	}
@@ -410,7 +418,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 	l.wakeWindowWaiters() // the handshake watermark is an ack too
 
 	l.t.wg.Add(1)
-	go l.readLoop(c, gen)
+	go l.readLoop(c, hs, gen)
 	return true
 }
 
@@ -442,25 +450,36 @@ func (l *link) handleAckLocked(a uint64) {
 		l.winHead = 0
 	}
 	l.attempts = 0
-	l.retryAt = time.Now().Add(l.t.cfg.RetryBackoff)
+	l.retryArm = l.t.ticks.Load()
 }
 
 // readLoop consumes frames from one connection until it breaks or is
 // replaced.  Only the loop whose generation is still current tears the
 // connection down; a stale loop exits silently, closing its connection if a
 // failed write left it open for this loop to read to the end.
-func (l *link) readLoop(c Conn, gen uint64) {
+//
+// hs is the handshake's reader, which reads through a minimal buffer to keep
+// the stream buffer's allocation off the handshake's path.  The loop reads
+// through it: first whatever it read past the handshake, then, its buffer
+// empty, c directly.
+//
+// The receive counters are folded per read batch: frames and bytes add up
+// locally and reach the link's counters when the read buffer drains, every
+// ackEvery frames, and when the loop exits.
+func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 	defer l.t.wg.Done()
-	br := bufio.NewReaderSize(c, 64<<10)
-	fr := frameReader{r: br}
+	fr := newFrameReader(hs, readBufSize)
 	// One Frame for the connection's lifetime: the handlers are func values,
 	// so a per-iteration variable would escape to the heap on every frame.
 	var f Frame
-	sinceAck := 0    // frames delivered since this reader last settled its ack
-	carried := false // the newest of them woke a rank that will carry the ack
+	sinceAck := 0           // frames delivered since this reader last settled its ack
+	carried := false        // the newest of them woke a rank that will carry the ack
+	var frames, bytes int64 // received since the counters were last folded
 	for {
 		var err error
 		if f, err = fr.Read(); err != nil {
+			l.stats.framesRecv.Add(frames)
+			l.stats.bytesRecv.Add(bytes)
 			l.mu.Lock()
 			if l.gen == gen {
 				l.teardownConnLocked()
@@ -474,9 +493,19 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		if l.partitioned.Load() {
 			continue // the chaos partition eats everything, liveness included
 		}
-		l.lastRecv.Store(time.Now().UnixNano())
-		l.stats.framesRecv.Add(1)
-		l.stats.bytesRecv.Add(int64(HeaderLen + len(f.Payload)))
+		if !l.heard.Load() {
+			l.heard.Store(true) // the next tick stamps it (Transport.tickLoop)
+		}
+		// Nothing more to read without blocking: the stream went idle.  The
+		// last frame's bytes are still in the buffer; buffered leaves them out.
+		idle := fr.buffered() == 0
+		frames++
+		bytes += int64(HeaderLen + len(f.Payload))
+		if idle || frames >= ackEvery {
+			l.stats.framesRecv.Add(frames)
+			l.stats.bytesRecv.Add(bytes)
+			frames, bytes = 0, 0
+		}
 		if f.Ack > l.ackedOutA.Load() {
 			// The ack clock: the peer has taken what was written, so what was
 			// staged behind it goes out now, in one write.
@@ -498,7 +527,7 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		case KindHeartbeat:
 			l.stats.hbRecv.Add(1)
 			if hb, err := DecodeHeartbeat(f.Payload); err == nil {
-				l.noteHeartbeat(hb, time.Now())
+				l.noteHeartbeat(hb)
 			}
 		case KindAck:
 			// The watermark itself is handled by the piggyback path above.
@@ -510,7 +539,7 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		}
 		// The sender's staged frames wait for this ack, so it is owed as soon
 		// as the stream goes idle, whatever kind of frame came last.
-		if sinceAck > 0 && (sinceAck >= ackEvery || br.Buffered() == 0) {
+		if sinceAck > 0 && (sinceAck >= ackEvery || idle) {
 			switch {
 			case l.ackSent.Load() >= l.deliveredA.Load():
 				// A frame written meanwhile carried the watermark already (a
@@ -646,21 +675,26 @@ func (l *link) die(reason string) {
 }
 
 // tick runs the link's periodic work from the transport's ticker: failure
-// detection, the retransmit clock, and heartbeats.
-func (l *link) tick(now time.Time) {
+// detection, the retransmit clock, and heartbeats.  now is the tick's clock
+// read, tick its count, and heard whether a frame arrived before both.
+func (l *link) tick(now time.Time, tick uint64, heard bool) {
 	if l.dead.Load() || l.departed.Load() {
 		return
 	}
 	cfg := &l.t.cfg
+	stamp := l.t.stamp(now)
+	if heard {
+		l.heardBy(stamp)
+	}
 	if l.everUp.Load() {
-		if silent := now.UnixNano() - l.lastRecv.Load(); silent > int64(cfg.PeerDeadAfter) {
+		if silent := stamp - l.lastRecv.Load(); silent > int64(cfg.PeerDeadAfter) {
 			l.die(fmt.Sprintf("no traffic from node %d for %v (last heard %v ago; heartbeat timeout)",
 				l.peer, cfg.PeerDeadAfter, time.Duration(silent).Round(time.Millisecond)))
 			return
 		}
 	}
 
-	if reason := l.retransmit(now); reason != "" {
+	if reason := l.retransmit(now, tick); reason != "" {
 		l.die(reason)
 		return
 	}
@@ -688,12 +722,29 @@ func (l *link) tick(now time.Time) {
 	}
 }
 
+// heardBy raises lastRecv to at, a link-clock stamp no earlier than a frame
+// (or handshake) heard from the peer.  The tick and a new connection's
+// handshake may race; the stamp only moves forward.
+func (l *link) heardBy(at int64) {
+	for last := l.lastRecv.Load(); at > last; last = l.lastRecv.Load() {
+		if l.lastRecv.CompareAndSwap(last, at) {
+			return
+		}
+	}
+}
+
 // retransmit runs one go-back-N round when the oldest unacked frame has
-// outlived the retransmit timer.  A spent retry budget comes back as the
-// reason the peer is to be declared dead (by the caller, with no lock held).
-func (l *link) retransmit(now time.Time) (deadReason string) {
+// outlived the retransmit timer.  A timer re-armed before this tick bumped
+// the count starts its backoff at this tick's clock read; one re-armed since
+// waits for the next tick.  A spent retry budget comes back as the reason the
+// peer is to be declared dead (by the caller, with no lock held).
+func (l *link) retransmit(now time.Time, tick uint64) (deadReason string) {
+	stamp := l.t.stamp(now)
 	due := func() bool {
-		return l.nextSeq > l.ackedOut && now.After(l.retryAt) && l.conn != nil && !l.partitioned.Load()
+		if l.retryArm != 0 && l.retryArm < tick {
+			l.retryAt, l.retryArm = stamp+int64(l.t.cfg.RetryBackoff), 0
+		}
+		return l.retryArm == 0 && l.nextSeq > l.ackedOut && stamp > l.retryAt && l.conn != nil && !l.partitioned.Load()
 	}
 	l.mu.Lock()
 	if !due() {
@@ -727,15 +778,15 @@ func (l *link) retransmit(now time.Time) (deadReason string) {
 			})
 		}
 	}
-	l.retryAt = now.Add(l.backoff(l.attempts))
+	l.retryAt = stamp + int64(l.backoff(l.attempts))
 	return ""
 }
 
 // noteHeartbeat ingests one received heartbeat: remembers it for echoing,
 // and — when it echoes one of ours — turns the four timestamps into a clock
-// offset sample.
-func (l *link) noteHeartbeat(hb Heartbeat, now time.Time) {
-	t3 := now.UnixNano()
+// offset sample, with its own clock read for the arrival.
+func (l *link) noteHeartbeat(hb Heartbeat) {
+	t3 := time.Now().UnixNano()
 	l.clockMu.Lock()
 	if hb.Nonce > l.peerHB.Nonce {
 		l.peerHB = hb
@@ -864,7 +915,7 @@ func (l *link) handshakeDial(c Conn) bool {
 		return false
 	}
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	fr := frameReader{r: c}
+	fr := newFrameReader(c, 0) // see readLoop
 	rf, err := fr.Read()
 	if err != nil || rf.Kind != KindWelcome {
 		c.Close()
@@ -885,7 +936,7 @@ func (l *link) handshakeDial(c Conn) bool {
 		return false
 	}
 	c.SetReadDeadline(time.Time{})
-	return l.installConn(c, w.Delivered)
+	return l.installConn(c, fr.br, w.Delivered)
 }
 
 // snapshot captures the link's counters for Stats.
@@ -897,7 +948,7 @@ func (l *link) snapshot() obs.LinkState {
 	l.mu.Unlock()
 	hbAge := int64(0)
 	if last := l.lastRecv.Load(); last > 0 && l.everUp.Load() {
-		hbAge = time.Now().UnixNano() - last
+		hbAge = l.t.clockNow() - last
 	}
 	return obs.LinkState{
 		SmoothedRTTNs:  l.rttNs.Load(),

@@ -34,10 +34,12 @@ func (e *DeadError) Error() string {
 // Handlers are the upcalls a Transport makes into its owner (the core
 // runtime).  Deliver and Applied run on a link's reader goroutine with the
 // link's receive lock held, strictly in link order; their Frame (payload
-// included) is only valid for the duration of the call — the handler copies
-// what it keeps, and may set Frame.Waiting to take the frame's ack off the
-// reader's hands.  PeerDead and PeerBye run at most once per peer, off the
-// transport's internal goroutines.
+// included) is only valid for the duration of the call — the payload
+// usually aliases the connection's read buffer, which the next frame
+// overwrites — so the handler copies what it keeps, and may set
+// Frame.Waiting to take the frame's ack off the reader's hands.  PeerDead
+// and PeerBye run at most once per peer, off the transport's internal
+// goroutines.
 type Handlers struct {
 	// Deliver receives one KindData frame.
 	Deliver func(f *Frame)
@@ -78,6 +80,14 @@ type Transport struct {
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 	rngState atomic.Uint64
+
+	// The link clock (tickLoop): stamps are monotonic nanoseconds since
+	// epoch.  period is the ticker's, now the stamp of the latest tick, and
+	// ticks counts the ticks begun (from 1, so that 0 can mean "no tick").
+	epoch  time.Time
+	period time.Duration
+	now    atomic.Int64
+	ticks  atomic.Uint64
 }
 
 // New builds a transport endpoint from a defaults-resolved, validated
@@ -99,8 +109,14 @@ func New(cfg Config, be Backend, nranks int, h Handlers) (*Transport, error) {
 		nranks: nranks,
 		links:  make([]*link, len(cfg.Addrs)),
 		stop:   make(chan struct{}),
+		epoch:  time.Now(),
 	}
 	t.rngState.Store(cfg.Faults.Seed ^ 0x6a09e667f3bcc909)
+	t.period = min(cfg.HeartbeatEvery, cfg.RetryBackoff) / 2
+	if t.period < time.Millisecond {
+		t.period = time.Millisecond
+	}
+	t.ticks.Store(1)
 	for peer := range cfg.Addrs {
 		if peer == cfg.Node {
 			continue
@@ -129,6 +145,7 @@ func (t *Transport) Start() error {
 		return fmt.Errorf("transport: node %d cannot listen on %q: %w", t.cfg.Node, t.cfg.Addrs[t.cfg.Node], err)
 	}
 	t.ln = ln
+	t.now.Store(t.clockNow()) // the write deadline's stamp until the first tick
 
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
@@ -385,7 +402,7 @@ func (t *Transport) acceptLoop(ln Listener) {
 func (t *Transport) handleAccept(c Conn) {
 	defer t.wg.Done()
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	fr := frameReader{r: c}
+	fr := newFrameReader(c, 0) // see link.readLoop
 	f, err := fr.Read()
 	if err != nil || f.Kind != KindHello {
 		c.Close()
@@ -427,36 +444,53 @@ func (t *Transport) handleAccept(c Conn) {
 		return
 	}
 	c.SetReadDeadline(time.Time{})
-	l.installConn(c, hello.Delivered)
+	l.installConn(c, fr.br, hello.Delivered)
 }
 
-// tickLoop drives every link's periodic work.  The period is finer than
-// both the heartbeat interval and the retransmit backoff so neither loses
-// resolution.
+// tickLoop drives every link's periodic work and keeps the link clock.  The
+// period is finer than both the heartbeat interval and the retransmit backoff
+// so neither loses resolution.
+//
+// A tick is the only place the frame paths' timers read the wall clock.  The
+// frame paths record events without a clock: a reader raises its link's heard
+// flag, and a retransmit timer is re-armed with the current tick count.  Each
+// tick first takes every heard flag and bumps the count, and only then reads
+// the clock, so an event it collects happened before the stamp it gives the
+// event.  A timer measured from that stamp errs late, by at most one period,
+// and never early.  The stamp is published in now for the write deadline.
 func (t *Transport) tickLoop() {
 	defer t.wg.Done()
-	period := t.cfg.HeartbeatEvery
-	if t.cfg.RetryBackoff < period {
-		period = t.cfg.RetryBackoff
-	}
-	if period /= 2; period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tk := time.NewTicker(period)
+	tk := time.NewTicker(t.period)
 	defer tk.Stop()
+	heard := make([]bool, len(t.links))
 	for {
 		select {
 		case <-t.stop:
 			return
-		case now := <-tk.C:
-			for _, l := range t.links {
+		case <-tk.C:
+			for i, l := range t.links {
 				if l != nil {
-					l.tick(now)
+					heard[i] = l.heard.Swap(false)
+				}
+			}
+			tick := t.ticks.Add(1)
+			now := time.Now()
+			t.now.Store(t.stamp(now))
+			for i, l := range t.links {
+				if l != nil {
+					l.tick(now, tick, heard[i])
 				}
 			}
 		}
 	}
 }
+
+// stamp converts a time to the link clock.
+func (t *Transport) stamp(at time.Time) int64 { return int64(at.Sub(t.epoch)) }
+
+// clockNow reads the wall clock in link-clock units, for the paths that keep
+// their own clock reads (the handshake, snapshots).
+func (t *Transport) clockNow() int64 { return int64(time.Since(t.epoch)) }
 
 // rand01 draws from the transport's shared fault-injection stream (receive-
 // side delays; the send side keeps per-link mu-guarded streams).

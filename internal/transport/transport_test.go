@@ -59,13 +59,14 @@ type collector struct {
 
 	deadMu   sync.Mutex
 	dead     map[int]string
+	deadAt   map[int]time.Time
 	byes     map[int]string
 	byeAbort map[int]bool
 	byeDead  map[int][]int
 }
 
 func newCollector() *collector {
-	return &collector{dead: map[int]string{}, byes: map[int]string{}, byeAbort: map[int]bool{}, byeDead: map[int][]int{}}
+	return &collector{dead: map[int]string{}, deadAt: map[int]time.Time{}, byes: map[int]string{}, byeAbort: map[int]bool{}, byeDead: map[int][]int{}}
 }
 
 func (c *collector) handlers() Handlers {
@@ -81,6 +82,7 @@ func (c *collector) handlers() Handlers {
 		PeerDead: func(node int, reason string) {
 			c.deadMu.Lock()
 			c.dead[node] = reason
+			c.deadAt[node] = time.Now()
 			c.deadMu.Unlock()
 		},
 		PeerBye: func(node int, abort bool, reason string, dead []int) {
