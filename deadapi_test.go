@@ -42,7 +42,6 @@ var deadAPIAllowlist = map[string]string{
 	"sched.SingleChunk":                  "ablation 4 (DESIGN.md): the paper's allocation mode, the baseline the sched ablation compares against",
 	"schedpoint.Set":                     "installs the checker's hooks; only the purecheck model tests call it",
 	"shmem.Heap.Extent":                  "the shmem model in internal/check reads allocator extents with it",
-	"ssw.SpinWait":                       "plain WaitFunc the collective and sched tests run their protocols with",
 	"topology.ParseReorderFile":          "paper input: CrayPAT rank-reorder files (PAPER.md)",
 	"topology.PlacementFromReorder":      "paper input: CrayPAT rank-reorder files (PAPER.md)",
 	"transport.ChaosFaults":              "fault plan the core, pure and shmem-app chaos suites share",

@@ -78,7 +78,8 @@ func TestComdGoldenResult(t *testing.T) {
 // TestComdStepAllocs gates the steady state: the marginal heap allocations
 // of a time step, per rank, from the difference of a 600-step and a 100-step
 // run (bootstrap and per-run setup cancel).  An untasked step allocates
-// nothing; a tasked one pays only Task.Execute's record and wait closure.
+// nothing; a tasked one pays only Task.Execute's execution record, and the
+// straggler wait's closure when a thief still holds a chunk.
 func TestComdStepAllocs(t *testing.T) {
 	balanced, steal := benchmarkParams()
 	steal.CellsPerRank = balanced.CellsPerRank // keep the tasked run short

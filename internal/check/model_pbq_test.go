@@ -19,7 +19,7 @@ import (
 // the consumed sequence checked against the sequential FIFO spec (refinement:
 // every schedule's observable history must equal the spec queue's).
 //
-// The producer's park stands in for the runtime's retry loop (leafWait
+// The producer's park stands in for the runtime's retry loop (Rank.block
 // probing TryEnqueue itself).  Its condition must be pure and exact, or the
 // retry spins forever in some schedule: Len is not exact for an endpoint (it
 // leads the slot word between the consumer's position store and its

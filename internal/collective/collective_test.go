@@ -12,7 +12,7 @@ import (
 	"repro/internal/ssw"
 )
 
-func spinWait(cond func() bool) { ssw.SpinWait(cond) }
+func spinWait(cond func() bool) { (&ssw.Waiter{}).Wait(cond) }
 
 func f64bytes(vals ...float64) []byte {
 	b := make([]byte, 8*len(vals))

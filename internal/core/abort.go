@@ -151,116 +151,80 @@ func (r *Rank) endWait(prev *WaitRecord) {
 // HangTimeout, which is the only consumer of the records.
 const lazyPublishProbes = 1024
 
-// lazyWait defers wait-record publication until the wait has proven slow.
-// Waits satisfied on the fast path — the common case on the
-// latency-critical p2p and collective paths — never touch the registry (no
-// allocation, no clock read, no shared stores).  Diagnostics lose nothing:
-// a genuinely blocked rank publishes within microseconds (far inside any
-// usable HangTimeout), and a wait caught by an abort unwind before its
-// threshold publishes its record from the unwind handler, so the failure
-// report still names what every rank was blocked on.
-type lazyWait struct {
-	r         *Rank
-	rec       WaitRecord // pending record; copied to the heap only on publish
-	prev      *WaitRecord
-	probes    int
+// waitDepth is how many nested waits keep a pending record: a collective, a
+// leader-tree receive inside it, a stolen chunk's wait inside that, and one
+// more.  A wait nested deeper runs without one; an unwind inside it reports
+// the deepest enclosing wait that has one.
+const waitDepth = 4
+
+// pendWait is one entry of a rank's stack of pending wait records.
+type pendWait struct {
+	rec       WaitRecord  // copied to the heap only on publish
+	prev      *WaitRecord // what the slot held before rec was published
+	probes    int32
 	published bool
-	// idle marks a wait completed by the transport's reader goroutine
-	// (inter-node frames over a real socket) rather than by a local rank's
-	// store: it selects the netpoller-friendly parking SSW loop.
-	idle bool
+}
+
+// rankWait is one blocking site's wait: its record, kept on the rank's
+// stack of pending records while the wait is open, whether it parks, and
+// the peers it wakes.  The site builds it with openWait, which is where it
+// decides how the rank waits, runs it with wait (once, or once per phase of
+// a collective) and ends it with close.  A leaf site — a p2p or one-sided
+// stall, the latency-critical case — does all three through block.
+//
+// Publication is lazy.  Waits satisfied on the fast path — the common case on
+// the latency-critical p2p and collective paths — never touch the registry
+// (no allocation, no clock read, no shared stores): the record stays pending
+// in rank-owned storage.  When the watchdog or the monitor reads records
+// live (Config.HangTimeout, MonitorAddr) the wait publishes after
+// lazyPublishProbes failed probes, so a genuinely blocked rank shows within
+// microseconds.  When an abort unwinds the rank first, the rank bootstrap
+// publishes the innermost pending record (settleUnwoundWait), so the failure
+// report still names what every rank was blocked on.  A wait that nests in
+// another — a stolen chunk that blocks inside the thief's wait, a
+// leader-tree receive inside a collective — pushes its own record and pops
+// it on return, so the enclosing wait keeps its record.
+type rankWait struct {
+	r     *Rank
+	depth int // this wait's index in r.waits
+	// park says who completes the wait.  A link reader (an inter-node frame
+	// arriving over a socket) cannot run while ranks spin, so such a wait
+	// parks on the rank's WakeCell and the reader unparks it; a wait that
+	// another rank's store completes spins, because a park costs more than
+	// the whole wait.
+	park bool
 	// peers are the parking spots of the ranks this one synchronizes with
-	// through shared memory inside an idle wait — a bridged collective's
+	// through shared memory inside a parking wait — a bridged collective's
 	// node group.  Their waits are completed by this rank's plain stores, so
 	// it unparks them itself: entering a wait (whatever it published, it
-	// published before) and in finish.
+	// published before) and in close.
 	peers []*ssw.WakeCell
 }
 
-// wait runs one SSW wait under the pending record.  A multi-phase caller (a
+// openWait opens a wait under rec, innermost on the rank's stack of pending
+// records.
+func (r *Rank) openWait(rec WaitRecord, park bool, peers []*ssw.WakeCell) rankWait {
+	d := r.nwaits
+	r.nwaits++
+	if d < waitDepth {
+		p := &r.waits[d]
+		p.rec, p.probes, p.published = rec, 0, false
+	}
+	return rankWait{r: r, depth: d, park: park, peers: peers}
+}
+
+// block runs a leaf site's whole wait under rec.
+func (r *Rank) block(rec WaitRecord, park bool, cond func() bool) {
+	w := r.openWait(rec, park, nil)
+	w.wait(cond)
+	w.close()
+}
+
+// wait runs one SSW wait under the wait's record.  A multi-phase caller (a
 // collective) may call it repeatedly; the probe count accumulates and the
-// record is published at most once.
-//
-// Live (pre-abort) publication only matters to the hang watchdog, so the
-// probe-counting wrapper runs only when HangTimeout is armed; otherwise the
-// raw condition goes straight to the SSW loop and the registry costs one
-// deferred flag check per wait.  Abort diagnostics are unaffected either
-// way: the unwind handler below settles the record as the rank dies.
-func (lw *lazyWait) wait(cond func() bool) {
-	wakeCells(lw.peers)
-	completed := false
-	defer func() {
-		if !completed {
-			// An abort panic is unwinding this wait.
-			lw.r.settleUnwoundWait(lw)
-		}
-	}()
-	if lw.published || !lw.r.liveWaitRecords {
-		lw.r.sswWait(lw.idle, cond)
-	} else {
-		lw.r.sswWait(lw.idle, func() bool {
-			if cond() {
-				return true
-			}
-			if !lw.published {
-				if lw.probes++; lw.probes >= lazyPublishProbes {
-					p := new(WaitRecord)
-					*p = lw.rec
-					lw.prev = lw.r.beginWait(p)
-					lw.published = true
-				}
-			}
-			return false
-		})
-	}
-	completed = true
-}
-
-// finish closes the record out if it was published.  Like endWait it is
-// deliberately not deferred, so an abort unwind leaves the record visible.
-func (lw *lazyWait) finish() {
-	wakeCells(lw.peers)
-	if lw.published {
-		lw.r.endWait(lw.prev)
-	}
-}
-
-// wakeCells unparks whichever of the cells' owners are parked: one atomic
-// load for each that is not.
-func wakeCells(cells []*ssw.WakeCell) {
-	for _, c := range cells {
-		c.Wake()
-	}
-}
-
-// leafWait runs one SSW wait for a leaf blocking site — a p2p or remote
-// stall with no waits nested inside it, which is also the latency-critical
-// case.  The caller stamps r.pendRec immediately before calling; the
-// always-on cost is only those plain stores to rank-owned fields.  When the
-// watchdog is armed the condition is wrapped to publish the record after
-// lazyPublishProbes failed probes; when a poison unwind catches the wait
-// earlier (or the watchdog is off), the nearest lazyWait unwind handler or
-// the rank bootstrap settles r.pendRec into the slot instead.
-//
-// One sacrifice for the cheap stamp: there is no save/restore nesting.  A
-// stolen task chunk that itself blocks in communication (legal but rare)
-// overwrites the thief's pending record, so an unwind caught between that
-// inner wait's completion and the outer wait's is reported without a
-// record.  The watchdog path is unaffected — its records are published, not
-// pending.
-func (r *Rank) leafWait(cond func() bool) { r.leafWaitVia(false, cond) }
-
-// leafWaitIdle is leafWait for conditions completed by the transport's
-// reader goroutine (an inter-node frame arriving over a real socket)
-// rather than by a rank spinning on this node: it parks, so the netpoller
-// gets scheduled, and the reader unparks it.  See ssw.Waiter.WaitIdle.
-func (r *Rank) leafWaitIdle(cond func() bool) { r.leafWaitVia(true, cond) }
-
-// sswWait dispatches one condition to the SSW loop, choosing the spin
-// (local completion) or parking (socket completion) discipline.  A
-// branch rather than a method value on purpose: binding r.wait.Wait to a
-// variable allocates, and this dispatcher sits on the zero-allocation
-// eager paths.
+// record is published at most once.  The probe-counting wrapper runs only
+// while records are read live; otherwise the raw condition goes straight to
+// the SSW loop.
 //
 // A rank about to block first flushes its node's links: frames it sent
 // behind unacked ones may still be staged for the ack clock (see
@@ -268,71 +232,79 @@ func (r *Rank) leafWaitIdle(cond func() bool) { r.leafWaitVia(true, cond) }
 // depend on them; so may an ack a link reader left to this rank when it woke
 // it.  tpProgress repeats the flush at every yield boundary, so a rank that
 // was woken and parks again has carried that ack.
-func (r *Rank) sswWait(idle bool, cond func() bool) {
+func (w rankWait) wait(cond func() bool) {
+	r := w.r
+	for _, c := range w.peers {
+		c.Wake()
+	}
 	if r.rt.tp != nil {
 		r.rt.tp.Flush()
 	}
-	if idle {
-		r.wait.WaitIdle(cond)
-	} else {
-		r.wait.Wait(cond)
-	}
-}
-
-func (r *Rank) leafWaitVia(idle bool, cond func() bool) {
-	r.pendActive = true
-	r.pendPublished = false
-	if !r.liveWaitRecords {
-		r.sswWait(idle, cond)
-	} else {
-		probes := 0
-		var prev *WaitRecord
-		r.sswWait(idle, func() bool {
-			if cond() {
-				return true
-			}
-			if !r.pendPublished {
-				if probes++; probes >= lazyPublishProbes {
-					p := new(WaitRecord)
-					*p = r.pendRec
-					prev = r.beginWait(p)
-					r.pendPublished = true
-				}
-			}
-			return false
-		})
-		if r.pendPublished {
-			r.endWait(prev)
-		}
-	}
-	r.pendActive = false
-}
-
-// settleUnwoundWait runs while an abort panic unwinds the rank and makes
-// sure its most specific interrupted wait ends up published for
-// diagnostics.  The innermost handler on the stack (a lazyWait defer, or
-// the rank bootstrap when the interrupted wait was a leaf) settles it;
-// outer handlers then leave the slot alone.
-func (r *Rank) settleUnwoundWait(lw *lazyWait) {
-	if r.unwindPublished {
+	if !r.liveWaitRecords || w.depth >= waitDepth || r.waits[w.depth].published {
+		w.run(cond)
 		return
 	}
-	r.unwindPublished = true
-	switch {
-	case r.pendActive:
-		// A leaf wait was interrupted; its pending record wins over any
-		// enclosing collective's.
-		if !r.pendPublished {
-			p := new(WaitRecord)
-			*p = r.pendRec
-			r.beginWait(p)
-			r.pendPublished = true
+	p := &r.waits[w.depth]
+	w.run(func() bool {
+		if cond() {
+			return true
 		}
-	case lw != nil && !lw.published:
-		p := new(WaitRecord)
-		*p = lw.rec
-		r.beginWait(p)
-		lw.published = true
+		if !p.published {
+			if p.probes++; p.probes >= lazyPublishProbes {
+				r.publishWait(p)
+			}
+		}
+		return false
+	})
+}
+
+// run hands cond to the rank's parking or spinning Waiter.  A branch rather
+// than a method value on purpose: binding r.wait.Wait to a variable
+// allocates, and this sits on the zero-allocation eager paths.
+func (w rankWait) run(cond func() bool) {
+	if w.park {
+		w.r.park.Wait(cond)
+	} else {
+		w.r.wait.Wait(cond)
+	}
+}
+
+// close ends the wait: it restores the enclosing record if this one was
+// published and pops it.  Like endWait it is deliberately not deferred, so an
+// abort unwind leaves the record in place for settleUnwoundWait.
+func (w rankWait) close() {
+	for _, c := range w.peers {
+		c.Wake()
+	}
+	r := w.r
+	if w.depth < waitDepth && r.waits[w.depth].published {
+		r.endWait(r.waits[w.depth].prev)
+	}
+	r.nwaits = w.depth
+}
+
+// publishWait copies a pending record to the heap and publishes it.
+func (r *Rank) publishWait(p *pendWait) {
+	rec := new(WaitRecord)
+	*rec = p.rec
+	p.prev = r.beginWait(rec)
+	p.published = true
+}
+
+// settleUnwoundWait runs in the rank bootstrap once an abort panic has
+// unwound the rank, and publishes its innermost open wait's record for the
+// diagnostics if the wait had not published it yet.
+func (r *Rank) settleUnwoundWait() {
+	if d := min(r.nwaits, waitDepth); d > 0 && !r.waits[d-1].published {
+		r.publishWait(&r.waits[d-1])
+	}
+}
+
+// wakeAll unparks every parked rank of the node: one atomic load for each
+// that is not parked.
+func (rt *Runtime) wakeAll() {
+	for _, c := range rt.cells {
+		c.Wake()
 	}
 }
 
@@ -399,7 +371,7 @@ func (rt *Runtime) poison(cause, text, diag string, cycle []int) {
 	}
 	// A rank parked in a socket-completed wait unwinds now, not at its next
 	// park timeout.
-	wakeCells(rt.cells)
+	rt.wakeAll()
 }
 
 // tpProgress is the Waiter's progress hook on a node with links: apply

@@ -251,8 +251,7 @@ func (r *Rank) WaitFor(cond func() bool) {
 	if cond() {
 		return
 	}
-	r.pendRec = WaitRecord{Kind: WaitApp, Peer: -1}
 	// On a node with links the condition may be completed by a link reader
 	// goroutine; that wait must let it run (see waitReq).
-	r.leafWaitVia(r.rt.tp != nil, cond)
+	r.block(WaitRecord{Kind: WaitApp, Peer: -1}, r.rt.tp != nil, cond)
 }

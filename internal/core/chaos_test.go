@@ -235,6 +235,52 @@ func TestStolenChunkPanicUnwindsWaitingOwner(t *testing.T) {
 	}
 }
 
+// TestNestedWaitKeepsThiefRecord: a stolen chunk that blocks inside the
+// thief's own wait pushes its record above the thief's and pops it when it
+// returns, so an abort after that names the thief's outer wait.  Rank 1
+// waits for a message that never comes and steals chunk 1, which receives
+// on rank 1's behalf (an inner wait that blocks, then completes); rank 0
+// then aborts the run.
+func TestNestedWaitKeepsThiefRecord(t *testing.T) {
+	setProcs(t, 1) // the owner runs chunk 0, so chunk 1 is stolen
+	var thief atomic.Pointer[Rank]
+	var stolenStarted, stolenDone atomic.Bool
+	err := Run(Config{NRanks: 2}, func(r *Rank) {
+		buf := make([]byte, 8)
+		if r.ID() == 1 {
+			thief.Store(r)
+			r.World().Recv(buf, 0, 9) // the outer wait; never satisfied
+			return
+		}
+		r.NewTask(2, func(start, end int64, _ any) {
+			if start == 1 {
+				stolenStarted.Store(true)
+				thief.Load().World().Recv(make([]byte, 8), 0, 7) // the inner wait
+				stolenDone.Store(true)
+				return
+			}
+			for !stolenStarted.Load() {
+				runtime.Gosched()
+			}
+			r.World().Send(buf, 1, 7)
+			for !stolenDone.Load() {
+				runtime.Gosched()
+			}
+		}).Execute(nil)
+		r.Abort(errors.New("done"))
+	})
+	re := asRunError(t, err)
+	if re.Cause != CauseAbort {
+		t.Fatalf("cause = %q, want %q (err: %v)", re.Cause, CauseAbort, err)
+	}
+	if len(re.Blocked) != 1 || re.Blocked[0].Rank != 1 {
+		t.Fatalf("blocked = %+v, want the thief, rank 1", re.Blocked)
+	}
+	if w := re.Blocked[0].Wait; w == nil || w.Kind != WaitP2PRecv || w.Tag != 9 {
+		t.Fatalf("thief wait = %s, want its outer receive (p2p-recv, tag 9)", w.describe())
+	}
+}
+
 func TestAllPanickedRanksReported(t *testing.T) {
 	// Every rank fails: the error must list them all, not just the first
 	// drained from the channel.

@@ -246,28 +246,30 @@ func (c *Comm) Waitall(reqs ...*Request) {
 // multiNode reports whether the communicator spans nodes.
 func (c *Comm) multiNode() bool { return len(c.sh.nodeList) > 1 }
 
-// collWait builds a lazyWait holding a WaitCollective record for the duration
-// of a collective call; the record is published only if the collective
-// actually stalls (nested leader-tree p2p waits overlay it and restore it on
+// collWait opens a wait holding a WaitCollective record for the duration of
+// a collective call; the record is published only if the collective
+// actually stalls (nested leader-tree p2p waits push their own and pop it on
 // completion).  Seq is the SPTD round being entered, so a watchdog dump of a
 // stuck Barrier shows which ranks reached round N and which are a round
 // behind — the classic "someone never entered the collective" signature.
-func (c *Comm) collWait(op string, ni, tid int) lazyWait {
-	lw := lazyWait{r: c.r, rec: WaitRecord{
+func (c *Comm) collWait(op string, ni, tid int) rankWait {
+	rec := WaitRecord{
 		Kind: WaitCollective, Peer: -1, Comm: c.sh.id, Op: op,
 		Seq: c.sh.nodes[ni].sptd.Round(tid) + 1,
-	}}
+	}
 	// On a multi-node comm the collective's critical path runs through the
 	// leaders' link legs, so waiters park: a spinning non-leader would
 	// starve the very link reader its leader is blocked on.  The group's
 	// members complete each other's waits with plain stores, so they also
-	// unpark each other (lazyWait.peers) — the leader its non-leaders once
+	// unpark each other (rankWait.peers) — the leader its non-leaders once
 	// the bridged result is published.  Single-node comms keep the pure spin
 	// even when the node has links.
-	if c.multiNode() {
-		lw.idle, lw.peers = true, c.sh.nodes[ni].cells
+	multi := c.multiNode()
+	var peers []*ssw.WakeCell
+	if multi {
+		peers = c.sh.nodes[ni].cells
 	}
-	return lw
+	return c.r.openWait(rec, multi, peers)
 }
 
 // Barrier blocks until every comm member has entered it.
@@ -281,9 +283,9 @@ func (c *Comm) Barrier() {
 	if c.multiNode() {
 		bridge = func() { c.leaderDissemination(ni) }
 	}
-	lw := c.collWait("barrier", ni, tid)
-	sh.nodes[ni].sptd.BarrierBridged(tid, bridge, lw.wait)
-	lw.finish()
+	w := c.collWait("barrier", ni, tid)
+	sh.nodes[ni].sptd.BarrierBridged(tid, bridge, w.wait)
+	w.close()
 	c.r.finishColl(obs.KBarrier, t0, int64(sh.nodes[ni].sptd.Round(tid)))
 }
 
@@ -305,14 +307,14 @@ func (c *Comm) Allreduce(in, out []byte, op collective.Op, dt collective.DType) 
 	}
 	node := sh.nodes[ni]
 	t0 := c.r.traceStart()
-	lw := c.collWait("allreduce", ni, tid)
+	w := c.collWait("allreduce", ni, tid)
 	if len(in) <= SPTDMax {
-		node.sptd.Allreduce(tid, in, out, op, dt, bridge, lw.wait)
-		lw.finish()
+		node.sptd.Allreduce(tid, in, out, op, dt, bridge, w.wait)
+		w.close()
 		c.r.finishColl(obs.KAllreduce, t0, int64(node.sptd.Round(tid)))
 	} else {
-		node.pr(len(in)).Allreduce(tid, in, out, op, dt, bridge, lw.wait)
-		lw.finish()
+		node.pr(len(in)).Allreduce(tid, in, out, op, dt, bridge, w.wait)
+		w.close()
 		c.r.finishColl(obs.KAllreduce, t0, 0)
 	}
 }
@@ -335,12 +337,12 @@ func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.
 		bridge = func(acc []byte) { c.leaderReduce(ni, rootNi, acc, op, dt) }
 	}
 	t0 := c.r.traceStart()
-	lw := c.collWait("reduce", ni, tid)
+	w := c.collWait("reduce", ni, tid)
 	if len(in) <= SPTDMax {
 		// On non-root nodes the local leader receives the node reduction and
 		// forwards it to the cross-node tree inside bridge.
-		sh.nodes[ni].sptd.Reduce(tid, localRoot, in, out, op, dt, bridge, lw.wait)
-		lw.finish()
+		sh.nodes[ni].sptd.Reduce(tid, localRoot, in, out, op, dt, bridge, w.wait)
+		w.close()
 		c.r.finishColl(obs.KReduce, t0, int64(sh.nodes[ni].sptd.Round(tid)))
 		return
 	}
@@ -349,8 +351,8 @@ func (c *Comm) Reduce(in, out []byte, root int, op collective.Op, dt collective.
 	if out == nil {
 		out = make([]byte, len(in))
 	}
-	sh.nodes[ni].pr(len(in)).Allreduce(tid, in, out, op, dt, bridge, lw.wait)
-	lw.finish()
+	sh.nodes[ni].pr(len(in)).Allreduce(tid, in, out, op, dt, bridge, w.wait)
+	w.close()
 	c.r.finishColl(obs.KReduce, t0, 0)
 }
 
@@ -366,7 +368,7 @@ func (c *Comm) Bcast(buf []byte, root int) {
 
 	if len(buf) <= SPTDMax {
 		rootGlobal := sh.members[root]
-		lw := c.collWait("bcast", ni, tid)
+		w := c.collWait("bcast", ni, tid)
 		if ni == rootNi {
 			localRoot := sh.localIdxOf[root]
 			var bridge func([]byte)
@@ -374,8 +376,8 @@ func (c *Comm) Bcast(buf []byte, root int) {
 				// The root rank itself acts as its node's tree agent.
 				bridge = func(b []byte) { c.leaderBcast(ni, rootNi, rootGlobal, b) }
 			}
-			sh.nodes[ni].sptd.Broadcast(tid, localRoot, buf, bridge, lw.wait)
-			lw.finish()
+			sh.nodes[ni].sptd.Broadcast(tid, localRoot, buf, bridge, w.wait)
+			w.close()
 			c.r.finishColl(obs.KBcast, t0, int64(sh.nodes[ni].sptd.Round(tid)))
 			return
 		}
@@ -385,8 +387,8 @@ func (c *Comm) Bcast(buf []byte, root int) {
 		if tid == 0 {
 			bridge = func(b []byte) { c.leaderBcast(ni, rootNi, rootGlobal, b) }
 		}
-		sh.nodes[ni].sptd.Broadcast(tid, 0, buf, bridge, lw.wait)
-		lw.finish()
+		sh.nodes[ni].sptd.Broadcast(tid, 0, buf, bridge, w.wait)
+		w.close()
 		c.r.finishColl(obs.KBcast, t0, int64(sh.nodes[ni].sptd.Round(tid)))
 		return
 	}

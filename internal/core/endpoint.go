@@ -247,8 +247,7 @@ func (ep *Channel) sendStall(q *queue.PBQ, buf []byte) {
 		t0 = ep.trace.Now()
 	}
 	r.count(&r.stats.PBQStallWaits, 1)
-	r.pendRec = WaitRecord{Kind: WaitP2PSend, Peer: ep.peer, Tag: ep.tag, Comm: ep.comm}
-	r.leafWait(func() bool { return q.TryEnqueue(buf) })
+	r.block(WaitRecord{Kind: WaitP2PSend, Peer: ep.peer, Tag: ep.tag, Comm: ep.comm}, false, func() bool { return q.TryEnqueue(buf) })
 	if ep.trace != nil {
 		ep.trace.EmitSpan(obs.KPBQStall, ep.peer32, int64(len(buf)), t0)
 	}
@@ -282,8 +281,7 @@ func (ep *Channel) Recv(buf []byte) int {
 func (ep *Channel) recvStall(q *queue.PBQ, buf []byte) int {
 	r := ep.r
 	var n int
-	r.pendRec = WaitRecord{Kind: WaitP2PRecv, Peer: ep.peer, Tag: ep.tag, Comm: ep.comm}
-	r.leafWait(func() bool {
+	r.block(WaitRecord{Kind: WaitP2PRecv, Peer: ep.peer, Tag: ep.tag, Comm: ep.comm}, false, func() bool {
 		var ok bool
 		n, ok = q.TryDequeue(buf)
 		return ok

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -476,6 +478,141 @@ func TestTCPFullWindowRMA(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedMemoryWaitsNeverPark keeps the wait table's shared-memory half:
+// a wait that another rank's store completes spins, because a park costs
+// more than the whole wait.  A single-node run goes through every such site
+// — eager and rendezvous stalls, the intra-node request kinds, Execute's
+// straggler wait, Fence, PSCW, the collectives, NotifyWait, the mailbox's
+// Recv, Select and Send, WaitFor — each held open by a peer that arrives a
+// millisecond late, long past the yield round after which a parking wait
+// parks, and no rank parks once.  The remote half, waits that park and are
+// woken, is TestPoisonUnparksCrossNodeRecv's.
+func TestSharedMemoryWaitsNeverPark(t *testing.T) {
+	setProcs(t, 1) // the owner runs chunk 0 before rank 1 can steal it
+	const late = time.Millisecond
+	var stats [2]RankStats
+	var entered atomic.Int32
+	var flag atomic.Bool
+	err := Run(Config{NRanks: 2}, func(r *Rank) {
+		w, me := r.World(), r.ID()
+		// step runs wait on rank 1 and, a millisecond later, complete on rank 0.
+		step := func(wait, complete func()) {
+			if me == 1 {
+				wait()
+			} else {
+				time.Sleep(late)
+				complete()
+			}
+		}
+		buf, big := make([]byte, 8), make([]byte, 16<<10)
+		send := func(b []byte) func() { return func() { w.Send(b, 1-me, 0) } }
+		recv := func(b []byte) func() { return func() { w.Recv(b, 1-me, 0) } }
+		step(recv(buf), send(buf)) // eager receive stall
+		step(recv(big), send(big)) // rendezvous receive
+		step(send(big), recv(big)) // rendezvous send
+		step(func() { w.Wait(w.Irecv(buf, 0, 0)) }, send(buf))
+		ep := w.SendChannel(1-me, 1)
+		if me == 0 {
+			ep = w.RecvChannel(1, 1)
+		}
+		step(func() {
+			for i := 0; i <= DefaultPBQSlots; i++ {
+				ep.Send(buf) // the last one stalls on a full queue
+			}
+		}, func() {
+			for i := 0; i <= DefaultPBQSlots; i++ {
+				ep.Recv(buf)
+			}
+		})
+		collectives := []func(){
+			w.Barrier,
+			func() { w.Allreduce(buf, make([]byte, 8), collective.OpSum, collective.Int64) },
+			func() { w.Allreduce(big, make([]byte, len(big)), collective.OpSum, collective.Int64) },
+			func() { w.Reduce(buf, make([]byte, 8), 1, collective.OpSum, collective.Int64) },
+			func() { w.Bcast(buf, 0) },
+		}
+		for _, c := range collectives {
+			step(c, c)
+		}
+
+		// Execute's straggler wait: rank 0 owns the task, rank 1 steals
+		// chunk 1 while it waits for a message and sleeps in it, so the owner
+		// waits for it.
+		task := r.NewTask(2, func(int64, int64, any) {
+			if entered.Add(1) == 1 {
+				for entered.Load() < 2 {
+					runtime.Gosched()
+				}
+				return
+			}
+			time.Sleep(late)
+		})
+		if me == 0 {
+			if st := task.Execute(nil); st.StolenChunks != 1 {
+				panic(fmt.Sprintf("task stats %+v: want chunk 1 stolen", st))
+			}
+			w.Send(buf, 1, 2)
+		} else {
+			w.Recv(buf, 0, 2)
+		}
+
+		win := w.WinCreate(make([]byte, 8))
+		step(win.Fence, win.Fence)
+		if me == 0 { // PSCW: rank 1's Start waits for the Post, rank 0's Wait for the Complete
+			time.Sleep(late)
+			win.Post([]int{1})
+			win.Wait()
+		} else {
+			win.Start([]int{0})
+			time.Sleep(late)
+			win.Complete()
+		}
+		step(func() { win.NotifyWait(0, 1) }, func() { win.Notify(1, 0) })
+		win.Free()
+
+		shm := w.ShmemCreate(4096, 0)
+		mb := shm.NewMailbox(1, 2, 8)
+		step(func() { mb.Recv(buf) }, func() { mb.Send(buf) })
+		step(func() { shm.Select(mb); mb.Recv(buf) }, func() { mb.Send(buf) })
+		// The mailbox holds two messages: rank 0's third Send waits for room.
+		if me == 0 {
+			for i := 0; i < 3; i++ {
+				mb.Send(buf)
+			}
+		} else {
+			time.Sleep(late)
+			for i := 0; i < 3; i++ {
+				mb.Recv(buf)
+			}
+		}
+		shm.Barrier()
+		shm.FreeHeap()
+
+		if me == 0 {
+			w.Send(buf, 1, 3)
+			time.Sleep(late)
+			flag.Store(true)
+			w.Recv(buf, 1, 3)
+		} else {
+			w.Recv(buf, 0, 3)
+			r.WaitFor(flag.Load)
+			w.Send(buf, 0, 3)
+		}
+		stats[me] = r.Stats()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, st := range stats {
+		if st.Parks != 0 {
+			t.Errorf("rank %d parked %d times in shared-memory waits, want never", rank, st.Parks)
+		}
+	}
+	if stats[1].PBQStallWaits == 0 {
+		t.Error("rank 1 never stalled on a full queue: the send-stall site was not reached")
 	}
 }
 

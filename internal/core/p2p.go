@@ -227,7 +227,7 @@ func (r *Rank) waitReq(req *Request) int {
 		releaseReq(req)
 		return n
 	}
-	r.pendRec = WaitRecord{
+	rec := WaitRecord{
 		Kind: waitKindFor(req.kind), Peer: int(req.peer),
 		Tag: req.tag, Comm: req.comm, Seq: req.seq,
 	}
@@ -235,7 +235,7 @@ func (r *Rank) waitReq(req *Request) int {
 	// park and let it run.
 	switch req.kind {
 	case reqRemoteRecv:
-		r.leafWaitIdle(func() bool {
+		r.block(rec, true, func() bool {
 			if req.done {
 				return true
 			}
@@ -246,7 +246,7 @@ func (r *Rank) waitReq(req *Request) int {
 		// Origin side of a remote one-sided op: apply incoming frames (two
 		// origins putting at each other must each drain their inbox), then
 		// poll the target's applied watermark.
-		r.leafWaitIdle(func() bool {
+		r.block(rec, true, func() bool {
 			if req.flow.applied.Load() >= req.flowSeq {
 				req.done = true
 				return true
@@ -259,7 +259,7 @@ func (r *Rank) waitReq(req *Request) int {
 		})
 	case reqRmaGet:
 		// The reply frame arrives on our own inbox; rmaProgress fills buf.
-		r.leafWaitIdle(func() bool {
+		r.block(rec, true, func() bool {
 			if req.done {
 				return true
 			}
@@ -268,7 +268,7 @@ func (r *Rank) waitReq(req *Request) int {
 		})
 	default:
 		ch := req.ch
-		r.leafWait(func() bool {
+		r.block(rec, false, func() bool {
 			if req.done {
 				return true
 			}

@@ -486,10 +486,9 @@ func (win *Win) Fence() {
 	} else {
 		win.w.FenceArrive(win.c.myRank, win.fenceRound)
 		if !win.w.FenceReached(win.fenceRound) {
-			lw := lazyWait{r: r, rec: WaitRecord{
+			r.block(WaitRecord{
 				Kind: WaitRmaFence, Peer: -1, Tag: rmaTag, Comm: win.key.Comm, Seq: win.fenceRound, Op: "fence",
-			}}
-			lw.wait(func() bool {
+			}, false, func() bool {
 				if win.w.FenceReached(win.fenceRound) {
 					return true
 				}
@@ -497,7 +496,6 @@ func (win *Win) Fence() {
 				r.rmaProgress()
 				return win.w.FenceReached(win.fenceRound)
 			})
-			lw.finish()
 		}
 	}
 	r.count(&r.stats.RmaFences, 1)
@@ -552,9 +550,9 @@ func (win *Win) Start(targets []int) {
 			continue
 		}
 		g, same := win.local(t)
-		r.pendRec = WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.startRound, Op: "start"}
 		t := t
-		r.leafWaitVia(!same, func() bool { // a remote Post flag arrives as a frame
+		rec := WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.startRound, Op: "start"}
+		r.block(rec, !same, func() bool { // a remote Post flag arrives as a frame
 			if win.w.Posted(t, win.startRound) {
 				return true
 			}
@@ -605,9 +603,9 @@ func (win *Win) Wait() {
 			continue
 		}
 		g, same := win.local(o)
-		r.pendRec = WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.waitRound, Op: "wait"}
 		o := o
-		r.leafWaitVia(!same, func() bool { // a remote Complete flag arrives as a frame
+		rec := WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.waitRound, Op: "wait"}
+		r.block(rec, !same, func() bool { // a remote Complete flag arrives as a frame
 			if win.w.Completed(o, win.c.myRank, win.waitRound) {
 				return true
 			}
@@ -650,10 +648,9 @@ func (win *Win) NotifyWait(slot, count int) {
 	if win.w.NotifyCount(me, slot) >= need {
 		return
 	}
-	lw := lazyWait{r: r, rec: WaitRecord{
+	r.block(WaitRecord{
 		Kind: WaitRmaNotify, Peer: -1, Tag: rmaTag, Comm: win.key.Comm, Seq: need, Op: "notify-wait",
-	}, idle: win.c.multiNode()}
-	lw.wait(func() bool {
+	}, win.c.multiNode(), func() bool {
 		if win.w.NotifyCount(me, slot) >= need {
 			return true
 		}
@@ -661,7 +658,6 @@ func (win *Win) NotifyWait(slot, count int) {
 		r.rmaProgress()
 		return win.w.NotifyCount(me, slot) >= need
 	})
-	lw.finish()
 }
 
 // Free collectively releases the window: outstanding operations are

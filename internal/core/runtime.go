@@ -276,7 +276,7 @@ type Rank struct {
 	node  int
 	local int // index among the node's ranks ("thread number in the process")
 	thief *sched.Thief
-	wait  ssw.Waiter
+	wait  ssw.Waiter // the SSW loop of waits another rank's store completes; see park
 	world *Comm
 	// stats points at the rank's cells in Runtime.stats; every write goes
 	// through count, which is atomic exactly when liveStats says a collector
@@ -306,24 +306,23 @@ type Rank struct {
 	// slot is the rank's entry in the runtime's wait registry (watchdog and
 	// abort diagnostics read it).
 	slot *rankWaitSlot
-	// pendRec describes the rank's innermost *leaf* wait — a p2p or remote
-	// stall with no waits nested inside it — while pendActive is set.  These
-	// are plain fields: only the rank's own goroutine touches them, and they
-	// become visible to diagnostics only when copied into the (atomic) wait
-	// slot, either by the watchdog-armed probe counter or by the unwind
-	// settlement in settleUnwoundWait.
-	pendRec       WaitRecord
-	pendActive    bool
-	pendPublished bool
-	// unwindPublished is set by the first unwind handler to run while an
-	// abort panic unwinds this rank, so outer (less specific) waits on the
-	// same stack leave the innermost record in place.  Only the rank's own
-	// goroutine touches it.
-	unwindPublished bool
 	// liveWaitRecords is true when the hang watchdog is armed and therefore
 	// needs wait records published while ranks are still blocked (not just
 	// at abort unwind).
 	liveWaitRecords bool
+
+	// waits is the stack of the rank's open waits' pending records,
+	// innermost last (rankWait): nwaits waits are open, the first waitDepth
+	// of them have a record here.  Plain fields: only the rank's own
+	// goroutine touches them, and a record becomes visible to diagnostics
+	// only when copied into the (atomic) wait slot.
+	waits  [waitDepth]pendWait
+	nwaits int
+	// park is wait with the rank's WakeCell: the SSW loop for waits a link
+	// reader completes.  quiet parks on the same cell but neither steals nor
+	// makes progress: tpSend waits in it for room on a link while its frame
+	// may already hold its place in an RMA flow.
+	park, quiet ssw.Waiter
 
 	// Ranks are allocated back to back; the pad keeps one rank's wait record
 	// (rewritten at every blocking wait) off the cacheline the next rank's
@@ -514,12 +513,11 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 			case ssw.AbortPanic:
 				// Unwound by runtime poisoning: a survivor, not a new
 				// failure.  Its wait record stays published for the
-				// RunError's blocked-rank listing; a leaf wait that unwound
-				// before publishing settles its pending record here (there
-				// is no lazyWait handler below a leaf).
+				// RunError's blocked-rank listing; a wait that unwound
+				// before publishing settles its pending record here.
 				rt.waitSlots[id].unwound.Store(true)
 				if r := ranks[id]; r != nil {
-					r.settleUnwoundWait(nil)
+					r.settleUnwoundWait()
 				}
 				ranks[id].emitAbortEvent()
 			case rankAbortPanic:
@@ -621,11 +619,13 @@ func (rt *Runtime) newRank(id int) *Rank {
 	// unblocks remote origins.
 	r.wait = ssw.Waiter{
 		Steal: r.thief, SpinBudget: rt.cfg.spinBudget, Poison: rt.abortErr, Progress: r.rmaProgress,
-		Cell: rt.cells[id],
 	}
 	if rt.tp != nil {
 		r.wait.Progress = r.tpProgress
 	}
+	r.park = r.wait
+	r.park.Cell = rt.cells[id]
+	r.quiet = ssw.Waiter{SpinBudget: r.wait.SpinBudget, Poison: r.wait.Poison, Cell: r.park.Cell}
 	r.world = &Comm{r: r, sh: rt.world, myRank: id}
 	return r
 }

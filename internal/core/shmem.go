@@ -387,8 +387,9 @@ func (m *Mailbox) Send(msg []byte) {
 	}
 	r := m.s.win.c.r
 	g := m.s.win.c.sh.members[m.owner]
-	r.pendRec = WaitRecord{Kind: WaitShmem, Peer: g, Tag: rmaTag, Comm: m.s.win.key.Comm, Op: "mailbox-send"}
-	r.leafWaitVia(false, func() bool {
+	// It spins even toward an owner on another node: its own TrySend
+	// completes it, not a frame.
+	r.block(WaitRecord{Kind: WaitShmem, Peer: g, Tag: rmaTag, Comm: m.s.win.key.Comm, Op: "mailbox-send"}, false, func() bool {
 		r.rmaProgress()
 		return m.TrySend(msg)
 	})
@@ -437,10 +438,9 @@ func (m *Mailbox) Recv(dst []byte) int {
 	m.checkOwner("Recv")
 	r := m.s.win.c.r
 	if r.rmaProgress(); !m.ready() {
-		lw := lazyWait{r: r, rec: WaitRecord{
+		r.block(WaitRecord{
 			Kind: WaitShmem, Peer: -1, Tag: rmaTag, Comm: m.s.win.key.Comm, Seq: uint64(m.head) + 1, Op: "mailbox-recv",
-		}, idle: m.s.win.c.multiNode()}
-		lw.wait(func() bool {
+		}, m.s.win.c.multiNode(), func() bool {
 			if m.ready() {
 				return true
 			}
@@ -448,7 +448,6 @@ func (m *Mailbox) Recv(dst []byte) int {
 			r.rmaProgress()
 			return m.ready()
 		})
-		lw.finish()
 	}
 	n, _ := m.consume(dst)
 	return n
@@ -479,10 +478,9 @@ func (s *Shm) Select(mboxes ...*Mailbox) int {
 	if r.rmaProgress(); scan() {
 		return pick
 	}
-	lw := lazyWait{r: r, rec: WaitRecord{
+	r.block(WaitRecord{
 		Kind: WaitShmem, Peer: -1, Tag: rmaTag, Comm: s.win.key.Comm, Op: "mailbox-select",
-	}, idle: s.win.c.multiNode()}
-	lw.wait(func() bool {
+	}, s.win.c.multiNode(), func() bool {
 		if scan() {
 			return true
 		}
@@ -490,6 +488,5 @@ func (s *Shm) Select(mboxes ...*Mailbox) int {
 		r.rmaProgress()
 		return scan()
 	})
-	lw.finish()
 	return pick
 }

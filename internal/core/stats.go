@@ -83,7 +83,7 @@ type RankStats struct {
 	StealAttempts   int64
 	StealsSucceeded int64
 
-	// Socket-completed waits (ssw.Waiter.WaitIdle): how often this rank
+	// Socket-completed waits (Rank.park, Rank.quiet): how often this rank
 	// parked, and how those parks ended — unparked by whoever completed the
 	// wait, or by the timer that keeps a parked rank stealing and checking
 	// for poison.  Waits satisfied while still spinning count nowhere.  The
@@ -215,7 +215,7 @@ func (r *Rank) Stats() RankStats {
 	st := *r.stats
 	st.BytesSent = st.BytesSentEager + st.BytesSentRendezvous + st.BytesSentRemote
 	st.StealAttempts, st.StealsSucceeded = r.thief.Attempts, r.thief.Stolen
-	cell := r.wait.Cell
+	cell := r.park.Cell
 	st.Parks, st.ParkWakes, st.ParkTimeouts = cell.Parks, cell.Wakes, cell.Timeouts
 	return st
 }

@@ -54,9 +54,9 @@ func (t *Task) Execute(extra any) sched.RunStats {
 	// finish) is a blocking point like any other; publish it.  Thieves that
 	// execute chunks tick the progress counter through the steal observer, so
 	// the watchdog sees a long-running task as live.
-	lw := lazyWait{r: r, rec: WaitRecord{Kind: WaitTask, Peer: -1, Seq: uint64(t.nchunks), Op: "execute"}}
-	stats := ns.sched.Run(r.local, t.nchunks, t.body, extra, lw.wait)
-	lw.finish()
+	w := r.openWait(WaitRecord{Kind: WaitTask, Peer: -1, Seq: uint64(t.nchunks), Op: "execute"}, false, nil)
+	stats := ns.sched.Run(r.local, t.nchunks, t.body, extra, w.wait)
+	w.close()
 	r.count(&r.stats.TasksExecuted, 1)
 	r.count(&r.stats.ChunksOwned, stats.OwnerChunks)
 	r.count(&r.stats.ChunksStolen, stats.StolenChunks)

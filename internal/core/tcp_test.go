@@ -500,6 +500,24 @@ func TestSPTDCollectiveAllocs(t *testing.T) {
 	}
 }
 
+// TestTaskExecuteOwnerOnlyAllocs: an Execute whose owner runs every chunk
+// allocates only the execution record thieves may hold on to; the straggler
+// wait, and its closure, are skipped when no thief holds a chunk.
+func TestTaskExecuteOwnerOnlyAllocs(t *testing.T) {
+	var perCall float64
+	err := Run(Config{NRanks: 1}, func(r *Rank) {
+		task := r.NewTask(16, func(int64, int64, any) {})
+		task.Execute(nil)
+		perCall = testing.AllocsPerRun(1000, func() { task.Execute(nil) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perCall > 1 {
+		t.Fatalf("an owner-only Execute allocates %.2f times, want at most 1", perCall)
+	}
+}
+
 // TestTCPPutFenceAllocs is the same gate on the one-sided path: a remote
 // Put + Fence costs a data frame one way and an applied-watermark frame back
 // (tpApplied), and in steady state neither upcall allocates.  Counted over

@@ -17,7 +17,7 @@ import (
 // frames land in remoteChannel mailboxes, which the receive paths
 // (progressRemoteRecv, rmaProgress) drain.
 //
-// A rank waiting for a frame is parked (ssw.Waiter.WaitIdle), so every upcall
+// A rank waiting for a frame is parked (Rank.park), so every upcall
 // that completes such a wait publishes first and then unparks the rank it
 // completed it for.  A rank found inside such a wait takes over the frame's
 // ack: it is about to send, or to block again, and either act carries the
@@ -97,7 +97,7 @@ func (rt *Runtime) tpAdmit(f *transport.Frame) bool {
 // tpWritable is the transport's upcall for a resend window that refused a
 // send and has room again.  Which ranks wait for which link is not tracked:
 // every parked rank probes once.
-func (rt *Runtime) tpWritable(int) { wakeCells(rt.cells) }
+func (rt *Runtime) tpWritable(int) { rt.wakeAll() }
 
 // wake unparks rank (a rank id off the wire) if it is parked and reports
 // whether it is inside a socket-completed wait at all.  The caller has
@@ -206,13 +206,13 @@ func (r *Rank) tpSend(dstNode int, f *transport.Frame) {
 		// so park and retry when the reader says there is room (tpWritable);
 		// poison unwinds us if the peer never drains (the retry budget kills
 		// the link and the DeadError branch fires, or another rank poisons
-		// first).  The wait is a quiet one: the frame may already hold its
-		// place in an RMA flow (rmaTransmit counted it), so neither a stolen
-		// chunk nor rmaProgress may put another frame of this rank's on the
-		// wire before it.  The flush is for an ack a reader left to this rank
-		// when it woke it; the retry is the condition, and is made once per
-		// probe (ssw.Waiter never asks again after a true).
-		r.wait.WaitQuiet(func() bool {
+		// first).  The wait is a quiet one (Rank.quiet): the frame may already
+		// hold its place in an RMA flow (rmaTransmit counted it), so neither a
+		// stolen chunk nor rmaProgress may put another frame of this rank's on
+		// the wire before it.  The flush is for an ack a reader left to this
+		// rank when it woke it; the retry is the condition, and is made once
+		// per probe (ssw.Waiter never asks again after a true).
+		r.quiet.Wait(func() bool {
 			tp.Flush()
 			err = tp.Send(dstNode, f)
 			return err != transport.ErrBusy

@@ -190,8 +190,11 @@ func (s *Scheduler) Run(slot int, nchunks int64, body Body, extra any, wait func
 		body(start, end, extra)
 		localDone += end - start
 	}
-	// All chunks allocated; wait for thieves to finish executing theirs.
-	wait(func() bool { return e.done.Load()+localDone == nchunks })
+	// All chunks allocated; wait for thieves to finish executing theirs.  The
+	// wait's closure escapes, so an owner that ran every chunk skips it.
+	if e.done.Load()+localDone != nchunks {
+		wait(func() bool { return e.done.Load()+localDone == nchunks })
+	}
 	schedpoint.Point("sched:run:close")
 	s.active[slot].Store(nil) // close
 	return RunStats{OwnerChunks: localDone, StolenChunks: nchunks - localDone}

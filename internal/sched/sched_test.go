@@ -10,7 +10,7 @@ import (
 	"repro/internal/ssw"
 )
 
-func spinWait(cond func() bool) { ssw.SpinWait(cond) }
+func spinWait(cond func() bool) { (&ssw.Waiter{}).Wait(cond) }
 
 func TestRunExecutesEveryChunkExactlyOnce(t *testing.T) {
 	s := New(Config{Slots: 4})

@@ -8,12 +8,13 @@ import (
 	"time"
 )
 
-// WaitIdle and its WakeCell.  A park that only a Wake may end uses a timeout
-// of never: a lost wake-up is then a hung test, not a timeout that hides it.
+// The parking wait (a Waiter with a Cell) and its WakeCell.  A park that only
+// a Wake may end uses a timeout of never: a lost wake-up is then a hung test,
+// not a timeout that hides it.
 
 const never = 24 * time.Hour
 
-// parkTimeouts fixes WaitIdle's park timeout for one test.
+// parkTimeouts fixes the park timeout for one test.
 func parkTimeouts(t *testing.T, d time.Duration) {
 	lo, hi := ParkMin, ParkMax
 	ParkMin, ParkMax = d, d
@@ -57,12 +58,12 @@ func TestWaitIdleTrueConditionTouchesNothing(t *testing.T) {
 		Progress: func() { t.Fatal("progress run on fast path") },
 	}
 	probes := 0
-	w.WaitIdle(func() bool { probes++; return true })
-	if probes != 1 || w.Cell != nil {
-		t.Fatalf("%d probes, cell %v; want one probe and no cell made", probes, w.Cell)
+	w.Wait(func() bool { probes++; return true })
+	if probes != 1 {
+		t.Fatalf("%d probes, want one", probes)
 	}
 	w.Cell = NewWakeCell()
-	w.WaitIdle(func() bool { return true })
+	w.Wait(func() bool { return true })
 	if c := w.Cell; c.state.Load() != cellRunning || c.Parks != 0 || len(c.sig) != 0 {
 		t.Fatalf("a satisfied wait touched its cell: %+v", c)
 	}
@@ -94,14 +95,14 @@ func TestParkNoLostWakeup(t *testing.T) {
 	}
 }
 
-// The same through WaitIdle, spin and yield round included.
+// The same through Wait, spin and yield round included.
 func TestWaitIdleWokenByCompleter(t *testing.T) {
 	parkTimeouts(t, never)
 	c := startCompleter(t)
 	w := &Waiter{SpinBudget: 1, Cell: c.cell}
 	for i := int64(1); i <= 10000; i++ {
 		c.req.Store(i)
-		w.WaitIdle(func() bool { return c.done.Load() >= i })
+		w.Wait(func() bool { return c.done.Load() >= i })
 	}
 	if cell := c.cell; cell.Timeouts != 0 || cell.state.Load() != cellRunning {
 		t.Fatalf("timeouts %d, state %d after the last wait", cell.Timeouts, cell.state.Load())
@@ -119,7 +120,7 @@ func TestWakeReportsWaitingOwner(t *testing.T) {
 	w := &Waiter{SpinBudget: 1, Cell: c}
 	var sawWaiting, sawToken bool
 	probes := 0
-	w.WaitIdle(func() bool {
+	w.Wait(func() bool {
 		if probes++; probes == 2 { // inside the wait, probing: waiting, but no token needed
 			sawWaiting, sawToken = c.Wake(), len(c.sig) != 0
 		}
@@ -145,7 +146,7 @@ func TestWaitIdleStaleToken(t *testing.T) {
 		t.Fatalf("stale token: parks %d wakes %d, want 1 and 1", c.cell.Parks, c.cell.Wakes)
 	}
 	c.req.Store(1)
-	w.WaitIdle(func() bool { return c.done.Load() >= 1 })
+	w.Wait(func() bool { return c.done.Load() >= 1 })
 	if c.cell.Timeouts != 0 {
 		t.Fatal("the real wake-up was lost behind the stale token")
 	}
@@ -159,7 +160,7 @@ func TestWaitIdleAsksNoMoreOnceTrue(t *testing.T) {
 	for trueAt := 1; trueAt <= 6; trueAt++ {
 		w := &Waiter{SpinBudget: 1, Cell: NewWakeCell()}
 		probes := 0
-		w.WaitIdle(func() bool { probes++; return probes >= trueAt })
+		w.Wait(func() bool { probes++; return probes >= trueAt })
 		if probes != trueAt {
 			t.Fatalf("a condition true at probe %d was probed %d times", trueAt, probes)
 		}
@@ -169,20 +170,44 @@ func TestWaitIdleAsksNoMoreOnceTrue(t *testing.T) {
 	}
 }
 
-// WaitQuiet parks and is unparked like WaitIdle, and poison unwinds it, but it
-// runs neither the stealer nor the progress hook.
+// A wait in the middle of an operation that nothing of the rank's may
+// re-enter (a frame that holds its place in a flow, waiting for room on the
+// link) uses a second Waiter on the rank's Cell with neither Steal nor
+// Progress.  Nested in the rank's own parking wait — its progress hook
+// blocks — it parks and is unparked like any parking wait, restores the
+// outer wait's state when it returns, runs no hooks, and poison unwinds it.
 func TestWaitQuietRunsNoHooks(t *testing.T) {
 	parkTimeouts(t, 20*time.Microsecond)
 	c := startCompleter(t)
 	s := &flakyStealer{}
-	w := &Waiter{SpinBudget: 1, Cell: c.cell, Steal: s, Progress: func() { t.Error("progress hook ran in a quiet wait") }}
-	for i := int64(1); i <= 1000; i++ {
-		c.req.Store(i)
-		w.WaitQuiet(func() bool { return c.done.Load() >= i })
+	quiet := &Waiter{SpinBudget: 1, Cell: c.cell}
+	inQuiet := false
+	w := &Waiter{SpinBudget: 1, Cell: c.cell, Steal: s}
+	w.Progress = func() {
+		if inQuiet {
+			t.Error("progress hook ran in a quiet wait")
+		}
+		inQuiet = true
+		for i := c.req.Load() + 1; i <= 1000; i++ {
+			c.req.Store(i)
+			quiet.Wait(func() bool { return c.done.Load() >= i })
+			if st := c.cell.state.Load(); st != cellWaiting {
+				t.Fatalf("state %d after a nested wait, want the outer wait's %d", st, cellWaiting)
+			}
+		}
+		inQuiet = false
+	}
+	attempts := 0
+	w.Wait(func() bool { attempts = s.attempts; return c.done.Load() >= 1000 })
+	if st := c.cell.state.Load(); st != cellRunning {
+		t.Fatalf("state %d after the outer wait, want %d", st, cellRunning)
+	}
+	if s.attempts != attempts {
+		t.Fatalf("%d steal attempts inside the quiet waits", s.attempts-attempts)
 	}
 	// Nobody completes the last wait: it parks until poison unwinds it.
 	poisoned := errors.New("runtime aborted")
-	w.Poison = func() error {
+	quiet.Poison = func() error {
 		if c.cell.Timeouts >= 3 {
 			return poisoned
 		}
@@ -192,12 +217,9 @@ func TestWaitQuietRunsNoHooks(t *testing.T) {
 		if ap, ok := recover().(AbortPanic); !ok || ap.Err != poisoned {
 			t.Fatalf("recovered %v, want AbortPanic{poisoned}", ap)
 		}
-		if s.attempts != 0 {
-			t.Fatalf("%d steal attempts in quiet waits", s.attempts)
-		}
 	}()
-	w.WaitQuiet(func() bool { return false })
-	t.Fatal("WaitQuiet returned instead of unwinding")
+	quiet.Wait(func() bool { return false })
+	t.Fatal("the quiet wait returned instead of unwinding")
 }
 
 type flakyStealer struct {
@@ -214,9 +236,9 @@ func TestWaitIdleTimeoutRunsHooks(t *testing.T) {
 	s := &flakyStealer{}
 	progress := 0
 	parkTimeouts(t, 50*time.Microsecond)
-	w := &Waiter{SpinBudget: 2, Steal: s, Progress: func() { progress++ }}
+	w := &Waiter{SpinBudget: 2, Steal: s, Progress: func() { progress++ }, Cell: NewWakeCell()}
 	w.Poison = func() error {
-		if w.Cell != nil && w.Cell.Timeouts >= 5 {
+		if w.Cell.Timeouts >= 5 {
 			return poisoned
 		}
 		return nil
@@ -227,8 +249,8 @@ func TestWaitIdleTimeoutRunsHooks(t *testing.T) {
 				t.Fatalf("recovered %v, want AbortPanic{poisoned}", ap)
 			}
 		}()
-		w.WaitIdle(func() bool { return false })
-		t.Fatal("WaitIdle returned instead of unwinding")
+		w.Wait(func() bool { return false })
+		t.Fatal("Wait returned instead of unwinding")
 	}()
 	c := w.Cell
 	if c.Timeouts < 5 || c.Wakes != 0 || c.Parks != c.Timeouts {
@@ -257,7 +279,7 @@ func TestWaitIdleStealResetsCadence(t *testing.T) {
 		return false
 	}}
 	w.Progress = func() { parksSeen = append(parksSeen, w.Cell.Parks) }
-	w.WaitIdle(func() bool { return w.Cell.Parks >= 6 })
+	w.Wait(func() bool { return w.Cell.Parks >= 6 })
 	yieldRounds := 0
 	for i := 1; i < len(parksSeen); i++ {
 		if parksSeen[i] == parksSeen[i-1] {

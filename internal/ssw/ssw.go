@@ -4,22 +4,27 @@
 // task chunk — it does not sleep.  It spins on the blocking condition and,
 // between probes, attempts to steal one chunk of any Pure Task that is open
 // for stealing on its node, so idle cycles are soaked up by useful work.
+// Every blocking site of the runtime goes through the one loop here,
+// Waiter.Wait.
 //
 // The paper pins one rank per hardware thread and spins unconditionally.
 // This port runs ranks as goroutines, often oversubscribed onto fewer cores
 // than ranks, so unbounded spinning would starve the very goroutine being
-// waited on.  Waiter.Wait therefore spins for a bounded budget and then
-// yields to the Go scheduler (runtime.Gosched), keeping the lock-free fast
-// paths byte-identical while preserving liveness.  The runtime picks the
-// budget from how many ranks share the processors: DefaultSpinBudget when
-// each has one, less as they are oversubscribed.
+// waited on.  Wait therefore spins for a bounded budget and then yields to
+// the Go scheduler (runtime.Gosched), keeping the lock-free fast paths
+// byte-identical while preserving liveness.  The runtime picks the budget
+// from how many ranks share the processors: DefaultSpinBudget when each has
+// one, less as they are oversubscribed.
 //
-// Conditions completed by a socket rather than by another rank's store go
-// through Waiter.WaitIdle, which is event-driven: after one yield round the
+// A Waiter with a Cell may also park.  That is for conditions completed by a
+// socket rather than by another rank's store: after one yield round the
 // rank parks on its WakeCell and whoever completes the condition — the
 // transport's reader goroutine, a node leader, the abort path — unparks it.
 // A timer remains only as the cadence at which a parked rank still steals,
-// checks for poison and makes progress on one-sided traffic.
+// checks for poison and makes progress on one-sided traffic.  A Waiter
+// without a Cell never parks: its completer is another spinning rank, and a
+// park there costs more than the whole wait (a park that blocks costs
+// 7–10 µs on a 2-vCPU host, where a spin answers a 2 µs wait in 2.4 µs).
 package ssw
 
 import (
@@ -34,7 +39,7 @@ import (
 // yields when the caller does not specify one.
 const DefaultSpinBudget = 64
 
-// WaitIdle's cadence.  A wait whose condition did not come true within
+// A parking wait's cadence.  A wait whose condition did not come true within
 // idleYieldRounds yield boundaries parks; a park nobody ends is ended by a
 // timer, so the rank keeps stealing, checking for poison and running its
 // progress hook.  The timeout doubles from ParkMin to ParkMax: the short
@@ -65,7 +70,8 @@ type AbortPanic struct{ Err error }
 
 func (a AbortPanic) Error() string { return a.Err.Error() }
 
-// Waiter is a reusable SSW-Loop bound to one rank's stealer.
+// Waiter is a reusable SSW-Loop bound to one rank's stealer.  Its zero value
+// spins and yields, and nothing else.
 type Waiter struct {
 	// Steal, if non-nil, is probed between condition checks.
 	Steal Stealer
@@ -83,12 +89,14 @@ type Waiter struct {
 	// operations targeting the blocked rank, so a rank parked in any wait —
 	// a receive, a collective, a fence — still exposes its windows and
 	// advances remote origins (the paper's runtime makes the same promise
-	// for message progress via its helper threads).
+	// for message progress via its helper threads).  A wait in the middle of
+	// an operation that nothing of the rank's may re-enter uses a Waiter
+	// with neither Steal nor Progress.
 	Progress func()
-	// Cell is where WaitIdle parks and where completers unpark this waiter.
-	// The owner shares it before it starts waiting; when nil, the first
-	// WaitIdle that has to park makes one nobody else knows of, and only the
-	// timer ends its parks.
+	// Cell, if non-nil, is where the wait parks and where completers unpark
+	// it; the owner shares it before it starts waiting.  Several Waiters of
+	// one rank may share a Cell.  Without one Wait never parks: nobody could
+	// wake it.
 	Cell *WakeCell
 }
 
@@ -99,20 +107,49 @@ type Waiter struct {
 //
 // A successful steal resets the spin budget, because running a chunk was
 // forward progress (and took long enough that re-probing immediately is
-// cheap relative to the work done).
+// cheap relative to the work done); in a parking wait it also resets the
+// cadence.
+//
+// With a Cell, the wait parks after one yield round without progress.  That
+// is the wait for conditions completed by background I/O — an inter-node
+// frame delivered by a transport reader goroutine.  Pure yield-spinning
+// starves the Go netpoller: goroutines that Gosched in a loop keep the run
+// queues non-empty, so no P ever parks in network poll and socket readiness
+// is only discovered by sysmon's ~10ms fallback.  With the rank parked its P
+// goes idle, the netpoller hands the frame to the reader goroutine, and the
+// reader — having published the delivery — unparks the rank (see WakeCell
+// for why no wake-up is lost).  One yield round, not several: each round
+// holds the P the reader needs, and a rank that yielded once has already
+// let every runnable goroutine go first.  A park that times out runs the
+// hooks and parks again.
+//
+// Wait never evaluates cond again once it has returned true: a condition
+// may do the thing it waits for.
 func (w *Waiter) Wait(cond func() bool) {
+	if cond() {
+		return
+	}
 	budget := w.SpinBudget
 	if budget <= 0 {
 		budget = DefaultSpinBudget
 	}
-	spins := 0
-	for !cond() {
+	// From here to the return a parking rank counts as waiting, spinning or
+	// parked: a completer that finds it so knows it is about to act on the
+	// completion.  A wait nested in this one (a progress hook that blocks)
+	// restores it.  A spinning wait leaves the word alone: link readers load
+	// it, and a store per shared-memory wait would bounce its line.
+	cell := w.Cell
+	var outer uint32
+	if cell != nil {
+		outer = cell.state.Swap(cellWaiting)
+	}
+	spins, rounds := 0, 0
+	var timeout time.Duration // the next park's; zero until a park
+	for {
 		if w.Steal != nil && w.Steal.TrySteal() {
-			spins = 0 // stole a chunk: that's progress, keep spinning
-			continue
-		}
-		spins++
-		if spins >= budget {
+			spins, rounds, timeout = 0, 0, 0
+		} else if spins++; spins >= budget {
+			spins = 0
 			if w.Poison != nil {
 				if err := w.Poison(); err != nil {
 					panic(AbortPanic{Err: err})
@@ -121,85 +158,27 @@ func (w *Waiter) Wait(cond func() bool) {
 			if w.Progress != nil {
 				w.Progress()
 			}
-			runtime.Gosched()
-			spins = 0
-		}
-	}
-}
-
-// WaitIdle is Wait for conditions completed by background I/O — an
-// inter-node frame delivered by a transport reader goroutine — rather than
-// by another rank's store.  Pure yield-spinning starves the Go netpoller:
-// goroutines that Gosched in a loop keep the run queues non-empty, so no P
-// ever parks in network poll and socket readiness is only discovered by
-// sysmon's ~10ms fallback.  So after one yield round without progress the
-// rank parks on its WakeCell: its P goes idle, the netpoller hands the frame
-// to the reader goroutine, and the reader — having published the delivery —
-// unparks the rank (see WakeCell for why no wake-up is lost).  One yield
-// round, not several: each round holds the P the reader needs, and a rank
-// that yielded once has already let every runnable goroutine go first.
-//
-// Shared-memory waits must keep using Wait: their completer is another
-// spinning rank that owns (or shares) a hardware thread, the paper's
-// assumption, and parking there only adds latency.  Steal, Poison and
-// Progress behave exactly as in Wait — a park that times out runs them and
-// parks again — and a successful steal resets the cadence: running a chunk
-// was progress.
-func (w *Waiter) WaitIdle(cond func() bool) { w.waitIdle(cond, false) }
-
-// WaitQuiet is WaitIdle for a wait in the middle of an operation that nothing
-// of this rank's may re-enter — a frame that holds its sequence number and
-// waits for room on the link.  It parks and checks for poison, but neither
-// steals nor runs Progress.
-func (w *Waiter) WaitQuiet(cond func() bool) { w.waitIdle(cond, true) }
-
-// waitIdle, like Wait, never evaluates cond again once it has returned true:
-// a condition may do the thing it waits for.
-func (w *Waiter) waitIdle(cond func() bool, quiet bool) {
-	budget := w.SpinBudget
-	if budget <= 0 {
-		budget = DefaultSpinBudget
-	}
-	if cond() {
-		return
-	}
-	if w.Cell == nil {
-		w.Cell = NewWakeCell()
-	}
-	// From here to the return the rank counts as waiting, spinning or parked:
-	// a completer that finds it so knows it is about to act on the completion.
-	// A wait nested in this one (a progress hook that blocks) restores it.
-	outer := w.Cell.state.Swap(cellWaiting)
-	spins, rounds := 0, 0
-	timeout := ParkMin
-	for done := false; !done; done = done || cond() {
-		if !quiet && w.Steal != nil && w.Steal.TrySteal() {
-			spins, rounds, timeout = 0, 0, ParkMin
-			continue
-		}
-		if spins++; spins < budget {
-			continue
-		}
-		spins = 0
-		if w.Poison != nil {
-			if err := w.Poison(); err != nil {
-				panic(AbortPanic{Err: err})
+			if cell == nil || rounds < idleYieldRounds {
+				rounds++
+				runtime.Gosched()
+			} else {
+				timeout = max(timeout, ParkMin)
+				done, woken := cell.Park(cond, timeout)
+				if done {
+					break
+				}
+				if !woken {
+					timeout = min(2*timeout, ParkMax)
+				}
 			}
 		}
-		if !quiet && w.Progress != nil {
-			w.Progress()
-		}
-		if rounds < idleYieldRounds {
-			rounds++
-			runtime.Gosched()
-			continue
-		}
-		var woken bool
-		if done, woken = w.Cell.Park(cond, timeout); !woken {
-			timeout = min(2*timeout, ParkMax)
+		if cond() {
+			break
 		}
 	}
-	w.Cell.state.Store(outer)
+	if cell != nil {
+		cell.state.Store(outer)
+	}
 }
 
 // WakeCell is one waiter's parking spot: a state word and a one-slot signal.
@@ -228,9 +207,9 @@ type WakeCell struct {
 }
 
 const (
-	cellRunning = iota // outside any WaitIdle
-	cellWaiting        // inside WaitIdle, probing
-	cellParked         // inside WaitIdle, blocked or about to block
+	cellRunning = iota // outside any parking wait
+	cellWaiting        // inside a parking wait, probing
+	cellParked         // inside a parking wait, blocked or about to block
 )
 
 // NewWakeCell returns an empty cell.
@@ -238,7 +217,7 @@ func NewWakeCell() *WakeCell { return &WakeCell{sig: make(chan struct{}, 1)} }
 
 // Wake is what a completer calls after publishing what the owner may be
 // waiting for.  It unparks the owner if it is parked (or about to block) and
-// reports whether the owner is inside a WaitIdle at all: if so it is about to
+// reports whether the owner is inside a parking wait at all: if so it is about to
 // see the completion and act on it.  With the owner not parked it costs one
 // atomic load.
 func (c *WakeCell) Wake() bool {
@@ -311,10 +290,4 @@ func (c *WakeCell) blockTimed(timeout time.Duration) bool {
 	case <-c.timer.C:
 		return false
 	}
-}
-
-// SpinWait is a stealer-less wait used by code that has no task scheduler in
-// scope (the MPI baseline, unit tests).
-func SpinWait(cond func() bool) {
-	(&Waiter{}).Wait(cond)
 }

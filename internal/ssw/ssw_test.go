@@ -50,9 +50,9 @@ func TestWaitStealsWhileBlocked(t *testing.T) {
 func TestWaitWithoutStealerTerminates(t *testing.T) {
 	done := atomic.Bool{}
 	go func() { done.Store(true) }()
-	SpinWait(done.Load)
+	(&Waiter{}).Wait(done.Load)
 	if !done.Load() {
-		t.Fatal("SpinWait returned before condition")
+		t.Fatal("Wait returned before condition")
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire constants.
@@ -192,7 +193,7 @@ func decodeHeader(h []byte) (Frame, int, error) {
 // the buffer, and its bytes are consumed only by the next Read, so the
 // payload of a returned frame is valid until then and no longer.  A frame
 // larger than the buffer is copied into a payload buffer the reader keeps
-// across calls.
+// across calls, and grows only as the payload's bytes arrive.
 type frameReader struct {
 	br      *bufio.Reader
 	pending int // bytes of the last returned frame, still in br
@@ -216,7 +217,17 @@ func (fr *frameReader) buffered() int { return fr.br.Buffered() - fr.pending }
 
 // Read blocks for the next complete frame.  A stream that ends between
 // frames reads io.EOF; one that ends inside a frame is an error too.
-func (fr *frameReader) Read() (Frame, error) {
+func (fr *frameReader) Read() (Frame, error) { return fr.read(0, MaxPayload) }
+
+// readHandshake reads a connection's first frame, which must be a want frame
+// with a handshake payload.  A header that declares anything else is an
+// error before any payload byte is read: a peer that has proven nothing
+// about itself cannot make the reader wait for a large payload.
+func (fr *frameReader) readHandshake(want Kind) (Frame, error) { return fr.read(want, helloLen) }
+
+// read reads one frame of kind want (any when 0) with at most limit payload
+// bytes.
+func (fr *frameReader) read(want Kind, limit int) (Frame, error) {
 	br := fr.br
 	br.Discard(fr.pending) // cannot fail: the bytes are buffered
 	fr.pending = 0
@@ -237,6 +248,9 @@ func (fr *frameReader) Read() (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
+	if n > limit || want != 0 && f.Kind != want {
+		return Frame{}, fmt.Errorf("transport: a %d-byte %s frame where a %s of at most %d bytes was due", n, f.Kind, want, limit)
+	}
 	if size := HeaderLen + n; size <= br.Size() {
 		b, err := br.Peek(size)
 		if err != nil {
@@ -249,13 +263,21 @@ func (fr *frameReader) Read() (Frame, error) {
 	if br.Size() >= HeaderLen {
 		br.Discard(HeaderLen)
 	}
-	if cap(fr.payload) < n {
-		fr.payload = make([]byte, n)
+	// The payload buffer grows as the bytes arrive, at most doubling, so
+	// what a header declares is never allocated ahead of them.
+	buf := fr.payload[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), readBufSize)))
+		}
+		k, err := io.ReadFull(br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return Frame{}, payloadErr(n, f.Kind, err)
+		}
 	}
-	f.Payload = fr.payload[:n]
-	if _, err := io.ReadFull(br, f.Payload); err != nil {
-		return Frame{}, payloadErr(n, f.Kind, err)
-	}
+	fr.payload = buf
+	f.Payload = buf
 	return f, nil
 }
 

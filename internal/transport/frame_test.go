@@ -2,9 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // decodeFrame parses one frame from the front of a whole buffer b, returning the frame and
@@ -76,6 +81,72 @@ func TestFrameReaderStream(t *testing.T) {
 		if f.Seq != uint64(i+1) || len(f.Payload) != i {
 			t.Fatalf("frame %d: got seq %d payload %d", i, f.Seq, len(f.Payload))
 		}
+	}
+}
+
+// declaringHeader is a frame header that declares an n-byte payload none of
+// which follows.
+func declaringHeader(k Kind, n int) []byte {
+	h := (&Frame{Kind: k}).Encode()
+	binary.LittleEndian.PutUint32(h[36:], uint32(n))
+	return h
+}
+
+// A header alone cannot make the reader allocate the payload it declares:
+// the buffer grows as the bytes arrive.  48 bytes declaring MaxPayload, then
+// the end of the stream, cost the reader far less than a megabyte.
+func TestFrameReaderDeclaredPayloadAllocatesAsBytesArrive(t *testing.T) {
+	for _, size := range []int{0, readBufSize} {
+		h := declaringHeader(KindData, MaxPayload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := newFrameReader(bytes.NewReader(h), size).Read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("buffer %d: read %v, want io.ErrUnexpectedEOF", size, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("buffer %d: a bare header declaring %d bytes allocated %d bytes", size, MaxPayload, d)
+		}
+	}
+}
+
+// An accepting node reads a connection's first frame before the peer has
+// proven anything.  Anything but a Hello of a Hello's length is refused at
+// its header: the connection closes at once, with no wait for the payload
+// until the handshake deadline.
+func TestAcceptRefusesOversizedFirstFrame(t *testing.T) {
+	net := NewMemNet()
+	tp, err := New(Config{Node: 1, Addrs: []string{"n0:1", "n1:1"}, Job: 42, DialTimeout: time.Minute}, net.Backend(), 2, Handlers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	for _, h := range [][]byte{
+		declaringHeader(KindHello, MaxPayload),
+		declaringHeader(KindHello, helloLen+1),
+		(&Frame{Kind: KindData, Payload: make([]byte, helloLen)}).Encode(),
+	} {
+		c, err := net.Backend().Dial("n1:1", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(h); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		start := time.Now()
+		n, err := c.Read(make([]byte, 1))
+		if n != 0 || err != io.EOF {
+			t.Fatalf("first frame %x: read %d bytes, %v; want the connection closed", h[:HeaderLen], n, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("first frame %x: closed after %v", h[:HeaderLen], d)
+		}
+		c.Close()
 	}
 }
 

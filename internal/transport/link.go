@@ -916,8 +916,8 @@ func (l *link) handshakeDial(c Conn) bool {
 	}
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := newFrameReader(c, 0) // see readLoop
-	rf, err := fr.Read()
-	if err != nil || rf.Kind != KindWelcome {
+	rf, err := fr.readHandshake(KindWelcome)
+	if err != nil {
 		c.Close()
 		return false
 	}

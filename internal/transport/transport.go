@@ -403,8 +403,8 @@ func (t *Transport) handleAccept(c Conn) {
 	defer t.wg.Done()
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := newFrameReader(c, 0) // see link.readLoop
-	f, err := fr.Read()
-	if err != nil || f.Kind != KindHello {
+	f, err := fr.readHandshake(KindHello)
+	if err != nil {
 		c.Close()
 		return
 	}

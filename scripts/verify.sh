@@ -60,16 +60,6 @@ go test -count=1 -fuzz FuzzMergeExposition -fuzztime 5s ./internal/obs/cluster
 echo "== make chaos (watchdog/abort/lossy links under -race)"
 make --no-print-directory chaos
 
-echo "== zero-allocation gate (eager persistent-channel endpoint hot paths)"
-# The Channel API's whole point is an allocation-free eager fast path: both
-# blocking endpoints and the pooled nonblocking pair must report 0 allocs/op
-# (tier-1's TestChannelPingPongAllocs holds the same line with the counter
-# cells atomic, i.e. Config.Metrics set).
-zero_allocs "eager endpoint" ./internal/core 'BenchmarkChannelPingPong$|BenchmarkChannelIsendIrecv$'
-# Same for the small collectives: every SPTD wait is a preallocated
-# per-thread condition (tier-1's TestSPTDCollectiveAllocs holds the line too).
-zero_allocs "SPTD collective" ./internal/core 'BenchmarkPureBarrier$|BenchmarkPureAllreduce8B$'
-
 echo "== cross-node allocation and count gates (link <= 1 alloc/frame, TCP ping-pong <= 2/round trip and ack-free, remote Put+Fence <= 8)"
 # The same machine-independent quantities on the inter-node path: the link
 # encodes into reused buffers and the runtime recycles requests and mailbox
