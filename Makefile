@@ -64,7 +64,7 @@ verify:
 	sh scripts/verify.sh
 
 bench:
-	go test -run XXX -bench . -benchtime=1s ./internal/core ./internal/transport
+	go test -run XXX -bench . -benchtime=1s ./internal/queue ./internal/core ./internal/transport
 
 # Headline microbenchmarks as JSON (BENCH_pr10.json) for cross-commit
 # comparison.

@@ -99,6 +99,54 @@ func BenchmarkChannelPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkChannelStream64B is p2p-intra's stream phase, the intra-node twin
+// of BenchmarkTCPStream64B: 64 B one-way sends through persistent channels
+// under a 512-message credit window, the receiver answering every 256th
+// message with an 8 B credit.  The sender sets the pace; the delta against
+// the raw BenchmarkPBQStream64B (internal/queue) is the channel's cost per
+// message.
+func BenchmarkChannelStream64B(b *testing.B) {
+	benchProcs(b)
+	b.ReportAllocs()
+	const window, every = 512, 256
+	n := b.N
+	err := Run(Config{NRanks: 2}, func(r *Rank) {
+		w := r.World()
+		msg, credit := make([]byte, 64), make([]byte, 8)
+		if r.ID() == 0 {
+			data, credits := w.SendChannel(1, 3), w.RecvChannel(1, 4)
+			left, owed := window, n/every
+			w.Barrier()
+			b.ResetTimer()
+			for i := 0; i < n; i++ {
+				if left == 0 {
+					credits.Recv(credit)
+					owed--
+					left += every
+				}
+				data.Send(msg)
+				left--
+			}
+			for ; owed > 0; owed-- {
+				credits.Recv(credit)
+			}
+			b.StopTimer()
+			return
+		}
+		data, credits := w.RecvChannel(0, 3), w.SendChannel(0, 4)
+		w.Barrier()
+		for i := 1; i <= n; i++ {
+			data.Recv(msg)
+			if i%every == 0 {
+				credits.Send(credit)
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkChannelPingPongObserved is the endpoint exchange with tracing and
 // metrics on.  The delta against BenchmarkChannelPingPong is the true
 // recording cost: a ring write per event, and the rank's counter cells

@@ -6,11 +6,15 @@
 // publish in the slot: a state word beside the data says whose turn it is
 // (PBQ: 0 = empty, len+1 = full; Rendezvous: 0 = free, 1 = posted, n+2 =
 // filled), one side stores it after writing the data and the other loads it
-// before reading, so neither side ever reads the other's position and the
-// flag travels in the same cacheline as what it guards.  Go's memory model
-// makes each atomic store/load pair a happens-before edge, which is strictly
-// stronger than the C++ acquire-release the paper relies on, so the same
-// single-owner slot discipline is sound here.
+// before reading, and the flag travels in the same cacheline as what it
+// guards.  The PBQ's head and tail positions are plain fields private to
+// their endpoint: the state word is each side's only atomic write per
+// message, and observers count the full slots rather than read a position.
+// Go's memory model makes each atomic store/load pair a happens-before edge,
+// which is strictly stronger than the C++ acquire-release the paper relies
+// on, so the same single-owner slot discipline is sound here.  (A sync/atomic
+// store is sequentially consistent, an XCHG on amd64 that drains the store
+// buffer, so the one store per message is the protocol's whole price.)
 package queue
 
 import (
@@ -35,11 +39,15 @@ import (
 // its own position empty, copies its message in and publishes it with one
 // atomic store of len+1; the receiver finds the slot at its own position
 // full, copies the message out and releases it with one atomic store of 0.
-// Neither side ever loads the other's position: head and tail are written by
-// their owner for observers (Len) only.  Once Enqueue returns, the sender may
-// immediately reuse its buffer.
+// That store is each side's only atomic write per message.  The positions
+// are private: the producer alone reads and writes tail, the consumer alone
+// head, each on its own cacheline, and neither side ever looks at the
+// other's — the state word carries every handoff.  Once TryEnqueue returns,
+// the sender may immediately reuse its buffer.
 //
-// Exactly one goroutine may produce and one may consume.
+// Exactly one goroutine may produce and one may consume (a role may move to
+// another goroutine only through a happens-before edge, as a rank's
+// endpoints do).  Len and Stalls are safe from any goroutine.
 type PBQ struct {
 	slotWords  int    // 8-byte words per slot, state word included
 	maxPayload int    // usable payload bytes per slot
@@ -50,10 +58,10 @@ type PBQ struct {
 	buf   []byte
 
 	_      layout.Pad
-	head   atomic.Uint64 // consumer's position; nobody else writes it
+	head   uint64 // consumer's position; private to the consumer
 	_      layout.Pad
-	tail   atomic.Uint64 // producer's position; nobody else writes it
-	stalls atomic.Int64  // failed (queue-full) enqueue probes; producer-written
+	tail   uint64       // producer's position; private to the producer
+	stalls atomic.Int64 // failed (queue-full) enqueue probes; producer-written
 	_      layout.Pad
 }
 
@@ -104,29 +112,26 @@ func (q *PBQ) Cap() int { return int(q.mask) + 1 }
 // MaxPayload returns the largest message the queue accepts.
 func (q *PBQ) MaxPayload() int { return q.maxPayload }
 
-// Len returns the number of buffered messages.  Safe for any observer
-// goroutine: each side publishes its position before the slot word that
-// hands the slot over, so head <= tail <= head+Cap holds at every instant;
-// the head is loaded before the tail and the difference is clamped to Cap,
-// so a snapshot taken while both endpoints advance can never report a
-// negative or over-capacity depth.  (Loading the tail first could see a head
-// that had already passed it, underflowing the unsigned difference — a torn
-// read the deterministic checker exhibits; see internal/check's PBQ observer
-// model test.)  Between a position store and its slot word the count leads
-// the slot by one, so Len is for observers, not for the endpoints' own
-// full/empty decisions.
+// Len returns the number of buffered messages: the slots whose state word
+// is non-zero, one atomic load per slot.  Safe for any observer goroutine,
+// since it reads no position.  The result is always in [0, Cap]; a scan
+// taken while both endpoints advance sees each slot at a different instant,
+// so it is a depth the queue passed through only approximately — but each
+// slot it counts held a message that was published and not yet released,
+// and slots are distinct messages, so it never exceeds the enqueues begun
+// minus the dequeues finished before the call, and it is 0 once the consumer
+// has drained (internal/check's PBQ observer model checks both).  Len costs
+// Cap loads, and it is for observers (the depth gauge), not for the
+// endpoints' own full/empty decisions.
 func (q *PBQ) Len() int {
-	schedpoint.Point("pbq:len:load-head")
-	h := q.head.Load()
-	schedpoint.Point("pbq:len:load-tail")
-	t := q.tail.Load()
-	// t >= h because h is the older snapshot; but both endpoints may have
-	// advanced between the two loads, so the difference is capped.
-	n := t - h
-	if n > q.mask+1 {
-		n = q.mask + 1
+	n := 0
+	for i := 0; i < len(q.words); i += q.slotWords {
+		schedpoint.Point("pbq:len:load-word")
+		if q.words[i].Load() != 0 {
+			n++
+		}
 	}
-	return int(n)
+	return n
 }
 
 // Stalls returns how many TryEnqueue calls found the queue full — the
@@ -141,8 +146,7 @@ func (q *PBQ) TryEnqueue(msg []byte) bool {
 	if len(msg) > q.maxPayload {
 		panic(fmt.Sprintf("queue: message of %d bytes exceeds PBQ payload limit %d", len(msg), q.maxPayload))
 	}
-	t := q.tail.Load()
-	w := int(t&q.mask) * q.slotWords
+	w := int(q.tail&q.mask) * q.slotWords
 	word := &q.words[w]
 	schedpoint.Point("pbq:enq:load-word")
 	if word.Load() != 0 {
@@ -152,8 +156,7 @@ func (q *PBQ) TryEnqueue(msg []byte) bool {
 	off := (w + 1) * stateBytes
 	schedpoint.Point("pbq:enq:write-slot")
 	copy(q.buf[off:off+len(msg)], msg)
-	schedpoint.Point("pbq:enq:publish-pos")
-	q.tail.Store(t + 1) // position first: see Len
+	q.tail++
 	schedpoint.Point("pbq:enq:publish")
 	word.Store(uint64(len(msg)) + 1) // publish: the payload written above happens-before the consumer's load
 	return true
@@ -165,8 +168,7 @@ func (q *PBQ) TryEnqueue(msg []byte) bool {
 // a program error and panics rather than truncating silently; the message
 // stays queued).
 func (q *PBQ) TryDequeue(dst []byte) (n int, ok bool) {
-	h := q.head.Load()
-	w := int(h&q.mask) * q.slotWords
+	w := int(q.head&q.mask) * q.slotWords
 	word := &q.words[w]
 	schedpoint.Point("pbq:deq:load-word")
 	state := word.Load()
@@ -180,20 +182,24 @@ func (q *PBQ) TryDequeue(dst []byte) (n int, ok bool) {
 	off := (w + 1) * stateBytes
 	schedpoint.Point("pbq:deq:read-slot")
 	copy(dst[:n], q.buf[off:off+n])
-	schedpoint.Point("pbq:deq:release-pos")
-	q.head.Store(h + 1) // position first: see Len
+	q.head++
 	schedpoint.Point("pbq:deq:release")
 	word.Store(0) // release the slot to the producer
 	return n, true
 }
 
 // PeekLen returns the length of the oldest buffered message without
-// consuming it.  ok is false when the queue is empty.  It is one atomic
-// load of the head slot's state word, so receivers use it both to size
-// probe-style operations and as the "is a message ready" probe.
+// consuming it.  ok is false when the queue is empty.  It is the consumer's
+// probe: it reads the consumer's private head, so only the consuming
+// goroutine may call it (the runtime's caller is Channel.RecvReady, on the
+// receiving rank), and then it is one atomic load of the head slot's state
+// word, used both to size probe-style operations and as the "is a message
+// ready" probe.  internal/check's PBQ observer model also calls it from a
+// third thread; that is sound only because the checker runs one thread at a
+// time, each handoff a happens-before edge.
 func (q *PBQ) PeekLen() (n int, ok bool) {
 	schedpoint.Point("pbq:peek:load-word")
-	state := q.words[int(q.head.Load()&q.mask)*q.slotWords].Load()
+	state := q.words[int(q.head&q.mask)*q.slotWords].Load()
 	if state == 0 {
 		return 0, false
 	}

@@ -67,3 +67,69 @@ func TestPBQWraparoundBackpressure(t *testing.T) {
 		t.Error("Stalls() = 0; expected backpressure on a 2-slot queue")
 	}
 }
+
+// TestPBQObserverDuringWraparound polls Len and Stalls from a third
+// goroutine while a producer and a consumer stream through a two-slot queue.
+// The observer methods are the only PBQ entry points another goroutine may
+// call: under -race this checks that they read nothing an endpoint writes
+// plainly (the positions are private to their endpoints), and every
+// snapshot must be a depth in [0, Cap] and a stall count that never goes
+// backwards.  The stream itself must stay FIFO, and Len must read 0 once it
+// has been drained.
+func TestPBQObserverDuringWraparound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	const total = 50_000
+	q := NewPBQ(2, 16)
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		polls, last := 0, int64(0)
+		for {
+			select {
+			case <-stop:
+				polled <- polls
+				return
+			default:
+			}
+			if l := q.Len(); l < 0 || l > q.Cap() {
+				t.Errorf("poll %d: Len = %d outside [0, %d]", polls, l, q.Cap())
+			}
+			s := q.Stalls()
+			if s < last {
+				t.Errorf("poll %d: Stalls went backwards: %d after %d", polls, s, last)
+			}
+			last = s
+			polls++
+			runtime.Gosched()
+		}
+	}()
+
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		buf := make([]byte, 8)
+		for i := 0; i < total; i++ {
+			binary.LittleEndian.PutUint64(buf, uint64(i))
+			enqueueSpin(q, buf)
+		}
+	}()
+
+	dst := make([]byte, 16)
+	for i := 0; i < total; i++ {
+		if n := dequeueSpin(q, dst); n != 8 {
+			t.Fatalf("message %d: length %d, want 8", i, n)
+		}
+		if got := binary.LittleEndian.Uint64(dst); got != uint64(i) {
+			t.Fatalf("message %d: sequence %d (out of order or corrupt)", i, got)
+		}
+	}
+	<-produced
+	close(stop)
+	if polls := <-polled; polls == 0 {
+		t.Error("the observer never polled during the stream")
+	}
+	if l := q.Len(); l != 0 {
+		t.Fatalf("Len = %d after the drain, want 0", l)
+	}
+}

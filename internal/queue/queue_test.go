@@ -315,6 +315,45 @@ func BenchmarkPBQPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkPBQStream64B is p2p-intra's stream phase on bare queues: 64 B
+// one-way messages under a 512-message credit window, the receiver
+// answering every 256th message with an 8 B credit on a second queue.  Both
+// queues have a runtime channel's default shape (16 slots of up to 8 KiB),
+// so the delta against core's BenchmarkChannelStream64B is what
+// Channel.Send and Recv add per message.
+func BenchmarkPBQStream64B(b *testing.B) {
+	const window, every = 512, 256
+	data, credits := NewPBQ(16, 8<<10), NewPBQ(16, 8<<10)
+	n := b.N
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		msg, credit := make([]byte, 64), make([]byte, 8)
+		for i := 1; i <= n; i++ {
+			dequeueSpin(data, msg)
+			if i%every == 0 {
+				enqueueSpin(credits, credit)
+			}
+		}
+	}()
+	msg, credit := make([]byte, 64), make([]byte, 8)
+	left, owed := window, n/every
+	b.ResetTimer()
+	for i := 0; i < n; i++ {
+		if left == 0 {
+			dequeueSpin(credits, credit)
+			owed--
+			left += every
+		}
+		enqueueSpin(data, msg)
+		left--
+	}
+	for ; owed > 0; owed-- {
+		dequeueSpin(credits, credit)
+	}
+	<-done
+}
+
 func TestPBQPackedBehavesIdentically(t *testing.T) {
 	q := NewPBQPacked(4, 64)
 	msg := []byte("packed slots")

@@ -81,6 +81,12 @@ type Transport struct {
 	wg       sync.WaitGroup
 	rngState atomic.Uint64
 
+	// hsConns holds the accepted connections still in the handshake, whose
+	// reads only a DialTimeout deadline bounds: Close closes them so that a
+	// peer that connects and stalls cannot hold it.
+	hsMu    sync.Mutex
+	hsConns map[Conn]struct{}
+
 	// The link clock (tickLoop): stamps are monotonic nanoseconds since
 	// epoch.  period is the ticker's, now the stamp of the latest tick, and
 	// ticks counts the ticks begun (from 1, so that 0 can mean "no tick").
@@ -111,6 +117,7 @@ func New(cfg Config, be Backend, nranks int, h Handlers) (*Transport, error) {
 		stop:   make(chan struct{}),
 		epoch:  time.Now(),
 	}
+	t.hsConns = make(map[Conn]struct{})
 	t.rngState.Store(cfg.Faults.Seed ^ 0x6a09e667f3bcc909)
 	t.period = min(cfg.HeartbeatEvery, cfg.RetryBackoff) / 2
 	if t.period < time.Millisecond {
@@ -241,6 +248,11 @@ func (t *Transport) Close() error {
 	if t.ln != nil {
 		t.ln.Close()
 	}
+	t.hsMu.Lock()
+	for c := range t.hsConns {
+		c.Close()
+	}
+	t.hsMu.Unlock()
 	t.wg.Wait()
 	return nil
 }
@@ -392,6 +404,16 @@ func (t *Transport) acceptLoop(ln Listener) {
 			}
 			continue
 		}
+		t.hsMu.Lock()
+		if t.closed.Load() {
+			// Close has already closed the handshakes it saw (it sets
+			// closed before it takes hsMu): this one would go unseen.
+			t.hsMu.Unlock()
+			c.Close()
+			return
+		}
+		t.hsConns[c] = struct{}{}
+		t.hsMu.Unlock()
 		t.wg.Add(1)
 		go t.handleAccept(c)
 	}
@@ -401,6 +423,11 @@ func (t *Transport) acceptLoop(ln Listener) {
 // validate the peer, answer Welcome, install the connection.
 func (t *Transport) handleAccept(c Conn) {
 	defer t.wg.Done()
+	defer func() {
+		t.hsMu.Lock()
+		delete(t.hsConns, c)
+		t.hsMu.Unlock()
+	}()
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := newFrameReader(c, 0) // see link.readLoop
 	f, err := fr.readHandshake(KindHello)
