@@ -113,16 +113,15 @@ func (q *PBQ) Cap() int { return int(q.mask) + 1 }
 func (q *PBQ) MaxPayload() int { return q.maxPayload }
 
 // Len returns the number of buffered messages: the slots whose state word
-// is non-zero, one atomic load per slot.  Safe for any observer goroutine,
-// since it reads no position.  The result is always in [0, Cap]; a scan
-// taken while both endpoints advance sees each slot at a different instant,
-// so it is a depth the queue passed through only approximately — but each
-// slot it counts held a message that was published and not yet released,
-// and slots are distinct messages, so it never exceeds the enqueues begun
-// minus the dequeues finished before the call, and it is 0 once the consumer
-// has drained (internal/check's PBQ observer model checks both).  Len costs
-// Cap loads, and it is for observers (the depth gauge), not for the
-// endpoints' own full/empty decisions.
+// is non-zero, one atomic load per slot.  It reads no position, so any
+// goroutine may call it.  A scan taken while both endpoints advance sees
+// each slot at its own instant, but every slot it counts held a distinct
+// message that was published and not yet released: the result is in
+// [0, Cap], never above the enqueues begun minus the dequeues finished
+// before the call, and 0 once the consumer has drained (internal/check's
+// PBQ observer model checks all three).  Len costs Cap loads; it is for
+// observers such as the depth gauge, not for the endpoints' own full/empty
+// decisions.
 func (q *PBQ) Len() int {
 	n := 0
 	for i := 0; i < len(q.words); i += q.slotWords {

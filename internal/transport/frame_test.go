@@ -150,44 +150,67 @@ func TestAcceptRefusesOversizedFirstFrame(t *testing.T) {
 	}
 }
 
-// A peer that connects and stalls in the handshake must not hold Close:
-// the accepting side's read is bounded only by DialTimeout, so Close closes
-// the connections still in the handshake instead of waiting them out.
+// A peer that stalls in the handshake must not hold Close: each side's
+// handshake read is bounded only by DialTimeout, so Close closes the
+// connections still in the handshake instead of waiting them out.  On the
+// accepting side the stalled peer has sent half a Hello header; on the
+// dialing side it accepted the connection and never answers the Hello.
 func TestCloseDoesNotWaitForStalledHandshake(t *testing.T) {
-	net := NewMemNet()
-	tp, err := New(Config{Node: 1, Addrs: []string{"n0:1", "n1:1"}, Job: 42, DialTimeout: 30 * time.Second}, net.Backend(), 2, Handlers{})
-	if err != nil {
-		t.Fatal(err)
+	for _, side := range []string{"accept", "dial"} {
+		t.Run(side, func(t *testing.T) {
+			net := NewMemNet()
+			node := 1 // accepts from node 0
+			if side == "dial" {
+				node = 0 // dials node 1
+				ln, err := net.Backend().Listen("n1:1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				go func() {
+					if c, err := ln.Accept(); err == nil {
+						defer c.Close()
+						c.Read(make([]byte, 1<<10)) // until Close closes the dialer's end
+					}
+				}()
+			}
+			tp, err := New(Config{Node: node, Addrs: []string{"n0:1", "n1:1"}, Job: 42, DialTimeout: 30 * time.Second}, net.Backend(), 2, Handlers{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tp.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if side == "accept" {
+				c, err := net.Backend().Dial("n1:1", time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				hello := (&Frame{Kind: KindHello, Payload: make([]byte, helloLen)}).Encode()
+				if _, err := c.Write(hello[:HeaderLen/2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 5*time.Second, "the handshake to start", func() bool {
+				tp.hsMu.Lock()
+				defer tp.hsMu.Unlock()
+				return len(tp.hsConns) == 1
+			})
+			start := time.Now()
+			closed := make(chan struct{})
+			go func() {
+				tp.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(time.Second):
+				t.Fatal("Close did not return within 1s of a stalled handshake")
+			}
+			t.Logf("Close returned after %v", time.Since(start))
+		})
 	}
-	if err := tp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c, err := net.Backend().Dial("n1:1", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	hello := (&Frame{Kind: KindHello, Payload: make([]byte, helloLen)}).Encode()
-	if _, err := c.Write(hello[:HeaderLen/2]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "the accept handshake to start", func() bool {
-		tp.hsMu.Lock()
-		defer tp.hsMu.Unlock()
-		return len(tp.hsConns) == 1
-	})
-	start := time.Now()
-	closed := make(chan struct{})
-	go func() {
-		tp.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(time.Second):
-		t.Fatal("Close did not return within 1s of a stalled handshake")
-	}
-	t.Logf("Close returned after %v", time.Since(start))
 }
 
 func TestDecodeFrameErrors(t *testing.T) {

@@ -870,8 +870,10 @@ func (l *link) dialLoop() {
 			break
 		}
 		c, err := l.t.be.Dial(l.addr, l.t.cfg.DialTimeout)
-		if err == nil {
-			if l.handshakeDial(c) {
+		if err == nil && l.t.trackHandshake(c) {
+			up := l.handshakeDial(c)
+			l.t.untrackHandshake(c)
+			if up {
 				break
 			}
 		}

@@ -81,9 +81,9 @@ type Transport struct {
 	wg       sync.WaitGroup
 	rngState atomic.Uint64
 
-	// hsConns holds the accepted connections still in the handshake, whose
-	// reads only a DialTimeout deadline bounds: Close closes them so that a
-	// peer that connects and stalls cannot hold it.
+	// hsConns holds the connections still in the handshake, accepted or
+	// dialed, whose reads only a DialTimeout deadline bounds: Close closes
+	// them so that a peer that stalls mid-handshake cannot hold it.
 	hsMu    sync.Mutex
 	hsConns map[Conn]struct{}
 
@@ -404,30 +404,41 @@ func (t *Transport) acceptLoop(ln Listener) {
 			}
 			continue
 		}
-		t.hsMu.Lock()
-		if t.closed.Load() {
-			// Close has already closed the handshakes it saw (it sets
-			// closed before it takes hsMu): this one would go unseen.
-			t.hsMu.Unlock()
-			c.Close()
+		if !t.trackHandshake(c) {
 			return
 		}
-		t.hsConns[c] = struct{}{}
-		t.hsMu.Unlock()
 		t.wg.Add(1)
 		go t.handleAccept(c)
 	}
+}
+
+// trackHandshake registers a connection about to run the handshake so that
+// Close can close it.  Once Close has begun tearing down it closes c instead
+// and reports false: Close sets closed before it takes hsMu, so a
+// connection registered after its sweep would go unseen.
+func (t *Transport) trackHandshake(c Conn) bool {
+	t.hsMu.Lock()
+	defer t.hsMu.Unlock()
+	if t.closed.Load() {
+		c.Close()
+		return false
+	}
+	t.hsConns[c] = struct{}{}
+	return true
+}
+
+// untrackHandshake ends a trackHandshake registration.
+func (t *Transport) untrackHandshake(c Conn) {
+	t.hsMu.Lock()
+	delete(t.hsConns, c)
+	t.hsMu.Unlock()
 }
 
 // handleAccept runs the accepting side of the handshake: await Hello,
 // validate the peer, answer Welcome, install the connection.
 func (t *Transport) handleAccept(c Conn) {
 	defer t.wg.Done()
-	defer func() {
-		t.hsMu.Lock()
-		delete(t.hsConns, c)
-		t.hsMu.Unlock()
-	}()
+	defer t.untrackHandshake(c)
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := newFrameReader(c, 0) // see link.readLoop
 	f, err := fr.readHandshake(KindHello)
