@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/pure"
 )
 
@@ -64,6 +67,15 @@ func testWorker() {
 			os.Exit(1)
 		}
 	}
+	// The cluster trace test has each node dump its trace to
+	// PURE_TRACE_BIN.node<id>.  Every clock sample needs a heartbeat echoed
+	// back, so 5 ms heartbeats over 2000 Allreduces give both directions
+	// samples.
+	traceBin := os.Getenv("PURE_TRACE_BIN")
+	if traceBin != "" {
+		iters = 2000
+		tcfg.HeartbeatEvery = 5 * time.Millisecond
+	}
 	cfg := pure.Config{
 		NRanks:      nranks,
 		Spec:        pure.Spec{Nodes: nodes, SocketsPerNode: 1, CoresPerSocket: nranks / nodes, ThreadsPerCore: 1},
@@ -71,7 +83,10 @@ func testWorker() {
 		HangTimeout: 30 * time.Second,
 		MonitorAddr: os.Getenv("PURE_MONITOR"),
 	}
-	err = pure.Run(cfg, func(r *pure.Rank) {
+	if traceBin != "" {
+		cfg.Trace = pure.NewTrace(nranks, 0)
+	}
+	rep, err := pure.RunWithReport(cfg, func(r *pure.Rank) {
 		w := r.World()
 		me, n := r.ID(), r.NRanks()
 		in, out := make([]byte, 8), make([]byte, 8)
@@ -99,7 +114,25 @@ func testWorker() {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
+	if traceBin != "" {
+		if err := writeTraceBin(rep, fmt.Sprintf("%s.node%d", traceBin, tcfg.Node)); err != nil {
+			fmt.Fprintln(os.Stderr, "worker:", err)
+			os.Exit(1)
+		}
+	}
 	os.Exit(0)
+}
+
+func writeTraceBin(rep pure.Report, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteTraceBin(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // TestRunSmoke launches a two-node four-rank job through run() — the same
@@ -125,6 +158,79 @@ func TestRunSmoke(t *testing.T) {
 	if !strings.Contains(stderr.String(), "node 1 exited ok") {
 		t.Fatalf("launcher never reported node 1's exit; stderr:\n%s", stderr.String())
 	}
+}
+
+// TestRunClusterTraceMerge is the cluster-observability pipeline of
+// docs/OBSERVABILITY.md end to end: a two-process job writes one trace dump
+// per node (clock samples, link events, placement), analyze.Merge aligns
+// them on the heartbeat-derived clock offsets, and the merged analysis pairs
+// remote sends with their receives on the other node and matches each link
+// direction's send and receive frames on sequence number.
+func TestRunClusterTraceMerge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	t.Setenv(workerEnv, "1")
+	t.Setenv("PURE_TRACE_BIN", filepath.Join(dir, "trace.bin"))
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-n", "2", "-ranks", "4", "-timeout", "60s", exe}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	dumps := make([]*obs.TraceDump, 2)
+	for node := range dumps {
+		f, err := os.Open(filepath.Join(dir, fmt.Sprintf("trace.bin.node%d", node)))
+		if err != nil {
+			t.Fatalf("node %d wrote no trace dump: %v", node, err)
+		}
+		dumps[node], err = obs.ReadTraceBin(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+	}
+	merged, info, err := analyze.Merge(dumps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligned := 0
+	for _, na := range info.Nodes {
+		if na.Node != info.Ref && na.Aligned {
+			aligned++
+		}
+	}
+	if aligned != 1 {
+		t.Fatalf("merge aligned %d node clocks to the reference, want 1: %+v", aligned, info)
+	}
+	place := merged.Meta.NodeOfRank
+	if len(place) != merged.NRanks {
+		t.Fatalf("merged dump places %d of %d ranks", len(place), merged.NRanks)
+	}
+	a := analyze.Run(merged.Events, merged.NRanks, analyze.Options{
+		Links:  merged.Meta.Links,
+		NodeOf: func(r int32) int { return int(place[r]) },
+	})
+	crossMatched := 0
+	for _, ps := range a.Paths {
+		if ps.Path == analyze.PathRemote {
+			crossMatched = ps.Matched
+		}
+	}
+	if crossMatched == 0 {
+		t.Fatalf("the merged trace pairs no cross-node sends with their receives: %+v", a.Paths)
+	}
+	seqMatched := 0
+	for _, f := range a.Links {
+		seqMatched += f.Matched
+	}
+	if seqMatched == 0 {
+		t.Fatalf("no link flow matches a frame on both sides (%d flows)", len(a.Links))
+	}
+	t.Logf("%d cross-node message pairs, %d link frames matched on sequence number", crossMatched, seqMatched)
 }
 
 // lockedBuf lets the test read launcher output while run()'s forwarding

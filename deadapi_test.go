@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -513,4 +514,125 @@ func typeKey(dir string, imports map[string]string, e ast.Expr) string {
 		}
 	}
 	return ""
+}
+
+// TestEveryOptionIsPassed extends the option gate past Config fields to the
+// command lines and the environment.  It fails on a flag declared in cmd/ or
+// examples/ that no script, Makefile, doc or Go file (tests included) passes,
+// and on a PURE_* variable that a non-test Go file reads but nothing sets or
+// documents outside that file.  Like the gates above it works by syntax: a
+// flag counts as passed wherever "-<name>" appears as a word, so two commands
+// sharing a flag name share its callers.  CHANGES.md, ROADMAP.md, ISSUE.md
+// and the paper notes at the root are history and plans, not callers.
+func TestEveryOptionIsPassed(t *testing.T) {
+	fset := token.NewFileSet()
+	files, _ := parseRepo(t, fset)
+	corpus := optionCorpus(t)
+	passedElsewhere := func(path string, re *regexp.Regexp) bool {
+		for p, text := range corpus {
+			if p != path && re.Match(text) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var unused []string
+	flags, vars := map[string]bool{}, map[string]bool{}
+	for _, af := range files {
+		path := filepath.ToSlash(fset.Position(af.file.Pos()).Filename)
+		cmdOrExample := strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "examples/")
+		ast.Inspect(af.file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if ok && lit.Kind == token.STRING {
+				if name, _ := strconv.Unquote(lit.Value); envVarName.MatchString(name) {
+					vars[name] = true
+					if !passedElsewhere(path, regexp.MustCompile(`\b`+name+`\b`)) {
+						unused = append(unused, fmt.Sprintf("%s: variable %s is read here and set or documented nowhere else", fset.Position(lit.Pos()), name))
+					}
+				}
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !cmdOrExample {
+				return true
+			}
+			if name, pos, ok := flagName(call); ok {
+				flags[path+" -"+name] = true
+				if !passedElsewhere(path, regexp.MustCompile(`(^|[\s"'`+"`"+`(\[])-`+regexp.QuoteMeta(name)+`($|[\s"'`+"`"+`=)\],.:;])`)) {
+					unused = append(unused, fmt.Sprintf("%s: flag -%s is passed by no script, Makefile target, doc or test", fset.Position(pos), name))
+				}
+			}
+			return true
+		})
+	}
+	t.Logf("%d flags in cmd/ and examples/, %d PURE_* variables", len(flags), len(vars))
+	sort.Strings(unused)
+	for _, s := range unused {
+		t.Errorf("%s: give it a caller or delete it", s)
+	}
+}
+
+// envVarName matches the name of a PURE_* environment variable.
+var envVarName = regexp.MustCompile(`^PURE_[A-Z0-9_]+$`)
+
+// flagName recognises a flag declaration — flag.Int("name", ...) or
+// fs.IntVar(&v, "name", ...) on the flag package or a FlagSet — and returns
+// the flag's name.
+func flagName(call *ast.CallExpr) (string, token.Pos, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", 0, false
+	}
+	kind, isVar := strings.CutSuffix(sel.Sel.Name, "Var")
+	switch kind {
+	case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration":
+	default:
+		return "", 0, false
+	}
+	arg, nargs := 0, 3
+	if isVar {
+		arg, nargs = 1, 4
+	}
+	if len(call.Args) != nargs {
+		return "", 0, false
+	}
+	lit, ok := call.Args[arg].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", 0, false
+	}
+	name, err := strconv.Unquote(lit.Value)
+	return name, lit.Pos(), err == nil
+}
+
+// optionCorpus reads every file that can pass a flag or set a variable: Go
+// files, shell scripts, the Makefile and the docs, keyed by slash path.
+func optionCorpus(t *testing.T) map[string][]byte {
+	t.Helper()
+	notCallers := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "PAPER.md": true, "PAPERS.md": true, "SNIPPETS.md": true}
+	corpus := make(map[string][]byte)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch ext := filepath.Ext(name); {
+		case ext == ".go", ext == ".sh", name == "Makefile", ext == ".md" && !notCallers[path]:
+			text, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			corpus[filepath.ToSlash(path)] = text
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpus
 }

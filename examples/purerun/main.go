@@ -17,7 +17,6 @@
 //	PURE_DEAD_MS   transport peer-death silence threshold in ms
 //	PURE_HANG_MS   watchdog hang timeout in ms (default 30000)
 //	PURE_DROP      transport fault plan: drop probability in [0,1]
-//	PURE_DELAY_MS  transport fault plan: max injected delay in ms (p=0.1)
 //	PURE_TRACE_BIN write this node's binary trace dump here after the run; a
 //	               "%d" in the path becomes the node id (else multi-node runs
 //	               append ".node<id>").  Feed the per-node dumps to
@@ -75,11 +74,6 @@ func main() {
 				os.Exit(1)
 			}
 			tcfg.Faults.Seed, tcfg.Faults.DropProb = 7, p
-		}
-		if ms := envInt("PURE_DELAY_MS", 0); ms > 0 {
-			tcfg.Faults.Seed = 7
-			tcfg.Faults.DelayProb = 0.1
-			tcfg.Faults.DelayMax = time.Duration(ms) * time.Millisecond
 		}
 	}
 	if nranks%nodes != 0 {

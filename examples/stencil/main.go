@@ -32,8 +32,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a Prometheus metrics snapshot of the tasked run to this file")
 	traceBinOut := flag.String("trace-bin", "", "write a binary trace dump of the tasked run (for puretrace) to this file")
 	monitorAddr := flag.String("monitor", "", "serve the live runtime monitor on this address during the tasked run (e.g. :8080)")
-	useRMA := flag.Bool("rma", true, "also run the one-sided (Put+Notify) halo-exchange variant")
-	useChannels := flag.Bool("channels", true, "also run the persistent-channel halo-exchange variant")
 	flag.Parse()
 
 	const nranks = 8
@@ -132,22 +130,18 @@ func main() {
 		log.Fatalf("checksums diverged: %v vs %v", sum1, sum2)
 	}
 	fmt.Println("checksums match: task execution is semantics-preserving")
-	if *useChannels {
-		chTime, sum4 := runChannels()
-		fmt.Printf("  persistent channels: %v (checksum %.6f)\n", chTime, sum4)
-		if sum4 != sum1 {
-			log.Fatalf("channel checksum diverged: %v vs %v", sum4, sum1)
-		}
-		fmt.Println("persistent-channel halo exchange matches the wrapper trajectory")
+	chTime, sum4 := runChannels()
+	fmt.Printf("  persistent channels: %v (checksum %.6f)\n", chTime, sum4)
+	if sum4 != sum1 {
+		log.Fatalf("channel checksum diverged: %v vs %v", sum4, sum1)
 	}
-	if *useRMA {
-		oneSided, sum3 := runRMA()
-		fmt.Printf("  one-sided halo (Put+Notify): %v (checksum %.6f)\n", oneSided, sum3)
-		if sum3 != sum1 {
-			log.Fatalf("RMA checksum diverged: %v vs %v", sum3, sum1)
-		}
-		fmt.Println("RMA halo exchange matches the message-passing trajectory")
+	fmt.Println("persistent-channel halo exchange matches the wrapper trajectory")
+	oneSided, sum3 := runRMA()
+	fmt.Printf("  one-sided halo (Put+Notify): %v (checksum %.6f)\n", oneSided, sum3)
+	if sum3 != sum1 {
+		log.Fatalf("RMA checksum diverged: %v vs %v", sum3, sum1)
 	}
+	fmt.Println("RMA halo exchange matches the message-passing trajectory")
 }
 
 // writeObservability exports the tasked run's trace and metrics to the files

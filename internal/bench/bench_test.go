@@ -2,27 +2,38 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestAllQuickExperimentsProduceTables runs every registered experiment at
+// quick scale: each returns a full table under its registry id, and no row of
+// a table with an exactness column (shmem, statsd) reads "NO" — the bit-exact
+// comparison against the serial oracle held.
 func TestAllQuickExperimentsProduceTables(t *testing.T) {
-	for _, tb := range All(true) {
+	for i, tb := range All(true) {
+		if tb.ID != experiments[i].id {
+			t.Errorf("experiment %q returned table %q", experiments[i].id, tb.ID)
+		}
 		if tb.ID == "" || tb.Title == "" || len(tb.Columns) == 0 || len(tb.Rows) == 0 {
 			t.Errorf("experiment %q produced an empty table: %+v", tb.ID, tb)
 		}
+		exact := slices.Index(tb.Columns, "exact")
 		for _, row := range tb.Rows {
 			if len(row) != len(tb.Columns) {
 				t.Errorf("%s: row width %d != %d columns: %v", tb.ID, len(row), len(tb.Columns), row)
+			} else if exact >= 0 && row[exact] != "yes" {
+				t.Errorf("%s: inexact row: %v", tb.ID, row)
 			}
 		}
 	}
 }
 
 func TestByIDCoversAll(t *testing.T) {
-	for _, tb := range All(true) {
-		if ByID(tb.ID) == nil {
-			t.Errorf("ByID(%q) missing", tb.ID)
+	for _, e := range experiments {
+		if ByID(e.id) == nil {
+			t.Errorf("ByID(%q) missing", e.id)
 		}
 	}
 	if ByID("nope") != nil {

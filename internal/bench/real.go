@@ -296,53 +296,48 @@ func AblationPBQSlots(quick bool) Table {
 	return tb
 }
 
+// experiments is the registry, in paper order: each experiment's id (the
+// ID of the Table it returns) and its runner.
+var experiments = []struct {
+	id  string
+	run func(quick bool) Table
+}{
+	{"fig1", Fig1Timeline},
+	{"sec2", Sec2Stencil},
+	{"fig4", Fig4DT},
+	{"fig5a", Fig5aCoMD},
+	{"fig5b", Fig5bCoMDImbalanced},
+	{"fig5c", Fig5cCoMDDynamic},
+	{"fig5d", Fig5dMiniAMR},
+	{"fig6", Fig6PingPong},
+	{"fig6real", RealHostPingPong},
+	{"fig7a", Fig7aAllreduce},
+	{"fig7b", Fig7bBarrierNode},
+	{"fig7breal", RealHostBarrier},
+	{"fig7c", Fig7cBarrierScale},
+	{"appA", AppAExtraCollectives},
+	{"appC", AppCThreshold},
+	{"ablation-pbq", AblationPBQSlots},
+	{"rma", RMAHalo},
+	{"shmem", ShmemPGAS},
+	{"statsd", StatsdPipeline},
+}
+
 // All returns every experiment in paper order.
 func All(quick bool) []Table {
-	return []Table{
-		Fig1Timeline(quick),
-		Sec2Stencil(quick),
-		Fig4DT(quick),
-		Fig5aCoMD(quick),
-		Fig5bCoMDImbalanced(quick),
-		Fig5cCoMDDynamic(quick),
-		Fig5dMiniAMR(quick),
-		Fig6PingPong(quick),
-		RealHostPingPong(quick),
-		Fig7aAllreduce(quick),
-		Fig7bBarrierNode(quick),
-		RealHostBarrier(quick),
-		Fig7cBarrierScale(quick),
-		AppAExtraCollectives(quick),
-		AppCThreshold(quick),
-		AblationPBQSlots(quick),
-		RMAHalo(quick),
-		ShmemPGAS(quick),
-		StatsdPipeline(quick),
+	tables := make([]Table, len(experiments))
+	for i, e := range experiments {
+		tables[i] = e.run(quick)
 	}
+	return tables
 }
 
 // ByID returns the experiment runner for an id, or nil.
 func ByID(id string) func(bool) Table {
-	m := map[string]func(bool) Table{
-		"fig1":         Fig1Timeline,
-		"sec2":         Sec2Stencil,
-		"fig4":         Fig4DT,
-		"fig5a":        Fig5aCoMD,
-		"fig5b":        Fig5bCoMDImbalanced,
-		"fig5c":        Fig5cCoMDDynamic,
-		"fig5d":        Fig5dMiniAMR,
-		"fig6":         Fig6PingPong,
-		"fig6real":     RealHostPingPong,
-		"fig7a":        Fig7aAllreduce,
-		"fig7b":        Fig7bBarrierNode,
-		"fig7breal":    RealHostBarrier,
-		"fig7c":        Fig7cBarrierScale,
-		"appA":         AppAExtraCollectives,
-		"appC":         AppCThreshold,
-		"ablation-pbq": AblationPBQSlots,
-		"rma":          RMAHalo,
-		"shmem":        ShmemPGAS,
-		"statsd":       StatsdPipeline,
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run
+		}
 	}
-	return m[id]
+	return nil
 }

@@ -21,10 +21,10 @@ import (
 //
 // The producer's park stands in for the runtime's retry loop (Rank.block
 // probing TryEnqueue itself).  Its condition must be pure and exact, or the
-// retry spins forever in some schedule: Len is not exact for an endpoint (it
-// leads the slot word between the consumer's position store and its
-// release), so the model waits on the consumer having returned from the
-// dequeue that frees the slot — the same scheduling step as the release.
+// retry spins forever in some schedule.  Len cannot be that condition: it
+// passes a schedpoint at every slot word it loads (pbq:len:load-word).  So
+// the model waits on the consumer having returned from the dequeue that
+// frees the slot — the same scheduling step as the release.
 func pbqFIFOThreads(slots, k int) Threads {
 	q := queue.NewPBQ(slots, 32)
 	var got [][]byte
@@ -86,7 +86,7 @@ func TestCheckPBQFIFORefinement(t *testing.T) {
 // TestCheckPBQFIFOExhaustive explores EVERY schedule of a small
 // configuration (1 slot, 3 messages — the single slot forces the
 // full-queue backpressure path into every schedule and is handed over five
-// times; ~24k schedules).
+// times; 7 805 schedules).
 func TestCheckPBQFIFOExhaustive(t *testing.T) {
 	hook(t)
 	rep := Exhaust(0, 0, func() Threads { return pbqFIFOThreads(1, 3) })
@@ -104,10 +104,10 @@ func TestCheckPBQFIFOExhaustive(t *testing.T) {
 // flight; every snapshot must stay within the structure's invariants.  For
 // Len that is more than its range: a depth can never exceed the enqueues
 // begun by the time Len returns minus the dequeues that had returned before
-// it was called — so it is 0 once the consumer has drained.  A side that
-// published its slot word before its position breaks exactly that (the
-// consumer's head passes the producer's stale tail and the clamp turns the
-// underflow into Cap on an empty queue) while staying in range.
+// it was called — so it is 0 once the consumer has drained.  A Len taken as
+// the difference of the two positions, loaded one after the other, breaks
+// exactly that while staying in range: the consumer's head passes a stale
+// tail snapshot, and clamping the underflow reads Cap on an empty queue.
 func pbqObserverThreads(slots, k, polls int) Threads {
 	q := queue.NewPBQ(slots, 16)
 	capn := q.Cap()
@@ -168,10 +168,10 @@ func pbqObserverThreads(slots, k, polls int) Threads {
 }
 
 // TestCheckPBQObserverSanity: Len/PeekLen/Stalls snapshots taken by a third
-// goroutine must stay in range under every explored interleaving.  Before
-// PBQ.Len loaded head-first and clamped, this test failed (the tail-first
-// unclamped difference underflows when the head passes the stale tail
-// snapshot); see TestCheckPBQObserverLenRegression for the exhibiting seeds.
+// goroutine must stay in range under every explored interleaving.  A Len
+// taken as the tail-first, unclamped difference of the positions fails it
+// (the difference underflows when the head passes the stale tail snapshot);
+// TestCheckPBQObserverLenRegression pins the seeds that exhibited that.
 func TestCheckPBQObserverSanity(t *testing.T) {
 	hook(t)
 	rep := RunPCT(1, SeedsFromEnv(1000), DefaultPCTDepth, func() Threads {

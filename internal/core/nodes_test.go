@@ -23,9 +23,9 @@ import (
 // (listing no Addrs) carrying the links' fault plan and tuning.  Every
 // cross-node code path — link protocol, comm ids, RMA watermarks — is the one
 // a multi-process job runs; tcp_test.go keeps what needs a socket.  The
-// tests that moved here from loopback TCP keep their names, so the
-// TestChaosTCP patterns of `make chaos-net` and scripts/verify.sh still run
-// them.
+// tests that moved here from loopback TCP still carry TCP in their names
+// (ROADMAP item 9 has the rename); `make chaos-net` names tcp_test.go's four
+// socket-subject chaos tests, so it does not select these.
 
 // nodesConfig places perNode ranks on each of nodes in-process nodes, with a
 // watchdog that diagnoses instead of hanging if the protocol breaks.

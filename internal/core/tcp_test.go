@@ -19,7 +19,7 @@ import (
 // own goroutine with its own Config.Transport and registry, talking over real
 // sockets.  Only the tests whose subject is the socket or a node's own
 // artifacts live here — a connection killed or partitioned, a per-node fault
-// plan, socket writes, and the cross-node gates scripts/verify.sh runs by
+// plan, socket writes, and the cross-node gates `make gates` runs by
 // name.  Everything else about the link protocol runs on in-process nodes
 // (nodes_test.go), and real processes are internal/livechaos's.
 
@@ -276,9 +276,10 @@ func BenchmarkTCPPingPong8B(b *testing.B) {
 // node's live monitor enabled (as under `purerun -monitor`): every frame
 // additionally ticks the transport's per-peer link counters and the node
 // serves /metrics, /ranks and /links.  The delta against
-// BenchmarkTCPPingPong8B is the link-telemetry overhead, which must stay
-// under 5% — the counters are lock-free atomics off the syscall path, and
-// the registry reads them only when a snapshot is taken.
+// BenchmarkTCPPingPong8B is the link-telemetry overhead, which
+// TestTCPMonitoredOverhead holds under 5 % — the counters are lock-free
+// atomics off the syscall path, and the registry reads them only when a
+// snapshot is taken.
 func BenchmarkTCPPingPong8BMonitored(b *testing.B) {
 	n := b.N
 	errs := tcpWorld(b, 2, 1, func(node int, cfg *Config) {
@@ -303,6 +304,63 @@ func BenchmarkTCPPingPong8BMonitored(b *testing.B) {
 	}
 }
 
+// idleMachine asks the gates whose bounds assume a machine doing nothing
+// else for those bounds; `make gates` passes it and runs them alone.  Without
+// it each gate enforces a loose bound that holds beside the rest of the suite.
+var idleMachine = flag.Bool("idle", false, "TestTCPPingPongAckFree, TestTCPMonitoredOverhead: enforce the idle-machine bounds")
+
+// TestTCPMonitoredOverhead is the link-telemetry ratio gate: the minimum of 6
+// BenchmarkTCPPingPong8BMonitored runs stays within 5 % of the minimum of 6
+// BenchmarkTCPPingPong8B runs, in the best of 3 attempts.  The two run
+// interleaved, so drift on the host moves both alike.  The minimum filters
+// scheduler noise, and still reads about ±10 % between sessions on a 2-vCPU
+// host, so the 5 % bound holds under -idle only; without it the bound is
+// 50 %, which a monitor on the frame path's critical section would still
+// exceed.
+func TestTCPMonitoredOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times 12 loopback ping-pong runs")
+	}
+	const attempts = 3
+	bound := 1.5
+	if *idleMachine {
+		bound = 1.05
+	}
+	// testing.Benchmark runs for -test.benchtime; 2000 round trips a run
+	// keep the 12 runs near a second.
+	bt := flag.Lookup("test.benchtime")
+	old := bt.Value.String()
+	if err := bt.Value.Set("2000x"); err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Value.Set(old)
+	for i := 1; ; i++ {
+		var plain, monitored time.Duration
+		for run := 0; run < 6; run++ {
+			for _, b := range []struct {
+				min *time.Duration
+				f   func(*testing.B)
+			}{{&plain, BenchmarkTCPPingPong8B}, {&monitored, BenchmarkTCPPingPong8BMonitored}} {
+				r := testing.Benchmark(b.f)
+				if r.N == 0 {
+					t.Fatal("a ping-pong benchmark run failed")
+				}
+				if d := time.Duration(r.NsPerOp()); *b.min == 0 || d < *b.min {
+					*b.min = d
+				}
+			}
+		}
+		ratio := float64(monitored) / float64(plain)
+		t.Logf("attempt %d: plain %v, monitored %v per round trip (min of 6): ratio %.3f", i, plain, monitored, ratio)
+		if ratio <= bound {
+			return
+		}
+		if i == attempts {
+			t.Fatalf("monitored ping-pong costs %.3f× plain, want <= %.2f (best of %d attempts)", ratio, bound, attempts)
+		}
+	}
+}
+
 func BenchmarkTCPAllreduce8B(b *testing.B) {
 	n := b.N
 	errs := tcpWorld(b, 2, 2, nil, func(r *Rank) {
@@ -320,8 +378,8 @@ func BenchmarkTCPAllreduce8B(b *testing.B) {
 	}
 }
 
-// TestTCPPingPongAllocs is the cross-node allocation gate (scripts/verify.sh
-// runs it by name): an 8 B round trip through persistent channel endpoints
+// TestTCPPingPongAllocs is the cross-node allocation gate (`make gates` runs
+// it by name): an 8 B round trip through persistent channel endpoints
 // over real TCP allocates at most twice in steady state, counted over both
 // ranks and both link readers — requests come from the endpoints' pools,
 // frames are encoded into the link's reused buffers, and mailbox payloads
@@ -569,15 +627,13 @@ func TestTCPPutFenceAllocs(t *testing.T) {
 // fallback timer out does not change it), ~10 % under the race detector, up
 // to 20 % beside two busy processes — against 100 % with the hand-off broken
 // in either direction.  So the bound every run enforces is a quarter, which
-// holds on a loaded machine, and scripts/verify.sh, which runs this test alone
-// on a machine doing nothing else, passes -ackfree.tight: 3 % in the best of
-// three runs, which a hand-off that only mostly works does not meet.
-var ackFreeTight = flag.Bool("ackfree.tight", false, "TestTCPPingPongAckFree: enforce the idle-machine bound (3 %, best of 3 runs)")
-
+// holds on a loaded machine, and `make gates`, which runs this test alone on
+// a machine doing nothing else, passes -idle: 3 % in the best of three runs,
+// which a hand-off that only mostly works does not meet.
 func TestTCPPingPongAckFree(t *testing.T) {
 	const rounds = 5000
 	percent, attempts := int64(25), 1
-	if *ackFreeTight {
+	if *idleMachine {
 		percent, attempts = 3, 3
 	}
 	for i := 1; ; i++ {

@@ -44,7 +44,8 @@ func envInt(name string, def int) int {
 }
 
 // workerMain is one node's main: iterated verified Allreduces over the
-// world until PURE_ITERS runs out.  Exit codes: 0 success, 3 a peer node
+// world until PURE_ITERS runs out, unless PURE_WORKLOAD names another
+// workload (shmem_chaos_test.go, statsd_chaos_test.go).  Exit codes: 0 success, 3 a peer node
 // died (prints "NODEDEAD dead=<nodes>"), 1 anything else.
 func workerMain() {
 	tcfg, err := pure.TransportFromEnv()
@@ -67,8 +68,11 @@ func workerMain() {
 		tcfg.RetryBackoff = 2 * time.Millisecond
 		tcfg.RetryBudget = 1000
 	}
-	if os.Getenv("PURE_WORKLOAD") == "shmem-hist" {
+	switch os.Getenv("PURE_WORKLOAD") {
+	case "shmem-hist":
 		shmemHistMain(tcfg) // exits
+	case "statsd":
+		statsdMain(tcfg) // exits
 	}
 	nodes := len(tcfg.Addrs)
 	nranks := envInt("PURE_NRANKS", nodes)

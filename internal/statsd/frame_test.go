@@ -357,12 +357,13 @@ func BenchmarkStatsdParse(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsdAggregate is the steady-state aggregation path the
-// verify.sh zero-alloc gate holds at exactly 0 allocs/op: hot-set intern,
-// key hash, and the per-(metric,tagset) map update, per event.
-func BenchmarkStatsdAggregate(b *testing.B) {
+// aggregatePath is the steady-state serving path per event — parse, hot-set
+// intern, key hash and the per-(metric,tagset) Apply — over 1024 generated
+// zipf lines, returned warm: every series exists, so what remains is the
+// path a long-running aggregator repeats.
+func aggregatePath(tb testing.TB) (lines [][]byte, apply func(line []byte)) {
 	g := NewGen(GenConfig{Keys: 1024, ZipfS: 1.1})
-	lines := make([][]byte, 1024)
+	lines = make([][]byte, 1024)
 	for i := range lines {
 		lines[i] = g.Next(nil)
 	}
@@ -370,9 +371,9 @@ func BenchmarkStatsdAggregate(b *testing.B) {
 	hot := NewHotSet(1024)
 	agg := NewAgg()
 	var ev Event
-	apply := func(line []byte) {
+	apply = func(line []byte) {
 		if err := ParseLine(line, &ev); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		nameH := Hash64(ev.Name)
 		ts := hot.Intern(it, Hash64(ev.Tags), ev.Tags)
@@ -380,8 +381,31 @@ func BenchmarkStatsdAggregate(b *testing.B) {
 		agg.Apply(key, nameH, ts.Hash, ev.Type, ev.Value)
 	}
 	for _, line := range lines {
-		apply(line) // warm: create every series off the timed path
+		apply(line)
 	}
+	return lines, apply
+}
+
+// TestAggregatePathZeroAlloc holds the whole path BenchmarkStatsdAggregate
+// times at 0 allocations, counted per sweep over all 1024 lines, so an
+// allocation on any stage for any line shows; TestParseLineZeroAlloc,
+// TestHotSetSteadyStateZeroAlloc and TestAggApplySteadyStateZeroAlloc each
+// hold one stage on one line.
+func TestAggregatePathZeroAlloc(t *testing.T) {
+	lines, apply := aggregatePath(t)
+	perSweep := testing.AllocsPerRun(4, func() {
+		for _, line := range lines {
+			apply(line)
+		}
+	})
+	if perSweep != 0 {
+		t.Fatalf("the aggregation path allocates %v times per sweep of %d events, want 0", perSweep, len(lines))
+	}
+}
+
+// BenchmarkStatsdAggregate times aggregatePath per event.
+func BenchmarkStatsdAggregate(b *testing.B) {
+	lines, apply := aggregatePath(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,7 +14,7 @@ import (
 // links are up and quiet, with the counters at that point as the baseline:
 // the heartbeat interval is an hour, so the first tick's heartbeat (a frame
 // and a write like any other, if the link was up in time for it) is the
-// only one.
+// only one — and with noRetransmit there is no tick at all.
 func memPair(t *testing.T, mut func(node int, c *Config)) (tp [2]*Transport, col [2]*collector, be [2]*memBackend, base [2]linkBase) {
 	t.Helper()
 	net := newMemNet()
@@ -28,6 +28,17 @@ func memPair(t *testing.T, mut func(node int, c *Config)) (tp [2]*Transport, col
 	return tp, col, be, quiesce(t, tp, be)
 }
 
+// noRetransmit holds off the retransmit timer for a test that is not about
+// it, as noAckFallback holds off the ack fallback.  A test counts frames,
+// writes and retry rounds; on a loaded host an ack can come back later than
+// the 20 ms default backoff, and the round that timer then runs adds a frame
+// (or a window of them), a write and a retry round nobody asked for.  A
+// frame the protocol failed to ack stays unacked instead, and the test's
+// wait for it times out.  With the heartbeat also an hour away, the ticker's
+// period (half the shorter of the two) is half an hour: no tick, and so no
+// heartbeat, falls inside a test.
+func noRetransmit(node int, c *Config) { c.RetryBackoff = time.Hour }
+
 // linkBase is one node's counters once its link went quiet.
 type linkBase struct{ frames, writes, beWrites int64 }
 
@@ -37,7 +48,8 @@ func quiesce(t *testing.T, tp [2]*Transport, be [2]*memBackend) (base [2]linkBas
 		ready = true
 		for node := range tp {
 			st := tp[node].Stats()[1-node]
-			ready = ready && st.Up && st.HeartbeatsSent > 0
+			ticks := tp[node].period < time.Minute // else no heartbeat is coming
+			ready = ready && st.Up && (st.HeartbeatsSent > 0 || !ticks)
 			b[node] = linkBase{st.FramesSent, st.Writes, be[node].writes.Load()}
 		}
 		return b, ready
@@ -121,7 +133,7 @@ func TestCombineIdleFrameWrittenAtOnce(t *testing.T) {
 	const rounds = 200
 	net := newMemNet()
 	be := [2]*memBackend{net.backend(), net.backend()}
-	tp, pong := startEchoPair(t, [2]Backend{be[0], be[1]}, Config{HeartbeatEvery: time.Hour})
+	tp, pong := startEchoPair(t, [2]Backend{be[0], be[1]}, Config{HeartbeatEvery: time.Hour, RetryBackoff: time.Hour})
 	base := quiesce(t, tp, be)
 
 	payload := make([]byte, 8)
@@ -156,7 +168,7 @@ func TestCombineIdleFrameWrittenAtOnce(t *testing.T) {
 // writes.
 func TestCombineBurstSharesWrites(t *testing.T) {
 	const burst = 1000 // 56 bytes each: below flushBytes, so only the ack clock flushes
-	tp, col, be, base := memPair(t, nil)
+	tp, col, be, base := memPair(t, noRetransmit)
 
 	be[1].setDeaf(true) // node 1 reads nothing, so it acks nothing
 	sendRange(t, tp[0], 1, 0, 1)
@@ -215,7 +227,7 @@ func TestCombineReplayExactlyOnce(t *testing.T) {
 // Transport.Flush is what a rank about to block calls: it writes what is
 // staged without waiting for the ack, and costs nothing with nothing staged.
 func TestCombineFlushWritesStaged(t *testing.T) {
-	tp, col, be, base := memPair(t, nil)
+	tp, col, be, base := memPair(t, noRetransmit)
 	be[1].setDeaf(true)
 	sendRange(t, tp[0], 1, 0, 2) // the first is written, the second staged behind it
 	tp[0].Flush()
@@ -236,7 +248,10 @@ func TestCombineFlushWritesStaged(t *testing.T) {
 // alone, without a retransmit round.
 func TestCombineFullWindowIsWritten(t *testing.T) {
 	const window = 64
-	tp, col, be, base := memPair(t, func(node int, c *Config) { c.MaxUnacked = window })
+	tp, col, be, base := memPair(t, func(node int, c *Config) {
+		noRetransmit(node, c)
+		c.MaxUnacked = window
+	})
 
 	be[1].setDeaf(true)
 	f := Frame{Kind: KindData, Payload: make([]byte, 8)}
@@ -267,7 +282,7 @@ func TestCombineFullWindowIsWritten(t *testing.T) {
 	}
 }
 
-// The frame path's allocation gate (scripts/verify.sh runs it by name): in
+// The frame path's allocation gate (`make gates` runs it by name): in
 // steady state link.send plus the reader's delivery allocate at most once
 // per frame — the resend window, staging buffers and the reader's Frame are
 // all reused.  Real TCP, the handler-driven ping-pong of the benchmark's

@@ -11,7 +11,8 @@ import (
 // and writes it itself only after ackDelay; with no waiting rank nothing
 // changes (combine_test.go runs unmodified against handlers that never set
 // Frame.Waiting).  Counts, not times: where a test needs "the fallback did
-// not fire" it stretches ackDelay to an hour.
+// not fire" it stretches ackDelay to an hour, and it holds off the
+// retransmit timer (noRetransmit) wherever that is not the subject.
 
 // noAckFallback makes the links a test is about to create never write a
 // deferred ack themselves.  It restores ackDelay once they are closed.
@@ -39,14 +40,21 @@ func handoffPair(t *testing.T, never bool, mut func(node int, c *Config)) (tp [2
 // every ack rides on the answer, so no ack frame is ever written and every
 // socket write is a data frame.  Then the third carrier: the rank that got
 // the last pong blocks again, and its Flush writes the one ack still owed.
+//
+// Each side answers once its reader has handed it the ack.  An answer that
+// beats the reader to its idle check carries the ack too, but as a frame
+// written meanwhile, with no hand-off to count.
 func TestHandoffPingPongWritesNoAcks(t *testing.T) {
 	const rounds = 200
-	tp, col, be, base := handoffPair(t, true, nil)
+	tp, col, be, base := handoffPair(t, true, noRetransmit)
+	handedOff := func(node, i int) func() bool {
+		return func() bool { return col[node].count() == i && tp[node].Stats()[1-node].AcksDeferred == int64(i) }
+	}
 	for i := 1; i <= rounds; i++ {
 		sendRange(t, tp[0], 1, i-1, i)
-		waitFor(t, 5*time.Second, "ping delivered", func() bool { return col[1].count() == i })
+		waitFor(t, 5*time.Second, "ping delivered and its ack handed off", handedOff(1, i))
 		sendRange(t, tp[1], 0, i-1, i) // the woken rank answers: the pong carries the ping's ack
-		waitFor(t, 5*time.Second, "pong delivered", func() bool { return col[0].count() == i })
+		waitFor(t, 5*time.Second, "pong delivered and its ack handed off", handedOff(0, i))
 	}
 	for node := range tp {
 		st := tp[node].Stats()[1-node]
@@ -77,7 +85,7 @@ func TestHandoffPingPongWritesNoAcks(t *testing.T) {
 // (b) The rank was reported waiting, and then nobody sends and nobody
 // flushes: the link's own timer writes the ack — exactly one.
 func TestHandoffFallbackWritesOneAck(t *testing.T) {
-	tp, col, _, _ := handoffPair(t, false, nil)
+	tp, col, _, _ := handoffPair(t, false, noRetransmit)
 	start := time.Now()
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "ack written by the fallback", func() bool { return tp[0].Stats()[1].Unacked == 0 })
@@ -93,7 +101,7 @@ func TestHandoffFallbackWritesOneAck(t *testing.T) {
 // ever, and nothing is counted as handed off.
 func TestHandoffNoWaitingRankAcksAtOnce(t *testing.T) {
 	noAckFallback(t) // a hand-off would never be written
-	tp, _, _, _ := memPair(t, nil)
+	tp, _, _, _ := memPair(t, noRetransmit)
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "immediate ack", func() bool { return tp[0].Stats()[1].Unacked == 0 })
 	if st := tp[1].Stats()[0]; st.AcksSent != 1 || st.AcksDeferred != 0 {
@@ -104,15 +112,17 @@ func TestHandoffNoWaitingRankAcksAtOnce(t *testing.T) {
 // (d) A deferred ack is only a later ack.  Kill the connection while one is
 // deferred (and can never be written): the reconnect handshake's watermark
 // covers it, so nothing is replayed, nothing delivered twice and no
-// retransmit round runs.
+// retransmit round runs.  Only node 1 kills it, so there is one reconnect:
+// when both sides killed it, node 0 could redial before node 1's kill ran,
+// and that kill broke the new connection and replayed the frames sent after
+// the first break.
 func TestHandoffKillLinkWhileDeferred(t *testing.T) {
-	tp, col, _, _ := handoffPair(t, true, nil)
+	tp, col, _, _ := handoffPair(t, true, noRetransmit)
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "frame delivered", func() bool { return col[1].count() == 1 })
 	if st := tp[0].Stats()[1]; st.Unacked != 1 {
 		t.Fatalf("%d unacked before the kill, want 1 (its ack is deferred)", st.Unacked)
 	}
-	tp[0].KillLink(1)
 	tp[1].KillLink(0)
 	waitFor(t, 10*time.Second, "reconnect settles the window", func() bool {
 		st := tp[0].Stats()[1]
@@ -165,7 +175,7 @@ func TestHandoffLossyReplayExactlyOnce(t *testing.T) {
 // retransmit round.
 func TestHandoffBurstAfterOneWake(t *testing.T) {
 	const burst = 1000
-	tp, col, _, _ := handoffPair(t, false, nil)
+	tp, col, _, _ := handoffPair(t, false, noRetransmit)
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "first frame delivered", func() bool { return col[1].count() == 1 })
 	col[1].waiting.Store(false) // the woken rank went off computing

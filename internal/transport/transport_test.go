@@ -502,6 +502,9 @@ func TestLinkBackpressure(t *testing.T) {
 	})
 	sendN(t, tp[0], 1, 1)
 	waitFor(t, 5*time.Second, "link up", func() bool { return col[1].count() == 1 })
+	// The first frame's ack is back before the window is filled: an ack that
+	// landed during the fill would free a slot the count below expects full.
+	waitFor(t, 5*time.Second, "first frame acked", func() bool { return tp[0].Stats()[1].Unacked == 0 })
 
 	// With the peer's receive side partitioned, acks stop and the window
 	// fills after MaxUnacked frames.
@@ -559,8 +562,16 @@ func TestJobMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestTransportLargeFrames: a 1 MiB frame arrives whole.  Failure detection
+// is not the subject, so the liveness bounds are generous: heartbeats queue
+// behind the frame's bytes, and under the race detector on a loaded host the
+// frame has taken longer than the 200 ms default PeerDeadAfter to read, so
+// both ends declared the link dead and the frame was never delivered.
 func TestTransportLargeFrames(t *testing.T) {
-	tp, col := startPair(t, nil)
+	tp, col := startPair(t, func(node int, c *Config) {
+		c.HeartbeatEvery = 50 * time.Millisecond
+		c.PeerDeadAfter = 5 * time.Second
+	})
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i * 2654435761)

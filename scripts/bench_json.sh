@@ -4,7 +4,7 @@
 # and allocation regressions in the hot loops are visible across commits.
 # This PR adds cluster-wide observability (docs/OBSERVABILITY.md): the new
 # monitored-TCP pair measures the per-peer link telemetry's cost on the
-# cross-node frame path, which verify.sh gates under 5%.
+# cross-node frame path, which TestTCPMonitoredOverhead gates under 5%.
 #
 # Usage: sh scripts/bench_json.sh [output.json]
 set -eu
