@@ -522,8 +522,9 @@ func typeKey(dir string, imports map[string]string, e ast.Expr) string {
 // and on a PURE_* variable that a non-test Go file reads but nothing sets or
 // documents outside that file.  Like the gates above it works by syntax: a
 // flag counts as passed wherever "-<name>" appears as a word, so two commands
-// sharing a flag name share its callers.  CHANGES.md, ROADMAP.md, ISSUE.md
-// and the paper notes at the root are history and plans, not callers.
+// sharing a flag name share its callers.  Of the docs at the root only the
+// reference docs count; the rest are history, plans and paper notes, not
+// callers.
 func TestEveryOptionIsPassed(t *testing.T) {
 	fset := token.NewFileSet()
 	files, _ := parseRepo(t, fset)
@@ -608,7 +609,7 @@ func flagName(call *ast.CallExpr) (string, token.Pos, bool) {
 // files, shell scripts, the Makefile and the docs, keyed by slash path.
 func optionCorpus(t *testing.T) map[string][]byte {
 	t.Helper()
-	notCallers := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "PAPER.md": true, "PAPERS.md": true, "SNIPPETS.md": true}
+	rootDocs := map[string]bool{"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true}
 	corpus := make(map[string][]byte)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -622,7 +623,7 @@ func optionCorpus(t *testing.T) map[string][]byte {
 			return nil
 		}
 		switch ext := filepath.Ext(name); {
-		case ext == ".go", ext == ".sh", name == "Makefile", ext == ".md" && !notCallers[path]:
+		case ext == ".go", ext == ".sh", name == "Makefile", ext == ".md" && (filepath.Dir(path) != "." || rootDocs[path]):
 			text, err := os.ReadFile(path)
 			if err != nil {
 				return err

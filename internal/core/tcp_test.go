@@ -313,7 +313,7 @@ var idleMachine = flag.Bool("idle", false, "TestTCPPingPongAckFree, TestTCPMonit
 // BenchmarkTCPPingPong8BMonitored runs stays within 5 % of the minimum of 6
 // BenchmarkTCPPingPong8B runs, in the best of 3 attempts.  The two run
 // interleaved, so drift on the host moves both alike.  The minimum filters
-// scheduler noise, and still reads about ±10 % between sessions on a 2-vCPU
+// scheduler noise, and still reads about ±10 % between test runs on a 2-vCPU
 // host, so the 5 % bound holds under -idle only; without it the bound is
 // 50 %, which a monitor on the frame path's critical section would still
 // exceed.
