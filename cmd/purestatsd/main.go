@@ -15,9 +15,9 @@
 // Under purerun the PURE_NODE/PURE_ADDRS/PURE_JOB environment selects the
 // real transport, and `purerun -monitor` hands each node a PURE_MONITOR
 // address that -monitor defaults to, so every process of the job serves its
-// own live monitor without extra flags; ranks are laid out SMP-style, so with the default 2+2
-// split and two nodes the ingesters share node 0 and the aggregators node
-// 1.  Exit codes follow the launcher convention: 0 success (prints the
+// own live monitor without extra flags; ranks are laid out SMP-style, so with
+// the 2+2 split and two nodes the ingesters share node 0 and the aggregators
+// node 1.  Exit codes follow the launcher convention: 0 success (prints the
 // verified flush totals), 3 a peer node died (prints "NODEDEAD
 // dead=<nodes>"), 1 anything else — including an inexact flush, which is a
 // bug, never load.
@@ -35,8 +35,6 @@ import (
 )
 
 func main() {
-	ingesters := flag.Int("ingesters", 2, "ingestion rank count")
-	aggregators := flag.Int("aggregators", 2, "aggregator rank count")
 	events := flag.Int64("events", 1_000_000, "events generated per run (all ingesters combined)")
 	rounds := flag.Int("rounds", 4, "flush rounds (each ends in a verified rollup)")
 	batch := flag.Int("batch", 0, "events per shard batch (0 = default)")
@@ -47,14 +45,13 @@ func main() {
 	workscale := flag.Int("workscale", 0, "extra per-record drain work (models real aggregation cost)")
 	drain := flag.Int("drain", 0, "staged events per source that trigger a drain (0 = default)")
 	zipf := flag.Float64("zipf", 0, "zipf skew exponent for the generated keys (0 = uniform)")
-	tagsets := flag.Int("tagsets", 0, "distinct tagsets in the generated traffic (0 = default)")
 	pbq := flag.Int("pbq", 0, "PBQ slots per channel (0 = default; small values exercise backpressure)")
 	monitor := flag.String("monitor", os.Getenv("PURE_MONITOR"), "serve the live runtime monitor on this address (e.g. :8080; default $PURE_MONITOR)")
 	flag.Parse()
 
 	cfg := appstatsd.Config{
-		Ingesters:   *ingesters,
-		Aggregators: *aggregators,
+		Ingesters:   2,
+		Aggregators: 2,
 		Events:      *events,
 		Rounds:      *rounds,
 		BatchEvents: *batch,
@@ -64,10 +61,10 @@ func main() {
 		Subshards:   *subshards,
 		WorkScale:   *workscale,
 		DrainEvents: *drain,
-		Gen:         proto.GenConfig{ZipfS: *zipf, Tagsets: *tagsets},
+		Gen:         proto.GenConfig{ZipfS: *zipf},
 		Interner:    proto.NewInterner(4096), // node-shared across this process's ingesters
 	}
-	nranks := *ingesters + *aggregators
+	nranks := cfg.Ingesters + cfg.Aggregators
 	pcfg := pure.Config{NRanks: nranks, PBQSlots: *pbq, MonitorAddr: *monitor}
 
 	tcfg, err := pure.TransportFromEnv()

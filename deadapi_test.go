@@ -327,7 +327,8 @@ var unsetConfigAllowlist = map[string]string{
 	"shmemapp.BFSConfig.MailboxCap": "the full-ring tests shrink the mailboxes to drive the drain-and-retry path",
 	"shmemapp.HistConfig.OnRound":   "the live-chaos worker prints its per-round proof lines through it",
 
-	"statsd.GenConfig.Keys": "key-space size: the generator and frame tests in internal/statsd shrink it",
+	"statsd.GenConfig.Keys":    "key-space size: the generator and frame tests in internal/statsd shrink it",
+	"statsd.GenConfig.Tagsets": "tagset-pool size: internal/apps/statsd's shared-interner test shrinks it",
 
 	"transport.Config.DialBackoffMax":  "link timing the chaos suites shorten",
 	"transport.Config.DialTimeout":     "link timing the chaos suites shorten",

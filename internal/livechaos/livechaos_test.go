@@ -103,17 +103,24 @@ func workerMain() {
 			fmt.Println("OK")
 		}
 	})
-	if err != nil {
-		var re *pure.RunError
-		if errors.As(err, &re) && re.Cause == pure.CauseNodeDead {
-			fmt.Printf("NODEDEAD dead=%v\n", re.DeadNodes)
-			fmt.Fprintln(os.Stderr, "worker:", err)
-			os.Exit(3)
-		}
+	exitRun(err)
+}
+
+// exitRun ends a worker with the exit code of its run's outcome: 0 success,
+// 3 a peer node died (after printing "NODEDEAD dead=<nodes>"), 1 anything
+// else.
+func exitRun(err error) {
+	var re *pure.RunError
+	switch {
+	case err == nil:
+		os.Exit(0)
+	case errors.As(err, &re) && re.Cause == pure.CauseNodeDead:
+		fmt.Printf("NODEDEAD dead=%v\n", re.DeadNodes)
 		fmt.Fprintln(os.Stderr, "worker:", err)
-		os.Exit(1)
+		os.Exit(3)
 	}
-	os.Exit(0)
+	fmt.Fprintln(os.Stderr, "worker:", err)
+	os.Exit(1)
 }
 
 // proc is one launched worker process plus its collected stdout.

@@ -1,9 +1,7 @@
 package livechaos
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,17 +79,7 @@ func shmemHistMain(tcfg *pure.TransportConfig) {
 		}
 		fmt.Printf("OK updates=%d sum=%#x\n", res.Updates, res.Sum)
 	})
-	if err != nil {
-		var re *pure.RunError
-		if errors.As(err, &re) && re.Cause == pure.CauseNodeDead {
-			fmt.Printf("NODEDEAD dead=%v\n", re.DeadNodes)
-			fmt.Fprintln(os.Stderr, "worker:", err)
-			os.Exit(3)
-		}
-		fmt.Fprintln(os.Stderr, "worker:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
+	exitRun(err)
 }
 
 // TestChaosLiveShmemKill SIGKILLs one of three real processes mid-histogram.

@@ -1,9 +1,7 @@
 package livechaos
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,17 +60,7 @@ func statsdMain(tcfg *pure.TransportConfig) {
 			fmt.Println("OK")
 		}
 	})
-	if err != nil {
-		var re *pure.RunError
-		if errors.As(err, &re) && re.Cause == pure.CauseNodeDead {
-			fmt.Printf("NODEDEAD dead=%v\n", re.DeadNodes)
-			fmt.Fprintln(os.Stderr, "worker:", err)
-			os.Exit(3)
-		}
-		fmt.Fprintln(os.Stderr, "worker:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
+	exitRun(err)
 }
 
 // TestStatsdChaosLiveKill is the application acceptance scenario: a real

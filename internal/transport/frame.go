@@ -199,6 +199,9 @@ type frameReader struct {
 	pending int // bytes of the last returned frame, still in br
 	hdr     [HeaderLen]byte
 	payload []byte
+	// progress, when set, runs after each read that takes some of a large
+	// frame's payload: a frame still arriving is traffic from the peer.
+	progress func()
 }
 
 // readBufSize is a connection's read buffer: one socket read takes up to
@@ -270,9 +273,12 @@ func (fr *frameReader) read(want Kind, limit int) (Frame, error) {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), readBufSize)))
 		}
-		k, err := io.ReadFull(br, buf[len(buf):min(n, cap(buf))])
+		k, err := br.Read(buf[len(buf):min(n, cap(buf))])
 		buf = buf[:len(buf)+k]
-		if err != nil {
+		if k > 0 && fr.progress != nil {
+			fr.progress()
+		}
+		if err != nil && len(buf) < n {
 			return Frame{}, payloadErr(n, f.Kind, err)
 		}
 	}

@@ -88,7 +88,7 @@ type link struct {
 	delivered uint64 // highest in-order seq handed to the handlers
 
 	deliveredA  atomic.Uint64 // mirror of delivered for lock-free reads (handshake, acks)
-	heard       atomic.Bool   // a frame arrived since the last tick took the flag
+	heard       atomic.Bool   // a frame, or part of a large one, arrived since the last tick took the flag
 	lastRecv    atomic.Int64  // link-clock stamp no earlier than the last frame heard from the peer
 	everUp      atomic.Bool
 	departed    atomic.Bool // peer sent Bye: stop talking to it, it is not a failure
@@ -469,6 +469,10 @@ func (l *link) handleAckLocked(a uint64) {
 func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 	defer l.t.wg.Done()
 	fr := newFrameReader(hs, readBufSize)
+	// A frame larger than the read buffer can take longer than
+	// PeerDeadAfter to arrive, and the peer's heartbeats queue behind it:
+	// its bytes count as hearing from the peer while they flow.
+	fr.progress = l.hear
 	// One Frame for the connection's lifetime: the handlers are func values,
 	// so a per-iteration variable would escape to the heap on every frame.
 	var f Frame
@@ -551,6 +555,14 @@ func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 			}
 			sinceAck = 0
 		}
+	}
+}
+
+// hear raises heard for the next tick to stamp (Transport.tickLoop), unless
+// the chaos partition eats what arrives.
+func (l *link) hear() {
+	if !l.partitioned.Load() && !l.heard.Load() {
+		l.heard.Store(true)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 
 // newMemNet is a MemNet whose node backends count their connections' writes,
 // for comparison with the link's Writes counter, and can go deaf: what they
-// read is held back from the link, which acks nothing meanwhile.
+// read is held back from the link, which acks nothing meanwhile.  They can
+// also be paced: each read then takes at most paceChunk bytes, after a pause.
 func newMemNet() *MemNet { return NewMemNet() }
 
 // backend returns the Backend of one node.
@@ -24,7 +25,11 @@ type memBackend struct {
 	mu     sync.Mutex   // guards deaf and every connection's closed
 	cond   sync.Cond
 	deaf   bool
+	pace   atomic.Int64 // pause before each read, in nanoseconds (0 = unpaced)
 }
+
+// paceChunk is the most a paced read takes.
+const paceChunk = 4 << 10
 
 // setDeaf holds back (or releases) what the node's connections read.
 func (b *memBackend) setDeaf(deaf bool) { b.update(func() { b.deaf = deaf }) }
@@ -75,6 +80,10 @@ func (c *countingConn) Write(p []byte) (n int, err error) {
 
 // Read hands over what arrived once the node hears again (or closes).
 func (c *countingConn) Read(p []byte) (int, error) {
+	if d := c.be.pace.Load(); d > 0 {
+		time.Sleep(time.Duration(d))
+		p = p[:min(len(p), paceChunk)]
+	}
 	n, err := c.Conn.Read(p)
 	c.be.mu.Lock()
 	for c.be.deaf && !c.closed {

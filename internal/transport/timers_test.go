@@ -80,3 +80,40 @@ func TestLinkTimersNeverEarly(t *testing.T) {
 		}
 	})
 }
+
+// TestDetectorHearsLargeFrameArrive: a frame whose bytes take longer than
+// PeerDeadAfter to arrive keeps its link alive while they flow.  The peer's
+// heartbeats queue behind the frame, so a detector that heard the peer only
+// per whole frame would declare it dead mid-frame.  Node 1 reads the 1 MiB
+// frame 4 KiB at a time, 2 ms apart: 256 reads, at least 512 ms, past the
+// 200 ms default PeerDeadAfter.
+func TestDetectorHearsLargeFrameArrive(t *testing.T) {
+	net := newMemNet()
+	be := [2]*memBackend{net.backend(), net.backend()}
+	// No retransmit rounds: a copy of the frame queued behind the first
+	// would only lengthen the test.
+	tp, col := startPairOn(t, [2]Backend{be[0], be[1]}, noRetransmit)
+	t.Cleanup(func() { be[1].pace.Store(0) })
+	waitUp(t, tp[0], 1)
+	waitUp(t, tp[1], 0)
+	be[1].pace.Store(int64(2 * time.Millisecond))
+	start := time.Now()
+	if err := tp[0].Send(1, &Frame{Kind: KindData, Payload: make([]byte, 1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "large frame", func() bool {
+		_, dead := col[1].deadReason(0)
+		return dead || col[1].count() == 1
+	})
+	took := time.Since(start)
+	deadAfter := tp[1].cfg.PeerDeadAfter
+	t.Logf("the frame took %v to arrive; PeerDeadAfter %v", took, deadAfter)
+	for node := range col {
+		if why, dead := col[node].deadReason(1 - node); dead {
+			t.Fatalf("node %d declared node %d dead while the frame arrived: %s", node, 1-node, why)
+		}
+	}
+	if took < deadAfter {
+		t.Fatalf("the frame arrived in %v, within PeerDeadAfter (%v): the test proves nothing", took, deadAfter)
+	}
+}

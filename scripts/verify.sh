@@ -28,20 +28,22 @@ echo "== make gates (idle-machine bounds, each gate alone)"
 make --no-print-directory gates
 
 # The command smokes: each command exits non-zero when its run is wrong.
-workerbin="$(mktemp /tmp/pure-worker.XXXXXX)"
-tracebin="$(mktemp /tmp/pure-trace.XXXXXX.bin)"
-trap 'rm -f "$workerbin" "$tracebin"' EXIT
+tmp="$(mktemp -d /tmp/pure-verify.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
 
-echo "== purerun multi-process smoke (2 nodes x 4 ranks over real TCP; a wrong Allreduce panics its worker)"
-go build -o "$workerbin" ./examples/purerun
-go run ./cmd/purerun -n 2 -ranks 4 -timeout 60s "$workerbin"
+echo "== purerun multi-process smoke (2 nodes x 4 ranks over real TCP; a wrong Allreduce panics its worker; puretrace merges the per-node dumps)"
+go build -o "$tmp/worker" ./examples/purerun
+PURE_TRACE_BIN="$tmp/trace.bin" go run ./cmd/purerun -n 2 -ranks 4 -timeout 60s "$tmp/worker"
+go run ./cmd/puretrace merge -o "$tmp/merged.bin" "$tmp/trace.bin.node0" "$tmp/trace.bin.node1"
 
 echo "== statsd pipeline smoke (exit 1 on an inexact flush; docs/STATSD.md)"
-go run ./cmd/purestatsd -events 20000 -rounds 2 -ingesters 3 -aggregators 1 -frame 512 -drain 64 -tagsets 8
-go run ./cmd/purestatsd -events 20000 -rounds 2 -drop -pbq 4 -batch 16 -zipf 1.2 -steal -subshards 4 -workscale 32
+go run ./cmd/purestatsd -events 20000 -rounds 2
+# Every queue, batch, frame and drain threshold below its default, so the
+# queues fill, shed load and drain often; stealing over 4 sub-shards.
+go run ./cmd/purestatsd -events 20000 -rounds 2 -drop -pbq 4 -batch 16 -frame 512 -drain 64 -zipf 1.2 -steal -subshards 4 -workscale 32
 
 echo "== trace analytics smoke (traced stencil -> binary dump -> puretrace analyze)"
-go run ./cmd/purebench -trace-bin "$tracebin"
-go run ./cmd/puretrace analyze "$tracebin"
+go run ./cmd/purebench -trace-bin "$tmp/stencil.bin"
+go run ./cmd/puretrace analyze "$tmp/stencil.bin"
 
 echo "verify: OK"
