@@ -11,7 +11,7 @@ build:
 # with loose bounds that hold under load; `make gates` runs them by name,
 # alone, uncached, with their idle-machine bounds (-idle, core's one
 # quiet-machine flag).
-GATES = ^(TestTCPPingPongAckFree|TestTCPMonitoredOverhead|TestTCPPingPongAllocs|TestTCPPutFenceAllocs|TestLinkFrameAllocs)$$
+GATES = ^(TestTCPPingPongAckFree|TestTCPMonitoredOverhead|TestTCPPingPongAllocs|TestTCPPutFenceAllocs|TestTCPAllreduceAllocs|TestLinkFrameAllocs)$$
 
 # The suite, less the gates `make gates` runs.
 test:
@@ -28,8 +28,9 @@ race:
 		./mpibase ./pure ./comm ./cmd/purerun
 
 # The deterministic schedule explorer: model tests for the lock-free
-# protocols (PBQ FIFO refinement, rendezvous-cell handoffs, SPTD
-# no-lost-contribution, RMA epochs, work-stealing exactly-once) over PCT
+# protocols (PBQ FIFO refinement, rendezvous-cell handoffs, the inter-node
+# mailbox's node reuse, SPTD no-lost-contribution, RMA epochs,
+# work-stealing exactly-once) over PCT
 # seeds plus bounded exhaustive runs; park/unpark under socket-completed
 # waits: no lost wake-up.  Override the seed count with PURE_CHECK_SEEDS=n;
 # replay one failing schedule with PURE_CHECK_SEED=n.

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/queue"
 )
 
 // This file adds the many-small-messages tooling on persistent endpoints:
@@ -210,13 +212,14 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 
 // RecvReady reports whether a TryRecv would find a message now.  It is a
 // cheap probe (one atomic load: the eager queue's head slot word, or the
-// mailbox count) meant for Rank.WaitFor conditions over many sources.
+// mailbox's head link) meant for Rank.WaitFor conditions over many sources.
 func (ep *Channel) RecvReady() bool {
 	if ep.dir != epRecv {
 		ep.badDir("RecvReady")
 	}
 	if ep.ch == nil {
-		return ep.bindRemote().n.Load() > 0
+		_, ok := ep.bindRemote().Front()
+		return ok
 	}
 	q := ep.q
 	if q == nil {
@@ -232,7 +235,7 @@ func (ep *Channel) RecvReady() bool {
 // bindRemote resolves a receive endpoint's inter-node mailbox on its first
 // receive or probe (a send endpoint has none: the mailbox is on the peer's
 // node).
-func (ep *Channel) bindRemote() *remoteChannel {
+func (ep *Channel) bindRemote() *queue.Unbounded {
 	if ep.rem == nil {
 		ep.rem = ep.r.rt.remote(chanKey{src: ep.peer, dst: ep.r.id, tag: ep.tag, comm: ep.comm})
 	}

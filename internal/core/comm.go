@@ -475,18 +475,19 @@ func (c *Comm) leaderReduce(myNi, rootNi int, acc []byte, op collective.Op, dt c
 	m := len(c.sh.nodeList)
 	v := (myNi - rootNi + m) % m
 	toReal := func(u int) int { return (u + rootNi) % m }
-	var tmp []byte
 	for mask := 1; mask < m; mask <<= 1 {
 		if v&mask != 0 {
 			c.sendLeader(acc, toReal(v-mask))
 			return
 		}
 		if v+mask < m {
-			if tmp == nil {
-				tmp = make([]byte, len(acc))
+			r := c.r
+			if cap(r.reduceTmp) < len(acc) {
+				r.reduceTmp = make([]byte, len(acc))
 			}
-			c.recvLeader(tmp[:len(acc)], toReal(v+mask))
-			collective.Accumulate(acc, tmp[:len(acc)], op, dt)
+			tmp := r.reduceTmp[:len(acc)]
+			c.recvLeader(tmp, toReal(v+mask))
+			collective.Accumulate(acc, tmp, op, dt)
 		}
 	}
 }

@@ -141,11 +141,11 @@ type Channel struct {
 	comm   uint64
 	dir    epDir
 
-	eagerMax int            // the eager/rendezvous threshold, resolved once
-	ch       *channel       // intra-node channel; nil when the peer is remote
-	q        *queue.PBQ     // eager queue, bound on first eager operation
-	rem      *remoteChannel // inter-node mailbox, bound on first use (see bindRemote)
-	batch    []byte         // SendBatch coalescing scratch, endpoint-owned
+	eagerMax int              // the eager/rendezvous threshold, resolved once
+	ch       *channel         // intra-node channel; nil when the peer is remote
+	q        *queue.PBQ       // eager queue, bound on first eager operation
+	rem      *queue.Unbounded // inter-node mailbox, bound on first use (see bindRemote)
+	batch    []byte           // SendBatch coalescing scratch, endpoint-owned
 
 	// Pre-resolved observability handles, nil when the layer is off: the
 	// rank's trace ring, and the queue-depth high-water gauge senders sample.

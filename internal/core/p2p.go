@@ -57,31 +57,6 @@ func (l *reqList) pop() {
 	}
 }
 
-// remoteChannel is the receiving end of an inter-node channel.  In the paper
-// this is MPI_Send / MPI_Recv with sender/receiver thread ids encoded in the
-// tag's upper bits; here a link frame carries the global source and
-// destination ranks, and the link's Deliver upcall fills this ordered
-// mailbox.  It is only a mailbox: sequencing, acks and retransmission
-// belong to the transport.
-type remoteChannel struct {
-	n    atomic.Int64 // buffered message count (lock-free emptiness probe)
-	mu   chanMutex
-	msgs [][]byte // ring of n payloads from head; len is zero or a power of two
-	head int
-	free [][]byte // payload buffers handed back by the receiver, for the next arrival
-}
-
-// chanMutex is a tiny spinlock between a mailbox's filler (the link reader)
-// and its receiving rank.
-type chanMutex struct{ state atomic.Int32 }
-
-func (m *chanMutex) lock() {
-	for !m.state.CompareAndSwap(0, 1) {
-		gosched()
-	}
-}
-func (m *chanMutex) unlock() { m.state.Store(0) }
-
 // lookupChannel resolves key in the shared channel-manager map, creating the
 // persistent intra-node channel on demand (paper §4.1: "we allocate a
 // persistent 'channel' object that is stored in the runtime system and is
@@ -99,15 +74,21 @@ func lookupChannel(m *sync.Map, key chanKey) *channel {
 	return v.(*channel)
 }
 
-// remote resolves key's inter-node mailbox, creating it on demand.  Callers
+// remote resolves key's inter-node mailbox, creating it on demand.  In the
+// paper a cross-node message is MPI_Send / MPI_Recv with sender/receiver
+// thread ids encoded in the tag's upper bits; here a link frame carries the
+// global source and destination ranks, and the link's Deliver upcall copies
+// its payload into this mailbox (tpDeliver).  It is only a mailbox:
+// sequencing, acks and retransmission belong to the transport.  Callers
 // keep what it returns: a receive endpoint binds its mailbox once
-// (bindRemote), an RMA inbox holds its own.
-func (rt *Runtime) remote(key chanKey) *remoteChannel {
+// (bindRemote), an RMA inbox holds its own, a link reader memoizes its last
+// one (deliverMemo).
+func (rt *Runtime) remote(key chanKey) *queue.Unbounded {
 	if v, ok := rt.remotes.Load(key); ok {
-		return v.(*remoteChannel)
+		return v.(*queue.Unbounded)
 	}
-	v, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
-	return v.(*remoteChannel)
+	v, _ := rt.remotes.LoadOrStore(key, queue.NewUnbounded())
+	return v.(*queue.Unbounded)
 }
 
 func (ch *channel) pbq(slots, maxPayload int) *queue.PBQ {
@@ -152,7 +133,7 @@ const (
 type Request struct {
 	kind   reqKind
 	ch     *channel
-	rem    *remoteChannel
+	rem    *queue.Unbounded
 	buf    []byte
 	seq    uint64 // RMA get sequence (wait-registry diagnostics)
 	peer   int32  // global peer rank (for trace events and wait records)
@@ -350,72 +331,11 @@ func (r *Rank) progressRecv(ch *channel) {
 	}
 }
 
-// deposit appends a copy of payload to the mailbox, in a buffer the receiving
-// rank handed back when there is one.
-// The mailbox is a ring of n payloads from head, doubled when full.
-func (rc *remoteChannel) deposit(payload []byte) {
-	rc.mu.lock()
-	cp := rc.takeBuf(len(payload))
-	copy(cp, payload)
-	n := int(rc.n.Load())
-	if n == len(rc.msgs) {
-		grown := make([][]byte, max(8, 2*n))
-		for i := 0; i < n; i++ {
-			grown[i] = rc.msgs[(rc.head+i)&(n-1)]
-		}
-		rc.msgs, rc.head = grown, 0
-	}
-	rc.msgs[(rc.head+n)&(len(rc.msgs)-1)] = cp
-	rc.n.Add(1)
-	rc.mu.unlock()
-}
-
-// tryPop dequeues the channel's head message, or reports none buffered.
-func (rc *remoteChannel) tryPop() ([]byte, bool) {
-	rc.mu.lock()
-	if rc.n.Load() == 0 {
-		rc.mu.unlock()
-		return nil, false
-	}
-	msg := rc.msgs[rc.head]
-	rc.msgs[rc.head] = nil
-	rc.head = (rc.head + 1) & (len(rc.msgs) - 1)
-	rc.n.Add(-1)
-	rc.mu.unlock()
-	return msg, true
-}
-
-// recycle hands a popped payload buffer back once its bytes are copied out,
-// for the next deposit to fill again.
-func (rc *remoteChannel) recycle(buf []byte) {
-	rc.mu.lock()
-	rc.free = append(rc.free, buf)
-	rc.mu.unlock()
-}
-
-// takeBuf returns an n-byte payload buffer, recycled when one is large
-// enough.  Caller holds rc.mu.
-func (rc *remoteChannel) takeBuf(n int) []byte {
-	if k := len(rc.free) - 1; k >= 0 {
-		buf := rc.free[k]
-		rc.free[k] = nil
-		rc.free = rc.free[:k]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
 // progressRemoteRecv completes a remote receive if a message has arrived:
-// copy it out, hand its buffer back, observe it.  TryRecv's inter-node arm is
-// this too, on a request of its own.
+// copy it out, hand its node back to the link reader, observe it.
+// TryRecv's inter-node arm is this too, on a request of its own.
 func (r *Rank) progressRemoteRecv(req *Request) {
-	rc := req.rem
-	if rc.n.Load() == 0 {
-		return
-	}
-	msg, ok := rc.tryPop()
+	msg, ok := req.rem.Front()
 	if !ok {
 		return
 	}
@@ -423,7 +343,7 @@ func (r *Rank) progressRemoteRecv(req *Request) {
 		panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(req.buf)))
 	}
 	req.n = copy(req.buf, msg)
-	rc.recycle(msg)
+	req.rem.Release()
 	r.note(reqRemoteRecv, req.peer, req.n)
 	req.done = true
 }

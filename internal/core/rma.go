@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/obs"
+	"repro/internal/queue"
 	"repro/internal/rma"
 	"repro/internal/schedpoint"
 )
@@ -44,7 +45,7 @@ type rmaFlow struct {
 // the frame dispatch coordinates the chanKey carried (communicator and
 // origin).
 type rmaInbox struct {
-	rc     *remoteChannel
+	rc     *queue.Unbounded
 	flow   *rmaFlow
 	comm   uint64
 	origin int // global origin rank
@@ -235,12 +236,13 @@ func (r *Rank) rmaProgress() {
 	for _, in := range r.rmaIn {
 		schedpoint.Point("core:rma:drain-inbox")
 		drained := 0
-		for in.rc.n.Load() > 0 {
-			msg, ok := in.rc.tryPop()
+		for {
+			msg, ok := in.rc.Front()
 			if !ok {
 				break
 			}
 			r.rmaApply(in, msg)
+			in.rc.Release()
 			schedpoint.Point("core:rma:applied")
 			in.flow.applied.Add(1)
 			drained++

@@ -225,7 +225,7 @@ type Runtime struct {
 	node  *nodeState
 
 	channels sync.Map // chanKey -> *channel   (intra-node)
-	remotes  sync.Map // chanKey -> *remoteChannel (inter-node)
+	remotes  sync.Map // chanKey -> *queue.Unbounded (inter-node mailboxes)
 	comms    sync.Map // splitKey -> *commShared
 
 	// tp is the node's links to every other node (nil on a single-node
@@ -323,6 +323,8 @@ type Rank struct {
 	// makes progress: tpSend waits in it for room on a link while its frame
 	// may already hold its place in an RMA flow.
 	park, quiet ssw.Waiter
+	// reduceTmp is Comm.leaderReduce's receive buffer, grow-only.
+	reduceTmp []byte
 
 	// Ranks are allocated back to back; the pad keeps one rank's wait record
 	// (rewritten at every blocking wait) off the cacheline the next rank's
@@ -406,8 +408,9 @@ func runInternal(rcfg Config, be transport.Backend, main func(r *Rank)) (*Runtim
 			// dump carries what `puretrace merge` matches across nodes.
 			tcfg.LinkEvents = 1 << 14
 		}
+		memos := make([]deliverMemo, rcfg.Spec.Nodes)
 		tp, err := transport.New(tcfg, be, rcfg.NRanks, transport.Handlers{
-			Deliver:  rt.tpDeliver,
+			Deliver:  func(f *transport.Frame) { rt.tpDeliver(f, memos) },
 			Applied:  rt.tpApplied,
 			PeerDead: rt.tpPeerDead,
 			PeerBye:  rt.tpPeerBye,

@@ -382,8 +382,8 @@ func BenchmarkTCPAllreduce8B(b *testing.B) {
 // it by name): an 8 B round trip through persistent channel endpoints
 // over real TCP allocates at most twice in steady state, counted over both
 // ranks and both link readers — requests come from the endpoints' pools,
-// frames are encoded into the link's reused buffers, and mailbox payloads
-// cycle through the per-mailbox free list.
+// frames are encoded into the link's reused buffers, and mailbox nodes,
+// with their payload buffers, cycle back to the link reader.
 func TestTCPPingPongAllocs(t *testing.T) {
 	const warm, runs = 200, 2000
 	var perRoundTrip float64
@@ -417,34 +417,65 @@ func TestTCPPingPongAllocs(t *testing.T) {
 
 // TestInProcessNodesPingPongAllocs is the same gate on two in-process nodes
 // (a two-node Spec without a Transport): the link layer over transport.MemNet,
-// whose pipes keep their buffers and whose Deliver copies into a buffer the
-// receiving rank handed back, so the steady state allocates nothing.
+// whose pipes keep their buffers and whose Deliver copies into a mailbox
+// node, and its buffer, that the receiving rank handed back, so the steady
+// state allocates nothing.  Three shapes: the 8 B and 64 KiB ping-pongs,
+// which cycle two mailbox nodes, and xnode-tcp's stream (64 B one-way
+// under a 512-message credit window, a credit every 256th message), whose
+// backlog grows the node cache during the warm-up and then reuses it.
 func TestInProcessNodesPingPongAllocs(t *testing.T) {
 	const warm, runs = 200, 2000
-	var perRoundTrip float64
-	runMulti(t, 2, 2, 1, func(r *Rank) {
-		w := r.World()
-		buf := make([]byte, 8)
-		if r.ID() == 0 {
-			ping, pong := w.SendChannel(1, 5), w.RecvChannel(1, 6)
-			roundTrip := func() {
-				ping.Send(buf)
-				pong.Recv(buf)
+	for _, tc := range []struct {
+		name   string
+		size   int
+		stream bool
+	}{
+		{"pingpong/8B", 8, false},
+		{"pingpong/64KiB", 64 << 10, false},
+		{"stream/64B", 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			steps, perMsg := runs, 1 // round trips, or windows of a stream
+			if tc.stream {
+				steps, perMsg = runs/20, 512
 			}
-			for i := 0; i < warm; i++ {
-				roundTrip()
+			var perRun float64
+			runMulti(t, 2, 2, 1, func(r *Rank) {
+				w := r.World()
+				buf := make([]byte, tc.size)
+				if r.ID() == 0 {
+					out, in := w.SendChannel(1, 5), w.RecvChannel(1, 6)
+					step := func() {
+						for i := 0; i < perMsg; i++ {
+							out.Send(buf)
+						}
+						if !tc.stream {
+							in.Recv(buf)
+							return
+						}
+						in.Recv(buf[:8])
+						in.Recv(buf[:8])
+					}
+					for i := 0; i < warm; i++ {
+						step()
+					}
+					perRun = testing.AllocsPerRun(steps, step)
+					return
+				}
+				in, out := w.RecvChannel(0, 5), w.SendChannel(0, 6)
+				for i := 0; i < (warm+1+steps)*perMsg; i++ { // AllocsPerRun makes one warm-up call of its own
+					in.Recv(buf)
+					if !tc.stream {
+						out.Send(buf)
+					} else if (i+1)%256 == 0 {
+						out.Send(buf[:8])
+					}
+				}
+			})
+			if perRun != 0 {
+				t.Fatalf("in-process cross-node %s allocates %.2f times per %d messages, want 0", tc.name, perRun, perMsg)
 			}
-			perRoundTrip = testing.AllocsPerRun(runs, roundTrip)
-			return
-		}
-		ping, pong := w.RecvChannel(0, 5), w.SendChannel(0, 6)
-		for i := 0; i < warm+1+runs; i++ {
-			ping.Recv(buf)
-			pong.Send(buf)
-		}
-	})
-	if perRoundTrip != 0 {
-		t.Fatalf("in-process cross-node ping-pong allocates %.2f times per round trip, want 0", perRoundTrip)
+		})
 	}
 }
 
@@ -578,11 +609,11 @@ func TestTaskExecuteOwnerOnlyAllocs(t *testing.T) {
 
 // TestTCPPutFenceAllocs is the same gate on the one-sided path: a remote
 // Put + Fence costs a data frame one way and an applied-watermark frame back
-// (tpApplied), and in steady state neither upcall allocates.  Counted over
-// both processes; what remains is the origin's encoded rma frame and its
-// completion request, the target's mailbox copy of a frame that is never
-// handed back, and the fence's barrier tokens: 8 where the parent, with
-// tpApplied's two LoadOrStore arguments escaping per watermark, measures 12.
+// (tpApplied), and in steady state neither upcall allocates, nor does the
+// target's mailbox, whose node and buffer come back once the frame is
+// applied.  Counted over both processes; what remains is the origin's
+// encoded rma frame and its completion request, and the fence's barrier
+// tokens: 7.
 func TestTCPPutFenceAllocs(t *testing.T) {
 	const warm, runs = 200, 1000
 	var perEpoch float64
@@ -610,8 +641,38 @@ func TestTCPPutFenceAllocs(t *testing.T) {
 	})
 	tcpAllOK(t, errs)
 	t.Logf("%.2f allocs per remote Put+Fence", perEpoch)
-	if perEpoch > 8 {
-		t.Fatalf("remote Put+Fence allocates %.2f times per epoch, want <= 8", perEpoch)
+	if perEpoch > 7 {
+		t.Fatalf("remote Put+Fence allocates %.2f times per epoch, want <= 7", perEpoch)
+	}
+}
+
+// TestTCPAllreduceAllocs is the gate on the cross-node collective path: an
+// 8 B Allreduce over 2 nodes x 2 ranks (each node reduces in shared memory,
+// the leaders reduce and broadcast over the link) allocates nothing in
+// steady state, counted over both processes — the leader's receive buffer
+// is kept on its Comm, and the frames and mailbox nodes are reused.
+func TestTCPAllreduceAllocs(t *testing.T) {
+	const warm, runs = 200, 1000
+	var perCall float64
+	errs := tcpWorld(t, 2, 2, nil, func(r *Rank) {
+		w := r.World()
+		in, out := make([]byte, 8), make([]byte, 8)
+		call := func() { w.Allreduce(in, out, collective.OpSum, collective.Int64) }
+		for i := 0; i < warm; i++ {
+			call()
+		}
+		if r.ID() == 0 {
+			perCall = testing.AllocsPerRun(runs, call)
+			return
+		}
+		for i := 0; i < 1+runs; i++ {
+			call()
+		}
+	})
+	tcpAllOK(t, errs)
+	t.Logf("%.2f allocs per cross-node Allreduce", perCall)
+	if perCall != 0 {
+		t.Fatalf("cross-node 8 B Allreduce allocates %.2f times per call, want 0", perCall)
 	}
 }
 

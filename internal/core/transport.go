@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/layout"
+	"repro/internal/queue"
 	"repro/internal/transport"
 )
 
@@ -14,7 +16,7 @@ import (
 // transport KindData frame and carried over the peer link's sequenced,
 // acked, retransmitted stream (over TCP between processes, over
 // transport.MemNet between the in-process nodes of runNodes).  Inbound
-// frames land in remoteChannel mailboxes, which the receive paths
+// frames land in mailboxes (queue.Unbounded), which the receive paths
 // (progressRemoteRecv, rmaProgress) drain.
 //
 // A rank waiting for a frame is parked (Rank.park), so every upcall
@@ -31,14 +33,32 @@ import (
 // on this node.  It runs on the owning link's reader goroutine in link
 // order; the frame's payload is only valid during the call, so the mailbox
 // gets a copy, in a buffer the receiving rank handed back when it can, for
-// the destination rank's progress loops to consume.
-func (rt *Runtime) tpDeliver(f *transport.Frame) {
+// the destination rank's progress loops to consume.  The sending node's
+// entry of memos resolves the mailbox without a map lookup while frames
+// keep coming for one key, as a stream or a ping-pong's do.
+func (rt *Runtime) tpDeliver(f *transport.Frame, memos []deliverMemo) {
 	if !rt.tpAdmit(f) {
 		return
 	}
 	key := chanKey{src: int(f.SrcRank), dst: int(f.DstRank), tag: int(f.Tag), comm: f.Comm}
-	rt.remote(key).deposit(f.Payload)
+	m := &memos[f.SrcNode]
+	if m.mb == nil || m.key != key {
+		m.key, m.mb = key, rt.remote(key)
+	}
+	m.mb.Put(f.Payload)
 	f.Waiting = rt.wake(int(f.DstRank))
+}
+
+// deliverMemo is one source node's last delivery target: a one-entry cache
+// in front of Runtime.remotes.  The Deliver handler keeps one per source
+// node, so only a runtime with links has them.  Only the link
+// reader of that node writes it, under the link's receive lock (which also
+// orders a replaced connection's reader before the current one); the pad
+// keeps two readers' memos off each other's cacheline.
+type deliverMemo struct {
+	key chanKey
+	mb  *queue.Unbounded
+	_   layout.Pad
 }
 
 // tpApplied is the transport's Applied upcall: the peer's cumulative applied
@@ -75,21 +95,25 @@ func (rt *Runtime) tpApplied(f *transport.Frame) {
 
 // tpAdmit checks the rank pair a sequenced frame names before anything is
 // keyed by it.  The fields come off the wire: a frame from a rank that is not
-// the peer's to a rank that is not ours — ids out of range, or processes
-// launched with different placements — would otherwise create a mailbox no
-// rank ever drains and buffer into it without bound.  Such a frame is dropped
-// and the run poisoned, with the sending node recorded as the failed one.
+// the sending node's to a rank that is not ours — ids out of range, or
+// processes launched with different placements — would otherwise create a
+// mailbox no rank ever drains and buffer into it without bound, or feed one
+// mailbox from two links, which its single-producer queue does not allow.
+// Such a frame is dropped and the run poisoned, with the sending node
+// recorded as the failed one.  An admitted frame's SrcNode indexes the
+// Deliver handler's memos.
 func (rt *Runtime) tpAdmit(f *transport.Frame) bool {
 	n, me := int32(rt.cfg.NRanks), rt.cfg.Transport.Node
 	if f.SrcRank >= 0 && f.SrcRank < n && f.DstRank >= 0 && f.DstRank < n &&
-		rt.place.NodeOf(int(f.SrcRank)) != me && rt.place.NodeOf(int(f.DstRank)) == me {
+		rt.place.NodeOf(int(f.SrcRank)) == int(f.SrcNode) && int(f.SrcNode) != me &&
+		rt.place.NodeOf(int(f.DstRank)) == me {
 		return true
 	}
 	if rt.tpFinished.Load() {
 		return false // our ranks are done: drop it, there is no run left to fail
 	}
 	rt.poisonNodeDead(int(f.SrcNode), fmt.Sprintf(
-		"node %d sent a %s frame for rank pair %d -> %d, which node %d does not serve (ranks are 0..%d, the source must be placed on another node and the destination on this one): the processes disagree on the job's placement",
+		"node %d sent a %s frame for rank pair %d -> %d, which node %d does not serve (ranks are 0..%d, the source must be placed on the sending node and the destination on this one): the processes disagree on the job's placement",
 		f.SrcNode, f.Kind, f.SrcRank, f.DstRank, me, n-1))
 	return false
 }

@@ -159,33 +159,35 @@ func (f *Frame) Encode() []byte {
 	return AppendFrame(make([]byte, 0, HeaderLen+len(f.Payload)), f)
 }
 
-// decodeHeader validates and parses the fixed header, returning the frame
-// (payload unset) and the payload length.
-func decodeHeader(h []byte) (Frame, int, error) {
+// decodeHeader validates and parses the fixed header into f (payload unset,
+// Waiting cleared) and returns the payload length.  On an error f is left
+// as it was.
+func decodeHeader(h []byte, f *Frame) (int, error) {
 	if m := binary.LittleEndian.Uint16(h[0:]); m != frameMagic {
-		return Frame{}, 0, fmt.Errorf("transport: bad frame magic %#x (want %#x)", m, frameMagic)
+		return 0, fmt.Errorf("transport: bad frame magic %#x (want %#x)", m, frameMagic)
 	}
 	if v := h[2]; v != wireVersion {
-		return Frame{}, 0, fmt.Errorf("transport: frame version %d not supported (want %d)", v, wireVersion)
+		return 0, fmt.Errorf("transport: frame version %d not supported (want %d)", v, wireVersion)
 	}
 	k := Kind(h[3])
 	if k < KindHello || k > KindApplied {
-		return Frame{}, 0, fmt.Errorf("transport: unknown frame kind %d", h[3])
+		return 0, fmt.Errorf("transport: unknown frame kind %d", h[3])
 	}
 	n := binary.LittleEndian.Uint32(h[36:])
 	if n > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("transport: %d-byte payload exceeds the %d-byte frame bound", n, MaxPayload)
+		return 0, fmt.Errorf("transport: %d-byte payload exceeds the %d-byte frame bound", n, MaxPayload)
 	}
-	return Frame{
-		Kind:    k,
-		SrcNode: int32(binary.LittleEndian.Uint32(h[4:])),
-		Seq:     binary.LittleEndian.Uint64(h[8:]),
-		Ack:     binary.LittleEndian.Uint64(h[16:]),
-		SrcRank: int32(binary.LittleEndian.Uint32(h[24:])),
-		DstRank: int32(binary.LittleEndian.Uint32(h[28:])),
-		Tag:     int32(binary.LittleEndian.Uint32(h[32:])),
-		Comm:    binary.LittleEndian.Uint64(h[40:]),
-	}, int(n), nil
+	// Field by field: a composite literal would be built aside and copied.
+	f.Kind = k
+	f.SrcNode = int32(binary.LittleEndian.Uint32(h[4:]))
+	f.Seq = binary.LittleEndian.Uint64(h[8:])
+	f.Ack = binary.LittleEndian.Uint64(h[16:])
+	f.SrcRank = int32(binary.LittleEndian.Uint32(h[24:]))
+	f.DstRank = int32(binary.LittleEndian.Uint32(h[28:]))
+	f.Tag = int32(binary.LittleEndian.Uint32(h[32:]))
+	f.Comm = binary.LittleEndian.Uint64(h[40:])
+	f.Payload, f.Waiting = nil, false
+	return int(n), nil
 }
 
 // frameReader reads frames off one connection through a buffered reader.  A
@@ -218,19 +220,24 @@ func newFrameReader(r io.Reader, size int) *frameReader {
 // without blocking.
 func (fr *frameReader) buffered() int { return fr.br.Buffered() - fr.pending }
 
-// Read blocks for the next complete frame.  A stream that ends between
-// frames reads io.EOF; one that ends inside a frame is an error too.
-func (fr *frameReader) Read() (Frame, error) { return fr.read(0, MaxPayload) }
+// Read blocks for the next complete frame and decodes it into f, which the
+// caller keeps across calls (the link's reader has one per connection), so
+// no frame is copied.  A stream that ends between frames reads io.EOF; one
+// that ends inside a frame is an error too.  After an error f holds nothing
+// meaningful.
+func (fr *frameReader) Read(f *Frame) error { return fr.read(f, 0, MaxPayload) }
 
 // readHandshake reads a connection's first frame, which must be a want frame
 // with a handshake payload.  A header that declares anything else is an
 // error before any payload byte is read: a peer that has proven nothing
 // about itself cannot make the reader wait for a large payload.
-func (fr *frameReader) readHandshake(want Kind) (Frame, error) { return fr.read(want, helloLen) }
+func (fr *frameReader) readHandshake(f *Frame, want Kind) error {
+	return fr.read(f, want, helloLen)
+}
 
 // read reads one frame of kind want (any when 0) with at most limit payload
-// bytes.
-func (fr *frameReader) read(want Kind, limit int) (Frame, error) {
+// bytes into f.
+func (fr *frameReader) read(f *Frame, want Kind, limit int) error {
 	br := fr.br
 	br.Discard(fr.pending) // cannot fail: the bytes are buffered
 	fr.pending = 0
@@ -245,23 +252,23 @@ func (fr *frameReader) read(want Kind, limit int) (Frame, error) {
 		_, err = io.ReadFull(br, h)
 	}
 	if err != nil {
-		return Frame{}, err
+		return err
 	}
-	f, n, err := decodeHeader(h)
+	n, err := decodeHeader(h, f)
 	if err != nil {
-		return Frame{}, err
+		return err
 	}
 	if n > limit || want != 0 && f.Kind != want {
-		return Frame{}, fmt.Errorf("transport: a %d-byte %s frame where a %s of at most %d bytes was due", n, f.Kind, want, limit)
+		return fmt.Errorf("transport: a %d-byte %s frame where a %s of at most %d bytes was due", n, f.Kind, want, limit)
 	}
 	if size := HeaderLen + n; size <= br.Size() {
 		b, err := br.Peek(size)
 		if err != nil {
-			return Frame{}, payloadErr(n, f.Kind, err)
+			return payloadErr(n, f.Kind, err)
 		}
 		f.Payload = b[HeaderLen:size:size]
 		fr.pending = size
-		return f, nil
+		return nil
 	}
 	if br.Size() >= HeaderLen {
 		br.Discard(HeaderLen)
@@ -279,12 +286,12 @@ func (fr *frameReader) read(want Kind, limit int) (Frame, error) {
 			fr.progress()
 		}
 		if err != nil && len(buf) < n {
-			return Frame{}, payloadErr(n, f.Kind, err)
+			return payloadErr(n, f.Kind, err)
 		}
 	}
 	fr.payload = buf
 	f.Payload = buf
-	return f, nil
+	return nil
 }
 
 func payloadErr(n int, k Kind, err error) error {

@@ -21,7 +21,8 @@ func decodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderLen {
 		return Frame{}, 0, fmt.Errorf("transport: %d-byte buffer shorter than the %d-byte header", len(b), HeaderLen)
 	}
-	f, n, err := decodeHeader(b)
+	var f Frame
+	n, err := decodeHeader(b, &f)
 	if err != nil {
 		return Frame{}, 0, err
 	}
@@ -73,9 +74,9 @@ func TestFrameReaderStream(t *testing.T) {
 		buf.Write(f.Encode())
 	}
 	fr := newFrameReader(&buf, readBufSize)
+	var f Frame
 	for i := 0; i < n; i++ {
-		f, err := fr.Read()
-		if err != nil {
+		if err := fr.Read(&f); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if f.Seq != uint64(i+1) || len(f.Payload) != i {
@@ -100,7 +101,7 @@ func TestFrameReaderDeclaredPayloadAllocatesAsBytesArrive(t *testing.T) {
 		h := declaringHeader(KindData, MaxPayload)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := newFrameReader(bytes.NewReader(h), size).Read()
+		err := newFrameReader(bytes.NewReader(h), size).Read(new(Frame))
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("buffer %d: read %v, want io.ErrUnexpectedEOF", size, err)

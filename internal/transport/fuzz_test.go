@@ -107,9 +107,10 @@ func FuzzControlDecode(f *testing.F) {
 // decodeFrame's verdict on it is checked by the caller.
 func streamMatchesDecode(t *testing.T, name string, b []byte, br *bufio.Reader) {
 	fr := frameReader{br: br}
+	var got Frame
 	for rest := b; ; {
 		want, n, werr := decodeFrame(rest)
-		got, err := fr.Read()
+		err := fr.Read(&got)
 		if werr != nil {
 			switch {
 			case err == nil:
@@ -120,7 +121,7 @@ func streamMatchesDecode(t *testing.T, name string, b []byte, br *bufio.Reader) 
 				t.Fatalf("%s: %d trailing bytes read as a clean end", name, len(rest))
 			}
 			if len(rest) >= HeaderLen {
-				if _, _, herr := decodeHeader(rest); herr != nil && herr.Error() != err.Error() {
+				if _, herr := decodeHeader(rest, new(Frame)); herr != nil && herr.Error() != err.Error() {
 					t.Fatalf("%s: bad header read as %q, decodeHeader says %q", name, err, herr)
 				}
 			}

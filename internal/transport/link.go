@@ -473,15 +473,15 @@ func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 	// PeerDeadAfter to arrive, and the peer's heartbeats queue behind it:
 	// its bytes count as hearing from the peer while they flow.
 	fr.progress = l.hear
-	// One Frame for the connection's lifetime: the handlers are func values,
-	// so a per-iteration variable would escape to the heap on every frame.
+	// One Frame for the connection's lifetime, which the reader decodes
+	// into: the handlers are func values, so a per-iteration variable would
+	// escape to the heap on every frame.
 	var f Frame
 	sinceAck := 0           // frames delivered since this reader last settled its ack
 	carried := false        // the newest of them woke a rank that will carry the ack
 	var frames, bytes int64 // received since the counters were last folded
 	for {
-		var err error
-		if f, err = fr.Read(); err != nil {
+		if err := fr.Read(&f); err != nil {
 			l.stats.framesRecv.Add(frames)
 			l.stats.bytesRecv.Add(bytes)
 			l.mu.Lock()
@@ -930,8 +930,8 @@ func (l *link) handshakeDial(c Conn) bool {
 	}
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := newFrameReader(c, 0) // see readLoop
-	rf, err := fr.readHandshake(KindWelcome)
-	if err != nil {
+	var rf Frame
+	if err := fr.readHandshake(&rf, KindWelcome); err != nil {
 		c.Close()
 		return false
 	}

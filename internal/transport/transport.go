@@ -441,8 +441,8 @@ func (t *Transport) handleAccept(c Conn) {
 	defer t.untrackHandshake(c)
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := newFrameReader(c, 0) // see link.readLoop
-	f, err := fr.readHandshake(KindHello)
-	if err != nil {
+	var f Frame
+	if err := fr.readHandshake(&f, KindHello); err != nil {
 		c.Close()
 		return
 	}
