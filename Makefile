@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain `go` underneath.
 
-.PHONY: build test gates race chaos chaos-net check fuzz verify bench bench-json benchpair analyze statsd shmem
+.PHONY: build test gates race chaos chaos-net flake check fuzz verify bench bench-json benchpair analyze statsd shmem
 
 build:
 	go build ./...
@@ -53,8 +53,9 @@ fuzz:
 
 # The robustness suite under the race detector: watchdog/abort containment
 # plus the lossy-link chaos tests — one runtime per in-process node, joined
-# by the link layer, with Transport.Faults (drops, delays, and the
-# duplicates and out-of-order discards go-back-N makes of them) — across
+# by the link layer, with Transport.Faults (connection resets, delays, and
+# the duplicates a reconnect replay makes of what an older connection's
+# reader still delivers) — across
 # several seeds (override with PURE_CHAOS_SEEDS=comma,separated,ints).
 # Sized to stay CI-friendly on a single CPU.  Every test it selects is in
 # `make race` too, which scripts/verify.sh runs.
@@ -73,6 +74,26 @@ chaos-net:
 	go test -race -count=1 -run '^TestChaosTCP(DrainIsCounted|KillLinkReconnect|PartitionDeath|StreamCombines)$$' ./internal/core
 	go test -race -count=1 ./internal/transport
 	go test -count=1 ./internal/livechaos ./cmd/purerun
+
+# The flake hunt: ten rounds of the transport suite four times over under
+# the race detector, each beside a race-detector run of the core, collective
+# and CoMD suites that loads the host.  A failing round's output stays in a
+# fresh temporary directory, whose path is printed; the target fails if any
+# round did.  About 12 minutes on two cores, so scripts/verify.sh leaves it
+# out.
+flake:
+	@dir=$$(mktemp -d); fail=0; \
+	for round in 1 2 3 4 5 6 7 8 9 10; do \
+		go test -race -count=1 ./internal/core ./internal/collective ./internal/apps/comd \
+			> $$dir/round$$round-background.txt 2>&1 & bg=$$!; \
+		go test -race -count=4 ./internal/transport > $$dir/round$$round-transport.txt 2>&1; fg=$$?; \
+		wait $$bg; bgs=$$?; \
+		echo "round $$round: transport exit $$fg, background exit $$bgs"; \
+		if [ $$fg -eq 0 ]; then rm $$dir/round$$round-transport.txt; else fail=1; fi; \
+		if [ $$bgs -eq 0 ]; then rm $$dir/round$$round-background.txt; else fail=1; fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "flake: the failing rounds' output is in $$dir"; exit 1; fi; \
+	rmdir $$dir; echo "flake: 10 of 10 rounds passed"
 
 # The full gate (scripts/verify.sh): build, vet, the suite, the race
 # detector, the checker, fuzzing, the gates and the command smokes, each

@@ -330,14 +330,11 @@ var unsetConfigAllowlist = map[string]string{
 	"statsd.GenConfig.Keys":    "key-space size: the generator and frame tests in internal/statsd shrink it",
 	"statsd.GenConfig.Tagsets": "tagset-pool size: internal/apps/statsd's shared-interner test shrinks it",
 
-	"transport.Config.DialBackoffMax":  "link timing the chaos suites shorten",
-	"transport.Config.DialTimeout":     "link timing the chaos suites shorten",
-	"transport.Config.DrainTimeout":    "link timing the chaos suites shorten",
-	"transport.Config.Faults":          "the link fault plan the chaos suites inject",
-	"transport.Config.MaxUnacked":      "resend-window depth the full-window tests shrink",
-	"transport.Config.RetryBackoff":    "link timing the chaos suites shorten",
-	"transport.Config.RetryBackoffMax": "link timing the chaos suites shorten",
-	"transport.Config.RetryBudget":     "link timing the chaos suites shorten",
+	"transport.Config.DialBackoffMax": "link timing the chaos suites shorten",
+	"transport.Config.DialTimeout":    "link timing the chaos suites shorten",
+	"transport.Config.DrainTimeout":   "link timing the chaos suites shorten",
+	"transport.Config.Faults":         "the link fault plan the chaos suites inject",
+	"transport.Config.MaxUnacked":     "resend-window depth the full-window tests shrink",
 }
 
 // configField is one exported field of an option struct.

@@ -16,7 +16,7 @@
 //	PURE_HB_MS     transport heartbeat interval in ms (chaos tuning)
 //	PURE_DEAD_MS   transport peer-death silence threshold in ms
 //	PURE_HANG_MS   watchdog hang timeout in ms (default 30000)
-//	PURE_DROP      transport fault plan: drop probability in [0,1]
+//	PURE_RESET     transport fault plan: per-frame connection-reset probability in [0,1]
 //	PURE_TRACE_BIN write this node's binary trace dump here after the run; a
 //	               "%d" in the path becomes the node id (else multi-node runs
 //	               append ".node<id>").  Feed the per-node dumps to
@@ -67,13 +67,13 @@ func main() {
 		if ms := envInt("PURE_DEAD_MS", 0); ms > 0 {
 			tcfg.PeerDeadAfter = time.Duration(ms) * time.Millisecond
 		}
-		if s := os.Getenv("PURE_DROP"); s != "" {
+		if s := os.Getenv("PURE_RESET"); s != "" {
 			p, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "worker: bad PURE_DROP=%q\n", s)
+				fmt.Fprintf(os.Stderr, "worker: bad PURE_RESET=%q\n", s)
 				os.Exit(1)
 			}
-			tcfg.Faults.Seed, tcfg.Faults.DropProb = 7, p
+			tcfg.Faults.Seed, tcfg.Faults.ResetProb = 7, p
 		}
 	}
 	if nranks%nodes != 0 {

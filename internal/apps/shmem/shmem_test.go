@@ -20,31 +20,29 @@ func multiNodeCfg(nodes int) pure.Config {
 	}
 }
 
-// lossyCfg is multiNodeCfg(2) over links with the fault plan faults.  The
-// links retransmit after milliseconds and never give up, so the loss costs a
-// test little time and never a link.
+// lossyCfg is multiNodeCfg(2) over links with the fault plan faults.
 func lossyCfg(faults pure.TransportFaults) pure.Config {
 	cfg := multiNodeCfg(2)
 	cfg.Metrics = pure.NewMetrics()
-	cfg.Transport = &pure.TransportConfig{Faults: faults, RetryBackoff: 2 * time.Millisecond, RetryBudget: 1000}
+	cfg.Transport = &pure.TransportConfig{Faults: faults}
 	return cfg
 }
 
 // checkRecovered fails the test unless the links of a lossyCfg run injected
-// drops and retransmitted.
+// resets and a reconnect replayed frames.
 func checkRecovered(t *testing.T, m *pure.Metrics) {
 	t.Helper()
 	c := map[string]int64{}
 	for _, s := range m.Snapshot().Counters {
 		c[s.Name] = s.Value
 	}
-	if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
-		t.Fatalf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
-			c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
+	if c["pure_tp_resets_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
+		t.Fatalf("the links injected %d resets and replayed %d frames; the test exercised nothing",
+			c["pure_tp_resets_injected_total"], c["pure_tp_retransmits_total"])
 	}
 }
 
-// chaosFaults is transport.ChaosFaults at 15% drops: the seed-swept plans.
+// chaosFaults is transport.ChaosFaults at 15% resets: the seed-swept plans.
 func chaosFaults(t *testing.T) []pure.TransportFaults {
 	plans, err := transport.ChaosFaults(0.15)
 	if err != nil {
@@ -109,8 +107,8 @@ func TestHistogramCrossNode(t *testing.T) {
 }
 
 // TestChaosHistogramLossy: two one-rank nodes over 15%-lossy links, and the
-// histogram must still be bit-exact — the link layer recovers every dropped
-// atomic-add frame and discards every duplicate.
+// histogram must still be bit-exact — the link layer replays every atomic-add
+// frame a reset cut off and discards every duplicate.
 func TestChaosHistogramLossy(t *testing.T) {
 	for _, faults := range chaosFaults(t) {
 		seed := faults.Seed
@@ -185,10 +183,9 @@ func TestBFSCrossNode(t *testing.T) {
 }
 
 // TestChaosBFSLossy runs the mailbox frontier exchange over 15%-lossy
-// links: per-sender FIFO and exactly-once delivery must survive
-// retransmission, or distances diverge.  Every remote send is one round
-// trip (a delivery frame and the owner's reply), and every dropped frame
-// waits out a retransmit timer.
+// links: per-sender FIFO and exactly-once delivery must survive reconnect
+// replays, or distances diverge.  Every remote send is one round trip (a
+// delivery frame and the owner's reply), and every reset waits out a redial.
 func TestChaosBFSLossy(t *testing.T) {
 	for _, faults := range chaosFaults(t) {
 		seed := faults.Seed

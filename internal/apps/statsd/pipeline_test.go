@@ -85,9 +85,9 @@ func TestPipelineExactDropPolicy(t *testing.T) {
 
 func TestPipelineExactUnderLoss(t *testing.T) {
 	// Two in-process nodes (ingesters on node 0, aggregators on node 1
-	// under SMP placement), joined by links that drop 15% of first
-	// transmissions.  The link layer retransmits; the pipeline totals must
-	// stay exact.
+	// under SMP placement), joined by links where 15% of first
+	// transmissions reset the connection.  The link layer redials and
+	// replays; the pipeline totals must stay exact.
 	const events = 8000
 	var res Result
 	met := pure.NewMetrics()
@@ -97,9 +97,7 @@ func TestPipelineExactUnderLoss(t *testing.T) {
 		HangTimeout: 30 * time.Second,
 		Metrics:     met,
 		Transport: &pure.TransportConfig{
-			Faults:       pure.TransportFaults{Seed: 7, DropProb: 0.15},
-			RetryBackoff: 2 * time.Millisecond,
-			RetryBudget:  1000,
+			Faults: pure.TransportFaults{Seed: 7, ResetProb: 0.15},
 		},
 	}, pipelineMain(Config{Ingesters: 2, Aggregators: 2, Events: events, Rounds: 2}, &res))
 	if err != nil {
@@ -113,9 +111,9 @@ func TestPipelineExactUnderLoss(t *testing.T) {
 	if res.Applied != events {
 		t.Errorf("lossy links lost events: applied %d of %d", res.Applied, events)
 	}
-	if c["pure_tp_drops_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
-		t.Errorf("the links injected %d drops and retransmitted %d frames; the test exercised nothing",
-			c["pure_tp_drops_injected_total"], c["pure_tp_retransmits_total"])
+	if c["pure_tp_resets_injected_total"] == 0 || c["pure_tp_retransmits_total"] == 0 {
+		t.Errorf("the links injected %d resets and replayed %d frames; the test exercised nothing",
+			c["pure_tp_resets_injected_total"], c["pure_tp_retransmits_total"])
 	}
 }
 

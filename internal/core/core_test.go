@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/collective"
 	"repro/internal/topology"
@@ -77,8 +76,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"ranks exceeding hardware", Config{NRanks: 4, Spec: topology.Spec{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1}}, "placing ranks"},
 		{"transport without addrs on one node", Config{NRanks: 2, Transport: &transport.Config{}}, "Transport"},
 		{"transport without addrs for node 1", withLinks(twoNodes, transport.Config{Node: 1}), "Transport"},
-		{"transport without addrs dropping 150%", withLinks(twoNodes, transport.Config{Faults: transport.Faults{DropProb: 1.5}}), "Transport"},
-		{"transport without addrs, lossy", withLinks(twoNodes, transport.Config{Faults: transport.Faults{Seed: 1, DropProb: 0.5}, RetryBackoff: time.Millisecond}), ""},
+		{"transport without addrs dropping 150%", withLinks(twoNodes, transport.Config{Faults: transport.Faults{ResetProb: 1.5}}), "Transport"},
+		{"transport without addrs, lossy", withLinks(twoNodes, transport.Config{Faults: transport.Faults{Seed: 1, ResetProb: 0.5}}), ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var rts [2]*Runtime
@@ -112,8 +111,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 				if addr := rt.tp.Addr(); addr != fmt.Sprintf("node:%d", n) {
 					t.Errorf("node %d listened on %q, not on the in-memory network", n, addr)
 				}
-				if drops := rt.tp.Stats()[1-n].DropsInjected; drops == 0 {
-					t.Errorf("node %d injected no drops: the fault plan was not applied", n)
+				if resets := rt.tp.Stats()[1-n].ResetsInjected; resets == 0 {
+					t.Errorf("node %d injected no resets: the fault plan was not applied", n)
 				}
 			}
 		})

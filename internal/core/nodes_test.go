@@ -271,16 +271,17 @@ func TestChaosTCPRMA(t *testing.T) {
 	}
 }
 
-// TestChaosTCPLossyRecovers runs ping-pong traffic over links that drop a
-// quarter of first transmissions: the ack/retransmit protocol must recover
-// every frame, and the recovery must be visible in the harvested metrics.
+// TestChaosTCPLossyRecovers runs ping-pong traffic over links where a
+// quarter of first transmissions reset the connection: redial and replay
+// must recover every frame, and the recovery must be visible in the
+// harvested metrics.
 func TestChaosTCPLossyRecovers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("lossy links need real retransmit timeouts")
+		t.Skip("lossy links reconnect for real")
 	}
 	cfg := nodesConfig(2, 1)
 	cfg.Metrics = obs.NewMetrics()
-	cfg.Transport = &transport.Config{Faults: transport.Faults{Seed: 42, DropProb: 0.25}, RetryBackoff: 2 * time.Millisecond, RetryBudget: 1000}
+	cfg.Transport = &transport.Config{Faults: transport.Faults{Seed: 42, ResetProb: 0.25}}
 	err := Run(cfg, func(r *Rank) {
 		w := r.World()
 		buf := make([]byte, 8)
@@ -301,11 +302,11 @@ func TestChaosTCPLossyRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sumCounter("pure_tp_drops_injected_total", cfg.Metrics) == 0 {
-		t.Fatal("fault plan injected no drops; the test exercised nothing")
+	if sumCounter("pure_tp_resets_injected_total", cfg.Metrics) == 0 {
+		t.Fatal("fault plan injected no resets; the test exercised nothing")
 	}
 	if sumCounter("pure_tp_retransmits_total", cfg.Metrics) == 0 {
-		t.Fatal("drops were injected but nothing was retransmitted")
+		t.Fatal("resets were injected but no reconnect replayed anything")
 	}
 }
 

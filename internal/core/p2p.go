@@ -79,7 +79,7 @@ func lookupChannel(m *sync.Map, key chanKey) *channel {
 // thread ids encoded in the tag's upper bits; here a link frame carries the
 // global source and destination ranks, and the link's Deliver upcall copies
 // its payload into this mailbox (tpDeliver).  It is only a mailbox:
-// sequencing, acks and retransmission belong to the transport.  Callers
+// sequencing, acks and reconnect replays belong to the transport.  Callers
 // keep what it returns: a receive endpoint binds its mailbox once
 // (bindRemote), an RMA inbox holds its own, a link reader memoizes its last
 // one (deliverMemo).

@@ -112,27 +112,26 @@ func sumCounter(name string, mets ...*obs.Metrics) (sum int64) {
 }
 
 // TestChaosTCPDrainIsCounted: link series are read when the snapshot is
-// taken, so they include what Transport.Close's drain did.  Node 0 drops
-// every first transmission and its rank's last act is a send, which therefore
-// only reaches node 1 by a retransmission made during the drain, after the
-// rank has returned.  The registry's snapshot after Run must carry that
-// retransmission: it equals Transport.Stats() after Close, per peer and
-// summed.
+// taken, so they include what Transport.Close's drain did.  Every first
+// transmission of node 0 resets the connection and its rank's last act is a
+// send, which therefore only reaches node 1 by a reconnect replay made during
+// the drain, after the rank has returned.  The registry's snapshot after Run
+// must carry that replay: it equals Transport.Stats() after Close, per peer
+// and summed.
 func TestChaosTCPDrainIsCounted(t *testing.T) {
 	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
 	var rts [2]*Runtime
 	errs := tcpWorld(t, 2, 1, func(n int, cfg *Config) {
 		cfg.Metrics = mets[n]
-		cfg.Transport.RetryBackoff = 2 * time.Millisecond
 		if n == 0 {
-			cfg.Transport.Faults = transport.Faults{Seed: 1, DropProb: 1}
+			cfg.Transport.Faults = transport.Faults{Seed: 1, ResetProb: 1}
 		}
 	}, func(r *Rank) {
 		w, buf := r.World(), make([]byte, 8)
 		rts[r.ID()] = r.rt
 		if r.ID() == 0 {
 			w.Recv(buf, 1, 1) // the link is up
-			w.Send(buf, 1, 2) // dropped; nothing but the drain is left to resend it
+			w.Send(buf, 1, 2) // resets the connection; only the drain is left to replay it
 		} else {
 			w.Send(buf, 0, 1)
 			w.Recv(buf, 0, 2)
@@ -144,18 +143,18 @@ func TestChaosTCPDrainIsCounted(t *testing.T) {
 		final := rt.tp.Stats()[peer] // after Close
 		label := fmt.Sprintf(`{peer="%d"}`, peer)
 		for name, want := range map[string]int64{
-			"pure_link_frames_sent_total" + label:  final.FramesSent,
-			"pure_link_retransmits_total" + label:  final.Retransmits,
-			"pure_link_retry_rounds_total" + label: final.RetryRounds,
-			"pure_link_acks_recv_total" + label:    final.AcksRecv,
-			"pure_tp_retransmits_total":            final.Retransmits,
-			"pure_tp_drops_injected_total":         final.DropsInjected,
+			"pure_link_frames_sent_total" + label: final.FramesSent,
+			"pure_link_retransmits_total" + label: final.Retransmits,
+			"pure_link_reconnects_total" + label:  final.Reconnects,
+			"pure_link_acks_recv_total" + label:   final.AcksRecv,
+			"pure_tp_retransmits_total":           final.Retransmits,
+			"pure_tp_resets_injected_total":       final.ResetsInjected,
 		} {
 			if got := sumCounter(name, mets[n]); got != want {
 				t.Errorf("node %d: %s = %d in the snapshot, %d in Transport.Stats() after Close", n, name, got, want)
 			}
 		}
-		if n == 0 && (final.DropsInjected == 0 || final.Retransmits == 0 || final.Unacked != 0) {
+		if n == 0 && (final.ResetsInjected == 0 || final.Retransmits == 0 || final.Unacked != 0) {
 			t.Errorf("node 0's last send was not recovered by the drain: %+v", final)
 		}
 	}
@@ -190,9 +189,9 @@ func TestChaosTCPKillLinkReconnect(t *testing.T) {
 	tcpAllOK(t, errs)
 }
 
-// TestChaosTCPPartitionDeath partitions the link from node 0's side mid-run.
-// Node 0 stops hearing node 1 (heartbeat silence); node 1's frames go
-// unacked until its retry budget dies.  Both runtimes must return a
+// TestChaosTCPPartitionDeath partitions the link from node 0's side mid-run:
+// the connection goes down and node 0 neither redials nor answers, so both
+// nodes hear nothing from the other (heartbeat silence).  Both runtimes must return a
 // structured *RunError naming the peer in DeadNodes — within HangTimeout,
 // so the failure is attributed to the dead node rather than diagnosed as an
 // anonymous stall.
@@ -206,8 +205,6 @@ func TestChaosTCPPartitionDeath(t *testing.T) {
 		cfg.HangTimeout = hang
 		cfg.Transport.HeartbeatEvery = 5 * time.Millisecond
 		cfg.Transport.PeerDeadAfter = 100 * time.Millisecond
-		cfg.Transport.RetryBackoff = 5 * time.Millisecond
-		cfg.Transport.RetryBudget = 8
 	}, func(r *Rank) {
 		w := r.World()
 		buf := make([]byte, 8)
@@ -222,8 +219,8 @@ func TestChaosTCPPartitionDeath(t *testing.T) {
 		} else {
 			w.Recv(buf, 0, 2)
 			w.Send(buf, 0, 2)
-			// Unacked frames pile up against the partition until the retry
-			// budget declares node 0 dead and the send path unwinds.
+			// Frames pile up unacked against the partition until heartbeat
+			// silence declares node 0 dead and the send path unwinds.
 			for {
 				w.Send(buf, 0, 2)
 				time.Sleep(time.Millisecond)

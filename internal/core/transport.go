@@ -14,7 +14,8 @@ import (
 // own node; every cross-node message — two-sided sends, the leader-tree
 // collective traffic on collTag, and RMA frames on rmaTag — is encoded as a
 // transport KindData frame and carried over the peer link's sequenced,
-// acked, retransmitted stream (over TCP between processes, over
+// acked stream, replayed past the peer's watermark when a connection breaks
+// (over TCP between processes, over
 // transport.MemNet between the in-process nodes of runNodes).  Inbound
 // frames land in mailboxes (queue.Unbounded), which the receive paths
 // (progressRemoteRecv, rmaProgress) drain.
@@ -69,7 +70,7 @@ type deliverMemo struct {
 // may still present an older total, so the replica only moves forward.
 func (rt *Runtime) tpApplied(f *transport.Frame) {
 	if len(f.Payload) != 8 {
-		return // malformed watermark; the retransmitted successor will carry it
+		return // malformed watermark; the next applied total supersedes it
 	}
 	if !rt.tpAdmit(f) {
 		return
@@ -228,7 +229,7 @@ func (r *Rank) tpSend(dstNode int, f *transport.Frame) {
 		// Resend window full, and the link has written every frame in it
 		// before saying so.  The acks that drain it arrive on the netpoller,
 		// so park and retry when the reader says there is room (tpWritable);
-		// poison unwinds us if the peer never drains (the retry budget kills
+		// poison unwinds us if the peer never drains (heartbeat silence kills
 		// the link and the DeadError branch fires, or another rank poisons
 		// first).  The wait is a quiet one (Rank.quiet): the frame may already
 		// hold its place in an RMA flow (rmaTransmit counted it), so neither a

@@ -59,14 +59,12 @@ func workerMain() {
 	if ms := envInt("PURE_DEAD_MS", 0); ms > 0 {
 		tcfg.PeerDeadAfter = time.Duration(ms) * time.Millisecond
 	}
-	if s := os.Getenv("PURE_DROP"); s != "" {
+	if s := os.Getenv("PURE_RESET"); s != "" {
 		p, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			os.Exit(1)
 		}
-		tcfg.Faults.Seed, tcfg.Faults.DropProb = 11, p
-		tcfg.RetryBackoff = 2 * time.Millisecond
-		tcfg.RetryBudget = 1000
+		tcfg.Faults.Seed, tcfg.Faults.ResetProb = 11, p
 	}
 	switch os.Getenv("PURE_WORKLOAD") {
 	case "shmem-hist":
@@ -83,6 +81,7 @@ func workerMain() {
 		Transport:   tcfg,
 		HangTimeout: time.Duration(envInt("PURE_HANG_MS", 20000)) * time.Millisecond,
 		MonitorAddr: os.Getenv("PURE_MONITOR"),
+		Metrics:     workerMetrics,
 	}
 	err = pure.Run(cfg, func(r *pure.Rank) {
 		w := r.World()
@@ -106,13 +105,23 @@ func workerMain() {
 	exitRun(err)
 }
 
-// exitRun ends a worker with the exit code of its run's outcome: 0 success,
-// 3 a peer node died (after printing "NODEDEAD dead=<nodes>"), 1 anything
-// else.
+// workerMetrics is the registry of every worker workload's run.
+var workerMetrics = pure.NewMetrics()
+
+// exitRun ends a worker with the exit code of its run's outcome: 0 success
+// (after printing the links' recovery counts, "LINKS resets=<n>
+// reconnects=<n> replays=<frames>"), 3 a peer node died (after printing
+// "NODEDEAD dead=<nodes>"), 1 anything else.
 func exitRun(err error) {
 	var re *pure.RunError
 	switch {
 	case err == nil:
+		c := map[string]int64{}
+		for _, s := range workerMetrics.Snapshot().Counters {
+			c[s.Name] = s.Value
+		}
+		fmt.Printf("LINKS resets=%d reconnects=%d replays=%d\n",
+			c["pure_tp_resets_injected_total"], c["pure_tp_reconnects_total"], c["pure_tp_retransmits_total"])
 		os.Exit(0)
 	case errors.As(err, &re) && re.Cause == pure.CauseNodeDead:
 		fmt.Printf("NODEDEAD dead=%v\n", re.DeadNodes)
@@ -263,16 +272,16 @@ func TestChaosLiveSIGKILL(t *testing.T) {
 	}
 }
 
-// TestChaosLiveLossy drops 15%% of first transmissions on every link of a
-// two-process world; the ack/retransmit protocol must recover every frame
-// and the run must complete with every Allreduce verified.
+// TestChaosLiveLossy resets the connection at 15%% of first transmissions on
+// every link of a two-process world; redial and replay must recover every
+// frame and the run must complete with every Allreduce verified.
 func TestChaosLiveLossy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns real processes and rides retransmit timeouts")
+		t.Skip("spawns real processes and redials real sockets")
 	}
 	procs := launchWorld(t, 2, []string{
 		"PURE_ITERS=100",
-		"PURE_DROP=0.15",
+		"PURE_RESET=0.15",
 	})
 	for i, p := range procs {
 		if code := waitCode(t, p, 60*time.Second); code != 0 {
@@ -281,5 +290,25 @@ func TestChaosLiveLossy(t *testing.T) {
 	}
 	if out := procs[0].stdout(); !strings.Contains(out, "OK") {
 		t.Fatalf("node 0 never printed OK; stdout:\n%s", out)
+	}
+	checkRecovered(t, procs)
+}
+
+// checkRecovered fails a lossy run unless its links, summed over the world's
+// processes, injected a reset and replayed frames after a reconnect.
+func checkRecovered(t *testing.T, procs []*proc) {
+	t.Helper()
+	var resets, reconnects, replays int64
+	for _, p := range procs {
+		for _, line := range strings.Split(p.stdout(), "\n") {
+			var rs, rc, rp int64
+			if n, _ := fmt.Sscanf(line, "LINKS resets=%d reconnects=%d replays=%d", &rs, &rc, &rp); n == 3 {
+				resets, reconnects, replays = resets+rs, reconnects+rc, replays+rp
+			}
+		}
+	}
+	t.Logf("%d resets injected, %d reconnects, %d frames replayed", resets, reconnects, replays)
+	if resets == 0 || replays == 0 {
+		t.Fatalf("the links injected %d resets and replayed %d frames; the test exercised nothing", resets, replays)
 	}
 }

@@ -50,6 +50,7 @@ func shmemHistMain(tcfg *pure.TransportConfig) {
 		RanksPerNode: 1,
 		Transport:    tcfg,
 		HangTimeout:  time.Duration(envInt("PURE_HANG_MS", 20000)) * time.Millisecond,
+		Metrics:      workerMetrics,
 	}
 	hcfg := shmemHistCfg(rounds, items)
 	err := pure.Run(cfg, func(r *pure.Rank) {
@@ -135,19 +136,19 @@ func TestChaosLiveShmemKill(t *testing.T) {
 	}
 }
 
-// TestChaosLiveShmemLossy drops 15%% of first transmissions on every link of
-// a two-process histogram; the RMA retransmit path must recover every remote
-// AtomicAdd and every round must verify bit-exact.
+// TestChaosLiveShmemLossy resets the connection at 15%% of first
+// transmissions on every link of a two-process histogram; redial and replay
+// must recover every remote AtomicAdd and every round must verify bit-exact.
 func TestChaosLiveShmemLossy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns real processes and rides retransmit timeouts")
+		t.Skip("spawns real processes and redials real sockets")
 	}
 	const rounds, items = 3, 1024
 	procs := launchWorld(t, 2, []string{
 		"PURE_WORKLOAD=shmem-hist",
 		"PURE_HIST_ROUNDS=" + strconv.Itoa(rounds),
 		"PURE_HIST_ITEMS=" + strconv.Itoa(items),
-		"PURE_DROP=0.15",
+		"PURE_RESET=0.15",
 	})
 	for i, p := range procs {
 		if code := waitCode(t, p, 120*time.Second); code != 0 {
@@ -163,4 +164,5 @@ func TestChaosLiveShmemLossy(t *testing.T) {
 	if !strings.Contains(out, wantLast) {
 		t.Fatalf("node 0 never printed the final verified round %q; stdout:\n%s", wantLast, out)
 	}
+	checkRecovered(t, procs)
 }

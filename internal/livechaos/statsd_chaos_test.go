@@ -33,6 +33,7 @@ func statsdMain(tcfg *pure.TransportConfig) {
 		Spec:        pure.Spec{Nodes: nodes, SocketsPerNode: 1, CoresPerSocket: perNode, ThreadsPerCore: 1},
 		Transport:   tcfg,
 		HangTimeout: time.Duration(envInt("PURE_HANG_MS", 20000)) * time.Millisecond,
+		Metrics:     workerMetrics,
 	}
 	cfg := statsdapp.Config{
 		Ingesters:   nranks - perNode, // every node but the last ingests
@@ -109,19 +110,19 @@ func TestStatsdChaosLiveKill(t *testing.T) {
 	}
 }
 
-// TestStatsdChaosLiveLossy drops 15%% of first transmissions on every link
-// of a two-process deployment (ingesters on node 0, aggregators on node 1);
-// the transport retransmits and every run's flush totals must stay exactly
-// checksum-verified end to end.
+// TestStatsdChaosLiveLossy resets the connection at 15%% of first
+// transmissions on every link of a two-process deployment (ingesters on node
+// 0, aggregators on node 1); the transport redials and replays, and every
+// run's flush totals must stay exactly checksum-verified end to end.
 func TestStatsdChaosLiveLossy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns real processes and rides retransmit timeouts")
+		t.Skip("spawns real processes and redials real sockets")
 	}
 	procs := launchWorld(t, 2, []string{
 		"PURE_WORKLOAD=statsd",
 		"PURE_ITERS=3",
 		"PURE_STATSD_EVENTS=4000",
-		"PURE_DROP=0.15",
+		"PURE_RESET=0.15",
 	})
 	for i, p := range procs {
 		if code := waitCode(t, p, 120*time.Second); code != 0 {
@@ -135,4 +136,5 @@ func TestStatsdChaosLiveLossy(t *testing.T) {
 	if !strings.Contains(out, "applied=4000") {
 		t.Fatalf("node 0 never reported exact applied totals; stdout:\n%s", out)
 	}
+	checkRecovered(t, procs)
 }

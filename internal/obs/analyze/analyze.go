@@ -294,14 +294,14 @@ type Analysis struct {
 // merged clock domain.  In a single-node dump only one side of each direction
 // is present, so Matched stays 0.
 type LinkFlow struct {
-	Src         int   `json:"src"` // sending node
-	Dst         int   `json:"dst"` // receiving node
-	Sends       int   `json:"sends"`
-	Recvs       int   `json:"recvs"`
-	Matched     int   `json:"matched"` // frames seen on both sides (seq match)
-	Retransmits int   `json:"retransmits"`
-	Bytes       int64 `json:"bytes"` // payload bytes of send frames
-	Latency     *Hist `json:"latency"`
+	Src     int   `json:"src"` // sending node
+	Dst     int   `json:"dst"` // receiving node
+	Sends   int   `json:"sends"`
+	Recvs   int   `json:"recvs"`
+	Matched int   `json:"matched"` // frames seen on both sides (seq match)
+	Replays int   `json:"replays"` // reconnect replays of the unacked window
+	Bytes   int64 `json:"bytes"`   // payload bytes of send frames
+	Latency *Hist `json:"latency"`
 }
 
 // MatchRate returns the fraction of locally matchable sends that found their
@@ -588,8 +588,8 @@ func (a *Analysis) linkFlows(links []obs.LinkEvent) {
 				}
 				f.Latency.observe(lat)
 			}
-		case obs.LinkRetransmit:
-			flowFor(dirKey{src: ev.Node, dst: ev.Peer}).Retransmits++
+		case obs.LinkReplay:
+			flowFor(dirKey{src: ev.Node, dst: ev.Peer}).Replays++
 		}
 	}
 	for _, f := range flows {

@@ -59,8 +59,8 @@ func (a *Analysis) WriteText(w io.Writer) error {
 			if f.Latency.N > 0 {
 				p(" one-way mean=%v p99≤%v", ns(f.Latency.Mean()), ns(f.Latency.Quantile(0.99)))
 			}
-			if f.Retransmits > 0 {
-				p(" retrans-rounds=%d", f.Retransmits)
+			if f.Replays > 0 {
+				p(" replays=%d", f.Replays)
 			}
 			p("\n")
 		}

@@ -18,9 +18,12 @@ const (
 	LinkSend LinkEventKind = iota + 1
 	// LinkRecv: a sequenced frame was delivered in order from the peer.
 	LinkRecv
-	// LinkRetransmit: a go-back-N retransmit round replayed the unacked
-	// window (Seq is the lowest replayed sequence, Bytes the frame count).
-	LinkRetransmit
+	// LinkReplay: a reconnect replayed the unacked window (Seq is the
+	// lowest replayed sequence, Bytes the frame count).
+	LinkReplay
+	// LinkReset: the link tore its connection down (Seq is the delivered
+	// watermark the next connection's replay starts from).
+	LinkReset
 )
 
 func (k LinkEventKind) String() string {
@@ -29,8 +32,10 @@ func (k LinkEventKind) String() string {
 		return "link-send"
 	case LinkRecv:
 		return "link-recv"
-	case LinkRetransmit:
-		return "link-retransmit"
+	case LinkReplay:
+		return "link-replay"
+	case LinkReset:
+		return "link-reset"
 	}
 	return "link-unknown"
 }
@@ -42,8 +47,8 @@ type LinkEvent struct {
 	Node int32 // node that recorded the event
 	Peer int32 // the other end of the link
 	Seq  uint64
-	// Bytes is the frame payload size; for LinkRetransmit it is the number
-	// of frames replayed in the round.
+	// Bytes is the frame payload size; for LinkReplay it is the number of
+	// frames replayed, and for LinkReset 0.
 	Bytes int32
 }
 

@@ -19,17 +19,15 @@ type LinkState struct {
 	FramesRecv  int64 `json:"frames_recv"`
 	BytesSent   int64 `json:"bytes_sent"`
 	BytesRecv   int64 `json:"bytes_recv"`
-	Retransmits int64 `json:"retransmits"`  // frames re-sent (timeout rounds + reconnect replays)
-	RetryRounds int64 `json:"retry_rounds"` // go-back-N retransmit rounds (backoff events)
+	Retransmits int64 `json:"retransmits"`  // frames re-sent by reconnect replays
 	DupsDropped int64 `json:"dups_dropped"` // received at or below the delivered watermark
-	OooDropped  int64 `json:"ooo_dropped"`  // received past a gap (go-back-N discard)
 	Reconnects  int64 `json:"reconnects"`   // successful re-establishments after the first
 	AcksSent    int64 `json:"acks_sent"`    // explicit ack frames (piggybacks not counted)
 	AcksRecv    int64 `json:"acks_recv"`
 	// AcksDeferred counts owed acks the reader left to a woken rank to
 	// carry; acks_sent counts the explicit ones written.
 	AcksDeferred   int64 `json:"acks_deferred"`
-	DropsInjected  int64 `json:"drops_injected"`  // fault plan: first transmissions suppressed
+	ResetsInjected int64 `json:"resets_injected"` // fault plan: connections reset at a first transmission
 	DelaysInjected int64 `json:"delays_injected"` // fault plan: deliveries delayed
 	SendBusy       int64 `json:"send_busy"`       // sends refused by a full resend window
 	Writes         int64 `json:"writes"`          // socket writes; frames_sent/writes is the combining factor
@@ -58,14 +56,12 @@ var linkSeries = []struct {
 	{"bytes_sent_total", false, func(l *LinkState) int64 { return l.BytesSent }},
 	{"bytes_recv_total", false, func(l *LinkState) int64 { return l.BytesRecv }},
 	{"retransmits_total", false, func(l *LinkState) int64 { return l.Retransmits }},
-	{"retry_rounds_total", false, func(l *LinkState) int64 { return l.RetryRounds }},
 	{"dups_dropped_total", false, func(l *LinkState) int64 { return l.DupsDropped }},
-	{"ooo_dropped_total", false, func(l *LinkState) int64 { return l.OooDropped }},
 	{"reconnects_total", false, func(l *LinkState) int64 { return l.Reconnects }},
 	{"acks_sent_total", false, func(l *LinkState) int64 { return l.AcksSent }},
 	{"acks_recv_total", false, func(l *LinkState) int64 { return l.AcksRecv }},
 	{"acks_deferred_total", false, func(l *LinkState) int64 { return l.AcksDeferred }},
-	{"drops_injected_total", false, func(l *LinkState) int64 { return l.DropsInjected }},
+	{"resets_injected_total", false, func(l *LinkState) int64 { return l.ResetsInjected }},
 	{"delays_injected_total", false, func(l *LinkState) int64 { return l.DelaysInjected }},
 	{"send_busy_total", false, func(l *LinkState) int64 { return l.SendBusy }},
 	{"writes_total", false, func(l *LinkState) int64 { return l.Writes }},

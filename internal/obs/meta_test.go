@@ -26,8 +26,14 @@ func TestTraceBinMetaRoundTrip(t *testing.T) {
 		Links: []LinkEvent{
 			{TS: 1_700_000_000_000_003_000, Kind: LinkSend, Node: 1, Peer: 0, Seq: 9, Bytes: 64},
 			{TS: 1_700_000_000_000_004_000, Kind: LinkRecv, Node: 1, Peer: 0, Seq: 4, Bytes: 32},
-			{TS: 1_700_000_000_000_005_000, Kind: LinkRetransmit, Node: 1, Peer: 0, Seq: 9, Bytes: 2},
+			{TS: 1_700_000_000_000_005_000, Kind: LinkReplay, Node: 1, Peer: 0, Seq: 9, Bytes: 2},
+			{TS: 1_700_000_000_000_006_000, Kind: LinkReset, Node: 1, Peer: 0, Seq: 4},
 		},
+	}
+	// The kinds are wire values: a renamed kind keeps its number, so older
+	// dumps still decode.
+	if LinkReplay != 3 || LinkReset != 4 {
+		t.Fatalf("link event kinds moved on the wire: replay=%d reset=%d", LinkReplay, LinkReset)
 	}
 	var buf bytes.Buffer
 	if err := WriteTraceBinMeta(&buf, events, 4, 3, &meta); err != nil {

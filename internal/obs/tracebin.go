@@ -69,8 +69,9 @@ type TraceMeta struct {
 	NodeOfRank []int32
 	// Clock is the per-peer clock-offset sample history (heartbeat echoes).
 	Clock []ClockSample
-	// Links is the transport frame-event history (send/recv/retransmit
-	// with link sequence numbers), timestamped in unix nanoseconds.
+	// Links is the transport frame-event history (send/recv with link
+	// sequence numbers, connection resets and reconnect replays),
+	// timestamped in unix nanoseconds.
 	Links []LinkEvent
 }
 

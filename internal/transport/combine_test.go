@@ -12,9 +12,8 @@ import (
 
 // memPair starts a two-node mesh on a fresh memNet and returns once both
 // links are up and quiet, with the counters at that point as the baseline:
-// the heartbeat interval is an hour, so the first tick's heartbeat (a frame
-// and a write like any other, if the link was up in time for it) is the
-// only one — and with noRetransmit there is no tick at all.
+// the heartbeat interval is an hour, so the ticker's period (half of it) is
+// half an hour: no tick, and so no heartbeat, falls inside a test.
 func memPair(t *testing.T, mut func(node int, c *Config)) (tp [2]*Transport, col [2]*collector, be [2]*memBackend, base [2]linkBase) {
 	t.Helper()
 	net := newMemNet()
@@ -27,17 +26,6 @@ func memPair(t *testing.T, mut func(node int, c *Config)) (tp [2]*Transport, col
 	})
 	return tp, col, be, quiesce(t, tp, be)
 }
-
-// noRetransmit holds off the retransmit timer for a test that is not about
-// it, as noAckFallback holds off the ack fallback.  A test counts frames,
-// writes and retry rounds; on a loaded host an ack can come back later than
-// the 20 ms default backoff, and the round that timer then runs adds a frame
-// (or a window of them), a write and a retry round nobody asked for.  A
-// frame the protocol failed to ack stays unacked instead, and the test's
-// wait for it times out.  With the heartbeat also an hour away, the ticker's
-// period (half the shorter of the two) is half an hour: no tick, and so no
-// heartbeat, falls inside a test.
-func noRetransmit(node int, c *Config) { c.RetryBackoff = time.Hour }
 
 // linkBase is one node's counters once its link went quiet.
 type linkBase struct{ frames, writes, beWrites int64 }
@@ -133,7 +121,7 @@ func TestCombineIdleFrameWrittenAtOnce(t *testing.T) {
 	const rounds = 200
 	net := newMemNet()
 	be := [2]*memBackend{net.backend(), net.backend()}
-	tp, pong := startEchoPair(t, [2]Backend{be[0], be[1]}, Config{HeartbeatEvery: time.Hour, RetryBackoff: time.Hour})
+	tp, pong := startEchoPair(t, [2]Backend{be[0], be[1]}, Config{HeartbeatEvery: time.Hour})
 	base := quiesce(t, tp, be)
 
 	payload := make([]byte, 8)
@@ -168,7 +156,7 @@ func TestCombineIdleFrameWrittenAtOnce(t *testing.T) {
 // writes.
 func TestCombineBurstSharesWrites(t *testing.T) {
 	const burst = 1000 // 56 bytes each: below flushBytes, so only the ack clock flushes
-	tp, col, be, base := memPair(t, noRetransmit)
+	tp, col, be, base := memPair(t, nil)
 
 	be[1].setDeaf(true) // node 1 reads nothing, so it acks nothing
 	sendRange(t, tp[0], 1, 0, 1)
@@ -192,16 +180,13 @@ func TestCombineBurstSharesWrites(t *testing.T) {
 }
 
 // Staged frames are in the resend window like written ones: with 5 % of
-// first transmissions dropped throughout, a connection killed while a burst
-// sits staged replays it — and what is sent during the break — exactly once,
-// in order.
+// first transmissions resetting the connection throughout, a connection
+// killed while a burst sits staged replays it — and what is sent during the
+// break — exactly once, in order.
 func TestCombineReplayExactlyOnce(t *testing.T) {
 	const third = 500
 	tp, col, be, _ := memPair(t, func(node int, c *Config) {
-		c.Faults = Faults{Seed: 11, DropProb: 0.05}
-		c.RetryBackoff = 2 * time.Millisecond
-		c.RetryBackoffMax = 10 * time.Millisecond
-		c.RetryBudget = 1000
+		c.Faults = Faults{Seed: 11, ResetProb: 0.05}
 	})
 	sendRange(t, tp[0], 1, 0, third)
 	waitFor(t, 10*time.Second, "first third delivered", func() bool { return col[1].count() == third })
@@ -216,7 +201,7 @@ func TestCombineReplayExactlyOnce(t *testing.T) {
 	waitFor(t, 20*time.Second, "everything delivered across the break", func() bool { return col[1].count() == 3*third })
 	checkOrdered(t, col[1], 3*third)
 	st := tp[0].Stats()[1]
-	if st.DropsInjected == 0 || st.Reconnects == 0 {
+	if st.ResetsInjected == 0 || st.Reconnects == 0 || st.Retransmits == 0 {
 		t.Fatalf("the test exercised nothing: %+v", st)
 	}
 	if d, ok := col[0].deadReason(1); ok {
@@ -227,7 +212,7 @@ func TestCombineReplayExactlyOnce(t *testing.T) {
 // Transport.Flush is what a rank about to block calls: it writes what is
 // staged without waiting for the ack, and costs nothing with nothing staged.
 func TestCombineFlushWritesStaged(t *testing.T) {
-	tp, col, be, base := memPair(t, noRetransmit)
+	tp, col, be, base := memPair(t, nil)
 	be[1].setDeaf(true)
 	sendRange(t, tp[0], 1, 0, 2) // the first is written, the second staged behind it
 	tp[0].Flush()
@@ -245,13 +230,10 @@ func TestCombineFlushWritesStaged(t *testing.T) {
 
 // A full resend window holds no unwritten frame — ErrBusy flushes before it
 // is returned — so a one-way burst far larger than the window drains on acks
-// alone, without a retransmit round.
+// alone, with nothing replayed.
 func TestCombineFullWindowIsWritten(t *testing.T) {
 	const window = 64
-	tp, col, be, base := memPair(t, func(node int, c *Config) {
-		noRetransmit(node, c)
-		c.MaxUnacked = window
-	})
+	tp, col, be, base := memPair(t, func(node int, c *Config) { c.MaxUnacked = window })
 
 	be[1].setDeaf(true)
 	f := Frame{Kind: KindData, Payload: make([]byte, 8)}
@@ -277,8 +259,8 @@ func TestCombineFullWindowIsWritten(t *testing.T) {
 	if st.SendBusy == 0 {
 		t.Fatal("the burst never filled the window; the test exercised nothing")
 	}
-	if st.RetryRounds != 0 || st.Retransmits != 0 {
-		t.Fatalf("burst needed %d retransmit rounds (%d frames), want none", st.RetryRounds, st.Retransmits)
+	if st.Reconnects != 0 || st.Retransmits != 0 {
+		t.Fatalf("burst needed %d reconnects (%d frames replayed), want none", st.Reconnects, st.Retransmits)
 	}
 }
 

@@ -14,14 +14,11 @@ import (
 // sit well below the watchdog's HangTimeout (Validate enforces it) so a dead
 // node is named before the hang diagnosis fires.
 const (
-	DefaultHeartbeatEvery  = 25 * time.Millisecond
-	DefaultPeerDeadFactor  = 8 // PeerDeadAfter = factor * HeartbeatEvery
-	DefaultDialTimeout     = 2 * time.Second
-	DefaultDialBackoff     = 20 * time.Millisecond
-	DefaultDialBackoffMax  = time.Second
-	DefaultRetryBudget     = 16
-	DefaultRetryBackoff    = 20 * time.Millisecond
-	DefaultRetryBackoffMax = time.Second
+	DefaultHeartbeatEvery = 25 * time.Millisecond
+	DefaultPeerDeadFactor = 8 // PeerDeadAfter = factor * HeartbeatEvery
+	DefaultDialTimeout    = 2 * time.Second
+	DefaultDialBackoff    = 20 * time.Millisecond
+	DefaultDialBackoffMax = time.Second
 	// DefaultMaxUnacked bounds the per-link resend buffer (frames).  A full
 	// buffer pushes back on senders instead of growing without bound toward
 	// a slow or silent peer.
@@ -32,26 +29,27 @@ const (
 )
 
 // Faults is the fault plan, the runtime's only injector of loss and delay:
-// seeded, deterministic per link, and applied only to the first transmission
-// of a sequenced frame — retransmissions are exempt, so every injected drop
-// is recoverable and exercises exactly the recovery path.  Delays are applied
-// on the receive side (the reader sleeps before processing), modeling added
-// one-way latency; one longer than the sender's retransmit timer also brings
-// duplicates.  Nothing reorders a stream: what arrives past a gap is the
-// go-back-N receiver's own discard.
+// seeded and deterministic per link.  A reliable stream loses a frame only
+// with its connection, so the injected loss is a reset: the first
+// transmission of a sequenced frame tears its connection down, the frame
+// staying in the resend window.  Replays are exempt, so every reset is
+// recoverable and exercises exactly the recovery path.  Delays are applied on
+// the receive side (the reader sleeps before processing), modeling added
+// one-way latency.
 type Faults struct {
 	Seed      uint64        // RNG seed; links derive independent streams from it
-	DropProb  float64       // probability a sequenced frame's first transmission is dropped
+	ResetProb float64       // probability a sequenced frame's first transmission resets the connection
 	DelayProb float64       // probability an arriving sequenced frame is delayed
 	DelayMax  time.Duration // upper bound of the injected (uniform) delay
 }
 
 // ChaosFaults returns the fault plans a lossy test suite sweeps, one per
 // seed of PURE_CHAOS_SEEDS (comma-separated integers; 1,2,3 when unset):
-// dropProb of first transmissions dropped, and a tenth of arrivals delayed
-// by up to a millisecond so that acks come late as well.  It serves the lossy
-// test suites; a production fault plan sets Faults directly.
-func ChaosFaults(dropProb float64) ([]Faults, error) {
+// resetProb of first transmissions reset the connection, and a tenth of
+// arrivals are delayed by up to a millisecond so that acks come late as
+// well.  It serves the lossy test suites; a production fault plan sets
+// Faults directly.
+func ChaosFaults(resetProb float64) ([]Faults, error) {
 	seeds := "1,2,3"
 	if env := os.Getenv("PURE_CHAOS_SEEDS"); env != "" {
 		seeds = env
@@ -62,7 +60,7 @@ func ChaosFaults(dropProb float64) ([]Faults, error) {
 		if err != nil {
 			return nil, fmt.Errorf("transport: bad PURE_CHAOS_SEEDS entry %q: %v", f, err)
 		}
-		plans = append(plans, Faults{Seed: seed, DropProb: dropProb, DelayProb: 0.10, DelayMax: time.Millisecond})
+		plans = append(plans, Faults{Seed: seed, ResetProb: resetProb, DelayProb: 0.10, DelayMax: time.Millisecond})
 	}
 	return plans, nil
 }
@@ -93,14 +91,6 @@ type Config struct {
 	DialBackoff    time.Duration
 	DialBackoffMax time.Duration
 
-	// RetryBudget is how many retransmission rounds a link tolerates without
-	// ack progress before declaring the peer dead; RetryBackoff/
-	// RetryBackoffMax shape the exponential backoff between rounds
-	// (0 = defaults, negative RetryBudget is invalid).
-	RetryBudget     int
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-
 	// MaxUnacked bounds the per-link resend buffer in frames (0 = default).
 	MaxUnacked int
 
@@ -115,10 +105,10 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// LinkEvents, when positive, gives each link a transport trace ring of
-	// that many entries recording frame send/recv/retransmit events with
-	// link sequence numbers (read back via Transport.LinkEvents).  The
-	// runtime enables it exactly when rank tracing is on; 0 keeps the send
-	// path free of trace work.
+	// that many entries recording frame send/recv events with link sequence
+	// numbers, connection resets and reconnect replays (read back via
+	// Transport.LinkEvents).  The runtime enables it exactly when rank
+	// tracing is on; 0 keeps the send path free of trace work.
 	LinkEvents int
 
 	// Faults is the transport fault plan (chaos testing).
@@ -141,15 +131,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.DialBackoffMax == 0 {
 		c.DialBackoffMax = DefaultDialBackoffMax
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = DefaultRetryBudget
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = DefaultRetryBackoffMax
 	}
 	if c.MaxUnacked == 0 {
 		c.MaxUnacked = DefaultMaxUnacked
@@ -196,8 +177,6 @@ func (c *Config) Validate(hangTimeout time.Duration) error {
 		{"DialTimeout", c.DialTimeout},
 		{"DialBackoff", c.DialBackoff},
 		{"DialBackoffMax", c.DialBackoffMax},
-		{"RetryBackoff", c.RetryBackoff},
-		{"RetryBackoffMax", c.RetryBackoffMax},
 		{"DrainTimeout", c.DrainTimeout},
 	} {
 		if d.v <= 0 {
@@ -212,9 +191,6 @@ func (c *Config) Validate(hangTimeout time.Duration) error {
 		return fmt.Errorf("transport: PeerDeadAfter (%v) must be below HangTimeout (%v) so a dead node is named before the watchdog diagnoses an anonymous stall",
 			c.PeerDeadAfter, hangTimeout)
 	}
-	if c.RetryBudget < 0 {
-		return fmt.Errorf("transport: RetryBudget must not be negative (0 selects the default %d), got %d", DefaultRetryBudget, c.RetryBudget)
-	}
 	if c.MaxUnacked < 0 {
 		return fmt.Errorf("transport: MaxUnacked must not be negative (0 selects the default %d), got %d", DefaultMaxUnacked, c.MaxUnacked)
 	}
@@ -222,7 +198,7 @@ func (c *Config) Validate(hangTimeout time.Duration) error {
 		name string
 		v    float64
 	}{
-		{"DropProb", c.Faults.DropProb},
+		{"ResetProb", c.Faults.ResetProb},
 		{"DelayProb", c.Faults.DelayProb},
 	} {
 		if p.v < 0 || p.v > 1 {

@@ -53,14 +53,12 @@ func TestConfigValidateErrors(t *testing.T) {
 			[]string{"PeerDeadAfter", "below HeartbeatEvery", "dead between heartbeats"}},
 		{"peer-dead above hang timeout", func(c *Config) {}, 100 * time.Millisecond,
 			[]string{"PeerDeadAfter", "must be below HangTimeout", "anonymous stall"}},
-		{"negative retry budget", func(c *Config) { c.RetryBudget = -3 }, 0,
-			[]string{"RetryBudget must not be negative", "default 16"}},
 		{"negative drain timeout", func(c *Config) { c.DrainTimeout = -time.Second }, 0,
 			[]string{"DrainTimeout must be positive"}},
 		{"negative max unacked", func(c *Config) { c.MaxUnacked = -1 }, 0,
 			[]string{"MaxUnacked must not be negative"}},
-		{"drop prob above one", func(c *Config) { c.Faults.DropProb = 1.5 }, 0,
-			[]string{"Faults.DropProb must be in [0, 1]", "1.5"}},
+		{"reset prob above one", func(c *Config) { c.Faults.ResetProb = 1.5 }, 0,
+			[]string{"Faults.ResetProb must be in [0, 1]", "1.5"}},
 		{"negative delay prob", func(c *Config) { c.Faults.DelayProb = -0.25 }, 0,
 			[]string{"Faults.DelayProb must be in [0, 1]"}},
 		{"delay prob without max", func(c *Config) { c.Faults.DelayProb = 0.5 }, 0,
@@ -90,8 +88,8 @@ func TestConfigWithDefaults(t *testing.T) {
 	if c.PeerDeadAfter != DefaultPeerDeadFactor*DefaultHeartbeatEvery {
 		t.Fatalf("PeerDeadAfter = %v", c.PeerDeadAfter)
 	}
-	if c.RetryBudget != DefaultRetryBudget || c.MaxUnacked != DefaultMaxUnacked {
-		t.Fatalf("RetryBudget = %d MaxUnacked = %d", c.RetryBudget, c.MaxUnacked)
+	if c.MaxUnacked != DefaultMaxUnacked {
+		t.Fatalf("MaxUnacked = %d", c.MaxUnacked)
 	}
 	if c.DrainTimeout != DefaultDrainTimeout {
 		t.Fatalf("DrainTimeout = %v, want %v", c.DrainTimeout, DefaultDrainTimeout)

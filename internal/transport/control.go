@@ -14,7 +14,7 @@ import (
 // echoed back as KindWelcome by the accepting side.  Delivered is the
 // sender's cumulative delivered watermark for the link, which is what makes
 // reconnection resume exactly where the last connection broke: the peer
-// retransmits everything after it, nothing before it.
+// replays everything after it, nothing before it.
 type Hello struct {
 	Job       uint64 // job id; both ends of a link must agree
 	Node      int32  // sending node id

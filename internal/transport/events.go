@@ -2,15 +2,17 @@ package transport
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
 
 // linkEventRing is the per-link transport trace: a small mutex-guarded ring
-// of frame events (send/recv/retransmit with link sequence numbers), the
-// same newest-wins discipline as the per-rank trace rings.  It exists only
-// when Config.LinkEvents > 0 — the runtime enables it exactly when rank
-// tracing is on — so the send hot path pays nothing otherwise.
+// of frame events (send/recv with link sequence numbers, connection resets
+// and reconnect replays), the same newest-wins discipline as the per-rank
+// trace rings.  It exists only when Config.LinkEvents > 0 — the runtime
+// enables it exactly when rank tracing is on — so the send hot path pays
+// nothing otherwise.
 type linkEventRing struct {
 	mu    sync.Mutex
 	buf   []obs.LinkEvent
@@ -22,6 +24,16 @@ func newLinkEventRing(capacity int) *linkEventRing {
 		return nil
 	}
 	return &linkEventRing{buf: make([]obs.LinkEvent, capacity)}
+}
+
+// record adds one event, with seq and n as its Seq and Bytes, to the link
+// trace; the caller checks that the trace is on.
+func (l *link) record(kind obs.LinkEventKind, seq uint64, n int) {
+	l.events.add(obs.LinkEvent{
+		TS: time.Now().UnixNano(), Kind: kind,
+		Node: int32(l.t.cfg.Node), Peer: int32(l.peer),
+		Seq: seq, Bytes: int32(n),
+	})
 }
 
 func (r *linkEventRing) add(e obs.LinkEvent) {

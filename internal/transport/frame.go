@@ -1,11 +1,11 @@
 // Package transport is the real inter-node transport: frames over stream
 // connections (TCP by default, behind the Backend interface so QUIC- or
 // RDMA-style transports can slot in), with the same reliability discipline
-// the in-process simulator's link layer uses — per-link sequence numbers,
-// cumulative acknowledgements, retransmission with exponential backoff
-// under a retry budget — plus connection establishment with retry and
-// backoff, transparent reconnect-with-resend on broken connections, and
-// per-link heartbeats feeding a node-failure detector.
+// the in-process simulator's link layer uses — per-link sequence numbers and
+// cumulative acknowledgements over a resend window — plus connection
+// establishment with retry and backoff, transparent reconnect-with-replay on
+// broken connections, and per-link heartbeats feeding a node-failure
+// detector.
 //
 // One Transport instance represents one node (one process) of a Pure job.
 // Nodes are fully meshed: every node pair shares exactly one link, dialed
@@ -17,9 +17,9 @@
 //
 // TCP already retransmits within one connection; the link layer here exists
 // for everything TCP does not cover: frames buffered in a dead process's
-// socket, connections broken mid-stream (delivery resumes on the next
-// connection exactly after the receiver's delivered watermark), injected
-// drops from the fault plan, and silent peers (heartbeat timeout).  See
+// socket, connections broken mid-stream — or reset by the fault plan —
+// (delivery resumes on the next connection exactly after the receiver's
+// delivered watermark), and silent peers (heartbeat timeout).  See
 // docs/TRANSPORT.md for the wire format and the failure model.
 package transport
 
@@ -87,7 +87,7 @@ func (k Kind) String() string {
 }
 
 // sequenced reports whether the kind rides the reliable in-order stream
-// (assigned a link sequence number, buffered for retransmission, delivered
+// (assigned a link sequence number, buffered for a reconnect replay, delivered
 // exactly once in order).  Control frames are fire-and-forget.
 func (k Kind) sequenced() bool { return k == KindData || k == KindApplied }
 

@@ -11,8 +11,7 @@ import (
 // and writes it itself only after ackDelay; with no waiting rank nothing
 // changes (combine_test.go runs unmodified against handlers that never set
 // Frame.Waiting).  Counts, not times: where a test needs "the fallback did
-// not fire" it stretches ackDelay to an hour, and it holds off the
-// retransmit timer (noRetransmit) wherever that is not the subject.
+// not fire" it stretches ackDelay to an hour.
 
 // noAckFallback makes the links a test is about to create never write a
 // deferred ack themselves.  It restores ackDelay once they are closed.
@@ -46,7 +45,7 @@ func handoffPair(t *testing.T, never bool, mut func(node int, c *Config)) (tp [2
 // written meanwhile, with no hand-off to count.
 func TestHandoffPingPongWritesNoAcks(t *testing.T) {
 	const rounds = 200
-	tp, col, be, base := handoffPair(t, true, noRetransmit)
+	tp, col, be, base := handoffPair(t, true, nil)
 	handedOff := func(node, i int) func() bool {
 		return func() bool { return col[node].count() == i && tp[node].Stats()[1-node].AcksDeferred == int64(i) }
 	}
@@ -85,7 +84,7 @@ func TestHandoffPingPongWritesNoAcks(t *testing.T) {
 // (b) The rank was reported waiting, and then nobody sends and nobody
 // flushes: the link's own timer writes the ack — exactly one.
 func TestHandoffFallbackWritesOneAck(t *testing.T) {
-	tp, col, _, _ := handoffPair(t, false, noRetransmit)
+	tp, col, _, _ := handoffPair(t, false, nil)
 	start := time.Now()
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "ack written by the fallback", func() bool { return tp[0].Stats()[1].Unacked == 0 })
@@ -101,7 +100,7 @@ func TestHandoffFallbackWritesOneAck(t *testing.T) {
 // ever, and nothing is counted as handed off.
 func TestHandoffNoWaitingRankAcksAtOnce(t *testing.T) {
 	noAckFallback(t) // a hand-off would never be written
-	tp, _, _, _ := memPair(t, noRetransmit)
+	tp, _, _, _ := memPair(t, nil)
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "immediate ack", func() bool { return tp[0].Stats()[1].Unacked == 0 })
 	if st := tp[1].Stats()[0]; st.AcksSent != 1 || st.AcksDeferred != 0 {
@@ -111,13 +110,13 @@ func TestHandoffNoWaitingRankAcksAtOnce(t *testing.T) {
 
 // (d) A deferred ack is only a later ack.  Kill the connection while one is
 // deferred (and can never be written): the reconnect handshake's watermark
-// covers it, so nothing is replayed, nothing delivered twice and no
-// retransmit round runs.  Only node 1 kills it, so there is one reconnect:
+// covers it, so nothing is replayed and nothing delivered twice.  Only
+// node 1 kills it, so there is one reconnect:
 // when both sides killed it, node 0 could redial before node 1's kill ran,
 // and that kill broke the new connection and replayed the frames sent after
 // the first break.
 func TestHandoffKillLinkWhileDeferred(t *testing.T) {
-	tp, col, _, _ := handoffPair(t, true, noRetransmit)
+	tp, col, _, _ := handoffPair(t, true, nil)
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "frame delivered", func() bool { return col[1].count() == 1 })
 	if st := tp[0].Stats()[1]; st.Unacked != 1 {
@@ -132,25 +131,23 @@ func TestHandoffKillLinkWhileDeferred(t *testing.T) {
 	sendRange(t, tp[0], 1, 1, 50)
 	waitFor(t, 10*time.Second, "stream resumes", func() bool { return col[1].count() == 50 })
 	checkOrdered(t, col[1], 50)
-	if st := tp[0].Stats()[1]; st.RetryRounds != 0 || st.Retransmits != 0 {
-		t.Fatalf("%d retransmit rounds, %d frames replayed; the handshake watermark should have covered the deferred ack", st.RetryRounds, st.Retransmits)
+	if st := tp[0].Stats()[1]; st.Retransmits != 0 {
+		t.Fatalf("%d frames replayed; the handshake watermark should have covered the deferred ack", st.Retransmits)
 	}
 	if st := tp[1].Stats()[0]; st.DupsDropped != 0 {
 		t.Fatalf("%d duplicates reached node 1", st.DupsDropped)
 	}
 }
 
-// (d, lossy) The same with 5 % of first transmissions dropped throughout and
+// (d, lossy) The same with 5 % of first transmissions resetting the
+// connection throughout and
 // every frame's rank reported waiting, so every idle ack takes the fallback
 // path: a kill mid-stream still replays exactly once, in order, and the
 // link survives.
 func TestHandoffLossyReplayExactlyOnce(t *testing.T) {
 	const third = 300
 	tp, col, _, _ := handoffPair(t, false, func(node int, c *Config) {
-		c.Faults = Faults{Seed: 23, DropProb: 0.05}
-		c.RetryBackoff = 2 * time.Millisecond
-		c.RetryBackoffMax = 10 * time.Millisecond
-		c.RetryBudget = 1000
+		c.Faults = Faults{Seed: 23, ResetProb: 0.05}
 	})
 	sendRange(t, tp[0], 1, 0, third)
 	waitFor(t, 10*time.Second, "first third delivered", func() bool { return col[1].count() == third })
@@ -161,7 +158,7 @@ func TestHandoffLossyReplayExactlyOnce(t *testing.T) {
 	waitFor(t, 20*time.Second, "everything delivered across the break", func() bool { return col[1].count() == 3*third })
 	checkOrdered(t, col[1], 3*third)
 	st := tp[0].Stats()[1]
-	if st.DropsInjected == 0 || st.Reconnects == 0 || tp[1].Stats()[0].AcksDeferred == 0 {
+	if st.ResetsInjected == 0 || st.Reconnects == 0 || st.Retransmits == 0 || tp[1].Stats()[0].AcksDeferred == 0 {
 		t.Fatalf("the test exercised nothing: %+v", st)
 	}
 	if d, ok := col[0].deadReason(1); ok {
@@ -171,11 +168,11 @@ func TestHandoffLossyReplayExactlyOnce(t *testing.T) {
 
 // (e) A receiver that was woken once and then stays busy: the first frame's
 // ack is handed off and nobody carries it, the fallback writes it, and from
-// then on the stream is acked as ever — a long one-way burst needs no
-// retransmit round.
+// then on the stream is acked as ever — a long one-way burst drains with
+// nothing replayed.
 func TestHandoffBurstAfterOneWake(t *testing.T) {
 	const burst = 1000
-	tp, col, _, _ := handoffPair(t, false, noRetransmit)
+	tp, col, _, _ := handoffPair(t, false, nil)
 	sendRange(t, tp[0], 1, 0, 1)
 	waitFor(t, 5*time.Second, "first frame delivered", func() bool { return col[1].count() == 1 })
 	col[1].waiting.Store(false) // the woken rank went off computing
@@ -183,8 +180,8 @@ func TestHandoffBurstAfterOneWake(t *testing.T) {
 	waitFor(t, 10*time.Second, "burst delivered", func() bool { return col[1].count() == 1+burst })
 	checkOrdered(t, col[1], 1+burst)
 	waitFor(t, 5*time.Second, "window drained", func() bool { return tp[0].Stats()[1].Unacked == 0 })
-	if st := tp[0].Stats()[1]; st.RetryRounds != 0 || st.Retransmits != 0 {
-		t.Fatalf("burst needed %d retransmit rounds (%d frames), want none", st.RetryRounds, st.Retransmits)
+	if st := tp[0].Stats()[1]; st.Reconnects != 0 || st.Retransmits != 0 {
+		t.Fatalf("burst needed %d reconnects (%d frames replayed), want none", st.Reconnects, st.Retransmits)
 	}
 	if st := tp[1].Stats()[0]; st.AcksDeferred != 1 {
 		t.Fatalf("%d acks handed off, want only the first frame's", st.AcksDeferred)

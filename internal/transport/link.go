@@ -16,13 +16,17 @@ import (
 // link exists per node pair; the lower-numbered node dials, the higher one
 // accepts, and the pair never races two connections against each other.
 //
+// The connection is a reliable byte stream, so a frame written to it is lost
+// only with the connection, and the link has one recovery path: a broken
+// connection is torn down and redialled, and (re)connection replays
+// everything past the peer's delivered watermark, which the handshake
+// carries.
+//
 // Sender side (guarded by mu): frames get consecutive sequence numbers and
 // their encoded bytes sit in the resend window (win) until the peer's
-// cumulative ack covers them.  The ticker retransmits the whole window when
-// the ack stalls past the backoff (go-back-N), and declares the peer dead
-// when RetryBudget rounds bring no progress.  A frame queued while the
-// connection is down is simply buffered; (re)connection replays everything
-// past the peer's delivered watermark.
+// cumulative ack covers them; the window is also the flow control
+// (MaxUnacked).  A frame queued while the connection is down waits there for
+// the replay.
 //
 // Writing is a self-clocking combiner.  Senders stage encoded frames in wbuf
 // under mu and never write under it; flush swaps wbuf against a spare buffer
@@ -32,20 +36,19 @@ import (
 // the reader processes an ack from the peer, flushBytes accumulate, a control
 // frame goes out, the window fills, or the owner calls Transport.Flush (a
 // rank about to block).  Every staged frame is already in the resend window,
-// so each recovery path replays it like any other unacked frame; and short of
-// an injected drop (which the retransmit timer recovers, staged frames
-// included) the oldest unacked frame is a written one, so an ack is on its
+// so a replay rewrites it like any other unacked frame; and on a live
+// connection the oldest unacked frame is a written one, so an ack is on its
 // way to release whatever is staged behind it.
 //
 // Receiver side (guarded by recvMu): sequenced frames are delivered to the
 // handlers strictly in order — the next expected sequence is delivered,
-// duplicates (at or below the watermark) are dropped, and anything past the
-// expected sequence is dropped too, to be recovered by the sender's
-// retransmission.  Acks piggyback on every outgoing frame; an explicit ack
-// flows when the reader drains its buffer (the stream went idle) or every
-// ackEvery frames, whichever comes first — unless the handler reported that
-// the newest frame woke a waiting rank, in which case that rank carries the
-// ack (deferAck).
+// duplicates (at or below the watermark: a replay overlapping what an older
+// connection's reader delivered) are dropped, and a frame past the expected
+// sequence tears its connection down (see acceptSequenced).  Acks piggyback
+// on every outgoing frame; an explicit ack flows when the reader drains its
+// buffer (the stream went idle) or every ackEvery frames, whichever comes
+// first — unless the handler reported that the newest frame woke a waiting
+// rank, in which case that rank carries the ack (deferAck).
 type link struct {
 	t      *Transport
 	peer   int
@@ -64,9 +67,6 @@ type link struct {
 	wbuf     []byte // encoded frames staged for the next write
 	wframes  int    // frames in wbuf
 	wack     uint64 // Ack field of the newest frame in wbuf
-	attempts int    // retransmit rounds since the last ack progress
-	retryArm uint64 // tick count when the retransmit timer was re-armed; 0 once a tick set retryAt
-	retryAt  int64  // link-clock stamp past which the next retransmit round is due
 	rng      uint64 // send-side fault-injection stream
 	hbNonce  uint64
 	lastHB   time.Time
@@ -93,7 +93,7 @@ type link struct {
 	everUp      atomic.Bool
 	departed    atomic.Bool // peer sent Bye: stop talking to it, it is not a failure
 	dead        atomic.Bool
-	partitioned atomic.Bool // chaos switch: suppress all traffic both ways
+	partitioned atomic.Bool // chaos switch: connection down, handshakes refused (set under mu)
 	deadReason  string      // written once before dead is set
 
 	// Clock alignment against this peer (guarded by clockMu): the newest
@@ -124,13 +124,11 @@ const linkClockHistory = 1024
 type linkCounters struct {
 	framesSent, framesRecv   atomic.Int64
 	bytesSent, bytesRecv     atomic.Int64
-	retransmits              atomic.Int64
-	dupsDropped, oooDropped  atomic.Int64
+	replayed, dupsDropped    atomic.Int64
 	reconnects               atomic.Int64
 	hbSent, hbRecv, acksSent atomic.Int64
 	acksRecv, acksDeferred   atomic.Int64
-	retryRounds              atomic.Int64
-	dropsInjected            atomic.Int64
+	resetsInjected           atomic.Int64
 	delaysInjected           atomic.Int64
 	sendBusy                 atomic.Int64
 	writes                   atomic.Int64
@@ -194,23 +192,16 @@ func (l *link) send(f *Frame) error {
 	f.Ack = l.deliveredA.Load()
 	f.SrcNode = int32(l.t.cfg.Node)
 	if l.events != nil {
-		l.events.add(obs.LinkEvent{
-			TS: time.Now().UnixNano(), Kind: obs.LinkSend,
-			Node: int32(l.t.cfg.Node), Peer: int32(l.peer),
-			Seq: f.Seq, Bytes: int32(len(f.Payload)),
-		})
-	}
-	if idle {
-		l.attempts = 0
-		l.retryArm = l.t.ticks.Load()
+		l.record(obs.LinkSend, f.Seq, len(f.Payload))
 	}
 	at := len(l.win)
 	l.win = AppendFrame(l.win, f)
 	flushNow := false
 	switch {
-	case l.conn == nil || l.partitioned.Load():
-	case l.injectDropLocked():
-		l.stats.dropsInjected.Add(1)
+	case l.conn == nil:
+	case l.injectResetLocked(): // the frame waits in the window for the replay
+		l.stats.resetsInjected.Add(1)
+		l.teardownConnLocked()
 	default:
 		l.wbuf = append(l.wbuf, l.win[at:]...)
 		l.wframes++
@@ -241,7 +232,7 @@ func (l *link) flush(kind Kind, payload []byte) {
 	l.wmu.Lock()
 	l.mu.Lock()
 	conn, gen := l.conn, l.gen
-	if conn == nil || l.partitioned.Load() {
+	if conn == nil {
 		// Nothing may go out; staged frames stay in the resend window.
 		l.discardStagedLocked()
 		l.mu.Unlock()
@@ -319,9 +310,13 @@ func (l *link) discardStagedLocked() {
 	l.staged.Store(false)
 }
 
-// teardownConnLocked drops the current connection (read error, or chaos
-// KillLink) and arms the dialer's reconnect loop.  Caller holds mu.
+// teardownConnLocked drops the current connection (read error, protocol
+// violation, injected reset, chaos KillLink or partition) and arms the
+// dialer's reconnect loop.  Caller holds mu.
 func (l *link) teardownConnLocked() {
+	if l.conn != nil && l.events != nil {
+		l.record(obs.LinkReset, l.deliveredA.Load(), 0)
+	}
 	l.closeConnLocked()
 	l.redialLocked()
 }
@@ -340,6 +335,9 @@ func (l *link) writeFailedLocked(err error) {
 		return
 	}
 	if l.conn != nil {
+		if l.events != nil {
+			l.record(obs.LinkReset, l.deliveredA.Load(), 0)
+		}
 		if l.unread != nil {
 			l.unread.Close()
 		}
@@ -350,9 +348,10 @@ func (l *link) writeFailedLocked(err error) {
 	l.redialLocked()
 }
 
-// redialLocked arms the dialer's reconnect loop.  Caller holds mu.
+// redialLocked arms the dialer's reconnect loop, unless the link is over or
+// partitioned (healing the partition arms it).  Caller holds mu.
 func (l *link) redialLocked() {
-	if l.dialer && !l.dialing && !l.dead.Load() && !l.departed.Load() && !l.t.closed.Load() {
+	if l.dialer && !l.dialing && !l.dead.Load() && !l.departed.Load() && !l.partitioned.Load() && !l.t.closed.Load() {
 		l.dialing = true
 		l.t.wg.Add(1)
 		go l.dialLoop()
@@ -378,13 +377,13 @@ func (l *link) closeConnLocked() {
 // installConn makes c the link's live connection: the peer's delivered
 // watermark (from its Hello/Welcome) acts as a cumulative ack, and every
 // sequenced frame past it is replayed in order before new traffic flows.
-// It reports whether the connection was accepted (a dead/departed/closed
-// link refuses) and starts the connection's reader.
+// It reports whether the connection was accepted (a dead, departed,
+// partitioned or closed link refuses) and starts the connection's reader.
 func (l *link) installConn(c Conn, hs *bufio.Reader, peerDelivered uint64) bool {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
-	if l.dead.Load() || l.departed.Load() || l.t.closed.Load() {
+	if l.dead.Load() || l.departed.Load() || l.partitioned.Load() || l.t.closed.Load() {
 		l.mu.Unlock()
 		c.Close()
 		return false
@@ -392,6 +391,9 @@ func (l *link) installConn(c Conn, hs *bufio.Reader, peerDelivered uint64) bool 
 	if l.conn != nil {
 		// A replacement arrived while an old connection looked alive (the
 		// peer saw a break we have not noticed yet).  The newest wins.
+		if l.events != nil {
+			l.record(obs.LinkReset, l.deliveredA.Load(), 0)
+		}
 		l.conn.Close()
 	}
 	l.conn = c
@@ -401,18 +403,23 @@ func (l *link) installConn(c Conn, hs *bufio.Reader, peerDelivered uint64) bool 
 	// before everUp flips, or a tick in the window reads everUp with a
 	// zero/stale lastRecv and declares instant heartbeat death.
 	l.heardBy(l.t.clockNow())
-	if l.everUp.Swap(true) {
+	reconnect := l.everUp.Swap(true)
+	if reconnect {
 		l.stats.reconnects.Add(1)
 	}
 	l.handleAckLocked(peerDelivered)
+	lowest := l.ackedOut + 1
 	n := l.replayLocked()
 	if n < 0 {
 		l.closeConnLocked() // no reader was started for it
 		l.mu.Unlock()
 		return false
 	}
-	if gen > 1 {
-		l.stats.retransmits.Add(int64(n))
+	if reconnect && n > 0 { // before the first connection, these are first transmissions
+		l.stats.replayed.Add(int64(n))
+		if l.events != nil {
+			l.record(obs.LinkReplay, lowest, n)
+		}
 	}
 	l.mu.Unlock()
 	l.wakeWindowWaiters() // the handshake watermark is an ack too
@@ -423,8 +430,7 @@ func (l *link) installConn(c Conn, hs *bufio.Reader, peerDelivered uint64) bool 
 }
 
 // handleAckLocked processes a cumulative ack: completed frames leave the
-// resend window and ack progress resets the retransmit clock.  Caller
-// holds mu.
+// resend window.  Caller holds mu.
 func (l *link) handleAckLocked(a uint64) {
 	if a > l.nextSeq {
 		a = l.nextSeq // nothing past what was sent can have been delivered
@@ -449,14 +455,12 @@ func (l *link) handleAckLocked(a uint64) {
 		l.win = l.win[:copy(l.win, l.win[l.winHead:])]
 		l.winHead = 0
 	}
-	l.attempts = 0
-	l.retryArm = l.t.ticks.Load()
 }
 
-// readLoop consumes frames from one connection until it breaks or is
-// replaced.  Only the loop whose generation is still current tears the
-// connection down; a stale loop exits silently, closing its connection if a
-// failed write left it open for this loop to read to the end.
+// readLoop consumes frames from one connection until it breaks, is replaced,
+// or carries a frame past a gap.  Only the loop whose generation is still
+// current tears the connection down; a stale loop exits silently, closing its
+// connection if a failed write left it open for this loop to read to the end.
 //
 // hs is the handshake's reader, which reads through a minimal buffer to keep
 // the stream buffer's allocation off the handshake's path.  The loop reads
@@ -480,26 +484,9 @@ func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 	sinceAck := 0           // frames delivered since this reader last settled its ack
 	carried := false        // the newest of them woke a rank that will carry the ack
 	var frames, bytes int64 // received since the counters were last folded
-	for {
-		if err := fr.Read(&f); err != nil {
-			l.stats.framesRecv.Add(frames)
-			l.stats.bytesRecv.Add(bytes)
-			l.mu.Lock()
-			if l.gen == gen {
-				l.teardownConnLocked()
-			} else if l.unread == c {
-				c.Close()
-				l.unread = nil
-			}
-			l.mu.Unlock()
-			return
-		}
-		if l.partitioned.Load() {
-			continue // the chaos partition eats everything, liveness included
-		}
-		if !l.heard.Load() {
-			l.heard.Store(true) // the next tick stamps it (Transport.tickLoop)
-		}
+read:
+	for fr.Read(&f) == nil {
+		l.hear()
 		// Nothing more to read without blocking: the stream went idle.  The
 		// last frame's bytes are still in the buffer; buffered leaves them out.
 		idle := fr.buffered() == 0
@@ -524,7 +511,11 @@ func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 		}
 		switch f.Kind {
 		case KindData, KindApplied:
-			if l.acceptSequenced(&f) {
+			delivered, gap := l.acceptSequenced(&f)
+			if gap {
+				break read
+			}
+			if delivered {
 				sinceAck++
 				carried = f.Waiting
 			}
@@ -556,12 +547,21 @@ func (l *link) readLoop(c Conn, hs *bufio.Reader, gen uint64) {
 			sinceAck = 0
 		}
 	}
+	l.stats.framesRecv.Add(frames)
+	l.stats.bytesRecv.Add(bytes)
+	l.mu.Lock()
+	if l.gen == gen {
+		l.teardownConnLocked()
+	} else if l.unread == c {
+		c.Close()
+		l.unread = nil
+	}
+	l.mu.Unlock()
 }
 
-// hear raises heard for the next tick to stamp (Transport.tickLoop), unless
-// the chaos partition eats what arrives.
+// hear raises heard for the next tick to stamp (Transport.tickLoop).
 func (l *link) hear() {
-	if !l.partitioned.Load() && !l.heard.Load() {
+	if !l.heard.Load() {
 		l.heard.Store(true)
 	}
 }
@@ -603,8 +603,9 @@ func (l *link) settleAck() {
 }
 
 // acceptSequenced runs the receive side of the reliability protocol for one
-// Data/Applied frame and reports whether it was delivered.
-func (l *link) acceptSequenced(f *Frame) (delivered bool) {
+// Data/Applied frame and reports whether it was delivered, or whether it came
+// past a gap (the caller drops the connection).
+func (l *link) acceptSequenced(f *Frame) (delivered, gap bool) {
 	if fl := &l.t.cfg.Faults; fl.DelayProb > 0 && l.t.rand01() < fl.DelayProb {
 		l.stats.delaysInjected.Add(1)
 		time.Sleep(time.Duration(l.t.rand01() * float64(fl.DelayMax)))
@@ -617,11 +618,7 @@ func (l *link) acceptSequenced(f *Frame) (delivered bool) {
 		l.delivered++
 		l.deliveredA.Store(l.delivered)
 		if l.events != nil {
-			l.events.add(obs.LinkEvent{
-				TS: time.Now().UnixNano(), Kind: obs.LinkRecv,
-				Node: int32(l.t.cfg.Node), Peer: int32(l.peer),
-				Seq: f.Seq, Bytes: int32(len(f.Payload)),
-			})
+			l.record(obs.LinkRecv, f.Seq, len(f.Payload))
 		}
 		if f.Kind == KindApplied {
 			if h := l.t.h.Applied; h != nil {
@@ -633,12 +630,11 @@ func (l *link) acceptSequenced(f *Frame) (delivered bool) {
 	case f.Seq <= l.delivered:
 		l.stats.dupsDropped.Add(1)
 	default:
-		// A gap: an earlier frame was dropped (injected or lost with a dead
-		// connection).  Go-back-N: drop this one too and let the sender's
-		// retransmission replay the stream from the gap in order.
-		l.stats.oooDropped.Add(1)
+		// A gap.  Every connection starts with a replay from at most the
+		// watermark and carries the stream in order, so none skips a frame.
+		gap = true
 	}
-	return delivered
+	return delivered, gap
 }
 
 // handleBye processes a peer's departure announcement.
@@ -650,8 +646,7 @@ func (l *link) handleBye(f *Frame) {
 	l.mu.Lock()
 	already := l.departed.Swap(true)
 	// Nothing queued for a departed peer can be delivered; dropping the
-	// resend window stops the retransmit clock from declaring a clean
-	// departure a failure.
+	// resend window frees the senders a full one held back.
 	l.ackedOut = l.nextSeq
 	l.ackedOutA.Store(l.ackedOut)
 	l.win, l.winHead = nil, 0
@@ -687,9 +682,9 @@ func (l *link) die(reason string) {
 }
 
 // tick runs the link's periodic work from the transport's ticker: failure
-// detection, the retransmit clock, and heartbeats.  now is the tick's clock
-// read, tick its count, and heard whether a frame arrived before both.
-func (l *link) tick(now time.Time, tick uint64, heard bool) {
+// detection and heartbeats.  now is the tick's clock read, and heard whether
+// a frame arrived before it.
+func (l *link) tick(now time.Time, heard bool) {
 	if l.dead.Load() || l.departed.Load() {
 		return
 	}
@@ -704,11 +699,6 @@ func (l *link) tick(now time.Time, tick uint64, heard bool) {
 				l.peer, cfg.PeerDeadAfter, time.Duration(silent).Round(time.Millisecond)))
 			return
 		}
-	}
-
-	if reason := l.retransmit(now, tick); reason != "" {
-		l.die(reason)
-		return
 	}
 
 	l.mu.Lock()
@@ -743,55 +733,6 @@ func (l *link) heardBy(at int64) {
 			return
 		}
 	}
-}
-
-// retransmit runs one go-back-N round when the oldest unacked frame has
-// outlived the retransmit timer.  A timer re-armed before this tick bumped
-// the count starts its backoff at this tick's clock read; one re-armed since
-// waits for the next tick.  A spent retry budget comes back as the reason the
-// peer is to be declared dead (by the caller, with no lock held).
-func (l *link) retransmit(now time.Time, tick uint64) (deadReason string) {
-	stamp := l.t.stamp(now)
-	due := func() bool {
-		if l.retryArm != 0 && l.retryArm < tick {
-			l.retryAt, l.retryArm = stamp+int64(l.t.cfg.RetryBackoff), 0
-		}
-		return l.retryArm == 0 && l.nextSeq > l.ackedOut && stamp > l.retryAt && l.conn != nil && !l.partitioned.Load()
-	}
-	l.mu.Lock()
-	if !due() {
-		l.mu.Unlock()
-		return ""
-	}
-	// The round writes, so it needs the write-order lock, which comes before
-	// mu; re-check once both are held.
-	l.mu.Unlock()
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !due() {
-		return ""
-	}
-	l.attempts++
-	if l.attempts > l.t.cfg.RetryBudget {
-		return fmt.Sprintf("retry budget exhausted: %d frames to node %d unacked after %d retransmit rounds",
-			l.nextSeq-l.ackedOut, l.peer, l.attempts-1)
-	}
-	lowest := l.ackedOut + 1
-	if n := l.replayLocked(); n >= 0 {
-		l.stats.retransmits.Add(int64(n))
-		l.stats.retryRounds.Add(1)
-		if l.events != nil {
-			l.events.add(obs.LinkEvent{
-				TS: now.UnixNano(), Kind: obs.LinkRetransmit,
-				Node: int32(l.t.cfg.Node), Peer: int32(l.peer),
-				Seq: lowest, Bytes: int32(n),
-			})
-		}
-	}
-	l.retryAt = stamp + int64(l.backoff(l.attempts))
-	return ""
 }
 
 // noteHeartbeat ingests one received heartbeat: remembers it for echoing,
@@ -843,23 +784,10 @@ func (l *link) clockSamples() []obs.ClockSample {
 	return out
 }
 
-// backoff returns the exponential retransmit backoff for the given round,
-// capped at RetryBackoffMax.
-func (l *link) backoff(attempts int) time.Duration {
-	d := l.t.cfg.RetryBackoff
-	for i := 1; i < attempts && d < l.t.cfg.RetryBackoffMax; i++ {
-		d *= 2
-	}
-	if d > l.t.cfg.RetryBackoffMax {
-		d = l.t.cfg.RetryBackoffMax
-	}
-	return d
-}
-
-// injectDropLocked rolls the fault plan's drop dice for one first
+// injectResetLocked rolls the fault plan's reset dice for one first
 // transmission.  Caller holds mu (the rng stream is mu-guarded).
-func (l *link) injectDropLocked() bool {
-	p := l.t.cfg.Faults.DropProb
+func (l *link) injectResetLocked() bool {
+	p := l.t.cfg.Faults.ResetProb
 	if p <= 0 {
 		return false
 	}
@@ -873,12 +801,13 @@ func (l *link) injectDropLocked() bool {
 
 // dialLoop establishes (and re-establishes) the connection from the dialing
 // side, with exponential backoff between attempts.  Exactly one dialLoop
-// runs per link at a time (the dialing flag).
+// runs per link at a time (the dialing flag); a partition ends it, and
+// healing starts another.
 func (l *link) dialLoop() {
 	defer l.t.wg.Done()
 	backoff := l.t.cfg.DialBackoff
 	for {
-		if l.t.closed.Load() || l.dead.Load() || l.departed.Load() {
+		if l.t.closed.Load() || l.dead.Load() || l.departed.Load() || l.partitioned.Load() {
 			break
 		}
 		c, err := l.t.be.Dial(l.addr, l.t.cfg.DialTimeout)
@@ -907,10 +836,8 @@ func (l *link) clearDialing() {
 	l.dialing = false
 	// A connection torn down between handshake success and this point would
 	// have skipped arming a redial (dialing was still set); catch up.
-	if l.conn == nil && l.dialer && !l.dead.Load() && !l.departed.Load() && !l.t.closed.Load() {
-		l.dialing = true
-		l.t.wg.Add(1)
-		go l.dialLoop()
+	if l.conn == nil {
+		l.redialLocked()
 	}
 	l.mu.Unlock()
 }
@@ -975,17 +902,15 @@ func (l *link) snapshot() obs.LinkState {
 		FramesRecv:     l.stats.framesRecv.Load(),
 		BytesSent:      l.stats.bytesSent.Load(),
 		BytesRecv:      l.stats.bytesRecv.Load(),
-		Retransmits:    l.stats.retransmits.Load(),
+		Retransmits:    l.stats.replayed.Load(),
 		DupsDropped:    l.stats.dupsDropped.Load(),
-		OooDropped:     l.stats.oooDropped.Load(),
 		Reconnects:     l.stats.reconnects.Load(),
 		HeartbeatsSent: l.stats.hbSent.Load(),
 		HeartbeatsRecv: l.stats.hbRecv.Load(),
 		AcksSent:       l.stats.acksSent.Load(),
 		AcksRecv:       l.stats.acksRecv.Load(),
 		AcksDeferred:   l.stats.acksDeferred.Load(),
-		RetryRounds:    l.stats.retryRounds.Load(),
-		DropsInjected:  l.stats.dropsInjected.Load(),
+		ResetsInjected: l.stats.resetsInjected.Load(),
 		DelaysInjected: l.stats.delaysInjected.Load(),
 		SendBusy:       l.stats.sendBusy.Load(),
 		Writes:         l.stats.writes.Load(),

@@ -10,6 +10,8 @@ import (
 // for comparison with the link's Writes counter, and can go deaf: what they
 // read is held back from the link, which acks nothing meanwhile.  They can
 // also be paced: each read then takes at most paceChunk bytes, after a pause.
+// And they can swallow writes, which a reliable stream never does: a test
+// forges with it a frame lost on a live connection.
 func newMemNet() *MemNet { return NewMemNet() }
 
 // backend returns the Backend of one node.
@@ -26,6 +28,7 @@ type memBackend struct {
 	cond   sync.Cond
 	deaf   bool
 	pace   atomic.Int64 // pause before each read, in nanoseconds (0 = unpaced)
+	lose   atomic.Bool  // writes report success and deliver nothing
 }
 
 // paceChunk is the most a paced read takes.
@@ -72,6 +75,9 @@ type countingConn struct {
 }
 
 func (c *countingConn) Write(p []byte) (n int, err error) {
+	if c.be.lose.Load() {
+		return len(p), nil
+	}
 	if n, err = c.Conn.Write(p); err == nil {
 		c.be.writes.Add(1)
 	}

@@ -5,13 +5,15 @@ import (
 	"time"
 )
 
-// The link clock's contract (Transport.tickLoop): the timers the frame paths
-// arm without reading the clock err late, never early.  Lower bounds only,
-// measured on the test's own clock: a slow host can only make the link later.
+// The link clock's contract (Transport.tickLoop): the silence timer the frame
+// paths feed without reading the clock errs late, never early.  Lower bounds
+// only, measured on the test's own clock: a slow host can only make the link
+// later.
 
 // TestLinkTimersNeverEarly checks (a) that a deaf node declares its peer dead
 // no sooner than PeerDeadAfter after the last frame it heard, and (b) that a
-// lossless ping-pong retransmits nothing.
+// lossless ping-pong, with the ticker running among its round trips, neither
+// replays nor reconnects.
 func TestLinkTimersNeverEarly(t *testing.T) {
 	t.Run("detector", func(t *testing.T) {
 		// Node 1 ticks every 20 ms and gives up on its peer after 118 ms of
@@ -25,16 +27,15 @@ func TestLinkTimersNeverEarly(t *testing.T) {
 			be := [2]*memBackend{net.backend(), net.backend()}
 			tp, col := startPairOn(t, [2]Backend{be[0], be[1]}, func(node int, c *Config) {
 				if node == 0 {
-					c.HeartbeatEvery = time.Hour // its first heartbeat is the last
+					c.HeartbeatEvery = time.Hour // it never ticks, so it sends no heartbeat
 				} else {
-					c.HeartbeatEvery, c.RetryBackoff, c.PeerDeadAfter = 40*time.Millisecond, 40*time.Millisecond, deadAfter
+					c.HeartbeatEvery, c.PeerDeadAfter = 40*time.Millisecond, deadAfter
 				}
 			})
 			// Before the closes: a deaf node would never read node 0's redials.
 			t.Cleanup(func() { be[1].setDeaf(false) })
 			waitUp(t, tp[0], 1)
 			waitUp(t, tp[1], 0)
-			waitFor(t, 5*time.Second, "node 0's one heartbeat", func() bool { return tp[0].Stats()[1].HeartbeatsSent > 0 })
 			sent := time.Now() // no later than node 1 hears the frame
 			sendN(t, tp[0], 1, 1)
 			waitFor(t, 5*time.Second, "frame delivered", func() bool { return col[1].count() == 1 })
@@ -55,9 +56,8 @@ func TestLinkTimersNeverEarly(t *testing.T) {
 	})
 
 	t.Run("retransmit", func(t *testing.T) {
-		// Paced, so that the retransmit timer's ticks (every 10 ms by
-		// default) fall among the round trips: a frame is in flight for
-		// microseconds, far below the 20 ms RetryBackoff.
+		// Paced, so that the ticks (every 12.5 ms by default) and their
+		// heartbeats fall among the round trips.
 		const rounds = 1000 // 2 000 frames
 		net := NewMemNet()
 		tp, pong := startEchoPair(t, [2]Backend{net.Backend(), net.Backend()}, Config{})
@@ -74,8 +74,8 @@ func TestLinkTimersNeverEarly(t *testing.T) {
 			}
 		}
 		for node := range tp {
-			if st := tp[node].Stats()[1-node]; st.Retransmits != 0 || st.RetryRounds != 0 {
-				t.Errorf("node %d: %d frames retransmitted in %d rounds on a lossless link", node, st.Retransmits, st.RetryRounds)
+			if st := tp[node].Stats()[1-node]; st.Retransmits != 0 || st.Reconnects != 0 {
+				t.Errorf("node %d: %d frames replayed over %d reconnects on a lossless link", node, st.Retransmits, st.Reconnects)
 			}
 		}
 	})
@@ -90,9 +90,7 @@ func TestLinkTimersNeverEarly(t *testing.T) {
 func TestDetectorHearsLargeFrameArrive(t *testing.T) {
 	net := newMemNet()
 	be := [2]*memBackend{net.backend(), net.backend()}
-	// No retransmit rounds: a copy of the frame queued behind the first
-	// would only lengthen the test.
-	tp, col := startPairOn(t, [2]Backend{be[0], be[1]}, noRetransmit)
+	tp, col := startPairOn(t, [2]Backend{be[0], be[1]}, nil)
 	t.Cleanup(func() { be[1].pace.Store(0) })
 	waitUp(t, tp[0], 1)
 	waitUp(t, tp[1], 0)

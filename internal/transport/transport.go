@@ -46,7 +46,7 @@ type Handlers struct {
 	// Applied receives one KindApplied frame (RMA applied watermark).
 	Applied func(f *Frame)
 	// PeerDead reports a peer declared dead by the failure detector
-	// (heartbeat silence or retry-budget exhaustion).
+	// (heartbeat silence, or a configuration mismatch at the handshake).
 	PeerDead func(node int, reason string)
 	// PeerBye reports a peer's deliberate departure.  abort distinguishes a
 	// poisoned runtime (propagate the failure) from a completed one; dead
@@ -88,12 +88,10 @@ type Transport struct {
 	hsConns map[Conn]struct{}
 
 	// The link clock (tickLoop): stamps are monotonic nanoseconds since
-	// epoch.  period is the ticker's, now the stamp of the latest tick, and
-	// ticks counts the ticks begun (from 1, so that 0 can mean "no tick").
+	// epoch.  period is the ticker's, and now the stamp of the latest tick.
 	epoch  time.Time
 	period time.Duration
 	now    atomic.Int64
-	ticks  atomic.Uint64
 }
 
 // New builds a transport endpoint from a defaults-resolved, validated
@@ -119,11 +117,7 @@ func New(cfg Config, be Backend, nranks int, h Handlers) (*Transport, error) {
 	}
 	t.hsConns = make(map[Conn]struct{})
 	t.rngState.Store(cfg.Faults.Seed ^ 0x6a09e667f3bcc909)
-	t.period = min(cfg.HeartbeatEvery, cfg.RetryBackoff) / 2
-	if t.period < time.Millisecond {
-		t.period = time.Millisecond
-	}
-	t.ticks.Store(1)
+	t.period = max(cfg.HeartbeatEvery/2, time.Millisecond)
 	for peer := range cfg.Addrs {
 		if peer == cfg.Node {
 			continue
@@ -144,8 +138,7 @@ func New(cfg Config, be Backend, nranks int, h Handlers) (*Transport, error) {
 }
 
 // Start binds the listen address, starts dialing every higher-numbered
-// peer, and arms the ticker that drives heartbeats, retransmissions, and
-// failure detection.
+// peer, and arms the ticker that drives heartbeats and failure detection.
 func (t *Transport) Start() error {
 	ln, err := t.be.Listen(t.cfg.Addrs[t.cfg.Node])
 	if err != nil {
@@ -184,9 +177,9 @@ func (t *Transport) Nodes() int { return len(t.cfg.Addrs) }
 
 // Send routes one sequenced frame (KindData or KindApplied) to dstNode.
 // nil means the link has taken responsibility for delivery (the frame is
-// buffered for retransmission until acked); ErrBusy means the resend window
-// is full and the caller should yield and retry; a *DeadError means the
-// failure detector has given up on the peer.
+// buffered until acked, and replayed on reconnect); ErrBusy means the resend
+// window is full and the caller should yield and retry; a *DeadError means
+// the failure detector has given up on the peer.
 func (t *Transport) Send(dstNode int, f *Frame) error {
 	if t.closing.Load() {
 		return ErrClosed
@@ -261,10 +254,10 @@ func (t *Transport) Close() error {
 // buffer is empty.  Sends complete at post, so an application whose last
 // act is a send considers itself done while the frame may still be
 // unacknowledged — or queued behind a dial that has not finished.  The
-// tick loop is still running here (Close has not signalled stop yet), so
-// retransmits and redials keep making progress during the wait.  Links that
-// are dead, departed, or chaos-partitioned are excluded: their frames are
-// undeliverable by definition and must not hold shutdown hostage.
+// transport is still running here (Close has not signalled stop yet), so
+// redials and their replays keep making progress during the wait.  Links
+// that are dead, departed, or chaos-partitioned are excluded: their frames
+// are undeliverable by definition and must not hold shutdown hostage.
 func (t *Transport) drain() {
 	deadline := time.Now().Add(t.cfg.DrainTimeout)
 	for time.Now().Before(deadline) {
@@ -323,20 +316,28 @@ func (t *Transport) KillLink(node int) {
 	l.mu.Unlock()
 }
 
-// SetPartitioned switches a chaos partition toward a peer on or off: while
-// set, nothing is sent on the link and everything arriving is ignored —
-// including heartbeats, so a long enough partition trips the failure
-// detector on both sides.
+// SetPartitioned switches a chaos partition toward a peer on or off: the
+// connection goes down and handshakes are refused, from either side, until
+// healing arms the redial.  Nothing crosses a partition, heartbeats included,
+// so a long enough one trips the failure detector on both sides.
 func (t *Transport) SetPartitioned(node int, on bool) {
 	if node < 0 || node >= len(t.links) || t.links[node] == nil {
 		return
 	}
-	t.links[node].partitioned.Store(on)
+	l := t.links[node]
+	l.mu.Lock()
+	l.partitioned.Store(on)
+	if on {
+		l.teardownConnLocked()
+	} else if l.conn == nil {
+		l.redialLocked()
+	}
+	l.mu.Unlock()
 }
 
 // Stats snapshots every link.  The slice is indexed by peer node id with
 // this node's own entry zeroed.  It stays valid after Close, when it reports
-// the final counts — the close-time drain's retransmissions included — with
+// the final counts — the close-time drain's replays included — with
 // every link down.
 func (t *Transport) Stats() []obs.LinkState {
 	out := make([]obs.LinkState, len(t.links))
@@ -364,7 +365,8 @@ func (t *Transport) ClockSamples() []obs.ClockSample {
 }
 
 // LinkEvents returns every link's retained transport trace events (frame
-// send/recv/retransmit with sequence numbers), merged and time-ordered.
+// send/recv with sequence numbers, resets and replays), merged and
+// time-ordered.
 // Empty unless Config.LinkEvents enabled the rings.
 func (t *Transport) LinkEvents() []obs.LinkEvent {
 	var out []obs.LinkEvent
@@ -459,10 +461,10 @@ func (t *Transport) handleAccept(c Conn) {
 		return
 	}
 	l := t.links[peer]
-	if l.dead.Load() || l.departed.Load() {
-		// No Welcome from a link that is over: answering would count as a
-		// sign of life, and a peer that has not noticed yet would reset its
-		// silence clock on every redial instead of running it out.
+	if l.dead.Load() || l.departed.Load() || l.partitioned.Load() {
+		// No Welcome from a link that is over or partitioned: answering would
+		// count as a sign of life, and a peer that has not noticed yet would
+		// reset its silence clock on every redial instead of running it out.
 		c.Close()
 		return
 	}
@@ -485,17 +487,12 @@ func (t *Transport) handleAccept(c Conn) {
 	l.installConn(c, fr.br, hello.Delivered)
 }
 
-// tickLoop drives every link's periodic work and keeps the link clock.  The
-// period is finer than both the heartbeat interval and the retransmit backoff
-// so neither loses resolution.
-//
-// A tick is the only place the frame paths' timers read the wall clock.  The
-// frame paths record events without a clock: a reader raises its link's heard
-// flag, and a retransmit timer is re-armed with the current tick count.  Each
-// tick first takes every heard flag and bumps the count, and only then reads
-// the clock, so an event it collects happened before the stamp it gives the
-// event.  A timer measured from that stamp errs late, by at most one period,
-// and never early.  The stamp is published in now for the write deadline.
+// tickLoop drives every link's periodic work and keeps the link clock, every
+// half heartbeat interval.  It is the only place the links' timers read the
+// wall clock: a reader only raises its link's heard flag, and each tick takes
+// every flag before it reads the clock, so an arrival happened before the
+// stamp it is given and the silence timer errs late, by at most one period,
+// never early.  The stamp is published in now for the write deadline.
 func (t *Transport) tickLoop() {
 	defer t.wg.Done()
 	tk := time.NewTicker(t.period)
@@ -511,12 +508,11 @@ func (t *Transport) tickLoop() {
 					heard[i] = l.heard.Swap(false)
 				}
 			}
-			tick := t.ticks.Add(1)
 			now := time.Now()
 			t.now.Store(t.stamp(now))
 			for i, l := range t.links {
 				if l != nil {
-					l.tick(now, tick, heard[i])
+					l.tick(now, heard[i])
 				}
 			}
 		}

@@ -56,6 +56,11 @@ type collector struct {
 	// waiting is what Deliver reports in Frame.Waiting: the test plays a
 	// runtime whose destination rank was (or was not) found waiting.
 	waiting atomic.Bool
+	// delivered, when set (before the first frame), is called by Deliver
+	// with the count of frames recorded so far, on the reader's goroutine
+	// and with the link's receive lock held: a test can hold the reader
+	// there.
+	delivered func(n int)
 
 	deadMu   sync.Mutex
 	dead     map[int]string
@@ -76,7 +81,11 @@ func (c *collector) handlers() Handlers {
 			cp.Payload = append([]byte(nil), f.Payload...)
 			c.mu.Lock()
 			c.frames = append(c.frames, cp)
+			n := len(c.frames)
 			c.mu.Unlock()
+			if c.delivered != nil {
+				c.delivered(n)
+			}
 			f.Waiting = c.waiting.Load()
 		},
 		PeerDead: func(node int, reason string) {
@@ -230,10 +239,7 @@ func TestLinkDeliverOrder(t *testing.T) {
 
 func TestLinkLossyRecovery(t *testing.T) {
 	tp, col := startPair(t, func(node int, c *Config) {
-		c.Faults = Faults{Seed: 7, DropProb: 0.25}
-		c.RetryBackoff = 2 * time.Millisecond
-		c.RetryBackoffMax = 20 * time.Millisecond
-		c.RetryBudget = 1000 // drops must be recovered, not declared fatal
+		c.Faults = Faults{Seed: 7, ResetProb: 0.25}
 	})
 	waitUp(t, tp[0], 1)
 	const n = 300
@@ -242,11 +248,11 @@ func TestLinkLossyRecovery(t *testing.T) {
 	checkOrdered(t, col[1], n)
 
 	st := tp[0].Stats()[1]
-	if st.DropsInjected == 0 {
-		t.Fatal("fault plan injected no drops; the test exercised nothing")
+	if st.ResetsInjected == 0 {
+		t.Fatal("fault plan injected no resets; the test exercised nothing")
 	}
 	if st.Retransmits == 0 {
-		t.Fatal("drops recovered without retransmissions?")
+		t.Fatal("resets recovered without a reconnect replay?")
 	}
 	if d, ok := col[0].deadReason(1); ok {
 		t.Fatalf("healthy lossy link declared dead: %s", d)
@@ -258,7 +264,6 @@ func TestLinkLossyRecovery(t *testing.T) {
 
 func TestLinkReconnectResend(t *testing.T) {
 	tp, col := startPair(t, func(node int, c *Config) {
-		c.RetryBackoff = 5 * time.Millisecond
 		c.PeerDeadAfter = 2 * time.Second // survive the break
 	})
 	const half = 100
@@ -327,33 +332,6 @@ func asDeadError(err error, out **DeadError) bool {
 	return ok
 }
 
-func TestLinkRetryBudgetExhaustion(t *testing.T) {
-	tp, col := startPair(t, func(node int, c *Config) {
-		c.RetryBudget = 3
-		c.RetryBackoff = 2 * time.Millisecond
-		c.RetryBackoffMax = 4 * time.Millisecond
-		c.PeerDeadAfter = 5 * time.Second // the budget, not the heartbeat, must trip
-	})
-	sendN(t, tp[0], 1, 1)
-	waitFor(t, 5*time.Second, "link up", func() bool { return col[1].count() == 1 })
-
-	// Node 1 goes silent (partition eats node 0's frames and withholds acks);
-	// node 0's retransmit rounds burn the budget and give up.
-	tp[1].SetPartitioned(0, true)
-	sendN(t, tp[0], 1, 4)
-	waitFor(t, 5*time.Second, "budget exhaustion", func() bool {
-		_, ok := col[0].deadReason(1)
-		return ok
-	})
-	reason, _ := col[0].deadReason(1)
-	if !strings.Contains(reason, "retry budget exhausted") || !strings.Contains(reason, "node 1") {
-		t.Fatalf("death reason: %q", reason)
-	}
-	if st := tp[0].Stats()[1]; st.Retransmits == 0 || !st.Dead {
-		t.Fatalf("stats after exhaustion: %+v", st)
-	}
-}
-
 func TestLinkGracefulBye(t *testing.T) {
 	tp, col := startPair(t, nil)
 	sendN(t, tp[0], 1, 1)
@@ -382,14 +360,13 @@ func TestLinkGracefulBye(t *testing.T) {
 // may have sent its last frames first — the ack of our last frame and its
 // Bye — and our failed write must not throw them away unread.  Node 1's
 // reader is held (the backend goes deaf) with node 0's frame X in hand; node
-// 1 sends A, which node 0 acks, and node 0 closes.  Node 1's retransmission
-// of A then fails against the closed connection.  When the reader hears again
+// 1 sends A, which node 0 acks, and node 0 closes.  Node 1's next write, an
+// ack, then fails against the closed connection.  When the reader hears again
 // it must still find the ack and the Bye, so node 1's Close has nothing left
 // to drain.  Closing the connection on the failed write lost both, and node 1
 // waited out DrainTimeout for an ack it had been sent.
 func TestLinkByeSurvivesFailedWrite(t *testing.T) {
 	tp, col, be, _ := memPair(t, func(node int, c *Config) {
-		c.RetryBackoff = 5 * time.Millisecond
 		c.DrainTimeout = [2]time.Duration{10 * time.Millisecond, time.Second}[node]
 	})
 	be[1].setDeaf(true)
@@ -399,11 +376,13 @@ func TestLinkByeSurvivesFailedWrite(t *testing.T) {
 	waitFor(t, 5*time.Second, "A acked by node 0", func() bool { return tp[0].Stats()[1].AcksSent > 0 })
 	tp[0].Close() // X is unacked: its drain times out, then Bye and close
 	l := tp[1].links[0]
-	waitFor(t, 5*time.Second, "node 1's write to fail", func() bool {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.conn == nil
-	})
+	l.writeAck()
+	l.mu.Lock()
+	failed := l.conn == nil
+	l.mu.Unlock()
+	if !failed {
+		t.Fatal("node 1's write to the closed connection did not fail")
+	}
 	be[1].setDeaf(false)
 	tp[1].Close()
 	if st := tp[1].Stats()[0]; st.Unacked != 0 {
@@ -436,68 +415,9 @@ func TestLinkAbortBye(t *testing.T) {
 	}
 }
 
-// TestLinkBackoffDoublesAndCaps pins the retransmit backoff schedule on the
-// real-clock link layer: doubling per round from RetryBackoff, capped at
-// RetryBackoffMax, flooring at the base for round 0/negative junk.
-func TestLinkBackoffDoublesAndCaps(t *testing.T) {
-	l := &link{t: &Transport{cfg: Config{
-		RetryBackoff:    time.Millisecond,
-		RetryBackoffMax: 6 * time.Millisecond,
-	}}}
-	cases := []struct {
-		attempts int
-		want     time.Duration
-	}{
-		{-1, time.Millisecond},
-		{0, time.Millisecond},
-		{1, time.Millisecond},
-		{2, 2 * time.Millisecond},
-		{3, 4 * time.Millisecond},
-		{4, 6 * time.Millisecond}, // 8ms capped to the 6ms max
-		{50, 6 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := l.backoff(c.attempts); got != c.want {
-			t.Errorf("backoff(%d) = %v, want %v", c.attempts, got, c.want)
-		}
-	}
-}
-
-// TestLinkRetryBudgetBoundary partitions the peer's receive side and counts
-// retransmit rounds: with RetryBudget = N the link must survive N rounds
-// and die on round N+1, naming the budget in the reason.
-func TestLinkRetryBudgetBoundary(t *testing.T) {
-	const budget = 3
-	tp, col := startPair(t, func(node int, c *Config) {
-		c.RetryBudget = budget
-		c.RetryBackoff = 2 * time.Millisecond
-		c.RetryBackoffMax = 2 * time.Millisecond // constant rounds: timing is arithmetic
-		c.PeerDeadAfter = time.Hour              // isolate the budget detector from the heartbeat one
-	})
-	sendN(t, tp[0], 1, 1)
-	waitFor(t, 5*time.Second, "link up", func() bool { return col[1].count() == 1 })
-
-	tp[1].SetPartitioned(0, true) // acks stop coming back
-	sendN(t, tp[0], 1, 1)
-	waitFor(t, 10*time.Second, "budget exhaustion", func() bool {
-		_, ok := col[0].deadReason(1)
-		return ok
-	})
-	reason, _ := col[0].deadReason(1)
-	if !strings.Contains(reason, "retry budget exhausted") ||
-		!strings.Contains(reason, fmt.Sprintf("after %d retransmit rounds", budget)) {
-		t.Fatalf("death reason %q does not pin %d rounds of retransmit", reason, budget)
-	}
-	if got := tp[0].Stats()[1].Retransmits; got < budget {
-		t.Fatalf("only %d retransmits counted, want >= %d", got, budget)
-	}
-}
-
 func TestLinkBackpressure(t *testing.T) {
 	tp, col := startPair(t, func(node int, c *Config) {
 		c.MaxUnacked = 4
-		c.RetryBudget = 1 << 20
-		c.RetryBackoff = time.Hour // no retransmit noise
 		c.PeerDeadAfter = time.Hour
 	})
 	sendN(t, tp[0], 1, 1)
@@ -506,8 +426,8 @@ func TestLinkBackpressure(t *testing.T) {
 	// landed during the fill would free a slot the count below expects full.
 	waitFor(t, 5*time.Second, "first frame acked", func() bool { return tp[0].Stats()[1].Unacked == 0 })
 
-	// With the peer's receive side partitioned, acks stop and the window
-	// fills after MaxUnacked frames.
+	// A partition on the peer's side takes the connection down and refuses
+	// the redial, so acks stop and the window fills after MaxUnacked frames.
 	tp[1].SetPartitioned(0, true)
 	f := Frame{Kind: KindData, Payload: []byte("x")}
 	busy := false

@@ -11,13 +11,13 @@ import (
 
 // The lossy suites run two in-process nodes, joined by the link layer that
 // joins processes: a TransportConfig without Addrs carries the links' fault
-// plan, which drops first transmissions and delays arrivals.  The link's
-// go-back-N recovery must keep every result exact.
+// plan, which resets the connection at first transmissions and delays
+// arrivals.  The link's redial-and-replay recovery must keep every result
+// exact.
 
 // lossyNodes places one rank on each of two in-process nodes, so every
 // operation between the ranks crosses a link, and gives the links the fault
-// plan f.  The links retransmit after milliseconds and never give up, so
-// injected loss costs a test little time and never a link.
+// plan f.
 func lossyNodes(f pure.TransportFaults) pure.Config {
 	return pure.Config{
 		NRanks:       2,
@@ -25,7 +25,7 @@ func lossyNodes(f pure.TransportFaults) pure.Config {
 		RanksPerNode: 1,
 		HangTimeout:  20 * time.Second,
 		Metrics:      pure.NewMetrics(),
-		Transport:    &pure.TransportConfig{Faults: f, RetryBackoff: 2 * time.Millisecond, RetryBudget: 1000},
+		Transport:    &pure.TransportConfig{Faults: f},
 	}
 }
 
@@ -43,20 +43,20 @@ func runLossy(t *testing.T, cfg pure.Config, main func(r *pure.Rank)) map[string
 }
 
 // checkRecovered asserts the run was lossy and that the loss was recovered by
-// retransmission (the run's exactness is the test body's to assert).
+// a reconnect replay (the run's exactness is the test body's to assert).
 func checkRecovered(t *testing.T, c map[string]int64) {
 	t.Helper()
-	if c["pure_tp_drops_injected_total"] == 0 {
-		t.Error("fault plan injected no drops; the test exercised nothing")
+	if c["pure_tp_resets_injected_total"] == 0 {
+		t.Error("fault plan injected no resets; the test exercised nothing")
 	}
 	if c["pure_tp_retransmits_total"] == 0 {
-		t.Error("drops were injected but nothing was retransmitted")
+		t.Error("resets were injected but no reconnect replayed anything")
 	}
 }
 
-// chaosFaults is transport.ChaosFaults(dropProb): the seed-swept plans.
-func chaosFaults(t *testing.T, dropProb float64) []pure.TransportFaults {
-	plans, err := transport.ChaosFaults(dropProb)
+// chaosFaults is transport.ChaosFaults(resetProb): the seed-swept plans.
+func chaosFaults(t *testing.T, resetProb float64) []pure.TransportFaults {
+	plans, err := transport.ChaosFaults(resetProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +67,9 @@ func chaosFaults(t *testing.T, dropProb float64) []pure.TransportFaults {
 // configured through nothing but the public TransportConfig.Faults, still
 // delivers every message exactly once and in order.
 func TestFaultInjectionFromPublicAPI(t *testing.T) {
-	c := runLossy(t, lossyNodes(pure.TransportFaults{Seed: 11, DropProb: 0.10}), func(r *pure.Rank) {
+	c := runLossy(t, lossyNodes(pure.TransportFaults{Seed: 11, ResetProb: 0.10}), func(r *pure.Rank) {
 		w := r.World()
-		w.Barrier() // the link is up: what follows is transmitted (and dropped), not replayed on connect
+		w.Barrier() // the link is up: what follows is transmitted (and may reset it), not replayed on connect
 		buf := make([]byte, 16)
 		for i := 0; i < 25; i++ {
 			if r.ID() == 0 {
@@ -83,11 +83,9 @@ func TestFaultInjectionFromPublicAPI(t *testing.T) {
 			}
 		}
 		// The sender may return with its last messages unacknowledged: what the
-		// close-time drain resends is counted too.
+		// close-time drain replays is counted too.
 	})
-	if c["pure_tp_retransmits_total"] == 0 {
-		t.Fatal("10% drops but zero retransmits recorded")
-	}
+	checkRecovered(t, c)
 }
 
 // TestChaosRMARemotePutLossy drives remote Put/Accumulate traffic over

@@ -94,10 +94,10 @@ func CoriNode(nodes int) Spec { return topology.CoriSpec(nodes) }
 type TransportConfig = transport.Config
 
 // TransportFaults is the runtime's one fault injector (set it on
-// TransportConfig.Faults): seeded drops of first transmissions and
-// receive-side delays, all recovered transparently by the link protocol at
-// the cost of retransmission latency.  docs/ROBUSTNESS.md shows how to run a
-// lossy multi-node program inside one process.
+// TransportConfig.Faults): seeded connection resets at first transmissions
+// and receive-side delays, all recovered transparently by the link protocol
+// at the cost of a redial and a replay.  docs/ROBUSTNESS.md shows how to run
+// a lossy multi-node program inside one process.
 type TransportFaults = transport.Faults
 
 // TransportFromEnv builds a TransportConfig from the PURE_NODE/PURE_ADDRS/
@@ -129,8 +129,8 @@ func Run(cfg Config, main func(r *Rank)) error { return core.Run(cfg, main) }
 // RunError is the structured error Run returns when the runtime aborts
 // instead of completing (a rank panicked or called Abort, the watchdog
 // diagnosed a deadlock or stall, the deadline expired, or the transport
-// declared a peer node dead — heartbeat silence or an exhausted retry
-// budget).  Inspect it with errors.As.
+// declared a peer node dead — heartbeat silence, or a configuration
+// mismatch at the handshake).  Inspect it with errors.As.
 type RunError = core.RunError
 
 // RankFailure names one failed rank inside a RunError.
